@@ -11,7 +11,6 @@
 #include "common/random.h"
 #include "middleware/batch_matcher.h"
 #include "mining/cc_table.h"
-#include "mining/dense_cc.h"
 #include "sql/parser.h"
 #include "storage/heap_file.h"
 
@@ -63,20 +62,6 @@ void BM_CcTableAddRow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * attrs);
 }
 BENCHMARK(BM_CcTableAddRow)->Arg(5)->Arg(25)->Arg(100);
-
-void BM_DenseCcAddRow(benchmark::State& state) {
-  const int attrs = static_cast<int>(state.range(0));
-  Schema schema = BenchSchema(attrs, 8, 4);
-  std::vector<Row> rows = BenchRows(schema, 1024, 1);
-  DenseCcTable cc(schema, schema.PredictorColumns());
-  size_t i = 0;
-  for (auto _ : state) {
-    cc.AddRow(rows[i & 1023]);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations() * attrs);
-}
-BENCHMARK(BM_DenseCcAddRow)->Arg(5)->Arg(25)->Arg(100);
 
 /// Builds `n` leaf-path predicates of a random binary tree — a realistic
 /// frontier: siblings share prefixes, exactly the structure BatchMatcher's

@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Runs the repository benchmark alternately in two checkouts and summarises
+the end-to-end metrics of each side.
+
+    scripts/compare_perfbench.py BASE_DIR CHANGE_DIR --pairs 10 --seed 7 \\
+        --seconds 15 --out BENCH_cc_layout.json
+
+Each pair runs every workload once per checkout (`perfbench/run.py
+--trace 0`), base first in even pairs and change first in odd ones, so slow
+drift on the host hits both sides alike. Before the change's first run at
+the seed, the base's record of that seed is copied into the change's
+checkout, so perfbench's paper-fidelity check compares the change's trees,
+simulated seconds and cost counters with the base's. The JSON holds, per
+workload and metric, each side's median and quartiles and the number of
+pairs the change won, plus every run's raw metrics.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("census_scan", "census_bitmap", "census_sharded", "service_mixed")
+HIGHER_IS_BETTER = {"models_per_s"}
+RECORDS = Path(".bench_build/perfbench/records")
+
+
+def run(checkout, workload, args):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds),
+         "--trace", "0"],
+        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True, check=False)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"] and proc.returncode == 0,
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def share_record(base, change, seed):
+    name = f"seed-{seed}.json"
+    if (change / RECORDS / name).exists() or not (base / RECORDS / name).exists():
+        return
+    (change / RECORDS).mkdir(parents=True, exist_ok=True)
+    shutil.copy(base / RECORDS / name, change / RECORDS / name)
+
+
+def summarise(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--base-label", default="base")
+    parser.add_argument("--change-label", default="change")
+    args = parser.parse_args()
+
+    runs = []
+    for pair in range(args.pairs):
+        for workload in args.workloads:
+            sides = ("base", "change") if pair % 2 == 0 else ("change", "base")
+            for side in sides:
+                if side == "change":
+                    share_record(args.base, args.change, args.seed)
+                result = run(getattr(args, side), workload, args)
+                runs.append({"pair": pair, "workload": workload, "side": side,
+                             **result})
+                print(f"pair {pair} {workload:15s} {side:6s} "
+                      f"correct={result['correct']} "
+                      f"model_s={result['metrics']['model_s']:.3f}",
+                      flush=True)
+
+    summary = {}
+    for workload in args.workloads:
+        mine = [r for r in runs if r["workload"] == workload]
+        by_side = {side: sorted((r for r in mine if r["side"] == side),
+                                key=lambda r: r["pair"])
+                   for side in ("base", "change")}
+        summary[workload] = {"all_correct": all(r["correct"] for r in mine)}
+        for metric in mine[0]["metrics"]:
+            base = [r["metrics"][metric] for r in by_side["base"]]
+            change = [r["metrics"][metric] for r in by_side["change"]]
+            better = (lambda c, b: c > b) if metric in HIGHER_IS_BETTER else (
+                lambda c, b: c < b)
+            summary[workload][metric] = {
+                "base": summarise(base), "change": summarise(change),
+                "change_wins": sum(better(c, b) for c, b in zip(change, base)),
+            }
+    args.out.write_text(json.dumps({
+        "bench": "perfbench pairs",
+        "base": args.base_label, "change": args.change_label,
+        "nproc": os.cpu_count(), "seed": args.seed, "seconds": args.seconds,
+        "pairs": args.pairs,
+        "summary": summary, "runs": runs}, indent=1) + "\n")
+    return 0 if all(s["all_correct"] for s in summary.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -196,7 +196,7 @@ CcTable ScaleCcToTotal(const CcTable& sample_cc,
       column.reserve(states.size());
       for (const auto& [value, counts] : states) {
         (void)value;
-        column.push_back((*counts)[k]);
+        column.push_back(counts[k]);
       }
       const std::vector<int64_t> scaled_column = Apportion(
           column, sample_cc.ClassTotals()[k], class_totals[k]);

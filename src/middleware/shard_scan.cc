@@ -158,6 +158,10 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
     node_attrs.push_back(node.active_attrs);
   }
   BatchMatcher matcher(predicates);
+  std::vector<int> cardinalities;
+  for (const AttributeDef& column : schema_->attributes()) {
+    cardinalities.push_back(column.cardinality);
+  }
 
   SQLCLASS_ASSIGN_OR_RETURN(const ShardInfo* entries, map_->ShardRows());
   const uint32_t shards = map_->num_shards();
@@ -183,6 +187,7 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
     task.matcher = &matcher;
     task.node_attrs = &node_attrs;
     task.predicates = &predicates;
+    task.cardinalities = &cardinalities;
     task.partials = &partials[s];
     task.rows_scanned = &shard_rows[s];
     task.io = &shard_io[s];

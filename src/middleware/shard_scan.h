@@ -64,6 +64,9 @@ struct ShardTask {
   /// the worker process can evaluate rows without the coordinator's
   /// matcher.
   const std::vector<const Expr*>* predicates = nullptr;
+  /// Domain size of every column. The subprocess transport rejects a reply
+  /// whose CC cells fall outside it.
+  const std::vector<int>* cardinalities = nullptr;
   std::vector<CcTable>* partials = nullptr;  // out: one per node, zeroed
   uint64_t* rows_scanned = nullptr;          // out
   IoCounters* io = nullptr;                  // out: worker-private physical IO

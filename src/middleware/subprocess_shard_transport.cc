@@ -232,8 +232,9 @@ Status SubprocessShardTransport::Exchange(Worker* worker,
     return Status::DataLoss("shard rpc protocol violation: " + detail);
   }
   WireShardResult result;
-  Status decoded = DecodeShardResult(reply.payload, task.num_classes,
-                                     task.partials->size(), &result);
+  Status decoded =
+      DecodeShardResult(reply.payload, task.num_classes, *task.cardinalities,
+                        task.partials->size(), &result);
   if (!decoded.ok()) {
     std::string detail = decoded.message();
     DestroyWorker(worker, &detail);
@@ -250,7 +251,8 @@ Status SubprocessShardTransport::Exchange(Worker* worker,
 Status SubprocessShardTransport::RunShard(const ShardTask& task) {
   SQLCLASS_RETURN_IF_ERROR(EnsureStarted());
   if (task.predicates == nullptr || task.partials == nullptr ||
-      task.node_attrs == nullptr || task.rows_scanned == nullptr) {
+      task.node_attrs == nullptr || task.cardinalities == nullptr ||
+      task.rows_scanned == nullptr) {
     return Status::InvalidArgument(
         "subprocess shard transport needs predicates and out-fields");
   }

@@ -38,6 +38,9 @@ StatusOr<CcTable> CcFromResultSet(const ResultSet& result,
     if (class_value < 0 || class_value >= num_classes) {
       return Status::InvalidArgument("class value out of range");
     }
+    if (value < 0 || value >= schema.attribute(attr).cardinality) {
+      return Status::InvalidArgument("value out of range for " + attr_name);
+    }
     cc.Add(attr, value, class_value, count);
     if (attr_name == class_totals_attr) {
       cc.AddClassTotal(class_value, count);

@@ -1,7 +1,7 @@
 #include "mining/cc_table.h"
 
+#include <algorithm>
 #include <cassert>
-#include <limits>
 #include <sstream>
 
 namespace sqlclass {
@@ -13,39 +13,59 @@ CcTable::CcTable(int num_classes)
   assert(num_classes > 0);
 }
 
+int64_t* CcTable::MutableRow(int attr, Value value) {
+  assert(attr >= 0 && value >= 0);
+  if (static_cast<size_t>(attr) >= slabs_.size()) slabs_.resize(attr + 1);
+  std::vector<int64_t>& slab = slabs_[attr];
+  const size_t offset = static_cast<size_t>(value) * stride();
+  if (offset >= slab.size()) slab.resize(offset + stride(), 0);
+  return slab.data() + offset;
+}
+
+std::span<const int64_t> CcTable::Slab(int attr) const {
+  if (attr < 0 || static_cast<size_t>(attr) >= slabs_.size()) return {};
+  return slabs_[attr];
+}
+
 void CcTable::Add(int attr, Value value, Value class_value, int64_t count) {
   assert(class_value >= 0 && class_value < num_classes_);
-  auto [it, inserted] = cells_.try_emplace(Key(attr, value));
-  if (inserted) it->second.assign(num_classes_, 0);
-  it->second[class_value] += count;
+  int64_t* row = MutableRow(attr, value);
+  const bool was_live = row[0] != 0;
+  row[0] += count;
+  row[1 + class_value] += count;
+  num_entries_ += (row[0] != 0) - was_live;  // -1, 0 or +1 cells
 }
 
 void CcTable::AddRow(const Row& row, const std::vector<int>& attr_columns,
                      int class_column) {
-  const Value class_value = row[class_column];
-  for (int attr : attr_columns) {
-    Add(attr, row[attr], class_value);
-  }
-  AddClassTotal(class_value, 1);
+  AddRow(row.data(), attr_columns, class_column);
 }
 
 void CcTable::AddRow(const Value* values, const std::vector<int>& attr_columns,
                      int class_column) {
   const Value class_value = values[class_column];
+  assert(class_value >= 0 && class_value < num_classes_);
   for (int attr : attr_columns) {
-    Add(attr, values[attr], class_value);
+    int64_t* row = MutableRow(attr, values[attr]);
+    if (row[0]++ == 0) ++num_entries_;
+    ++row[1 + class_value];
   }
   AddClassTotal(class_value, 1);
 }
 
 void CcTable::Merge(const CcTable& other) {
   assert(num_classes_ == other.num_classes_);
-  for (const auto& [key, counts] : other.cells_) {
-    auto [it, inserted] = cells_.try_emplace(key);
-    if (inserted) {
-      it->second = counts;
-    } else {
-      for (int c = 0; c < num_classes_; ++c) it->second[c] += counts[c];
+  if (slabs_.size() < other.slabs_.size()) slabs_.resize(other.slabs_.size());
+  for (size_t attr = 0; attr < other.slabs_.size(); ++attr) {
+    const std::vector<int64_t>& from = other.slabs_[attr];
+    std::vector<int64_t>& into = slabs_[attr];
+    if (into.size() < from.size()) into.resize(from.size(), 0);
+    for (size_t offset = 0; offset < from.size(); offset += stride()) {
+      const bool was_live = into[offset] != 0;
+      for (size_t slot = 0; slot < stride(); ++slot) {
+        into[offset + slot] += from[offset + slot];
+      }
+      num_entries_ += (into[offset] != 0) - was_live;
     }
   }
   for (int c = 0; c < num_classes_; ++c) {
@@ -60,52 +80,73 @@ void CcTable::AddClassTotal(Value class_value, int64_t count) {
   total_rows_ += count;
 }
 
-const std::vector<int64_t>& CcTable::GetCounts(int attr, Value value) const {
-  auto it = cells_.find(Key(attr, value));
-  if (it == cells_.end()) return zeros_;
-  return it->second;
+std::span<const int64_t> CcTable::GetCounts(int attr, Value value) const {
+  const std::span<const int64_t> slab = Slab(attr);
+  const size_t offset = static_cast<size_t>(value) * stride();
+  if (value < 0 || offset >= slab.size()) return zeros_;
+  return slab.subspan(offset + 1, num_classes_);
 }
 
 int CcTable::DistinctValues(int attr) const {
+  const std::span<const int64_t> slab = Slab(attr);
   int n = 0;
-  for (auto it = cells_.lower_bound(Key(attr, std::numeric_limits<Value>::min()));
-       it != cells_.end() && it->first.first == attr; ++it) {
-    ++n;
+  for (size_t offset = 0; offset < slab.size(); offset += stride()) {
+    if (slab[offset] != 0) ++n;
   }
   return n;
 }
 
-std::vector<std::pair<Value, const std::vector<int64_t>*>>
+std::vector<std::pair<Value, std::span<const int64_t>>>
 CcTable::AttributeStates(int attr) const {
-  std::vector<std::pair<Value, const std::vector<int64_t>*>> states;
-  for (auto it = cells_.lower_bound(Key(attr, std::numeric_limits<Value>::min()));
-       it != cells_.end() && it->first.first == attr; ++it) {
-    states.emplace_back(it->first.second, &it->second);
+  const std::span<const int64_t> slab = Slab(attr);
+  std::vector<std::pair<Value, std::span<const int64_t>>> states;
+  for (size_t offset = 0; offset < slab.size(); offset += stride()) {
+    if (slab[offset] == 0) continue;
+    states.emplace_back(static_cast<Value>(offset / stride()),
+                        slab.subspan(offset + 1, num_classes_));
   }
   return states;
 }
 
 size_t CcTable::BytesPerEntry(int num_classes) {
-  // Key + count vector payload + std::map node overhead (3 pointers + color
-  // + allocator slack, ~48 bytes on 64-bit).
-  return sizeof(Key) + sizeof(std::vector<int64_t>) +
+  // The paper's §5 entry: (attribute, value) key + count vector payload +
+  // std::map node overhead (3 pointers + color + allocator slack, ~48 bytes
+  // on 64-bit). Kept as the accounting unit so budgets do not depend on the
+  // physical layout.
+  return sizeof(std::pair<int, Value>) + sizeof(std::vector<int64_t>) +
          static_cast<size_t>(num_classes) * sizeof(int64_t) + 48;
 }
 
 size_t CcTable::ApproxBytes() const {
-  return cells_.size() * BytesPerEntry(num_classes_) +
+  return num_entries_ * BytesPerEntry(num_classes_) +
          class_totals_.size() * sizeof(int64_t);
 }
 
 bool CcTable::operator==(const CcTable& other) const {
-  return num_classes_ == other.num_classes_ &&
-         total_rows_ == other.total_rows_ &&
-         class_totals_ == other.class_totals_ && cells_ == other.cells_;
+  if (num_classes_ != other.num_classes_ || total_rows_ != other.total_rows_ ||
+      num_entries_ != other.num_entries_ ||
+      class_totals_ != other.class_totals_) {
+    return false;
+  }
+  for (int attr = 0; attr < std::max(AttributeBound(), other.AttributeBound());
+       ++attr) {
+    std::span<const int64_t> a = Slab(attr);
+    std::span<const int64_t> b = other.Slab(attr);
+    if (a.size() < b.size()) std::swap(a, b);
+    // Slabs may have grown to different extents; rows past the shorter
+    // one must be empty.
+    if (!std::equal(b.begin(), b.end(), a.begin()) ||
+        std::any_of(a.begin() + b.size(), a.end(),
+                    [](int64_t c) { return c != 0; })) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string CcTable::ToString() const {
   std::ostringstream out;
-  out << "CcTable{rows=" << total_rows_ << ", entries=" << cells_.size()
+  out << "CcTable{rows=" << total_rows_ << ", entries=" << num_entries_
       << ", class_totals=[";
   for (size_t i = 0; i < class_totals_.size(); ++i) {
     if (i > 0) out << ",";

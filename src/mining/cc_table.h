@@ -2,7 +2,7 @@
 #define SQLCLASS_MINING_CC_TABLE_H_
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,11 +18,20 @@ namespace sqlclass {
 /// a node's CC table exists, the data is never consulted again
 /// (Observation 1).
 ///
-/// As in the paper's implementation (§5), entries are kept in a binary
-/// (red-black) tree keyed by (attribute, value), each holding the vector of
-/// per-class counts, so fetching the class-count vector for one attribute
-/// state is a single ordered lookup and iterating one attribute's states is
-/// a contiguous range walk.
+/// Layout: the dense AVC-group of RainForest [GRG98]. Each attribute column
+/// owns one flat int64 slab of rows `num_classes + 1` wide; the row for
+/// `value` starts at `value * (num_classes + 1)`, holds the state's row
+/// total in slot 0 and its per-class counts after it. A cell (attr, value)
+/// exists iff its row total is non-zero, so updating a cell is two array
+/// bumps, merging is a slab-wise add, and cells iterate in (attribute,
+/// value) order for free. Slabs grow lazily to the largest value seen, so
+/// memory is bounded by that value per attribute, not by the number of
+/// cells present.
+///
+/// ApproxBytes/BytesPerEntry stay *logical*: they price each live cell as
+/// the paper's §5 binary-tree entry did. The middleware's CC-memory
+/// accounting (Rule 3 admission, overflow eviction) and hence every
+/// simulated cost are therefore independent of this physical layout.
 class CcTable {
  public:
   /// `num_classes` is the domain size of the class column.
@@ -31,7 +40,9 @@ class CcTable {
   int num_classes() const { return num_classes_; }
 
   /// Adds `count` co-occurrences of attribute `attr` (a column index)
-  /// having `value` with class `class_value`.
+  /// having `value` with class `class_value`. `attr` and `value` must be
+  /// non-negative: callers validate anything that arrives from outside the
+  /// process.
   void Add(int attr, Value value, Value class_value, int64_t count = 1);
 
   /// Folds one data row in: bumps the (attr, value, class) cell for every
@@ -54,8 +65,9 @@ class CcTable {
   /// from pre-aggregated SQL results, where totals come from one attribute).
   void AddClassTotal(Value class_value, int64_t count);
 
-  /// Per-class counts for attribute state (attr, value); zeros if unseen.
-  const std::vector<int64_t>& GetCounts(int attr, Value value) const;
+  /// Per-class counts for attribute state (attr, value); zeros if unseen or
+  /// out of range. The view is valid until the table is next modified.
+  std::span<const int64_t> GetCounts(int attr, Value value) const;
 
   /// Row count of the node's data set (sum of class totals).
   int64_t TotalRows() const { return total_rows_; }
@@ -68,41 +80,48 @@ class CcTable {
   int DistinctValues(int attr) const;
 
   /// Distinct values and their per-class counts for one attribute, in value
-  /// order.
-  std::vector<std::pair<Value, const std::vector<int64_t>*>> AttributeStates(
+  /// order. The views are valid until the table is next modified.
+  std::vector<std::pair<Value, std::span<const int64_t>>> AttributeStates(
       int attr) const;
 
-  /// Number of (attr, value) entries across all attributes.
-  size_t NumEntries() const { return cells_.size(); }
+  /// Every cell's attribute column is below this bound, so iterating
+  /// AttributeStates over [0, AttributeBound()) visits all cells in
+  /// (attribute, value) order.
+  int AttributeBound() const { return static_cast<int>(slabs_.size()); }
 
-  /// Every (attribute, value) cell with its per-class counts, in key order
-  /// (the map's ordering) — deterministic, so serializing a table and
-  /// rebuilding it via Add/AddClassTotal reproduces it structurally. Used
-  /// by the shard wire codec to ship partial tables across processes.
-  const std::map<std::pair<int, Value>, std::vector<int64_t>>& Cells() const {
-    return cells_;
-  }
+  /// Number of (attr, value) entries across all attributes.
+  size_t NumEntries() const { return num_entries_; }
 
   /// Approximate heap bytes held — the unit of the middleware's CC-memory
-  /// accounting (Rule 3 admission).
+  /// accounting (Rule 3 admission). Logical: NumEntries() entries at
+  /// BytesPerEntry each, plus the class totals.
   size_t ApproxBytes() const;
 
   /// Bytes one entry costs, for converting entry estimates to byte budgets.
   static size_t BytesPerEntry(int num_classes);
 
-  /// Structural equality (same cells, same counts, same totals).
+  /// Structural equality (same cells, same counts, same totals), whatever
+  /// the insertion order or slab extents.
   bool operator==(const CcTable& other) const;
 
   std::string ToString() const;
 
  private:
-  using Key = std::pair<int, Value>;  // (attribute column, value)
+  size_t stride() const { return static_cast<size_t>(num_classes_) + 1; }
+
+  /// The (attr, value) row — total then class counts — growing the slabs
+  /// to reach it.
+  int64_t* MutableRow(int attr, Value value);
+
+  /// Attribute `attr`'s slab; empty when the attribute holds no cells.
+  std::span<const int64_t> Slab(int attr) const;
 
   int num_classes_;
   int64_t total_rows_ = 0;
+  size_t num_entries_ = 0;
   std::vector<int64_t> class_totals_;
-  std::map<Key, std::vector<int64_t>> cells_;
-  std::vector<int64_t> zeros_;  // returned for unseen states
+  std::vector<std::vector<int64_t>> slabs_;  // [attr][value * stride + slot]
+  std::vector<int64_t> zeros_;               // returned for unseen states
 };
 
 }  // namespace sqlclass

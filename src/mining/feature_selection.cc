@@ -23,9 +23,9 @@ std::vector<AttributeScore> RankAttributes(
       double attr_entropy = 0.0;
       for (const auto& [value, counts] : states) {
         int64_t branch = 0;
-        for (int64_t c : *counts) branch += c;
+        for (int64_t c : counts) branch += c;
         const double p = static_cast<double>(branch) / total;
-        conditional += p * Impurity(*counts, branch, SplitCriterion::kEntropy);
+        conditional += p * Impurity(counts, branch, SplitCriterion::kEntropy);
         if (p > 0) attr_entropy -= p * std::log2(p);
       }
       score.mutual_information = std::max(0.0, class_entropy - conditional);

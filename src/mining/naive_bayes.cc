@@ -36,7 +36,7 @@ StatusOr<NaiveBayesModel> NaiveBayesModel::Train(const Schema& schema,
     std::vector<double>& table = model.log_cond_[slot];
     table.assign(static_cast<size_t>(card) * model.num_classes_, 0.0);
     for (Value v = 0; v < card; ++v) {
-      const std::vector<int64_t>& counts = root_cc.GetCounts(attr, v);
+      const std::span<const int64_t> counts = root_cc.GetCounts(attr, v);
       for (int c = 0; c < model.num_classes_; ++c) {
         // Laplace smoothing over the attribute's domain.
         table[static_cast<size_t>(v) * model.num_classes_ + c] =

@@ -1,11 +1,12 @@
 #include "mining/split.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 namespace sqlclass {
 
-double Impurity(const std::vector<int64_t>& counts, int64_t total,
+double Impurity(std::span<const int64_t> counts, int64_t total,
                 SplitCriterion criterion) {
   if (total <= 0) return 0.0;
   const double n = static_cast<double>(total);
@@ -58,9 +59,9 @@ std::optional<MultiwaySplit> ChooseBestMultiwaySplit(
     branches.reserve(states.size());
     for (const auto& [value, counts] : states) {
       int64_t branch_total = 0;
-      for (int64_t c : *counts) branch_total += c;
+      for (int64_t c : counts) branch_total += c;
       const double w = static_cast<double>(branch_total) / total;
-      children_impurity += w * Impurity(*counts, branch_total, criterion);
+      children_impurity += w * Impurity(counts, branch_total, criterion);
       if (w > 0) split_info -= w * std::log2(w);
       branches.emplace_back(value, branch_total);
     }
@@ -94,16 +95,16 @@ std::optional<BinarySplit> ChooseBestBinarySplit(
     if (states.size() < 2) continue;  // attribute constant at this node
     for (const auto& [value, left_counts] : states) {
       int64_t left_total = 0;
-      for (int64_t c : *left_counts) left_total += c;
+      for (int64_t c : left_counts) left_total += c;
       const int64_t right_total = total - left_total;
       if (left_total == 0 || right_total == 0) continue;
       for (int k = 0; k < cc.num_classes(); ++k) {
-        right[k] = totals[k] - (*left_counts)[k];
+        right[k] = totals[k] - left_counts[k];
       }
       const double wl = static_cast<double>(left_total) / total;
       const double wr = static_cast<double>(right_total) / total;
       double gain = parent_impurity -
-                    wl * Impurity(*left_counts, left_total, criterion) -
+                    wl * Impurity(left_counts, left_total, criterion) -
                     wr * Impurity(right, right_total, criterion);
       if (criterion == SplitCriterion::kGainRatio) {
         // Split info of the binary partition.
@@ -171,14 +172,10 @@ double SplitImpurityVariance(const CcTable& cc, const BinarySplit& split,
   const int64_t total = cc.TotalRows();
   if (total <= 0) return 0.0;
   const std::vector<int64_t>& totals = cc.ClassTotals();
-  const std::vector<int64_t>* left = nullptr;
-  for (const auto& [value, counts] : cc.AttributeStates(split.attr)) {
-    if (value == split.value) {
-      left = counts;
-      break;
-    }
+  const std::span<const int64_t> left = cc.GetCounts(split.attr, split.value);
+  if (std::all_of(left.begin(), left.end(), [](int64_t c) { return c == 0; })) {
+    return 0.0;  // the split's state does not occur at this node
   }
-  if (left == nullptr) return 0.0;
 
   const double n = static_cast<double>(total);
   const int num_classes = cc.num_classes();
@@ -187,8 +184,8 @@ double SplitImpurityVariance(const CcTable& cc, const BinarySplit& split,
   std::vector<double> q(2 * num_classes, 0.0);
   double w[2] = {0.0, 0.0};
   for (int k = 0; k < num_classes; ++k) {
-    q[k] = static_cast<double>((*left)[k]) / n;
-    q[num_classes + k] = static_cast<double>(totals[k] - (*left)[k]) / n;
+    q[k] = static_cast<double>(left[k]) / n;
+    q[num_classes + k] = static_cast<double>(totals[k] - left[k]) / n;
     w[0] += q[k];
     w[1] += q[num_classes + k];
   }
@@ -251,7 +248,7 @@ std::optional<TopTwoSplits> ChooseTopTwoBinarySplits(
     int usable = 0;
     for (const auto& [value, left_counts] : states) {
       int64_t left_total = 0;
-      for (int64_t c : *left_counts) left_total += c;
+      for (int64_t c : left_counts) left_total += c;
       if (left_total > 0 && left_total < total) ++usable;
     }
     auto complements_best = [&](int candidate_attr) {
@@ -259,16 +256,16 @@ std::optional<TopTwoSplits> ChooseTopTwoBinarySplits(
     };
     for (const auto& [value, left_counts] : states) {
       int64_t left_total = 0;
-      for (int64_t c : *left_counts) left_total += c;
+      for (int64_t c : left_counts) left_total += c;
       const int64_t right_total = total - left_total;
       if (left_total == 0 || right_total == 0) continue;
       for (int k = 0; k < cc.num_classes(); ++k) {
-        right[k] = totals[k] - (*left_counts)[k];
+        right[k] = totals[k] - left_counts[k];
       }
       const double wl = static_cast<double>(left_total) / total;
       const double wr = static_cast<double>(right_total) / total;
       const double gain = parent_impurity -
-                          wl * Impurity(*left_counts, left_total, criterion) -
+                          wl * Impurity(left_counts, left_total, criterion) -
                           wr * Impurity(right, right_total, criterion);
       BinarySplit split;
       split.attr = attr;

@@ -2,6 +2,7 @@
 #define SQLCLASS_MINING_SPLIT_H_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "catalog/row.h"
@@ -31,7 +32,7 @@ struct BinarySplit {
 
 /// Impurity of a class histogram under `criterion` (entropy in bits; Gini
 /// in [0, 1)). `total` must equal the sum of `counts`.
-double Impurity(const std::vector<int64_t>& counts, int64_t total,
+double Impurity(std::span<const int64_t> counts, int64_t total,
                 SplitCriterion criterion);
 
 /// True iff every row at the node belongs to one class.

@@ -7,7 +7,7 @@ namespace sqlclass {
 
 namespace {
 
-Value MajorityClass(const std::vector<int64_t>& counts) {
+Value MajorityClass(std::span<const int64_t> counts) {
   Value best = 0;
   int64_t best_count = -1;
   for (size_t k = 0; k < counts.size(); ++k) {
@@ -19,7 +19,7 @@ Value MajorityClass(const std::vector<int64_t>& counts) {
   return best;
 }
 
-bool IsPureCounts(const std::vector<int64_t>& counts) {
+bool IsPureCounts(std::span<const int64_t> counts) {
   int nonzero = 0;
   for (int64_t c : counts) {
     if (c > 0) ++nonzero;
@@ -27,7 +27,7 @@ bool IsPureCounts(const std::vector<int64_t>& counts) {
   return nonzero <= 1;
 }
 
-int64_t SumCounts(const std::vector<int64_t>& counts) {
+int64_t SumCounts(std::span<const int64_t> counts) {
   int64_t total = 0;
   for (int64_t c : counts) total += c;
   return total;
@@ -129,7 +129,7 @@ Status DecisionTreeClient::ProcessNode(DecisionTree* tree, int node_id,
   // Children's class distributions are derivable from this node's CC table
   // (left = counts(A, v); right = totals - left), so termination criteria
   // and class assignment for pure/small children need no further counting.
-  const std::vector<int64_t>& left_counts =
+  const std::span<const int64_t> left_counts =
       cc.GetCounts(split->attr, split->value);
   std::vector<int64_t> right_counts(cc.num_classes());
   for (int k = 0; k < cc.num_classes(); ++k) {
@@ -192,14 +192,14 @@ Status DecisionTreeClient::PartitionMultiway(DecisionTree* tree, int node_id,
 
 Status DecisionTreeClient::CreateAndQueueChild(
     DecisionTree* tree, int parent_id, std::unique_ptr<Expr> edge,
-    std::vector<int> active_attrs, const std::vector<int64_t>& class_counts,
+    std::vector<int> active_attrs, std::span<const int64_t> class_counts,
     bool estimate, CcProvider* provider) {
   const uint64_t data_size = static_cast<uint64_t>(SumCounts(class_counts));
   assert(data_size > 0);
   int child_id = tree->CreateChild(parent_id, std::move(edge),
                                    std::move(active_attrs), data_size);
   TreeNode& child = tree->node(child_id);
-  child.class_counts = class_counts;
+  child.class_counts.assign(class_counts.begin(), class_counts.end());
   child.majority_class = MajorityClass(class_counts);
 
   if (IsPureCounts(class_counts)) {

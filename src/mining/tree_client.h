@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 
 #include "catalog/schema.h"
 #include "common/status.h"
@@ -79,7 +80,7 @@ class DecisionTreeClient {
   [[nodiscard]] Status CreateAndQueueChild(DecisionTree* tree, int parent_id,
                              std::unique_ptr<Expr> edge,
                              std::vector<int> active_attrs,
-                             const std::vector<int64_t>& class_counts,
+                             std::span<const int64_t> class_counts,
                              bool estimate, CcProvider* provider);
 
   Schema schema_;

@@ -59,7 +59,8 @@ class ClassificationService {
   /// the admission queue is full or the quota exceeds the service budget.
   [[nodiscard]] StatusOr<SessionId> Submit(SessionSpec spec);
 
-  /// Blocks until the session completes (or times out in the queue).
+  /// Blocks until the session completes (or times out in the queue). Each
+  /// id can be waited for once; the service keeps no result after that.
   SessionResult Wait(SessionId id);
 
   /// Submit + Wait.

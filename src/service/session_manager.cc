@@ -151,32 +151,38 @@ void SessionManager::Complete(SessionId id, SessionResult result) {
 
 SessionResult SessionManager::Wait(SessionId id) {
   MutexLock lock(mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    SessionResult result;
-    result.id = id;
-    result.status =
-        Status::InvalidArgument("unknown session " + std::to_string(id));
-    return result;
-  }
-  while (!it->second.result.has_value()) {
+  while (true) {
+    // Looked up afresh on every pass: a concurrent Wait on the same id may
+    // have taken the result meanwhile.
+    auto it = sessions_.find(id);
+    if (it == sessions_.end()) {
+      SessionResult result;
+      result.id = id;
+      result.status =
+          Status::InvalidArgument("unknown session " + std::to_string(id));
+      return result;
+    }
+    Session& session = it->second;
+    if (session.result.has_value()) {
+      // Handed over once, so the manager only holds sessions in flight.
+      SessionResult result = std::move(*session.result);
+      sessions_.erase(it);
+      return result;
+    }
     // Enforce the queue deadline from here too, so timeouts fire even when
     // every worker is busy running other sessions.
-    if (it->second.state == State::kQueued && it->second.deadline) {
-      if (waiter_cv_.WaitUntil(lock, *it->second.deadline) ==
-          std::cv_status::timeout) {
-        if (it->second.state == State::kQueued &&
-            Clock::now() >= *it->second.deadline) {
-          queue_.erase(std::remove(queue_.begin(), queue_.end(), id),
-                       queue_.end());
-          ExpireLocked(id);
-        }
+    if (session.state == State::kQueued && session.deadline) {
+      if (Clock::now() >= *session.deadline) {
+        queue_.erase(std::remove(queue_.begin(), queue_.end(), id),
+                     queue_.end());
+        ExpireLocked(id);
+      } else {
+        waiter_cv_.WaitUntil(lock, *session.deadline);
       }
     } else {
       waiter_cv_.Wait(lock);
     }
   }
-  return *it->second.result;
 }
 
 void SessionManager::CloseQueue() {

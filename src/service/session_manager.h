@@ -54,7 +54,9 @@ class SessionManager {
 
   /// Blocks until the session has a result (run finished, timed out, or
   /// rejected id -> InvalidArgument result). Enforces the caller's queue
-  /// deadline even when no worker is polling.
+  /// deadline even when no worker is polling. The result is handed over
+  /// once: the session is then forgotten, and a later Wait on its id is an
+  /// unknown-session InvalidArgument.
   SessionResult Wait(SessionId id) EXCLUDES(mu_);
 
   /// Stops accepting new sessions; queued-but-unclaimed work keeps its

@@ -223,16 +223,19 @@ void EncodeCcTable(const CcTable& table, std::string* out) {
     PutFixed64(out, static_cast<uint64_t>(total));
   }
   PutFixed32(out, static_cast<uint32_t>(table.NumEntries()));
-  for (const auto& [key, counts] : table.Cells()) {
-    PutFixed32(out, static_cast<uint32_t>(key.first));
-    PutFixed32(out, static_cast<uint32_t>(key.second));
-    for (int64_t count : counts) {
-      PutFixed64(out, static_cast<uint64_t>(count));
+  for (int attr = 0; attr < table.AttributeBound(); ++attr) {
+    for (const auto& [value, counts] : table.AttributeStates(attr)) {
+      PutFixed32(out, static_cast<uint32_t>(attr));
+      PutFixed32(out, static_cast<uint32_t>(value));
+      for (int64_t count : counts) {
+        PutFixed64(out, static_cast<uint64_t>(count));
+      }
     }
   }
 }
 
-Status DecodeCcTable(Decoder* dec, int num_classes, CcTable* out) {
+Status DecodeCcTable(Decoder* dec, int num_classes,
+                     const std::vector<int>& cardinalities, CcTable* out) {
   uint32_t classes = 0;
   SQLCLASS_RETURN_IF_ERROR(dec->ReadU32(&classes));
   if (classes != static_cast<uint32_t>(num_classes)) {
@@ -250,6 +253,10 @@ Status DecodeCcTable(Decoder* dec, int num_classes, CcTable* out) {
     int32_t value = 0;
     SQLCLASS_RETURN_IF_ERROR(dec->ReadI32(&attr));
     SQLCLASS_RETURN_IF_ERROR(dec->ReadI32(&value));
+    if (attr < 0 || static_cast<size_t>(attr) >= cardinalities.size() ||
+        value < 0 || value >= cardinalities[attr]) {
+      return Status::DataLoss("shard wire CC cell outside the schema domain");
+    }
     for (int c = 0; c < num_classes; ++c) {
       int64_t count = 0;
       SQLCLASS_RETURN_IF_ERROR(dec->ReadI64(&count));
@@ -451,6 +458,7 @@ void EncodeShardResult(const WireShardResult& result, std::string* out) {
 }
 
 Status DecodeShardResult(const std::string& payload, int num_classes,
+                         const std::vector<int>& cardinalities,
                          size_t num_nodes, WireShardResult* out) {
   Decoder dec(payload);
   SQLCLASS_RETURN_IF_ERROR(dec.ReadU64(&out->rows_scanned));
@@ -469,7 +477,7 @@ Status DecodeShardResult(const std::string& payload, int num_classes,
   for (uint32_t i = 0; i < num_tables; ++i) {
     out->partials.emplace_back(num_classes);
     SQLCLASS_RETURN_IF_ERROR(
-        DecodeCcTable(&dec, num_classes, &out->partials.back()));
+        DecodeCcTable(&dec, num_classes, cardinalities, &out->partials.back()));
   }
   if (!dec.exhausted()) {
     return Status::DataLoss("trailing bytes after shard result payload");

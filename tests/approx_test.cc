@@ -111,7 +111,7 @@ TEST(ScaleCcTest, StructuralInvariantsHoldUnderUnevenScaling) {
   for (int attr : attrs) {
     std::vector<int64_t> per_class(3, 0);
     for (const auto& [value, counts] : scaled.AttributeStates(attr)) {
-      for (int k = 0; k < 3; ++k) per_class[k] += (*counts)[k];
+      for (int k = 0; k < 3; ++k) per_class[k] += counts[k];
     }
     // Each attribute's cells must sum back to the class totals.
     for (int k = 0; k < 3; ++k) {
@@ -125,7 +125,9 @@ TEST(ScaleCcTest, StructuralInvariantsHoldUnderUnevenScaling) {
     for (const auto& [value, counts] : cc.AttributeStates(attr)) {
       const auto& scaled_counts = scaled.GetCounts(attr, value);
       for (int k = 0; k < 3; ++k) {
-        if ((*counts)[k] > 0) EXPECT_GT(scaled_counts[k], 0);
+        if (counts[k] > 0) {
+          EXPECT_GT(scaled_counts[k], 0);
+        }
       }
     }
   }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
+#include <utility>
 
+#include "common/random.h"
 #include "mining/cc_sql.h"
 #include "test_util.h"
 
@@ -14,12 +17,16 @@ using testing_util::BruteForceCc;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 
+std::vector<int64_t> Vec(std::span<const int64_t> counts) {
+  return {counts.begin(), counts.end()};
+}
+
 TEST(CcTableTest, EmptyTable) {
   CcTable cc(3);
   EXPECT_EQ(cc.TotalRows(), 0);
   EXPECT_EQ(cc.NumEntries(), 0u);
   EXPECT_EQ(cc.ClassTotals(), (std::vector<int64_t>{0, 0, 0}));
-  EXPECT_EQ(cc.GetCounts(0, 0), (std::vector<int64_t>{0, 0, 0}));
+  EXPECT_EQ(Vec(cc.GetCounts(0, 0)), (std::vector<int64_t>{0, 0, 0}));
   EXPECT_EQ(cc.DistinctValues(0), 0);
 }
 
@@ -28,9 +35,9 @@ TEST(CcTableTest, AddRowUpdatesAllAttributes) {
   // Row (A1=1, A2=0, class=1), counting columns 0 and 1, class col 2.
   cc.AddRow({1, 0, 1}, {0, 1}, 2);
   EXPECT_EQ(cc.TotalRows(), 1);
-  EXPECT_EQ(cc.GetCounts(0, 1), (std::vector<int64_t>{0, 1}));
-  EXPECT_EQ(cc.GetCounts(1, 0), (std::vector<int64_t>{0, 1}));
-  EXPECT_EQ(cc.GetCounts(0, 0), (std::vector<int64_t>{0, 0}));
+  EXPECT_EQ(Vec(cc.GetCounts(0, 1)), (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(Vec(cc.GetCounts(1, 0)), (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(Vec(cc.GetCounts(0, 0)), (std::vector<int64_t>{0, 0}));
   EXPECT_EQ(cc.NumEntries(), 2u);
 }
 
@@ -39,7 +46,7 @@ TEST(CcTableTest, AddAccumulates) {
   cc.Add(0, 3, 1, 5);
   cc.Add(0, 3, 1, 2);
   cc.Add(0, 3, 0, 1);
-  EXPECT_EQ(cc.GetCounts(0, 3), (std::vector<int64_t>{1, 7}));
+  EXPECT_EQ(Vec(cc.GetCounts(0, 3)), (std::vector<int64_t>{1, 7}));
 }
 
 TEST(CcTableTest, DistinctValuesPerAttribute) {
@@ -64,7 +71,7 @@ TEST(CcTableTest, AttributeStatesInValueOrder) {
   EXPECT_EQ(states[0].first, 2);
   EXPECT_EQ(states[1].first, 5);
   EXPECT_EQ(states[2].first, 9);
-  EXPECT_EQ((*states[1].second)[0], 1);
+  EXPECT_EQ(states[1].second[0], 1);
 }
 
 TEST(CcTableTest, ClassTotalsSeparateFromCells) {
@@ -77,22 +84,37 @@ TEST(CcTableTest, ClassTotalsSeparateFromCells) {
 }
 
 TEST(CcTableTest, ApproxBytesGrowsWithEntries) {
-  CcTable cc(4);
-  const size_t before = cc.ApproxBytes();
-  for (int v = 0; v < 100; ++v) cc.Add(0, v, 0);
-  EXPECT_GE(cc.ApproxBytes(), before + 100 * CcTable::BytesPerEntry(4) -
-                                  CcTable::BytesPerEntry(4));
-  EXPECT_EQ(cc.ApproxBytes() - before,
-            100 * CcTable::BytesPerEntry(4));
+  // Logical bytes: the same entry formula whatever the physical layout.
+  Random rng(41);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int k = 2 + static_cast<int>(rng.Uniform(5));
+    std::vector<Row> rows = RandomRows(MakeSchema({2, 9, 40}, k),
+                                       rng.Uniform(300), /*seed=*/100 + trial);
+    CcTable cc(k);
+    for (const Row& row : rows) cc.AddRow(row, {0, 1, 2}, 3);
+    EXPECT_EQ(cc.ApproxBytes(), cc.NumEntries() * CcTable::BytesPerEntry(k) +
+                                    static_cast<size_t>(k) * 8);
+    EXPECT_EQ(cc.NumEntries(), static_cast<size_t>(cc.DistinctValues(0) +
+                                                   cc.DistinctValues(1) +
+                                                   cc.DistinctValues(2)));
+  }
 }
 
 TEST(CcTableTest, EqualityIsStructural) {
   CcTable a(2), b(2);
   a.AddRow({1, 0}, {0}, 1);
+  a.AddRow({0, 1}, {0}, 1);
+  b.AddRow({0, 1}, {0}, 1);  // insertion order does not matter
   b.AddRow({1, 0}, {0}, 1);
   EXPECT_TRUE(a == b);
+  b.Add(0, 50, 1, 0);  // grows b's slabs, adds no cell
+  b.Add(7, 3, 0, 0);
+  EXPECT_EQ(b.NumEntries(), 2u);
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(b == a);
   b.AddRow({1, 1}, {0}, 1);
   EXPECT_FALSE(a == b);
+  EXPECT_FALSE(b == a);
 }
 
 TEST(CcTableTest, MatchesBruteForceOnRandomData) {
@@ -101,14 +123,48 @@ TEST(CcTableTest, MatchesBruteForceOnRandomData) {
   CcTable cc(5);
   const std::vector<int> attrs = {0, 1, 2};
   for (const Row& row : rows) cc.AddRow(row, attrs, 3);
-  CcTable expected = BruteForceCc(rows, nullptr, attrs, 3, 5);
-  EXPECT_TRUE(cc == expected);
-  // Sum over any one attribute's states equals total rows.
-  int64_t sum = 0;
-  for (const auto& [value, counts] : cc.AttributeStates(1)) {
-    for (int64_t c : *counts) sum += c;
+  EXPECT_TRUE(cc == BruteForceCc(rows, nullptr, attrs, 3, 5));
+  // Every cell agrees with an independent count keyed by (attr, value).
+  std::map<std::pair<int, Value>, std::vector<int64_t>> reference;
+  for (const Row& row : rows) {
+    for (int attr : attrs) {
+      auto [it, inserted] = reference.try_emplace({attr, row[attr]}, 5, 0);
+      ++it->second[row[3]];
+    }
   }
-  EXPECT_EQ(sum, cc.TotalRows());
+  EXPECT_EQ(cc.NumEntries(), reference.size());
+  for (const auto& [key, counts] : reference) {
+    EXPECT_EQ(Vec(cc.GetCounts(key.first, key.second)), counts);
+  }
+}
+
+TEST(CcTableTest, MergeAcrossSlabExtents) {
+  CcTable a(2), b(2), c(2);
+  a.Add(0, 9, 1, 4);  // attr 0's slab reaches value 9
+  b.Add(0, 2, 0, 3);
+  b.Add(3, 1, 1, 2);  // an attribute `a` never saw
+  a.Merge(b);
+  EXPECT_EQ(Vec(a.GetCounts(0, 9)), (std::vector<int64_t>{0, 4}));
+  EXPECT_EQ(Vec(a.GetCounts(0, 2)), (std::vector<int64_t>{3, 0}));
+  EXPECT_EQ(Vec(a.GetCounts(3, 1)), (std::vector<int64_t>{0, 2}));
+  EXPECT_EQ(a.NumEntries(), 3u);
+  c.Merge(b);  // the shorter slab first, then growing past it
+  c.Add(0, 9, 1, 4);
+  EXPECT_TRUE(c == a);
+}
+
+TEST(CcTableTest, GetCountsOfUnseenOrOutOfRangeStateIsZeros) {
+  CcTable cc(3);
+  cc.Add(1, 4, 2, 6);
+  EXPECT_EQ(Vec(cc.GetCounts(1, 4)), (std::vector<int64_t>{0, 0, 6}));
+  // Below the largest value, past the slab, far past it, negative, an
+  // attribute without cells, past every slab.
+  for (auto [attr, value] : std::vector<std::pair<int, Value>>{
+           {1, 2}, {1, 5}, {1, 1 << 30}, {1, -1}, {0, 0}, {99, 0}, {-1, 0}}) {
+    EXPECT_EQ(Vec(cc.GetCounts(attr, value)), (std::vector<int64_t>{0, 0, 0}))
+        << attr << "," << value;
+  }
+  EXPECT_TRUE(cc.AttributeStates(99).empty());
 }
 
 TEST(CcTableTest, ToStringMentionsTotals) {
@@ -154,8 +210,8 @@ TEST(CcSqlTest, CcFromResultSetReconstructsCounts) {
   ASSERT_TRUE(cc.ok()) << cc.status().ToString();
   EXPECT_EQ(cc->TotalRows(), 5);
   EXPECT_EQ(cc->ClassTotals(), (std::vector<int64_t>{3, 2}));
-  EXPECT_EQ(cc->GetCounts(0, 0), (std::vector<int64_t>{3, 0}));
-  EXPECT_EQ(cc->GetCounts(1, 2), (std::vector<int64_t>{3, 0}));
+  EXPECT_EQ(Vec(cc->GetCounts(0, 0)), (std::vector<int64_t>{3, 0}));
+  EXPECT_EQ(Vec(cc->GetCounts(1, 2)), (std::vector<int64_t>{3, 0}));
 }
 
 TEST(CcSqlTest, CcFromResultSetRejectsBadShape) {
@@ -175,7 +231,15 @@ TEST(CcSqlTest, CcFromResultSetRejectsBadShape) {
   bad_class.rows = {{Cell(std::string("A1")), Cell(int64_t{0}),
                      Cell(int64_t{7}), Cell(int64_t{1})}};
   EXPECT_FALSE(CcFromResultSet(bad_class, schema, 2, "A1").ok());
-}
 
+  for (int64_t value : {int64_t{-1}, int64_t{2}, int64_t{1} << 30}) {
+    ResultSet bad_value = bad_class;
+    bad_value.rows[0][1] = Cell(value);
+    bad_value.rows[0][2] = Cell(int64_t{0});
+    EXPECT_EQ(CcFromResultSet(bad_value, schema, 2, "A1").status().code(),
+              StatusCode::kInvalidArgument)
+        << value;
+  }
+}
 }  // namespace
 }  // namespace sqlclass

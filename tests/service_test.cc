@@ -76,6 +76,22 @@ TEST_F(ServiceTest, SingleSessionMatchesInMemoryReference) {
             0u);
 }
 
+TEST_F(ServiceTest, WaitHandsTheResultOverOnce) {
+  auto service = MakeService();
+  auto id = service->Submit(TreeSpec());
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  SessionResult result = service->Wait(id.value());
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  ASSERT_NE(result.tree, nullptr);
+  // The service keeps nothing of a finished session, so memory does not
+  // grow with sessions served: the caller holds the only reference.
+  EXPECT_EQ(result.tree.use_count(), 1);
+
+  SessionResult again = service->Wait(id.value());
+  EXPECT_EQ(again.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(again.tree, nullptr);
+}
+
 TEST_F(ServiceTest, ConcurrentSessionsAreByteIdenticalToBaseline) {
   const std::string reference = ReferenceSignature();
   ServiceConfig config;

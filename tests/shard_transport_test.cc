@@ -211,6 +211,7 @@ class SubprocessDirectTest : public ::testing::Test {
   struct TaskState {
     std::vector<const Expr*> predicates;
     std::vector<const std::vector<int>*> node_attrs;
+    std::vector<int> cardinalities;
     std::vector<CcTable> partials;
     uint64_t rows_scanned = 0;
     IoCounters io;
@@ -221,6 +222,10 @@ class SubprocessDirectTest : public ::testing::Test {
   ShardTask MakeTask(TaskState* state) {
     state->predicates = {nullptr, predicate_.get()};
     state->node_attrs = {&attrs_, &attrs_};
+    state->cardinalities.clear();
+    for (const AttributeDef& column : schema_.attributes()) {
+      state->cardinalities.push_back(column.cardinality);
+    }
     state->partials.clear();
     state->partials.emplace_back(3);
     state->partials.emplace_back(3);
@@ -234,6 +239,7 @@ class SubprocessDirectTest : public ::testing::Test {
     task.num_classes = 3;
     task.predicates = &state->predicates;
     task.node_attrs = &state->node_attrs;
+    task.cardinalities = &state->cardinalities;
     task.partials = &state->partials;
     task.rows_scanned = &state->rows_scanned;
     task.io = &state->io;

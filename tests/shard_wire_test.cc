@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/fault_injector.h"
 #include "shard/wire.h"
 #include "sql/expr.h"
@@ -288,7 +289,8 @@ TEST(WireCodecTest, ShardResultRoundtripRebuildsIdenticalTables) {
   std::string payload;
   EncodeShardResult(result, &payload);
   WireShardResult decoded;
-  ASSERT_TRUE(DecodeShardResult(payload, 3, 2, &decoded).ok());
+  ASSERT_TRUE(
+      DecodeShardResult(payload, 3, {4, 3, 5, 3}, 2, &decoded).ok());
   EXPECT_EQ(decoded.rows_scanned, result.rows_scanned);
   EXPECT_EQ(decoded.io.pages_read, result.io.pages_read);
   EXPECT_EQ(decoded.io.rows_read, result.io.rows_read);
@@ -303,19 +305,44 @@ TEST(WireCodecTest, ShardResultGeometryMismatchesAreRejected) {
   std::string payload;
   EncodeShardResult(result, &payload);
 
+  const std::vector<int> cards = {4, 3};
   WireShardResult decoded;
   // Wrong node count.
-  EXPECT_EQ(DecodeShardResult(payload, 3, 2, &decoded).code(),
+  EXPECT_EQ(DecodeShardResult(payload, 3, cards, 2, &decoded).code(),
             StatusCode::kDataLoss);
   // Wrong class count.
-  EXPECT_EQ(DecodeShardResult(payload, 4, 1, &decoded).code(),
+  EXPECT_EQ(DecodeShardResult(payload, 4, cards, 1, &decoded).code(),
             StatusCode::kDataLoss);
   // Every truncation.
   for (size_t keep = 0; keep < payload.size(); ++keep) {
-    EXPECT_EQ(DecodeShardResult(payload.substr(0, keep), 3, 1, &decoded)
-                  .code(),
-              StatusCode::kDataLoss)
+    EXPECT_EQ(
+        DecodeShardResult(payload.substr(0, keep), 3, cards, 1, &decoded)
+            .code(),
+        StatusCode::kDataLoss)
         << "at " << keep;
+  }
+}
+
+TEST(WireCodecTest, ShardResultCellsOutsideTheDomainAreRejected) {
+  // One cell (attr 1, value 2) over 3 classes: its attr and value words sit
+  // just before its three counts at the end of the payload.
+  WireShardResult result;
+  result.partials.emplace_back(3);
+  result.partials[0].Add(1, 2, 0, 5);
+  std::string payload;
+  EncodeShardResult(result, &payload);
+  const size_t value_at = payload.size() - 3 * 8 - 4;
+  const std::vector<int> cards = {4, 3, 3};
+  WireShardResult decoded;
+  ASSERT_TRUE(DecodeShardResult(payload, 3, cards, 1, &decoded).ok());
+  for (size_t at : {value_at - 4, value_at}) {
+    for (int32_t word : {-1, 3, 1 << 30}) {
+      std::string bad = payload;
+      EncodeFixed32(bad.data() + at, static_cast<uint32_t>(word));
+      EXPECT_EQ(DecodeShardResult(bad, 3, cards, 1, &decoded).code(),
+                StatusCode::kDataLoss)
+          << "offset " << at << " word " << word;
+    }
   }
 }
 

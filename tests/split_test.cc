@@ -9,34 +9,36 @@
 namespace sqlclass {
 namespace {
 
+using Counts = std::vector<int64_t>;
+
 TEST(ImpurityTest, PureIsZero) {
-  EXPECT_DOUBLE_EQ(Impurity({10, 0}, 10, SplitCriterion::kEntropy), 0.0);
-  EXPECT_DOUBLE_EQ(Impurity({10, 0}, 10, SplitCriterion::kGini), 0.0);
+  EXPECT_DOUBLE_EQ(Impurity(Counts{10, 0}, 10, SplitCriterion::kEntropy), 0.0);
+  EXPECT_DOUBLE_EQ(Impurity(Counts{10, 0}, 10, SplitCriterion::kGini), 0.0);
 }
 
 TEST(ImpurityTest, UniformBinaryEntropyIsOneBit) {
-  EXPECT_NEAR(Impurity({5, 5}, 10, SplitCriterion::kEntropy), 1.0, 1e-12);
+  EXPECT_NEAR(Impurity(Counts{5, 5}, 10, SplitCriterion::kEntropy), 1.0, 1e-12);
 }
 
 TEST(ImpurityTest, UniformGini) {
-  EXPECT_NEAR(Impurity({5, 5}, 10, SplitCriterion::kGini), 0.5, 1e-12);
-  EXPECT_NEAR(Impurity({4, 4, 4, 4}, 16, SplitCriterion::kGini), 0.75, 1e-12);
+  EXPECT_NEAR(Impurity(Counts{5, 5}, 10, SplitCriterion::kGini), 0.5, 1e-12);
+  EXPECT_NEAR(Impurity(Counts{4, 4, 4, 4}, 16, SplitCriterion::kGini), 0.75, 1e-12);
 }
 
 TEST(ImpurityTest, UniformKaryEntropyIsLogK) {
-  EXPECT_NEAR(Impurity({3, 3, 3, 3}, 12, SplitCriterion::kEntropy), 2.0,
+  EXPECT_NEAR(Impurity(Counts{3, 3, 3, 3}, 12, SplitCriterion::kEntropy), 2.0,
               1e-12);
 }
 
 TEST(ImpurityTest, EmptyIsZero) {
-  EXPECT_DOUBLE_EQ(Impurity({0, 0}, 0, SplitCriterion::kEntropy), 0.0);
+  EXPECT_DOUBLE_EQ(Impurity(Counts{0, 0}, 0, SplitCriterion::kEntropy), 0.0);
 }
 
 TEST(ImpurityTest, SkewedLessThanUniform) {
-  EXPECT_LT(Impurity({9, 1}, 10, SplitCriterion::kEntropy),
-            Impurity({5, 5}, 10, SplitCriterion::kEntropy));
-  EXPECT_LT(Impurity({9, 1}, 10, SplitCriterion::kGini),
-            Impurity({5, 5}, 10, SplitCriterion::kGini));
+  EXPECT_LT(Impurity(Counts{9, 1}, 10, SplitCriterion::kEntropy),
+            Impurity(Counts{5, 5}, 10, SplitCriterion::kEntropy));
+  EXPECT_LT(Impurity(Counts{9, 1}, 10, SplitCriterion::kGini),
+            Impurity(Counts{5, 5}, 10, SplitCriterion::kGini));
 }
 
 TEST(IsPureTest, DetectsPurity) {
@@ -169,7 +171,7 @@ TEST(ChooseBestBinarySplitTest, WeightedImpuritySumsCorrectly) {
   cc.AddClassTotal(1, 4);
   auto split = ChooseBestBinarySplit(cc, {0}, SplitCriterion::kEntropy);
   ASSERT_TRUE(split.has_value());
-  const double h_side = Impurity({3, 1}, 4, SplitCriterion::kEntropy);
+  const double h_side = Impurity(Counts{3, 1}, 4, SplitCriterion::kEntropy);
   EXPECT_NEAR(split->gain, 1.0 - h_side, 1e-9);
 }
 
