@@ -1,0 +1,565 @@
+#include "middleware/batch_executor.h"
+
+#include <algorithm>
+#include <utility>
+
+#include "common/logging.h"
+#include "common/retry.h"
+#include "middleware/batch_matcher.h"
+#include "middleware/bitmap_scan.h"
+#include "middleware/parallel_scan.h"
+#include "middleware/sample_scan.h"
+
+namespace sqlclass {
+
+namespace {
+
+/// The per-node work list of an artifact pass (sample, bitmap or shard
+/// scan), counting straight into the report's CC tables.
+template <typename ScanNode>
+std::vector<ScanNode> ArtifactNodes(const BatchExecutor::Batch& batch,
+                                    std::vector<CcTable>* ccs) {
+  std::vector<ScanNode> nodes(batch.requests.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    nodes[i].predicate = batch.requests[i]->predicate.get();
+    nodes[i].active_attrs = &batch.requests[i]->active_attrs;
+    nodes[i].cc = &(*ccs)[i];
+  }
+  return nodes;
+}
+
+}  // namespace
+
+Status Validate(const CountingConfig& config) {
+  if (config.parallel_scan_threads < 0) {
+    return Status::InvalidArgument("parallel scan threads must be >= 0");
+  }
+  if (config.sharding.worker_threads < 0) {
+    return Status::InvalidArgument("shard worker threads must be >= 0");
+  }
+  return Status::OK();
+}
+
+Status PrepareRequest(const Schema& schema, uint64_t table_rows,
+                      CcRequest* request) {
+  if (request->predicate == nullptr) request->predicate = Expr::True();
+  SQLCLASS_RETURN_IF_ERROR(request->predicate->Bind(schema));
+  if (request->active_attrs.empty()) {
+    return Status::InvalidArgument("request with no attributes to count");
+  }
+  for (int attr : request->active_attrs) {
+    if (attr < 0 || attr >= schema.num_columns() ||
+        attr == schema.class_column()) {
+      return Status::InvalidArgument("bad attribute column in request");
+    }
+  }
+  if (request->parent_id < 0) request->data_size = table_rows;
+  return Status::OK();
+}
+
+struct BatchExecutor::State {
+  State(const Batch& b, Report* r, const std::vector<const Expr*>& predicates)
+      : batch(b),
+        report(r),
+        matcher(predicates),
+        num_classes(b.schema->attribute(b.schema->class_column()).cardinality),
+        staging_enabled(!b.plan.staging.empty()),
+        bounded(b.memory_budget != std::numeric_limits<size_t>::max()) {
+    if (b.plan.source.kind != LocationKind::kServer) return;
+    if (b.plan.from_sample) artifacts.push_back(Path::kSample);
+    if (b.plan.from_bitmap) artifacts.push_back(Path::kBitmap);
+    if (b.plan.from_shards) artifacts.push_back(Path::kShards);
+  }
+
+  const Batch& batch;
+  Report* report;
+  BatchMatcher matcher;
+  int num_classes;
+  // Ladder position: a rung, once taken, switches its path or staging off.
+  std::vector<Path> artifacts;  // artifact paths still to try, in order
+  bool staging_enabled;
+  // Per-attempt scan state.
+  const bool bounded;       // overflow checks apply at all
+  size_t cc_available = 0;  // memory left for CC tables during the scan
+  int live_ccs = 0;         // nodes not yet evicted
+  bool staging_fault = false;
+};
+
+BatchExecutor::BatchExecutor(SqlServer* server, const CountingConfig& config,
+                             StagingManager* staging)
+    : server_(server), config_(config), staging_(staging) {}
+
+void BatchExecutor::DropArtifactReaders() {
+  bitmap_reader_.reset();
+  sample_reader_.reset();
+  shard_coordinator_.reset();
+}
+
+Status BatchExecutor::Run(const Batch& batch, Report* report) {
+  const int n = static_cast<int>(batch.requests.size());
+  std::vector<const Expr*> predicates;
+  predicates.reserve(n);
+  for (const CcRequest* request : batch.requests) {
+    predicates.push_back(request->predicate.get());
+  }
+  State st(batch, report, predicates);
+  *report = Report();
+  report->source = batch.plan.source;
+  report->staged.resize(n);
+
+  // Recovery driver: run the pass, and on a recoverable fault walk the
+  // degradation ladder. Every rung is taken at most once, except the
+  // bounded server retries, so the loop terminates:
+  //   sample, bitmap or shard pass failed -> the next path down, finally
+  //                                   the row scan over the same source
+  //   staging write failed          -> rescan the same source, staging off
+  //   staged source failed          -> free the store, degrade to the
+  //                                    server (§4.1.2's hierarchy, upwards)
+  //   server source failed          -> bounded exponential-backoff retries
+  // Anything else — or the retries exhausted — fails the batch with a
+  // Status that names the code, table and attempt count.
+  int attempt = 1;
+  while (true) {
+    report->ccs.clear();
+    report->ccs.reserve(n);
+    for (int i = 0; i < n; ++i) report->ccs.emplace_back(st.num_classes);
+    report->evicted.assign(n, Report::Eviction::kNone);
+    report->observed_bytes.assign(n, 0);
+    report->sample_rows.assign(n, 0);
+    report->rows_scanned = 0;
+    st.live_ccs = n;
+    st.staging_fault = false;
+    // CC tables get the memory that staged data, resident or reserved for
+    // this batch's memory staging, leaves of the budget.
+    size_t reserved = staging_ != nullptr ? staging_->memory_bytes_used() : 0;
+    if (st.staging_enabled) {
+      StatusOr<size_t> planned = BeginStaging(&st);
+      if (!planned.ok()) {
+        // Could not even create the stores (staging dir deleted, disk
+        // full): give up staging for this batch, keep counting.
+        AbortStaging(&st);
+        st.staging_enabled = false;
+        ++report->staging_aborts;
+        SQLCLASS_LOG(kWarning) << "staging disabled for batch "
+                               << batch.ordinal << ": "
+                               << planned.status().ToString();
+        continue;
+      }
+      reserved += *planned;
+    }
+    st.cc_available =
+        batch.memory_budget > reserved ? batch.memory_budget - reserved : 0;
+    Status pass = RunPass(&st);
+    if (pass.ok()) break;
+
+    AbortStaging(&st);
+    if (pass.code() == StatusCode::kDataLoss) ++report->checksum_failures;
+    const bool recoverable = pass.code() == StatusCode::kIoError ||
+                             pass.code() == StatusCode::kDataLoss ||
+                             pass.code() == StatusCode::kNotFound;
+    if (!recoverable) return pass;
+    const char* rung;
+    if (!st.artifacts.empty()) {
+      // Sample, bitmap and shard passes are optimisations, never a
+      // correctness dependency: serve the same batch by the next path down
+      // and drop the failed path's reader so a later batch reopens it. (A
+      // shard pass fails only when the coordinator's own per-shard
+      // recovery failed too.)
+      const Path failed = st.artifacts.front();
+      st.artifacts.erase(st.artifacts.begin());
+      if (failed == Path::kSample) {
+        sample_reader_.reset();
+        report->sample_fallback = true;
+      } else if (failed == Path::kBitmap) {
+        bitmap_reader_.reset();
+        report->bitmap_fallback = true;
+      } else {
+        shard_coordinator_.reset();
+        report->shard_fallback = true;
+      }
+      rung = "falling back to the next path";
+    } else if (st.staging_fault && st.staging_enabled) {
+      // A failed staged *write* poisons only the stores, not the counts.
+      st.staging_enabled = false;
+      ++report->staging_aborts;
+      rung = "rescanning with staging off";
+    } else if (report->source.kind != LocationKind::kServer) {
+      FreeStore(report->source, "invalidated");
+      report->invalidated = report->source;
+      report->source = DataLocation{LocationKind::kServer, 0};
+      rung = "re-serving the staged source from the server";
+    } else if (attempt < config_.scan_retry.max_attempts) {
+      ++report->scan_retries;
+      SleepForBackoff(config_.scan_retry, attempt);
+      ++attempt;
+      rung = "retrying the server scan";
+    } else {
+      return Status(pass.code(), "batch scan over table '" + batch.table +
+                                     "' failed after " +
+                                     std::to_string(attempt) +
+                                     " attempt(s): " + pass.message());
+    }
+    SQLCLASS_LOG(kWarning) << "batch " << batch.ordinal << " over '"
+                           << batch.table << "' failed, " << rung << ": "
+                           << pass.ToString();
+  }
+  // Sample CCs are bounded by the scramble, not the node: eviction applies
+  // only to exact passes.
+  if (report->path != Path::kSample) CheckOverflow(&st);
+  SealStaging(&st);
+  return Status::OK();
+}
+
+Status BatchExecutor::RunPass(State* st) {
+  if (!st->artifacts.empty()) {
+    switch (st->artifacts.front()) {
+      case Path::kSample:
+        return SamplePass(st);
+      case Path::kBitmap:
+        return BitmapPass(st);
+      default:
+        return ShardPass(st);
+    }
+  }
+  // Large scans with no staging take the morsel-parallel path: it builds
+  // the identical CC tables and charges the identical logical costs (see
+  // DESIGN.md "Parallel counting"); overflow is checked once after the
+  // merge instead of mid-scan, which staging-free batches tolerate.
+  const DataLocation& source = st->report->source;
+  uint64_t source_rows = st->batch.table_rows;
+  if (source.kind != LocationKind::kServer) {
+    SQLCLASS_ASSIGN_OR_RETURN(source_rows, staging_->StoreRows(source));
+  }
+  const int threads = ResolveParallelThreads(config_.parallel_scan_threads);
+  if (threads > 1 && !st->staging_enabled &&
+      source_rows >= config_.parallel_scan_min_rows) {
+    return ParallelPass(st, threads);
+  }
+  return RowScanPass(st);
+}
+
+// Rule 7: every node's *sample* CC from the table's scramble. Whether a
+// sampled answer is good enough is the caller's per-node gate.
+Status BatchExecutor::SamplePass(State* st) {
+  const Batch& batch = st->batch;
+  Report* report = st->report;
+  if (sample_reader_ == nullptr) {
+    SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
+                              server_->SampleTablePath(batch.table));
+    SQLCLASS_ASSIGN_OR_RETURN(
+        sample_reader_, SampleFileReader::Open(path, &server_->io_counters()));
+  }
+  auto nodes = ArtifactNodes<SampleCountScan::Node>(batch, &report->ccs);
+  SQLCLASS_RETURN_IF_ERROR(SampleCountScan::Run(
+      sample_reader_.get(), *batch.schema, &nodes, &server_->cost_counters()));
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    report->sample_rows[i] = nodes[i].sample_rows;
+  }
+  report->rows_scanned = sample_reader_->num_rows();
+  report->path = Path::kSample;
+  return Status::OK();
+}
+
+// Rule 0: every node straight from the bitmap index. No rows flow — the
+// per-word charges of BitmapCountScan::Run replace the per-row scan costs.
+Status BatchExecutor::BitmapPass(State* st) {
+  const Batch& batch = st->batch;
+  if (bitmap_reader_ == nullptr) {
+    SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
+                              server_->BitmapIndexPath(batch.table));
+    SQLCLASS_ASSIGN_OR_RETURN(
+        bitmap_reader_, BitmapIndexReader::Open(path, &server_->io_counters()));
+  }
+  auto nodes = ArtifactNodes<BitmapCountScan::Node>(batch, &st->report->ccs);
+  SQLCLASS_RETURN_IF_ERROR(BitmapCountScan::Run(
+      bitmap_reader_.get(), *batch.schema, &nodes, &server_->cost_counters()));
+  st->report->path = Path::kBitmap;
+  return Status::OK();
+}
+
+// Rule 8: fan the batch out over the table's shard set and merge the
+// per-shard partial CC tables in fixed shard order. A dead shard is
+// recovered inside the coordinator (replica, then primary re-scan).
+Status BatchExecutor::ShardPass(State* st) {
+  const Batch& batch = st->batch;
+  Report* report = st->report;
+  if (shard_coordinator_ == nullptr) {
+    SQLCLASS_ASSIGN_OR_RETURN(const std::string heap_path,
+                              server_->TableHeapPath(batch.table));
+    SQLCLASS_ASSIGN_OR_RETURN(
+        shard_coordinator_,
+        ShardCoordinator::Open(heap_path, *batch.schema,
+                               &server_->io_counters()));
+  }
+  auto nodes = ArtifactNodes<ShardCoordinator::Node>(batch, &report->ccs);
+  const int workers = ResolveShardWorkers(config_.sharding.worker_threads);
+  const int resolved =
+      workers == 0 ? static_cast<int>(ThreadPool::HardwareConcurrency())
+                   : workers;
+  if (shard_transport_ == nullptr) {
+    shard_transport_ = MakeShardTransport(config_.sharding);
+  }
+  const uint64_t timeouts_before = shard_transport_->rpc_timeouts();
+  const uint64_t restarts_before = shard_transport_->worker_restarts();
+  ShardCoordinator::Result result;
+  const Status ran = shard_coordinator_->Run(
+      resolved > 1 ? ScanPool(resolved) : nullptr, shard_transport_.get(),
+      &nodes, &server_->cost_counters(), &result);
+  // RPC hardening activity is metered even when the pass fails — the
+  // fault-injection tests reconcile these against the injected faults.
+  report->shard_rpc_timeouts +=
+      static_cast<int>(shard_transport_->rpc_timeouts() - timeouts_before);
+  report->shard_worker_restarts +=
+      static_cast<int>(shard_transport_->worker_restarts() - restarts_before);
+  SQLCLASS_RETURN_IF_ERROR(ran);
+  report->rows_scanned = result.rows_scanned;
+  report->shard_rescans += result.rescans;
+  report->shard_replica_rescans += result.replica_rescans;
+  report->path = Path::kShards;
+  return Status::OK();
+}
+
+Status BatchExecutor::ParallelPass(State* st, int threads) {
+  const Batch& batch = st->batch;
+  Report* report = st->report;
+  const Schema& schema = *batch.schema;
+  CostCounters& cost = server_->cost_counters();
+  ParallelScanOptions options;
+  options.class_column = schema.class_column();
+  options.num_classes = st->num_classes;
+  options.matcher = &st->matcher;
+  options.node_attrs.reserve(batch.requests.size());
+  for (const CcRequest* request : batch.requests) {
+    options.node_attrs.push_back(&request->active_attrs);
+  }
+  std::unique_ptr<Expr> filter;  // must outlive the scan
+  ParallelScanResult scan;
+  const DataLocation& source = report->source;
+  if (source.kind == LocationKind::kMemory) {
+    options.charge.mw_memory_read = true;
+    SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
+                              staging_->GetMemoryStore(source.store_id));
+    SQLCLASS_ASSIGN_OR_RETURN(
+        scan, ParallelCountScan::OverMemoryStore(ScanPool(threads), *store,
+                                                 options, &cost));
+  } else {
+    std::string path;
+    IoCounters* io = nullptr;
+    if (source.kind == LocationKind::kServer) {
+      filter = PushdownFilter(batch);
+      if (filter != nullptr) SQLCLASS_RETURN_IF_ERROR(filter->Bind(schema));
+      options.filter = filter.get();
+      options.charge.server_row_evaluated = true;
+      options.charge.cursor_transfer = true;
+      ++cost.server_scans;  // what OpenCursor charges at open
+      SQLCLASS_ASSIGN_OR_RETURN(path, server_->TableHeapPath(batch.table));
+      io = &server_->io_counters();
+    } else {
+      options.charge.mw_file_read = true;
+      SQLCLASS_ASSIGN_OR_RETURN(path, staging_->FileStorePath(source.store_id));
+      io = &staging_->io_counters();
+    }
+    SQLCLASS_ASSIGN_OR_RETURN(
+        scan, ParallelCountScan::OverHeapFile(ScanPool(threads), path,
+                                              schema.num_columns(), options,
+                                              &cost, io));
+  }
+  report->ccs = std::move(scan.ccs);
+  report->rows_scanned = scan.rows_delivered;
+  report->path = Path::kParallelRowScan;
+  return Status::OK();
+}
+
+// The serial row scan: the one path that streams rows through the
+// middleware, so the one that stages them (§4.1.2) and checks CC memory
+// mid-scan (§4.1.1). Rows are counted by a direct loop — the per-row work
+// is the hot path of every staged grow.
+Status BatchExecutor::RowScanPass(State* st) {
+  const Batch& batch = st->batch;
+  Report* report = st->report;
+  CostCounters& cost = server_->cost_counters();
+  const int class_column = batch.schema->class_column();
+  const DataLocation& source = report->source;
+  std::vector<int> matches;
+  uint64_t rows_since_check = 0;
+  auto count_row = [&](const Row& row) -> Status {
+    ++report->rows_scanned;
+    st->matcher.Match(row, &matches);
+    for (int pos : matches) {
+      const std::vector<int>& attrs = batch.requests[pos]->active_attrs;
+      if (report->evicted[pos] == Report::Eviction::kNone) {
+        report->ccs[pos].AddRow(row, attrs, class_column);
+        cost.mw_cc_updates += attrs.size();
+      }
+      const std::optional<DataLocation>& stage = report->staged[pos];
+      if (!stage.has_value()) continue;
+      if (stage->kind == LocationKind::kFile) {
+        Status appended = staging_->AppendToFileStore(stage->store_id, row);
+        if (!appended.ok()) {
+          // Flag it so the ladder rescans the same source with staging
+          // off rather than degrading the source.
+          st->staging_fault = true;
+          return appended;
+        }
+      } else {
+        staging_->AppendToMemoryStore(stage->store_id, row);
+      }
+    }
+    if (st->bounded &&
+        ++rows_since_check >= batch.overflow_check_interval) {
+      rows_since_check = 0;
+      CheckOverflow(st);
+    }
+    return Status::OK();
+  };
+
+  Row row;
+  auto drain = [&](auto& rows) -> Status {
+    while (true) {
+      SQLCLASS_ASSIGN_OR_RETURN(bool more, rows.Next(&row));
+      if (!more) return Status::OK();
+      SQLCLASS_RETURN_IF_ERROR(count_row(row));
+    }
+  };
+  switch (source.kind) {
+    case LocationKind::kServer: {
+      std::string sql = "SELECT * FROM " + batch.table;
+      if (std::unique_ptr<Expr> filter = PushdownFilter(batch)) {
+        sql += " WHERE " + filter->ToSql();
+      }
+      SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<ServerCursor> cursor,
+                                server_->OpenCursorSql(sql));
+      SQLCLASS_RETURN_IF_ERROR(drain(*cursor));
+      break;
+    }
+    case LocationKind::kFile: {
+      SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<RowSource> rows,
+                                staging_->OpenFileStore(source.store_id));
+      SQLCLASS_RETURN_IF_ERROR(drain(*rows));
+      break;
+    }
+    case LocationKind::kMemory: {
+      SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
+                                staging_->GetMemoryStore(source.store_id));
+      const size_t rows = store->num_rows();
+      const int width = store->num_columns();
+      row.resize(width);
+      for (size_t r = 0; r < rows; ++r) {
+        const Value* values = store->RowAt(r);
+        row.assign(values, values + width);
+        ++cost.mw_memory_rows_read;
+        SQLCLASS_RETURN_IF_ERROR(count_row(row));
+      }
+      break;
+    }
+  }
+  report->path = Path::kRowScan;
+  return Status::OK();
+}
+
+// Opens fresh staging stores for the planned nodes (Rule 4: batch nodes
+// only); returns the bytes this batch's memory staging will fill as the
+// scan proceeds.
+StatusOr<size_t> BatchExecutor::BeginStaging(State* st) {
+  const Batch& batch = st->batch;
+  size_t planned_memory_bytes = 0;
+  for (const StageDecision& decision : batch.plan.staging) {
+    DataLocation loc;
+    loc.kind = decision.target;
+    if (decision.target == LocationKind::kFile) {
+      SQLCLASS_ASSIGN_OR_RETURN(loc.store_id, staging_->BeginFileStore());
+    } else {
+      loc.store_id = staging_->BeginMemoryStore();
+      planned_memory_bytes +=
+          batch.requests[decision.idx]->data_size * staging_->RowBytes();
+    }
+    st->report->staged[decision.idx] = loc;
+  }
+  return planned_memory_bytes;
+}
+
+// Drops every store this batch has been staging into, tolerating stores
+// that half-opened before a create failure.
+void BatchExecutor::AbortStaging(State* st) {
+  for (std::optional<DataLocation>& stage : st->report->staged) {
+    if (!stage.has_value()) continue;
+    FreeStore(*stage, "aborted staging");
+    stage.reset();
+  }
+}
+
+// Seals staged files. A seal failure after a successful scan costs only
+// the store, never the counts: drop it, and the node's descendants read
+// this batch's source instead.
+void BatchExecutor::SealStaging(State* st) {
+  for (std::optional<DataLocation>& stage : st->report->staged) {
+    if (!stage.has_value() || stage->kind != LocationKind::kFile) continue;
+    Status sealed = staging_->FinishFileStore(stage->store_id);
+    if (sealed.ok()) continue;
+    SQLCLASS_LOG(kWarning) << "dropping staged store that failed to seal: "
+                           << sealed.ToString();
+    FreeStore(*stage, "unsealed");
+    stage.reset();
+    ++st->report->staging_aborts;
+  }
+}
+
+// Runtime handling of estimation error (§4.1.1): while the batch's CC
+// tables exceed the memory available to them, evict the largest. An
+// evicted node is normally requeued with a corrected estimate and counted
+// in a later, smaller scan; only the last node standing — its CC alone
+// does not fit — switches to the SQL-based server-side implementation.
+void BatchExecutor::CheckOverflow(State* st) {
+  if (!st->bounded) return;
+  Report* report = st->report;
+  const int n = static_cast<int>(report->ccs.size());
+  while (st->live_ccs > 0) {
+    size_t used = 0;
+    int biggest = -1;
+    size_t biggest_bytes = 0;
+    for (int i = 0; i < n; ++i) {
+      if (report->evicted[i] != Report::Eviction::kNone) continue;
+      const size_t bytes = report->ccs[i].ApproxBytes();
+      used += bytes;
+      if (bytes >= biggest_bytes) {
+        biggest_bytes = bytes;
+        biggest = i;
+      }
+    }
+    if (used <= st->cc_available || biggest < 0) break;
+    report->observed_bytes[biggest] = biggest_bytes;
+    report->evicted[biggest] = st->live_ccs == 1
+                                   ? Report::Eviction::kSqlFallback
+                                   : Report::Eviction::kRequeue;
+    report->ccs[biggest] = CcTable(st->num_classes);
+    --st->live_ccs;
+  }
+}
+
+void BatchExecutor::FreeStore(const DataLocation& loc, const char* what) {
+  Status freed = staging_->Free(loc);
+  if (!freed.ok()) {
+    SQLCLASS_LOG(kWarning) << "could not free " << what
+                           << " store: " << freed.ToString();
+  }
+}
+
+std::unique_ptr<Expr> BatchExecutor::PushdownFilter(const Batch& batch) const {
+  if (!config_.enable_filter_pushdown) return nullptr;
+  std::vector<std::unique_ptr<Expr>> clauses;
+  for (const CcRequest* request : batch.requests) {
+    if (request->predicate->kind() == ExprKind::kTrue) return nullptr;
+    clauses.push_back(request->predicate->Clone());
+  }
+  if (clauses.empty()) return nullptr;
+  return Expr::Or(std::move(clauses));
+}
+
+ThreadPool* BatchExecutor::ScanPool(int threads) {
+  if (scan_pool_ == nullptr || scan_pool_->size() != threads) {
+    scan_pool_ = std::make_unique<ThreadPool>(threads);
+  }
+  return scan_pool_.get();
+}
+
+}  // namespace sqlclass

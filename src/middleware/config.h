@@ -106,6 +106,45 @@ struct ShardingConfig {
   std::string worker_binary;
 };
 
+/// Knobs of one counting pass (§4.1.1), shared by MiddlewareConfig and
+/// ServiceConfig and consumed by BatchExecutor (middleware/batch_executor.h),
+/// so the middleware and the service count with the same paths, the same
+/// fallback ladder and the same validation (Validate in batch_executor.h).
+struct CountingConfig {
+  /// §4.3.1: push the disjunction of node predicates into the server-side
+  /// cursor so only relevant rows are transmitted. Off only for ablation A2.
+  bool enable_filter_pushdown = true;
+
+  /// Serve conjunctive node predicates from the table's bitmap index by
+  /// AND + popcount (scheduler Rule 0) whenever the server has one
+  /// (SqlServer::BuildBitmapIndex). Produces byte-identical CC tables at
+  /// per-bitmap-word cost instead of per-row cursor cost; a bitmap read
+  /// fault falls back transparently to the row-scan path. Overridable at
+  /// runtime via SQLCLASS_BITMAP_INDEX=0/1.
+  bool use_bitmap_index = true;
+
+  /// Worker threads for morsel-parallel counting scans. 0 = resolve to
+  /// hardware concurrency (overridable via SQLCLASS_PARALLEL_SCAN_THREADS);
+  /// 1 = always scan serially. The parallel path charges the same logical
+  /// costs as the serial one, so the simulated cost model is
+  /// thread-count-invariant; only wall time changes.
+  int parallel_scan_threads = 0;
+
+  /// Minimum source rows before a batch is scanned in parallel. Small scans
+  /// stay serial: thread fan-out costs more than it saves, and serial scans
+  /// keep the paper's mid-scan overflow-eviction timing exactly.
+  uint64_t parallel_scan_min_rows = 32768;
+
+  /// Backoff schedule for transient scan faults against the *server* source
+  /// (I/O errors, checksum failures). Staged-source failures are never
+  /// retried in place — the store is invalidated and the batch degrades to
+  /// the server, which is where this policy then applies.
+  RetryPolicy scan_retry;
+
+  /// Sharded scan-out over the table's shard set (scheduler Rule 8).
+  ShardingConfig sharding;
+};
+
 /// Ordering policy for eligible nodes within a scheduled batch. The paper's
 /// Rule 3 is smallest-estimated-CC-first; the alternatives exist for the
 /// scheduling ablation (DESIGN.md A1).
@@ -118,7 +157,7 @@ enum class OrderPolicy {
 /// Knobs of the scalable classification middleware (§4). Defaults match the
 /// paper's default experimental configuration: hybrid file staging at a 50%
 /// threshold with memory staging enabled.
-struct MiddlewareConfig {
+struct MiddlewareConfig : CountingConfig {
   /// Total middleware memory: CC tables under construction plus staged
   /// in-memory data sets share this budget (§5.2.1's "memory (MB)" axis).
   size_t memory_budget_bytes = 64ull << 20;
@@ -147,19 +186,7 @@ struct MiddlewareConfig {
   ///   0.5  => hybrid (Fig 6 configs 3/4, the default)
   double file_split_threshold = 0.5;
 
-  /// §4.3.1: push the disjunction of node predicates into the server-side
-  /// cursor so only relevant rows are transmitted. Off only for ablation A2.
-  bool enable_filter_pushdown = true;
-
   OrderPolicy order_policy = OrderPolicy::kSmallestCcFirst;
-
-  /// Serve conjunctive node predicates from the table's bitmap index by
-  /// AND + popcount (scheduler Rule 0) whenever the server has one
-  /// (SqlServer::BuildBitmapIndex). Produces byte-identical CC tables at
-  /// per-bitmap-word cost instead of per-row cursor cost; a bitmap read
-  /// fault falls back transparently to the row-scan path. Overridable at
-  /// runtime via SQLCLASS_BITMAP_INDEX=0/1.
-  bool use_bitmap_index = true;
 
   /// Directory for staged middleware files. Must exist and be writable.
   std::string staging_dir = ".";
@@ -167,29 +194,8 @@ struct MiddlewareConfig {
   /// Rows between CC-memory overflow checks during a counting scan.
   uint64_t overflow_check_interval = 1024;
 
-  /// Worker threads for morsel-parallel counting scans. 0 = resolve to
-  /// hardware concurrency (overridable via SQLCLASS_PARALLEL_SCAN_THREADS);
-  /// 1 = always scan serially (old behavior). The parallel path charges the
-  /// same logical costs as the serial one, so the simulated cost model is
-  /// thread-count-invariant; only wall time changes.
-  int parallel_scan_threads = 0;
-
-  /// Minimum source rows before a batch is scanned in parallel. Small scans
-  /// stay serial: thread fan-out costs more than it saves, and serial scans
-  /// keep the paper's mid-scan overflow-eviction timing exactly.
-  uint64_t parallel_scan_min_rows = 32768;
-
-  /// Backoff schedule for transient scan faults against the *server* source
-  /// (I/O errors, checksum failures). Staged-source failures are never
-  /// retried in place — the store is invalidated and the batch degrades to
-  /// the server, which is where this policy then applies.
-  RetryPolicy scan_retry;
-
   /// Approximate counting via the table's scramble (scheduler Rule 7).
   ApproxConfig approx;
-
-  /// Sharded scan-out over the table's shard set (scheduler Rule 8).
-  ShardingConfig sharding;
 };
 
 }  // namespace sqlclass

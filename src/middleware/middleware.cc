@@ -1,18 +1,12 @@
 #include "middleware/middleware.h"
 
-#include "middleware/bitmap_scan.h"
-#include "middleware/sample_scan.h"
-
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <optional>
 #include <set>
 
-#include "common/logging.h"
-#include "common/retry.h"
-#include "middleware/batch_matcher.h"
-#include "middleware/parallel_scan.h"
+#include "middleware/bitmap_scan.h"
+#include "middleware/sample_scan.h"
 #include "mining/cc_sql.h"
 
 namespace sqlclass {
@@ -37,12 +31,7 @@ ClassificationMiddleware::Create(SqlServer* server, const std::string& table,
   if (config.overflow_check_interval == 0) {
     return Status::InvalidArgument("overflow check interval must be >= 1");
   }
-  if (config.parallel_scan_threads < 0) {
-    return Status::InvalidArgument("parallel scan threads must be >= 0");
-  }
-  if (config.sharding.worker_threads < 0) {
-    return Status::InvalidArgument("shard worker threads must be >= 0");
-  }
+  SQLCLASS_RETURN_IF_ERROR(Validate(config));
   return std::unique_ptr<ClassificationMiddleware>(
       new ClassificationMiddleware(server, table, *schema, rows,
                                    std::move(config)));
@@ -63,21 +52,11 @@ ClassificationMiddleware::ClassificationMiddleware(SqlServer* server,
       estimator_(schema_),
       staging_(std::make_unique<StagingManager>(config_.staging_dir,
                                                 schema_.num_columns(),
-                                                &server->cost_counters())) {}
+                                                &server->cost_counters())),
+      executor_(server, config_, staging_.get()) {}
 
 Status ClassificationMiddleware::QueueRequest(CcRequest request) {
-  if (request.predicate == nullptr) request.predicate = Expr::True();
-  SQLCLASS_RETURN_IF_ERROR(request.predicate->Bind(schema_));
-  if (request.active_attrs.empty()) {
-    return Status::InvalidArgument("request with no attributes to count");
-  }
-  for (int attr : request.active_attrs) {
-    if (attr < 0 || attr >= schema_.num_columns() ||
-        attr == schema_.class_column()) {
-      return Status::InvalidArgument("bad attribute column in request");
-    }
-  }
-  if (request.parent_id < 0) request.data_size = table_rows_;
+  SQLCLASS_RETURN_IF_ERROR(PrepareRequest(schema_, table_rows_, &request));
 
   Pending pending;
   pending.seq = next_seq_++;
@@ -142,11 +121,7 @@ Status ClassificationMiddleware::EvictMemoryStoresUnderPressure() {
     if (victim.kind != LocationKind::kMemory) break;  // nothing to evict
     SQLCLASS_RETURN_IF_ERROR(staging_->Free(victim));
     ++stats_.stores_evicted;
-    const DataLocation server_loc{LocationKind::kServer, 0};
-    estimator_.RelocateStore(victim, server_loc);
-    for (Pending& pending : pending_) {
-      if (pending.location == victim) pending.location = server_loc;
-    }
+    RelocateToServer(victim);
   }
   return Status::OK();
 }
@@ -261,541 +236,70 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::PlanAndExecuteOne() {
 StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
     const BatchPlan& plan, std::vector<Pending> batch) {
   const int n = static_cast<int>(batch.size());
-  const int class_column = schema_.class_column();
-  CostCounters& cost = server_->cost_counters();
-
   BatchTrace trace;
   trace.batch = stats_.batches + 1;
-  trace.source = plan.source;
   trace.nodes = n;
   trace.file_split = plan.file_split;
 
-  // Per-attempt scan state. A recovery pass (staging abort, degradation to
-  // the server, transient retry) rebuilds all of it from scratch, so the
-  // one pass that succeeds fully determines the delivered CC tables — that
-  // is what makes recovered results byte-identical to a fault-free run.
-  // Charges from failed passes stay in the cost counters: the work really
-  // happened, and honest accounting is part of the degradation contract.
-  DataLocation source = plan.source;
-  bool staging_enabled = !plan.staging.empty();
-  bool use_bitmap = plan.from_bitmap;
-  bool use_sample = plan.from_sample;
-  bool use_shards = plan.from_shards;
-  std::vector<CcTable> ccs;
-  std::vector<bool> fallback(n, false);
-  std::vector<bool> requeue(n, false);
-  std::vector<bool> escalate(n, false);
-  std::vector<uint64_t> sample_matched(n, 0);
-  std::vector<size_t> observed_bytes(n, 0);
-  int live_ccs = n;
-  std::vector<std::optional<DataLocation>> stage_into(n);
-  size_t cc_available = 0;
-  uint64_t rows_since_check = 0;
-  bool staging_fault = false;
-
-  std::vector<const Expr*> predicates;
-  predicates.reserve(n);
+  BatchExecutor::Batch request;
+  request.table = table_;
+  request.schema = &schema_;
+  request.table_rows = table_rows_;
   for (const Pending& pending : batch) {
-    predicates.push_back(pending.request.predicate.get());
+    request.requests.push_back(&pending.request);
   }
-  BatchMatcher matcher(predicates);
+  request.plan = plan;
+  request.memory_budget = config_.memory_budget_bytes;
+  request.overflow_check_interval = config_.overflow_check_interval;
+  request.ordinal = trace.batch;
 
-  auto reset_state = [&]() {
-    ccs.clear();
-    ccs.reserve(n);
-    for (int i = 0; i < n; ++i) ccs.emplace_back(num_classes_);
-    std::fill(fallback.begin(), fallback.end(), false);
-    std::fill(requeue.begin(), requeue.end(), false);
-    std::fill(escalate.begin(), escalate.end(), false);
-    std::fill(sample_matched.begin(), sample_matched.end(), 0);
-    std::fill(observed_bytes.begin(), observed_bytes.end(), 0);
-    live_ccs = n;
-    trace.rows_scanned = 0;
-    rows_since_check = 0;
-    staging_fault = false;
-  };
-
-  // Opens fresh staging stores for the planned nodes (Rule 4: batch nodes
-  // only) and computes the memory left for CC tables during this scan:
-  // total budget minus staged data already resident minus the reservations
-  // for this batch's memory staging (which fills up as the scan proceeds).
-  auto begin_staging = [&]() -> Status {
-    size_t planned_memory_bytes = 0;
-    for (const StageDecision& decision : plan.staging) {
-      const int pos = decision.idx;
-      DataLocation loc;
-      loc.kind = decision.target;
-      if (decision.target == LocationKind::kFile) {
-        SQLCLASS_ASSIGN_OR_RETURN(loc.store_id, staging_->BeginFileStore());
-      } else {
-        loc.store_id = staging_->BeginMemoryStore();
-        planned_memory_bytes +=
-            batch[pos].request.data_size * staging_->RowBytes();
-      }
-      stage_into[pos] = loc;
-    }
-    const size_t memory_baseline =
-        staging_->memory_bytes_used() + planned_memory_bytes;
-    cc_available = config_.memory_budget_bytes > memory_baseline
-                       ? config_.memory_budget_bytes - memory_baseline
-                       : 0;
-    return Status::OK();
-  };
-
-  // Drops every store this batch has been staging into, tolerating stores
-  // that half-opened before a create failure.
-  auto abort_staging = [&]() {
-    for (int pos = 0; pos < n; ++pos) {
-      if (!stage_into[pos].has_value()) continue;
-      Status freed = staging_->Free(*stage_into[pos]);
-      if (!freed.ok()) {
-        SQLCLASS_LOG(kWarning) << "could not free aborted staging store: "
-                               << freed.ToString();
-      }
-      stage_into[pos].reset();
-    }
-  };
-
-  // Runtime handling of estimation error (§4.1.1): when the batch's actual
-  // CC bytes exceed the available memory, evict the largest CC table. An
-  // evicted node is normally *requeued* with a corrected (at least doubled)
-  // estimate and counted in a later, smaller scan; only when it is the last
-  // node standing — its CC alone does not fit in middleware memory — does
-  // it switch to the SQL-based server-side implementation.
-  auto check_overflow = [&]() {
-    while (live_ccs > 0) {
-      size_t used = 0;
-      int biggest = -1;
-      size_t biggest_bytes = 0;
-      for (int i = 0; i < n; ++i) {
-        if (fallback[i] || requeue[i]) continue;
-        const size_t bytes = ccs[i].ApproxBytes();
-        used += bytes;
-        if (bytes >= biggest_bytes) {
-          biggest_bytes = bytes;
-          biggest = i;
-        }
-      }
-      if (used <= cc_available || biggest < 0) break;
-      observed_bytes[biggest] = biggest_bytes;
-      if (live_ccs == 1) {
-        fallback[biggest] = true;
-      } else {
-        requeue[biggest] = true;
-      }
-      CcTable empty(num_classes_);
-      ccs[biggest] = std::move(empty);
-      --live_ccs;
-    }
-  };
-
-  std::vector<int> matches;
-  auto process_row = [&](const Row& row) -> Status {
-    ++trace.rows_scanned;
-    matcher.Match(row, &matches);
-    for (int pos : matches) {
-      if (!fallback[pos] && !requeue[pos]) {
-        ccs[pos].AddRow(row, batch[pos].request.active_attrs, class_column);
-        cost.mw_cc_updates += batch[pos].request.active_attrs.size();
-      }
-      if (stage_into[pos].has_value()) {
-        const DataLocation& loc = *stage_into[pos];
-        if (loc.kind == LocationKind::kFile) {
-          Status appended = staging_->AppendToFileStore(loc.store_id, row);
-          if (!appended.ok()) {
-            // A failed staged *write* poisons only the stores, not the
-            // counts: flag it so the recovery driver rescans the same
-            // source with staging off rather than degrading the source.
-            staging_fault = true;
-            return appended;
-          }
-        } else {
-          staging_->AppendToMemoryStore(loc.store_id, row);
-        }
-      }
-    }
-    if (++rows_since_check >= config_.overflow_check_interval) {
-      rows_since_check = 0;
-      check_overflow();
-    }
-    return Status::OK();
-  };
-
-  // §4.3.1: the (S_1 OR ... OR S_k) pushdown filter — null when any node
-  // wants the whole source (or pushdown is disabled).
-  auto build_pushdown_filter = [&]() -> std::unique_ptr<Expr> {
-    if (!config_.enable_filter_pushdown) return nullptr;
-    std::vector<std::unique_ptr<Expr>> clauses;
-    for (const Pending& pending : batch) {
-      if (pending.request.predicate->kind() == ExprKind::kTrue) return nullptr;
-      clauses.push_back(pending.request.predicate->Clone());
-    }
-    if (clauses.empty()) return nullptr;
-    return Expr::Or(std::move(clauses));
-  };
-
-  // ---- One pass over the chosen source (§4.1.1). Routes large scans with
-  // no staging through the morsel-parallel path: it builds the identical CC
-  // tables and charges the identical logical costs (see DESIGN.md "Parallel
-  // counting"); overflow is checked once after the merge instead of
-  // mid-scan, which staging-free batches tolerate.
-  auto run_pass = [&]() -> Status {
-    // Rule 7 service: build every node's *sample* CC from the table's
-    // scramble. Whether a sampled answer is good enough is decided per
-    // node after the pass (the confidence gate); any failure here — open
-    // fault, read fault, checksum mismatch — drops to the exact rungs of
-    // the recovery ladder below and the same batch is served exactly in
-    // this same FulfillSome call.
-    if (use_sample && source.kind == LocationKind::kServer) {
-      SQLCLASS_ASSIGN_OR_RETURN(SampleFileReader * reader, SampleReader());
-      std::vector<SampleCountScan::Node> nodes(n);
-      for (int i = 0; i < n; ++i) {
-        nodes[i].predicate = batch[i].request.predicate.get();
-        nodes[i].active_attrs = &batch[i].request.active_attrs;
-        nodes[i].cc = &ccs[i];
-      }
-      SQLCLASS_RETURN_IF_ERROR(
-          SampleCountScan::Run(reader, schema_, &nodes, &cost));
-      for (int i = 0; i < n; ++i) sample_matched[i] = nodes[i].sample_rows;
-      trace.rows_scanned = reader->num_rows();
-      trace.served_from_sample = true;
-      return Status::OK();
-    }
-    // Rule 0 service: answer every admitted node straight from the bitmap
-    // index. No rows are delivered — the per-word charges in
-    // BitmapCountScan::Run replace the per-row scan costs entirely. Any
-    // failure here (open fault, read fault, checksum mismatch) drops to
-    // the row-scan rung of the recovery ladder below, which rebuilds the
-    // identical CC tables the expensive way.
-    if (use_bitmap && source.kind == LocationKind::kServer) {
-      SQLCLASS_ASSIGN_OR_RETURN(BitmapIndexReader * index, BitmapReader());
-      std::vector<BitmapCountScan::Node> nodes(n);
-      for (int i = 0; i < n; ++i) {
-        nodes[i].predicate = batch[i].request.predicate.get();
-        nodes[i].active_attrs = &batch[i].request.active_attrs;
-        nodes[i].cc = &ccs[i];
-      }
-      SQLCLASS_RETURN_IF_ERROR(
-          BitmapCountScan::Run(index, schema_, &nodes, &cost));
-      trace.rows_scanned = 0;  // counts, not rows, flowed from the source
-      trace.served_from_bitmap = true;
-      ++stats_.bitmap_scans;
-      return Status::OK();
-    }
-    // Rule 8 service: fan the batch out over the table's shard set and
-    // merge the per-shard partial CC tables in fixed shard order —
-    // byte-identical to the row-scan paths below at every shard and worker
-    // count. A dead shard is re-scanned from the primary heap file inside
-    // the coordinator; only a pass the coordinator itself cannot recover
-    // (map fault, primary re-scan fault) drops to the shard rung of the
-    // recovery ladder, which re-serves the batch by an ordinary row scan.
-    if (use_shards && source.kind == LocationKind::kServer) {
-      SQLCLASS_ASSIGN_OR_RETURN(ShardCoordinator * coordinator, ShardSet());
-      std::vector<ShardCoordinator::Node> nodes(n);
-      for (int i = 0; i < n; ++i) {
-        nodes[i].predicate = batch[i].request.predicate.get();
-        nodes[i].active_attrs = &batch[i].request.active_attrs;
-        nodes[i].cc = &ccs[i];
-      }
-      const int workers = ResolveShardWorkers(config_.sharding.worker_threads);
-      const int resolved =
-          workers == 0 ? static_cast<int>(ThreadPool::HardwareConcurrency())
-                       : workers;
-      if (shard_transport_ == nullptr) {
-        shard_transport_ = MakeShardTransport(config_.sharding);
-      }
-      const uint64_t timeouts_before = shard_transport_->rpc_timeouts();
-      const uint64_t restarts_before = shard_transport_->worker_restarts();
-      ShardCoordinator::Result shard_result;
-      const Status ran =
-          coordinator->Run(resolved > 1 ? ScanPool(resolved) : nullptr,
-                           shard_transport_.get(), &nodes, &cost,
-                           &shard_result);
-      // RPC hardening activity is metered even when the pass ultimately
-      // fails — the fault-injection tests reconcile these against the
-      // injected fault counts.
-      const int timeouts = static_cast<int>(shard_transport_->rpc_timeouts() -
-                                            timeouts_before);
-      const int restarts = static_cast<int>(
-          shard_transport_->worker_restarts() - restarts_before);
-      trace.shard_rpc_timeouts += timeouts;
-      trace.shard_worker_restarts += restarts;
-      stats_.shard_rpc_timeouts += timeouts;
-      stats_.shard_worker_restarts += restarts;
-      SQLCLASS_RETURN_IF_ERROR(ran);
-      trace.rows_scanned = shard_result.rows_scanned;
-      trace.served_from_shards = true;
-      trace.shard_rescans += shard_result.rescans;
-      trace.shard_replica_rescans += shard_result.replica_rescans;
-      stats_.shard_rescans += shard_result.rescans;
-      stats_.shard_replica_rescans += shard_result.replica_rescans;
-      ++stats_.shard_scans;
-      return Status::OK();
-    }
-    const int scan_threads =
-        ResolveParallelThreads(config_.parallel_scan_threads);
-    uint64_t source_rows = table_rows_;
-    if (source.kind != LocationKind::kServer) {
-      SQLCLASS_ASSIGN_OR_RETURN(source_rows, staging_->StoreRows(source));
-    }
-    const bool use_parallel = scan_threads > 1 && !staging_enabled &&
-                              source_rows >= config_.parallel_scan_min_rows;
-    if (use_parallel) {
-      ParallelScanOptions options;
-      options.class_column = class_column;
-      options.num_classes = num_classes_;
-      options.matcher = &matcher;
-      options.node_attrs.reserve(n);
-      for (const Pending& pending : batch) {
-        options.node_attrs.push_back(&pending.request.active_attrs);
-      }
-      std::unique_ptr<Expr> filter;  // must outlive the scan
-      ParallelScanResult scan;
-      switch (source.kind) {
-        case LocationKind::kServer: {
-          filter = build_pushdown_filter();
-          if (filter != nullptr) {
-            SQLCLASS_RETURN_IF_ERROR(filter->Bind(schema_));
-          }
-          options.filter = filter.get();
-          options.charge.server_row_evaluated = true;
-          options.charge.cursor_transfer = true;
-          ++cost.server_scans;  // what OpenCursor charges at open
-          SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
-                                    server_->TableHeapPath(table_));
-          SQLCLASS_ASSIGN_OR_RETURN(
-              scan, ParallelCountScan::OverHeapFile(
-                        ScanPool(scan_threads), path, schema_.num_columns(),
-                        options, &cost, &server_->io_counters()));
-          ++stats_.server_scans;
-          break;
-        }
-        case LocationKind::kFile: {
-          options.charge.mw_file_read = true;
-          SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
-                                    staging_->FileStorePath(source.store_id));
-          SQLCLASS_ASSIGN_OR_RETURN(
-              scan, ParallelCountScan::OverHeapFile(
-                        ScanPool(scan_threads), path, schema_.num_columns(),
-                        options, &cost, &staging_->io_counters()));
-          ++stats_.file_scans;
-          break;
-        }
-        case LocationKind::kMemory: {
-          options.charge.mw_memory_read = true;
-          SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
-                                    staging_->GetMemoryStore(source.store_id));
-          SQLCLASS_ASSIGN_OR_RETURN(
-              scan, ParallelCountScan::OverMemoryStore(ScanPool(scan_threads),
-                                                       *store, options, &cost));
-          ++stats_.memory_scans;
-          break;
-        }
-      }
-      for (int i = 0; i < n; ++i) ccs[i] = std::move(scan.ccs[i]);
-      trace.rows_scanned = scan.rows_delivered;
-    } else {
-      switch (source.kind) {
-        case LocationKind::kServer: {
-          std::string sql = "SELECT * FROM " + table_;
-          if (std::unique_ptr<Expr> filter = build_pushdown_filter()) {
-            sql += " WHERE " + filter->ToSql();
-          }
-          SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<ServerCursor> cursor,
-                                    server_->OpenCursorSql(sql));
-          Row row;
-          while (true) {
-            SQLCLASS_ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
-            if (!more) break;
-            SQLCLASS_RETURN_IF_ERROR(process_row(row));
-          }
-          ++stats_.server_scans;
-          break;
-        }
-        case LocationKind::kFile: {
-          SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<RowSource> rows,
-                                    staging_->OpenFileStore(source.store_id));
-          Row row;
-          while (true) {
-            SQLCLASS_ASSIGN_OR_RETURN(bool more, rows->Next(&row));
-            if (!more) break;
-            SQLCLASS_RETURN_IF_ERROR(process_row(row));
-          }
-          ++stats_.file_scans;
-          break;
-        }
-        case LocationKind::kMemory: {
-          SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
-                                    staging_->GetMemoryStore(source.store_id));
-          const size_t rows = store->num_rows();
-          const int width = store->num_columns();
-          Row row(width);
-          for (size_t r = 0; r < rows; ++r) {
-            const Value* values = store->RowAt(r);
-            row.assign(values, values + width);
-            ++cost.mw_memory_rows_read;
-            SQLCLASS_RETURN_IF_ERROR(process_row(row));
-          }
-          ++stats_.memory_scans;
-          break;
-        }
-      }
-    }
-    return Status::OK();
-  };
-
-  // ---- Recovery driver: run the pass, and on a recoverable fault walk the
-  // degradation ladder (each rung can be taken at most once or a bounded
-  // number of times, so the loop terminates):
-  //   1. staging write failed       -> rescan the same source, staging off
-  //   2. staged source failed       -> invalidate the store, degrade to the
-  //                                    server (graceful degradation up the
-  //                                    staging hierarchy, §4.1.2)
-  //   3. server source failed       -> bounded exponential-backoff retries
-  // Anything else — or rung 3 exhausted — fails the batch with a Status
-  // that names the code, source, and attempt count.
-  int attempt = 1;
-  while (true) {
-    reset_state();
-    if (staging_enabled) {
-      Status staged = begin_staging();
-      if (!staged.ok()) {
-        // Could not even create the stores (staging dir deleted, disk
-        // full): give up staging for this batch, keep counting.
-        abort_staging();
-        staging_enabled = false;
-        ++stats_.staging_aborts;
-        trace.staging_aborted = true;
-        SQLCLASS_LOG(kWarning) << "staging disabled for batch " << trace.batch
-                               << ": " << staged.ToString();
-        continue;
-      }
-    } else {
-      cc_available = config_.memory_budget_bytes > staging_->memory_bytes_used()
-                         ? config_.memory_budget_bytes -
-                               staging_->memory_bytes_used()
-                         : 0;
-    }
-    Status pass = run_pass();
-    if (pass.ok()) break;
-
-    abort_staging();
-    if (pass.code() == StatusCode::kDataLoss) ++stats_.checksum_failures;
-    const bool recoverable = pass.code() == StatusCode::kIoError ||
-                             pass.code() == StatusCode::kDataLoss ||
-                             pass.code() == StatusCode::kNotFound;
-    if (!recoverable) return pass;
-    if (use_sample) {
-      // Sample rung: the scramble failed mid-pass. Rule 7 is an
-      // optimisation, never a correctness dependency — serve the same
-      // batch exactly in this pass, and drop the reader so a later batch
-      // reopens the scramble from scratch.
-      use_sample = false;
-      sample_reader_.reset();
-      ++stats_.sample_fallbacks;
-      trace.sample_fallback = true;
-      SQLCLASS_LOG(kWarning) << "sample pass failed for batch " << trace.batch
-                             << ", serving exactly: " << pass.ToString();
-      continue;
-    }
-    if (use_bitmap) {
-      // Bitmap rung: the index failed (or rotted) mid-pass. Degrade
-      // transparently to the row-scan path — same source, same nodes,
-      // byte-identical results — and drop the reader so a later batch
-      // reopens the index from scratch.
-      use_bitmap = false;
-      bitmap_reader_.reset();
-      ++stats_.bitmap_fallbacks;
-      trace.bitmap_fallback = true;
-      SQLCLASS_LOG(kWarning) << "bitmap pass failed for batch " << trace.batch
-                             << ", falling back to row scan: "
-                             << pass.ToString();
-      continue;
-    }
-    if (use_shards) {
-      // Shard rung: the fan-out failed beyond the coordinator's own
-      // per-shard recovery (distribution-map fault, primary re-scan
-      // fault). Degrade transparently to the row-scan path — same source,
-      // same nodes, byte-identical results — and drop the coordinator so a
-      // later batch reopens the distribution map from scratch.
-      use_shards = false;
-      shard_coordinator_.reset();
-      ++stats_.shard_fallbacks;
-      trace.shard_fallback = true;
-      SQLCLASS_LOG(kWarning) << "shard pass failed for batch " << trace.batch
-                             << ", falling back to row scan: "
-                             << pass.ToString();
-      continue;
-    }
-    if (staging_fault && staging_enabled) {
-      staging_enabled = false;
-      ++stats_.staging_aborts;
-      trace.staging_aborted = true;
-      SQLCLASS_LOG(kWarning) << "staging aborted for batch " << trace.batch
-                             << ": " << pass.ToString();
-      continue;
-    }
-    if (source.kind != LocationKind::kServer) {
-      InvalidateStore(source);
-      ++stats_.stores_invalidated;
-      ++stats_.degraded_scans;
-      trace.degraded_to_server = true;
-      SQLCLASS_LOG(kWarning) << "staged store failed mid-scan, re-servicing "
-                                "batch "
-                             << trace.batch
-                             << " from the server: " << pass.ToString();
-      source = DataLocation{LocationKind::kServer, 0};
-      continue;
-    }
-    if (attempt < config_.scan_retry.max_attempts) {
-      ++stats_.scan_retries;
-      ++trace.scan_retries;
-      SleepForBackoff(config_.scan_retry, attempt);
-      ++attempt;
-      continue;
-    }
-    return Status(pass.code(),
-                  "batch scan over table '" + table_ + "' failed after " +
-                      std::to_string(attempt) +
-                      " attempt(s): " + pass.message());
+  BatchExecutor::Report report;
+  const Status ran = executor_.Run(request, &report);
+  // Recovery activity counts whether or not the batch survived it.
+  AddScanCounts(report, ran.ok(), &stats_);
+  stats_.checksum_failures += report.checksum_failures;
+  stats_.staging_aborts += report.staging_aborts;
+  stats_.sample_fallbacks += report.sample_fallback;
+  if (report.invalidated.has_value()) {
+    // The executor freed the failed store; its subtree (and any pending
+    // request reading it) now reads the server — correct, since predicates
+    // are absolute, but costlier: the honest price of losing the store.
+    RelocateToServer(*report.invalidated);
+    ++stats_.stores_invalidated;
+    ++stats_.degraded_scans;
   }
+  SQLCLASS_RETURN_IF_ERROR(ran);
+
+  const DataLocation source = report.source;
+  std::vector<CcTable>& ccs = report.ccs;
   trace.source = source;  // where the surviving pass actually read from
+  trace.rows_scanned = report.rows_scanned;
+  trace.scan_retries = report.scan_retries;
+  trace.degraded_to_server = report.invalidated.has_value();
+  trace.staging_aborted = report.staging_aborts > 0;
+  trace.sample_fallback = report.sample_fallback;
+  trace.bitmap_fallback = report.bitmap_fallback;
+  trace.shard_fallback = report.shard_fallback;
+  trace.shard_rpc_timeouts = report.shard_rpc_timeouts;
+  trace.shard_worker_restarts = report.shard_worker_restarts;
+  trace.shard_rescans = report.shard_rescans;
+  trace.shard_replica_rescans = report.shard_replica_rescans;
+  trace.served_from_sample = report.path == BatchExecutor::Path::kSample;
+  trace.served_from_bitmap = report.path == BatchExecutor::Path::kBitmap;
+  trace.served_from_shards = report.path == BatchExecutor::Path::kShards;
+  if (report.path == BatchExecutor::Path::kRowScan ||
+      report.path == BatchExecutor::Path::kParallelRowScan) {
+    ++(source.kind == LocationKind::kServer ? stats_.server_scans
+       : source.kind == LocationKind::kFile ? stats_.file_scans
+                                            : stats_.memory_scans);
+  }
   if (source.kind == LocationKind::kFile && plan.file_split) {
     ++stats_.file_splits;
   }
-  // Sample CCs are bounded by the scramble, not the node: overflow handling
-  // (requeue / SQL fallback) applies only to exact passes.
-  if (!trace.served_from_sample) check_overflow();
-
-  // Seal staged files; record locations so descendants inherit them. A seal
-  // failure after a successful scan costs only the store, never the counts:
-  // drop it and let descendants fall back to this batch's source.
-  for (int pos = 0; pos < n; ++pos) {
-    if (stage_into[pos].has_value() &&
-        stage_into[pos]->kind == LocationKind::kFile) {
-      Status sealed = staging_->FinishFileStore(stage_into[pos]->store_id);
-      if (!sealed.ok()) {
-        SQLCLASS_LOG(kWarning) << "dropping staged store that failed to "
-                                  "seal: "
-                               << sealed.ToString();
-        Status freed = staging_->Free(*stage_into[pos]);
-        if (!freed.ok()) {
-          SQLCLASS_LOG(kWarning) << "could not free unsealed store: "
-                                 << freed.ToString();
-        }
-        stage_into[pos].reset();
-        ++stats_.staging_aborts;
-        trace.staging_aborted = true;
-      }
-    }
-  }
-  for (int pos = 0; pos < n; ++pos) {
-    if (!stage_into[pos].has_value()) continue;
-    if (stage_into[pos]->kind == LocationKind::kFile) {
-      ++trace.staged_to_file;
-    } else {
-      ++trace.staged_to_memory;
-    }
+  for (const std::optional<DataLocation>& staged : report.staged) {
+    if (!staged.has_value()) continue;
+    ++(staged->kind == LocationKind::kFile ? trace.staged_to_file
+                                           : trace.staged_to_memory);
   }
 
   // Rule 7 gate: decide per node whether the sampled CC identifies the
@@ -803,6 +307,7 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
   // scaled up to their (possibly estimated) data size and delivered as
   // approximate; rejected nodes re-enter the queue as exact requests and
   // never route back to the scramble.
+  std::vector<bool> escalate(n, false);
   if (trace.served_from_sample) {
     const double confidence =
         ResolveApproxConfidence(config_.approx.confidence);
@@ -810,7 +315,7 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
     for (int pos = 0; pos < n; ++pos) {
       const SampleGateResult gate = EvaluateSampleGate(
           ccs[pos], batch[pos].request.active_attrs,
-          config_.approx.gate_criterion, sample_matched[pos], confidence,
+          config_.approx.gate_criterion, report.sample_rows[pos], confidence,
           exactness);
       sample_decisions_.push_back({batch[pos].request.node_id, gate.accept,
                                    gate.gap, gate.threshold});
@@ -829,6 +334,7 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
   std::vector<CcResult> results;
   results.reserve(n);
   for (int pos = 0; pos < n; ++pos) {
+    const std::optional<DataLocation>& staged = report.staged[pos];
     if (escalate[pos]) {
       Pending retry = std::move(batch[pos]);
       retry.no_sample = true;
@@ -836,24 +342,23 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
       ++trace.escalated;
       continue;
     }
-    if (requeue[pos]) {
+    if (report.evicted[pos] == BatchExecutor::Report::Eviction::kRequeue) {
       // Evicted under memory pressure: return to the queue with a corrected
       // estimate (monotone growth guarantees termination — once alone in a
       // batch it either fits or takes the SQL path). If its data was staged
       // during this scan, the retry reads the (smaller) staged store.
       Pending retry = std::move(batch[pos]);
       retry.est_cc_bytes =
-          std::max(retry.est_cc_bytes * 2, observed_bytes[pos] * 2);
+          std::max(retry.est_cc_bytes * 2, report.observed_bytes[pos] * 2);
       // Point the retry at this batch's actual source, not the planned one:
       // after a mid-batch degradation the planned store no longer exists.
-      retry.location =
-          stage_into[pos].has_value() ? *stage_into[pos] : source;
+      retry.location = staged.value_or(source);
       estimator_.SetLocation(retry.request.node_id, retry.location);
       pending_.push_back(std::move(retry));
       ++trace.requeued;
       continue;
     }
-    if (fallback[pos]) {
+    if (report.evicted[pos] == BatchExecutor::Report::Eviction::kSqlFallback) {
       SQLCLASS_ASSIGN_OR_RETURN(ccs[pos], SqlFallback(batch[pos]));
       ++stats_.sql_fallbacks;
       ++trace.sql_fallbacks;
@@ -874,9 +379,7 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
     estimator_.RecordCounted(pending.request.node_id, ccs[pos],
                              static_cast<uint64_t>(ccs[pos].TotalRows()),
                              pending.request.active_attrs);
-    estimator_.SetLocation(pending.request.node_id,
-                           stage_into[pos].has_value() ? *stage_into[pos]
-                                                       : source);
+    estimator_.SetLocation(pending.request.node_id, staged.value_or(source));
     unreleased_.insert(pending.request.node_id);
     results.emplace_back(pending.request.node_id, std::move(ccs[pos]));
     results.back().approximate = trace.served_from_sample;
@@ -885,59 +388,12 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
   return results;
 }
 
-void ClassificationMiddleware::InvalidateStore(const DataLocation& loc) {
-  if (loc.kind == LocationKind::kServer) return;
-  Status freed = staging_->Free(loc);
-  if (!freed.ok()) {
-    SQLCLASS_LOG(kWarning) << "could not free invalidated store: "
-                           << freed.ToString();
-  }
+void ClassificationMiddleware::RelocateToServer(const DataLocation& loc) {
   const DataLocation server_loc{LocationKind::kServer, 0};
   estimator_.RelocateStore(loc, server_loc);
   for (Pending& pending : pending_) {
     if (pending.location == loc) pending.location = server_loc;
   }
-}
-
-ThreadPool* ClassificationMiddleware::ScanPool(int threads) {
-  if (scan_pool_ == nullptr || scan_pool_->size() != threads) {
-    scan_pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  return scan_pool_.get();
-}
-
-StatusOr<BitmapIndexReader*> ClassificationMiddleware::BitmapReader() {
-  if (bitmap_reader_ == nullptr) {
-    SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
-                              server_->BitmapIndexPath(table_));
-    SQLCLASS_ASSIGN_OR_RETURN(
-        bitmap_reader_,
-        BitmapIndexReader::Open(path, &server_->io_counters()));
-  }
-  return bitmap_reader_.get();
-}
-
-StatusOr<SampleFileReader*> ClassificationMiddleware::SampleReader() {
-  if (sample_reader_ == nullptr) {
-    SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
-                              server_->SampleTablePath(table_));
-    SQLCLASS_ASSIGN_OR_RETURN(
-        sample_reader_,
-        SampleFileReader::Open(path, &server_->io_counters()));
-  }
-  return sample_reader_.get();
-}
-
-StatusOr<ShardCoordinator*> ClassificationMiddleware::ShardSet() {
-  if (shard_coordinator_ == nullptr) {
-    SQLCLASS_ASSIGN_OR_RETURN(const std::string heap_path,
-                              server_->TableHeapPath(table_));
-    SQLCLASS_ASSIGN_OR_RETURN(
-        shard_coordinator_,
-        ShardCoordinator::Open(heap_path, schema_,
-                               &server_->io_counters()));
-  }
-  return shard_coordinator_.get();
 }
 
 StatusOr<CcTable> ClassificationMiddleware::SqlFallback(

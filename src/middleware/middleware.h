@@ -10,16 +10,13 @@
 
 #include "catalog/schema.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
+#include "middleware/batch_executor.h"
 #include "middleware/config.h"
 #include "middleware/estimator.h"
 #include "middleware/scheduler.h"
-#include "middleware/shard_scan.h"
 #include "middleware/staging.h"
 #include "mining/cc_provider.h"
 #include "server/server.h"
-#include "storage/bitmap/bitmap_index.h"
-#include "storage/sample/sample_file.h"
 
 namespace sqlclass {
 
@@ -29,8 +26,9 @@ namespace sqlclass {
 /// requests by:
 ///
 ///  * batching many nodes' counting into a single scan of the data
-///    (execution module, §4.1.1), pushing the disjunction of their
-///    predicates into the server cursor (§4.3.1);
+///    (execution module, §4.1.1: BatchExecutor, shared with the service),
+///    pushing the disjunction of their predicates into the server cursor
+///    (§4.3.1);
 ///  * staging shrinking data sets from the server into middleware files
 ///    and middleware memory, splitting files as relevance drops
 ///    (§4.1.2, §4.3.2);
@@ -201,38 +199,18 @@ class ClassificationMiddleware : public CcProvider {
   /// from cascading into SQL fallbacks.
   [[nodiscard]] Status EvictMemoryStoresUnderPressure();
 
-  /// Runs one planned batch: opens the source, counts all batch nodes in a
-  /// single pass, stages planned nodes, handles CC-memory overflow via the
-  /// SQL fallback, and updates the estimator.
+  /// Runs one planned batch: counts (and stages) it through the executor,
+  /// applies the Rule 7 gate, requeues evicted nodes or counts the last one
+  /// by the SQL fallback, and updates the estimator.
   [[nodiscard]] StatusOr<std::vector<CcResult>> ExecuteBatch(const BatchPlan& plan,
                                                std::vector<Pending> batch);
 
   /// Builds the node's CC table entirely at the server (§4.1.1 fallback).
   [[nodiscard]] StatusOr<CcTable> SqlFallback(const Pending& pending);
 
-  /// Drops a staged store that failed mid-scan: frees it (tolerantly),
-  /// repoints the estimator's subtree and any pending requests that
-  /// referenced it back at the server. The degraded requests are re-serviced
-  /// by full server scans — correct (predicates are absolute) but costlier,
-  /// which is the honest price of losing the store.
-  void InvalidateStore(const DataLocation& loc);
-
-  /// Lazily (re)creates the worker pool for morsel-parallel scans at the
-  /// resolved thread count. Workers exist only while scans need them.
-  ThreadPool* ScanPool(int threads);
-
-  /// Lazily opens (and caches) the reader over the server's bitmap index.
-  /// Reset after a failed bitmap pass so the next batch reopens cleanly.
-  [[nodiscard]] StatusOr<BitmapIndexReader*> BitmapReader();
-
-  /// Lazily opens (and caches) the reader over the table's scramble.
-  /// Reset after a failed sample pass so the next batch reopens cleanly.
-  [[nodiscard]] StatusOr<SampleFileReader*> SampleReader();
-
-  /// Lazily opens (and caches) the coordinator over the table's shard set.
-  /// Reset after a failed shard pass so the next batch reopens the
-  /// distribution map from scratch.
-  [[nodiscard]] StatusOr<ShardCoordinator*> ShardSet();
+  /// Points the estimator's subtree and every pending request that read
+  /// the (already freed) store `loc` back at the server.
+  void RelocateToServer(const DataLocation& loc);
 
   /// Plans and executes one batch against the current queue. Factored out
   /// of FulfillSome so an escalation-only batch (every sampled node
@@ -255,14 +233,7 @@ class ClassificationMiddleware : public CcProvider {
   uint64_t next_seq_ = 0;
   Stats stats_;
   std::vector<BatchTrace> trace_;
-  std::unique_ptr<ThreadPool> scan_pool_;  // lazily created, see ScanPool()
-  std::unique_ptr<BitmapIndexReader> bitmap_reader_;  // see BitmapReader()
-  std::unique_ptr<SampleFileReader> sample_reader_;   // see SampleReader()
-  std::unique_ptr<ShardCoordinator> shard_coordinator_;  // see ShardSet()
-  /// Transport behind the coordinator, built from config_.sharding on
-  /// first use (MakeShardTransport) and shared across batches so the
-  /// subprocess pool survives between passes.
-  std::unique_ptr<ShardTransport> shard_transport_;
+  BatchExecutor executor_;  // caches artifact readers across batches
   std::vector<SampleDecision> sample_decisions_;
 };
 

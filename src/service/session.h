@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 
-#include "common/retry.h"
 #include "common/status.h"
 #include "middleware/config.h"
 #include "mining/naive_bayes.h"
@@ -59,8 +58,15 @@ struct SessionResult {
   uint64_t scans_participated = 0;  // shared scans that served this session
 };
 
-/// Knobs of the concurrent classification service.
-struct ServiceConfig {
+/// Knobs of the concurrent classification service. The counting knobs
+/// (CountingConfig) apply to every shared scan exactly as they apply to a
+/// middleware batch: both run through the same BatchExecutor. A shared scan
+/// uses the bitmap index only when every rider's predicate is servable, and
+/// the shard set only when the table has at least `sharding.min_node_rows`
+/// rows; it never stages and never serves from the table's scramble — riders
+/// with different accuracy contracts can only all be satisfied by exact
+/// counts.
+struct ServiceConfig : CountingConfig {
   /// Worker threads driving admitted sessions (each runs one session's
   /// client loop at a time).
   int worker_threads = 4;
@@ -90,9 +96,6 @@ struct ServiceConfig {
   /// session).
   bool enable_scan_sharing = true;
 
-  /// §4.3.1 pushdown of the OR of batch predicates into the server cursor.
-  bool enable_filter_pushdown = true;
-
   /// After every session that still has unfulfilled requests is blocked
   /// waiting, a scan waits this long for sessions that are between waves
   /// (consuming results, about to queue children) before running without
@@ -102,67 +105,10 @@ struct ServiceConfig {
 
   CostModel cost_model;
   size_t buffer_pool_pages = 1024;
-
-  /// Worker threads for morsel-parallel counting scans inside a shared
-  /// scan (0 = hardware concurrency, overridable via the
-  /// SQLCLASS_PARALLEL_SCAN_THREADS environment variable; 1 = serial
-  /// scans, the old behavior). Logical cost charging is identical either
-  /// way; only wall time changes.
-  int parallel_scan_threads = 0;
-
-  /// Minimum table rows before a shared scan runs in parallel.
-  uint64_t parallel_scan_min_rows = 32768;
-
-  /// Serve shared scans whose predicates are all conjunctive from the
-  /// table's bitmap index (SqlServer::BuildBitmapIndex) by AND + popcount,
-  /// at per-bitmap-word cost instead of per-row cursor cost. A failed
-  /// bitmap pass falls back transparently to the row scan. Overridable at
-  /// runtime via SQLCLASS_BITMAP_INDEX=0/1.
-  bool use_bitmap_index = true;
-
-  /// Backoff schedule for transient shared-scan faults (I/O errors,
-  /// checksum failures, vanished files). Each retry re-runs the whole pass
-  /// from scratch, so the CC tables a successful retry delivers are
-  /// identical to a fault-free scan's. A scan that exhausts its attempts
-  /// fails every rider with a descriptive Status; sessions not riding that
-  /// scan are unaffected.
-  RetryPolicy scan_retry;
-
-  /// Approximate-counting knobs (scheduler Rule 7), accepted here so one
-  /// config object can describe a whole deployment. The shared-scan
-  /// batcher itself always counts exactly and ignores everything but
-  /// `approx.exactness >= 1.0` semantics: a cross-session scan serves
-  /// riders with *different* accuracy contracts, and the only answer that
-  /// satisfies every contract at once is the exact one. Sessions that want
-  /// sample-served split selection run against a dedicated
-  /// ClassificationMiddleware (middleware/middleware.h) with
-  /// MiddlewareConfig::approx enabled.
-  ApproxConfig approx;
-
-  /// Sharded scan-out knobs (scheduler Rule 8). When the table carries a
-  /// shard set (SqlServer::BuildShardSet) and `sharding.enable` is on, a
-  /// shared scan is fanned out to per-shard workers and the partial CC
-  /// tables merged in fixed shard order — byte-identical results at every
-  /// shard and worker count, so every rider's accuracy contract is met. A
-  /// failed shard pass falls back transparently to the row scan.
-  ShardingConfig sharding;
 };
 
-/// Point-in-time view of service health, safe to take while sessions run.
-struct ServiceMetrics {
-  // --- admission ---
-  uint64_t sessions_submitted = 0;
-  uint64_t sessions_admitted = 0;
-  uint64_t sessions_rejected = 0;   // queue full or quota > budget
-  uint64_t sessions_timed_out = 0;  // expired in the admission queue
-  uint64_t sessions_completed = 0;  // ran and returned OK
-  uint64_t sessions_failed = 0;     // ran and returned an error
-  double avg_queue_wait_ms = 0;
-  double max_queue_wait_ms = 0;
-  uint64_t peak_active_sessions = 0;
-  uint64_t peak_memory_committed = 0;
-
-  // --- shared scans ---
+/// The shared-scan slice of ServiceMetrics, kept by SharedScanBatcher.
+struct ScanMetrics {
   uint64_t scans_executed = 0;       // data scans the batcher ran
   uint64_t requests_fulfilled = 0;   // CC requests served by those scans
   uint64_t scan_session_slots = 0;   // Sum over scans of sessions served
@@ -178,6 +124,21 @@ struct ServiceMetrics {
   uint64_t shard_rpc_timeouts = 0;     // shard RPC deadline expiries
   uint64_t shard_worker_restarts = 0;  // shard worker processes respawned
   std::map<std::string, uint64_t> scans_by_table;  // per-location scan counts
+};
+
+/// Point-in-time view of service health, safe to take while sessions run.
+struct ServiceMetrics : ScanMetrics {
+  // --- admission ---
+  uint64_t sessions_submitted = 0;
+  uint64_t sessions_admitted = 0;
+  uint64_t sessions_rejected = 0;   // queue full or quota > budget
+  uint64_t sessions_timed_out = 0;  // expired in the admission queue
+  uint64_t sessions_completed = 0;  // ran and returned OK
+  uint64_t sessions_failed = 0;     // ran and returned an error
+  double avg_queue_wait_ms = 0;
+  double max_queue_wait_ms = 0;
+  uint64_t peak_active_sessions = 0;
+  uint64_t peak_memory_committed = 0;
 
   /// Average CC requests served per scan. With N sessions growing identical
   /// trees this approaches N; 1.0 means no cross-request batching happened.

@@ -1,21 +1,18 @@
 #include "service/shared_scan_batcher.h"
 
-#include "middleware/bitmap_scan.h"
-#include "storage/bitmap/bitmap_index.h"
-
 #include <algorithm>
 #include <utility>
 
-#include "common/retry.h"
-#include "middleware/batch_matcher.h"
-#include "middleware/parallel_scan.h"
-#include "middleware/shard_scan.h"
+#include "middleware/bitmap_scan.h"
 
 namespace sqlclass {
 
 SharedScanBatcher::SharedScanBatcher(SqlServer* server, Mutex* server_mu,
                                      const ServiceConfig& config)
-    : server_(server), server_mu_(server_mu), config_(config) {}
+    : server_(server),
+      server_mu_(server_mu),
+      config_(config),
+      executor_(server, config, /*staging=*/nullptr) {}
 
 Status SharedScanBatcher::RegisterTable(const std::string& table) {
   Schema schema;
@@ -33,7 +30,6 @@ Status SharedScanBatcher::RegisterTable(const std::string& table) {
   MutexLock lock(mu_);
   TableState& t = tables_[table];  // re-register refreshes the snapshot
   t.schema = std::move(schema);
-  t.num_classes = t.schema.attribute(t.schema.class_column()).cardinality;
   t.rows = rows;
   return Status::OK();
 }
@@ -97,19 +93,7 @@ Status SharedScanBatcher::Enqueue(SessionId id, CcRequest request) {
   if (!s.error.ok()) return s.error;
   TableState& t = tables_.at(s.table);
 
-  if (request.predicate == nullptr) request.predicate = Expr::True();
-  SQLCLASS_RETURN_IF_ERROR(request.predicate->Bind(t.schema));
-  if (request.active_attrs.empty()) {
-    return Status::InvalidArgument("request with no attributes to count");
-  }
-  for (int attr : request.active_attrs) {
-    if (attr < 0 || attr >= t.schema.num_columns() ||
-        attr == t.schema.class_column()) {
-      return Status::InvalidArgument("bad attribute column in request");
-    }
-  }
-  if (request.parent_id < 0) request.data_size = t.rows;
-
+  SQLCLASS_RETURN_IF_ERROR(PrepareRequest(t.schema, t.rows, &request));
   PendingReq p;
   p.session = id;
   p.request = std::move(request);
@@ -236,383 +220,132 @@ void SharedScanBatcher::RunScan(const std::string& table,
     return;
   }
 
-  // Snapshot rider quotas while mu_ is held; the scan runs without mu_.
-  std::map<SessionId, size_t> quotas;
-  for (const PendingReq& p : batch) {
-    auto sit = sessions_.find(p.session);
-    if (sit != sessions_.end()) quotas[p.session] = sit->second.quota_bytes;
-  }
-
   // The TableState node and its schema are stable (tables are never
   // erased), so the scan can read them with mu_ released. Row count is
   // snapshotted here because RegisterTable may refresh it under mu_.
   const uint64_t table_rows = t.rows;
+  const uint64_t ordinal = metrics_.scans_executed + 1;
   mu_.Unlock();
-  ScanOutcome out =
-      ExecuteScan(table, t.schema, t.num_classes, table_rows, batch, quotas);
+  BatchExecutor::Report report;
+  CostCounters delta;
+  const Status scanned = CountBatch(table, t.schema, table_rows, batch,
+                                    ordinal, &report, &delta);
   mu_.Lock();
 
-  // --- Deposit results and credit costs. ---
-  std::map<SessionId, uint64_t> reqs_per_session;
-  for (const PendingReq& p : batch) ++reqs_per_session[p.session];
+  // --- Per-rider checks, then deposit results and credit costs. ---
+  struct Rider {
+    uint64_t requests = 0;
+    size_t cc_bytes = 0;
+    uint64_t cc_updates = 0;
+    Status error = Status::OK();
+  };
+  std::map<SessionId, Rider> riders;
+  const bool row_scan = report.path == BatchExecutor::Path::kRowScan ||
+                        report.path == BatchExecutor::Path::kParallelRowScan;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const PendingReq& p = batch[i];
+    Rider& rider = riders[p.session];
+    ++rider.requests;
+    if (!scanned.ok()) {
+      rider.error = scanned;
+      continue;
+    }
+    // Exact-count validation (the invariant the middleware enforces): a
+    // mismatch poisons only the owning session, not its co-riders.
+    const CcTable& cc = report.ccs[i];
+    if (static_cast<uint64_t>(cc.TotalRows()) != p.request.data_size &&
+        rider.error.ok()) {
+      rider.error =
+          Status::Internal("counted " + std::to_string(cc.TotalRows()) +
+                           " rows for node " +
+                           std::to_string(p.request.node_id) + ", expected " +
+                           std::to_string(p.request.data_size));
+    }
+    rider.cc_bytes += cc.ApproxBytes();
+    // Row scans did one CC update per matched row and attribute; the bitmap
+    // and shard paths charge mw_bitmap_* / mw_shard_* primitives instead,
+    // which the proportional share splits across riders.
+    if (row_scan) {
+      rider.cc_updates += static_cast<uint64_t>(cc.TotalRows()) *
+                          p.request.active_attrs.size();
+    }
+  }
 
   // The proportional share excludes CC-update work, which is attributed
-  // exactly below (riders with small frontiers pay for their own counting).
-  CostCounters shared_delta = out.delta;
-  shared_delta.mw_cc_updates = 0;
-
-  uint64_t delivered = 0;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const SessionId sid = batch[i].session;
+  // exactly (riders with small frontiers pay for their own counting).
+  delta.mw_cc_updates = 0;
+  for (auto& [sid, rider] : riders) {
     auto it = sessions_.find(sid);
     if (it == sessions_.end()) continue;  // unregistered mid-scan: drop
     SessionState& s = it->second;
-    if (!out.scan_status.ok()) {
-      if (s.error.ok()) s.error = out.scan_status;
-      continue;
+    // The quota bounds the CC tables one session's wave materializes.
+    if (rider.error.ok() && s.quota_bytes != 0 &&
+        rider.cc_bytes > s.quota_bytes) {
+      rider.error = Status::ResourceExhausted(
+          "session CC tables (" + std::to_string(rider.cc_bytes) +
+          " bytes) exceed session memory quota (" +
+          std::to_string(s.quota_bytes) + " bytes)");
     }
-    auto err = out.session_errors.find(sid);
-    if (err != out.session_errors.end()) {
-      if (s.error.ok()) s.error = err->second;
-      continue;
-    }
-    s.outbox.push_back(std::move(out.results[i]));
-    ++delivered;
-  }
-  for (const auto& [sid, reqs] : reqs_per_session) {
-    auto it = sessions_.find(sid);
-    if (it == sessions_.end()) continue;
-    SessionState& s = it->second;
-    s.credited.AddProportional(shared_delta, reqs,
+    if (!rider.error.ok() && s.error.ok()) s.error = rider.error;
+    s.credited.AddProportional(delta, rider.requests,
                                static_cast<uint64_t>(batch.size()));
-    auto cc = out.cc_updates.find(sid);
-    if (cc != out.cc_updates.end()) s.credited.mw_cc_updates += cc->second;
+    s.credited.mw_cc_updates += rider.cc_updates;
     ++s.scans;
   }
+  uint64_t delivered = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    auto it = sessions_.find(batch[i].session);
+    if (it == sessions_.end() || !riders.at(batch[i].session).error.ok()) {
+      continue;
+    }
+    it->second.outbox.emplace_back(batch[i].request.node_id,
+                                   std::move(report.ccs[i]));
+    ++delivered;
+  }
 
-  ++scans_executed_;
-  ++scans_by_table_[table];
-  requests_fulfilled_ += delivered;
-  scan_session_slots_ += reqs_per_session.size();
-  rows_scanned_ += out.rows_scanned;
-  scan_retries_ += out.retries;
-  if (out.from_bitmap) ++bitmap_scans_;
-  if (out.bitmap_fallback) ++bitmap_fallbacks_;
-  if (out.from_shards) ++shard_scans_;
-  if (out.shard_fallback) ++shard_fallbacks_;
-  shard_rescans_ += out.shard_rescans;
-  shard_replica_rescans_ += out.shard_replica_rescans;
-  shard_rpc_timeouts_ += out.shard_rpc_timeouts;
-  shard_worker_restarts_ += out.shard_worker_restarts;
-  if (!out.scan_status.ok()) ++scan_failures_;
+  ++metrics_.scans_executed;
+  ++metrics_.scans_by_table[table];
+  metrics_.requests_fulfilled += delivered;
+  metrics_.scan_session_slots += riders.size();
+  metrics_.rows_scanned += report.rows_scanned;
+  AddScanCounts(report, scanned.ok(), &metrics_);
+  if (!scanned.ok()) ++metrics_.scan_failures;
 
   if (!only_session) t.scan_in_progress = false;
   cv_.NotifyAll();
 }
 
-SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScan(
-    const std::string& table, const Schema& schema, int num_classes,
-    uint64_t table_rows, const std::vector<PendingReq>& batch,
-    const std::map<SessionId, size_t>& quotas) {
-  int attempt = 1;
-  while (true) {
-    ScanOutcome out =
-        ExecuteScanOnce(table, schema, num_classes, table_rows, batch, quotas);
-    out.retries = static_cast<uint64_t>(attempt - 1);
-    if (out.scan_status.ok()) return out;
-    const StatusCode code = out.scan_status.code();
-    const bool transient = code == StatusCode::kIoError ||
-                           code == StatusCode::kDataLoss ||
-                           code == StatusCode::kNotFound;
-    if (!transient || attempt >= config_.scan_retry.max_attempts) {
-      out.scan_status =
-          Status(code, "shared scan over table '" + table + "' failed after " +
-                           std::to_string(attempt) +
-                           " attempt(s): " + out.scan_status.message());
-      return out;
-    }
-    // Retrying rebuilds all CC tables from scratch, so riders see either a
-    // fault-free-identical result or the wrapped error above — never a
-    // partially counted table. Failed-attempt costs stay on the server
-    // counters (honest accounting) but are not credited to riders.
-    SleepForBackoff(config_.scan_retry, attempt);
-    ++attempt;
-  }
-}
-
-SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScanOnce(
-    const std::string& table, const Schema& schema, int num_classes,
-    uint64_t table_rows, const std::vector<PendingReq>& batch,
-    const std::map<SessionId, size_t>& quotas) {
-  ScanOutcome out;
-  const int n = static_cast<int>(batch.size());
-  const int class_column = schema.class_column();
-
+Status SharedScanBatcher::CountBatch(const std::string& table,
+                                     const Schema& schema, uint64_t table_rows,
+                                     const std::vector<PendingReq>& batch,
+                                     uint64_t ordinal,
+                                     BatchExecutor::Report* report,
+                                     CostCounters* delta) {
   MutexLock server_lock(*server_mu_);
-  CostCounters& cost = server_->cost_counters();
-  const CostCounters before = cost;
-
-  std::vector<CcTable> ccs;
-  ccs.reserve(n);
-  for (int i = 0; i < n; ++i) ccs.emplace_back(num_classes);
-
-  std::vector<const Expr*> predicates;
-  predicates.reserve(n);
+  const CostCounters before = server_->cost_counters();
+  BatchExecutor::Batch request;
+  request.table = table;
+  request.schema = &schema;
+  request.table_rows = table_rows;
+  request.ordinal = ordinal;
+  request.plan.from_bitmap = ResolveUseBitmapIndex(config_.use_bitmap_index) &&
+                            server_->HasBitmapIndex(table);
   for (const PendingReq& p : batch) {
-    predicates.push_back(p.request.predicate.get());
+    request.requests.push_back(&p.request);
+    request.plan.from_bitmap =
+        request.plan.from_bitmap &&
+        BitmapCountScan::Servable(p.request.predicate.get());
   }
-  BatchMatcher matcher(predicates);
-
-  // §4.3.1 OR-pushdown when every rider has a selective predicate.
-  auto build_pushdown_filter = [&]() -> std::unique_ptr<Expr> {
-    if (!config_.enable_filter_pushdown) return nullptr;
-    std::vector<std::unique_ptr<Expr>> clauses;
-    for (const PendingReq& p : batch) {
-      if (p.request.predicate->kind() == ExprKind::kTrue) return nullptr;
-      clauses.push_back(p.request.predicate->Clone());
-    }
-    if (clauses.empty()) return nullptr;
-    return Expr::Or(std::move(clauses));
-  };
-
-  // Bitmap-first routing: when every rider's predicate is conjunctive and
-  // the table carries a bitmap index, the whole cross-session batch is
-  // answered by AND + popcount — byte-identical CC tables at per-word
-  // cost. Any failure inside the bitmap pass (open fault, read fault,
-  // checksum mismatch) falls back transparently to the row-scan path
-  // below, with the partially built tables rebuilt from scratch.
-  bool bitmap_served = false;
-  if (ResolveUseBitmapIndex(config_.use_bitmap_index) &&
-      server_->HasBitmapIndex(table)) {
-    bool servable = true;
-    for (const PendingReq& p : batch) {
-      if (!BitmapCountScan::Servable(p.request.predicate.get())) {
-        servable = false;
-        break;
-      }
-    }
-    if (servable) {
-      Status bitmap_pass = [&]() -> Status {
-        SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
-                                  server_->BitmapIndexPath(table));
-        // A fresh reader per scan: the index may have been rebuilt since
-        // the last scan, and the header re-read is one page.
-        SQLCLASS_ASSIGN_OR_RETURN(
-            std::unique_ptr<BitmapIndexReader> reader,
-            BitmapIndexReader::Open(path, &server_->io_counters()));
-        std::vector<BitmapCountScan::Node> nodes(n);
-        for (int i = 0; i < n; ++i) {
-          nodes[i].predicate = batch[i].request.predicate.get();
-          nodes[i].active_attrs = &batch[i].request.active_attrs;
-          nodes[i].cc = &ccs[i];
-        }
-        return BitmapCountScan::Run(reader.get(), schema, &nodes, &cost);
-      }();
-      if (bitmap_pass.ok()) {
-        bitmap_served = true;
-        out.from_bitmap = true;
-      } else {
-        out.bitmap_fallback = true;
-        for (int i = 0; i < n; ++i) ccs[i] = CcTable(num_classes);
-      }
-    }
-  }
-
-  // Sharded scan-out (scheduler Rule 8 at the service layer): when the
-  // table carries a shard set, the whole cross-session batch fans out to
-  // per-shard workers and the partial CC tables merge in fixed shard order
-  // — byte-identical to the row-scan paths below at every shard and worker
-  // count. Any failure inside the shard pass (map fault, dead shard whose
-  // primary re-scan also fails) falls back transparently to the row scan,
-  // with the partially built tables rebuilt from scratch.
-  bool shard_served = false;
-  if (!bitmap_served && ResolveShardingEnabled(config_.sharding.enable) &&
+  request.plan.from_shards =
+      ResolveShardingEnabled(config_.sharding.enable) &&
       server_->HasShardSet(table) &&
-      table_rows >= ResolveShardMinRows(config_.sharding.min_node_rows)) {
-    if (shard_transport_ == nullptr) {
-      shard_transport_ = MakeShardTransport(config_.sharding);
-    }
-    const uint64_t timeouts_before = shard_transport_->rpc_timeouts();
-    const uint64_t restarts_before = shard_transport_->worker_restarts();
-    Status shard_pass = [&]() -> Status {
-      SQLCLASS_ASSIGN_OR_RETURN(const std::string heap_path,
-                                server_->TableHeapPath(table));
-      // A fresh coordinator per scan: the shard set may have been rebuilt
-      // since the last scan, and the map re-read is one page.
-      SQLCLASS_ASSIGN_OR_RETURN(
-          std::unique_ptr<ShardCoordinator> coordinator,
-          ShardCoordinator::Open(heap_path, schema, &server_->io_counters()));
-      std::vector<ShardCoordinator::Node> nodes(n);
-      for (int i = 0; i < n; ++i) {
-        nodes[i].predicate = batch[i].request.predicate.get();
-        nodes[i].active_attrs = &batch[i].request.active_attrs;
-        nodes[i].cc = &ccs[i];
-      }
-      const int workers = ResolveShardWorkers(config_.sharding.worker_threads);
-      const int resolved =
-          workers == 0 ? static_cast<int>(ThreadPool::HardwareConcurrency())
-                       : workers;
-      if (resolved > 1 &&
-          (scan_pool_ == nullptr || scan_pool_->size() != resolved)) {
-        scan_pool_ = std::make_unique<ThreadPool>(resolved);
-      }
-      ShardCoordinator::Result result;
-      SQLCLASS_RETURN_IF_ERROR(
-          coordinator->Run(resolved > 1 ? scan_pool_.get() : nullptr,
-                           shard_transport_.get(), &nodes, &cost, &result));
-      out.rows_scanned = result.rows_scanned;
-      out.shard_rescans = result.rescans;
-      out.shard_replica_rescans = result.replica_rescans;
-      return Status::OK();
-    }();
-    // RPC hardening activity is metered even when the pass fell back — the
-    // fault-injection tests reconcile these against the injected faults.
-    out.shard_rpc_timeouts = shard_transport_->rpc_timeouts() - timeouts_before;
-    out.shard_worker_restarts =
-        shard_transport_->worker_restarts() - restarts_before;
-    if (shard_pass.ok()) {
-      shard_served = true;
-      out.from_shards = true;
-      // Like the bitmap path, no per-session CC-update work exists to
-      // credit exactly: the merge charges mw_shard_* primitives, which the
-      // delta splits proportionally across riders.
-    } else {
-      out.shard_fallback = true;
-      out.rows_scanned = 0;
-      out.shard_rescans = 0;
-      out.shard_replica_rescans = 0;
-      for (int i = 0; i < n; ++i) ccs[i] = CcTable(num_classes);
-    }
-  }
-
-  // One pass over the table for the whole cross-session batch (§4.1.1
-  // lifted across sessions). Large tables go through the morsel-parallel
-  // counting scan, which charges the identical logical costs.
-  const int scan_threads =
-      ResolveParallelThreads(config_.parallel_scan_threads);
-  if (bitmap_served || shard_served) {
-    // Counts, not rows, flowed to the riders; no per-session CC-update
-    // work exists to credit exactly (the shard path reports the physical
-    // rows its workers scanned, the bitmap path none at all).
-  } else if (scan_threads > 1 && table_rows >= config_.parallel_scan_min_rows) {
-    ParallelScanOptions options;
-    options.class_column = class_column;
-    options.num_classes = num_classes;
-    options.matcher = &matcher;
-    options.node_attrs.reserve(n);
-    for (const PendingReq& p : batch) {
-      options.node_attrs.push_back(&p.request.active_attrs);
-    }
-    std::unique_ptr<Expr> filter = build_pushdown_filter();
-    if (filter != nullptr) {
-      Status bind_status = filter->Bind(schema);
-      if (!bind_status.ok()) {
-        out.scan_status = bind_status;
-        return out;
-      }
-    }
-    options.filter = filter.get();
-    options.charge.server_row_evaluated = true;
-    options.charge.cursor_transfer = true;
-
-    StatusOr<std::string> path_or = server_->TableHeapPath(table);
-    if (!path_or.ok()) {
-      out.scan_status = path_or.status();
-      return out;
-    }
-    if (scan_pool_ == nullptr || scan_pool_->size() != scan_threads) {
-      scan_pool_ = std::make_unique<ThreadPool>(scan_threads);
-    }
-    ++cost.server_scans;  // what OpenCursor charges at open
-    StatusOr<ParallelScanResult> scan_or = ParallelCountScan::OverHeapFile(
-        scan_pool_.get(), *path_or, schema.num_columns(), options, &cost,
-        &server_->io_counters());
-    if (!scan_or.ok()) {
-      out.scan_status = scan_or.status();
-      return out;
-    }
-    ParallelScanResult scan = std::move(scan_or).value();
-    out.rows_scanned = scan.rows_delivered;
-    for (int i = 0; i < n; ++i) {
-      ccs[i] = std::move(scan.ccs[i]);
-      const uint64_t updates =
-          scan.node_matches[i] * batch[i].request.active_attrs.size();
-      if (updates > 0) out.cc_updates[batch[i].session] += updates;
-    }
-  } else {
-    std::string sql = "SELECT * FROM " + table;
-    if (std::unique_ptr<Expr> filter = build_pushdown_filter()) {
-      sql += " WHERE " + filter->ToSql();
-    }
-
-    StatusOr<std::unique_ptr<ServerCursor>> cursor_or =
-        server_->OpenCursorSql(sql);
-    if (!cursor_or.ok()) {
-      out.scan_status = cursor_or.status();
-      return out;
-    }
-    std::unique_ptr<ServerCursor> cursor = std::move(cursor_or).value();
-
-    Row row;
-    std::vector<int> matches;
-    while (true) {
-      StatusOr<bool> more = cursor->Next(&row);
-      if (!more.ok()) {
-        out.scan_status = more.status();
-        return out;
-      }
-      if (!more.value()) break;
-      ++out.rows_scanned;
-      matcher.Match(row, &matches);
-      for (int pos : matches) {
-        const PendingReq& p = batch[pos];
-        ccs[pos].AddRow(row, p.request.active_attrs, class_column);
-        const uint64_t updates = p.request.active_attrs.size();
-        cost.mw_cc_updates += updates;
-        out.cc_updates[p.session] += updates;
-      }
-    }
-  }
-
-  // Exact-count validation (same invariant the middleware enforces): a
-  // mismatch poisons only the owning session, not its co-riders.
-  for (int i = 0; i < n; ++i) {
-    const PendingReq& p = batch[i];
-    if (static_cast<uint64_t>(ccs[i].TotalRows()) != p.request.data_size) {
-      out.session_errors.emplace(
-          p.session,
-          Status::Internal(
-              "counted " + std::to_string(ccs[i].TotalRows()) +
-              " rows for node " + std::to_string(p.request.node_id) +
-              ", expected " + std::to_string(p.request.data_size)));
-    }
-  }
-
-  // Per-session quota: the CC tables one session's wave materializes must
-  // fit its admission quota.
-  std::map<SessionId, size_t> bytes_per_session;
-  for (int i = 0; i < n; ++i) {
-    bytes_per_session[batch[i].session] += ccs[i].ApproxBytes();
-  }
-  for (const auto& [sid, bytes] : bytes_per_session) {
-    if (out.session_errors.count(sid) != 0) continue;
-    auto qit = quotas.find(sid);
-    const size_t quota = qit == quotas.end() ? 0 : qit->second;
-    if (quota != 0 && bytes > quota) {
-      out.session_errors.emplace(
-          sid, Status::ResourceExhausted(
-                   "session CC tables (" + std::to_string(bytes) +
-                   " bytes) exceed session memory quota (" +
-                   std::to_string(quota) + " bytes)"));
-    }
-  }
-
-  out.results.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    out.results.emplace_back(batch[i].request.node_id, std::move(ccs[i]));
-  }
-  out.delta = CostCounters::Delta(cost, before);
-  return out;
+      table_rows >= ResolveShardMinRows(config_.sharding.min_node_rows);
+  // The index or shard set may have been rebuilt since the last scan; the
+  // header / map re-read is one page.
+  executor_.DropArtifactReaders();
+  const Status ran = executor_.Run(request, report);
+  *delta = CostCounters::Delta(server_->cost_counters(), before);
+  return ran;
 }
 
 size_t SharedScanBatcher::Outstanding(SessionId id) const {
@@ -635,21 +368,7 @@ uint64_t SharedScanBatcher::ScansParticipated(SessionId id) const {
 
 void SharedScanBatcher::FillMetrics(ServiceMetrics* out) const {
   MutexLock lock(mu_);
-  out->scans_executed = scans_executed_;
-  out->requests_fulfilled = requests_fulfilled_;
-  out->scan_session_slots = scan_session_slots_;
-  out->rows_scanned = rows_scanned_;
-  out->scan_retries = scan_retries_;
-  out->scan_failures = scan_failures_;
-  out->bitmap_scans = bitmap_scans_;
-  out->bitmap_fallbacks = bitmap_fallbacks_;
-  out->shard_scans = shard_scans_;
-  out->shard_fallbacks = shard_fallbacks_;
-  out->shard_rescans = shard_rescans_;
-  out->shard_replica_rescans = shard_replica_rescans_;
-  out->shard_rpc_timeouts = shard_rpc_timeouts_;
-  out->shard_worker_restarts = shard_worker_restarts_;
-  out->scans_by_table = scans_by_table_;
+  static_cast<ScanMetrics&>(*out) = metrics_;
 }
 
 }  // namespace sqlclass

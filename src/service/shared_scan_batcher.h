@@ -14,8 +14,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
-#include "middleware/shard_scan.h"
+#include "middleware/batch_executor.h"
 #include "mining/cc_provider.h"
 #include "server/server.h"
 #include "service/session.h"
@@ -106,7 +105,6 @@ class SharedScanBatcher {
 
   struct TableState {
     Schema schema;
-    int num_classes = 0;
     uint64_t rows = 0;
     std::vector<PendingReq> pending;
     int sessions_registered = 0;
@@ -142,76 +140,34 @@ class SharedScanBatcher {
   void RunScan(const std::string& table, std::optional<SessionId> only_session)
       REQUIRES(mu_) EXCLUDES(*server_mu_);
 
-  /// The single pass (takes server_mu_; mu_ must not be held).
-  struct ScanOutcome {
-    Status scan_status = Status::OK();       // whole-scan failure
-    std::vector<CcResult> results;           // parallel to `batch` on success
-    std::map<SessionId, Status> session_errors;  // per-rider failures
-    CostCounters delta;                      // metered cost of this scan
-    std::map<SessionId, uint64_t> cc_updates;  // exact per-session CC work
-    uint64_t rows_scanned = 0;
-    uint64_t retries = 0;                    // failed passes retried
-    bool from_bitmap = false;       // counts came from the bitmap index
-    bool bitmap_fallback = false;   // bitmap pass failed; row scan served
-    bool from_shards = false;       // counts merged from the shard set
-    bool shard_fallback = false;    // shard pass failed; row scan served
-    uint64_t shard_rescans = 0;     // dead shards recovered from the primary
-    uint64_t shard_replica_rescans = 0;  // dead shards recovered from replicas
-    uint64_t shard_rpc_timeouts = 0;     // RPC deadline expiries in this scan
-    uint64_t shard_worker_restarts = 0;  // workers respawned in this scan
-  };
-
-  /// Runs ExecuteScanOnce under ServiceConfig::scan_retry: transient
-  /// failures (I/O, data loss, vanished file) are retried with bounded
-  /// backoff; each attempt rebuilds every CC table from scratch, so a
-  /// successful retry is indistinguishable from a fault-free scan. The
-  /// final failure wraps the last error with the attempt count.
-  ScanOutcome ExecuteScan(const std::string& table, const Schema& schema,
-                          int num_classes, uint64_t table_rows,
-                          const std::vector<PendingReq>& batch,
-                          const std::map<SessionId, size_t>& quotas)
-      EXCLUDES(mu_, *server_mu_);
-  ScanOutcome ExecuteScanOnce(const std::string& table, const Schema& schema,
-                              int num_classes, uint64_t table_rows,
-                              const std::vector<PendingReq>& batch,
-                              const std::map<SessionId, size_t>& quotas)
+  /// Counts `batch` through the executor (takes server_mu_; mu_ must not
+  /// be held). Routing is the service's: the bitmap index only when every
+  /// rider's predicate is servable, the shard set only when the table has
+  /// enough rows, never staging, the scramble, or a CC memory bound.
+  /// `delta` receives the cost of the whole run, failed passes included.
+  [[nodiscard]] Status CountBatch(const std::string& table,
+                                  const Schema& schema, uint64_t table_rows,
+                                  const std::vector<PendingReq>& batch,
+                                  uint64_t ordinal,
+                                  BatchExecutor::Report* report,
+                                  CostCounters* delta)
       EXCLUDES(mu_, *server_mu_);
 
   SqlServer* const server_ PT_GUARDED_BY(server_mu_);
   Mutex* const server_mu_;
   const ServiceConfig config_;
 
-  /// Workers for morsel-parallel scans; created lazily by ExecuteScan and
-  /// guarded by server_mu_ (scans are single-flight per server anyway).
-  std::unique_ptr<ThreadPool> scan_pool_ GUARDED_BY(server_mu_);
-
-  /// Transport behind the service-level shard pass, built from
-  /// config_.sharding on first use and kept across scans so a subprocess
-  /// worker pool survives between passes (its cumulative rpc_timeouts /
-  /// worker_restarts counters feed the per-scan deltas).
-  std::unique_ptr<ShardTransport> shard_transport_ GUARDED_BY(server_mu_);
+  /// One executor for every table: its scan pool and shard transport
+  /// serve the whole service, and its artifact readers are dropped at the
+  /// start of each shared scan.
+  BatchExecutor executor_ GUARDED_BY(server_mu_);
 
   mutable Mutex mu_;
   CondVar cv_;
   std::map<std::string, TableState> tables_ GUARDED_BY(mu_);
   std::map<SessionId, SessionState> sessions_ GUARDED_BY(mu_);
 
-  // Scan metrics.
-  uint64_t scans_executed_ GUARDED_BY(mu_) = 0;
-  uint64_t requests_fulfilled_ GUARDED_BY(mu_) = 0;
-  uint64_t scan_session_slots_ GUARDED_BY(mu_) = 0;
-  uint64_t rows_scanned_ GUARDED_BY(mu_) = 0;
-  uint64_t scan_retries_ GUARDED_BY(mu_) = 0;
-  uint64_t scan_failures_ GUARDED_BY(mu_) = 0;
-  uint64_t bitmap_scans_ GUARDED_BY(mu_) = 0;
-  uint64_t bitmap_fallbacks_ GUARDED_BY(mu_) = 0;
-  uint64_t shard_scans_ GUARDED_BY(mu_) = 0;
-  uint64_t shard_fallbacks_ GUARDED_BY(mu_) = 0;
-  uint64_t shard_rescans_ GUARDED_BY(mu_) = 0;
-  uint64_t shard_replica_rescans_ GUARDED_BY(mu_) = 0;
-  uint64_t shard_rpc_timeouts_ GUARDED_BY(mu_) = 0;
-  uint64_t shard_worker_restarts_ GUARDED_BY(mu_) = 0;
-  std::map<std::string, uint64_t> scans_by_table_ GUARDED_BY(mu_);
+  ScanMetrics metrics_ GUARDED_BY(mu_);
 };
 
 }  // namespace sqlclass

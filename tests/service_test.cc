@@ -305,6 +305,22 @@ TEST_F(ServiceTest, CcUpdateCostIsCreditedExactly) {
                 service->server()->cost_counters().mw_cc_updates));
 }
 
+TEST_F(ServiceTest, CreateRejectsNegativeThreadCounts) {
+  // The counting knobs are validated exactly as ClassificationMiddleware
+  // validates them: no scan path can honour a negative thread count.
+  ServiceConfig parallel;
+  parallel.parallel_scan_threads = -1;
+  auto a = ClassificationService::Create(dir_.path(), parallel);
+  EXPECT_FALSE(a.ok());
+  EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
+
+  ServiceConfig sharded;
+  sharded.sharding.worker_threads = -2;
+  auto b = ClassificationService::Create(dir_.path(), sharded);
+  EXPECT_FALSE(b.ok());
+  EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(ServiceTest, ShutdownRejectsNewWorkAndIsIdempotent) {
   auto service = MakeService();
   ASSERT_TRUE(service->Run(TreeSpec()).status.ok());

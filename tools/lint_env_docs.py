@@ -12,6 +12,11 @@ for a while). This checker makes that drift a test failure:
   2. Every `SQLCLASS_*` token the docs mention must exist somewhere in the
      tree (src/, bench/, tests/, tools/, scripts/, CMake files), so the docs
      cannot advertise knobs that no longer exist.
+  3. Every README knob row whose default reads `config (<number>)` and
+     whose text says "overrides `<field>`" must quote the initializer that
+     field has in src/middleware/config.h, so documented defaults cannot
+     drift from the code's. A dotted field (`sharding.rpc_deadline_ms`) is
+     resolved through the member types of the config structs.
 
 Exit status: 0 clean, 1 drift, 2 internal error.
 """
@@ -23,9 +28,21 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from lintlib import make_parser, read_text  # noqa: E402
+from lintlib.source import strip_code  # noqa: E402
 
 CODE_KNOB_RE = re.compile(r'"(SQLCLASS_[A-Z0-9_]+)"')
 DOC_TOKEN_RE = re.compile(r"(SQLCLASS_[A-Z0-9_]+)")
+CONFIG_HEADER = os.path.join("src", "middleware", "config.h")
+# | `SQLCLASS_X` | config (<default>) | ... overrides `<field>` ... |
+KNOB_ROW_RE = re.compile(
+    r"^\|\s*`(SQLCLASS_[A-Z0-9_]+)`\s*\|\s*config \(([^)]*)\)\s*\|(.*)$",
+    re.M)
+OVERRIDES_RE = re.compile(r"overrides `([A-Za-z_][\w.]*)`")
+NUMBER_RE = re.compile(r"^[-+]?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$")
+STRUCT_RE = re.compile(r"\bstruct\s+(\w+)\s*(?::\s*([\w\s,]+?))?\s*\{")
+MEMBER_RE = re.compile(
+    r"^\s*([\w:<>]+(?:\s*[*&])?)\s+(\w+)\s*(?:=\s*([^;{]+?))?\s*;",
+    re.M)
 
 
 def collect_code_knobs(root, subdir):
@@ -80,6 +97,101 @@ def find_drift(src_knobs, bench_knobs, readme, design, tree_tokens):
     return problems
 
 
+def parse_config_structs(text):
+    """{struct: (bases, {member: (type, initializer or None)})} for the
+    top-level structs of a config header. Nested braces (member function
+    bodies, brace initializers) are skipped."""
+    clean, _ = strip_code(text)
+    structs = {}
+    for m in STRUCT_RE.finditer(clean):
+        depth, i = 1, m.end()
+        body = []
+        while i < len(clean) and depth > 0:
+            c = clean[i]
+            if c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+            if depth == 1 and c not in "{}":
+                body.append(c)
+            elif c == "}" and depth == 1:
+                body.append(";")  # a skipped nested body ends a statement
+            i += 1
+        bases = [b.split()[-1] for b in (m.group(2) or "").split(",")
+                 if b.strip()]
+        members = {}
+        for mm in MEMBER_RE.finditer("".join(body)):
+            init = mm.group(3).strip() if mm.group(3) else None
+            members[mm.group(2)] = (mm.group(1), init)
+        structs[m.group(1)] = (bases, members)
+    return structs
+
+
+def find_member(structs, struct, name):
+    """(type, initializer) of `name` in `struct` or its bases, else None."""
+    if struct not in structs:
+        return None
+    bases, members = structs[struct]
+    if name in members:
+        return members[name]
+    for base in bases:
+        found = find_member(structs, base, name)
+        if found is not None:
+            return found
+    return None
+
+
+def resolve_field(structs, path):
+    """Initializer(s) of a dotted field path, searched from every struct
+    that declares its first component: a set of strings (None for a field
+    without one); empty when no struct declares the path."""
+    found = set()
+    for struct in structs:
+        current, member = struct, None
+        for part in path.split("."):
+            member = find_member(structs, current, part)
+            if member is None:
+                break
+            current = member[0]
+        if member is not None:
+            found.add(member[1])
+    return found
+
+
+def parse_number(literal):
+    """A C++ numeric literal (suffixes and ' separators dropped) as float,
+    or None when the initializer is not a plain number."""
+    text = literal.replace("'", "")
+    text = re.sub(r"(?<=[\d.])([uUlLfF]+)$", "", text)
+    return float(text) if NUMBER_RE.match(text) else None
+
+
+def find_default_drift(readme, config_text):
+    """Rule 3: README `config (<number>)` defaults against the config
+    header's initializers."""
+    structs = parse_config_structs(config_text)
+    problems = []
+    for m in KNOB_ROW_RE.finditer(readme):
+        knob, default, text = m.group(1), m.group(2).strip(), m.group(3)
+        field = OVERRIDES_RE.search(text)
+        if field is None or parse_number(default) is None:
+            continue
+        inits = resolve_field(structs, field.group(1))
+        if not inits:
+            problems.append(f"{knob}: README says it overrides "
+                            f"`{field.group(1)}`, which {CONFIG_HEADER} "
+                            "does not declare")
+            continue
+        for init in sorted(inits, key=str):
+            code = parse_number(init) if init is not None else None
+            if code != parse_number(default):
+                problems.append(
+                    f"{knob}: README default config ({default}) but "
+                    f"`{field.group(1)}` is initialized to {init} in "
+                    f"{CONFIG_HEADER}")
+    return problems
+
+
 def self_test(root):
     """Drives find_drift with the real tree plus injected drift in each
     direction: an undocumented src knob, an undocumented bench knob, and a
@@ -90,7 +202,9 @@ def self_test(root):
     design = read_text(os.path.join(root, "DESIGN.md"))
     tree_tokens = collect_tree_tokens(root)
 
+    config_text = read_text(os.path.join(root, CONFIG_HEADER))
     baseline = find_drift(src_knobs, bench_knobs, readme, design, tree_tokens)
+    baseline += find_default_drift(readme, config_text)
     if baseline:
         print(f"self-test: FAIL — pristine tree already has {len(baseline)} "
               "drift(s); fix those first")
@@ -117,6 +231,17 @@ def self_test(root):
                     design, tree_tokens),
          ghost_doc),
     ]
+    # A wrong documented default: bump the number of the first README row
+    # the default rule checks.
+    row = next(m for m in KNOB_ROW_RE.finditer(readme)
+               if OVERRIDES_RE.search(m.group(3))
+               and parse_number(m.group(2).strip()) is not None)
+    wrong = row.group(0).replace(f"config ({row.group(2)})",
+                                 f"config ({row.group(2).strip()}1)", 1)
+    cases.append(("wrong documented default",
+                  find_default_drift(readme.replace(row.group(0), wrong),
+                                     config_text),
+                  row.group(1)))
     for label, drift, token in cases:
         hits = [p for p in drift if token in p]
         if hits:
@@ -125,7 +250,7 @@ def self_test(root):
             print(f"self-test: FAIL [{label}] — injected drift not reported")
             code = 1
     if code == 0:
-        print("env-docs self-test: all 3 case(s) passed")
+        print(f"env-docs self-test: all {len(cases)} case(s) passed")
     return code
 
 
@@ -147,6 +272,8 @@ def main():
         tree_tokens = collect_tree_tokens(root)
         problems = find_drift(
             src_knobs, bench_knobs, readme, design, tree_tokens)
+        problems += find_default_drift(
+            readme, read_text(os.path.join(root, CONFIG_HEADER)))
     except Exception as e:  # noqa: BLE001
         print(f"lint_env_docs: internal error: {e}", file=sys.stderr)
         return 2
@@ -156,8 +283,9 @@ def main():
         for p in problems:
             print(f"  {p}")
         print("\nFix: document runtime knobs in README.md's knob table and "
-              "the owning DESIGN.md section, and delete doc rows for knobs "
-              "that no longer exist.")
+              "the owning DESIGN.md section, delete doc rows for knobs "
+              "that no longer exist, and quote each `config (<number>)` "
+              f"default as {CONFIG_HEADER} initializes it.")
         return 1
     print(f"env-knob doc lint: clean — {len(src_knobs)} src knob(s), "
           f"{len(bench_knobs)} bench-only knob(s) documented, no stale "
