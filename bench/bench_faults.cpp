@@ -1,7 +1,8 @@
 // Robustness-tax microbench: what the fault-injection hooks and per-page
 // checksums cost on the counting hot path. One heap file is scanned through
-// the serial counting scan (the same code path every middleware/service
-// batch rides) under three configurations:
+// ParallelCountScan on one worker, charged and fault-instrumented like a
+// server batch (the engine every middleware and service row scan rides),
+// under three configurations:
 //
 //   baseline   checksum verification off, injector disabled
 //   checksum   checksum verification on (the default), injector disabled
@@ -10,8 +11,10 @@
 //
 // The contract (DESIGN.md "Fault tolerance & degraded modes"): checksum +
 // disabled-hook overhead stays under ~2% of the baseline scan. Fault points
-// sit at page/scan granularity, never inside the per-row loop, which is
-// what keeps the armed case cheap too.
+// sit at page or call granularity — `storage/fread` per page load,
+// `server/cursor_advance` per page of a server scan, `staging/append` per
+// staged segment — never inside the per-row loop, which is what keeps the
+// armed case cheap too.
 //
 // Flags:
 //   --smoke        tiny run for the `perf`-labeled ctest smoke test
@@ -136,6 +139,7 @@ int main(int argc, char** argv) {
   }
   options.charge.server_row_evaluated = true;
   options.charge.cursor_transfer = true;
+  options.page_fault_point = faults::kServerCursorAdvance;
 
   ThreadPool pool(1);  // serial: the undiluted per-page/per-row cost
 

@@ -5,6 +5,13 @@
 // (the determinism contract) and identical simulated seconds (the cost
 // model cannot see thread count — only wall time moves).
 //
+// A second grid grows a depth-4 tree through the middleware with staging on
+// and a CC-memory budget tight enough to evict nodes mid-scan, so staged
+// and bounded batches fan out too; every cell must match the 1-thread grow's
+// tree, cost counters and eviction counts. Under --smoke the one staged
+// cell takes its worker count from SQLCLASS_PARALLEL_SCAN_THREADS, which
+// scripts/check_determinism.sh sets to 1 and then 4 before diffing dumps.
+//
 // Flags:
 //   --smoke        tiny grid for the `perf`-labeled ctest smoke run
 //   --dump=FILE    also write the results as JSON (BENCH_parallel_scan.json)
@@ -18,7 +25,10 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "middleware/batch_matcher.h"
+#include "middleware/middleware.h"
 #include "middleware/parallel_scan.h"
+#include "mining/tree_client.h"
+#include "server/server.h"
 #include "storage/heap_file.h"
 
 using namespace sqlclass;
@@ -45,18 +55,22 @@ Schema MakeBenchSchema() {
   return Schema(std::move(attrs), kNumAttrs);
 }
 
+Row RandomRow(const Schema& schema, Random* rng) {
+  Row row(schema.num_columns());
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    row[c] = static_cast<Value>(rng->Uniform(schema.attribute(c).cardinality));
+  }
+  return row;
+}
+
 // Uniform rows straight into a heap file; returns false on I/O failure.
 bool WriteHeapFile(const std::string& path, const Schema& schema,
                    uint64_t rows, uint64_t seed) {
   auto writer = HeapFileWriter::Create(path, schema.num_columns(), nullptr);
   if (!writer.ok()) return false;
   Random rng(seed);
-  Row row(schema.num_columns());
   for (uint64_t i = 0; i < rows; ++i) {
-    for (int c = 0; c < schema.num_columns(); ++c) {
-      row[c] = static_cast<Value>(rng.Uniform(schema.attribute(c).cardinality));
-    }
-    if (!(*writer)->Append(row).ok()) return false;
+    if (!(*writer)->Append(RandomRow(schema, &rng)).ok()) return false;
   }
   return (*writer)->Finish().ok();
 }
@@ -98,6 +112,80 @@ struct GridCell {
   double speedup = 0;
   bool cc_identical = false;
 };
+
+// CC memory for the staged grid: less than one level's tables need, so
+// batches evict nodes mid-scan — inside the first segment of a 4-worker
+// scan of the 100k-row smoke table — and requeue them.
+constexpr size_t kStagedMemoryBudget = 16 << 10;
+
+// One staged, bounded grow: its invariants (everything but wall time must
+// not depend on the worker count) and its wall time.
+struct StagedCell {
+  int threads = 0;  // 0: SQLCLASS_PARALLEL_SCAN_THREADS decides
+  double wall_seconds = 0;
+  double sim_seconds = 0;
+  uint64_t tree_hash = 0;  // FNV-1a of the tree's signature
+  std::string cost;
+  uint64_t requeues = 0;
+  uint64_t sql_fallbacks = 0;
+  int staged_files = 0;
+  int memory_stores = 0;
+
+  bool SameInvariants(const StagedCell& other) const {
+    return sim_seconds == other.sim_seconds && tree_hash == other.tree_hash &&
+           cost == other.cost && requeues == other.requeues &&
+           sql_fallbacks == other.sql_fallbacks &&
+           staged_files == other.staged_files &&
+           memory_stores == other.memory_stores;
+  }
+};
+
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t hash = 14695981039346656037ull;
+  for (unsigned char c : text) {
+    hash = (hash ^ c) * 1099511628211ull;
+  }
+  return hash;
+}
+
+// Grows the tree over table "data" through a fresh middleware.
+bool GrowStaged(SqlServer* server, const Schema& schema, uint64_t rows,
+                int threads, const std::string& staging_dir,
+                StagedCell* cell) {
+  MiddlewareConfig config;
+  config.staging_dir = staging_dir;
+  config.memory_budget_bytes = kStagedMemoryBudget;
+  config.parallel_scan_threads = threads;
+  auto middleware = ClassificationMiddleware::Create(server, "data", config);
+  if (!middleware.ok()) {
+    std::fprintf(stderr, "middleware: %s\n",
+                 middleware.status().ToString().c_str());
+    return false;
+  }
+  server->ResetCostCounters();
+  TreeClientConfig client_config;
+  client_config.max_depth = 4;
+  DecisionTreeClient client(schema, client_config);
+  Stopwatch watch;
+  auto tree = client.Grow(middleware->get(), rows);
+  cell->wall_seconds = watch.ElapsedSeconds();
+  if (!tree.ok()) {
+    std::fprintf(stderr, "grow: %s\n", tree.status().ToString().c_str());
+    return false;
+  }
+  cell->threads = threads;
+  cell->sim_seconds = server->SimulatedSeconds();
+  cell->tree_hash = Fnv1a(tree->Signature());
+  cell->cost = server->cost_counters().ToString();
+  cell->requeues = 0;
+  for (const auto& batch : (*middleware)->trace()) {
+    cell->requeues += static_cast<uint64_t>(batch.requeued);
+  }
+  cell->sql_fallbacks = (*middleware)->stats().sql_fallbacks.load();
+  cell->staged_files = (*middleware)->staging().files_created();
+  cell->memory_stores = (*middleware)->staging().memory_stores_created();
+  return true;
+}
 
 }  // namespace
 
@@ -217,6 +305,54 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Staged, bounded grows on a table above the parallel-scan row floor.
+  const uint64_t staged_rows =
+      smoke ? 100'000 : static_cast<uint64_t>(500'000 * BenchScale());
+  std::vector<int> staged_threads;
+  if (smoke) {
+    staged_threads = {0};
+  } else if (single_core) {
+    staged_threads = {1};
+  } else {
+    staged_threads = {1, 2, 3, 4};
+  }
+  std::vector<StagedCell> staged_cells;
+  {
+    SqlServer server(dir.path());
+    CheckOk(server.CreateTable("data", schema));
+    Random rng(staged_rows + 7);
+    std::vector<Row> rows;
+    rows.reserve(staged_rows);
+    for (uint64_t i = 0; i < staged_rows; ++i) {
+      rows.push_back(RandomRow(schema, &rng));
+    }
+    CheckOk(server.LoadRows("data", rows));
+    rows = std::vector<Row>();
+    std::printf("\n# staged grow, memory budget %zu bytes\n",
+                kStagedMemoryBudget);
+    std::printf("%-10s %-8s %12s %12s %10s %10s %10s\n", "rows", "threads",
+                "wall_sec", "sim_sec", "requeues", "fallbacks", "same");
+    for (int threads : staged_threads) {
+      StagedCell cell;
+      for (int rep = 0; rep < (smoke ? 1 : 3); ++rep) {
+        StagedCell run;
+        if (!GrowStaged(&server, schema, staged_rows, threads, dir.path(),
+                        &run)) {
+          return 1;
+        }
+        if (rep == 0 || run.wall_seconds < cell.wall_seconds) cell = run;
+      }
+      const bool same = staged_cells.empty() ||
+                        cell.SameInvariants(staged_cells.front());
+      std::printf("%-10llu %-8d %12.4f %12.3f %10llu %10llu %10s\n",
+                  (unsigned long long)staged_rows, threads, cell.wall_seconds,
+                  cell.sim_seconds, (unsigned long long)cell.requeues,
+                  (unsigned long long)cell.sql_fallbacks, same ? "yes" : "NO");
+      if (!same) return 1;
+      staged_cells.push_back(cell);
+    }
+  }
+
   if (!dump_path.empty()) {
     JsonWriter json;
     json.BeginObject();
@@ -250,6 +386,39 @@ int main(int argc, char** argv) {
       json.Double(cell.speedup);
       json.Key("cc_identical_to_serial");
       json.Bool(cell.cc_identical);
+      json.EndObject();
+    }
+    json.EndArray();
+    json.Key("staged_note");
+    json.String(
+        "depth-4 grows through the middleware, file and memory staging on, "
+        "CC memory budget " + std::to_string(kStagedMemoryBudget) +
+        " bytes; threads 0 = SQLCLASS_PARALLEL_SCAN_THREADS; every cell's "
+        "tree, cost counters and eviction counts equal the first cell's");
+    json.Key("staged");
+    json.BeginArray();
+    for (const StagedCell& cell : staged_cells) {
+      json.BeginObject();
+      json.Key("rows");
+      json.Int(staged_rows);
+      json.Key("threads");
+      json.Int(cell.threads);
+      json.Key("wall_seconds");
+      json.Double(cell.wall_seconds);
+      json.Key("sim_seconds");
+      json.Double(cell.sim_seconds);
+      json.Key("tree_hash");
+      json.String(std::to_string(cell.tree_hash));
+      json.Key("cost");
+      json.String(cell.cost);
+      json.Key("requeues");
+      json.Int(cell.requeues);
+      json.Key("sql_fallbacks");
+      json.Int(cell.sql_fallbacks);
+      json.Key("staged_files");
+      json.Int(cell.staged_files);
+      json.Key("memory_stores");
+      json.Int(cell.memory_stores);
       json.EndObject();
     }
     json.EndArray();

@@ -38,6 +38,25 @@ done
 diff "$tmp/invariant_1.json" "$tmp/invariant_4.json"
 echo "OK: CC tables and simulated cost identical across thread counts"
 
+# The bench's staged, bounded grow (a table above the parallel-scan row
+# floor, staging on, CC memory tight enough to evict mid-scan) took its
+# worker count from the environment: its tree, cost counters and eviction
+# counts must not have moved between the 1- and the 4-worker run.
+for threads in 1 4; do
+  python3 - "$tmp/dump_$threads.json" >"$tmp/staged_$threads.txt" <<'PY'
+import json, sys
+cells = json.load(open(sys.argv[1]))["staged"]
+assert cells, "no staged cell in the dump"
+for cell in cells:
+    for key in ("rows", "tree_hash", "cost", "requeues", "sql_fallbacks",
+                "staged_files", "memory_stores", "sim_seconds"):
+        print(key, cell[key])
+PY
+done
+cat "$tmp/staged_1.txt"
+diff "$tmp/staged_1.txt" "$tmp/staged_4.txt"
+echo "OK: staged, bounded grow identical at 1 and 4 scan workers"
+
 # Bitmap counting path: two full runs must agree on everything but wall
 # time (the per-word charges are cache-state-invariant, and the bench
 # itself verifies the bitmap-served tree equals the row-scan tree).

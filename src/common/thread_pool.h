@@ -73,6 +73,7 @@ class ThreadPool {
 /// is, 0 means hardware concurrency; the SQLCLASS_PARALLEL_SCAN_THREADS
 /// environment variable overrides the 0 default (used by the determinism
 /// harness to pin both runs of a suite to specific thread counts).
+/// BatchExecutor calls it once, in its constructor.
 int ResolveParallelThreads(int configured);
 
 }  // namespace sqlclass

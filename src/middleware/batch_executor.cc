@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/fault_injector.h"
 #include "common/logging.h"
 #include "common/retry.h"
 #include "middleware/batch_matcher.h"
@@ -81,13 +82,15 @@ struct BatchExecutor::State {
   // Per-attempt scan state.
   const bool bounded;       // overflow checks apply at all
   size_t cc_available = 0;  // memory left for CC tables during the scan
-  int live_ccs = 0;         // nodes not yet evicted
   bool staging_fault = false;
 };
 
 BatchExecutor::BatchExecutor(SqlServer* server, const CountingConfig& config,
                              StagingManager* staging)
-    : server_(server), config_(config), staging_(staging) {}
+    : server_(server),
+      config_(config),
+      scan_threads_(ResolveParallelThreads(config.parallel_scan_threads)),
+      staging_(staging) {}
 
 void BatchExecutor::DropArtifactReaders() {
   bitmap_reader_.reset();
@@ -127,7 +130,6 @@ Status BatchExecutor::Run(const Batch& batch, Report* report) {
     report->observed_bytes.assign(n, 0);
     report->sample_rows.assign(n, 0);
     report->rows_scanned = 0;
-    st.live_ccs = n;
     st.staging_fault = false;
     // CC tables get the memory that staged data, resident or reserved for
     // this batch's memory staging, leaves of the budget.
@@ -221,21 +223,7 @@ Status BatchExecutor::RunPass(State* st) {
         return ShardPass(st);
     }
   }
-  // Large scans with no staging take the morsel-parallel path: it builds
-  // the identical CC tables and charges the identical logical costs (see
-  // DESIGN.md "Parallel counting"); overflow is checked once after the
-  // merge instead of mid-scan, which staging-free batches tolerate.
-  const DataLocation& source = st->report->source;
-  uint64_t source_rows = st->batch.table_rows;
-  if (source.kind != LocationKind::kServer) {
-    SQLCLASS_ASSIGN_OR_RETURN(source_rows, staging_->StoreRows(source));
-  }
-  const int threads = ResolveParallelThreads(config_.parallel_scan_threads);
-  if (threads > 1 && !st->staging_enabled &&
-      source_rows >= config_.parallel_scan_min_rows) {
-    return ParallelPass(st, threads);
-  }
-  return RowScanPass(st);
+  return ScanPass(st);
 }
 
 // Rule 7: every node's *sample* CC from the table's scramble. Whether a
@@ -319,29 +307,56 @@ Status BatchExecutor::ShardPass(State* st) {
   return Status::OK();
 }
 
-Status BatchExecutor::ParallelPass(State* st, int threads) {
+// The row scan of the batch's source: the one path that streams rows
+// through the middleware, so the one that stages them (§4.1.2) and checks
+// CC memory mid-scan (§4.1.1). Sources of at least parallel_scan_min_rows
+// rows fan out over scan_threads_ workers; the engine's result does not
+// depend on the worker count (DESIGN.md "Parallel counting").
+Status BatchExecutor::ScanPass(State* st) {
   const Batch& batch = st->batch;
   Report* report = st->report;
   const Schema& schema = *batch.schema;
+  const int n = static_cast<int>(batch.requests.size());
   CostCounters& cost = server_->cost_counters();
   ParallelScanOptions options;
   options.class_column = schema.class_column();
   options.num_classes = st->num_classes;
   options.matcher = &st->matcher;
-  options.node_attrs.reserve(batch.requests.size());
+  options.node_attrs.reserve(n);
   for (const CcRequest* request : batch.requests) {
     options.node_attrs.push_back(&request->active_attrs);
   }
+  options.staged.resize(n);
+  for (int i = 0; i < n; ++i) {
+    options.staged[i] = report->staged[i].has_value();
+  }
+  options.stage = [&](size_t node, const Value* rows, size_t num_rows) {
+    Status appended = staging_->Append(*report->staged[node], rows, num_rows);
+    // Flag it so the ladder rescans the same source with staging off
+    // rather than degrading the source.
+    if (!appended.ok()) st->staging_fault = true;
+    return appended;
+  };
+  if (st->bounded) options.cc_available = st->cc_available;
+  options.check_interval = batch.overflow_check_interval;
+
+  const DataLocation& source = report->source;
+  uint64_t source_rows = batch.table_rows;
+  if (source.kind != LocationKind::kServer) {
+    SQLCLASS_ASSIGN_OR_RETURN(source_rows, staging_->StoreRows(source));
+  }
+  ThreadPool* pool =
+      scan_threads_ > 1 && source_rows >= config_.parallel_scan_min_rows
+          ? ScanPool(scan_threads_)
+          : nullptr;
   std::unique_ptr<Expr> filter;  // must outlive the scan
   ParallelScanResult scan;
-  const DataLocation& source = report->source;
   if (source.kind == LocationKind::kMemory) {
     options.charge.mw_memory_read = true;
     SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
                               staging_->GetMemoryStore(source.store_id));
     SQLCLASS_ASSIGN_OR_RETURN(
-        scan, ParallelCountScan::OverMemoryStore(ScanPool(threads), *store,
-                                                 options, &cost));
+        scan, ParallelCountScan::OverMemoryStore(pool, *store, options, &cost));
   } else {
     std::string path;
     IoCounters* io = nullptr;
@@ -351,6 +366,7 @@ Status BatchExecutor::ParallelPass(State* st, int threads) {
       options.filter = filter.get();
       options.charge.server_row_evaluated = true;
       options.charge.cursor_transfer = true;
+      options.page_fault_point = faults::kServerCursorAdvance;
       ++cost.server_scans;  // what OpenCursor charges at open
       SQLCLASS_ASSIGN_OR_RETURN(path, server_->TableHeapPath(batch.table));
       io = &server_->io_counters();
@@ -360,99 +376,13 @@ Status BatchExecutor::ParallelPass(State* st, int threads) {
       io = &staging_->io_counters();
     }
     SQLCLASS_ASSIGN_OR_RETURN(
-        scan, ParallelCountScan::OverHeapFile(ScanPool(threads), path,
-                                              schema.num_columns(), options,
-                                              &cost, io));
+        scan, ParallelCountScan::OverHeapFile(pool, path, schema.num_columns(),
+                                              options, &cost, io));
   }
   report->ccs = std::move(scan.ccs);
+  report->evicted = std::move(scan.evicted);
+  report->observed_bytes = std::move(scan.observed_bytes);
   report->rows_scanned = scan.rows_delivered;
-  report->path = Path::kParallelRowScan;
-  return Status::OK();
-}
-
-// The serial row scan: the one path that streams rows through the
-// middleware, so the one that stages them (§4.1.2) and checks CC memory
-// mid-scan (§4.1.1). Rows are counted by a direct loop — the per-row work
-// is the hot path of every staged grow.
-Status BatchExecutor::RowScanPass(State* st) {
-  const Batch& batch = st->batch;
-  Report* report = st->report;
-  CostCounters& cost = server_->cost_counters();
-  const int class_column = batch.schema->class_column();
-  const DataLocation& source = report->source;
-  std::vector<int> matches;
-  uint64_t rows_since_check = 0;
-  auto count_row = [&](const Row& row) -> Status {
-    ++report->rows_scanned;
-    st->matcher.Match(row, &matches);
-    for (int pos : matches) {
-      const std::vector<int>& attrs = batch.requests[pos]->active_attrs;
-      if (report->evicted[pos] == Report::Eviction::kNone) {
-        report->ccs[pos].AddRow(row, attrs, class_column);
-        cost.mw_cc_updates += attrs.size();
-      }
-      const std::optional<DataLocation>& stage = report->staged[pos];
-      if (!stage.has_value()) continue;
-      if (stage->kind == LocationKind::kFile) {
-        Status appended = staging_->AppendToFileStore(stage->store_id, row);
-        if (!appended.ok()) {
-          // Flag it so the ladder rescans the same source with staging
-          // off rather than degrading the source.
-          st->staging_fault = true;
-          return appended;
-        }
-      } else {
-        staging_->AppendToMemoryStore(stage->store_id, row);
-      }
-    }
-    if (st->bounded &&
-        ++rows_since_check >= batch.overflow_check_interval) {
-      rows_since_check = 0;
-      CheckOverflow(st);
-    }
-    return Status::OK();
-  };
-
-  Row row;
-  auto drain = [&](auto& rows) -> Status {
-    while (true) {
-      SQLCLASS_ASSIGN_OR_RETURN(bool more, rows.Next(&row));
-      if (!more) return Status::OK();
-      SQLCLASS_RETURN_IF_ERROR(count_row(row));
-    }
-  };
-  switch (source.kind) {
-    case LocationKind::kServer: {
-      std::string sql = "SELECT * FROM " + batch.table;
-      if (std::unique_ptr<Expr> filter = PushdownFilter(batch)) {
-        sql += " WHERE " + filter->ToSql();
-      }
-      SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<ServerCursor> cursor,
-                                server_->OpenCursorSql(sql));
-      SQLCLASS_RETURN_IF_ERROR(drain(*cursor));
-      break;
-    }
-    case LocationKind::kFile: {
-      SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<RowSource> rows,
-                                staging_->OpenFileStore(source.store_id));
-      SQLCLASS_RETURN_IF_ERROR(drain(*rows));
-      break;
-    }
-    case LocationKind::kMemory: {
-      SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
-                                staging_->GetMemoryStore(source.store_id));
-      const size_t rows = store->num_rows();
-      const int width = store->num_columns();
-      row.resize(width);
-      for (size_t r = 0; r < rows; ++r) {
-        const Value* values = store->RowAt(r);
-        row.assign(values, values + width);
-        ++cost.mw_memory_rows_read;
-        SQLCLASS_RETURN_IF_ERROR(count_row(row));
-      }
-      break;
-    }
-  }
   report->path = Path::kRowScan;
   return Status::OK();
 }
@@ -504,36 +434,15 @@ void BatchExecutor::SealStaging(State* st) {
   }
 }
 
-// Runtime handling of estimation error (§4.1.1): while the batch's CC
-// tables exceed the memory available to them, evict the largest. An
+// Runtime handling of estimation error (§4.1.1) once the pass is done: an
 // evicted node is normally requeued with a corrected estimate and counted
 // in a later, smaller scan; only the last node standing — its CC alone
 // does not fit — switches to the SQL-based server-side implementation.
 void BatchExecutor::CheckOverflow(State* st) {
   if (!st->bounded) return;
   Report* report = st->report;
-  const int n = static_cast<int>(report->ccs.size());
-  while (st->live_ccs > 0) {
-    size_t used = 0;
-    int biggest = -1;
-    size_t biggest_bytes = 0;
-    for (int i = 0; i < n; ++i) {
-      if (report->evicted[i] != Report::Eviction::kNone) continue;
-      const size_t bytes = report->ccs[i].ApproxBytes();
-      used += bytes;
-      if (bytes >= biggest_bytes) {
-        biggest_bytes = bytes;
-        biggest = i;
-      }
-    }
-    if (used <= st->cc_available || biggest < 0) break;
-    report->observed_bytes[biggest] = biggest_bytes;
-    report->evicted[biggest] = st->live_ccs == 1
-                                   ? Report::Eviction::kSqlFallback
-                                   : Report::Eviction::kRequeue;
-    report->ccs[biggest] = CcTable(st->num_classes);
-    --st->live_ccs;
-  }
+  EvictOverflow(st->cc_available, &report->ccs, &report->evicted,
+                &report->observed_bytes);
 }
 
 void BatchExecutor::FreeStore(const DataLocation& loc, const char* what) {

@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "middleware/config.h"
 #include "middleware/estimator.h"
+#include "middleware/parallel_scan.h"
 #include "middleware/scheduler.h"
 #include "middleware/shard_scan.h"
 #include "middleware/staging.h"
@@ -40,24 +41,24 @@ namespace sqlclass {
 /// single pass over one source, for both ClassificationMiddleware (one
 /// client's frontier) and SharedScanBatcher (a cross-session batch).
 ///
-/// A pass runs on one of five paths — the table's scramble (Rule 7), its
-/// bitmap index (Rule 0), its shard set (Rule 8), a morsel-parallel row
-/// scan, or the serial row scan that also feeds staging — and a failed
-/// pass walks one recovery ladder (DESIGN.md "Fault tolerance & degraded
-/// modes"). Each attempt rebuilds every CC table from scratch, so the pass
-/// that succeeds alone determines the delivered counts: a recovered batch
-/// is byte-identical to a fault-free one. Charges of failed passes stay on
-/// the server's cost counters.
+/// A pass runs on one of four paths — the table's scramble (Rule 7), its
+/// bitmap index (Rule 0), its shard set (Rule 8), or a row scan of the
+/// batch's source that also feeds staging (ParallelCountScan, on one
+/// worker or many) — and a failed pass walks one recovery ladder
+/// (DESIGN.md "Fault tolerance & degraded modes"). Each attempt rebuilds
+/// every CC table from scratch, so the pass that succeeds alone determines
+/// the delivered counts: a recovered batch is byte-identical to a
+/// fault-free one. Charges of failed passes stay on the server's cost
+/// counters.
 ///
 /// Routing policy stays with the callers: they decide which of the sample,
-/// bitmap and shard paths a batch may try; the executor decides only
-/// between the parallel and the serial row scan. Not thread-safe — the
-/// middleware drives it from its single thread, the service under its
-/// server mutex.
+/// bitmap and shard paths a batch may try; the executor decides only how
+/// many workers a row scan gets. Not thread-safe — the middleware drives
+/// it from its single thread, the service under its server mutex.
 class BatchExecutor {
  public:
   /// The pass that served a batch.
-  enum class Path { kSample, kBitmap, kShards, kParallelRowScan, kRowScan };
+  enum class Path { kSample, kBitmap, kShards, kRowScan };
 
   struct Batch {
     std::string table;
@@ -67,7 +68,7 @@ class BatchExecutor {
     std::vector<const CcRequest*> requests;
     /// The route: the source (Rule 2), the artifact paths allowed — tried
     /// as sample, bitmap, shards before the row scan — and the nodes whose
-    /// rows the serial row scan also stages (Rules 4-6; `idx` is a position
+    /// rows the row scan also stages (Rules 4-6; `idx` is a position
     /// in `requests`, and staging needs a StagingManager). `admitted` and
     /// `file_split` are the scheduler's, unused here.
     BatchPlan plan;
@@ -86,10 +87,9 @@ class BatchExecutor {
     DataLocation source;        // where the surviving pass read from
     uint64_t rows_scanned = 0;  // rows that pass delivered (0 for bitmap)
     std::vector<uint64_t> sample_rows;  // kSample: matching sample rows
-    /// Per node, eviction under memory pressure (§4.1.1): a requeued node
-    /// is counted again in a later batch, the last node left falls back to
-    /// the server's SQL. `observed_bytes` is its table's size at eviction.
-    enum class Eviction : uint8_t { kNone, kRequeue, kSqlFallback };
+    /// Per node, eviction under memory pressure (§4.1.1). `observed_bytes`
+    /// is its table's size at eviction.
+    using Eviction = CcEviction;
     std::vector<Eviction> evicted;
     std::vector<size_t> observed_bytes;
     /// Per node, the sealed staging store holding its rows, if any.
@@ -112,9 +112,13 @@ class BatchExecutor {
   };
 
   /// `server` must outlive the executor; so must `staging` (nullable),
-  /// which batches that stage or read staged stores require.
+  /// which batches that stage or read staged stores require. The row-scan
+  /// worker count is resolved here, once (see ResolveParallelThreads).
   BatchExecutor(SqlServer* server, const CountingConfig& config,
                 StagingManager* staging);
+
+  /// Workers a row scan of at least `parallel_scan_min_rows` rows gets.
+  int scan_threads() const { return scan_threads_; }
 
   /// Counts `batch` into `report`, walking the recovery ladder on failure.
   /// A non-OK result names the code, table and attempt count.
@@ -133,8 +137,7 @@ class BatchExecutor {
   [[nodiscard]] Status SamplePass(State* st);
   [[nodiscard]] Status BitmapPass(State* st);
   [[nodiscard]] Status ShardPass(State* st);
-  [[nodiscard]] Status ParallelPass(State* st, int threads);
-  [[nodiscard]] Status RowScanPass(State* st);
+  [[nodiscard]] Status ScanPass(State* st);
   [[nodiscard]] StatusOr<size_t> BeginStaging(State* st);
   void AbortStaging(State* st);
   void SealStaging(State* st);
@@ -150,6 +153,7 @@ class BatchExecutor {
 
   SqlServer* server_;
   const CountingConfig config_;
+  const int scan_threads_;
   StagingManager* staging_;
   std::unique_ptr<ThreadPool> scan_pool_;  // resized on demand
   /// Built from config_.sharding on first use and kept, so a subprocess

@@ -123,16 +123,17 @@ struct CountingConfig {
   /// runtime via SQLCLASS_BITMAP_INDEX=0/1.
   bool use_bitmap_index = true;
 
-  /// Worker threads for morsel-parallel counting scans. 0 = resolve to
-  /// hardware concurrency (overridable via SQLCLASS_PARALLEL_SCAN_THREADS);
-  /// 1 = always scan serially. The parallel path charges the same logical
-  /// costs as the serial one, so the simulated cost model is
+  /// Worker threads for the morsel-parallel row scan every row-scan batch
+  /// runs on, staged and memory-bounded ones included. 0 = resolve to
+  /// hardware concurrency (overridable via SQLCLASS_PARALLEL_SCAN_THREADS,
+  /// read once when the BatchExecutor is built); 1 = one worker. CC
+  /// tables, evictions, staged stores and logical costs are
   /// thread-count-invariant; only wall time changes.
   int parallel_scan_threads = 0;
 
-  /// Minimum source rows before a batch is scanned in parallel. Small scans
-  /// stay serial: thread fan-out costs more than it saves, and serial scans
-  /// keep the paper's mid-scan overflow-eviction timing exactly.
+  /// Minimum source rows before a row scan fans out over more than one
+  /// worker: below it, thread fan-out costs more than it saves. Results
+  /// are identical either way.
   uint64_t parallel_scan_min_rows = 32768;
 
   /// Backoff schedule for transient scan faults against the *server* source

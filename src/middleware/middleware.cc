@@ -287,8 +287,7 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
   trace.served_from_sample = report.path == BatchExecutor::Path::kSample;
   trace.served_from_bitmap = report.path == BatchExecutor::Path::kBitmap;
   trace.served_from_shards = report.path == BatchExecutor::Path::kShards;
-  if (report.path == BatchExecutor::Path::kRowScan ||
-      report.path == BatchExecutor::Path::kParallelRowScan) {
+  if (report.path == BatchExecutor::Path::kRowScan) {
     ++(source.kind == LocationKind::kServer ? stats_.server_scans
        : source.kind == LocationKind::kFile ? stats_.file_scans
                                             : stats_.memory_scans);

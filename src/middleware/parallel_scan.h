@@ -2,6 +2,8 @@
 #define SQLCLASS_MIDDLEWARE_PARALLEL_SCAN_H_
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,21 +18,35 @@
 
 namespace sqlclass {
 
-/// Which logical costs a parallel counting scan charges per row, so the
-/// same engine can stand in for each serial scan shape:
+/// Which logical costs a counting scan charges per row, so the one engine
+/// stands in for each scan shape the paper meters:
 ///  * a server cursor scan (every row evaluated at the server, passing
 ///    rows additionally paying the cursor transfer),
 ///  * a staged-file scan (one middleware file read per row),
 ///  * a memory-store scan (one middleware memory read per row).
 /// CC updates are always charged per matched (node, attribute) bump.
-/// Totals are sums over the same row set the serial path touches, so they
-/// are identical at any thread count.
+/// Totals are sums over the same row set a one-row-at-a-time scan touches,
+/// so they are identical at any thread count.
 struct ScanCharge {
   bool server_row_evaluated = false;  // ++server_rows_evaluated per row
   bool cursor_transfer = false;       // transfer charges per delivered row
   bool mw_file_read = false;          // ++mw_file_rows_read per delivered row
   bool mw_memory_read = false;        // ++mw_memory_rows_read per row
 };
+
+/// Why a node's CC table was dropped mid-batch under CC-memory pressure
+/// (§4.1.1): a requeued node is counted again in a later batch, the last
+/// node left falls back to the server's SQL.
+enum class CcEviction : uint8_t { kNone, kRequeue, kSqlFallback };
+
+/// §4.1.1's runtime handling of estimation error: while the tables of the
+/// nodes not yet evicted hold more than `available` bytes, evicts the
+/// largest (ties: the later node) — clears its table, records its size in
+/// `observed_bytes` and marks it kRequeue, or kSqlFallback when it is the
+/// last node standing. All three vectors are indexed by node.
+void EvictOverflow(size_t available, std::vector<CcTable>* ccs,
+                   std::vector<CcEviction>* evicted,
+                   std::vector<size_t>* observed_bytes);
 
 struct ParallelScanOptions {
   /// Morsel granularity. Heap-file scans hand out page ranges; memory
@@ -54,14 +70,35 @@ struct ParallelScanOptions {
   const Expr* filter = nullptr;
 
   ScanCharge charge;
+
+  /// Fault point crossed once per heap page read, before the read (server
+  /// scans cross `server/cursor_advance`, the cursor's point). Null: none.
+  const char* page_fault_point = nullptr;
+
+  /// §4.1.2 staging. staged[i]: node i's delivered matching rows are also
+  /// handed to `stage`, on the calling thread, in source order, one call
+  /// per node and segment (a node evicted mid-scan keeps staging). Empty:
+  /// no node stages. An error from `stage` fails the scan.
+  std::vector<bool> staged;
+  std::function<Status(size_t node, const Value* rows, size_t num_rows)> stage;
+
+  /// §4.1.1 overflow checks. A one-row-at-a-time scan would call
+  /// EvictOverflow(cc_available, ...) after every `check_interval`
+  /// delivered rows; the engine evicts exactly the nodes those checks
+  /// would, at the same rows. The maximum means unbounded: no checks.
+  size_t cc_available = std::numeric_limits<size_t>::max();
+  uint64_t check_interval = 1024;
 };
 
 struct ParallelScanResult {
-  /// One merged CC table per node, byte-identical to a serial scan (cell
-  /// counts are commutative int64 sums; workers merge in fixed order).
+  /// One CC table per node, identical to a one-row-at-a-time scan's (cell
+  /// counts are commutative int64 sums over disjoint row partitions);
+  /// an evicted node's table is empty.
   std::vector<CcTable> ccs;
+  std::vector<CcEviction> evicted;     // per node
+  std::vector<size_t> observed_bytes;  // per node: table size at eviction
 
-  /// Rows matched per node (drives per-session CC-update attribution).
+  /// Rows counted per node (drives per-session CC-update attribution).
   std::vector<uint64_t> node_matches;
 
   uint64_t rows_scanned = 0;    // rows read from the source (pre-filter)
@@ -69,18 +106,25 @@ struct ParallelScanResult {
   uint64_t cc_updates = 0;      // total (node, attribute) bumps
 };
 
-/// Morsel-parallel counting scan (tentpole of the parallel-counting design;
-/// see DESIGN.md "Parallel counting"). Each worker owns a private reader,
-/// row batch, and per-node CC accumulators; morsels are claimed off one
-/// atomic counter; accumulators merge in worker order after the join.
-/// Logical costs are charged to `cost` once, post-merge, in totals equal to
-/// the serial path's; physical IoCounters (not part of the simulated cost
-/// model) are merged from per-worker locals.
+/// The middleware's one row-counting loop (DESIGN.md "Parallel counting"):
+/// every row-scan batch — staged or not, bounded or not — runs through it,
+/// with one worker or many.
+///
+/// Workers own a private reader, row batch and per-node partial CC tables,
+/// and claim morsels off one atomic counter. The source is walked in
+/// *segments* of consecutive morsels (the whole source when the scan
+/// neither stages nor is bounded). At each segment end the calling thread
+/// merges the partial tables in worker order — or, if an overflow check
+/// inside the segment could have fired, recounts the segment itself with
+/// the checks at their exact rows — and charges the segment's logical
+/// costs. It appends the segment's staged rows to their stores, in morsel
+/// order, while the pool counts the next segment. Physical IoCounters are
+/// merged from per-worker locals.
 class ParallelCountScan {
  public:
   /// Scans the heap file at `path` (a server table or a sealed staged
   /// file). Workers bypass any buffer pool — each opens its own pool-less
-  /// reader — so every page is physically read exactly once per scan.
+  /// reader.
   [[nodiscard]] static StatusOr<ParallelScanResult> OverHeapFile(
       ThreadPool* pool, const std::string& path, int num_columns,
       const ParallelScanOptions& options, CostCounters* cost, IoCounters* io);

@@ -9,31 +9,6 @@
 
 namespace sqlclass {
 
-namespace {
-
-/// RowSource over a staged middleware file; charges one middleware file
-/// read per row delivered.
-class StagedFileRowSource : public RowSource {
- public:
-  StagedFileRowSource(std::unique_ptr<HeapFileReader> reader,
-                      CostCounters* cost)
-      : reader_(std::move(reader)), cost_(cost) {}
-
-  StatusOr<bool> Next(Row* row) override {
-    SQLCLASS_ASSIGN_OR_RETURN(bool more, reader_->Next(row));
-    if (more) ++cost_->mw_file_rows_read;
-    return more;
-  }
-  Status Reset() override { return reader_->Reset(); }
-  uint64_t num_rows() const override { return reader_->num_rows(); }
-
- private:
-  std::unique_ptr<HeapFileReader> reader_;
-  CostCounters* cost_;
-};
-
-}  // namespace
-
 StagingManager::StagingManager(std::string dir, int num_columns,
                                CostCounters* cost)
     : dir_(std::move(dir)), num_columns_(num_columns), cost_(cost) {}
@@ -69,35 +44,11 @@ StatusOr<uint64_t> StagingManager::BeginFileStore() {
   return id;
 }
 
-Status StagingManager::AppendToFileStore(uint64_t id, const Row& row) {
-  SQLCLASS_FAULT_POINT(faults::kStagingAppend);
-  FileStore* file = append_cache_id_ == id ? append_cache_ : nullptr;
-  if (file == nullptr) {
-    auto it = files_.find(id);
-    if (it == files_.end() || it->second.writer == nullptr) {
-      return Status::Internal("staged file not open for writing: " +
-                              std::to_string(id));
-    }
-    file = &it->second;
-    append_cache_id_ = id;
-    append_cache_ = file;
-  }
-  SQLCLASS_RETURN_IF_ERROR(file->writer->Append(row));
-  ++file->rows;
-  ++cost_->mw_file_rows_written;
-  file_bytes_used_ += RowBytes();
-  return Status::OK();
-}
-
 Status StagingManager::FinishFileStore(uint64_t id) {
   auto it = files_.find(id);
   if (it == files_.end() || it->second.writer == nullptr) {
     return Status::Internal("staged file not open for writing: " +
                             std::to_string(id));
-  }
-  if (append_cache_id_ == id) {
-    append_cache_ = nullptr;
-    append_cache_id_ = 0;
   }
   SQLCLASS_RETURN_IF_ERROR(it->second.writer->Finish());
   it->second.writer.reset();
@@ -111,28 +62,30 @@ uint64_t StagingManager::BeginMemoryStore() {
   return id;
 }
 
-void StagingManager::AppendToMemoryStore(uint64_t id, const Row& row) {
-  auto it = memory_.find(id);
-  if (it == memory_.end()) return;
-  it->second.store.Append(row);
-  memory_bytes_used_ += RowBytes();
-}
-
-StatusOr<std::unique_ptr<RowSource>> StagingManager::OpenFileStore(
-    uint64_t id) {
-  auto it = files_.find(id);
-  if (it == files_.end()) {
-    return Status::NotFound("no staged file: " + std::to_string(id));
+Status StagingManager::Append(const DataLocation& loc, const Value* rows,
+                              size_t num_rows) {
+  if (loc.kind == LocationKind::kMemory) {
+    auto it = memory_.find(loc.store_id);
+    if (it == memory_.end()) {
+      return Status::NotFound("no memory store: " +
+                              std::to_string(loc.store_id));
+    }
+    it->second.store.AppendRows(rows, num_rows);
+    memory_bytes_used_ += num_rows * RowBytes();
+    return Status::OK();
   }
-  if (it->second.writer != nullptr) {
-    return Status::Internal("staged file still being written: " +
-                            std::to_string(id));
+  SQLCLASS_FAULT_POINT(faults::kStagingAppend);
+  auto it = files_.find(loc.store_id);
+  if (loc.kind != LocationKind::kFile || it == files_.end() ||
+      it->second.writer == nullptr) {
+    return Status::Internal("staged file not open for writing: " +
+                            std::to_string(loc.store_id));
   }
-  SQLCLASS_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapFileReader> reader,
-      HeapFileReader::Open(it->second.path, num_columns_, &io_));
-  return std::unique_ptr<RowSource>(
-      new StagedFileRowSource(std::move(reader), cost_));
+  SQLCLASS_RETURN_IF_ERROR(it->second.writer->AppendRows(rows, num_rows));
+  it->second.rows += num_rows;
+  cost_->mw_file_rows_written += num_rows;
+  file_bytes_used_ += num_rows * RowBytes();
+  return Status::OK();
 }
 
 StatusOr<std::string> StagingManager::FileStorePath(uint64_t id) const {
@@ -201,10 +154,6 @@ Status StagingManager::Free(const DataLocation& loc) {
       if (it == files_.end()) {
         return Status::NotFound("no staged file: " +
                                 std::to_string(loc.store_id));
-      }
-      if (append_cache_id_ == loc.store_id) {
-        append_cache_ = nullptr;
-        append_cache_id_ = 0;
       }
       if (it->second.writer != nullptr) {
         // The store is being discarded; a flush failure only means there is

@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "middleware/estimator.h"
 #include "server/cost_model.h"
-#include "sql/row_source.h"
 #include "storage/heap_file.h"
 #include "storage/io_counters.h"
 #include "storage/row_store.h"
@@ -40,32 +39,32 @@ class StagingManager {
 
   /// Starts a new staged file; rows are appended during the current scan.
   [[nodiscard]] StatusOr<uint64_t> BeginFileStore();
-  [[nodiscard]] Status AppendToFileStore(uint64_t id, const Row& row);
   /// Seals a staged file so it can be scanned.
   [[nodiscard]] Status FinishFileStore(uint64_t id);
 
   /// Starts a new in-memory store.
   uint64_t BeginMemoryStore();
-  void AppendToMemoryStore(uint64_t id, const Row& row);
+
+  /// Appends `num_rows` rows stored contiguously at `rows` (num_columns
+  /// values each) to an open staged file or a memory store. A file append
+  /// crosses the `staging/append` fault point once per call and charges
+  /// one mw_file_rows_written per row.
+  [[nodiscard]] Status Append(const DataLocation& loc, const Value* rows,
+                              size_t num_rows);
 
   // ------------------------------------------------------------- reading
-
-  /// Sequential scan over a finished staged file; each row read is charged
-  /// as a middleware file read.
-  [[nodiscard]] StatusOr<std::unique_ptr<RowSource>> OpenFileStore(uint64_t id);
 
   /// Direct access to an in-memory store (iteration is charged by the
   /// caller as memory reads).
   [[nodiscard]] StatusOr<const InMemoryRowStore*> GetMemoryStore(uint64_t id) const;
 
-  /// Path of a sealed staged file, for readers that bypass OpenFileStore
-  /// (the parallel counting scan opens one reader per worker and charges
-  /// mw_file_rows_read itself). Errors while the file is still being
-  /// written.
+  /// Path of a sealed staged file. Scans open their own readers on it and
+  /// charge mw_file_rows_read themselves. Errors while the file is still
+  /// being written.
   [[nodiscard]] StatusOr<std::string> FileStorePath(uint64_t id) const;
 
   /// Physical I/O of staged files (not part of the simulated cost model);
-  /// parallel scans merge their per-worker counters into this.
+  /// scans merge their per-worker counters into this.
   IoCounters& io_counters() { return io_; }
 
   // ---------------------------------------------------------- accounting
@@ -101,11 +100,6 @@ class StagingManager {
   CostCounters* cost_;
   IoCounters io_;  // physical I/O of staged files (not in simulated cost)
   uint64_t next_id_ = 1;
-  // Append fast path: the scan loop appends run-length batches to the same
-  // store, so remember the last looked-up open file (std::map node pointers
-  // are stable across inserts; invalidated on Finish/Free).
-  uint64_t append_cache_id_ = 0;
-  FileStore* append_cache_ = nullptr;
   std::map<uint64_t, FileStore> files_;
   std::map<uint64_t, MemoryStore> memory_;
   size_t file_bytes_used_ = 0;

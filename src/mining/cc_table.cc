@@ -74,6 +74,15 @@ void CcTable::Merge(const CcTable& other) {
   total_rows_ += other.total_rows_;
 }
 
+void CcTable::Clear() {
+  for (std::vector<int64_t>& slab : slabs_) {
+    std::fill(slab.begin(), slab.end(), 0);
+  }
+  std::fill(class_totals_.begin(), class_totals_.end(), 0);
+  num_entries_ = 0;
+  total_rows_ = 0;
+}
+
 void CcTable::AddClassTotal(Value class_value, int64_t count) {
   assert(class_value >= 0 && class_value < num_classes_);
   class_totals_[class_value] += count;

@@ -61,6 +61,10 @@ class CcTable {
   /// scan of the union would build (the parallel-scan determinism argument).
   void Merge(const CcTable& other);
 
+  /// Empties the table (no cells, zero totals) but keeps its slabs'
+  /// capacity, so refilling a reused partial table does not reallocate.
+  void Clear();
+
   /// Adds `count` to the per-class node totals only (used when building
   /// from pre-aggregated SQL results, where totals come from one attribute).
   void AddClassTotal(Value class_value, int64_t count);

@@ -240,8 +240,7 @@ void SharedScanBatcher::RunScan(const std::string& table,
     Status error = Status::OK();
   };
   std::map<SessionId, Rider> riders;
-  const bool row_scan = report.path == BatchExecutor::Path::kRowScan ||
-                        report.path == BatchExecutor::Path::kParallelRowScan;
+  const bool row_scan = report.path == BatchExecutor::Path::kRowScan;
   for (size_t i = 0; i < batch.size(); ++i) {
     const PendingReq& p = batch[i];
     Rider& rider = riders[p.session];

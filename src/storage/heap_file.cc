@@ -184,14 +184,22 @@ StatusOr<std::unique_ptr<HeapFileWriter>> HeapFileWriter::OpenForAppend(
 }
 
 Status HeapFileWriter::Append(const Row& row) {
+  assert(static_cast<int>(row.size()) == codec_.num_columns());
+  return AppendRows(row.data(), 1);
+}
+
+Status HeapFileWriter::AppendRows(const Value* rows, size_t num_rows) {
   if (finished_) return Status::Internal("Append after Finish");
   const size_t slots = SlotsPerPage(codec_.row_bytes());
-  codec_.Encode(row, CurrentPage() + kPageHeaderBytes +
-                         rows_in_page_ * codec_.row_bytes());
-  ++rows_in_page_;
-  ++rows_written_;
-  if (counters_ != nullptr) ++counters_->rows_written;
-  if (rows_in_page_ == slots) return SealPage();
+  for (size_t r = 0; r < num_rows; ++r) {
+    codec_.EncodeFrom(rows + r * codec_.num_columns(),
+                      CurrentPage() + kPageHeaderBytes +
+                          rows_in_page_ * codec_.row_bytes());
+    ++rows_in_page_;
+    ++rows_written_;
+    if (counters_ != nullptr) ++counters_->rows_written;
+    if (rows_in_page_ == slots) SQLCLASS_RETURN_IF_ERROR(SealPage());
+  }
   return Status::OK();
 }
 

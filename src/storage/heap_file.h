@@ -82,6 +82,10 @@ class HeapFileWriter {
 
   [[nodiscard]] Status Append(const Row& row);
 
+  /// Appends `num_rows` rows stored contiguously at `rows` (num_columns
+  /// values each); the bytes written equal appending them one by one.
+  [[nodiscard]] Status AppendRows(const Value* rows, size_t num_rows);
+
   /// Flushes the final partial page and closes the file. Must be called;
   /// the destructor only releases resources for an abandoned writer.
   [[nodiscard]] Status Finish();

@@ -8,8 +8,12 @@ namespace sqlclass {
 
 void RowCodec::Encode(const Row& row, char* dst) const {
   assert(static_cast<int>(row.size()) == num_columns_);
+  EncodeFrom(row.data(), dst);
+}
+
+void RowCodec::EncodeFrom(const Value* src, char* dst) const {
   for (int i = 0; i < num_columns_; ++i) {
-    EncodeFixed32(dst + i * sizeof(Value), static_cast<uint32_t>(row[i]));
+    EncodeFixed32(dst + i * sizeof(Value), static_cast<uint32_t>(src[i]));
   }
 }
 

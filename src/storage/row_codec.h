@@ -23,6 +23,9 @@ class RowCodec {
   /// Writes `row` (must have num_columns values) into `dst[0, row_bytes)`.
   void Encode(const Row& row, char* dst) const;
 
+  /// Writes `src[0, num_columns)` into `dst[0, row_bytes)`.
+  void EncodeFrom(const Value* src, char* dst) const;
+
   /// Reads one row from `src[0, row_bytes)` into `*row`. Resize-free when
   /// the row already holds num_columns values (the hoisted-Row scan loops
   /// rely on this to stay allocation-free after the first iteration).

@@ -22,6 +22,11 @@ class InMemoryRowStore {
     values_.insert(values_.end(), row.begin(), row.end());
   }
 
+  /// Appends `num_rows` rows stored contiguously at `rows`.
+  void AppendRows(const Value* rows, size_t num_rows) {
+    values_.insert(values_.end(), rows, rows + num_rows * num_columns_);
+  }
+
   size_t num_rows() const {
     return num_columns_ == 0 ? 0 : values_.size() / num_columns_;
   }

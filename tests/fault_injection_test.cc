@@ -251,14 +251,20 @@ TEST(FaultInjectionTest, CorruptStagedFileSurfacesDuringScan) {
   StagingManager staging(dir.path(), 3, &cost);
   auto id = staging.BeginFileStore();
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(staging.AppendToFileStore(*id, {1, 2, 3}).ok());
+  const Row row = {1, 2, 3};
+  ASSERT_TRUE(
+      staging.Append(DataLocation{LocationKind::kFile, *id}, row.data(), 1)
+          .ok());
   ASSERT_TRUE(staging.FinishFileStore(*id).ok());
   // Truncate the staged file behind the manager's back.
   const std::string path =
       dir.path() + "/mwstage_" + std::to_string(*id) + ".dat";
   std::filesystem::resize_file(path, 10);
-  auto source = staging.OpenFileStore(*id);
-  EXPECT_FALSE(source.ok());
+  auto staged = staging.FileStorePath(*id);
+  ASSERT_TRUE(staged.ok());
+  EXPECT_EQ(*staged, path);
+  // The scan's reader refuses the torn file.
+  EXPECT_FALSE(HeapFileReader::Open(*staged, 3, nullptr).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -517,7 +523,10 @@ TEST(FaultInjectionTest, StagingFreeToleratesVanishedDirectory) {
   StagingManager manager(staging, 3, &cost);
   auto id = manager.BeginFileStore();
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(manager.AppendToFileStore(*id, {1, 2, 3}).ok());
+  const Row row = {1, 2, 3};
+  ASSERT_TRUE(
+      manager.Append(DataLocation{LocationKind::kFile, *id}, row.data(), 1)
+          .ok());
   std::filesystem::remove_all(staging);  // yank the directory mid-write
   // Free of a store whose backing file is gone logs and succeeds.
   EXPECT_TRUE(manager.Free(DataLocation{LocationKind::kFile, *id}).ok());
@@ -532,7 +541,10 @@ TEST(FaultInjectionTest, StagingTeardownToleratesVanishedDirectory) {
     StagingManager manager(staging, 3, &cost);
     auto id = manager.BeginFileStore();
     ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(manager.AppendToFileStore(*id, {4, 5, 6}).ok());
+    const Row row = {4, 5, 6};
+    ASSERT_TRUE(
+        manager.Append(DataLocation{LocationKind::kFile, *id}, row.data(), 1)
+            .ok());
     std::filesystem::remove_all(staging);
     // Destructor runs with the directory gone: log-and-continue, no crash.
   }
@@ -542,12 +554,16 @@ TEST(FaultInjectionTest, StagingTeardownToleratesVanishedDirectory) {
 // Middleware self-healing: every registered fault point, mid-scan.
 // ---------------------------------------------------------------------------
 
-TEST(FaultInjectionTest, MiddlewareRecoversFromSingleFaultAtEveryPoint) {
+// Grows one tree per registered fault point, that point armed to fire
+// once, over a table generated from `params`, and checks every grow heals
+// to the fault-free tree.
+void ExpectRecoveryFromEverySingleFault(const RandomTreeParams& params,
+                                        const MiddlewareConfig& base) {
   FaultScope guard;
   TempDir dir;
   const std::string staging = dir.path() + "/staging";
   std::filesystem::create_directories(staging);
-  auto dataset = RandomTreeDataset::Create(SmallTreeParams());
+  auto dataset = RandomTreeDataset::Create(params);
   ASSERT_TRUE(dataset.ok());
   SqlServer server(dir.path());
   ASSERT_TRUE(LoadIntoServer(&server, "data", (*dataset)->schema(),
@@ -556,7 +572,7 @@ TEST(FaultInjectionTest, MiddlewareRecoversFromSingleFaultAtEveryPoint) {
                              })
                   .ok());
 
-  MiddlewareConfig config;
+  MiddlewareConfig config = base;
   config.staging_dir = staging;
   config.enable_memory_staging = false;  // keep every store on disk
   config.scan_retry.initial_backoff_us = 0;
@@ -610,6 +626,23 @@ TEST(FaultInjectionTest, MiddlewareRecoversFromSingleFaultAtEveryPoint) {
   ASSERT_TRUE(append.status.ok()) << append.status.ToString();
   EXPECT_EQ(append.tree, baseline.tree);
   EXPECT_GE(append.stats.staging_aborts.load(), 1u);
+}
+
+TEST(FaultInjectionTest, MiddlewareRecoversFromSingleFaultAtEveryPoint) {
+  ExpectRecoveryFromEverySingleFault(SmallTreeParams(), MiddlewareConfig());
+}
+
+// The same sweep with every scan fanned out over four workers, staged ones
+// included. The table is large enough (~4800 rows, five morsels) that the
+// root and first-level scans really split across workers.
+TEST(FaultInjectionTest,
+     MiddlewareRecoversFromSingleFaultAtEveryPointFannedOut) {
+  RandomTreeParams params = SmallTreeParams();
+  params.cases_per_leaf = 400;
+  MiddlewareConfig config;
+  config.parallel_scan_threads = 4;
+  config.parallel_scan_min_rows = 1;
+  ExpectRecoveryFromEverySingleFault(params, config);
 }
 
 TEST(FaultInjectionTest, MiddlewarePersistentFaultsFailCleanlyOrDegrade) {

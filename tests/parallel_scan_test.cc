@@ -8,6 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,10 +21,12 @@
 #include "common/mutex.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "datagen/random_tree.h"
 #include "middleware/batch_matcher.h"
 #include "middleware/config.h"
 #include "middleware/middleware.h"
 #include "mining/cc_table.h"
+#include "mining/tree_client.h"
 #include "server/server.h"
 #include "service/shared_scan_batcher.h"
 #include "sql/expr.h"
@@ -549,17 +554,75 @@ TEST(ParallelScanTest, MemoryStoreMatchesBruteForce) {
 
 // --------------------------------------------------- middleware integration
 
-// Drives the middleware through a root-plus-children wave and returns the
-// results plus the metered cost, with scans forced through `threads`.
-struct WaveOutcome {
-  std::vector<CcResult> root;
-  std::vector<CcResult> children;
-  std::string cost;
-  uint64_t server_scans = 0;
+// One middleware configuration a grow runs under.
+struct WaveInput {
+  const char* name;
+  bool file_staging = false;
+  bool memory_staging = false;
+  size_t memory_budget_bytes = 0;  // 0: the config default
+  uint64_t overflow_check_interval = 1024;
 };
 
+// Everything a grow produces that the scan thread count must not change.
+struct WaveOutcome {
+  std::vector<CcResult> results;  // in delivery order
+  std::string tree;
+  std::string cost;
+  uint64_t cc_updates = 0;
+  uint64_t server_scans = 0;
+  uint64_t file_scans = 0;
+  uint64_t memory_scans = 0;
+  uint64_t sql_fallbacks = 0;
+  uint64_t requeues = 0;
+  int files_created = 0;
+  int memory_stores_created = 0;
+  std::map<uint64_t, std::string> staged_files;  // store id -> sealed bytes
+};
+
+// Passes a grow through to the middleware, recording each delivered CC and
+// the bytes of every staged file the batch that delivered it sealed.
+class RecordingProvider : public CcProvider {
+ public:
+  RecordingProvider(ClassificationMiddleware* middleware, WaveOutcome* out)
+      : middleware_(middleware), out_(out) {}
+
+  Status QueueRequest(CcRequest request) override {
+    return middleware_->QueueRequest(std::move(request));
+  }
+
+  StatusOr<std::vector<CcResult>> FulfillSome() override {
+    SQLCLASS_ASSIGN_OR_RETURN(std::vector<CcResult> results,
+                              middleware_->FulfillSome());
+    out_->results.insert(out_->results.end(), results.begin(), results.end());
+    const StagingManager& staging = middleware_->staging();
+    for (const DataLocation& loc : staging.LiveStores()) {
+      if (loc.kind != LocationKind::kFile ||
+          out_->staged_files.count(loc.store_id) != 0) {
+        continue;
+      }
+      SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
+                                staging.FileStorePath(loc.store_id));
+      std::ifstream in(path, std::ios::binary);
+      out_->staged_files[loc.store_id] =
+          std::string(std::istreambuf_iterator<char>(in), {});
+    }
+    return results;
+  }
+
+  void ReleaseNode(int node_id) override { middleware_->ReleaseNode(node_id); }
+  size_t PendingRequests() const override {
+    return middleware_->PendingRequests();
+  }
+
+ private:
+  ClassificationMiddleware* middleware_;
+  WaveOutcome* out_;
+};
+
+// Grows a depth-limited tree over `rows` under `input`, with every scan
+// forced through `threads` workers.
 WaveOutcome RunWave(const Schema& schema, const std::vector<Row>& rows,
-                    int threads) {
+                    const WaveInput& input, int threads) {
   WaveOutcome out;
   TempDir dir;
   SqlServer server(dir.path());
@@ -571,81 +634,144 @@ WaveOutcome RunWave(const Schema& schema, const std::vector<Row>& rows,
 
   MiddlewareConfig config;
   config.staging_dir = dir.path();
-  // Force pure server scans so serial and parallel runs execute the same
-  // plan; parallel scans require unstaged sources anyway.
-  config.enable_file_staging = false;
-  config.enable_memory_staging = false;
+  config.enable_file_staging = input.file_staging;
+  config.enable_memory_staging = input.memory_staging;
+  if (input.memory_budget_bytes != 0) {
+    config.memory_budget_bytes = input.memory_budget_bytes;
+  }
+  config.overflow_check_interval = input.overflow_check_interval;
   config.parallel_scan_threads = threads;
   config.parallel_scan_min_rows = 1;
   auto middleware = ClassificationMiddleware::Create(&server, "data", config);
   EXPECT_TRUE(middleware.ok()) << middleware.status().ToString();
+  if (!middleware.ok()) return out;
 
-  const int num_attrs = schema.class_column();
-  std::vector<int> all_attrs;
-  for (int c = 0; c < num_attrs; ++c) all_attrs.push_back(c);
-
-  CcRequest root;
-  root.node_id = 0;
-  root.parent_id = -1;
-  root.predicate = Expr::True();
-  root.active_attrs = all_attrs;
-  root.data_size = rows.size();
-  EXPECT_TRUE((*middleware)->QueueRequest(std::move(root)).ok());
-  auto root_results = (*middleware)->FulfillSome();
-  EXPECT_TRUE(root_results.ok()) << root_results.status().ToString();
-  out.root = std::move(*root_results);
-  EXPECT_EQ(out.root.size(), 1u);
-
-  // Children: split the root on A1, sizes taken from the root CC exactly as
-  // a tree client would.
-  const CcTable& root_cc = out.root[0].cc;
-  int next_id = 1;
-  for (const auto& [value, counts] : root_cc.AttributeStates(0)) {
-    uint64_t size = 0;
-    for (int64_t c : counts) size += c;
-    CcRequest child;
-    child.node_id = next_id++;
-    child.parent_id = 0;
-    child.predicate = Expr::ColEq(schema.attribute(0).name, value);
-    child.active_attrs = {1, 2};
-    child.data_size = size;
-    EXPECT_TRUE((*middleware)->QueueRequest(std::move(child)).ok());
-  }
-  while (true) {
-    auto more = (*middleware)->FulfillSome();
-    EXPECT_TRUE(more.ok()) << more.status().ToString();
-    if (more->empty()) break;
-    for (CcResult& r : *more) out.children.push_back(std::move(r));
-  }
+  RecordingProvider provider(middleware->get(), &out);
+  TreeClientConfig client_config;
+  client_config.max_depth = 4;
+  DecisionTreeClient client(schema, client_config);
+  auto tree = client.Grow(&provider, rows.size());
+  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+  if (tree.ok()) out.tree = tree->ToString(1 << 20);
 
   out.cost = server.cost_counters().ToString();
-  out.server_scans = (*middleware)->stats().server_scans.load();
+  out.cc_updates = server.cost_counters().mw_cc_updates.load();
+  const ClassificationMiddleware::Stats& stats = (*middleware)->stats();
+  out.server_scans = stats.server_scans.load();
+  out.file_scans = stats.file_scans.load();
+  out.memory_scans = stats.memory_scans.load();
+  out.sql_fallbacks = stats.sql_fallbacks.load();
+  for (const auto& batch : (*middleware)->trace()) {
+    out.requeues += static_cast<uint64_t>(batch.requeued);
+  }
+  out.files_created = (*middleware)->staging().files_created();
+  out.memory_stores_created = (*middleware)->staging().memory_stores_created();
   return out;
+}
+
+void ExpectSameWave(const WaveOutcome& serial, const WaveOutcome& parallel) {
+  ASSERT_EQ(parallel.results.size(), serial.results.size());
+  for (size_t i = 0; i < serial.results.size(); ++i) {
+    EXPECT_EQ(parallel.results[i].node_id, serial.results[i].node_id);
+    EXPECT_TRUE(parallel.results[i].cc == serial.results[i].cc)
+        << "result " << i;
+  }
+  EXPECT_EQ(parallel.tree, serial.tree);
+  // The whole point: the simulated cost model cannot see thread count.
+  EXPECT_EQ(parallel.cost, serial.cost);
+  EXPECT_EQ(parallel.server_scans, serial.server_scans);
+  EXPECT_EQ(parallel.file_scans, serial.file_scans);
+  EXPECT_EQ(parallel.memory_scans, serial.memory_scans);
+  EXPECT_EQ(parallel.sql_fallbacks, serial.sql_fallbacks);
+  EXPECT_EQ(parallel.requeues, serial.requeues);
+  EXPECT_EQ(parallel.files_created, serial.files_created);
+  EXPECT_EQ(parallel.memory_stores_created, serial.memory_stores_created);
+  EXPECT_TRUE(parallel.staged_files == serial.staged_files);
+}
+
+// A structured table wide enough (26 columns, ~80 rows a page) that a
+// 4-worker scan of it spans several segments.
+std::vector<Row> WaveRows(Schema* schema) {
+  RandomTreeParams params;
+  params.num_attributes = 25;
+  params.num_classes = 3;
+  params.num_leaves = 24;
+  params.cases_per_leaf = 1000;
+  params.seed = 53;
+  auto dataset = RandomTreeDataset::Create(params);
+  EXPECT_TRUE(dataset.ok()) << dataset.status().ToString();
+  std::vector<Row> rows;
+  if (!dataset.ok()) return rows;
+  *schema = (*dataset)->schema();
+  Status s = (*dataset)->Generate([&](const Row& row) {
+    rows.push_back(row);
+    return Status::OK();
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return rows;
 }
 
 TEST(MiddlewareParallelTest, WaveResultsAndCostMatchSerialAtAnyThreadCount) {
   Schema schema = MakeSchema({4, 5, 3}, 3);
   std::vector<Row> rows = RandomRows(schema, 4000, /*seed=*/41);
+  const WaveInput unstaged{"unstaged"};
 
-  WaveOutcome serial = RunWave(schema, rows, /*threads=*/1);
-  ASSERT_EQ(serial.root.size(), 1u);
+  WaveOutcome serial = RunWave(schema, rows, unstaged, /*threads=*/1);
+  ASSERT_FALSE(serial.results.empty());
   CcTable expected_root =
       BruteForceCc(rows, nullptr, {0, 1, 2}, schema.class_column(), 3);
-  EXPECT_TRUE(serial.root[0].cc == expected_root);
+  EXPECT_TRUE(serial.results[0].cc == expected_root);
 
   for (int threads : {2, 4}) {
-    WaveOutcome parallel = RunWave(schema, rows, threads);
-    ASSERT_EQ(parallel.root.size(), serial.root.size());
-    EXPECT_TRUE(parallel.root[0].cc == serial.root[0].cc);
-    ASSERT_EQ(parallel.children.size(), serial.children.size());
-    for (size_t i = 0; i < serial.children.size(); ++i) {
-      EXPECT_EQ(parallel.children[i].node_id, serial.children[i].node_id);
-      EXPECT_TRUE(parallel.children[i].cc == serial.children[i].cc)
-          << "threads=" << threads << " child=" << i;
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectSameWave(serial, RunWave(schema, rows, unstaged, threads));
+  }
+}
+
+// Staged batches fan out too: the stores they fill, and every later scan
+// of them, match the 1-worker grow byte for byte at any worker count.
+TEST(MiddlewareParallelTest, StagedWavesMatchSerialAtAnyThreadCount) {
+  Schema schema;
+  std::vector<Row> rows = WaveRows(&schema);
+  ASSERT_FALSE(rows.empty());
+  for (const WaveInput& input :
+       {WaveInput{"file", /*file_staging=*/true, /*memory_staging=*/false},
+        WaveInput{"memory", /*file_staging=*/false, /*memory_staging=*/true}}) {
+    SCOPED_TRACE(input.name);
+    WaveOutcome serial = RunWave(schema, rows, input, /*threads=*/1);
+    if (input.file_staging) {
+      EXPECT_GT(serial.file_scans, 0u);
+      EXPECT_FALSE(serial.staged_files.empty());
+    } else {
+      EXPECT_GT(serial.memory_scans, 0u);
     }
-    // The whole point: the simulated cost model cannot see thread count.
-    EXPECT_EQ(parallel.cost, serial.cost) << "threads=" << threads;
-    EXPECT_EQ(parallel.server_scans, serial.server_scans);
+    for (int threads : {2, 4, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ExpectSameWave(serial, RunWave(schema, rows, input, threads));
+    }
+  }
+}
+
+// A budget so tight that CC tables overflow mid-scan, checked after every
+// row: evictions land inside a segment, so the engine recounts it on the
+// coordinator and must evict exactly the nodes the serial scan evicted.
+TEST(MiddlewareParallelTest, BoundedWaveReplaysSerialEvictions) {
+  Schema schema;
+  std::vector<Row> rows = WaveRows(&schema);
+  ASSERT_FALSE(rows.empty());
+  const WaveInput bounded{"bounded", /*file_staging=*/true,
+                          /*memory_staging=*/false,
+                          /*memory_budget_bytes=*/15000,
+                          /*overflow_check_interval=*/1};
+  WaveOutcome serial = RunWave(schema, rows, bounded, /*threads=*/1);
+  // The serial scan's numbers for this grow, taken before the engine
+  // replaced it.
+  EXPECT_EQ(serial.cc_updates, 1107939u);
+  EXPECT_EQ(serial.requeues, 2u);
+  EXPECT_EQ(serial.sql_fallbacks, 5u);
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectSameWave(serial, RunWave(schema, rows, bounded, threads));
   }
 }
 

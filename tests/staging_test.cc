@@ -4,12 +4,39 @@
 
 #include <filesystem>
 
+#include "middleware/batch_matcher.h"
+#include "middleware/parallel_scan.h"
+#include "storage/heap_file.h"
 #include "test_util.h"
 
 namespace sqlclass {
 namespace {
 
 using testing_util::TempDir;
+
+Status AppendRow(StagingManager* staging, LocationKind kind, uint64_t id,
+                 const Row& row) {
+  return staging->Append(DataLocation{kind, id}, row.data(), 1);
+}
+
+// Every row of a sealed staged file, read the way a counting scan reads it.
+std::vector<Row> ReadStagedFile(const StagingManager& staging, uint64_t id,
+                                int num_columns) {
+  std::vector<Row> rows;
+  auto path = staging.FileStorePath(id);
+  EXPECT_TRUE(path.ok()) << path.status().ToString();
+  if (!path.ok()) return rows;
+  auto reader = HeapFileReader::Open(*path, num_columns, nullptr);
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  if (!reader.ok()) return rows;
+  Row row;
+  while (true) {
+    auto more = (*reader)->Next(&row);
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !*more) return rows;
+    rows.push_back(row);
+  }
+}
 
 class StagingTest : public ::testing::Test {
  protected:
@@ -23,25 +50,67 @@ class StagingTest : public ::testing::Test {
 TEST_F(StagingTest, FileStoreRoundTrip) {
   auto id = staging_.BeginFileStore();
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(staging_.AppendToFileStore(*id, {1, 2, 3}).ok());
-  ASSERT_TRUE(staging_.AppendToFileStore(*id, {4, 5, 6}).ok());
+  ASSERT_TRUE(AppendRow(&staging_, LocationKind::kFile, *id, {1, 2, 3}).ok());
+  ASSERT_TRUE(AppendRow(&staging_, LocationKind::kFile, *id, {4, 5, 6}).ok());
   ASSERT_TRUE(staging_.FinishFileStore(*id).ok());
   EXPECT_EQ(cost_.mw_file_rows_written, 2u);
+  EXPECT_EQ(ReadStagedFile(staging_, *id, 3),
+            (std::vector<Row>{{1, 2, 3}, {4, 5, 6}}));
 
-  auto source = staging_.OpenFileStore(*id);
-  ASSERT_TRUE(source.ok());
-  Row row;
-  ASSERT_TRUE(*(*source)->Next(&row));
-  EXPECT_EQ(row, (Row{1, 2, 3}));
-  ASSERT_TRUE(*(*source)->Next(&row));
-  EXPECT_EQ(row, (Row{4, 5, 6}));
-  EXPECT_FALSE(*(*source)->Next(&row));
+  // A counting scan of the store charges one middleware file read per row.
+  const std::vector<const Expr*> predicates = {nullptr};
+  BatchMatcher matcher(predicates);
+  const std::vector<int> attrs = {0, 1};
+  ParallelScanOptions options;
+  options.class_column = 2;
+  options.num_classes = 7;
+  options.matcher = &matcher;
+  options.node_attrs = {&attrs};
+  options.charge.mw_file_read = true;
+  auto scan = ParallelCountScan::OverHeapFile(
+      nullptr, *staging_.FileStorePath(*id), 3, options, &cost_, nullptr);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan->ccs[0].TotalRows(), 2);
   EXPECT_EQ(cost_.mw_file_rows_read, 2u);
+}
+
+TEST_F(StagingTest, BulkAppendMatchesRowByRowAppend) {
+  const std::vector<Value> rows = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  auto bulk = staging_.BeginFileStore();
+  auto single = staging_.BeginFileStore();
+  ASSERT_TRUE(bulk.ok());
+  ASSERT_TRUE(single.ok());
+  ASSERT_TRUE(
+      staging_.Append(DataLocation{LocationKind::kFile, *bulk}, rows.data(), 3)
+          .ok());
+  for (size_t r = 0; r < 3; ++r) {
+    ASSERT_TRUE(staging_
+                    .Append(DataLocation{LocationKind::kFile, *single},
+                            rows.data() + 3 * r, 1)
+                    .ok());
+  }
+  ASSERT_TRUE(staging_.FinishFileStore(*bulk).ok());
+  ASSERT_TRUE(staging_.FinishFileStore(*single).ok());
+  EXPECT_EQ(cost_.mw_file_rows_written, 6u);
+  EXPECT_EQ(staging_.file_bytes_used(), 6 * staging_.RowBytes());
+  EXPECT_EQ(*staging_.StoreRows(DataLocation{LocationKind::kFile, *bulk}), 3u);
+  EXPECT_EQ(ReadStagedFile(staging_, *bulk, 3),
+            ReadStagedFile(staging_, *single, 3));
+
+  uint64_t mid = staging_.BeginMemoryStore();
+  ASSERT_TRUE(
+      staging_.Append(DataLocation{LocationKind::kMemory, mid}, rows.data(), 3)
+          .ok());
+  auto store = staging_.GetMemoryStore(mid);
+  ASSERT_TRUE(store.ok());
+  ASSERT_EQ((*store)->num_rows(), 3u);
+  EXPECT_EQ((*store)->RowAt(2)[0], 7);
+  EXPECT_EQ(staging_.memory_bytes_used(), 3 * staging_.RowBytes());
 }
 
 TEST_F(StagingTest, MemoryStoreRoundTrip) {
   uint64_t id = staging_.BeginMemoryStore();
-  staging_.AppendToMemoryStore(id, {7, 8, 9});
+  ASSERT_TRUE(AppendRow(&staging_, LocationKind::kMemory, id, {7, 8, 9}).ok());
   auto store = staging_.GetMemoryStore(id);
   ASSERT_TRUE(store.ok());
   ASSERT_EQ((*store)->num_rows(), 1u);
@@ -52,11 +121,11 @@ TEST_F(StagingTest, ByteAccountingTracksBothTiers) {
   EXPECT_EQ(staging_.RowBytes(), 12u);
   auto fid = staging_.BeginFileStore();
   ASSERT_TRUE(fid.ok());
-  ASSERT_TRUE(staging_.AppendToFileStore(*fid, {1, 2, 3}).ok());
+  ASSERT_TRUE(AppendRow(&staging_, LocationKind::kFile, *fid, {1, 2, 3}).ok());
   EXPECT_EQ(staging_.file_bytes_used(), 12u);
   uint64_t mid = staging_.BeginMemoryStore();
-  staging_.AppendToMemoryStore(mid, {1, 2, 3});
-  staging_.AppendToMemoryStore(mid, {1, 2, 3});
+  ASSERT_TRUE(AppendRow(&staging_, LocationKind::kMemory, mid, {1, 2, 3}).ok());
+  ASSERT_TRUE(AppendRow(&staging_, LocationKind::kMemory, mid, {1, 2, 3}).ok());
   EXPECT_EQ(staging_.memory_bytes_used(), 24u);
   ASSERT_TRUE(staging_.FinishFileStore(*fid).ok());
   ASSERT_TRUE(staging_.Free(DataLocation{LocationKind::kFile, *fid}).ok());
@@ -67,11 +136,11 @@ TEST_F(StagingTest, ByteAccountingTracksBothTiers) {
 
 TEST_F(StagingTest, StoreRowsQueriesBothKinds) {
   auto fid = staging_.BeginFileStore();
-  ASSERT_TRUE(staging_.AppendToFileStore(*fid, {1, 2, 3}).ok());
+  ASSERT_TRUE(AppendRow(&staging_, LocationKind::kFile, *fid, {1, 2, 3}).ok());
   ASSERT_TRUE(staging_.FinishFileStore(*fid).ok());
   uint64_t mid = staging_.BeginMemoryStore();
-  staging_.AppendToMemoryStore(mid, {1, 2, 3});
-  staging_.AppendToMemoryStore(mid, {1, 2, 3});
+  ASSERT_TRUE(AppendRow(&staging_, LocationKind::kMemory, mid, {1, 2, 3}).ok());
+  ASSERT_TRUE(AppendRow(&staging_, LocationKind::kMemory, mid, {1, 2, 3}).ok());
   EXPECT_EQ(*staging_.StoreRows(DataLocation{LocationKind::kFile, *fid}), 1u);
   EXPECT_EQ(*staging_.StoreRows(DataLocation{LocationKind::kMemory, mid}),
             2u);
@@ -83,24 +152,26 @@ TEST_F(StagingTest, StoreRowsQueriesBothKinds) {
 
 TEST_F(StagingTest, FreeDeletesFileFromDisk) {
   auto fid = staging_.BeginFileStore();
-  ASSERT_TRUE(staging_.AppendToFileStore(*fid, {1, 2, 3}).ok());
+  ASSERT_TRUE(AppendRow(&staging_, LocationKind::kFile, *fid, {1, 2, 3}).ok());
   ASSERT_TRUE(staging_.FinishFileStore(*fid).ok());
   const std::string path =
       dir_.path() + "/mwstage_" + std::to_string(*fid) + ".dat";
   EXPECT_TRUE(std::filesystem::exists(path));
   ASSERT_TRUE(staging_.Free(DataLocation{LocationKind::kFile, *fid}).ok());
   EXPECT_FALSE(std::filesystem::exists(path));
-  EXPECT_FALSE(staging_.OpenFileStore(*fid).ok());
+  EXPECT_FALSE(staging_.FileStorePath(*fid).ok());
 }
 
 TEST_F(StagingTest, OpenUnfinishedFileFails) {
   auto fid = staging_.BeginFileStore();
-  ASSERT_TRUE(staging_.AppendToFileStore(*fid, {1, 2, 3}).ok());
-  EXPECT_FALSE(staging_.OpenFileStore(*fid).ok());
+  ASSERT_TRUE(AppendRow(&staging_, LocationKind::kFile, *fid, {1, 2, 3}).ok());
+  EXPECT_FALSE(staging_.FileStorePath(*fid).ok());
 }
 
 TEST_F(StagingTest, AppendToUnknownStoreFails) {
-  EXPECT_FALSE(staging_.AppendToFileStore(999, {1, 2, 3}).ok());
+  EXPECT_FALSE(AppendRow(&staging_, LocationKind::kFile, 999, {1, 2, 3}).ok());
+  EXPECT_FALSE(
+      AppendRow(&staging_, LocationKind::kMemory, 999, {1, 2, 3}).ok());
   EXPECT_FALSE(staging_.FinishFileStore(999).ok());
   EXPECT_FALSE(staging_.GetMemoryStore(999).ok());
 }
@@ -139,7 +210,7 @@ TEST_F(StagingTest, DestructorCleansUpFiles) {
     CostCounters cost;
     StagingManager staging(dir.path(), 2, &cost);
     auto fid = staging.BeginFileStore();
-    ASSERT_TRUE(staging.AppendToFileStore(*fid, {1, 2}).ok());
+    ASSERT_TRUE(AppendRow(&staging, LocationKind::kFile, *fid, {1, 2}).ok());
     ASSERT_TRUE(staging.FinishFileStore(*fid).ok());
     path = dir.path() + "/mwstage_" + std::to_string(*fid) + ".dat";
     EXPECT_TRUE(std::filesystem::exists(path));
@@ -153,7 +224,8 @@ TEST_F(StagingTest, ManyStoresCoexist) {
     auto fid = staging_.BeginFileStore();
     ASSERT_TRUE(fid.ok());
     for (int r = 0; r <= i; ++r) {
-      ASSERT_TRUE(staging_.AppendToFileStore(*fid, {r, r, r}).ok());
+      ASSERT_TRUE(
+          AppendRow(&staging_, LocationKind::kFile, *fid, {r, r, r}).ok());
     }
     ASSERT_TRUE(staging_.FinishFileStore(*fid).ok());
     fids.push_back(*fid);
