@@ -178,9 +178,9 @@ int main(int argc, char** argv) {
           GridCell cell;
           cell.shards = shards;
           cell.workers = workers;
-          // Report the transport that actually ran (the
-          // SQLCLASS_SHARDS_TRANSPORT override wins over the config).
-          cell.transport = ResolveShardTransport(transport) ==
+          // Report the transport that actually ran: the resolved config,
+          // SQLCLASS_SHARDS_TRANSPORT applied.
+          cell.transport = (*mw)->config().sharding.transport ==
                                    ShardTransportKind::kSubprocess
                                ? "subprocess"
                                : "inproc";

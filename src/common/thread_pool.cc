@@ -1,7 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <cstdlib>
-
 namespace sqlclass {
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -76,15 +74,6 @@ void ThreadPool::WorkerLoop() {
 int ThreadPool::HardwareConcurrency() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
-}
-
-int ResolveParallelThreads(int configured) {
-  if (configured > 0) return configured;
-  if (const char* env = std::getenv("SQLCLASS_PARALLEL_SCAN_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return ThreadPool::HardwareConcurrency();
 }
 
 }  // namespace sqlclass

@@ -69,13 +69,6 @@ class ThreadPool {
   std::vector<std::thread> threads_;  // last member: started after state
 };
 
-/// Resolves the `parallel_scan_threads` knob: a positive value is taken as
-/// is, 0 means hardware concurrency; the SQLCLASS_PARALLEL_SCAN_THREADS
-/// environment variable overrides the 0 default (used by the determinism
-/// harness to pin both runs of a suite to specific thread counts).
-/// BatchExecutor calls it once, in its constructor.
-int ResolveParallelThreads(int configured);
-
 }  // namespace sqlclass
 
 #endif  // SQLCLASS_COMMON_THREAD_POOL_H_

@@ -89,7 +89,9 @@ BatchExecutor::BatchExecutor(SqlServer* server, const CountingConfig& config,
                              StagingManager* staging)
     : server_(server),
       config_(config),
-      scan_threads_(ResolveParallelThreads(config.parallel_scan_threads)),
+      scan_threads_(config.parallel_scan_threads > 0
+                        ? config.parallel_scan_threads
+                        : ThreadPool::HardwareConcurrency()),
       staging_(staging) {}
 
 void BatchExecutor::DropArtifactReaders() {
@@ -280,10 +282,9 @@ Status BatchExecutor::ShardPass(State* st) {
                                &server_->io_counters()));
   }
   auto nodes = ArtifactNodes<ShardCoordinator::Node>(batch, &report->ccs);
-  const int workers = ResolveShardWorkers(config_.sharding.worker_threads);
+  const int workers = config_.sharding.worker_threads;
   const int resolved =
-      workers == 0 ? static_cast<int>(ThreadPool::HardwareConcurrency())
-                   : workers;
+      workers == 0 ? ThreadPool::HardwareConcurrency() : workers;
   if (shard_transport_ == nullptr) {
     shard_transport_ = MakeShardTransport(config_.sharding);
   }

@@ -112,8 +112,9 @@ class BatchExecutor {
   };
 
   /// `server` must outlive the executor; so must `staging` (nullable),
-  /// which batches that stage or read staged stores require. The row-scan
-  /// worker count is resolved here, once (see ResolveParallelThreads).
+  /// which batches that stage or read staged stores require. `config` is
+  /// taken as resolved (ApplyEnvOverrides); a 0 row-scan worker count
+  /// means hardware concurrency.
   BatchExecutor(SqlServer* server, const CountingConfig& config,
                 StagingManager* staging);
 

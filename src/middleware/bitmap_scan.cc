@@ -1,8 +1,6 @@
 #include "middleware/bitmap_scan.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "storage/bitmap/bitmap.h"
 
@@ -41,13 +39,6 @@ bool CollectLiterals(const Expr* expr, std::vector<Literal>* out) {
 }
 
 }  // namespace
-
-bool ResolveUseBitmapIndex(bool configured) {
-  const char* env = std::getenv("SQLCLASS_BITMAP_INDEX");
-  if (env == nullptr || env[0] == '\0') return configured;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-           std::strcmp(env, "off") == 0);
-}
 
 bool BitmapCountScan::Servable(const Expr* predicate) {
   if (predicate == nullptr) return true;

@@ -12,11 +12,6 @@
 
 namespace sqlclass {
 
-/// Applies the SQLCLASS_BITMAP_INDEX environment override to the configured
-/// `use_bitmap_index` knob: "0"/"false"/"off" forces bitmap routing off,
-/// any other value forces it on, unset keeps the configured value.
-bool ResolveUseBitmapIndex(bool configured);
-
 /// Answers CC requests from a persisted bitmap index instead of a row
 /// scan: the node bitmap is the AND of its conjunction's value bitmaps,
 /// and every (attribute value x class) count is a popcount of a three-way

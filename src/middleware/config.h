@@ -20,11 +20,6 @@ struct ApproxConfig {
   /// the exact middleware. Overridable via SQLCLASS_APPROX=0/1.
   bool enable = false;
 
-  /// Fraction of the table the scramble holds. Only consulted when the
-  /// middleware has to build the scramble itself; a pre-built scramble
-  /// carries its own ratio. Overridable via SQLCLASS_APPROX_RATIO.
-  double sampling_ratio = 0.01;
-
   /// Confidence level of the split-selection gate: a sampled answer is
   /// accepted when P(best split really is best) >= confidence under the
   /// delta-method normal approximation. Overridable via
@@ -100,9 +95,9 @@ struct ShardingConfig {
   /// coordinator's replica / primary-rescan ladder.
   RetryPolicy rpc_retry;
 
-  /// Path of the `sqlclass_shard_worker` binary. Empty resolves via
-  /// SQLCLASS_SHARD_WORKER_BIN, then well-known locations next to the
-  /// running binary (its directory, then ../tools).
+  /// Path of the `sqlclass_shard_worker` binary. SQLCLASS_SHARD_WORKER_BIN
+  /// fills an empty path; still empty, it resolves to well-known locations
+  /// next to the running binary (its directory, then ../tools).
   std::string worker_binary;
 };
 
@@ -119,16 +114,16 @@ struct CountingConfig {
   /// AND + popcount (scheduler Rule 0) whenever the server has one
   /// (SqlServer::BuildBitmapIndex). Produces byte-identical CC tables at
   /// per-bitmap-word cost instead of per-row cursor cost; a bitmap read
-  /// fault falls back transparently to the row-scan path. Overridable at
-  /// runtime via SQLCLASS_BITMAP_INDEX=0/1.
+  /// fault falls back transparently to the row-scan path. Overridable via
+  /// SQLCLASS_BITMAP_INDEX=0/1.
   bool use_bitmap_index = true;
 
   /// Worker threads for the morsel-parallel row scan every row-scan batch
   /// runs on, staged and memory-bounded ones included. 0 = resolve to
   /// hardware concurrency (overridable via SQLCLASS_PARALLEL_SCAN_THREADS,
-  /// read once when the BatchExecutor is built); 1 = one worker. CC
-  /// tables, evictions, staged stores and logical costs are
-  /// thread-count-invariant; only wall time changes.
+  /// which fills only a 0); 1 = one worker. CC tables, evictions, staged
+  /// stores and logical costs are thread-count-invariant; only wall time
+  /// changes.
   int parallel_scan_threads = 0;
 
   /// Minimum source rows before a row scan fans out over more than one
@@ -198,6 +193,15 @@ struct MiddlewareConfig : CountingConfig {
   /// Approximate counting via the table's scramble (scheduler Rule 7).
   ApproxConfig approx;
 };
+
+/// Applies the SQLCLASS_* environment overrides of the knobs above to
+/// `config`, from the one table in config.cc (documented in README.md
+/// "Robustness knobs"). ClassificationMiddleware::Create and
+/// ClassificationService::Create call it once, before validating; every
+/// consumer reads the result, so changing the environment later changes
+/// nothing. An unset, empty or out-of-domain value keeps the field.
+void ApplyEnvOverrides(CountingConfig* config);
+void ApplyEnvOverrides(MiddlewareConfig* config);  // also the approx knobs
 
 }  // namespace sqlclass
 

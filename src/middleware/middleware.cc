@@ -31,6 +31,7 @@ ClassificationMiddleware::Create(SqlServer* server, const std::string& table,
   if (config.overflow_check_interval == 0) {
     return Status::InvalidArgument("overflow check interval must be >= 1");
   }
+  ApplyEnvOverrides(&config);
   SQLCLASS_RETURN_IF_ERROR(Validate(config));
   return std::unique_ptr<ClassificationMiddleware>(
       new ClassificationMiddleware(server, table, *schema, rows,
@@ -150,18 +151,13 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::FulfillSome() {
 
 StatusOr<std::vector<CcResult>> ClassificationMiddleware::PlanAndExecuteOne() {
   std::vector<CcResult> results;
-  const bool sample_routing =
-      ResolveApproxEnabled(config_.approx.enable) &&
-      ResolveApproxExactness(config_.approx.exactness) < 1.0 &&
-      server_->HasSampleTable(table_);
+  const bool sample_routing = config_.approx.enable &&
+                              config_.approx.exactness < 1.0 &&
+                              server_->HasSampleTable(table_);
   const bool bitmap_routing =
-      ResolveUseBitmapIndex(config_.use_bitmap_index) &&
-      server_->HasBitmapIndex(table_);
+      config_.use_bitmap_index && server_->HasBitmapIndex(table_);
   const bool shard_routing =
-      ResolveShardingEnabled(config_.sharding.enable) &&
-      server_->HasShardSet(table_);
-  const uint64_t shard_min_rows =
-      ResolveShardMinRows(config_.sharding.min_node_rows);
+      config_.sharding.enable && server_->HasShardSet(table_);
   std::vector<SchedItem> items;
   items.reserve(pending_.size());
   std::map<DataLocation, uint64_t> store_rows;
@@ -183,7 +179,7 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::PlanAndExecuteOne() {
         pending.request.data_size >= config_.approx.min_node_rows;
     item.shard_servable =
         shard_routing && pending.location.kind == LocationKind::kServer &&
-        pending.request.data_size >= shard_min_rows;
+        pending.request.data_size >= config_.sharding.min_node_rows;
     items.push_back(item);
     if (pending.location.kind != LocationKind::kServer &&
         store_rows.count(pending.location) == 0) {
@@ -308,14 +304,11 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
   // never route back to the scramble.
   std::vector<bool> escalate(n, false);
   if (trace.served_from_sample) {
-    const double confidence =
-        ResolveApproxConfidence(config_.approx.confidence);
-    const double exactness = ResolveApproxExactness(config_.approx.exactness);
     for (int pos = 0; pos < n; ++pos) {
       const SampleGateResult gate = EvaluateSampleGate(
           ccs[pos], batch[pos].request.active_attrs,
-          config_.approx.gate_criterion, report.sample_rows[pos], confidence,
-          exactness);
+          config_.approx.gate_criterion, report.sample_rows[pos],
+          config_.approx.confidence, config_.approx.exactness);
       sample_decisions_.push_back({batch[pos].request.node_id, gate.accept,
                                    gate.gap, gate.threshold});
       if (gate.accept) {

@@ -20,6 +20,35 @@
 
 namespace sqlclass {
 
+/// The counters of ClassificationMiddleware::Stats, listed once so the
+/// declarations and the copy cannot drift apart.
+#define SQLCLASS_MIDDLEWARE_STATS(X)                                        \
+  X(batches)                                                                \
+  X(nodes_fulfilled)                                                        \
+  X(server_scans)                                                           \
+  X(file_scans)                                                             \
+  X(memory_scans)                                                           \
+  X(sql_fallbacks)                                                          \
+  X(stores_freed)                                                           \
+  X(stores_evicted)        /* memory stores evicted under CC pressure */    \
+  X(file_splits)           /* batches that triggered file splitting */      \
+  X(scan_retries)          /* server-source passes retried */               \
+  X(degraded_scans)        /* staged sources re-serviced from the server */ \
+  X(stores_invalidated)    /* stores dropped after a read fault */          \
+  X(staging_aborts)        /* batches that gave up staging mid-scan */      \
+  X(checksum_failures)     /* kDataLoss passes observed */                  \
+  X(bitmap_scans)          /* batches served from the bitmap index */       \
+  X(bitmap_fallbacks)      /* bitmap passes degraded to row scans */        \
+  X(sample_served_nodes)   /* nodes whose CC the gate accepted */           \
+  X(sample_escalations)    /* gate rejections requeued exact */             \
+  X(sample_fallbacks)      /* sample passes degraded to exact scans */      \
+  X(shard_scans)           /* batches served by the sharded fan-out */      \
+  X(shard_fallbacks)       /* shard passes degraded to row scans */         \
+  X(shard_rescans)         /* dead shards recovered from the primary */     \
+  X(shard_replica_rescans) /* dead shards recovered from replicas */        \
+  X(shard_rpc_timeouts)    /* RPC deadline expiries (subprocess) */         \
+  X(shard_worker_restarts) /* workers respawned after a kill or crash */
+
 /// The scalable classification middleware (§4) — the paper's primary
 /// contribution. Sits between a sufficient-statistics-driven client
 /// (decision tree, Naive Bayes, ...) and the SQL backend and fulfills CC
@@ -45,65 +74,18 @@ class ClassificationMiddleware : public CcProvider {
   /// (e.g. through middleware/async_provider.h); the middleware itself
   /// mutates them from the single thread that drives it.
   struct Stats {
-    std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> nodes_fulfilled{0};
-    std::atomic<uint64_t> server_scans{0};
-    std::atomic<uint64_t> file_scans{0};
-    std::atomic<uint64_t> memory_scans{0};
-    std::atomic<uint64_t> sql_fallbacks{0};
-    std::atomic<uint64_t> stores_freed{0};
-    std::atomic<uint64_t> stores_evicted{0};  // memory stores evicted under CC pressure
-    std::atomic<uint64_t> file_splits{0};  // batches that triggered file splitting
-    std::atomic<uint64_t> scan_retries{0};   // server-source passes retried
-    std::atomic<uint64_t> degraded_scans{0};  // staged sources re-serviced from the server
-    std::atomic<uint64_t> stores_invalidated{0};  // stores dropped after a read fault
-    std::atomic<uint64_t> staging_aborts{0};  // batches that gave up staging mid-scan
-    std::atomic<uint64_t> checksum_failures{0};  // kDataLoss passes observed
-    std::atomic<uint64_t> bitmap_scans{0};  // batches served from the bitmap index
-    std::atomic<uint64_t> bitmap_fallbacks{0};  // bitmap passes degraded to row scans
-    std::atomic<uint64_t> sample_served_nodes{0};  // nodes whose CC the gate accepted
-    std::atomic<uint64_t> sample_escalations{0};  // gate rejections requeued exact
-    std::atomic<uint64_t> sample_fallbacks{0};  // sample passes degraded to exact scans
-    std::atomic<uint64_t> shard_scans{0};  // batches served by the sharded fan-out
-    std::atomic<uint64_t> shard_fallbacks{0};  // shard passes degraded to row scans
-    std::atomic<uint64_t> shard_rescans{0};  // dead shards recovered from the primary
-    std::atomic<uint64_t> shard_replica_rescans{0};  // dead shards recovered from replicas
-    std::atomic<uint64_t> shard_rpc_timeouts{0};  // RPC deadline expiries (subprocess transport)
-    std::atomic<uint64_t> shard_worker_restarts{0};  // worker processes respawned after a kill/crash
+#define SQLCLASS_STATS_DECLARE(name) std::atomic<uint64_t> name{0};
+    SQLCLASS_MIDDLEWARE_STATS(SQLCLASS_STATS_DECLARE)
+#undef SQLCLASS_STATS_DECLARE
 
     Stats() = default;
     Stats(const Stats& other) { *this = other; }
     Stats& operator=(const Stats& other) {
-      auto copy = [](std::atomic<uint64_t>& dst,
-                     const std::atomic<uint64_t>& src) {
-        dst.store(src.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-      };
-      copy(batches, other.batches);
-      copy(nodes_fulfilled, other.nodes_fulfilled);
-      copy(server_scans, other.server_scans);
-      copy(file_scans, other.file_scans);
-      copy(memory_scans, other.memory_scans);
-      copy(sql_fallbacks, other.sql_fallbacks);
-      copy(stores_freed, other.stores_freed);
-      copy(stores_evicted, other.stores_evicted);
-      copy(file_splits, other.file_splits);
-      copy(scan_retries, other.scan_retries);
-      copy(degraded_scans, other.degraded_scans);
-      copy(stores_invalidated, other.stores_invalidated);
-      copy(staging_aborts, other.staging_aborts);
-      copy(checksum_failures, other.checksum_failures);
-      copy(bitmap_scans, other.bitmap_scans);
-      copy(bitmap_fallbacks, other.bitmap_fallbacks);
-      copy(sample_served_nodes, other.sample_served_nodes);
-      copy(sample_escalations, other.sample_escalations);
-      copy(sample_fallbacks, other.sample_fallbacks);
-      copy(shard_scans, other.shard_scans);
-      copy(shard_fallbacks, other.shard_fallbacks);
-      copy(shard_rescans, other.shard_rescans);
-      copy(shard_replica_rescans, other.shard_replica_rescans);
-      copy(shard_rpc_timeouts, other.shard_rpc_timeouts);
-      copy(shard_worker_restarts, other.shard_worker_restarts);
+#define SQLCLASS_STATS_COPY(name)                        \
+  name.store(other.name.load(std::memory_order_relaxed), \
+             std::memory_order_relaxed);
+      SQLCLASS_MIDDLEWARE_STATS(SQLCLASS_STATS_COPY)
+#undef SQLCLASS_STATS_COPY
       return *this;
     }
   };
@@ -170,6 +152,8 @@ class ClassificationMiddleware : public CcProvider {
   }
   const StagingManager& staging() const { return *staging_; }
   const Estimator& estimator() const { return estimator_; }
+  /// The configuration as Create resolved it, environment overrides
+  /// applied (ApplyEnvOverrides).
   const MiddlewareConfig& config() const { return config_; }
 
  private:

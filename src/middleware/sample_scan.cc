@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <numeric>
 
 #include "middleware/batch_matcher.h"
@@ -11,23 +9,6 @@
 namespace sqlclass {
 
 namespace {
-
-bool EnvFlagOff(const char* env) {
-  return std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-         std::strcmp(env, "off") == 0;
-}
-
-/// Parses `name` as a double; returns `configured` when unset or unparsable
-/// or when the parsed value fails `valid`.
-template <typename Pred>
-double ResolveDoubleEnv(const char* name, double configured, Pred valid) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return configured;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !std::isfinite(parsed)) return configured;
-  return valid(parsed) ? parsed : configured;
-}
 
 /// Largest-remainder apportionment: scales `counts` (non-negative, summing
 /// to `source_total` > 0) to integers summing to exactly `target`,
@@ -62,27 +43,6 @@ std::vector<int64_t> Apportion(const std::vector<int64_t>& counts,
 }
 
 }  // namespace
-
-bool ResolveApproxEnabled(bool configured) {
-  const char* env = std::getenv("SQLCLASS_APPROX");
-  if (env == nullptr || env[0] == '\0') return configured;
-  return !EnvFlagOff(env);
-}
-
-double ResolveApproxRatio(double configured) {
-  return ResolveDoubleEnv("SQLCLASS_APPROX_RATIO", configured,
-                          [](double v) { return v > 0.0 && v <= 1.0; });
-}
-
-double ResolveApproxConfidence(double configured) {
-  return ResolveDoubleEnv("SQLCLASS_APPROX_CONFIDENCE", configured,
-                          [](double v) { return v > 0.0 && v < 1.0; });
-}
-
-double ResolveApproxExactness(double configured) {
-  return ResolveDoubleEnv("SQLCLASS_APPROX_EXACTNESS", configured,
-                          [](double v) { return v >= 0.0 && v <= 1.0; });
-}
 
 Status SampleCountScan::Run(SampleFileReader* reader, const Schema& schema,
                             std::vector<Node>* nodes, CostCounters* cost) {

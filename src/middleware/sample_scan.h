@@ -15,23 +15,6 @@
 
 namespace sqlclass {
 
-/// SQLCLASS_APPROX environment override for ApproxConfig::enable:
-/// "0"/"false"/"off" forces the approximate path off, any other value forces
-/// it on, unset keeps the configured value.
-bool ResolveApproxEnabled(bool configured);
-
-/// SQLCLASS_APPROX_RATIO override for ApproxConfig::sampling_ratio. Values
-/// outside (0, 1] (or unparsable) keep the configured value.
-double ResolveApproxRatio(double configured);
-
-/// SQLCLASS_APPROX_CONFIDENCE override for ApproxConfig::confidence. Values
-/// outside (0, 1) keep the configured value.
-double ResolveApproxConfidence(double configured);
-
-/// SQLCLASS_APPROX_EXACTNESS override for ApproxConfig::exactness. Values
-/// outside [0, 1] (or unparsable) keep the configured value.
-double ResolveApproxExactness(double configured);
-
 /// Answers CC requests from the table's scramble (storage/sample): one pass
 /// over the pre-shuffled sample rows builds every batch node's *sample* CC
 /// table, at mw_sample_row_read_us per sample row per node instead of

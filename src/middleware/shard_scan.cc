@@ -1,8 +1,5 @@
 #include "middleware/shard_scan.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/fault_injector.h"
 #include "storage/heap_file.h"
 #include "storage/row_batch.h"
@@ -10,11 +7,6 @@
 namespace sqlclass {
 
 namespace {
-
-bool EnvFlagOff(const char* env) {
-  return std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-         std::strcmp(env, "off") == 0;
-}
 
 /// Scans the heap file at `path` — the task's shard heap, or its
 /// byte-identical replica during recovery — folding matching rows into the
@@ -57,52 +49,6 @@ Status ScanShardHeapFile(const ShardTask& task, const std::string& path) {
 }
 
 }  // namespace
-
-bool ResolveShardingEnabled(bool configured) {
-  const char* env = std::getenv("SQLCLASS_SHARDS");
-  if (env == nullptr || env[0] == '\0') return configured;
-  return !EnvFlagOff(env);
-}
-
-int ResolveShardWorkers(int configured) {
-  const char* env = std::getenv("SQLCLASS_SHARDS_WORKERS");
-  if (env == nullptr || env[0] == '\0') return configured;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || parsed < 0) return configured;
-  return static_cast<int>(parsed);
-}
-
-uint64_t ResolveShardMinRows(uint64_t configured) {
-  const char* env = std::getenv("SQLCLASS_SHARDS_MIN_ROWS");
-  if (env == nullptr || env[0] == '\0') return configured;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(env, &end, 10);
-  if (end == env || *end != '\0' || parsed < 0) return configured;
-  return static_cast<uint64_t>(parsed);
-}
-
-ShardTransportKind ResolveShardTransport(ShardTransportKind configured) {
-  const char* env = std::getenv("SQLCLASS_SHARDS_TRANSPORT");
-  if (env == nullptr || env[0] == '\0') return configured;
-  if (std::strcmp(env, "inproc") == 0 || std::strcmp(env, "0") == 0) {
-    return ShardTransportKind::kInProcess;
-  }
-  if (std::strcmp(env, "subprocess") == 0 || std::strcmp(env, "oop") == 0 ||
-      std::strcmp(env, "1") == 0) {
-    return ShardTransportKind::kSubprocess;
-  }
-  return configured;
-}
-
-int ResolveShardRpcDeadlineMs(int configured) {
-  const char* env = std::getenv("SQLCLASS_SHARDS_RPC_DEADLINE_MS");
-  if (env == nullptr || env[0] == '\0') return configured;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || parsed <= 0) return configured;
-  return static_cast<int>(parsed);
-}
 
 Status InProcessShardTransport::RunShard(const ShardTask& task) {
   SQLCLASS_FAULT_POINT(faults::kShardWorker);

@@ -19,31 +19,6 @@
 
 namespace sqlclass {
 
-/// SQLCLASS_SHARDS environment override for ShardingConfig::enable:
-/// "0"/"false"/"off" forces the sharded path off, any other value forces it
-/// on, unset keeps the configured value.
-bool ResolveShardingEnabled(bool configured);
-
-/// SQLCLASS_SHARDS_WORKERS override for ShardingConfig::worker_threads.
-/// Negative or unparsable values keep the configured value; the resolved 0
-/// means hardware concurrency (applied by the coordinator).
-int ResolveShardWorkers(int configured);
-
-/// SQLCLASS_SHARDS_MIN_ROWS override for ShardingConfig::min_node_rows.
-/// Negative or unparsable values keep the configured value.
-uint64_t ResolveShardMinRows(uint64_t configured);
-
-/// SQLCLASS_SHARDS_TRANSPORT override for ShardingConfig::transport:
-/// "inproc" (also "0") forces the in-process transport, "subprocess" (also
-/// "oop", "1") the out-of-process one; anything else keeps the configured
-/// value.
-ShardTransportKind ResolveShardTransport(ShardTransportKind configured);
-
-/// SQLCLASS_SHARDS_RPC_DEADLINE_MS override for
-/// ShardingConfig::rpc_deadline_ms. Non-positive or unparsable values keep
-/// the configured value.
-int ResolveShardRpcDeadlineMs(int configured);
-
 /// The work order one shard worker executes: scan the shard heap file and
 /// build a partial CC table per batch node. Everything a worker touches is
 /// either owned by it (`partials`, `rows_scanned`, `io`) or read-only and

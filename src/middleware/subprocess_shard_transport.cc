@@ -41,10 +41,6 @@ bool IsExecutable(const std::string& path) {
 std::string ResolveShardWorkerBinary(const std::string& configured) {
   if (IsExecutable(configured)) return configured;
   if (!configured.empty()) return std::string();  // explicit path, missing
-  const char* env = std::getenv("SQLCLASS_SHARD_WORKER_BIN");
-  if (env != nullptr && env[0] != '\0') {
-    return IsExecutable(env) ? std::string(env) : std::string();
-  }
   const std::string dir = SelfExeDir();
   if (dir.empty()) return std::string();
   const std::string candidates[] = {
@@ -299,16 +295,15 @@ Status SubprocessShardTransport::RunShard(const ShardTask& task) {
 
 std::unique_ptr<ShardTransport> MakeShardTransport(
     const ShardingConfig& config) {
-  if (ResolveShardTransport(config.transport) ==
-      ShardTransportKind::kInProcess) {
+  if (config.transport == ShardTransportKind::kInProcess) {
     return std::make_unique<InProcessShardTransport>();
   }
   SubprocessShardTransport::Options options;
   options.worker_binary = config.worker_binary;
-  int pool = ResolveShardWorkers(config.worker_threads);
-  if (pool <= 0) pool = ThreadPool::HardwareConcurrency();
-  options.pool_size = pool;
-  options.rpc_deadline_ms = ResolveShardRpcDeadlineMs(config.rpc_deadline_ms);
+  options.pool_size = config.worker_threads > 0
+                          ? config.worker_threads
+                          : ThreadPool::HardwareConcurrency();
+  options.rpc_deadline_ms = config.rpc_deadline_ms;
   options.retry = config.rpc_retry;
   return std::make_unique<SubprocessShardTransport>(options);
 }

@@ -17,11 +17,10 @@
 
 namespace sqlclass {
 
-/// Resolves the worker binary path: `configured` when non-empty, else the
-/// SQLCLASS_SHARD_WORKER_BIN environment variable, else well-known
-/// locations relative to the running binary (its own directory, then
-/// ../tools — where the build tree puts it relative to tests and benches).
-/// Empty when nothing executable is found.
+/// Resolves the worker binary path: `configured` when non-empty, else
+/// well-known locations relative to the running binary (its own directory,
+/// then ../tools — where the build tree puts it relative to tests and
+/// benches). Empty when nothing executable is found.
 std::string ResolveShardWorkerBinary(const std::string& configured);
 
 /// ShardTransport over a pool of pre-forked `sqlclass_shard_worker`

@@ -54,6 +54,7 @@ StatusOr<std::unique_ptr<ClassificationService>> ClassificationService::Create(
   if (config.memory_budget_bytes == 0) {
     return Status::InvalidArgument("memory budget must be positive");
   }
+  ApplyEnvOverrides(&config);
   SQLCLASS_RETURN_IF_ERROR(Validate(config));
   return std::unique_ptr<ClassificationService>(
       new ClassificationService(base_dir, std::move(config)));

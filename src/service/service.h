@@ -73,6 +73,10 @@ class ClassificationService {
   /// Point-in-time service health; safe while sessions run.
   ServiceMetrics Metrics() const;
 
+  /// The configuration as Create resolved it, environment overrides
+  /// applied (ApplyEnvOverrides).
+  const ServiceConfig& config() const { return config_; }
+
   /// The embedded server and the mutex serializing access to it — for
   /// tests and benchmarks that inspect global counters or prepare data
   /// out-of-band. Hold the mutex across any server call.

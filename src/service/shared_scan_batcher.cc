@@ -327,18 +327,17 @@ Status SharedScanBatcher::CountBatch(const std::string& table,
   request.schema = &schema;
   request.table_rows = table_rows;
   request.ordinal = ordinal;
-  request.plan.from_bitmap = ResolveUseBitmapIndex(config_.use_bitmap_index) &&
-                            server_->HasBitmapIndex(table);
+  request.plan.from_bitmap =
+      config_.use_bitmap_index && server_->HasBitmapIndex(table);
   for (const PendingReq& p : batch) {
     request.requests.push_back(&p.request);
     request.plan.from_bitmap =
         request.plan.from_bitmap &&
         BitmapCountScan::Servable(p.request.predicate.get());
   }
-  request.plan.from_shards =
-      ResolveShardingEnabled(config_.sharding.enable) &&
-      server_->HasShardSet(table) &&
-      table_rows >= ResolveShardMinRows(config_.sharding.min_node_rows);
+  request.plan.from_shards = config_.sharding.enable &&
+                             server_->HasShardSet(table) &&
+                             table_rows >= config_.sharding.min_node_rows;
   // The index or shard set may have been rebuilt since the last scan; the
   // header / map re-read is one page.
   executor_.DropArtifactReaders();

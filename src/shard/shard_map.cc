@@ -1,9 +1,9 @@
 #include "shard/shard_map.h"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "common/bytes.h"
+#include "common/env.h"
 #include "common/fault_injector.h"
 #include "storage/checksum.h"
 #include "storage/row_batch.h"
@@ -116,9 +116,7 @@ std::string ShardReplicaPathFor(const std::string& heap_path, uint32_t shard) {
 
 bool ResolveShardReplicas(bool configured) {
   const char* env = std::getenv("SQLCLASS_SHARDS_REPLICAS");
-  if (env == nullptr || env[0] == '\0') return configured;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-           std::strcmp(env, "off") == 0);
+  return env == nullptr || env[0] == '\0' ? configured : ParseEnvFlag(env);
 }
 
 uint32_t ShardForRow(ShardScheme scheme, uint64_t row_ordinal,

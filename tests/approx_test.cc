@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -21,11 +20,13 @@
 #include "mining/split.h"
 #include "mining/tree_client.h"
 #include "server/server.h"
+#include "test_env.h"
 #include "test_util.h"
 
 namespace sqlclass {
 namespace {
 
+using testing_util::EnvVarScope;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 using testing_util::TempDir;
@@ -34,32 +35,6 @@ class FaultScope {
  public:
   FaultScope() { FaultInjector::Global().Reset(); }
   ~FaultScope() { FaultInjector::Global().Reset(); }
-};
-
-class EnvVarScope {
- public:
-  EnvVarScope(const char* name, const char* value) : name_(name) {
-    const char* prev = std::getenv(name);
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~EnvVarScope() {
-    if (had_prev_) {
-      setenv(name_.c_str(), prev_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string prev_;
-  bool had_prev_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -245,59 +220,6 @@ TEST(GateTest, MoreSampleRowsShrinkTheThreshold) {
   EXPECT_LT(large.threshold, small.threshold);
   EXPECT_NEAR(large.threshold, small.threshold / std::sqrt(10.0),
               small.threshold * 0.05);
-}
-
-// ---------------------------------------------------------------------------
-// Environment knob resolution.
-// ---------------------------------------------------------------------------
-
-TEST(ApproxEnvTest, EnableOverride) {
-  {
-    EnvVarScope env("SQLCLASS_APPROX", nullptr);
-    EXPECT_TRUE(ResolveApproxEnabled(true));
-    EXPECT_FALSE(ResolveApproxEnabled(false));
-  }
-  for (const char* off : {"0", "false", "off"}) {
-    EnvVarScope env("SQLCLASS_APPROX", off);
-    EXPECT_FALSE(ResolveApproxEnabled(true)) << off;
-  }
-  EnvVarScope env("SQLCLASS_APPROX", "1");
-  EXPECT_TRUE(ResolveApproxEnabled(false));
-}
-
-TEST(ApproxEnvTest, NumericOverridesValidateTheirDomains) {
-  {
-    EnvVarScope env("SQLCLASS_APPROX_RATIO", "0.25");
-    EXPECT_DOUBLE_EQ(ResolveApproxRatio(0.01), 0.25);
-  }
-  for (const char* bad : {"0", "-0.5", "1.5", "abc", "nan", ""}) {
-    EnvVarScope env("SQLCLASS_APPROX_RATIO", bad);
-    EXPECT_DOUBLE_EQ(ResolveApproxRatio(0.01), 0.01) << bad;
-  }
-  {
-    EnvVarScope env("SQLCLASS_APPROX_RATIO", "1.0");  // ratio may be 1
-    EXPECT_DOUBLE_EQ(ResolveApproxRatio(0.01), 1.0);
-  }
-  {
-    EnvVarScope env("SQLCLASS_APPROX_CONFIDENCE", "0.99");
-    EXPECT_DOUBLE_EQ(ResolveApproxConfidence(0.95), 0.99);
-  }
-  for (const char* bad : {"0", "1", "1.0", "junk"}) {  // open interval
-    EnvVarScope env("SQLCLASS_APPROX_CONFIDENCE", bad);
-    EXPECT_DOUBLE_EQ(ResolveApproxConfidence(0.95), 0.95) << bad;
-  }
-  {
-    EnvVarScope env("SQLCLASS_APPROX_EXACTNESS", "1.0");  // closed interval
-    EXPECT_DOUBLE_EQ(ResolveApproxExactness(0.0), 1.0);
-  }
-  {
-    EnvVarScope env("SQLCLASS_APPROX_EXACTNESS", "0");
-    EXPECT_DOUBLE_EQ(ResolveApproxExactness(0.5), 0.0);
-  }
-  for (const char* bad : {"-0.1", "1.1", "x"}) {
-    EnvVarScope env("SQLCLASS_APPROX_EXACTNESS", bad);
-    EXPECT_DOUBLE_EQ(ResolveApproxExactness(0.5), 0.5) << bad;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -206,27 +205,6 @@ TEST_F(BatchExecutorTest, UnboundedBatchesNeverEvict) {
   EXPECT_EQ(report.evicted.at(0),
             BatchExecutor::Report::Eviction::kSqlFallback);
   EXPECT_GT(report.observed_bytes.at(0), 1u);
-}
-
-// The SQLCLASS_PARALLEL_SCAN_THREADS override is resolved once, when the
-// executor is built: changing it afterwards leaves the worker count alone.
-TEST_F(BatchExecutorTest, ThreadOverrideIsReadOnceAtConstruction) {
-  CountingConfig config;  // parallel_scan_threads = 0 defers to the override
-  ASSERT_EQ(setenv("SQLCLASS_PARALLEL_SCAN_THREADS", "3", 1), 0);
-  BatchExecutor executor(server_.get(), config, /*staging=*/nullptr);
-  EXPECT_EQ(executor.scan_threads(), 3);
-
-  ASSERT_EQ(setenv("SQLCLASS_PARALLEL_SCAN_THREADS", "5", 1), 0);
-  EXPECT_EQ(executor.scan_threads(), 3);
-  BatchExecutor::Report report;
-  ASSERT_TRUE(executor.Run(RootBatch(), &report).ok());
-  EXPECT_EQ(executor.scan_threads(), 3);
-  ASSERT_EQ(unsetenv("SQLCLASS_PARALLEL_SCAN_THREADS"), 0);
-  EXPECT_EQ(executor.scan_threads(), 3);
-
-  // An explicit count never consults the environment.
-  config.parallel_scan_threads = 2;
-  EXPECT_EQ(BatchExecutor(server_.get(), config, nullptr).scan_threads(), 2);
 }
 
 }  // namespace

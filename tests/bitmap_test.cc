@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -26,12 +25,14 @@
 #include "storage/bitmap/bitmap_index.h"
 #include "storage/checksum.h"
 #include "storage/heap_file.h"
+#include "test_env.h"
 #include "test_util.h"
 
 namespace sqlclass {
 namespace {
 
 using testing_util::BruteForceCc;
+using testing_util::EnvVarScope;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 using testing_util::TempDir;
@@ -55,33 +56,6 @@ class ChecksumToggle {
 
  private:
   bool prev_;
-};
-
-/// Restores (or clears) one environment variable on scope exit.
-class EnvVarScope {
- public:
-  EnvVarScope(const char* name, const char* value) : name_(name) {
-    const char* prev = std::getenv(name);
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~EnvVarScope() {
-    if (had_prev_) {
-      setenv(name_.c_str(), prev_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string prev_;
-  bool had_prev_ = false;
 };
 
 std::vector<uint32_t> Cardinalities(const Schema& schema) {
@@ -441,20 +415,6 @@ TEST(BitmapServableTest, ClassifiesPredicateShapes) {
   EXPECT_FALSE(BitmapCountScan::Servable(Expr::Or(std::move(ors)).get()));
   EXPECT_FALSE(
       BitmapCountScan::Servable(Expr::Not(Expr::ColEq("a", 1)).get()));
-}
-
-TEST(BitmapKnobTest, EnvOverridesConfiguredValue) {
-  {
-    EnvVarScope env("SQLCLASS_BITMAP_INDEX", nullptr);
-    EXPECT_TRUE(ResolveUseBitmapIndex(true));
-    EXPECT_FALSE(ResolveUseBitmapIndex(false));
-  }
-  for (const char* off : {"0", "false", "off"}) {
-    EnvVarScope env("SQLCLASS_BITMAP_INDEX", off);
-    EXPECT_FALSE(ResolveUseBitmapIndex(true));
-  }
-  EnvVarScope env("SQLCLASS_BITMAP_INDEX", "1");
-  EXPECT_TRUE(ResolveUseBitmapIndex(false));
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -22,6 +21,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "datagen/random_tree.h"
+#include "middleware/batch_executor.h"
 #include "middleware/batch_matcher.h"
 #include "middleware/config.h"
 #include "middleware/middleware.h"
@@ -33,6 +33,7 @@
 #include "storage/heap_file.h"
 #include "storage/row_batch.h"
 #include "storage/row_store.h"
+#include "test_env.h"
 #include "test_util.h"
 
 namespace sqlclass {
@@ -70,16 +71,25 @@ TEST(ThreadPoolTest, ClampsToAtLeastOneThread) {
 }
 
 TEST(ThreadPoolTest, ResolveParallelThreads) {
-  EXPECT_EQ(ResolveParallelThreads(3), 3);
-  EXPECT_EQ(ResolveParallelThreads(1), 1);
+  // The executor's thread count: a configured count, else the environment
+  // override, else hardware concurrency.
+  auto resolved = [](int configured) {
+    CountingConfig config;
+    config.parallel_scan_threads = configured;
+    ApplyEnvOverrides(&config);
+    return BatchExecutor(nullptr, config, nullptr).scan_threads();
+  };
+  testing_util::EnvVarScope env("SQLCLASS_PARALLEL_SCAN_THREADS", nullptr);
+  EXPECT_EQ(resolved(3), 3);
+  EXPECT_EQ(resolved(1), 1);
 
   // 0 defers to the environment override, then to hardware concurrency.
-  setenv("SQLCLASS_PARALLEL_SCAN_THREADS", "5", 1);
-  EXPECT_EQ(ResolveParallelThreads(0), 5);
-  setenv("SQLCLASS_PARALLEL_SCAN_THREADS", "not-a-number", 1);
-  EXPECT_EQ(ResolveParallelThreads(0), ThreadPool::HardwareConcurrency());
-  unsetenv("SQLCLASS_PARALLEL_SCAN_THREADS");
-  EXPECT_EQ(ResolveParallelThreads(0), ThreadPool::HardwareConcurrency());
+  env.Set("5");
+  EXPECT_EQ(resolved(0), 5);
+  env.Set("not-a-number");
+  EXPECT_EQ(resolved(0), ThreadPool::HardwareConcurrency());
+  env.Set(nullptr);
+  EXPECT_EQ(resolved(0), ThreadPool::HardwareConcurrency());
   EXPECT_GE(ThreadPool::HardwareConcurrency(), 1);
 }
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -24,11 +23,13 @@
 #include "service/service.h"
 #include "shard/shard_map.h"
 #include "storage/heap_file.h"
+#include "test_env.h"
 #include "test_util.h"
 
 namespace sqlclass {
 namespace {
 
+using testing_util::EnvVarScope;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 using testing_util::TempDir;
@@ -37,32 +38,6 @@ class FaultScope {
  public:
   FaultScope() { FaultInjector::Global().Reset(); }
   ~FaultScope() { FaultInjector::Global().Reset(); }
-};
-
-class EnvVarScope {
- public:
-  EnvVarScope(const char* name, const char* value) : name_(name) {
-    const char* prev = std::getenv(name);
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~EnvVarScope() {
-    if (had_prev_) {
-      setenv(name_.c_str(), prev_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string prev_;
-  bool had_prev_ = false;
 };
 
 std::string ReadFileBytes(const std::string& path) {
@@ -221,47 +196,6 @@ TEST(ShardMapTest, ShardForRowIsDeterministicAndInRange) {
   }
   // One shard degenerates to "everything".
   EXPECT_EQ(ShardForRow(ShardScheme::kHashRowId, 12345, 1), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Environment knob resolution.
-// ---------------------------------------------------------------------------
-
-TEST(ShardEnvTest, EnableOverride) {
-  {
-    EnvVarScope env("SQLCLASS_SHARDS", nullptr);
-    EXPECT_TRUE(ResolveShardingEnabled(true));
-    EXPECT_FALSE(ResolveShardingEnabled(false));
-  }
-  for (const char* off : {"0", "false", "off"}) {
-    EnvVarScope env("SQLCLASS_SHARDS", off);
-    EXPECT_FALSE(ResolveShardingEnabled(true)) << off;
-  }
-  EnvVarScope env("SQLCLASS_SHARDS", "1");
-  EXPECT_TRUE(ResolveShardingEnabled(false));
-}
-
-TEST(ShardEnvTest, WorkerAndMinRowOverrides) {
-  {
-    EnvVarScope env("SQLCLASS_SHARDS_WORKERS", "3");
-    EXPECT_EQ(ResolveShardWorkers(1), 3);
-  }
-  {
-    EnvVarScope env("SQLCLASS_SHARDS_WORKERS", "0");  // 0 = hardware
-    EXPECT_EQ(ResolveShardWorkers(7), 0);
-  }
-  for (const char* bad : {"-2", "junk"}) {
-    EnvVarScope env("SQLCLASS_SHARDS_WORKERS", bad);
-    EXPECT_EQ(ResolveShardWorkers(5), 5) << bad;
-  }
-  {
-    EnvVarScope env("SQLCLASS_SHARDS_MIN_ROWS", "123");
-    EXPECT_EQ(ResolveShardMinRows(4096), 123u);
-  }
-  for (const char* bad : {"-1", "junk"}) {
-    EnvVarScope env("SQLCLASS_SHARDS_MIN_ROWS", bad);
-    EXPECT_EQ(ResolveShardMinRows(4096), 4096u) << bad;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -27,11 +26,13 @@
 #include "shard/shard_map.h"
 #include "sql/expr.h"
 #include "storage/heap_file.h"
+#include "test_env.h"
 #include "test_util.h"
 
 namespace sqlclass {
 namespace {
 
+using testing_util::EnvVarScope;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 using testing_util::TempDir;
@@ -40,32 +41,6 @@ class FaultScope {
  public:
   FaultScope() { FaultInjector::Global().Reset(); }
   ~FaultScope() { FaultInjector::Global().Reset(); }
-};
-
-class EnvVarScope {
- public:
-  EnvVarScope(const char* name, const char* value) : name_(name) {
-    const char* prev = std::getenv(name);
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~EnvVarScope() {
-    if (had_prev_) {
-      setenv(name_.c_str(), prev_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string prev_;
-  bool had_prev_ = false;
 };
 
 std::string ReadFileBytes(const std::string& path) {
@@ -84,73 +59,12 @@ void WriteHeap(const std::string& path, const Schema& schema,
 }
 
 // ---------------------------------------------------------------------------
-// Knob resolution and transport selection.
+// Transport selection.
 // ---------------------------------------------------------------------------
 
-TEST(TransportEnvTest, TransportOverride) {
-  {
-    EnvVarScope env("SQLCLASS_SHARDS_TRANSPORT", nullptr);
-    EXPECT_EQ(ResolveShardTransport(ShardTransportKind::kInProcess),
-              ShardTransportKind::kInProcess);
-    EXPECT_EQ(ResolveShardTransport(ShardTransportKind::kSubprocess),
-              ShardTransportKind::kSubprocess);
-  }
-  for (const char* oop : {"subprocess", "oop", "1"}) {
-    EnvVarScope env("SQLCLASS_SHARDS_TRANSPORT", oop);
-    EXPECT_EQ(ResolveShardTransport(ShardTransportKind::kInProcess),
-              ShardTransportKind::kSubprocess)
-        << oop;
-  }
-  for (const char* inproc : {"inproc", "0"}) {
-    EnvVarScope env("SQLCLASS_SHARDS_TRANSPORT", inproc);
-    EXPECT_EQ(ResolveShardTransport(ShardTransportKind::kSubprocess),
-              ShardTransportKind::kInProcess)
-        << inproc;
-  }
-  EnvVarScope env("SQLCLASS_SHARDS_TRANSPORT", "junk");
-  EXPECT_EQ(ResolveShardTransport(ShardTransportKind::kSubprocess),
-            ShardTransportKind::kSubprocess);
-}
-
-TEST(TransportEnvTest, DeadlineAndReplicaOverrides) {
-  {
-    EnvVarScope env("SQLCLASS_SHARDS_RPC_DEADLINE_MS", "250");
-    EXPECT_EQ(ResolveShardRpcDeadlineMs(10000), 250);
-  }
-  for (const char* bad : {"0", "-5", "junk"}) {
-    EnvVarScope env("SQLCLASS_SHARDS_RPC_DEADLINE_MS", bad);
-    EXPECT_EQ(ResolveShardRpcDeadlineMs(10000), 10000) << bad;
-  }
-  {
-    EnvVarScope env("SQLCLASS_SHARDS_REPLICAS", nullptr);
-    EXPECT_TRUE(ResolveShardReplicas(true));
-    EXPECT_FALSE(ResolveShardReplicas(false));
-  }
-  for (const char* off : {"0", "false", "off"}) {
-    EnvVarScope env("SQLCLASS_SHARDS_REPLICAS", off);
-    EXPECT_FALSE(ResolveShardReplicas(true)) << off;
-  }
-  EnvVarScope env("SQLCLASS_SHARDS_REPLICAS", "1");
-  EXPECT_TRUE(ResolveShardReplicas(false));
-}
-
-TEST(TransportEnvTest, WorkerBinaryResolution) {
-  // The build tree's worker binary resolves from the test executable's
-  // location (../tools sibling).
-  const std::string resolved = ResolveShardWorkerBinary("");
-  ASSERT_FALSE(resolved.empty());
-  // An explicit configured path wins; a missing explicit path fails hard
-  // instead of silently falling elsewhere.
-  EXPECT_EQ(ResolveShardWorkerBinary(resolved), resolved);
-  EXPECT_TRUE(ResolveShardWorkerBinary("/nonexistent/worker").empty());
-  {
-    EnvVarScope env("SQLCLASS_SHARD_WORKER_BIN", resolved.c_str());
-    EXPECT_EQ(ResolveShardWorkerBinary(""), resolved);
-  }
-  EnvVarScope env("SQLCLASS_SHARD_WORKER_BIN", "/nonexistent/worker");
-  EXPECT_TRUE(ResolveShardWorkerBinary("").empty());
-}
-
+// The factory follows the resolved config alone: SQLCLASS_SHARDS_TRANSPORT
+// reaches it only through ApplyEnvOverrides at Create (see
+// env_overrides_test.cc), so setting the variable later changes nothing.
 TEST(TransportFactoryTest, ConfigAndEnvSelectTheImplementation) {
   ShardingConfig config;
   config.worker_threads = 1;
@@ -163,18 +77,16 @@ TEST(TransportFactoryTest, ConfigAndEnvSelectTheImplementation) {
   {
     EnvVarScope env("SQLCLASS_SHARDS_TRANSPORT", "subprocess");
     auto transport = MakeShardTransport(config);
-    EXPECT_NE(dynamic_cast<SubprocessShardTransport*>(transport.get()),
+    EXPECT_NE(dynamic_cast<InProcessShardTransport*>(transport.get()),
               nullptr);
   }
   config.transport = ShardTransportKind::kSubprocess;
   {
     EnvVarScope env("SQLCLASS_SHARDS_TRANSPORT", "inproc");
     auto transport = MakeShardTransport(config);
-    EXPECT_NE(dynamic_cast<InProcessShardTransport*>(transport.get()),
+    EXPECT_NE(dynamic_cast<SubprocessShardTransport*>(transport.get()),
               nullptr);
   }
-  auto transport = MakeShardTransport(config);
-  EXPECT_NE(dynamic_cast<SubprocessShardTransport*>(transport.get()), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <vector>
+
+#include "middleware/batch_executor.h"
+#include "middleware/config.h"
+#include "test_env.h"
 
 namespace sqlclass {
 namespace {
@@ -109,15 +112,25 @@ TEST(ThreadPoolTest, SingleThreadClampAndSize) {
   EXPECT_EQ(pool.size(), 3);
 }
 
+// The executor's thread count: a configured count, else the
+// SQLCLASS_PARALLEL_SCAN_THREADS override, else hardware concurrency.
+int ResolvedScanThreads(int configured) {
+  CountingConfig config;
+  config.parallel_scan_threads = configured;
+  ApplyEnvOverrides(&config);
+  return BatchExecutor(nullptr, config, nullptr).scan_threads();
+}
+
 TEST(ResolveParallelThreadsTest, PositiveConfigWins) {
-  EXPECT_EQ(ResolveParallelThreads(7), 7);
+  testing_util::EnvVarScope env("SQLCLASS_PARALLEL_SCAN_THREADS", "5");
+  EXPECT_EQ(ResolvedScanThreads(7), 7);
 }
 
 TEST(ResolveParallelThreadsTest, EnvOverridesZeroDefault) {
-  ASSERT_EQ(setenv("SQLCLASS_PARALLEL_SCAN_THREADS", "5", 1), 0);
-  EXPECT_EQ(ResolveParallelThreads(0), 5);
-  ASSERT_EQ(unsetenv("SQLCLASS_PARALLEL_SCAN_THREADS"), 0);
-  EXPECT_EQ(ResolveParallelThreads(0), ThreadPool::HardwareConcurrency());
+  testing_util::EnvVarScope env("SQLCLASS_PARALLEL_SCAN_THREADS", "5");
+  EXPECT_EQ(ResolvedScanThreads(0), 5);
+  env.Set(nullptr);
+  EXPECT_EQ(ResolvedScanThreads(0), ThreadPool::HardwareConcurrency());
 }
 
 }  // namespace

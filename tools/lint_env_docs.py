@@ -17,6 +17,13 @@ for a while). This checker makes that drift a test failure:
      field has in src/middleware/config.h, so documented defaults cannot
      drift from the code's. A dotted field (`sharding.rpc_deadline_ms`) is
      resolved through the member types of the config structs.
+  4. Every row of the override table in src/middleware/config.cc
+     (ApplyEnvOverrides) must have a README knob row for the same variable
+     that says "overrides `<field>`" with the table's field, and a README
+     row that says "overrides `...`" must have a table row. A row whose
+     parse kind is commented "double in (lo, hi)" (or "[lo, hi]") must
+     have its README row state the same "valid in (lo, hi)", and a README
+     row that states an interval must have a table row with that interval.
 
 Exit status: 0 clean, 1 drift, 2 internal error.
 """
@@ -33,6 +40,17 @@ from lintlib.source import strip_code  # noqa: E402
 CODE_KNOB_RE = re.compile(r'"(SQLCLASS_[A-Z0-9_]+)"')
 DOC_TOKEN_RE = re.compile(r"(SQLCLASS_[A-Z0-9_]+)")
 CONFIG_HEADER = os.path.join("src", "middleware", "config.h")
+OVERRIDE_TABLE = os.path.join("src", "middleware", "config.cc")
+# {"SQLCLASS_X", "field", Parse::kKind, &target},
+TABLE_ROW_RE = re.compile(
+    r'\{\s*"(SQLCLASS_[A-Z0-9_]+)",\s*"([\w.]+)",\s*Parse::(\w+),')
+INTERVAL = r"([(\[])\s*([-+\d.eE]+)\s*,\s*([-+\d.eE]+)\s*([)\]])"
+# kOpenUnit,  // double in (0, 1)
+KIND_INTERVAL_RE = re.compile(r"\b(k\w+),\s*//\s*double in " + INTERVAL)
+# | `SQLCLASS_X` | <default> | <meaning> |
+README_ROW_RE = re.compile(
+    r"^\|\s*`(SQLCLASS_[A-Z0-9_]+)`\s*\|[^|]*\|(.*)$", re.M)
+DOC_INTERVAL_RE = re.compile(r"valid in " + INTERVAL)
 # | `SQLCLASS_X` | config (<default>) | ... overrides `<field>` ... |
 KNOB_ROW_RE = re.compile(
     r"^\|\s*`(SQLCLASS_[A-Z0-9_]+)`\s*\|\s*config \(([^)]*)\)\s*\|(.*)$",
@@ -192,10 +210,64 @@ def find_default_drift(readme, config_text):
     return problems
 
 
+def interval_of(m):
+    """(open bracket, lo, hi, close bracket) from the last four groups of
+    a match ending in INTERVAL."""
+    g = m.groups()[-4:]
+    return (g[0], float(g[1]), float(g[2]), g[3])
+
+
+def parse_override_table(text):
+    """[(variable, field, interval or None)] for the rows of the override
+    table, the interval taken from the comment on the row's parse kind."""
+    kinds = {m.group(1): interval_of(m)
+             for m in KIND_INTERVAL_RE.finditer(text)}
+    return [(m.group(1), m.group(2), kinds.get(m.group(3)))
+            for m in TABLE_ROW_RE.finditer(text)]
+
+
+def format_interval(interval):
+    return f"{interval[0]}{interval[1]:g}, {interval[2]:g}{interval[3]}"
+
+
+def find_table_drift(readme, table_text):
+    """Rule 4: the override table against README's knob rows."""
+    rows = parse_override_table(table_text)
+    if not rows:
+        return [f"{OVERRIDE_TABLE}: no override table rows found"]
+    doc_rows = {m.group(1): m.group(2) for m in README_ROW_RE.finditer(readme)}
+    problems = []
+    for knob, field, interval in rows:
+        text = doc_rows.get(knob)
+        if text is None:
+            problems.append(f"{knob}: in the {OVERRIDE_TABLE} override "
+                            "table but has no README.md knob row")
+            continue
+        doc_field = OVERRIDES_RE.search(text)
+        if doc_field is None or doc_field.group(1) != field:
+            problems.append(f"{knob}: README row must say it overrides "
+                            f"`{field}`, the field {OVERRIDE_TABLE} sets")
+        stated = DOC_INTERVAL_RE.search(text)
+        stated = interval_of(stated) if stated else None
+        if stated != interval:
+            problems.append(
+                f"{knob}: README states "
+                f"{format_interval(stated) if stated else 'no interval'} "
+                f"but {OVERRIDE_TABLE} accepts "
+                f"{format_interval(interval) if interval else 'no interval'}")
+    table_knobs = {knob for knob, _, _ in rows}
+    for knob, text in sorted(doc_rows.items()):
+        if OVERRIDES_RE.search(text) and knob not in table_knobs:
+            problems.append(f"{knob}: README says it overrides a config "
+                            f"field but {OVERRIDE_TABLE} has no row for it")
+    return problems
+
+
 def self_test(root):
-    """Drives find_drift with the real tree plus injected drift in each
-    direction: an undocumented src knob, an undocumented bench knob, and a
-    doc token with no tree counterpart."""
+    """Drives the rules with the real tree plus injected drift: an
+    undocumented src knob, an undocumented bench knob, a doc token with no
+    tree counterpart, a wrong documented default and a documented interval
+    that disagrees with the override table."""
     src_knobs = collect_code_knobs(root, "src")
     bench_knobs = collect_code_knobs(root, "bench") - src_knobs
     readme = read_text(os.path.join(root, "README.md"))
@@ -203,8 +275,10 @@ def self_test(root):
     tree_tokens = collect_tree_tokens(root)
 
     config_text = read_text(os.path.join(root, CONFIG_HEADER))
+    table_text = read_text(os.path.join(root, OVERRIDE_TABLE))
     baseline = find_drift(src_knobs, bench_knobs, readme, design, tree_tokens)
     baseline += find_default_drift(readme, config_text)
+    baseline += find_table_drift(readme, table_text)
     if baseline:
         print(f"self-test: FAIL — pristine tree already has {len(baseline)} "
               "drift(s); fix those first")
@@ -242,6 +316,18 @@ def self_test(root):
                   find_default_drift(readme.replace(row.group(0), wrong),
                                      config_text),
                   row.group(1)))
+    # A documented interval that disagrees with the table's: flip the
+    # closing bracket of the first README row that states one.
+    row = next(m for m in README_ROW_RE.finditer(readme)
+               if DOC_INTERVAL_RE.search(m.group(2)))
+    stated = DOC_INTERVAL_RE.search(row.group(0))
+    flipped = stated.group(0)[:-1] + (
+        "]" if stated.group(4) == ")" else ")")
+    wrong = row.group(0).replace(stated.group(0), flipped, 1)
+    cases.append(("mismatched documented interval",
+                  find_table_drift(readme.replace(row.group(0), wrong),
+                                   table_text),
+                  row.group(1)))
     for label, drift, token in cases:
         hits = [p for p in drift if token in p]
         if hits:
@@ -274,6 +360,8 @@ def main():
             src_knobs, bench_knobs, readme, design, tree_tokens)
         problems += find_default_drift(
             readme, read_text(os.path.join(root, CONFIG_HEADER)))
+        problems += find_table_drift(
+            readme, read_text(os.path.join(root, OVERRIDE_TABLE)))
     except Exception as e:  # noqa: BLE001
         print(f"lint_env_docs: internal error: {e}", file=sys.stderr)
         return 2
@@ -284,8 +372,10 @@ def main():
             print(f"  {p}")
         print("\nFix: document runtime knobs in README.md's knob table and "
               "the owning DESIGN.md section, delete doc rows for knobs "
-              "that no longer exist, and quote each `config (<number>)` "
-              f"default as {CONFIG_HEADER} initializes it.")
+              "that no longer exist, quote each `config (<number>)` "
+              f"default as {CONFIG_HEADER} initializes it, and give each "
+              f"{OVERRIDE_TABLE} override row a README row naming its "
+              "field and interval.")
         return 1
     print(f"env-knob doc lint: clean — {len(src_knobs)} src knob(s), "
           f"{len(bench_knobs)} bench-only knob(s) documented, no stale "
