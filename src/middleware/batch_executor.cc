@@ -9,14 +9,13 @@
 #include "middleware/batch_matcher.h"
 #include "middleware/bitmap_scan.h"
 #include "middleware/parallel_scan.h"
-#include "middleware/sample_scan.h"
 
 namespace sqlclass {
 
 namespace {
 
-/// The per-node work list of an artifact pass (sample, bitmap or shard
-/// scan), counting straight into the report's CC tables.
+/// The per-node work list of a bitmap or shard pass, counting straight
+/// into the report's CC tables.
 template <typename ScanNode>
 std::vector<ScanNode> ArtifactNodes(const BatchExecutor::Batch& batch,
                                     std::vector<CcTable>* ccs) {
@@ -83,6 +82,20 @@ struct BatchExecutor::State {
   const bool bounded;       // overflow checks apply at all
   size_t cc_available = 0;  // memory left for CC tables during the scan
   bool staging_fault = false;
+
+  /// Kernel options that count every node of the batch, and nothing more:
+  /// no charges, staging, filter or overflow checks.
+  ParallelScanOptions CountOptions() const {
+    ParallelScanOptions options;
+    options.class_column = batch.schema->class_column();
+    options.num_classes = num_classes;
+    options.matcher = &matcher;
+    options.node_attrs.reserve(batch.requests.size());
+    for (const CcRequest* request : batch.requests) {
+      options.node_attrs.push_back(&request->active_attrs);
+    }
+    return options;
+  }
 };
 
 BatchExecutor::BatchExecutor(SqlServer* server, const CountingConfig& config,
@@ -239,13 +252,24 @@ Status BatchExecutor::SamplePass(State* st) {
     SQLCLASS_ASSIGN_OR_RETURN(
         sample_reader_, SampleFileReader::Open(path, &server_->io_counters()));
   }
-  auto nodes = ArtifactNodes<SampleCountScan::Node>(batch, &report->ccs);
-  SQLCLASS_RETURN_IF_ERROR(SampleCountScan::Run(
-      sample_reader_.get(), *batch.schema, &nodes, &server_->cost_counters()));
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    report->sample_rows[i] = nodes[i].sample_rows;
+  const int num_columns = batch.schema->num_columns();
+  if (sample_reader_->num_columns() != static_cast<uint32_t>(num_columns)) {
+    return Status::InvalidArgument("scramble column count mismatch");
   }
-  report->rows_scanned = sample_reader_->num_rows();
+  SQLCLASS_ASSIGN_OR_RETURN(const Value* rows, sample_reader_->SampleRows());
+  const uint64_t sample_rows = sample_reader_->num_rows();
+  SQLCLASS_ASSIGN_OR_RETURN(
+      ParallelScanResult scan,
+      ParallelCountScan::OverRows(nullptr, rows, sample_rows, num_columns,
+                                  st->CountOptions(), /*cost=*/nullptr));
+  // Every node's predicate is evaluated against every sample row, so the
+  // logical charge is per node and independent of how requests were
+  // batched — the same invariance contract the bitmap path keeps.
+  server_->cost_counters().mw_sample_rows_read +=
+      sample_rows * batch.requests.size();
+  report->ccs = std::move(scan.ccs);
+  report->sample_rows = std::move(scan.node_matches);
+  report->rows_scanned = sample_rows;
   report->path = Path::kSample;
   return Status::OK();
 }
@@ -319,14 +343,7 @@ Status BatchExecutor::ScanPass(State* st) {
   const Schema& schema = *batch.schema;
   const int n = static_cast<int>(batch.requests.size());
   CostCounters& cost = server_->cost_counters();
-  ParallelScanOptions options;
-  options.class_column = schema.class_column();
-  options.num_classes = st->num_classes;
-  options.matcher = &st->matcher;
-  options.node_attrs.reserve(n);
-  for (const CcRequest* request : batch.requests) {
-    options.node_attrs.push_back(&request->active_attrs);
-  }
+  ParallelScanOptions options = st->CountOptions();
   options.staged.resize(n);
   for (int i = 0; i < n; ++i) {
     options.staged[i] = report->staged[i].has_value();
@@ -357,7 +374,10 @@ Status BatchExecutor::ScanPass(State* st) {
     SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
                               staging_->GetMemoryStore(source.store_id));
     SQLCLASS_ASSIGN_OR_RETURN(
-        scan, ParallelCountScan::OverMemoryStore(pool, *store, options, &cost));
+        scan, ParallelCountScan::OverRows(pool, store->RowAt(0),
+                                          store->num_rows(),
+                                          store->num_columns(), options,
+                                          &cost));
   } else {
     std::string path;
     IoCounters* io = nullptr;

@@ -383,6 +383,8 @@ StatusOr<ParallelScanResult> ParallelCountScan::OverHeapFile(
     readers.push_back(std::move(reader));
   }
   std::vector<RowBatch> batches(workers);
+  const uint64_t slots_per_page =
+      SlotsPerPage(RowCodec(num_columns).row_bytes());
   auto visit = [&](int slot, size_t m, auto&& on_row) -> Status {
     RowBatch& batch = batches[slot];
     for (uint64_t page = morsels[m].begin; page < morsels[m].end; ++page) {
@@ -390,7 +392,14 @@ StatusOr<ParallelScanResult> ParallelCountScan::OverHeapFile(
         SQLCLASS_FAULT_POINT(options.page_fault_point);
       }
       SQLCLASS_RETURN_IF_ERROR(readers[slot]->ReadPageInto(page, &batch));
-      for (size_t r = 0; r < batch.num_rows(); ++r) on_row(batch.RowAt(r));
+      if (!options.row_filter) {
+        for (size_t r = 0; r < batch.num_rows(); ++r) on_row(batch.RowAt(r));
+        continue;
+      }
+      const uint64_t first_ordinal = page * slots_per_page;
+      for (size_t r = 0; r < batch.num_rows(); ++r) {
+        if (options.row_filter(first_ordinal + r)) on_row(batch.RowAt(r));
+      }
     }
     return Status::OK();
   };
@@ -402,19 +411,20 @@ StatusOr<ParallelScanResult> ParallelCountScan::OverHeapFile(
   return result;
 }
 
-StatusOr<ParallelScanResult> ParallelCountScan::OverMemoryStore(
-    ThreadPool* pool, const InMemoryRowStore& store,
+StatusOr<ParallelScanResult> ParallelCountScan::OverRows(
+    ThreadPool* pool, const Value* rows, size_t num_rows, int num_columns,
     const ParallelScanOptions& options, CostCounters* cost) {
-  const std::vector<std::pair<size_t, size_t>> morsels =
-      store.RowMorsels(options.rows_per_morsel);
+  const size_t per_morsel = std::max<size_t>(options.rows_per_morsel, 1);
+  const size_t num_morsels = (num_rows + per_morsel - 1) / per_morsel;
   auto visit = [&](int, size_t m, auto&& on_row) -> Status {
-    for (size_t r = morsels[m].first; r < morsels[m].second; ++r) {
-      on_row(store.RowAt(r));
+    const size_t end = std::min(num_rows, (m + 1) * per_morsel);
+    for (size_t r = m * per_morsel; r < end; ++r) {
+      on_row(rows + r * num_columns);
     }
     return Status::OK();
   };
-  return RunSegmented(pool, options, store.num_columns(), morsels.size(),
-                      WorkerCount(pool, morsels.size()), cost, visit);
+  return RunSegmented(pool, options, num_columns, num_morsels,
+                      WorkerCount(pool, num_morsels), cost, visit);
 }
 
 }  // namespace sqlclass

@@ -14,7 +14,6 @@
 #include "server/cost_model.h"
 #include "sql/expr.h"
 #include "storage/io_counters.h"
-#include "storage/row_store.h"
 
 namespace sqlclass {
 
@@ -49,8 +48,8 @@ void EvictOverflow(size_t available, std::vector<CcTable>* ccs,
                    std::vector<size_t>* observed_bytes);
 
 struct ParallelScanOptions {
-  /// Morsel granularity. Heap-file scans hand out page ranges; memory
-  /// stores hand out row ranges.
+  /// Morsel granularity. Heap-file scans hand out page ranges; row blocks
+  /// hand out row ranges.
   uint64_t pages_per_morsel = 4;
   size_t rows_per_morsel = 8192;
 
@@ -74,6 +73,11 @@ struct ParallelScanOptions {
   /// Fault point crossed once per heap page read, before the read (server
   /// scans cross `server/cursor_advance`, the cursor's point). Null: none.
   const char* page_fault_point = nullptr;
+
+  /// Heap-file scans only: rows whose ordinal (their Tid, page x
+  /// SlotsPerPage + slot) fails it are skipped before they are scanned,
+  /// so they are neither counted nor charged. Empty: every row.
+  std::function<bool(uint64_t row_ordinal)> row_filter;
 
   /// §4.1.2 staging. staged[i]: node i's delivered matching rows are also
   /// handed to `stage`, on the calling thread, in source order, one call
@@ -106,9 +110,10 @@ struct ParallelScanResult {
   uint64_t cc_updates = 0;      // total (node, attribute) bumps
 };
 
-/// The middleware's one row-counting loop (DESIGN.md "Parallel counting"):
-/// every row-scan batch — staged or not, bounded or not — runs through it,
-/// with one worker or many.
+/// The one row-counting loop outside the mining layer (DESIGN.md "Parallel
+/// counting"): every row-scan batch — staged or not, bounded or not — the
+/// scramble pass, every shard, replica and primary rescan, and the
+/// subprocess shard worker count through it, with one worker or many.
 ///
 /// Workers own a private reader, row batch and per-node partial CC tables,
 /// and claim morsels off one atomic counter. The source is walked in
@@ -129,10 +134,11 @@ class ParallelCountScan {
       ThreadPool* pool, const std::string& path, int num_columns,
       const ParallelScanOptions& options, CostCounters* cost, IoCounters* io);
 
-  /// Scans an in-memory staged store; rows are already decoded, so workers
-  /// count straight off the store's contiguous values.
-  [[nodiscard]] static StatusOr<ParallelScanResult> OverMemoryStore(
-      ThreadPool* pool, const InMemoryRowStore& store,
+  /// Scans `num_rows` decoded rows of `num_columns` values stored
+  /// contiguously at `rows` (a memory store's values, a scramble's sample);
+  /// workers count straight off them.
+  [[nodiscard]] static StatusOr<ParallelScanResult> OverRows(
+      ThreadPool* pool, const Value* rows, size_t num_rows, int num_columns,
       const ParallelScanOptions& options, CostCounters* cost);
 };
 

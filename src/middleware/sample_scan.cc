@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "middleware/batch_matcher.h"
-
 namespace sqlclass {
 
 namespace {
@@ -43,51 +41,6 @@ std::vector<int64_t> Apportion(const std::vector<int64_t>& counts,
 }
 
 }  // namespace
-
-Status SampleCountScan::Run(SampleFileReader* reader, const Schema& schema,
-                            std::vector<Node>* nodes, CostCounters* cost) {
-  const int class_column = schema.class_column();
-  if (class_column < 0) {
-    return Status::InvalidArgument("sample scan needs a class column");
-  }
-  if (reader->num_columns() != static_cast<uint32_t>(schema.num_columns())) {
-    return Status::InvalidArgument("scramble column count mismatch");
-  }
-  CostCounters scratch;  // charge sink when the caller passes none
-  CostCounters& charges = cost != nullptr ? *cost : scratch;
-
-  std::vector<const Expr*> predicates;
-  predicates.reserve(nodes->size());
-  for (Node& node : *nodes) {
-    if (node.cc == nullptr || node.active_attrs == nullptr) {
-      return Status::InvalidArgument("sample scan node missing cc/attrs");
-    }
-    node.sample_rows = 0;
-    predicates.push_back(node.predicate);
-  }
-  BatchMatcher matcher(predicates);
-
-  SQLCLASS_ASSIGN_OR_RETURN(const Value* rows, reader->SampleRows());
-  const uint64_t sample_rows = reader->num_rows();
-  const int width = schema.num_columns();
-
-  // Every node's predicate is evaluated against every sample row, so the
-  // logical charge is per node and independent of how requests were
-  // batched — the same invariance contract the bitmap path keeps.
-  charges.mw_sample_rows_read += sample_rows * nodes->size();
-
-  std::vector<int> matches;
-  for (uint64_t r = 0; r < sample_rows; ++r) {
-    const Value* values = rows + r * width;
-    matcher.Match(values, &matches);
-    for (int pos : matches) {
-      Node& node = (*nodes)[pos];
-      node.cc->AddRow(values, *node.active_attrs, class_column);
-      ++node.sample_rows;
-    }
-  }
-  return Status::OK();
-}
 
 SampleGateResult EvaluateSampleGate(const CcTable& sample_cc,
                                     const std::vector<int>& active_attrs,

@@ -4,41 +4,18 @@
 #include <cstdint>
 #include <vector>
 
-#include "catalog/schema.h"
-#include "common/status.h"
-#include "middleware/config.h"
 #include "mining/cc_table.h"
 #include "mining/split.h"
-#include "server/cost_model.h"
-#include "sql/expr.h"
-#include "storage/sample/sample_file.h"
 
 namespace sqlclass {
 
-/// Answers CC requests from the table's scramble (storage/sample): one pass
-/// over the pre-shuffled sample rows builds every batch node's *sample* CC
-/// table, at mw_sample_row_read_us per sample row per node instead of
-/// server-cursor cost per base row. The resulting counts estimate the exact
-/// CC scaled down by the sampling fraction; the split-selection gate below
-/// decides per node whether that estimate is decision-equivalent to the
-/// exact answer.
-class SampleCountScan {
- public:
-  /// One CC request inside a sample batch.
-  struct Node {
-    const Expr* predicate = nullptr;  // bound; null means TRUE
-    const std::vector<int>* active_attrs = nullptr;
-    CcTable* cc = nullptr;        // out: sample counts, unscaled
-    uint64_t sample_rows = 0;     // out: sample rows matching the predicate
-  };
-
-  /// Builds every node's sample CC from `reader`. `cost` (nullable) takes
-  /// mw_sample_rows_read charges — one per sample row *per node*, so the
-  /// simulated cost is batching-invariant; physical page reads land on the
-  /// counters the reader was opened with.
-  [[nodiscard]] static Status Run(SampleFileReader* reader, const Schema& schema,
-                    std::vector<Node>* nodes, CostCounters* cost);
-};
+// Rule 7 answers CC requests from the table's scramble (storage/sample):
+// BatchExecutor's sample pass counts every batch node's *sample* CC table
+// in one ParallelCountScan over the pre-shuffled sample rows, at
+// mw_sample_row_read_us per sample row per node instead of server-cursor
+// cost per base row. The counts estimate the exact CC scaled down by the
+// sampling fraction; the split-selection gate below decides per node
+// whether that estimate is decision-equivalent to the exact answer.
 
 /// Outcome of the confidence-bounded split-selection gate for one node.
 struct SampleGateResult {

@@ -1,54 +1,64 @@
 #include "middleware/shard_scan.h"
 
+#include <utility>
+
 #include "common/fault_injector.h"
-#include "storage/heap_file.h"
-#include "storage/row_batch.h"
 
 namespace sqlclass {
 
 namespace {
 
-/// Scans the heap file at `path` — the task's shard heap, or its
-/// byte-identical replica during recovery — folding matching rows into the
-/// task's partial CC tables. Runs on a pool thread: everything it touches
-/// is task-private or read-only shared. The `shard/read` fault point
-/// guards the scan; any failure marks the source dead and the coordinator
-/// climbs its recovery ladder (replica, then primary re-scan).
-Status ScanShardHeapFile(const ShardTask& task, const std::string& path) {
-  SQLCLASS_FAULT_POINT(faults::kShardRead);
-  // cost: charged-by-caller(ShardCoordinator::Run) — logical mw_shard_*
-  // charges are applied once post-merge so simulated cost is shard- and
-  // worker-count-invariant; physical pages land on the task's private
-  // IoCounters inside the reader.
+/// Kernel options that count the task's nodes, with no charges.
+ParallelScanOptions TaskOptions(const ShardTask& task) {
+  ParallelScanOptions options;
+  options.class_column = task.class_column;
+  options.num_classes = task.num_classes;
+  options.matcher = task.matcher;
+  options.node_attrs = *task.node_attrs;
+  return options;
+}
+
+/// Counts the heap file at `path` into the task's out-fields.
+Status CountIntoTask(const ShardTask& task, const std::string& path,
+                     const ParallelScanOptions& options) {
   SQLCLASS_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapFileReader> reader,
-      HeapFileReader::Open(path, task.num_columns, task.io));
-  if (reader->num_rows() != task.expected_rows) {
-    return Status::DataLoss("shard heap row count disagrees with map for " +
-                            path);
-  }
-  RowBatch batch;
-  std::vector<int> matches;
-  uint64_t rows = 0;
-  while (true) {
-    SQLCLASS_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch));
-    if (!more) break;
-    const size_t batch_rows = batch.num_rows();
-    for (size_t r = 0; r < batch_rows; ++r) {
-      const Value* values = batch.RowAt(r);
-      task.matcher->Match(values, &matches);
-      for (int pos : matches) {
-        (*task.partials)[pos].AddRow(values, *(*task.node_attrs)[pos],
-                                     task.class_column);
-      }
-      ++rows;
-    }
-  }
-  *task.rows_scanned = rows;
+      ParallelScanResult scan,
+      CountShardHeap(path, task.num_columns, task.expected_rows, options,
+                     task.io));
+  *task.partials = std::move(scan.ccs);
+  *task.rows_scanned = scan.rows_scanned;
   return Status::OK();
 }
 
+/// Scans the task's shard heap, or its byte-identical replica during
+/// recovery. Runs on a pool thread: everything it touches is task-private
+/// or read-only shared. The `shard/read` fault point guards the scan; any
+/// failure marks the source dead and the coordinator climbs its recovery
+/// ladder (replica, then primary re-scan).
+Status ScanShardHeapFile(const ShardTask& task, const std::string& path) {
+  SQLCLASS_FAULT_POINT(faults::kShardRead);
+  return CountIntoTask(task, path, TaskOptions(task));
+}
+
 }  // namespace
+
+StatusOr<ParallelScanResult> CountShardHeap(const std::string& path,
+                                            int num_columns,
+                                            uint64_t expected_rows,
+                                            const ParallelScanOptions& options,
+                                            IoCounters* io) {
+  // cost: charged-by-caller(ShardCoordinator::Run) — logical mw_shard_*
+  // charges are applied once post-merge so simulated cost is shard- and
+  // worker-count-invariant; physical pages land on `io`.
+  SQLCLASS_ASSIGN_OR_RETURN(
+      ParallelScanResult scan,
+      ParallelCountScan::OverHeapFile(nullptr, path, num_columns, options,
+                                      /*cost=*/nullptr, io));
+  if (scan.rows_scanned != expected_rows) {
+    return Status::DataLoss("shard row count disagrees with map for " + path);
+  }
+  return scan;
+}
 
 Status InProcessShardTransport::RunShard(const ShardTask& task) {
   SQLCLASS_FAULT_POINT(faults::kShardWorker);
@@ -113,16 +123,15 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
   const uint32_t shards = map_->num_shards();
   const size_t n = nodes->size();
 
-  // Per-shard private state: partial CC tables, row tallies, physical IO,
-  // and the outcome status. Workers write only their own shard's slots.
+  // Per-shard private state: partial CC tables (each scan fills them
+  // afresh), row tallies, physical IO, and the outcome status. Workers
+  // write only their own shard's slots.
   std::vector<std::vector<CcTable>> partials(shards);
   std::vector<uint64_t> shard_rows(shards, 0);
   std::vector<IoCounters> shard_io(shards);
   std::vector<Status> shard_status(shards);
   std::vector<ShardTask> tasks(shards);
   for (uint32_t s = 0; s < shards; ++s) {
-    partials[s].reserve(n);
-    for (size_t i = 0; i < n; ++i) partials[s].emplace_back(num_classes);
     ShardTask& task = tasks[s];
     task.shard = s;
     task.shard_heap_path = ShardHeapPathFor(heap_path_, s);
@@ -159,20 +168,11 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
   int replica_rescans = 0;
   for (uint32_t s = 0; s < shards; ++s) {
     if (shard_status[s].ok()) continue;
-    partials[s].clear();
-    for (size_t i = 0; i < n; ++i) partials[s].emplace_back(num_classes);
-    shard_rows[s] = 0;
-    const Status from_replica =
-        ScanShardHeapFile(tasks[s], ShardReplicaPathFor(heap_path_, s));
-    if (from_replica.ok()) {
+    if (ScanShardHeapFile(tasks[s], ShardReplicaPathFor(heap_path_, s))
+            .ok()) {
       ++replica_rescans;
       continue;
     }
-    // A missing, corrupt, or stale replica leaves partially-built partials
-    // behind; rebuild them from scratch off the primary.
-    partials[s].clear();
-    for (size_t i = 0; i < n; ++i) partials[s].emplace_back(num_classes);
-    shard_rows[s] = 0;
     SQLCLASS_RETURN_IF_ERROR(RescanFromPrimary(s, tasks[s]));
     ++rescans;
   }
@@ -212,40 +212,13 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
 
 Status ShardCoordinator::RescanFromPrimary(uint32_t shard,
                                            const ShardTask& task) {
-  // cost: charged-by-caller(ShardCoordinator::Run) — same contract as the
-  // worker scan; the extra physical pages of the recovery read land on the
-  // task's IoCounters.
-  SQLCLASS_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapFileReader> reader,
-      HeapFileReader::Open(heap_path_, task.num_columns, task.io));
   const ShardScheme scheme = map_->scheme();
   const uint32_t shards = map_->num_shards();
-  RowBatch batch;
-  std::vector<int> matches;
-  uint64_t ordinal = 0;
-  uint64_t rows = 0;
-  while (true) {
-    SQLCLASS_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch));
-    if (!more) break;
-    const size_t batch_rows = batch.num_rows();
-    for (size_t r = 0; r < batch_rows; ++r, ++ordinal) {
-      if (ShardForRow(scheme, ordinal, shards) != shard) continue;
-      const Value* values = batch.RowAt(r);
-      task.matcher->Match(values, &matches);
-      for (int pos : matches) {
-        (*task.partials)[pos].AddRow(values, *(*task.node_attrs)[pos],
-                                     task.class_column);
-      }
-      ++rows;
-    }
-  }
-  if (rows != task.expected_rows) {
-    return Status::DataLoss(
-        "primary re-scan row count disagrees with shard map for shard " +
-        std::to_string(shard) + " of " + heap_path_);
-  }
-  *task.rows_scanned = rows;
-  return Status::OK();
+  ParallelScanOptions options = TaskOptions(task);
+  options.row_filter = [scheme, shard, shards](uint64_t ordinal) {
+    return ShardForRow(scheme, ordinal, shards) == shard;
+  };
+  return CountIntoTask(task, heap_path_, options);
 }
 
 }  // namespace sqlclass

@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "middleware/batch_matcher.h"
 #include "middleware/config.h"
+#include "middleware/parallel_scan.h"
 #include "mining/cc_table.h"
 #include "server/cost_model.h"
 #include "shard/shard_map.h"
@@ -19,8 +20,8 @@
 
 namespace sqlclass {
 
-/// The work order one shard worker executes: scan the shard heap file and
-/// build a partial CC table per batch node. Everything a worker touches is
+/// The work order one shard worker executes: count the shard heap file
+/// into a partial CC table per batch node. Everything a worker touches is
 /// either owned by it (`partials`, `rows_scanned`, `io`) or read-only and
 /// shared (`matcher`, `node_attrs`), so tasks for distinct shards run
 /// concurrently without synchronization.
@@ -36,13 +37,12 @@ struct ShardTask {
   /// Per-node bound predicates (null entry = TRUE), parallel to
   /// `node_attrs`. The in-process transport ignores these (the matcher
   /// already encodes them); the subprocess transport serializes them so
-  /// the worker process can evaluate rows without the coordinator's
-  /// matcher.
+  /// the worker process can build its own matcher.
   const std::vector<const Expr*>* predicates = nullptr;
   /// Domain size of every column. The subprocess transport rejects a reply
   /// whose CC cells fall outside it.
   const std::vector<int>* cardinalities = nullptr;
-  std::vector<CcTable>* partials = nullptr;  // out: one per node, zeroed
+  std::vector<CcTable>* partials = nullptr;  // out: set by a good scan
   uint64_t* rows_scanned = nullptr;          // out
   IoCounters* io = nullptr;                  // out: worker-private physical IO
 };
@@ -74,6 +74,16 @@ class ShardTransport {
   /// without worker processes.
   virtual uint64_t worker_restarts() const { return 0; }
 };
+
+/// Counts the shard heap (or replica, or primary heap under a row-ordinal
+/// filter) at `path` through ParallelCountScan on the calling thread, with
+/// no charges and no fault point, and checks the rows scanned against the
+/// distribution map's `expected_rows` (kDataLoss when they differ). Every
+/// shard scan — in-process, worker process, replica and primary rescan —
+/// counts through it. Physical reads land on `io` (nullable).
+[[nodiscard]] StatusOr<ParallelScanResult> CountShardHeap(
+    const std::string& path, int num_columns, uint64_t expected_rows,
+    const ParallelScanOptions& options, IoCounters* io);
 
 /// Builds the transport `config` asks for (after SQLCLASS_SHARDS_TRANSPORT
 /// resolution); subprocess options — deadline, retry policy, worker binary
@@ -145,8 +155,8 @@ class ShardCoordinator {
                    std::unique_ptr<ShardMapReader> map, IoCounters* io);
 
   /// Serial re-scan of dead shard `shard`'s rows out of the primary heap
-  /// file: row ordinal r belongs to the shard iff ShardForRow(scheme, r, N)
-  /// says so. Rebuilds that shard's partials from scratch.
+  /// file: a CountShardHeap whose row-ordinal filter keeps row r iff
+  /// ShardForRow(scheme, r, N) says it belongs to the shard.
   [[nodiscard]] Status RescanFromPrimary(uint32_t shard, const ShardTask& task);
 
   std::string heap_path_;

@@ -230,15 +230,13 @@ Status SubprocessShardTransport::Exchange(Worker* worker,
   WireShardResult result;
   Status decoded =
       DecodeShardResult(reply.payload, task.num_classes, *task.cardinalities,
-                        task.partials->size(), &result);
+                        task.node_attrs->size(), &result);
   if (!decoded.ok()) {
     std::string detail = decoded.message();
     DestroyWorker(worker, &detail);
     return Status::DataLoss("shard rpc result undecodable: " + detail);
   }
-  for (size_t i = 0; i < result.partials.size(); ++i) {
-    (*task.partials)[i] = std::move(result.partials[i]);
-  }
+  *task.partials = std::move(result.partials);
   *task.rows_scanned = result.rows_scanned;
   if (task.io != nullptr) task.io->Add(result.io);
   return Status::OK();
@@ -259,7 +257,7 @@ Status SubprocessShardTransport::RunShard(const ShardTask& task) {
   wire_task.num_columns = task.num_columns;
   wire_task.class_column = task.class_column;
   wire_task.num_classes = task.num_classes;
-  const size_t n = task.partials->size();
+  const size_t n = task.node_attrs->size();
   wire_task.nodes.resize(n);
   for (size_t i = 0; i < n; ++i) {
     wire_task.nodes[i].predicate =

@@ -12,6 +12,7 @@
 #include "common/fault_injector.h"
 #include "sql/expr.h"
 #include "storage/checksum.h"
+#include "storage/heap_file.h"
 
 namespace sqlclass {
 
@@ -158,6 +159,7 @@ class Decoder {
   }
 
   bool exhausted() const { return pos_ == buf_.size(); }
+  size_t remaining() const { return buf_.size() - pos_; }
 
  private:
   static Status Truncated() {
@@ -184,6 +186,16 @@ constexpr uint8_t kPredNot = 5;
 /// cannot blow the stack. Real node predicates are a few levels deep.
 constexpr uint32_t kMaxPredicateDepth = 64;
 
+/// Encoded size of a childless predicate (kind, column, literal, child
+/// count) and of a task node with it and no attributes: the floors a
+/// decoded count is checked against before anything is allocated for it.
+constexpr size_t kMinPredicateBytes = 1 + 3 * sizeof(uint32_t);
+constexpr size_t kMinTaskNodeBytes = kMinPredicateBytes + sizeof(uint32_t);
+
+std::string WireColumnName(int column) {
+  return "c" + std::to_string(column);
+}
+
 void EncodePredicate(const WirePredicate& pred, std::string* out) {
   out->push_back(static_cast<char>(pred.kind));
   PutFixed32(out, static_cast<uint32_t>(pred.column));
@@ -194,7 +206,8 @@ void EncodePredicate(const WirePredicate& pred, std::string* out) {
   }
 }
 
-Status DecodePredicate(Decoder* dec, uint32_t depth, WirePredicate* out) {
+Status DecodePredicate(Decoder* dec, uint32_t depth, int32_t num_columns,
+                       WirePredicate* out) {
   if (depth > kMaxPredicateDepth) {
     return Status::DataLoss("shard wire predicate nested too deeply");
   }
@@ -206,13 +219,21 @@ Status DecodePredicate(Decoder* dec, uint32_t depth, WirePredicate* out) {
   SQLCLASS_RETURN_IF_ERROR(dec->ReadI32(&out->literal));
   uint32_t num_children = 0;
   SQLCLASS_RETURN_IF_ERROR(dec->ReadU32(&num_children));
-  if (num_children > kWireMaxPayloadBytes / kWireHeaderBytes) {
+  const bool comparison = out->kind == kPredEq || out->kind == kPredNe;
+  if (comparison && (out->column < 0 || out->column >= num_columns)) {
+    return Status::DataLoss("shard wire predicate column out of range");
+  }
+  if ((out->kind == kPredNot && num_children != 1) ||
+      ((out->kind == kPredAnd || out->kind == kPredOr) && num_children == 0)) {
+    return Status::DataLoss("shard wire predicate has the wrong child count");
+  }
+  if (num_children > dec->remaining() / kMinPredicateBytes) {
     return Status::DataLoss("implausible shard wire predicate child count");
   }
   out->children.resize(num_children);
   for (uint32_t i = 0; i < num_children; ++i) {
     SQLCLASS_RETURN_IF_ERROR(
-        DecodePredicate(dec, depth + 1, &out->children[i]));
+        DecodePredicate(dec, depth + 1, num_columns, &out->children[i]));
   }
   return Status::OK();
 }
@@ -323,31 +344,6 @@ Status WireRecv(int fd, int deadline_ms, WireFrame* frame, bool* timed_out,
   return Status::OK();
 }
 
-bool WirePredicate::Eval(const Value* values) const {
-  switch (kind) {
-    case kPredTrue:
-      return true;
-    case kPredEq:
-      return values[column] == literal;
-    case kPredNe:
-      return values[column] != literal;
-    case kPredAnd:
-      for (const WirePredicate& child : children) {
-        if (!child.Eval(values)) return false;
-      }
-      return true;
-    case kPredOr:
-      for (const WirePredicate& child : children) {
-        if (child.Eval(values)) return true;
-      }
-      return false;
-    case kPredNot:
-      return !children[0].Eval(values);
-    default:
-      return false;
-  }
-}
-
 WirePredicate WirePredicateFromExpr(const Expr* expr) {
   WirePredicate pred;
   if (expr == nullptr) {
@@ -387,6 +383,35 @@ WirePredicate WirePredicateFromExpr(const Expr* expr) {
   return pred;
 }
 
+std::unique_ptr<Expr> ExprFromWirePredicate(const WirePredicate& pred) {
+  switch (pred.kind) {
+    case kPredEq:
+      return Expr::ColEq(WireColumnName(pred.column), pred.literal);
+    case kPredNe:
+      return Expr::ColNe(WireColumnName(pred.column), pred.literal);
+    case kPredAnd:
+    case kPredOr: {
+      std::vector<std::unique_ptr<Expr>> children;
+      children.reserve(pred.children.size());
+      for (const WirePredicate& child : pred.children) {
+        children.push_back(ExprFromWirePredicate(child));
+      }
+      return pred.kind == kPredAnd ? Expr::And(std::move(children))
+                                   : Expr::Or(std::move(children));
+    }
+    case kPredNot:
+      return Expr::Not(ExprFromWirePredicate(pred.children[0]));
+    default:
+      return Expr::True();
+  }
+}
+
+Schema WireSchema(int num_columns) {
+  std::vector<AttributeDef> columns(num_columns);
+  for (int i = 0; i < num_columns; ++i) columns[i].name = WireColumnName(i);
+  return Schema(std::move(columns), /*class_column=*/-1);
+}
+
 void EncodeShardTask(const WireShardTask& task, std::string* out) {
   out->clear();
   PutFixed32(out, task.shard);
@@ -413,17 +438,24 @@ Status DecodeShardTask(const std::string& payload, WireShardTask* out) {
   SQLCLASS_RETURN_IF_ERROR(dec.ReadI32(&out->num_columns));
   SQLCLASS_RETURN_IF_ERROR(dec.ReadI32(&out->class_column));
   SQLCLASS_RETURN_IF_ERROR(dec.ReadI32(&out->num_classes));
-  if (out->num_columns <= 0 || out->class_column < 0 ||
-      out->class_column >= out->num_columns || out->num_classes <= 0) {
+  if (out->num_columns <= 0 ||
+      static_cast<size_t>(out->num_columns) * sizeof(Value) >
+          kPageSize - kPageHeaderBytes ||
+      out->class_column < 0 || out->class_column >= out->num_columns ||
+      out->num_classes <= 0) {
     return Status::DataLoss("implausible shard task geometry");
   }
   uint32_t num_nodes = 0;
   SQLCLASS_RETURN_IF_ERROR(dec.ReadU32(&num_nodes));
+  if (num_nodes > dec.remaining() / kMinTaskNodeBytes) {
+    return Status::DataLoss("implausible shard task node count");
+  }
   out->nodes.clear();
   out->nodes.resize(num_nodes);
   for (uint32_t i = 0; i < num_nodes; ++i) {
     WireTaskNode& node = out->nodes[i];
-    SQLCLASS_RETURN_IF_ERROR(DecodePredicate(&dec, 0, &node.predicate));
+    SQLCLASS_RETURN_IF_ERROR(
+        DecodePredicate(&dec, 0, out->num_columns, &node.predicate));
     uint32_t num_attrs = 0;
     SQLCLASS_RETURN_IF_ERROR(dec.ReadU32(&num_attrs));
     if (num_attrs > static_cast<uint32_t>(out->num_columns)) {

@@ -2,10 +2,12 @@
 #define SQLCLASS_SHARD_WIRE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "catalog/row.h"
+#include "catalog/schema.h"
 #include "common/status.h"
 #include "mining/cc_table.h"
 #include "storage/io_counters.h"
@@ -74,23 +76,30 @@ void WireEncodeFrame(WireFrameType type, const std::string& payload,
                               bool* timed_out = nullptr,
                               bool* clean_eof = nullptr);
 
-/// Structural predicate tree the worker evaluates per row — the bound Expr
-/// lowered to column indexes, so the worker needs no schema or SQL layer.
-/// Kinds mirror ExprKind; evaluation semantics are identical to
-/// Expr::Eval, so per-node match decisions (and therefore the partial CC
-/// tables) are exactly the coordinator's.
+/// Wire form of a bound node predicate: the Expr lowered to column
+/// indexes, so the worker needs no table schema. Kinds mirror ExprKind.
+/// The worker raises it back to an Expr (ExprFromWirePredicate) and counts
+/// through the same BatchMatcher and kernel as the coordinator, so its
+/// per-node match decisions are exactly the coordinator's.
 struct WirePredicate {
   uint8_t kind = 0;     // 0 TRUE, 1 col==lit, 2 col!=lit, 3 AND, 4 OR, 5 NOT
   int32_t column = -1;  // bound column index (comparison kinds)
   int32_t literal = 0;
   std::vector<WirePredicate> children;
-
-  bool Eval(const Value* values) const;
 };
 
 /// Lowers a bound Expr to its wire form. Null means TRUE (the coordinator's
 /// convention for match-everything nodes).
 WirePredicate WirePredicateFromExpr(const Expr* expr);
+
+/// The inverse of WirePredicateFromExpr: an unbound Expr over the column
+/// names of WireSchema. `pred` must be well formed, as DecodeShardTask
+/// guarantees.
+std::unique_ptr<Expr> ExprFromWirePredicate(const WirePredicate& pred);
+
+/// A schema of `num_columns` index-named columns (no class column), for
+/// binding the Exprs ExprFromWirePredicate raises.
+Schema WireSchema(int num_columns);
 
 /// One CC request inside a shipped shard task.
 struct WireTaskNode {
@@ -110,6 +119,12 @@ struct WireShardTask {
 };
 
 void EncodeShardTask(const WireShardTask& task, std::string* out);
+
+/// Rejects (kDataLoss) a task the worker could not count safely as well as
+/// a truncated one: a row wider than a heap page, a comparison on a column
+/// outside [0, num_columns), a NOT without exactly one child, an AND or OR
+/// without children, or a node or child count the remaining payload cannot
+/// hold — all before allocating for it.
 [[nodiscard]] Status DecodeShardTask(const std::string& payload,
                                      WireShardTask* out);
 

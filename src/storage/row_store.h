@@ -1,9 +1,7 @@
 #ifndef SQLCLASS_STORAGE_ROW_STORE_H_
 #define SQLCLASS_STORAGE_ROW_STORE_H_
 
-#include <algorithm>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "catalog/row.h"
@@ -40,21 +38,6 @@ class InMemoryRowStore {
   /// Bytes of row payload held (the accounting unit for the middleware's
   /// memory budget).
   size_t MemoryBytes() const { return values_.size() * sizeof(Value); }
-
-  /// Splits [0, num_rows) into consecutive half-open row ranges of at most
-  /// `rows_per_morsel` rows, in store order — the memory-store analogue of
-  /// MakePageMorsels, with the same fixed order for deterministic merges.
-  std::vector<std::pair<size_t, size_t>> RowMorsels(
-      size_t rows_per_morsel) const {
-    if (rows_per_morsel == 0) rows_per_morsel = 1;
-    std::vector<std::pair<size_t, size_t>> morsels;
-    const size_t total = num_rows();
-    morsels.reserve((total + rows_per_morsel - 1) / rows_per_morsel);
-    for (size_t begin = 0; begin < total; begin += rows_per_morsel) {
-      morsels.emplace_back(begin, std::min(total, begin + rows_per_morsel));
-    }
-    return morsels;
-  }
 
   void Clear() {
     values_.clear();

@@ -16,6 +16,7 @@
 #include "middleware/middleware.h"
 #include "mining/naive_bayes.h"
 #include "service/service.h"
+#include "storage/sample/sample_file.h"
 #include "test_util.h"
 
 namespace sqlclass {
@@ -205,6 +206,75 @@ TEST_F(BatchExecutorTest, UnboundedBatchesNeverEvict) {
   EXPECT_EQ(report.evicted.at(0),
             BatchExecutor::Report::Eviction::kSqlFallback);
   EXPECT_GT(report.observed_bytes.at(0), 1u);
+}
+
+TEST_F(BatchExecutorTest, SamplePassCountsEveryNodeOverTheScramble) {
+  ASSERT_TRUE(server_->BuildSampleTable("data", 0.3, /*seed=*/5).ok());
+  // Overlapping nodes: the root, A1 = 1 and its child A1 = 1 AND A2 <> 0,
+  // and an OR the matcher cannot put in its trie.
+  std::vector<std::unique_ptr<Expr>> predicates;
+  predicates.push_back(Expr::True());
+  predicates.push_back(Expr::ColEq("A1", 1));
+  {
+    std::vector<std::unique_ptr<Expr>> clauses;
+    clauses.push_back(Expr::ColEq("A1", 1));
+    clauses.push_back(Expr::ColNe("A2", 0));
+    predicates.push_back(Expr::And(std::move(clauses)));
+  }
+  {
+    std::vector<std::unique_ptr<Expr>> clauses;
+    clauses.push_back(Expr::ColEq("A3", 2));
+    clauses.push_back(Expr::ColEq("A2", 1));
+    predicates.push_back(Expr::Or(std::move(clauses)));
+  }
+  std::vector<CcRequest> requests(predicates.size());
+  BatchExecutor::Batch batch = RootBatch();
+  batch.requests.clear();
+  batch.plan.from_sample = true;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].node_id = static_cast<int>(i);
+    requests[i].parent_id = i == 0 ? -1 : 0;
+    requests[i].predicate = predicates[i]->Clone();
+    requests[i].active_attrs = schema_.PredictorColumns();
+    ASSERT_TRUE(PrepareRequest(schema_, rows_.size(), &requests[i]).ok());
+    batch.requests.push_back(&requests[i]);
+  }
+  CountingConfig config;
+  config.parallel_scan_threads = 1;
+  BatchExecutor executor(server_.get(), config, /*staging=*/nullptr);
+  const CostCounters before = server_->cost_counters();
+  BatchExecutor::Report report;
+  ASSERT_TRUE(executor.Run(batch, &report).ok());
+  ASSERT_EQ(report.path, BatchExecutor::Path::kSample);
+  const CostCounters delta =
+      CostCounters::Delta(server_->cost_counters(), before);
+
+  // The reference: a per-row count over the scramble's rows.
+  auto path = server_->SampleTablePath("data");
+  ASSERT_TRUE(path.ok());
+  auto reader = SampleFileReader::Open(*path, nullptr);
+  ASSERT_TRUE(reader.ok());
+  auto sample = (*reader)->SampleRows();
+  ASSERT_TRUE(sample.ok());
+  const uint64_t sample_rows = (*reader)->num_rows();
+  ASSERT_GT(sample_rows, 0u);
+  EXPECT_EQ(report.rows_scanned, sample_rows);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    CcTable expected(2);
+    uint64_t matched = 0;
+    for (uint64_t r = 0; r < sample_rows; ++r) {
+      const Value* row = *sample + r * schema_.num_columns();
+      if (!requests[i].predicate->Eval(row)) continue;
+      expected.AddRow(row, requests[i].active_attrs, schema_.class_column());
+      ++matched;
+    }
+    EXPECT_GT(matched, 0u) << "node " << i;
+    EXPECT_EQ(report.sample_rows.at(i), matched) << "node " << i;
+    EXPECT_TRUE(report.ccs.at(i) == expected) << "node " << i;
+  }
+  // One sample-row read per row per node, and no CC-update charge.
+  EXPECT_EQ(delta.mw_sample_rows_read.load(), sample_rows * requests.size());
+  EXPECT_EQ(delta.mw_cc_updates.load(), 0u);
 }
 
 }  // namespace

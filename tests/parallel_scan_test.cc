@@ -29,6 +29,7 @@
 #include "mining/tree_client.h"
 #include "server/server.h"
 #include "service/shared_scan_batcher.h"
+#include "shard/shard_map.h"
 #include "sql/expr.h"
 #include "storage/heap_file.h"
 #include "storage/row_batch.h"
@@ -111,17 +112,41 @@ TEST(MorselTest, PageMorselsCoverAllPagesInOrder) {
   }
 }
 
-TEST(MorselTest, RowMorselsCoverAllRows) {
-  InMemoryRowStore store(3);
-  for (int i = 0; i < 10; ++i) store.Append(Row{i, i, i});
-  auto morsels = store.RowMorsels(4);
-  ASSERT_EQ(morsels.size(), 3u);
-  size_t next = 0;
-  for (const auto& [begin, end] : morsels) {
-    EXPECT_EQ(begin, next);
-    next = end;
+TEST(MorselTest, RowBlockMorselsCoverAllRows) {
+  // 10 rows in morsels of 4 (the last one partial), of 1 (a 0 clamps to 1),
+  // and of 16 (one morsel); and an empty block.
+  Schema schema = MakeSchema({4, 4}, 2);
+  std::vector<Row> rows;
+  std::vector<Value> block;
+  for (int i = 0; i < 10; ++i) {
+    rows.push_back(Row{i % 4, (i / 2) % 4, i % 2});
+    block.insert(block.end(), rows.back().begin(), rows.back().end());
   }
-  EXPECT_EQ(next, 10u);
+  const BatchMatcher matcher({nullptr});
+  const std::vector<int> attrs = {0, 1};
+  ParallelScanOptions options;
+  options.class_column = schema.class_column();
+  options.num_classes = 2;
+  options.matcher = &matcher;
+  options.node_attrs = {&attrs};
+  const CcTable expected =
+      BruteForceCc(rows, nullptr, attrs, schema.class_column(), 2);
+  ThreadPool pool(3);
+  for (size_t per : {4u, 0u, 16u}) {
+    options.rows_per_morsel = per;
+    auto scan = ParallelCountScan::OverRows(&pool, block.data(), rows.size(),
+                                            schema.num_columns(), options,
+                                            nullptr);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    EXPECT_EQ(scan->rows_scanned, rows.size()) << "per=" << per;
+    EXPECT_TRUE(scan->ccs[0] == expected) << "per=" << per;
+  }
+  auto empty = ParallelCountScan::OverRows(&pool, block.data(), 0,
+                                           schema.num_columns(), options,
+                                           nullptr);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->rows_scanned, 0u);
+  EXPECT_EQ(empty->ccs[0].TotalRows(), 0);
 }
 
 // ----------------------------------------------------------- batch decoding
@@ -543,8 +568,10 @@ TEST(ParallelScanTest, MemoryStoreMatchesBruteForce) {
   for (int threads : {1, 2, 4, 16}) {
     ThreadPool pool(threads);
     CostCounters cost;
-    auto scan = ParallelCountScan::OverMemoryStore(&pool, store, options,
-                                                   &cost);
+    auto scan = ParallelCountScan::OverRows(&pool, store.RowAt(0),
+                                            store.num_rows(),
+                                            store.num_columns(), options,
+                                            &cost);
     ASSERT_TRUE(scan.ok()) << scan.status().ToString();
     EXPECT_EQ(scan->rows_scanned, rows.size());
     EXPECT_EQ(cost.mw_memory_rows_read.load(), rows.size());
@@ -559,6 +586,68 @@ TEST(ParallelScanTest, MemoryStoreMatchesBruteForce) {
     } else {
       EXPECT_EQ(cost.ToString(), baseline_cost) << "threads=" << threads;
     }
+  }
+}
+
+TEST(ParallelScanTest, RowOrdinalFilterScansExactlyTheShardsRows) {
+  // Three full pages and a partial fourth, one page per morsel, so the
+  // filter's page x SlotsPerPage + slot ordinals cross every page boundary.
+  Schema schema = MakeSchema({5, 4, 3, 6}, 3);
+  const size_t slots = SlotsPerPage(schema.RowBytes());
+  const std::vector<Row> rows =
+      RandomRows(schema, 3 * slots + slots / 3, /*seed=*/53);
+  std::unique_ptr<Expr> a1 = Expr::ColEq("A1", 1);
+  ASSERT_TRUE(a1->Bind(schema).ok());
+  const BatchMatcher matcher({nullptr, a1.get()});
+  const std::vector<int> attrs = {0, 1, 2, 3};
+  ParallelScanOptions options;
+  options.pages_per_morsel = 1;
+  options.class_column = schema.class_column();
+  options.num_classes = 3;
+  options.matcher = &matcher;
+  options.node_attrs = {&attrs, &attrs};
+  ThreadPool pool(4);
+  constexpr uint32_t kShards = 4;
+
+  TempDir dir;
+  for (ShardScheme scheme :
+       {ShardScheme::kRoundRobin, ShardScheme::kHashRowId}) {
+    const std::string heap =
+        dir.path() + "/t" + std::to_string(static_cast<int>(scheme)) + ".heap";
+    {
+      auto writer = HeapFileWriter::Create(heap, schema.num_columns(), nullptr);
+      ASSERT_TRUE(writer.ok());
+      for (const Row& row : rows) ASSERT_TRUE((*writer)->Append(row).ok());
+      ASSERT_TRUE((*writer)->Finish().ok());
+    }
+    ASSERT_TRUE(ShardSetWriter::BuildFromHeapFile(heap, schema.num_columns(),
+                                                  kShards, scheme, nullptr)
+                    .ok());
+    uint64_t total = 0;
+    for (uint32_t s = 0; s < kShards; ++s) {
+      SCOPED_TRACE("scheme " + std::to_string(static_cast<int>(scheme)) +
+                   ", shard " + std::to_string(s));
+      auto shard =
+          ParallelCountScan::OverHeapFile(&pool, ShardHeapPathFor(heap, s),
+                                          schema.num_columns(), options,
+                                          nullptr, nullptr);
+      ParallelScanOptions filtered = options;
+      filtered.row_filter = [scheme, s](uint64_t ordinal) {
+        return ShardForRow(scheme, ordinal, kShards) == s;
+      };
+      auto primary = ParallelCountScan::OverHeapFile(
+          &pool, heap, schema.num_columns(), filtered, nullptr, nullptr);
+      ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+      ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+      EXPECT_GT(primary->rows_scanned, 0u);
+      EXPECT_EQ(primary->rows_scanned, shard->rows_scanned);
+      EXPECT_EQ(primary->node_matches, shard->node_matches);
+      ASSERT_EQ(primary->ccs.size(), 2u);
+      EXPECT_TRUE(primary->ccs[0] == shard->ccs[0]);
+      EXPECT_TRUE(primary->ccs[1] == shard->ccs[1]);
+      total += primary->rows_scanned;
+    }
+    EXPECT_EQ(total, rows.size());
   }
 }
 

@@ -106,7 +106,15 @@ class SubprocessDirectTest : public ::testing::Test {
                                                   nullptr)
                     .ok());
     predicate_ = Expr::ColEq("A1", 1);
-    ASSERT_TRUE(predicate_->Bind(schema_).ok());
+    std::vector<std::unique_ptr<Expr>> clauses;
+    clauses.push_back(Expr::ColEq("A2", 2));
+    clauses.push_back(Expr::ColNe("A3", 0));
+    or_predicate_ = Expr::Or(std::move(clauses));
+    not_predicate_ = Expr::Not(Expr::ColEq("A3", 4));
+    for (Expr* predicate :
+         {predicate_.get(), or_predicate_.get(), not_predicate_.get()}) {
+      ASSERT_TRUE(predicate->Bind(schema_).ok());
+    }
     attrs_ = {0, 1, 2};
   }
 
@@ -129,18 +137,18 @@ class SubprocessDirectTest : public ::testing::Test {
     IoCounters io;
   };
 
-  /// Two-node task over the single shard: node 0 counts everything, node 1
-  /// only rows matching `predicate_`.
+  /// Four-node task over the single shard: node 0 counts everything, node 1
+  /// only rows matching `predicate_`, nodes 2 and 3 the OR and NOT
+  /// predicates a worker's BatchMatcher cannot put in its trie.
   ShardTask MakeTask(TaskState* state) {
-    state->predicates = {nullptr, predicate_.get()};
-    state->node_attrs = {&attrs_, &attrs_};
+    state->predicates = {nullptr, predicate_.get(), or_predicate_.get(),
+                         not_predicate_.get()};
+    state->node_attrs = {&attrs_, &attrs_, &attrs_, &attrs_};
     state->cardinalities.clear();
     for (const AttributeDef& column : schema_.attributes()) {
       state->cardinalities.push_back(column.cardinality);
     }
-    state->partials.clear();
-    state->partials.emplace_back(3);
-    state->partials.emplace_back(3);
+    state->partials.assign(state->predicates.size(), CcTable(3));
     state->rows_scanned = 0;
     ShardTask task;
     task.shard = 0;
@@ -173,6 +181,8 @@ class SubprocessDirectTest : public ::testing::Test {
   std::vector<Row> rows_;
   std::string heap_;
   std::unique_ptr<Expr> predicate_;
+  std::unique_ptr<Expr> or_predicate_;
+  std::unique_ptr<Expr> not_predicate_;
   std::vector<int> attrs_;
 };
 
@@ -182,8 +192,11 @@ TEST_F(SubprocessDirectTest, ScanShipsExactCcTables) {
   const ShardTask task = MakeTask(&state);
   ASSERT_TRUE(transport.RunShard(task).ok());
   EXPECT_EQ(state.rows_scanned, rows_.size());
+  ASSERT_EQ(state.partials.size(), 4u);
   EXPECT_TRUE(state.partials[0] == Expected(nullptr));
   EXPECT_TRUE(state.partials[1] == Expected(predicate_.get()));
+  EXPECT_TRUE(state.partials[2] == Expected(or_predicate_.get()));
+  EXPECT_TRUE(state.partials[3] == Expected(not_predicate_.get()));
   EXPECT_GT(state.io.pages_read, 0u);
   EXPECT_EQ(transport.rpc_timeouts(), 0u);
   EXPECT_EQ(transport.worker_restarts(), 0u);

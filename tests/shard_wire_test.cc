@@ -1,8 +1,9 @@
 // Shard RPC wire layer: frame roundtrips over real pipes, exhaustive
 // single-byte-corruption and truncation sweeps (every mutation must surface
 // as kDataLoss or kIoError — never a wrong payload), deadline expiry,
-// clean-EOF detection, codec roundtrips for tasks / results / statuses, and
-// WirePredicate-vs-Expr evaluation equivalence.
+// clean-EOF detection, codec roundtrips for tasks / results / statuses,
+// rejection of malformed tasks, and Expr -> wire -> Expr evaluation
+// equivalence.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -254,6 +256,62 @@ TEST(WireCodecTest, ShardTaskRoundtrip) {
   EXPECT_EQ(reencoded, payload);
 }
 
+TEST(WireCodecTest, MalformedShardTasksAreRejectedAtDecode) {
+  WireShardTask task = SampleTask();
+  task.num_columns = 3;
+  task.class_column = 2;
+  task.nodes.resize(1);
+  task.nodes[0].attrs = {0, 1};
+  std::string payload;
+  WireShardTask decoded;
+  {
+    SCOPED_TRACE("comparison on column 999 of a 3-column row");
+    task.nodes[0].predicate.kind = 1;
+    task.nodes[0].predicate.column = 999;
+    EncodeShardTask(task, &payload);
+    EXPECT_EQ(DecodeShardTask(payload, &decoded).code(),
+              StatusCode::kDataLoss);
+  }
+  {
+    SCOPED_TRACE("NOT with zero children");
+    task.nodes[0].predicate = WirePredicate();
+    task.nodes[0].predicate.kind = 5;
+    EncodeShardTask(task, &payload);
+    EXPECT_EQ(DecodeShardTask(payload, &decoded).code(),
+              StatusCode::kDataLoss);
+  }
+  {
+    SCOPED_TRACE("AND with zero children");
+    task.nodes[0].predicate.kind = 3;
+    EncodeShardTask(task, &payload);
+    EXPECT_EQ(DecodeShardTask(payload, &decoded).code(),
+              StatusCode::kDataLoss);
+  }
+  {
+    SCOPED_TRACE("a row wider than a heap page");
+    task.nodes[0].predicate = WirePredicate();
+    task.num_columns = 1 << 20;
+    EncodeShardTask(task, &payload);
+    EXPECT_EQ(DecodeShardTask(payload, &decoded).code(),
+              StatusCode::kDataLoss);
+  }
+  {
+    SCOPED_TRACE("2^32-1 nodes in a 33-byte payload");
+    payload.clear();
+    PutFixed32(&payload, 0);                // shard
+    PutFixed32(&payload, 1);                // heap path length
+    payload.push_back('x');                 // heap path
+    PutFixed64(&payload, 10);               // expected rows
+    PutFixed32(&payload, 3);                // columns
+    PutFixed32(&payload, 2);                // class column
+    PutFixed32(&payload, 2);                // classes
+    PutFixed32(&payload, 0xFFFFFFFFu);      // nodes
+    ASSERT_EQ(payload.size(), 33u);
+    EXPECT_EQ(DecodeShardTask(payload, &decoded).code(),
+              StatusCode::kDataLoss);
+  }
+}
+
 TEST(WireCodecTest, EveryShardTaskTruncationIsRejected) {
   std::string payload;
   EncodeShardTask(SampleTask(), &payload);
@@ -394,18 +452,35 @@ TEST(WirePredicateTest, EvalMatchesExprOverRandomRows) {
   }
   exprs.push_back(Expr::Not(Expr::ColEq("A3", 4)));
 
+  // Expr -> wire -> encode/decode -> Expr, as the worker receives it.
+  auto round_trip = [&](const Expr* expr) -> std::unique_ptr<Expr> {
+    WireShardTask task = SampleTask();
+    task.num_columns = schema.num_columns();
+    task.class_column = schema.class_column();
+    task.nodes.resize(1);
+    task.nodes[0].predicate = WirePredicateFromExpr(expr);
+    task.nodes[0].attrs = {0};
+    std::string payload;
+    EncodeShardTask(task, &payload);
+    WireShardTask decoded;
+    EXPECT_TRUE(DecodeShardTask(payload, &decoded).ok());
+    std::unique_ptr<Expr> raised =
+        ExprFromWirePredicate(decoded.nodes[0].predicate);
+    EXPECT_TRUE(raised->Bind(WireSchema(schema.num_columns())).ok());
+    return raised;
+  };
   for (const auto& expr : exprs) {
     ASSERT_TRUE(expr->Bind(schema).ok());
-    const WirePredicate lowered = WirePredicateFromExpr(expr.get());
+    const std::unique_ptr<Expr> raised = round_trip(expr.get());
     for (const Row& row : rows) {
-      EXPECT_EQ(lowered.Eval(row.data()), expr->Eval(row.data()))
+      EXPECT_EQ(raised->Eval(row.data()), expr->Eval(row.data()))
           << expr->ToSql();
     }
   }
 
   // The null-predicate convention (match everything).
-  const WirePredicate everything = WirePredicateFromExpr(nullptr);
-  for (const Row& row : rows) EXPECT_TRUE(everything.Eval(row.data()));
+  const std::unique_ptr<Expr> everything = round_trip(nullptr);
+  for (const Row& row : rows) EXPECT_TRUE(everything->Eval(row.data()));
 }
 
 TEST(WirePredicateTest, DeeplyNestedDecodeIsBounded) {

@@ -20,6 +20,10 @@ Primitives (call sites that move rows/bytes):
     ->SampleRows( / .SampleRows(     scramble (sample file) payload fetch
     ->ShardRows( / .ShardRows(       shard distribution-map entry fetch
     ShardMerger::ShardMergeCells(    partial-CC merge cell movement
+    ->ReadPageInto( / .ReadPageInto( positioned page decode
+    ParallelCountScan::OverHeapFile( the counting kernel: a caller that
+    ParallelCountScan::OverRows(     passes cost = nullptr charges the
+                                     scan itself or names its charger
 
 Charges (anything that mutates a counter field): ++x or x += where x names
 a field of CostCounters or IoCounters (the field lists are parsed out of
@@ -76,6 +80,9 @@ PRIMITIVE_RE = re.compile(
       | (?:\.|->)SampleRows\s*\(
       | (?:\.|->|::)ShardRows\s*\(
       | (?:\.|->|::)ShardMergeCells\s*\(
+      | (?:\.|->)ReadPageInto\s*\(
+      | (?:\.|->|::)OverHeapFile\s*\(
+      | (?:\.|->|::)OverRows\s*\(
     """,
     re.VERBOSE,
 )
@@ -208,8 +215,9 @@ def self_test(root, charge_re):
     """Proves the checker detects an uncharged primitive in each scan-out
     flavor: a bare fwrite in heap_file.cc (plus an honored fault-injected
     waiver), an uncharged BitmapWords fetch in bitmap_scan.cc, an uncharged
-    SampleRows fetch in sample_scan.cc, and an uncharged ShardRows fetch in
-    shard_scan.cc."""
+    SampleRows fetch in sample_scan.cc, an uncharged ShardRows fetch in
+    shard_scan.cc, and a counting-kernel call that passes cost = nullptr
+    without a waiver in shard_scan.cc."""
     mw = os.path.join(root, "src", "middleware")
     cases = [
         Injection(
@@ -261,6 +269,18 @@ def self_test(root, charge_re):
             "}  // namespace sqlclass\n",
             expect="UnchargedShardFetchForLintSelfTest",
             label="uncharged ShardRows fetch"),
+        Injection(
+            os.path.join(mw, "shard_scan.cc"),
+            "\nnamespace sqlclass {\n"
+            "uint64_t UnwaivedKernelCallForLintSelfTest("
+            "const ParallelScanOptions& options) {\n"
+            "  auto scan = ParallelCountScan::OverHeapFile(\n"
+            "      nullptr, \"t.heap\", 1, options, nullptr, nullptr);\n"
+            "  return scan.ok() ? scan->rows_scanned : 0;\n"
+            "}\n"
+            "}  // namespace sqlclass\n",
+            expect="UnwaivedKernelCallForLintSelfTest",
+            label="unwaived counting-kernel call"),
     ]
     return run_self_test(
         cases, lambda path: check_file_regex(path, charge_re),

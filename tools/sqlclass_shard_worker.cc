@@ -2,10 +2,10 @@
 // ShardTask frames on stdin, replies on stdout, exits 0 when the
 // coordinator closes the pipe. All behavior — including the deterministic
 // crash injection via SQLCLASS_CRASH_AT and the inherited SQLCLASS_FAULTS
-// spec — lives in shard/worker_loop.cc so it is testable in-process.
+// spec — lives in middleware/worker_loop.cc so it is testable in-process.
 #include <csignal>
 
-#include "shard/worker_loop.h"
+#include "middleware/worker_loop.h"
 
 int main() {
   // A coordinator that dies mid-exchange must surface as EPIPE on our
