@@ -11,7 +11,6 @@
 //   --dump=FILE    also write the results as JSON (BENCH_approx.json)
 
 #include <cmath>
-#include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
@@ -144,12 +143,7 @@ struct ApproxCell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string dump_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--dump=", 7) == 0) dump_path = argv[i] + 7;
-  }
+  const auto [smoke, dump_path] = ParseBenchArgs(argc, argv);
 
   ScopedDir dir("approx");
   SqlServer server(dir.path());

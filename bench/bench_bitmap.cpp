@@ -8,7 +8,6 @@
 //   --smoke        tiny instance for the `perf`-labeled ctest smoke run
 //   --dump=FILE    also write the results as JSON (BENCH_bitmap.json)
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -70,12 +69,7 @@ struct BitmapBenchCell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string dump_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--dump=", 7) == 0) dump_path = argv[i] + 7;
-  }
+  const auto [smoke, dump_path] = ParseBenchArgs(argc, argv);
 
   ScopedDir dir("bitmap");
   SqlServer server(dir.path());

@@ -21,7 +21,6 @@
 //   --dump=FILE    also write the results as JSON (BENCH_faults.json)
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
@@ -109,12 +108,7 @@ struct ConfigResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string dump_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--dump=", 7) == 0) dump_path = argv[i] + 7;
-  }
+  const auto [smoke, dump_path] = ParseBenchArgs(argc, argv);
 
   ScopedDir dir("faults");
   Schema schema = MakeBenchSchema();

@@ -16,7 +16,6 @@
 //   --smoke        tiny grid for the `perf`-labeled ctest smoke run
 //   --dump=FILE    also write the results as JSON (BENCH_parallel_scan.json)
 
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,14 +139,6 @@ struct StagedCell {
   }
 };
 
-uint64_t Fnv1a(const std::string& text) {
-  uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : text) {
-    hash = (hash ^ c) * 1099511628211ull;
-  }
-  return hash;
-}
-
 // Grows the tree over table "data" through a fresh middleware.
 bool GrowStaged(SqlServer* server, const Schema& schema, uint64_t rows,
                 int threads, const std::string& staging_dir,
@@ -190,12 +181,7 @@ bool GrowStaged(SqlServer* server, const Schema& schema, uint64_t rows,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string dump_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--dump=", 7) == 0) dump_path = argv[i] + 7;
-  }
+  const auto [smoke, dump_path] = ParseBenchArgs(argc, argv);
 
   ScopedDir dir("parallel_scan");
   Schema schema = MakeBenchSchema();

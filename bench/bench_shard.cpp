@@ -12,7 +12,6 @@
 //   --smoke        tiny grid for the `perf`-labeled ctest smoke run
 //   --dump=FILE    also write the results as JSON (BENCH_shard.json)
 
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,12 +42,7 @@ struct GridCell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string dump_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--dump=", 7) == 0) dump_path = argv[i] + 7;
-  }
+  const auto [smoke, dump_path] = ParseBenchArgs(argc, argv);
 
   ScopedDir dir("shard");
   SqlServer server(dir.path());

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/json_writer.h"
@@ -49,6 +50,42 @@ class ScopedDir {
   std::string path_;
 };
 
+/// The flags every JSON-writing bench takes.
+struct BenchArgs {
+  bool smoke = false;     // --smoke: tiny instance for the `perf` ctest run
+  std::string dump_path;  // --dump=FILE: also write the results as JSON
+};
+
+/// Parses `--smoke` and `--dump=FILE`. Any other argument — a misspelt
+/// flag, `--dump` without `=FILE` — prints the usage line and exits 2
+/// before the bench does any work.
+inline BenchArgs ParseBenchArgs(int argc, char** argv) {
+  BenchArgs args;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--smoke") {
+      args.smoke = true;
+    } else if (arg.starts_with("--dump=") && arg.size() > 7) {
+      args.dump_path = arg.substr(7);
+    } else {
+      std::fprintf(stderr, "unknown argument: %s\nusage: %s [--smoke] "
+                   "[--dump=FILE]\n", arg.c_str(), argv[0]);
+      std::exit(2);
+    }
+  }
+  return args;
+}
+
+/// FNV-1a of `text`; benches record FNV-1a of DecisionTree::Signature() as
+/// the tree hash.
+inline uint64_t Fnv1a(const std::string& text) {
+  uint64_t hash = 14695981039346656037ull;
+  for (unsigned char c : text) {
+    hash = (hash ^ c) * 1099511628211ull;
+  }
+  return hash;
+}
+
 /// Scale multiplier for experiment sizes: benches default to a laptop-fast
 /// scale whose *ratios* (memory:data, CC:data) match the paper; set
 /// SQLCLASS_BENCH_SCALE=4 (say) to run larger instances.
@@ -66,6 +103,8 @@ struct TreeRunResult {
   int nodes = 0;
   int leaves = 0;
   int depth = 0;
+  uint64_t tree_hash = 0;  // Fnv1a of the tree's signature
+  std::optional<DecisionTree> tree;
   ClassificationMiddleware::Stats mw_stats;
   int files_created = 0;
   int memory_stores_created = 0;
@@ -94,6 +133,8 @@ inline TreeRunResult GrowTree(SqlServer* server, const Schema& schema,
   result.nodes = tree->num_nodes();
   result.leaves = tree->CountLeaves();
   result.depth = tree->MaxDepth();
+  result.tree_hash = Fnv1a(tree->Signature());
+  result.tree = std::move(*tree);
   return result;
 }
 

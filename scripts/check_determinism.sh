@@ -57,6 +57,20 @@ cat "$tmp/staged_1.txt"
 diff "$tmp/staged_1.txt" "$tmp/staged_4.txt"
 echo "OK: staged, bounded grow identical at 1 and 4 scan workers"
 
+# The paper grid (Figs 4-8, §5.2.5, A1-A3, Gaussian): every cell's tree,
+# simulated seconds, cost counters and middleware counts must not depend on
+# the scan worker count; only wall_s may differ.
+for threads in 1 4; do
+  echo "== paper grid with SQLCLASS_PARALLEL_SCAN_THREADS=$threads =="
+  SQLCLASS_PARALLEL_SCAN_THREADS=$threads \
+    "$BUILD_DIR/bench/bench_paper" --smoke \
+    --dump="$tmp/paper_$threads.json" >/dev/null
+  sed -E 's/"wall_s":[0-9.e+-]+/"wall_s":_/g' \
+    "$tmp/paper_$threads.json" >"$tmp/paper_invariant_$threads.json"
+done
+diff "$tmp/paper_invariant_1.json" "$tmp/paper_invariant_4.json"
+echo "OK: paper grid identical at 1 and 4 scan workers"
+
 # Bitmap counting path: two full runs must agree on everything but wall
 # time (the per-word charges are cache-state-invariant, and the bench
 # itself verifies the bitmap-served tree equals the row-scan tree).

@@ -29,6 +29,7 @@ BENCHES=(
   "bench_bitmap:BENCH_bitmap.json"
   "bench_approx:BENCH_approx.json"
   "bench_shard:BENCH_shard.json"
+  "bench_paper:BENCH_paper.json"
 )
 
 for entry in "${BENCHES[@]}"; do

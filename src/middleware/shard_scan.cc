@@ -65,11 +65,6 @@ Status InProcessShardTransport::RunShard(const ShardTask& task) {
   return ScanShardHeapFile(task, task.shard_heap_path);
 }
 
-uint64_t ShardMerger::ShardMergeCells(CcTable* into, const CcTable& partial) {
-  into->Merge(partial);
-  return partial.NumEntries();
-}
-
 ShardCoordinator::ShardCoordinator(std::string heap_path, const Schema* schema,
                                    std::unique_ptr<ShardMapReader> map,
                                    IoCounters* io)
@@ -177,12 +172,13 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
     ++rescans;
   }
 
-  // Fixed shard order makes the merge independent of worker scheduling:
-  // the merged tables are byte-identical to an unsharded scan's at every
-  // shard and thread count.
+  // Cell counts are int64 sums over disjoint row partitions, and the fixed
+  // shard order makes the merge independent of worker scheduling: the
+  // merged tables are byte-identical to an unsharded scan's at every shard
+  // and thread count.
   for (size_t i = 0; i < n; ++i) {
     for (uint32_t s = 0; s < shards; ++s) {
-      ShardMerger::ShardMergeCells((*nodes)[i].cc, partials[s][i]);
+      (*nodes)[i].cc->Merge(partials[s][i]);
     }
   }
 

@@ -100,17 +100,6 @@ class InProcessShardTransport : public ShardTransport {
   [[nodiscard]] Status RunShard(const ShardTask& task) override;
 };
 
-/// Deterministic fixed-order merge of per-shard partial CC tables.
-class ShardMerger {
- public:
-  /// Folds `partial` into `into`, returning the number of (attribute,
-  /// value) cells moved — the unit mw_shard_merge_cells meters. Cell
-  /// counts are int64 sums over disjoint row partitions, so merging the
-  /// partials in fixed shard order yields exactly the table an unsharded
-  /// scan would build.
-  static uint64_t ShardMergeCells(CcTable* into, const CcTable& partial);
-};
-
 /// Fans one CC batch out across the table's shard set (scheduler Rule 8)
 /// and merges the partial tables in fixed shard order, so the result is
 /// byte-identical to the unsharded row-scan path at every shard count and

@@ -19,7 +19,7 @@ Primitives (call sites that move rows/bytes):
     ->BitmapWords( / .BitmapWords(   bitmap-index word fetch
     ->SampleRows( / .SampleRows(     scramble (sample file) payload fetch
     ->ShardRows( / .ShardRows(       shard distribution-map entry fetch
-    ShardMerger::ShardMergeCells(    partial-CC merge cell movement
+    ->Merge(                         shard partial CC merged into a node's table
     ->ReadPageInto( / .ReadPageInto( positioned page decode
     ParallelCountScan::OverHeapFile( the counting kernel: a caller that
     ParallelCountScan::OverRows(     passes cost = nullptr charges the
@@ -79,7 +79,7 @@ PRIMITIVE_RE = re.compile(
       | (?:\.|->)BitmapWords\s*\(
       | (?:\.|->)SampleRows\s*\(
       | (?:\.|->|::)ShardRows\s*\(
-      | (?:\.|->|::)ShardMergeCells\s*\(
+      | ->Merge\s*\(
       | (?:\.|->)ReadPageInto\s*\(
       | (?:\.|->|::)OverHeapFile\s*\(
       | (?:\.|->|::)OverRows\s*\(
