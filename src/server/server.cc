@@ -115,6 +115,14 @@ std::string SqlServer::TablePath(const std::string& name) const {
   return base_dir_ + "/" + name + ".tbl";
 }
 
+void SqlServer::RemoveArtifacts(TableState* state) {
+  const Artifacts& built = state->artifacts;
+  if (built.bitmap_index) std::remove(BitmapIndexPathFor(state->path).c_str());
+  if (built.sample) std::remove(SampleFilePathFor(state->path).c_str());
+  if (built.num_shards > 0) RemoveShardSetFiles(state->path, built.num_shards);
+  state->artifacts = Artifacts();
+}
+
 Status SqlServer::CreateTable(const std::string& name, const Schema& schema) {
   for (char c : name) {
     if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_')) {
@@ -137,22 +145,8 @@ Status SqlServer::DropTable(const std::string& name) {
   auto it = tables_.find(name);
   if (it != tables_.end()) {
     std::remove(it->second.path.c_str());
+    RemoveArtifacts(&it->second);
     tables_.erase(it);
-  }
-  auto bmx = bitmap_indexes_.find(name);
-  if (bmx != bitmap_indexes_.end()) {
-    std::remove(bmx->second.c_str());
-    bitmap_indexes_.erase(bmx);
-  }
-  auto smp = sample_tables_.find(name);
-  if (smp != sample_tables_.end()) {
-    std::remove(smp->second.c_str());
-    sample_tables_.erase(smp);
-  }
-  auto shm = shard_sets_.find(name);
-  if (shm != shard_sets_.end()) {
-    RemoveShardSetFiles(TablePath(name), shm->second.num_shards);
-    shard_sets_.erase(shm);
   }
   stats_.erase(name);
   for (auto index_it = indexes_.begin(); index_it != indexes_.end();) {
@@ -271,27 +265,9 @@ Status SqlServer::AppendRows(const std::string& name,
   SQLCLASS_RETURN_IF_ERROR(writer->Finish());
   state->row_count += rows.size();
   stats_.erase(name);  // histogram is stale; require a fresh ANALYZE
-  // The bitmap index no longer covers the new rows; drop it (rebuild is an
-  // explicit BuildBitmapIndex, like a fresh ANALYZE).
-  auto bmx = bitmap_indexes_.find(name);
-  if (bmx != bitmap_indexes_.end()) {
-    std::remove(bmx->second.c_str());
-    bitmap_indexes_.erase(bmx);
-  }
-  // Likewise the scramble: its sample no longer covers the appended rows.
-  auto smp = sample_tables_.find(name);
-  if (smp != sample_tables_.end()) {
-    std::remove(smp->second.c_str());
-    sample_tables_.erase(smp);
-  }
-  // And the shard set: its distribution map no longer accounts for the new
-  // rows, so a sharded scan would silently undercount. Drop map + shards;
-  // rebuild is an explicit BuildShardSet.
-  auto shm = shard_sets_.find(name);
-  if (shm != shard_sets_.end()) {
-    RemoveShardSetFiles(state->path, shm->second.num_shards);
-    shard_sets_.erase(shm);
-  }
+  // No artifact covers the new rows (a sharded scan would silently
+  // undercount); rebuilding is an explicit Build*, like a fresh ANALYZE.
+  RemoveArtifacts(state);
   buffer_pool_.InvalidateFile(info->id);  // cached pages changed on disk
   return Status::OK();
 }
@@ -515,9 +491,9 @@ Status SqlServer::DropIndex(const std::string& table,
 }
 
 Status SqlServer::BuildBitmapIndex(const std::string& table) {
-  SQLCLASS_ASSIGN_OR_RETURN(const TableState* state, GetState(table));
+  SQLCLASS_ASSIGN_OR_RETURN(TableState * state, GetState(table));
   if (state->loading) return Status::Internal("loader open: " + table);
-  if (bitmap_indexes_.count(table) > 0) {
+  if (state->artifacts.bitmap_index) {
     return Status::AlreadyExists("bitmap index exists on " + table);
   }
   SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(table));
@@ -536,40 +512,37 @@ Status SqlServer::BuildBitmapIndex(const std::string& table) {
         ++cost_counters_.index_rows_inserted;
         return builder.AddRow(row);
       }));
-  const std::string path = BitmapIndexPathFor(state->path);
-  SQLCLASS_RETURN_IF_ERROR(builder.WriteFile(path, &io_counters_));
-  bitmap_indexes_[table] = path;
+  SQLCLASS_RETURN_IF_ERROR(
+      builder.WriteFile(BitmapIndexPathFor(state->path), &io_counters_));
+  state->artifacts.bitmap_index = true;
   return Status::OK();
 }
 
 bool SqlServer::HasBitmapIndex(const std::string& table) const {
-  return bitmap_indexes_.count(table) > 0;
+  return BitmapIndexPath(table).ok();
 }
 
 StatusOr<std::string> SqlServer::BitmapIndexPath(
     const std::string& table) const {
-  auto it = bitmap_indexes_.find(table);
-  if (it == bitmap_indexes_.end()) {
+  auto state = GetState(table);
+  if (!state.ok() || !(*state)->artifacts.bitmap_index) {
     return Status::NotFound("no bitmap index on " + table);
   }
-  return it->second;
+  return BitmapIndexPathFor((*state)->path);
 }
 
 Status SqlServer::DropBitmapIndex(const std::string& table) {
-  auto it = bitmap_indexes_.find(table);
-  if (it == bitmap_indexes_.end()) {
-    return Status::NotFound("no bitmap index on " + table);
-  }
-  std::remove(it->second.c_str());
-  bitmap_indexes_.erase(it);
+  SQLCLASS_ASSIGN_OR_RETURN(std::string path, BitmapIndexPath(table));
+  std::remove(path.c_str());
+  tables_[table].artifacts.bitmap_index = false;
   return Status::OK();
 }
 
 Status SqlServer::BuildSampleTable(const std::string& table,
                                    double sampling_ratio, uint64_t seed) {
-  SQLCLASS_ASSIGN_OR_RETURN(const TableState* state, GetState(table));
+  SQLCLASS_ASSIGN_OR_RETURN(TableState * state, GetState(table));
   if (state->loading) return Status::Internal("loader open: " + table);
-  if (sample_tables_.count(table) > 0) {
+  if (state->artifacts.sample) {
     return Status::AlreadyExists("sample table exists on " + table);
   }
   if (!(sampling_ratio > 0.0) || sampling_ratio > 1.0) {
@@ -583,46 +556,43 @@ Status SqlServer::BuildSampleTable(const std::string& table,
         ++cost_counters_.index_rows_inserted;
         return builder.AddRow(row);
       }));
-  const std::string path = SampleFilePathFor(state->path);
-  SQLCLASS_RETURN_IF_ERROR(builder.WriteFile(path, &io_counters_));
-  sample_tables_[table] = path;
+  SQLCLASS_RETURN_IF_ERROR(
+      builder.WriteFile(SampleFilePathFor(state->path), &io_counters_));
+  state->artifacts.sample = true;
   return Status::OK();
 }
 
 bool SqlServer::HasSampleTable(const std::string& table) const {
-  return sample_tables_.count(table) > 0;
+  return SampleTablePath(table).ok();
 }
 
 StatusOr<std::string> SqlServer::SampleTablePath(
     const std::string& table) const {
-  auto it = sample_tables_.find(table);
-  if (it == sample_tables_.end()) {
+  auto state = GetState(table);
+  if (!state.ok() || !(*state)->artifacts.sample) {
     return Status::NotFound("no sample table on " + table);
   }
-  return it->second;
+  return SampleFilePathFor((*state)->path);
 }
 
 Status SqlServer::DropSampleTable(const std::string& table) {
-  auto it = sample_tables_.find(table);
-  if (it == sample_tables_.end()) {
-    return Status::NotFound("no sample table on " + table);
-  }
-  std::remove(it->second.c_str());
-  sample_tables_.erase(it);
+  SQLCLASS_ASSIGN_OR_RETURN(std::string path, SampleTablePath(table));
+  std::remove(path.c_str());
+  tables_[table].artifacts.sample = false;
   return Status::OK();
 }
 
 Status SqlServer::BuildShardSet(const std::string& table, uint32_t num_shards,
                                 ShardScheme scheme, bool with_replicas) {
-  SQLCLASS_ASSIGN_OR_RETURN(const TableState* state, GetState(table));
+  SQLCLASS_ASSIGN_OR_RETURN(TableState * state, GetState(table));
   if (state->loading) return Status::Internal("loader open: " + table);
-  if (shard_sets_.count(table) > 0) {
+  if (state->artifacts.num_shards > 0) {
     return Status::AlreadyExists("shard set exists on " + table);
   }
   SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(table));
   ShardSetWriter writer(state->path, info->schema.num_columns(), num_shards,
                         scheme);
-  writer.set_write_replicas(ResolveShardReplicas(with_replicas));
+  writer.set_write_replicas(with_replicas);
   SQLCLASS_RETURN_IF_ERROR(writer.Open(&io_counters_));
   Status scan =
       ServerSideScan(table, nullptr, [&](Tid, const Row& row) -> Status {
@@ -634,32 +604,27 @@ Status SqlServer::BuildShardSet(const std::string& table, uint32_t num_shards,
     return scan;
   }
   SQLCLASS_RETURN_IF_ERROR(writer.Finish());
-  shard_sets_[table] = {ShardMapPathFor(state->path), num_shards};
+  state->artifacts.num_shards = num_shards;
   return Status::OK();
 }
 
 bool SqlServer::HasShardSet(const std::string& table) const {
-  return shard_sets_.count(table) > 0;
+  return ShardSetPath(table).ok();
 }
 
 StatusOr<std::string> SqlServer::ShardSetPath(const std::string& table) const {
-  auto it = shard_sets_.find(table);
-  if (it == shard_sets_.end()) {
+  auto state = GetState(table);
+  if (!state.ok() || (*state)->artifacts.num_shards == 0) {
     return Status::NotFound("no shard set on " + table);
   }
-  return it->second.map_path;
+  return ShardMapPathFor((*state)->path);
 }
 
 Status SqlServer::DropShardSet(const std::string& table) {
-  auto it = shard_sets_.find(table);
-  if (it == shard_sets_.end()) {
-    return Status::NotFound("no shard set on " + table);
-  }
-  auto state = GetState(table);
-  if (state.ok()) {
-    RemoveShardSetFiles((*state)->path, it->second.num_shards);
-  }
-  shard_sets_.erase(it);
+  SQLCLASS_RETURN_IF_ERROR(ShardSetPath(table).status());
+  TableState& state = tables_[table];
+  RemoveShardSetFiles(state.path, state.artifacts.num_shards);
+  state.artifacts.num_shards = 0;
   return Status::OK();
 }
 

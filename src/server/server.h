@@ -198,9 +198,8 @@ class SqlServer : public TableProvider {
   /// per-row insertion cost). The middleware's sharded scan-out (scheduler
   /// Rule 8) fans CC batches out over the shard set. Appending rows
   /// invalidates the shard set — rebuild after bulk INSERTs.
-  /// `with_replicas` (overridable via SQLCLASS_SHARDS_REPLICAS) also writes
-  /// a byte-identical `.s<i>.rep` replica per shard — the coordinator's
-  /// first recovery rung for a dead shard.
+  /// `with_replicas` also writes a byte-identical `.s<i>.rep` replica per
+  /// shard — the coordinator's first recovery rung for a dead shard.
   [[nodiscard]] Status BuildShardSet(const std::string& table, uint32_t num_shards,
                        ShardScheme scheme = ShardScheme::kHashRowId,
                        bool with_replicas = false);
@@ -274,10 +273,22 @@ class SqlServer : public TableProvider {
   const BufferPool& buffer_pool() const { return buffer_pool_; }
 
  private:
+  /// The derived artifact files built next to a table's heap file. Their
+  /// paths derive from the heap path (BitmapIndexPathFor,
+  /// SampleFilePathFor, ShardMapPathFor), so only what those cannot give
+  /// is kept: which artifacts exist, and the shard count invalidation must
+  /// sweep.
+  struct Artifacts {
+    bool bitmap_index = false;
+    bool sample = false;
+    uint32_t num_shards = 0;  // 0 = no shard set
+  };
+
   struct TableState {
     std::string path;
     uint64_t row_count = 0;
     bool loading = false;
+    Artifacts artifacts;
   };
 
   struct Keyset {
@@ -288,6 +299,10 @@ class SqlServer : public TableProvider {
   [[nodiscard]] StatusOr<TableState*> GetState(const std::string& table);
   [[nodiscard]] StatusOr<const TableState*> GetState(const std::string& table) const;
   std::string TablePath(const std::string& name) const;
+
+  /// Removes every artifact file of the table and forgets them — appends
+  /// and drops leave no stale artifact to be served.
+  static void RemoveArtifacts(TableState* state);
 
   /// Scans `src` at the server, charging one scan + per-row evaluation, and
   /// invokes `fn(tid, row)` for rows matching `filter` (null = all rows).
@@ -302,16 +317,6 @@ class SqlServer : public TableProvider {
   Catalog catalog_;
   std::map<std::string, TableState> tables_;
   std::map<std::pair<std::string, std::string>, SecondaryIndex> indexes_;
-  std::map<std::string, std::string> bitmap_indexes_;  // table -> index path
-  std::map<std::string, std::string> sample_tables_;   // table -> scramble path
-
-  /// table -> its shard set. The shard count is kept alongside the map path
-  /// so invalidation removes exactly the files the build created.
-  struct ShardSetEntry {
-    std::string map_path;
-    uint32_t num_shards = 0;
-  };
-  std::map<std::string, ShardSetEntry> shard_sets_;
   std::map<std::string, TableStats> stats_;
   std::map<std::string, std::vector<Tid>> tid_lists_;
   std::map<uint64_t, Keyset> keysets_;

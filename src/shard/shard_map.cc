@@ -1,9 +1,9 @@
 #include "shard/shard_map.h"
 
-#include <cstdlib>
+#include <filesystem>
+#include <span>
 
 #include "common/bytes.h"
-#include "common/env.h"
 #include "common/fault_injector.h"
 #include "storage/checksum.h"
 #include "storage/row_batch.h"
@@ -12,21 +12,13 @@ namespace sqlclass {
 
 namespace {
 
-/// Full header size: prologue, partitioning metadata, payload checksum,
-/// header trailer checksum. Already 8-byte aligned, so the per-shard entry
-/// block follows directly.
+/// Header size without its trailer: prologue, partitioning metadata,
+/// payload checksum.
 constexpr size_t kHeaderBytes =
-    6 * sizeof(uint32_t) + sizeof(uint64_t) + 2 * sizeof(uint32_t);
-static_assert(kHeaderBytes % 8 == 0, "shard map payload must stay aligned");
+    6 * sizeof(uint32_t) + sizeof(uint64_t) + sizeof(uint32_t);
 
 /// Bytes of one per-shard entry: [rows: u64][heap checksum: u32].
 constexpr size_t kEntryBytes = sizeof(uint64_t) + sizeof(uint32_t);
-
-/// Pages a contiguous read/write of `bytes` costs, for IoCounters — the
-/// same page unit heap files meter in.
-uint64_t PagesFor(uint64_t bytes) {
-  return bytes == 0 ? 0 : (bytes + kPageSize - 1) / kPageSize;
-}
 
 /// Fibonacci-constant mixing (splitmix64 finalizer): decorrelates the
 /// kHashRowId placement from any periodicity in the row stream.
@@ -35,16 +27,6 @@ uint64_t MixOrdinal(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
-}
-
-/// Existence probe only — an absent replica is a legitimate state (the set
-/// was built without replicas), so no Status and no fault point.
-bool FileExists(const std::string& path) {
-  // fault: uncovered(existence probe; open failure means "absent")
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  std::fclose(file);
-  return true;
 }
 
 /// Byte-for-byte copy of `src` to `dst` (truncating). Whole-file physical
@@ -112,11 +94,6 @@ std::string ShardHeapPathFor(const std::string& heap_path, uint32_t shard) {
 
 std::string ShardReplicaPathFor(const std::string& heap_path, uint32_t shard) {
   return heap_path + ".s" + std::to_string(shard) + ".rep";
-}
-
-bool ResolveShardReplicas(bool configured) {
-  const char* env = std::getenv("SQLCLASS_SHARDS_REPLICAS");
-  return env == nullptr || env[0] == '\0' ? configured : ParseEnvFlag(env);
 }
 
 uint32_t ShardForRow(ShardScheme scheme, uint64_t row_ordinal,
@@ -249,62 +226,24 @@ Status ShardSetWriter::Finish() {
   }
   writers_.clear();
 
-  const std::string map_path = ShardMapPathFor(heap_path_);
-  std::FILE* file = nullptr;
-  auto open_map = [&]() -> Status {
-    SQLCLASS_FAULT_POINT(faults::kStorageOpen);
-    file = std::fopen(map_path.c_str(), "wb");
-    if (file == nullptr) {
-      return Status::IoError("cannot create shard map: " + map_path);
+  if (result.ok()) {
+    std::vector<char> payload(num_shards_ * kEntryBytes);
+    for (uint32_t s = 0; s < num_shards_; ++s) {
+      EncodeFixed64(payload.data() + s * kEntryBytes, entries[s].rows);
+      EncodeFixed32(payload.data() + s * kEntryBytes + 8,
+                    entries[s].heap_checksum);
     }
-    return Status::OK();
-  };
-  if (result.ok()) result = open_map();
-
-  std::vector<char> payload(num_shards_ * kEntryBytes);
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    EncodeFixed64(payload.data() + s * kEntryBytes, entries[s].rows);
-    EncodeFixed32(payload.data() + s * kEntryBytes + 8,
-                  entries[s].heap_checksum);
-  }
-
-  std::vector<char> header(kHeaderBytes, 0);
-  size_t at = 0;
-  EncodeFixed32(header.data() + at, kShardMapMagic), at += 4;
-  EncodeFixed32(header.data() + at, kShardMapFormatVersion), at += 4;
-  EncodeFixed32(header.data() + at, static_cast<uint32_t>(num_columns_)),
-      at += 4;
-  EncodeFixed32(header.data() + at, num_shards_), at += 4;
-  EncodeFixed32(header.data() + at, static_cast<uint32_t>(scheme_)), at += 4;
-  EncodeFixed32(header.data() + at, 0), at += 4;  // reserved
-  EncodeFixed64(header.data() + at, rows_routed_), at += 8;
-  EncodeFixed32(header.data() + at, Checksum32(payload.data(), payload.size())),
-      at += 4;
-  EncodeFixed32(header.data() + at, Checksum32(header.data(), at));
-  at += 4;
-
-  auto write_all = [&](const char* data, size_t n) -> Status {
-    SQLCLASS_FAULT_POINT(faults::kStorageWrite);
-    if (n > 0 && std::fwrite(data, 1, n, file) != n) {
-      return Status::IoError("short write to shard map: " + map_path);
-    }
-    return Status::OK();
-  };
-  if (result.ok()) result = write_all(header.data(), header.size());
-  if (result.ok()) result = write_all(payload.data(), payload.size());
-  auto close_file = [&]() -> Status {
-    SQLCLASS_FAULT_POINT(faults::kStorageClose);
-    std::FILE* f = file;
-    file = nullptr;
-    if (std::fclose(f) != 0) {
-      return Status::IoError("cannot close shard map: " + map_path);
-    }
-    return Status::OK();
-  };
-  if (result.ok()) result = close_file();
-  if (file != nullptr) std::fclose(file);
-  if (result.ok() && counters_ != nullptr) {
-    counters_->pages_written += PagesFor(header.size() + payload.size());
+    std::string header;
+    PutFixed32(&header, static_cast<uint32_t>(num_columns_));
+    PutFixed32(&header, num_shards_);
+    PutFixed32(&header, static_cast<uint32_t>(scheme_));
+    PutFixed32(&header, 0);  // reserved
+    PutFixed64(&header, rows_routed_);
+    PutFixed32(&header, Checksum32(payload.data(), payload.size()));
+    const std::span<const char> blocks[] = {payload};
+    result = WriteArtifactFile(ArtifactKind::kShardMap,
+                               ShardMapPathFor(heap_path_), header, blocks,
+                               counters_);
   }
   if (!result.ok()) RemoveShardSet();
   return result;
@@ -349,82 +288,40 @@ void RemoveShardSetFiles(const std::string& heap_path, uint32_t num_shards) {
 
 // ----------------------------------------------------------------- reader
 
-ShardMapReader::ShardMapReader(std::string path, std::FILE* file,
-                               IoCounters* counters)
-    : path_(std::move(path)), file_(file), counters_(counters) {}
-
-ShardMapReader::~ShardMapReader() {
-  // fault: uncovered(best-effort close in destructor: read-only stream)
-  if (file_ != nullptr) std::fclose(file_);
-}
-
 StatusOr<std::unique_ptr<ShardMapReader>> ShardMapReader::Open(
     const std::string& path, IoCounters* counters) {
-  SQLCLASS_FAULT_POINT(faults::kShardOpen);
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IoError("cannot open shard map: " + path);
-  }
-  std::unique_ptr<ShardMapReader> reader(
-      new ShardMapReader(path, file, counters));
-
-  char header[kHeaderBytes];
-  if (std::fread(header, 1, sizeof(header), file) != sizeof(header)) {
-    return Status::IoError("cannot read shard map header: " + path);
-  }
-  if (DecodeFixed32(header) != kShardMapMagic) {
-    return Status::IoError("bad shard map magic in " + path);
-  }
-  const uint32_t version = DecodeFixed32(header + 4);
-  if (version != kShardMapFormatVersion) {
-    return Status::IoError("unsupported shard map version " +
-                           std::to_string(version) + " in " + path);
-  }
-  reader->num_columns_ = DecodeFixed32(header + 8);
-  reader->num_shards_ = DecodeFixed32(header + 12);
-  const uint32_t scheme = DecodeFixed32(header + 16);
-  reader->total_rows_ = DecodeFixed64(header + 24);
-  reader->payload_checksum_ = DecodeFixed32(header + 32);
-  if (reader->num_columns_ == 0 || reader->num_columns_ > (1u << 20)) {
-    return Status::IoError("implausible shard map column count in " + path);
-  }
-  if (reader->num_shards_ == 0 || reader->num_shards_ > kMaxShards) {
-    return Status::IoError("implausible shard map shard count in " + path);
-  }
-  if (scheme > static_cast<uint32_t>(ShardScheme::kHashRowId)) {
-    return Status::IoError("unknown shard scheme in " + path);
-  }
-  reader->scheme_ = static_cast<ShardScheme>(scheme);
-  if (PageChecksumVerificationEnabled()) {
-    const uint32_t stored = DecodeFixed32(header + kHeaderBytes - 4);
-    const uint32_t actual = Checksum32(header, kHeaderBytes - 4);
-    if (actual != stored) {
-      if (counters != nullptr) ++counters->checksum_failures;
-      return Status::DataLoss("shard map header checksum mismatch in " + path);
+  std::unique_ptr<ShardMapReader> reader(new ShardMapReader());
+  auto header_length = [&](const char* header,
+                           uint64_t read) -> StatusOr<uint64_t> {
+    if (read < kHeaderBytes) return kHeaderBytes;
+    reader->num_columns_ = DecodeFixed32(header + 8);
+    reader->num_shards_ = DecodeFixed32(header + 12);
+    const uint32_t scheme = DecodeFixed32(header + 16);
+    reader->total_rows_ = DecodeFixed64(header + 24);
+    reader->payload_checksum_ = DecodeFixed32(header + 32);
+    if (reader->num_columns_ == 0 || reader->num_columns_ > (1u << 20)) {
+      return Status::IoError("implausible shard map column count in " + path);
     }
-  }
-  if (counters != nullptr) counters->pages_read += PagesFor(kHeaderBytes);
+    if (reader->num_shards_ == 0 || reader->num_shards_ > kMaxShards) {
+      return Status::IoError("implausible shard map shard count in " + path);
+    }
+    if (scheme > static_cast<uint32_t>(ShardScheme::kHashRowId)) {
+      return Status::IoError("unknown shard scheme in " + path);
+    }
+    reader->scheme_ = static_cast<ShardScheme>(scheme);
+    return kHeaderBytes;
+  };
+  SQLCLASS_RETURN_IF_ERROR(reader->file_.Open(ArtifactKind::kShardMap, path,
+                                              header_length, counters));
   return reader;
 }
 
 StatusOr<const ShardInfo*> ShardMapReader::ShardRows() {
-  if (loaded_) return cache_.data();
-
-  SQLCLASS_FAULT_POINT(faults::kShardRead);
-  const uint64_t bytes = static_cast<uint64_t>(num_shards_) * kEntryBytes;
-  if (std::fseek(file_, static_cast<long>(kHeaderBytes), SEEK_SET) != 0) {
-    return Status::IoError("cannot seek in shard map: " + path_);
-  }
-  std::vector<char> raw(bytes);
-  if (std::fread(raw.data(), 1, raw.size(), file_) != raw.size()) {
-    return Status::IoError("truncated shard map payload in " + path_);
-  }
-  if (counters_ != nullptr) counters_->pages_read += PagesFor(bytes);
-  if (PageChecksumVerificationEnabled() &&
-      Checksum32(raw.data(), raw.size()) != payload_checksum_) {
-    if (counters_ != nullptr) ++counters_->checksum_failures;
-    return Status::DataLoss("shard map payload checksum mismatch in " + path_);
-  }
+  if (cache_.has_value()) return cache_->data();
+  SQLCLASS_ASSIGN_OR_RETURN(
+      std::vector<char> raw,
+      file_.ReadBlock(0, uint64_t{num_shards_} * kEntryBytes,
+                      payload_checksum_));
   std::vector<ShardInfo> entries(num_shards_);
   uint64_t sum = 0;
   for (uint32_t s = 0; s < num_shards_; ++s) {
@@ -434,17 +331,9 @@ StatusOr<const ShardInfo*> ShardMapReader::ShardRows() {
   }
   if (sum != total_rows_) {
     return Status::DataLoss("shard map row counts do not sum to total in " +
-                            path_);
+                            file_.path());
   }
-  cache_ = std::move(entries);
-  loaded_ = true;
-  return cache_.data();
-}
-
-void ShardMapReader::DropCache() {
-  cache_.clear();
-  cache_.shrink_to_fit();
-  loaded_ = false;
+  return cache_.emplace(std::move(entries)).data();
 }
 
 Status VerifyShardFiles(const std::string& heap_path,
@@ -461,8 +350,10 @@ Status VerifyShardFiles(const std::string& heap_path,
       return Status::DataLoss("shard heap checksum mismatch for shard " +
                               std::to_string(s) + " of " + heap_path);
     }
+    // An absent replica is a legitimate state: the set was built without.
     const std::string replica = ShardReplicaPathFor(heap_path, s);
-    if (!FileExists(replica)) continue;
+    std::error_code absent;
+    if (!std::filesystem::exists(replica, absent)) continue;
     SQLCLASS_ASSIGN_OR_RETURN(uint32_t replica_actual,
                               ChecksumFileContents(replica, counters));
     if (replica_actual != entries[s].heap_checksum) {

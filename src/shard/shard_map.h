@@ -2,13 +2,14 @@
 #define SQLCLASS_SHARD_SHARD_MAP_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "catalog/row.h"
 #include "common/status.h"
+#include "storage/artifact_file.h"
 #include "storage/heap_file.h"
 #include "storage/io_counters.h"
 
@@ -25,20 +26,12 @@ namespace sqlclass {
 /// the rows, how many landed in each shard, and a Checksum32 of every shard
 /// heap file so a stale or torn shard set is detected before it is served.
 ///
-/// Map file layout (all integers little-endian):
-///   [magic: u32][version: u32][num_columns: u32][num_shards: u32]
+/// Map header fields after the magic "SQSH" and version (little-endian;
+/// the framing is storage/artifact_file.h's):
+///   [num_columns: u32][num_shards: u32]
 ///   [scheme: u32][reserved: u32][total_rows: u64]
-///   [payload checksum: u32][header checksum: u32]
-///   [rows: u64][heap checksum: u32] x num_shards     (the payload)
-///
-/// The header checksum covers every prior header byte; the payload checksum
-/// covers the per-shard entry block. Writers always stamp both; readers
-/// verify unless page checksum verification is globally disabled
-/// (SQLCLASS_PAGE_CHECKSUMS=0). Checksum mismatches surface as
-/// StatusCode::kDataLoss, bad magic/version as kIoError — the same split
-/// heap pages, bitmap indexes, and scrambles use.
-inline constexpr uint32_t kShardMapMagic = 0x48535153;  // "SQSH"
-inline constexpr uint32_t kShardMapFormatVersion = 1;
+///   [payload checksum: u32]
+/// The payload is [rows: u64][heap checksum: u32] x num_shards.
 
 /// Hard cap on the shard count a map may declare. Far above any sane
 /// configuration; exists so a corrupt count cannot drive a huge allocation.
@@ -67,11 +60,6 @@ std::string ShardHeapPathFor(const std::string& heap_path, uint32_t shard);
 /// map's per-shard checksum.
 std::string ShardReplicaPathFor(const std::string& heap_path, uint32_t shard);
 
-/// SQLCLASS_SHARDS_REPLICAS override for the build-time replica choice:
-/// "0"/"false"/"off" forces replicas off, any other value forces them on,
-/// unset keeps `configured`.
-bool ResolveShardReplicas(bool configured);
-
 /// The shard that owns row ordinal `row_ordinal` under `scheme`.
 /// Deterministic, pure; the coordinator uses it to re-scan a dead shard's
 /// rows out of the primary heap file.
@@ -84,8 +72,9 @@ struct ShardInfo {
   uint32_t heap_checksum = 0;  // Checksum32 over the shard heap file bytes
 };
 
-/// Checksum32 over the whole file at `path` (streamed in page-sized
-/// chunks). `counters` (nullable) accumulates the physical page reads.
+/// Checksum32 over the whole file at `path`, read into memory whole (a
+/// chunked checksum would tie the stored value to the chunk size).
+/// `counters` (nullable) accumulates the physical page reads.
 /// What the map stamps per shard and what VerifyShardFiles recomputes.
 [[nodiscard]] StatusOr<uint32_t> ChecksumFileContents(const std::string& path,
                                         IoCounters* counters);
@@ -167,10 +156,6 @@ void RemoveShardSetFiles(const std::string& heap_path, uint32_t num_shards);
 /// common/fault_injector.h).
 class ShardMapReader {
  public:
-  ShardMapReader(const ShardMapReader&) = delete;
-  ShardMapReader& operator=(const ShardMapReader&) = delete;
-  ~ShardMapReader();
-
   /// `counters` (nullable) accumulates physical page reads and checksum
   /// failures.
   [[nodiscard]] static StatusOr<std::unique_ptr<ShardMapReader>> Open(
@@ -187,23 +172,16 @@ class ShardMapReader {
   /// accesses return the cached copy.
   [[nodiscard]] StatusOr<const ShardInfo*> ShardRows();
 
-  /// Drops the cached entries (the next access re-reads from disk) —
-  /// recovery hygiene after a failed pass, and a test hook.
-  void DropCache();
-
  private:
-  ShardMapReader(std::string path, std::FILE* file, IoCounters* counters);
+  ShardMapReader() = default;
 
-  std::string path_;
-  std::FILE* file_;
-  IoCounters* counters_;  // may be null
+  ArtifactReader file_;
   uint32_t num_columns_ = 0;
   uint32_t num_shards_ = 0;
   ShardScheme scheme_ = ShardScheme::kRoundRobin;
   uint64_t total_rows_ = 0;
   uint32_t payload_checksum_ = 0;
-  std::vector<ShardInfo> cache_;
-  bool loaded_ = false;
+  std::optional<std::vector<ShardInfo>> cache_;  // the payload, once read
 };
 
 /// Recomputes every shard heap file's checksum and compares it against the

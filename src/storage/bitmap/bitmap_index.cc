@@ -1,9 +1,8 @@
 #include "storage/bitmap/bitmap_index.h"
 
-#include <cstring>
+#include <span>
 
 #include "common/bytes.h"
-#include "common/fault_injector.h"
 #include "storage/bitmap/bitmap.h"
 #include "storage/checksum.h"
 #include "storage/heap_file.h"
@@ -15,33 +14,6 @@ namespace {
 
 /// Fixed-width prologue before the per-column / per-bitmap arrays.
 constexpr size_t kPrologueBytes = 4 * sizeof(uint32_t) + sizeof(uint64_t);
-
-size_t HeaderBytes(uint32_t num_columns, uint32_t total_bitmaps) {
-  return kPrologueBytes + num_columns * sizeof(uint32_t) +
-         total_bitmaps * sizeof(uint32_t) + sizeof(uint32_t);
-}
-
-/// Payload start: the checksummed header rounded up to an 8-byte boundary.
-size_t PayloadOffset(uint32_t num_columns, uint32_t total_bitmaps) {
-  return (HeaderBytes(num_columns, total_bitmaps) + 7) & ~size_t{7};
-}
-
-/// Pages a contiguous read/write of `bytes` costs, for IoCounters — the
-/// same page unit heap files meter in.
-uint64_t PagesFor(uint64_t bytes) {
-  return bytes == 0 ? 0 : (bytes + kPageSize - 1) / kPageSize;
-}
-
-/// Serializes one bitmap's words little-endian into `out` (resized). The
-/// encoded bytes are both what lands on disk and what the per-bitmap
-/// checksum covers, so the format is stable across host endianness.
-void EncodeBitmap(const std::vector<uint64_t>& words, uint64_t words_per_bitmap,
-                  std::vector<char>* out) {
-  out->assign(words_per_bitmap * sizeof(uint64_t), 0);
-  for (uint64_t w = 0; w < words.size(); ++w) {
-    EncodeFixed64(out->data() + w * sizeof(uint64_t), words[w]);
-  }
-}
 
 }  // namespace
 
@@ -89,68 +61,27 @@ Status BitmapIndexBuilder::AddRow(const Value* values, size_t num_values) {
 
 Status BitmapIndexBuilder::WriteFile(const std::string& path,
                                      IoCounters* counters) const {
-  SQLCLASS_FAULT_POINT(faults::kStorageOpen);
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::IoError("cannot create bitmap index: " + path);
-  }
-
-  const uint32_t num_columns = static_cast<uint32_t>(cardinalities_.size());
-  const uint64_t words_per_bitmap = BitmapWordCount(num_rows_);
-  const size_t payload_offset = PayloadOffset(num_columns, total_bitmaps_);
-
-  // Encode every bitmap once: the encodings feed both the header checksums
-  // and the payload writes.
-  std::vector<std::vector<char>> encoded(total_bitmaps_);
-  std::vector<char> header(payload_offset, 0);
-  size_t at = 0;
-  EncodeFixed32(header.data() + at, kBitmapMagic), at += 4;
-  EncodeFixed32(header.data() + at, kBitmapFormatVersion), at += 4;
-  EncodeFixed32(header.data() + at, num_columns), at += 4;
-  EncodeFixed32(header.data() + at, 0), at += 4;  // reserved
-  EncodeFixed64(header.data() + at, num_rows_), at += 8;
-  for (uint32_t card : cardinalities_) {
-    EncodeFixed32(header.data() + at, card), at += 4;
-  }
+  // Encode every bitmap once, little-endian so the format is stable across
+  // host endianness: the encodings feed both the header checksums and the
+  // payload writes, one block per bitmap.
+  const uint64_t bitmap_bytes = BitmapWordCount(num_rows_) * sizeof(uint64_t);
+  std::vector<char> payload(total_bitmaps_ * bitmap_bytes, 0);
+  std::vector<std::span<const char>> blocks;
+  std::string header;
+  PutFixed32(&header, static_cast<uint32_t>(cardinalities_.size()));
+  PutFixed32(&header, 0);  // reserved
+  PutFixed64(&header, num_rows_);
+  for (uint32_t card : cardinalities_) PutFixed32(&header, card);
   for (uint32_t b = 0; b < total_bitmaps_; ++b) {
-    EncodeBitmap(bits_[b], words_per_bitmap, &encoded[b]);
-    EncodeFixed32(header.data() + at,
-                  Checksum32(encoded[b].data(), encoded[b].size()));
-    at += 4;
-  }
-  EncodeFixed32(header.data() + at, Checksum32(header.data(), at));
-  at += 4;
-
-  Status result = Status::OK();
-  auto write_all = [&](const char* data, size_t n) -> Status {
-    SQLCLASS_FAULT_POINT(faults::kStorageWrite);
-    if (n > 0 && std::fwrite(data, 1, n, file) != n) {
-      return Status::IoError("short write to bitmap index: " + path);
+    char* block = payload.data() + b * bitmap_bytes;
+    for (uint64_t w = 0; w < bits_[b].size(); ++w) {
+      EncodeFixed64(block + w * sizeof(uint64_t), bits_[b][w]);
     }
-    return Status::OK();
-  };
-  result = write_all(header.data(), header.size());
-  uint64_t bytes_written = header.size();
-  for (uint32_t b = 0; result.ok() && b < total_bitmaps_; ++b) {
-    result = write_all(encoded[b].data(), encoded[b].size());
-    if (result.ok()) bytes_written += encoded[b].size();
+    PutFixed32(&header, Checksum32(block, bitmap_bytes));
+    blocks.emplace_back(block, bitmap_bytes);
   }
-  auto close_file = [&]() -> Status {
-    SQLCLASS_FAULT_POINT(faults::kStorageClose);
-    std::FILE* f = file;
-    file = nullptr;
-    if (std::fclose(f) != 0) {
-      return Status::IoError("cannot close bitmap index: " + path);
-    }
-    return Status::OK();
-  };
-  if (result.ok()) result = close_file();
-  if (file != nullptr) std::fclose(file);
-  if (result.ok() && counters != nullptr) {
-    counters->pages_written += PagesFor(bytes_written);
-  }
-  if (!result.ok()) std::remove(path.c_str());
-  return result;
+  return WriteArtifactFile(ArtifactKind::kBitmapIndex, path, header, blocks,
+                           counters);
 }
 
 StatusOr<uint64_t> BitmapIndexBuilder::BuildFromHeapFile(
@@ -177,93 +108,40 @@ StatusOr<uint64_t> BitmapIndexBuilder::BuildFromHeapFile(
 
 // ----------------------------------------------------------------- reader
 
-BitmapIndexReader::BitmapIndexReader(std::string path, std::FILE* file,
-                                     IoCounters* counters)
-    : path_(std::move(path)), file_(file), counters_(counters) {}
-
-BitmapIndexReader::~BitmapIndexReader() {
-  // fault: uncovered(best-effort close in destructor: read-only stream; load/read paths report errors)
-  if (file_ != nullptr) std::fclose(file_);
-}
-
 StatusOr<std::unique_ptr<BitmapIndexReader>> BitmapIndexReader::Open(
     const std::string& path, IoCounters* counters) {
-  SQLCLASS_FAULT_POINT(faults::kBitmapOpen);
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IoError("cannot open bitmap index: " + path);
-  }
-  std::unique_ptr<BitmapIndexReader> reader(
-      new BitmapIndexReader(path, file, counters));
-
-  char prologue[kPrologueBytes];
-  if (std::fread(prologue, 1, sizeof(prologue), file) != sizeof(prologue)) {
-    return Status::IoError("cannot read bitmap index header: " + path);
-  }
-  if (DecodeFixed32(prologue) != kBitmapMagic) {
-    return Status::IoError("bad bitmap index magic in " + path);
-  }
-  const uint32_t version = DecodeFixed32(prologue + 4);
-  if (version != kBitmapFormatVersion) {
-    return Status::IoError("unsupported bitmap index version " +
-                           std::to_string(version) + " in " + path);
-  }
-  reader->num_columns_ = DecodeFixed32(prologue + 8);
-  reader->num_rows_ = DecodeFixed64(prologue + 16);
-  reader->words_per_bitmap_ = BitmapWordCount(reader->num_rows_);
-  if (reader->num_columns_ == 0 || reader->num_columns_ > (1u << 20)) {
-    return Status::IoError("implausible bitmap index column count in " + path);
-  }
-
-  // Re-read the whole header contiguously so the stored trailer checksum
-  // can be verified over exactly the bytes the writer covered.
-  std::vector<char> card_bytes(reader->num_columns_ * sizeof(uint32_t));
-  if (std::fread(card_bytes.data(), 1, card_bytes.size(), file) !=
-      card_bytes.size()) {
-    return Status::IoError("truncated bitmap index header in " + path);
-  }
-  uint32_t total_bitmaps = 0;
-  reader->cardinalities_.reserve(reader->num_columns_);
-  reader->bitmap_base_.reserve(reader->num_columns_);
-  for (uint32_t c = 0; c < reader->num_columns_; ++c) {
-    const uint32_t card = DecodeFixed32(card_bytes.data() + c * 4);
-    reader->cardinalities_.push_back(card);
-    reader->bitmap_base_.push_back(total_bitmaps);
-    total_bitmaps += card;
-  }
-  std::vector<char> checksum_bytes((total_bitmaps + 1) * sizeof(uint32_t));
-  if (std::fread(checksum_bytes.data(), 1, checksum_bytes.size(), file) !=
-      checksum_bytes.size()) {
-    return Status::IoError("truncated bitmap index header in " + path);
-  }
-  reader->bitmap_checksums_.reserve(total_bitmaps);
-  for (uint32_t b = 0; b < total_bitmaps; ++b) {
-    reader->bitmap_checksums_.push_back(
-        DecodeFixed32(checksum_bytes.data() + b * 4));
-  }
-  const uint32_t stored_header_checksum =
-      DecodeFixed32(checksum_bytes.data() + total_bitmaps * 4);
-  if (PageChecksumVerificationEnabled()) {
-    // Recompute over prologue + cardinalities + per-bitmap checksums, as
-    // one contiguous buffer — Checksum32 folds the length into its state,
-    // so the verification must cover exactly the writer's single span.
-    std::vector<char> covered(prologue, prologue + sizeof(prologue));
-    covered.insert(covered.end(), card_bytes.begin(), card_bytes.end());
-    covered.insert(covered.end(), checksum_bytes.begin(),
-                   checksum_bytes.end() - sizeof(uint32_t));
-    const uint32_t actual = Checksum32(covered.data(), covered.size());
-    if (actual != stored_header_checksum) {
-      if (counters != nullptr) ++counters->checksum_failures;
-      return Status::DataLoss("bitmap index header checksum mismatch in " +
-                              path);
+  std::unique_ptr<BitmapIndexReader> reader(new BitmapIndexReader());
+  // The header grows in three steps: the prologue, the cardinalities it
+  // counts, then one checksum per bitmap they sum to.
+  auto header_length = [&](const char* header,
+                           uint64_t read) -> StatusOr<uint64_t> {
+    if (read < kPrologueBytes) return kPrologueBytes;
+    reader->num_columns_ = DecodeFixed32(header + 8);
+    reader->num_rows_ = DecodeFixed64(header + 16);
+    if (reader->num_columns_ == 0 || reader->num_columns_ > (1u << 20)) {
+      return Status::IoError("implausible bitmap index column count in " +
+                             path);
     }
-  }
-  reader->payload_offset_ = PayloadOffset(reader->num_columns_, total_bitmaps);
+    const uint64_t cards_end =
+        kPrologueBytes + uint64_t{reader->num_columns_} * sizeof(uint32_t);
+    if (read < cards_end) return cards_end;
+    reader->cardinalities_.clear();
+    reader->bitmap_base_.clear();
+    uint64_t total_bitmaps = 0;
+    for (uint32_t c = 0; c < reader->num_columns_; ++c) {
+      const uint32_t card = DecodeFixed32(header + kPrologueBytes + c * 4);
+      reader->cardinalities_.push_back(card);
+      reader->bitmap_base_.push_back(total_bitmaps);
+      total_bitmaps += card;
+    }
+    return cards_end + total_bitmaps * sizeof(uint32_t);
+  };
+  SQLCLASS_RETURN_IF_ERROR(reader->file_.Open(ArtifactKind::kBitmapIndex,
+                                              path, header_length, counters));
+  reader->words_per_bitmap_ = BitmapWordCount(reader->num_rows_);
+  const uint64_t total_bitmaps =
+      reader->bitmap_base_.back() + reader->cardinalities_.back();
   reader->cache_.resize(total_bitmaps);
-  reader->loaded_.assign(total_bitmaps, false);
-  if (counters != nullptr) {
-    counters->pages_read += PagesFor(reader->payload_offset_);
-  }
   return reader;
 }
 
@@ -278,41 +156,21 @@ StatusOr<const uint64_t*> BitmapIndexReader::BitmapWords(int column,
         "value " + std::to_string(value) + " outside domain of column " +
         std::to_string(column));
   }
-  const uint32_t ordinal = bitmap_base_[column] + static_cast<uint32_t>(value);
-  if (loaded_[ordinal]) return cache_[ordinal].data();
+  const uint64_t ordinal = bitmap_base_[column] + static_cast<uint64_t>(value);
+  if (cache_[ordinal].has_value()) return cache_[ordinal]->data();
 
-  SQLCLASS_FAULT_POINT(faults::kBitmapRead);
+  // The per-bitmap checksums follow the cardinalities in the header.
+  const uint32_t checksum = DecodeFixed32(
+      file_.header() + kPrologueBytes +
+      (num_columns_ + ordinal) * sizeof(uint32_t));
   const uint64_t bytes = words_per_bitmap_ * sizeof(uint64_t);
-  const uint64_t offset = payload_offset_ + ordinal * bytes;
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-    return Status::IoError("cannot seek in bitmap index: " + path_);
-  }
-  std::vector<char> raw(bytes);
-  if (bytes > 0 && std::fread(raw.data(), 1, raw.size(), file_) != raw.size()) {
-    return Status::IoError("truncated bitmap in " + path_);
-  }
-  if (counters_ != nullptr) counters_->pages_read += PagesFor(bytes);
-  if (PageChecksumVerificationEnabled() &&
-      Checksum32(raw.data(), raw.size()) != bitmap_checksums_[ordinal]) {
-    if (counters_ != nullptr) ++counters_->checksum_failures;
-    return Status::DataLoss("bitmap checksum mismatch in " + path_ +
-                            " (bitmap " + std::to_string(ordinal) + ")");
-  }
-  std::vector<uint64_t>& words = cache_[ordinal];
-  words.resize(words_per_bitmap_);
+  SQLCLASS_ASSIGN_OR_RETURN(std::vector<char> raw,
+                            file_.ReadBlock(ordinal * bytes, bytes, checksum));
+  std::vector<uint64_t>& words = cache_[ordinal].emplace(words_per_bitmap_);
   for (uint64_t w = 0; w < words_per_bitmap_; ++w) {
     words[w] = DecodeFixed64(raw.data() + w * sizeof(uint64_t));
   }
-  loaded_[ordinal] = true;
   return words.data();
-}
-
-void BitmapIndexReader::DropCache() {
-  for (std::vector<uint64_t>& slot : cache_) {
-    slot.clear();
-    slot.shrink_to_fit();
-  }
-  loaded_.assign(loaded_.size(), false);
 }
 
 }  // namespace sqlclass

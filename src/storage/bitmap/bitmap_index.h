@@ -2,13 +2,14 @@
 #define SQLCLASS_STORAGE_BITMAP_BITMAP_INDEX_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "catalog/row.h"
 #include "common/status.h"
+#include "storage/artifact_file.h"
 #include "storage/io_counters.h"
 
 namespace sqlclass {
@@ -19,25 +20,16 @@ namespace sqlclass {
 /// `r` is set iff row `r` has `row[c] == v`. Node-predicate counts then
 /// become bitmap AND + popcount instead of row-at-a-time decode.
 ///
-/// File layout (all integers little-endian):
-///   [magic: u32][version: u32][num_columns: u32][reserved: u32]
-///   [num_rows: u64]
+/// Header fields after the magic "SQBM" and version (little-endian; the
+/// framing is storage/artifact_file.h's):
+///   [num_columns: u32][reserved: u32][num_rows: u64]
 ///   [cardinality: u32] x num_columns
 ///   [bitmap checksum: u32] x total_bitmaps     (sum of cardinalities)
-///   [header checksum: u32]                     (over all prior bytes)
-///   zero padding to an 8-byte boundary
-///   [bitmap words: u64 x words_per_bitmap] x total_bitmaps
+/// The payload is [bitmap words: u64 x words_per_bitmap] x total_bitmaps.
 ///
 /// Bitmaps are laid out column-major: all of column 0's values first, then
 /// column 1's, and so on. Every bitmap spans words_per_bitmap =
 /// ceil(num_rows / 64) words; bits at or beyond num_rows are zero.
-/// Writers always stamp both checksum layers; readers verify unless page
-/// checksum verification is globally disabled (SQLCLASS_PAGE_CHECKSUMS=0).
-/// A header mismatch or bitmap-checksum mismatch surfaces as
-/// StatusCode::kDataLoss, bad magic/version as kIoError — the same split
-/// heap pages use.
-inline constexpr uint32_t kBitmapMagic = 0x4D425153;  // "SQBM"
-inline constexpr uint32_t kBitmapFormatVersion = 1;
 
 /// Conventional index filename for a heap file at `heap_path`.
 std::string BitmapIndexPathFor(const std::string& heap_path);
@@ -89,10 +81,6 @@ class BitmapIndexBuilder {
 /// load (see common/fault_injector.h).
 class BitmapIndexReader {
  public:
-  BitmapIndexReader(const BitmapIndexReader&) = delete;
-  BitmapIndexReader& operator=(const BitmapIndexReader&) = delete;
-  ~BitmapIndexReader();
-
   /// `counters` (nullable) accumulates physical page reads and checksum
   /// failures.
   [[nodiscard]] static StatusOr<std::unique_ptr<BitmapIndexReader>> Open(
@@ -109,25 +97,17 @@ class BitmapIndexReader {
   /// out-of-domain (column, value).
   [[nodiscard]] StatusOr<const uint64_t*> BitmapWords(int column, Value value);
 
-  /// Drops every cached bitmap (the next access re-reads from disk) —
-  /// recovery hygiene after a failed pass, and a test hook.
-  void DropCache();
-
  private:
-  BitmapIndexReader(std::string path, std::FILE* file, IoCounters* counters);
+  BitmapIndexReader() = default;
 
-  std::string path_;
-  std::FILE* file_;
-  IoCounters* counters_;  // may be null
+  ArtifactReader file_;
   uint32_t num_columns_ = 0;
   uint64_t num_rows_ = 0;
   uint64_t words_per_bitmap_ = 0;
-  uint64_t payload_offset_ = 0;
   std::vector<uint32_t> cardinalities_;
-  std::vector<uint32_t> bitmap_base_;       // per column: first bitmap ordinal
-  std::vector<uint32_t> bitmap_checksums_;  // per bitmap, from the header
-  std::vector<std::vector<uint64_t>> cache_;  // one slot per bitmap
-  std::vector<bool> loaded_;                  // cache_[i] is valid
+  std::vector<uint64_t> bitmap_base_;       // per column: first bitmap ordinal
+  /// One slot per bitmap, filled on first access.
+  std::vector<std::optional<std::vector<uint64_t>>> cache_;
 };
 
 }  // namespace sqlclass

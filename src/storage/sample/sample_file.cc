@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include "common/bytes.h"
-#include "common/fault_injector.h"
 #include "storage/checksum.h"
 #include "storage/heap_file.h"
 #include "storage/row_batch.h"
@@ -14,18 +14,10 @@ namespace sqlclass {
 
 namespace {
 
-/// Full header size: prologue, sampling metadata, payload checksum, header
-/// trailer checksum. Already 8-byte aligned, so the payload follows
-/// directly.
+/// Header size without its trailer: prologue, sampling metadata, payload
+/// checksum.
 constexpr size_t kHeaderBytes =
-    4 * sizeof(uint32_t) + 4 * sizeof(uint64_t) + 2 * sizeof(uint32_t);
-static_assert(kHeaderBytes % 8 == 0, "sample payload must stay aligned");
-
-/// Pages a contiguous read/write of `bytes` costs, for IoCounters — the
-/// same page unit heap files meter in.
-uint64_t PagesFor(uint64_t bytes) {
-  return bytes == 0 ? 0 : (bytes + kPageSize - 1) / kPageSize;
-}
+    4 * sizeof(uint32_t) + 4 * sizeof(uint64_t) + sizeof(uint32_t);
 
 uint64_t RatioBits(double ratio) {
   uint64_t bits = 0;
@@ -107,60 +99,22 @@ Status SampleFileBuilder::WriteFile(const std::string& path,
     std::copy(scratch.begin(), scratch.end(), b);
   }
 
-  SQLCLASS_FAULT_POINT(faults::kStorageOpen);
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::IoError("cannot create sample file: " + path);
-  }
-
   std::vector<char> payload(reservoir_.size() * sizeof(uint32_t));
   for (size_t i = 0; i < reservoir_.size(); ++i) {
     EncodeFixed32(payload.data() + i * sizeof(uint32_t),
                   static_cast<uint32_t>(reservoir_[i]));
   }
-
-  std::vector<char> header(kHeaderBytes, 0);
-  size_t at = 0;
-  EncodeFixed32(header.data() + at, kSampleMagic), at += 4;
-  EncodeFixed32(header.data() + at, kSampleFormatVersion), at += 4;
-  EncodeFixed32(header.data() + at, static_cast<uint32_t>(num_columns_)),
-      at += 4;
-  EncodeFixed32(header.data() + at, 0), at += 4;  // reserved
-  EncodeFixed64(header.data() + at, rows), at += 8;
-  EncodeFixed64(header.data() + at, rows_seen_), at += 8;
-  EncodeFixed64(header.data() + at, seed_), at += 8;
-  EncodeFixed64(header.data() + at, RatioBits(ratio_)), at += 8;
-  EncodeFixed32(header.data() + at, Checksum32(payload.data(), payload.size())),
-      at += 4;
-  EncodeFixed32(header.data() + at, Checksum32(header.data(), at));
-  at += 4;
-
-  Status result = Status::OK();
-  auto write_all = [&](const char* data, size_t n) -> Status {
-    SQLCLASS_FAULT_POINT(faults::kStorageWrite);
-    if (n > 0 && std::fwrite(data, 1, n, file) != n) {
-      return Status::IoError("short write to sample file: " + path);
-    }
-    return Status::OK();
-  };
-  result = write_all(header.data(), header.size());
-  if (result.ok()) result = write_all(payload.data(), payload.size());
-  auto close_file = [&]() -> Status {
-    SQLCLASS_FAULT_POINT(faults::kStorageClose);
-    std::FILE* f = file;
-    file = nullptr;
-    if (std::fclose(f) != 0) {
-      return Status::IoError("cannot close sample file: " + path);
-    }
-    return Status::OK();
-  };
-  if (result.ok()) result = close_file();
-  if (file != nullptr) std::fclose(file);
-  if (result.ok() && counters != nullptr) {
-    counters->pages_written += PagesFor(header.size() + payload.size());
-  }
-  if (!result.ok()) std::remove(path.c_str());
-  return result;
+  std::string header;
+  PutFixed32(&header, static_cast<uint32_t>(num_columns_));
+  PutFixed32(&header, 0);  // reserved
+  PutFixed64(&header, rows);
+  PutFixed64(&header, rows_seen_);
+  PutFixed64(&header, seed_);
+  PutFixed64(&header, RatioBits(ratio_));
+  PutFixed32(&header, Checksum32(payload.data(), payload.size()));
+  const std::span<const char> blocks[] = {payload};
+  return WriteArtifactFile(ArtifactKind::kSample, path, header, blocks,
+                           counters);
 }
 
 StatusOr<uint64_t> SampleFileBuilder::BuildFromHeapFile(
@@ -186,94 +140,45 @@ StatusOr<uint64_t> SampleFileBuilder::BuildFromHeapFile(
 
 // ----------------------------------------------------------------- reader
 
-SampleFileReader::SampleFileReader(std::string path, std::FILE* file,
-                                   IoCounters* counters)
-    : path_(std::move(path)), file_(file), counters_(counters) {}
-
-SampleFileReader::~SampleFileReader() {
-  // fault: uncovered(best-effort close in destructor: read-only stream; load/read paths report errors)
-  if (file_ != nullptr) std::fclose(file_);
-}
-
 StatusOr<std::unique_ptr<SampleFileReader>> SampleFileReader::Open(
     const std::string& path, IoCounters* counters) {
-  SQLCLASS_FAULT_POINT(faults::kSampleOpen);
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IoError("cannot open sample file: " + path);
-  }
-  std::unique_ptr<SampleFileReader> reader(
-      new SampleFileReader(path, file, counters));
-
-  char header[kHeaderBytes];
-  if (std::fread(header, 1, sizeof(header), file) != sizeof(header)) {
-    return Status::IoError("cannot read sample file header: " + path);
-  }
-  if (DecodeFixed32(header) != kSampleMagic) {
-    return Status::IoError("bad sample file magic in " + path);
-  }
-  const uint32_t version = DecodeFixed32(header + 4);
-  if (version != kSampleFormatVersion) {
-    return Status::IoError("unsupported sample file version " +
-                           std::to_string(version) + " in " + path);
-  }
-  reader->num_columns_ = DecodeFixed32(header + 8);
-  reader->sample_rows_ = DecodeFixed64(header + 16);
-  reader->total_rows_ = DecodeFixed64(header + 24);
-  reader->seed_ = DecodeFixed64(header + 32);
-  reader->ratio_ = RatioFromBits(DecodeFixed64(header + 40));
-  reader->payload_checksum_ = DecodeFixed32(header + 48);
-  if (reader->num_columns_ == 0 || reader->num_columns_ > (1u << 20)) {
-    return Status::IoError("implausible sample file column count in " + path);
-  }
-  if (reader->sample_rows_ > reader->total_rows_) {
-    return Status::IoError("implausible sample file row counts in " + path);
-  }
-  if (PageChecksumVerificationEnabled()) {
-    const uint32_t stored = DecodeFixed32(header + kHeaderBytes - 4);
-    const uint32_t actual = Checksum32(header, kHeaderBytes - 4);
-    if (actual != stored) {
-      if (counters != nullptr) ++counters->checksum_failures;
-      return Status::DataLoss("sample file header checksum mismatch in " +
-                              path);
+  std::unique_ptr<SampleFileReader> reader(new SampleFileReader());
+  auto header_length = [&](const char* header,
+                           uint64_t read) -> StatusOr<uint64_t> {
+    if (read < kHeaderBytes) return kHeaderBytes;
+    reader->num_columns_ = DecodeFixed32(header + 8);
+    reader->sample_rows_ = DecodeFixed64(header + 16);
+    reader->total_rows_ = DecodeFixed64(header + 24);
+    reader->seed_ = DecodeFixed64(header + 32);
+    reader->ratio_ = RatioFromBits(DecodeFixed64(header + 40));
+    reader->payload_checksum_ = DecodeFixed32(header + 48);
+    if (reader->num_columns_ == 0 || reader->num_columns_ > (1u << 20)) {
+      return Status::IoError("implausible sample file column count in " +
+                             path);
     }
-  }
-  if (counters != nullptr) counters->pages_read += PagesFor(kHeaderBytes);
+    // The payload's byte count must not wrap, checksums or not.
+    if (reader->sample_rows_ > reader->total_rows_ ||
+        reader->sample_rows_ > UINT64_MAX / 4 / reader->num_columns_) {
+      return Status::IoError("implausible sample file row counts in " + path);
+    }
+    return kHeaderBytes;
+  };
+  SQLCLASS_RETURN_IF_ERROR(reader->file_.Open(ArtifactKind::kSample, path,
+                                              header_length, counters));
   return reader;
 }
 
 StatusOr<const Value*> SampleFileReader::SampleRows() {
-  if (loaded_) return cache_.data();
-
-  SQLCLASS_FAULT_POINT(faults::kSampleRead);
+  if (cache_.has_value()) return cache_->data();
   const uint64_t values = sample_rows_ * num_columns_;
-  const uint64_t bytes = values * sizeof(uint32_t);
-  if (std::fseek(file_, static_cast<long>(kHeaderBytes), SEEK_SET) != 0) {
-    return Status::IoError("cannot seek in sample file: " + path_);
-  }
-  std::vector<char> raw(bytes);
-  if (bytes > 0 && std::fread(raw.data(), 1, raw.size(), file_) != raw.size()) {
-    return Status::IoError("truncated sample file payload in " + path_);
-  }
-  if (counters_ != nullptr) counters_->pages_read += PagesFor(bytes);
-  if (PageChecksumVerificationEnabled() &&
-      Checksum32(raw.data(), raw.size()) != payload_checksum_) {
-    if (counters_ != nullptr) ++counters_->checksum_failures;
-    return Status::DataLoss("sample file payload checksum mismatch in " +
-                            path_);
-  }
-  cache_.resize(values);
+  SQLCLASS_ASSIGN_OR_RETURN(
+      std::vector<char> raw,
+      file_.ReadBlock(0, values * sizeof(uint32_t), payload_checksum_));
+  std::vector<Value>& rows = cache_.emplace(values);
   for (uint64_t i = 0; i < values; ++i) {
-    cache_[i] = static_cast<Value>(DecodeFixed32(raw.data() + i * 4));
+    rows[i] = static_cast<Value>(DecodeFixed32(raw.data() + i * 4));
   }
-  loaded_ = true;
-  return cache_.data();
-}
-
-void SampleFileReader::DropCache() {
-  cache_.clear();
-  cache_.shrink_to_fit();
-  loaded_ = false;
+  return rows.data();
 }
 
 }  // namespace sqlclass

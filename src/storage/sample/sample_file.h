@@ -2,14 +2,15 @@
 #define SQLCLASS_STORAGE_SAMPLE_SAMPLE_FILE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "catalog/row.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "storage/artifact_file.h"
 #include "storage/io_counters.h"
 
 namespace sqlclass {
@@ -22,20 +23,12 @@ namespace sqlclass {
 /// splits falls inside the confidence interval — see
 /// middleware/sample_scan.h and DESIGN.md "Approximate counting".
 ///
-/// File layout (all integers little-endian):
-///   [magic: u32][version: u32][num_columns: u32][reserved: u32]
+/// Header fields after the magic "SQSM" and version (little-endian; the
+/// framing is storage/artifact_file.h's):
+///   [num_columns: u32][reserved: u32]
 ///   [sample_rows: u64][total_rows: u64][seed: u64][ratio bits: u64]
-///   [payload checksum: u32][header checksum: u32]
-///   [value: u32 x num_columns] x sample_rows     (row-major)
-///
-/// The header checksum covers every prior header byte; the payload checksum
-/// covers the encoded row block. Writers always stamp both; readers verify
-/// unless page checksum verification is globally disabled
-/// (SQLCLASS_PAGE_CHECKSUMS=0). Checksum mismatches surface as
-/// StatusCode::kDataLoss, bad magic/version as kIoError — the same split
-/// heap pages and bitmap indexes use.
-inline constexpr uint32_t kSampleMagic = 0x4D535153;  // "SQSM"
-inline constexpr uint32_t kSampleFormatVersion = 1;
+///   [payload checksum: u32]
+/// The payload is [value: u32 x num_columns] x sample_rows (row-major).
 
 /// Conventional scramble filename for a heap file at `heap_path`.
 std::string SampleFilePathFor(const std::string& heap_path);
@@ -102,10 +95,6 @@ class SampleFileBuilder {
 /// payload load (see common/fault_injector.h).
 class SampleFileReader {
  public:
-  SampleFileReader(const SampleFileReader&) = delete;
-  SampleFileReader& operator=(const SampleFileReader&) = delete;
-  ~SampleFileReader();
-
   /// `counters` (nullable) accumulates physical page reads and checksum
   /// failures.
   [[nodiscard]] static StatusOr<std::unique_ptr<SampleFileReader>> Open(
@@ -123,24 +112,17 @@ class SampleFileReader {
   /// accesses return the cached copy.
   [[nodiscard]] StatusOr<const Value*> SampleRows();
 
-  /// Drops the cached payload (the next access re-reads from disk) —
-  /// recovery hygiene after a failed pass, and a test hook.
-  void DropCache();
-
  private:
-  SampleFileReader(std::string path, std::FILE* file, IoCounters* counters);
+  SampleFileReader() = default;
 
-  std::string path_;
-  std::FILE* file_;
-  IoCounters* counters_;  // may be null
+  ArtifactReader file_;
   uint32_t num_columns_ = 0;
   uint64_t sample_rows_ = 0;
   uint64_t total_rows_ = 0;
   uint64_t seed_ = 0;
   double ratio_ = 0.0;
   uint32_t payload_checksum_ = 0;
-  std::vector<Value> cache_;
-  bool loaded_ = false;
+  std::optional<std::vector<Value>> cache_;  // the payload, once read
 };
 
 }  // namespace sqlclass

@@ -27,15 +27,10 @@ namespace sqlclass {
 namespace {
 
 using testing_util::EnvVarScope;
+using testing_util::FaultScope;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 using testing_util::TempDir;
-
-class FaultScope {
- public:
-  FaultScope() { FaultInjector::Global().Reset(); }
-  ~FaultScope() { FaultInjector::Global().Reset(); }
-};
 
 // ---------------------------------------------------------------------------
 // ScaleCcToTotal.

@@ -32,31 +32,13 @@ namespace sqlclass {
 namespace {
 
 using testing_util::BruteForceCc;
+using testing_util::ChecksumToggle;
 using testing_util::EnvVarScope;
+using testing_util::FaultScope;
+using testing_util::FlipByte;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 using testing_util::TempDir;
-
-/// Resets the global injector on entry and exit so fault schedules never
-/// leak between tests (the injector is process-global).
-class FaultScope {
- public:
-  FaultScope() { FaultInjector::Global().Reset(); }
-  ~FaultScope() { FaultInjector::Global().Reset(); }
-};
-
-/// Restores the checksum-verification toggle on scope exit.
-class ChecksumToggle {
- public:
-  explicit ChecksumToggle(bool enabled)
-      : prev_(PageChecksumVerificationEnabled()) {
-    SetPageChecksumVerification(enabled);
-  }
-  ~ChecksumToggle() { SetPageChecksumVerification(prev_); }
-
- private:
-  bool prev_;
-};
 
 std::vector<uint32_t> Cardinalities(const Schema& schema) {
   std::vector<uint32_t> cards;
@@ -72,21 +54,6 @@ void WriteHeap(const std::string& path, const std::vector<Row>& rows,
   ASSERT_TRUE(writer.ok());
   for (const Row& row : rows) ASSERT_TRUE((*writer)->Append(row).ok());
   ASSERT_TRUE((*writer)->Finish().ok());
-}
-
-void FlipByte(const std::string& path, long offset) {
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  if (offset < 0) {
-    ASSERT_EQ(std::fseek(f, offset, SEEK_END), 0);
-  } else {
-    ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
-  }
-  int c = std::fgetc(f);
-  ASSERT_NE(c, EOF);
-  ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
-  std::fputc(c ^ 0x5a, f);
-  std::fclose(f);
 }
 
 // ---------------------------------------------------------------------------
@@ -625,14 +592,30 @@ TEST_F(MiddlewareBitmapTest, PersistentBitmapFaultStillGrowsExactTree) {
 TEST_F(MiddlewareBitmapTest, CorruptIndexDegradesToRowScans) {
   ChecksumToggle verify(true);
   GrowOutput baseline = Grow(Config(false));
-  ASSERT_TRUE(server_->BuildBitmapIndex("data").ok());
-  auto path = server_->BitmapIndexPath("data");
-  ASSERT_TRUE(path.ok());
-  FlipByte(*path, -3);
+  struct Corruption {
+    const char* what;
+    long offset;
+    int mask;
+  };
+  // A rotted payload byte, and cardinality[0]'s high byte (zero in every
+  // index of this table) set to 0xff: a header whose lengths the file
+  // cannot hold must fail Open with a Status, not a huge allocation.
+  for (const Corruption& corruption :
+       {Corruption{"payload byte", -3, 0x5a},
+        Corruption{"cardinality[0] high byte", 27, 0xff}}) {
+    SCOPED_TRACE(corruption.what);
+    if (server_->HasBitmapIndex("data")) {
+      ASSERT_TRUE(server_->DropBitmapIndex("data").ok());
+    }
+    ASSERT_TRUE(server_->BuildBitmapIndex("data").ok());
+    auto path = server_->BitmapIndexPath("data");
+    ASSERT_TRUE(path.ok());
+    FlipByte(*path, corruption.offset, corruption.mask);
 
-  GrowOutput result = Grow(Config(true));
-  EXPECT_EQ(result.tree, baseline.tree);
-  EXPECT_GE(result.stats.bitmap_fallbacks.load(), 1u);
+    GrowOutput result = Grow(Config(true));
+    EXPECT_EQ(result.tree, baseline.tree);
+    EXPECT_GE(result.stats.bitmap_fallbacks.load(), 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------

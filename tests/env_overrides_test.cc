@@ -213,21 +213,8 @@ TEST(TransportEnvTest, TransportOverride) {
   ExpectCases("SQLCLASS_SHARDS_TRANSPORT");
 }
 
-TEST(TransportEnvTest, DeadlineAndReplicaOverrides) {
+TEST(TransportEnvTest, DeadlineOverride) {
   ExpectCases("SQLCLASS_SHARDS_RPC_DEADLINE_MS");
-  // The replica switch is a BuildShardSet argument, resolved where the
-  // shard set is built rather than from a counting config.
-  {
-    EnvVarScope env("SQLCLASS_SHARDS_REPLICAS", nullptr);
-    EXPECT_TRUE(ResolveShardReplicas(true));
-    EXPECT_FALSE(ResolveShardReplicas(false));
-  }
-  for (const char* off : {"0", "false", "off"}) {
-    EnvVarScope env("SQLCLASS_SHARDS_REPLICAS", off);
-    EXPECT_FALSE(ResolveShardReplicas(true)) << off;
-  }
-  EnvVarScope env("SQLCLASS_SHARDS_REPLICAS", "1");
-  EXPECT_TRUE(ResolveShardReplicas(false));
 }
 
 // A 0 thread count, left 0 by a rejected override, means hardware

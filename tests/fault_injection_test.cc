@@ -29,6 +29,8 @@
 namespace sqlclass {
 namespace {
 
+using testing_util::ChecksumToggle;
+using testing_util::FaultScope;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 using testing_util::TempDir;
@@ -40,27 +42,6 @@ void WriteHeap(const std::string& path, const std::vector<Row>& rows,
   for (const Row& row : rows) ASSERT_TRUE((*writer)->Append(row).ok());
   ASSERT_TRUE((*writer)->Finish().ok());
 }
-
-/// Resets the global injector on entry and exit so fault schedules never
-/// leak between tests (the injector is process-global).
-class FaultScope {
- public:
-  FaultScope() { FaultInjector::Global().Reset(); }
-  ~FaultScope() { FaultInjector::Global().Reset(); }
-};
-
-/// Restores the checksum-verification toggle on scope exit.
-class ChecksumToggle {
- public:
-  explicit ChecksumToggle(bool enabled)
-      : prev_(PageChecksumVerificationEnabled()) {
-    SetPageChecksumVerification(enabled);
-  }
-  ~ChecksumToggle() { SetPageChecksumVerification(prev_); }
-
- private:
-  bool prev_;
-};
 
 RandomTreeParams SmallTreeParams() {
   RandomTreeParams params;

@@ -22,27 +22,12 @@
 namespace sqlclass {
 namespace {
 
+using testing_util::ChecksumToggle;
+using testing_util::FaultScope;
+using testing_util::FlipByte;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 using testing_util::TempDir;
-
-class FaultScope {
- public:
-  FaultScope() { FaultInjector::Global().Reset(); }
-  ~FaultScope() { FaultInjector::Global().Reset(); }
-};
-
-class ChecksumToggle {
- public:
-  explicit ChecksumToggle(bool enabled)
-      : prev_(PageChecksumVerificationEnabled()) {
-    SetPageChecksumVerification(enabled);
-  }
-  ~ChecksumToggle() { SetPageChecksumVerification(prev_); }
-
- private:
-  bool prev_;
-};
 
 void WriteHeap(const std::string& path, const std::vector<Row>& rows,
                int columns) {
@@ -50,21 +35,6 @@ void WriteHeap(const std::string& path, const std::vector<Row>& rows,
   ASSERT_TRUE(writer.ok());
   for (const Row& row : rows) ASSERT_TRUE((*writer)->Append(row).ok());
   ASSERT_TRUE((*writer)->Finish().ok());
-}
-
-void FlipByte(const std::string& path, long offset) {
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  if (offset < 0) {
-    ASSERT_EQ(std::fseek(f, offset, SEEK_END), 0);
-  } else {
-    ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
-  }
-  int c = std::fgetc(f);
-  ASSERT_NE(c, EOF);
-  ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
-  std::fputc(c ^ 0x5a, f);
-  std::fclose(f);
 }
 
 std::vector<Row> ReadAllSampleRows(SampleFileReader* reader) {

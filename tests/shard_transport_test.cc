@@ -33,15 +33,10 @@ namespace sqlclass {
 namespace {
 
 using testing_util::EnvVarScope;
+using testing_util::FaultScope;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 using testing_util::TempDir;
-
-class FaultScope {
- public:
-  FaultScope() { FaultInjector::Global().Reset(); }
-  ~FaultScope() { FaultInjector::Global().Reset(); }
-};
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -432,11 +427,14 @@ class TransportMiddlewareTest : public ::testing::Test {
     return out;
   }
 
-  void RebuildShardSet(uint32_t shards) {
+  void RebuildShardSet(uint32_t shards, bool with_replicas = false) {
     if (server_->HasShardSet("data")) {
       ASSERT_TRUE(server_->DropShardSet("data").ok());
     }
-    ASSERT_TRUE(server_->BuildShardSet("data", shards).ok());
+    ASSERT_TRUE(server_
+                    ->BuildShardSet("data", shards, ShardScheme::kHashRowId,
+                                    with_replicas)
+                    .ok());
   }
 
   /// Sums a per-batch trace counter for reconciliation against stats.
@@ -461,8 +459,7 @@ TEST_F(TransportMiddlewareTest, GridIsByteIdenticalAndCostInvariant) {
 
   double reference_sim = -1;
   for (bool replicas : {false, true}) {
-    EnvVarScope rep("SQLCLASS_SHARDS_REPLICAS", replicas ? "1" : nullptr);
-    RebuildShardSet(4);
+    RebuildShardSet(4, replicas);
     if (replicas) {
       const std::string heap = *server_->TableHeapPath("data");
       for (uint32_t s = 0; s < 4; ++s) {
@@ -544,10 +541,7 @@ TEST_F(TransportMiddlewareTest, PersistentCrashRecoversFromPrimary) {
 
 TEST_F(TransportMiddlewareTest, PersistentCrashRecoversFromReplicas) {
   GrowOutput baseline = Grow(Config(false));
-  {
-    EnvVarScope rep("SQLCLASS_SHARDS_REPLICAS", "1");
-    RebuildShardSet(2);
-  }
+  RebuildShardSet(2, /*with_replicas=*/true);
 
   EnvVarScope crash("SQLCLASS_CRASH_AT", "shard/worker_crash");
   GrowOutput out = Grow(Config(true, ShardTransportKind::kSubprocess));
@@ -608,10 +602,7 @@ TEST_F(TransportMiddlewareTest, HangsHitTheDeadlineAndRecover) {
 
 TEST_F(TransportMiddlewareTest, DeletedShardHeapFailsOverToItsReplica) {
   GrowOutput baseline = Grow(Config(false));
-  {
-    EnvVarScope rep("SQLCLASS_SHARDS_REPLICAS", "1");
-    RebuildShardSet(2);
-  }
+  RebuildShardSet(2, /*with_replicas=*/true);
   const std::string heap = *server_->TableHeapPath("data");
   ASSERT_TRUE(std::filesystem::remove(ShardHeapPathFor(heap, 1)));
 
@@ -654,14 +645,18 @@ class TransportServiceTest : public ::testing::Test {
     ASSERT_TRUE((*dataset)->Generate(CollectInto(&rows_)).ok());
   }
 
-  std::unique_ptr<ClassificationService> MakeService(ServiceConfig config,
-                                                     uint32_t shards) {
+  std::unique_ptr<ClassificationService> MakeService(
+      ServiceConfig config, uint32_t shards, bool with_replicas = false) {
     auto service = ClassificationService::Create(dir_.path(), config);
     EXPECT_TRUE(service.ok()) << service.status().ToString();
     EXPECT_TRUE((*service)->CreateAndLoadTable("data", schema_, rows_).ok());
     if (shards > 0) {
       MutexLock lock(*(*service)->server_mutex());
-      EXPECT_TRUE((*service)->server()->BuildShardSet("data", shards).ok());
+      EXPECT_TRUE((*service)
+                      ->server()
+                      ->BuildShardSet("data", shards, ShardScheme::kHashRowId,
+                                      with_replicas)
+                      .ok());
     }
     return std::move(service).value();
   }
@@ -723,8 +718,8 @@ TEST_F(TransportServiceTest, SubprocessSessionsMatchUnshardedService) {
 
 TEST_F(TransportServiceTest, CrashStormRecoversViaReplicasWithExactMetering) {
   const std::string reference = ReferenceSignature();
-  EnvVarScope rep("SQLCLASS_SHARDS_REPLICAS", "1");
-  auto service = MakeService(OopConfig(), /*shards=*/2);
+  auto service =
+      MakeService(OopConfig(), /*shards=*/2, /*with_replicas=*/true);
 
   EnvVarScope crash("SQLCLASS_CRASH_AT", "shard/worker_crash");
   SessionResult result = service->Run(TreeSpec());

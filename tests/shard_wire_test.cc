@@ -24,14 +24,9 @@
 namespace sqlclass {
 namespace {
 
+using testing_util::FaultScope;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
-
-class FaultScope {
- public:
-  FaultScope() { FaultInjector::Global().Reset(); }
-  ~FaultScope() { FaultInjector::Global().Reset(); }
-};
 
 /// A unidirectional pipe that closes leftover ends on destruction.
 class Pipe {

@@ -1,6 +1,9 @@
 #ifndef SQLCLASS_TESTS_TEST_UTIL_H_
 #define SQLCLASS_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -8,9 +11,11 @@
 
 #include "catalog/row.h"
 #include "catalog/schema.h"
+#include "common/fault_injector.h"
 #include "common/random.h"
 #include "mining/cc_table.h"
 #include "sql/expr.h"
+#include "storage/checksum.h"
 
 namespace sqlclass {
 namespace testing_util {
@@ -35,6 +40,40 @@ class TempDir {
  private:
   std::string path_;
 };
+
+/// Resets the global fault injector on entry and exit so fault schedules
+/// never leak between tests (the injector is process-global).
+class FaultScope {
+ public:
+  FaultScope() { FaultInjector::Global().Reset(); }
+  ~FaultScope() { FaultInjector::Global().Reset(); }
+};
+
+/// Sets the checksum-verification toggle, restoring it on scope exit.
+class ChecksumToggle {
+ public:
+  explicit ChecksumToggle(bool enabled)
+      : prev_(PageChecksumVerificationEnabled()) {
+    SetPageChecksumVerification(enabled);
+  }
+  ~ChecksumToggle() { SetPageChecksumVerification(prev_); }
+
+ private:
+  bool prev_;
+};
+
+/// XORs the byte at `offset` of the file at `path` with `mask`; a negative
+/// offset counts back from the end of the file.
+inline void FlipByte(const std::string& path, long offset, int mask = 0x5a) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, offset, offset < 0 ? SEEK_END : SEEK_SET), 0);
+  int c = std::fgetc(f);
+  ASSERT_NE(c, EOF);
+  ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
+  std::fputc(c ^ mask, f);
+  std::fclose(f);
+}
 
 /// Schema with attributes A1..An of the given cardinalities plus a class
 /// column "class" (last) with `num_classes` values.
