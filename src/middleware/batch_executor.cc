@@ -276,6 +276,7 @@ Status BatchExecutor::SamplePass(State* st) {
 
 // Rule 0: every node straight from the bitmap index. No rows flow — the
 // per-word charges of BitmapCountScan::Run replace the per-row scan costs.
+// The batch's nodes are counted on scan_threads_ workers.
 Status BatchExecutor::BitmapPass(State* st) {
   const Batch& batch = st->batch;
   if (bitmap_reader_ == nullptr) {
@@ -286,7 +287,8 @@ Status BatchExecutor::BitmapPass(State* st) {
   }
   auto nodes = ArtifactNodes<BitmapCountScan::Node>(batch, &st->report->ccs);
   SQLCLASS_RETURN_IF_ERROR(BitmapCountScan::Run(
-      bitmap_reader_.get(), *batch.schema, &nodes, &server_->cost_counters()));
+      bitmap_reader_.get(), *batch.schema, &nodes, &server_->cost_counters(),
+      scan_threads_ > 1 ? ScanPool(scan_threads_) : nullptr));
   st->report->path = Path::kBitmap;
   return Status::OK();
 }

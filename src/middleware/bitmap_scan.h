@@ -12,6 +12,8 @@
 
 namespace sqlclass {
 
+class ThreadPool;
+
 /// Answers CC requests from a persisted bitmap index instead of a row
 /// scan: the node bitmap is the AND of its conjunction's value bitmaps,
 /// and every (attribute value x class) count is a popcount of a three-way
@@ -36,11 +38,17 @@ class BitmapCountScan {
 
   /// Builds every node's CC table from `index`. `cost` (nullable) takes
   /// the logical mw_bitmap_* charges; physical reads land on the counters
-  /// the index reader was opened with. Charges are per node and
-  /// independent of the reader's cache state, so simulated cost is
-  /// deterministic across batchings and repeat runs.
-  [[nodiscard]] static Status Run(BitmapIndexReader* index, const Schema& schema,
-                    std::vector<Node>* nodes, CostCounters* cost);
+  /// the index reader was opened with. Charges are per node and per
+  /// logical word, independent of the reader's cache state and of how
+  /// sparse the node is, so simulated cost is deterministic across
+  /// batchings and repeat runs. Every index access and charge happens on
+  /// the calling thread; with a `pool` the nodes are then counted in
+  /// parallel, one task per node, and the results do not depend on the
+  /// pool's size.
+  [[nodiscard]] static Status Run(BitmapIndexReader* index,
+                                  const Schema& schema,
+                                  std::vector<Node>* nodes, CostCounters* cost,
+                                  ThreadPool* pool = nullptr);
 };
 
 }  // namespace sqlclass

@@ -119,7 +119,8 @@ struct CountingConfig {
   bool use_bitmap_index = true;
 
   /// Worker threads for the morsel-parallel row scan every row-scan batch
-  /// runs on, staged and memory-bounded ones included. 0 = resolve to
+  /// runs on, staged and memory-bounded ones included, and for the bitmap
+  /// pass, which counts a batch's nodes in parallel. 0 = resolve to
   /// hardware concurrency (overridable via SQLCLASS_PARALLEL_SCAN_THREADS,
   /// which fills only a 0); 1 = one worker. CC tables, evictions, staged
   /// stores and logical costs are thread-count-invariant; only wall time

@@ -48,25 +48,50 @@ inline void FoldAndNot(uint64_t* acc, const uint64_t* other, uint64_t n) {
   for (uint64_t i = 0; i < n; ++i) acc[i] &= ~other[i];
 }
 
-/// out = a & b, word by word.
-inline void AndInto(const uint64_t* a, const uint64_t* b, uint64_t* out,
-                    uint64_t n) {
-  for (uint64_t i = 0; i < n; ++i) out[i] = a[i] & b[i];
-}
+// The gather kernels below run over a node's *live words*: the indices of
+// the non-zero words of its bitmap, ascending. Operands named `a`/`out` are
+// compacted over that list (entry j is word live[j]); `b` is a full-width
+// bitmap. On x86-64 GCC/Clang each kernel is compiled twice, with and
+// without the POPCNT instruction, and the loader picks the clone the CPU
+// supports — no global -march, so the binary still runs on any x86-64.
+// ThreadSanitizer builds skip the clones: their run-time resolver runs
+// before the sanitizer's runtime is up and crashes at load.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SQLCLASS_BITMAP_TSAN 1
+#endif
+#endif
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(__SANITIZE_THREAD__) && !defined(SQLCLASS_BITMAP_TSAN)
+#define SQLCLASS_POPCNT_CLONES \
+  __attribute__((target_clones("popcnt", "default")))
+#else
+#define SQLCLASS_POPCNT_CLONES
+#endif
 
-inline uint64_t PopcountWords(const uint64_t* words, uint64_t n) {
+/// out[j] = a[j] & b[live[j]] for j < n; returns the popcount of `out`.
+SQLCLASS_POPCNT_CLONES inline uint64_t GatherAndInto(const uint64_t* a,
+                                                     const uint64_t* b,
+                                                     const uint32_t* live,
+                                                     uint64_t n,
+                                                     uint64_t* out) {
   uint64_t total = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    total += static_cast<uint64_t>(__builtin_popcountll(words[i]));
+  for (uint64_t j = 0; j < n; ++j) {
+    out[j] = a[j] & b[live[j]];
+    total += static_cast<uint64_t>(__builtin_popcountll(out[j]));
   }
   return total;
 }
 
-/// popcount(a & b) without materializing the intersection.
-inline uint64_t AndPopcount(const uint64_t* a, const uint64_t* b, uint64_t n) {
+/// popcount(a[j] & b[live[j]]) summed over j < n, without materializing
+/// the intersection.
+SQLCLASS_POPCNT_CLONES inline uint64_t GatherAndPopcount(const uint64_t* a,
+                                                         const uint64_t* b,
+                                                         const uint32_t* live,
+                                                         uint64_t n) {
   uint64_t total = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    total += static_cast<uint64_t>(__builtin_popcountll(a[i] & b[i]));
+  for (uint64_t j = 0; j < n; ++j) {
+    total += static_cast<uint64_t>(__builtin_popcountll(a[j] & b[live[j]]));
   }
   return total;
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 
 #include "common/fault_injector.h"
 #include "common/mutex.h"
+#include "common/thread_pool.h"
 #include "datagen/load.h"
 #include "datagen/random_tree.h"
 #include "middleware/bitmap_scan.h"
@@ -48,6 +50,12 @@ std::vector<uint32_t> Cardinalities(const Schema& schema) {
   return cards;
 }
 
+uint64_t CountBits(const uint64_t* words, uint64_t n) {
+  uint64_t total = 0;
+  for (uint64_t i = 0; i < n; ++i) total += std::popcount(words[i]);
+  return total;
+}
+
 void WriteHeap(const std::string& path, const std::vector<Row>& rows,
                int columns) {
   auto writer = HeapFileWriter::Create(path, columns, nullptr);
@@ -64,20 +72,29 @@ TEST(BitmapWordsTest, FillAllRowsMasksTailBits) {
   for (uint64_t rows : {0ull, 1ull, 63ull, 64ull, 65ull, 130ull}) {
     std::vector<uint64_t> words(BitmapWordCount(rows), ~0ull);
     FillAllRows(words.data(), rows);
-    EXPECT_EQ(PopcountWords(words.data(), words.size()), rows) << rows;
+    EXPECT_EQ(CountBits(words.data(), words.size()), rows) << rows;
   }
 }
 
 TEST(BitmapWordsTest, AndPopcountMatchesSeparateOps) {
-  std::vector<uint64_t> a(3), b(3), tmp(3);
-  for (uint64_t r : {0ull, 5ull, 64ull, 130ull, 131ull}) {
-    if (r < 192) SetBit(a.data(), r);
-  }
-  for (uint64_t r : {5ull, 6ull, 64ull, 131ull}) SetBit(b.data(), r);
-  AndInto(a.data(), b.data(), tmp.data(), 3);
-  EXPECT_EQ(AndPopcount(a.data(), b.data(), 3),
-            PopcountWords(tmp.data(), 3));
-  EXPECT_EQ(AndPopcount(a.data(), b.data(), 3), 3u);  // rows 5, 64, 131
+  // 150 rows: word 2 is the partial tail word (rows 128..149), and word 1
+  // of `a` is empty, so `a` has live words {0, 2}.
+  std::vector<uint64_t> a(3), b(3);
+  for (uint64_t r : {0ull, 5ull, 130ull, 131ull, 149ull}) SetBit(a.data(), r);
+  for (uint64_t r : {5ull, 6ull, 64ull, 131ull, 149ull}) SetBit(b.data(), r);
+  const std::vector<uint32_t> live = {0, 2};
+  const std::vector<uint64_t> a_live = {a[0], a[2]};
+
+  std::vector<uint64_t> full(3), out(2);
+  for (size_t w = 0; w < 3; ++w) full[w] = a[w] & b[w];
+  EXPECT_EQ(GatherAndInto(a_live.data(), b.data(), live.data(), 2, out.data()),
+            CountBits(full.data(), 3));
+  EXPECT_EQ(out, (std::vector<uint64_t>{full[0], full[2]}));
+  EXPECT_EQ(GatherAndPopcount(a_live.data(), b.data(), live.data(), 2),
+            CountBits(full.data(), 3));
+  // rows 5, 131, 149 — two of them in the tail word
+  EXPECT_EQ(GatherAndPopcount(a_live.data(), b.data(), live.data(), 2), 3u);
+  EXPECT_EQ(GatherAndPopcount(a_live.data(), b.data(), live.data(), 0), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -116,7 +133,7 @@ TEST(BitmapIndexTest, RoundtripPreservesEveryBitmap) {
         EXPECT_EQ(TestBit(*words, r), rows[r][c] == static_cast<Value>(v))
             << "col " << c << " value " << v << " row " << r;
       }
-      total += PopcountWords(*words, (*reader)->words_per_bitmap());
+      total += CountBits(*words, (*reader)->words_per_bitmap());
     }
     // Values partition the rows: per-column popcounts must sum to the row
     // count, which also proves tail bits beyond num_rows stay zero.
@@ -163,7 +180,7 @@ TEST(BitmapIndexTest, EmptyTableRoundtrips) {
   EXPECT_EQ((*reader)->words_per_bitmap(), 0u);
   auto words = (*reader)->BitmapWords(0, 0);
   ASSERT_TRUE(words.ok());
-  EXPECT_EQ(PopcountWords(*words, 0), 0u);
+  EXPECT_EQ(CountBits(*words, 0), 0u);
 }
 
 TEST(BitmapIndexTest, OutOfDomainAccessRejected) {
@@ -284,9 +301,19 @@ class BitmapScanTest : public ::testing::Test {
     reader_ = std::move(reader).value();
   }
 
-  /// Runs one bitmap-served CC request and checks it against BruteForceCc.
+  /// Logical charges of one Run.
+  struct Charges {
+    uint64_t words_read = 0;
+    uint64_t and_ops = 0;
+    uint64_t popcounts = 0;
+  };
+
+  /// Runs one bitmap-served CC request and checks it against BruteForceCc;
+  /// `charges` and `node_rows` (nullable) receive what the run reported.
   void CheckPredicate(std::unique_ptr<Expr> predicate,
-                      const std::vector<int>& attrs) {
+                      const std::vector<int>& attrs,
+                      Charges* charges = nullptr,
+                      uint64_t* node_rows = nullptr) {
     if (predicate != nullptr) {
       ASSERT_TRUE(predicate->Bind(schema_).ok());
     }
@@ -309,6 +336,12 @@ class BitmapScanTest : public ::testing::Test {
               static_cast<uint64_t>(expected.TotalRows()));
     EXPECT_GT(cost.mw_bitmap_words_read.load(), 0u);
     EXPECT_GT(cost.mw_bitmap_popcounts.load(), 0u);
+    if (charges != nullptr) {
+      *charges = Charges{cost.mw_bitmap_words_read.load(),
+                         cost.mw_bitmap_and_ops.load(),
+                         cost.mw_bitmap_popcounts.load()};
+    }
+    if (node_rows != nullptr) *node_rows = nodes[0].node_rows;
   }
 
   TempDir dir_;
@@ -344,6 +377,124 @@ TEST_F(BitmapScanTest, EmptyNodeProducesEmptyTable) {
   // A contradiction: A1 = 0 AND A1 = 1.
   CheckPredicate(AndOf(Expr::ColEq("A1", 0), Expr::ColEq("A1", 1)),
                  {1, 2, 3});
+}
+
+// The fixture's 3000 rows fill 47 words; word 46 is the partial tail word
+// (rows 2944..2999). Charges stay per logical word however sparse the
+// node: words x (in-domain literals + classes + sum of active
+// cardinalities) words read.
+TEST_F(BitmapScanTest, SparseDeepNodeMatchesRowScan) {
+  // The values of a tail-word row, so the conjunction keeps that row.
+  const Row& tail = rows_[2990];
+  Charges charges;
+  uint64_t node_rows = 0;
+  CheckPredicate(AndOf(AndOf(Expr::ColEq("A1", tail[0]),
+                             Expr::ColEq("A2", tail[1])),
+                       Expr::ColEq("A3", tail[2])),
+                 {3}, &charges, &node_rows);
+  EXPECT_GE(node_rows, 12u);  // a few dozen rows scattered over the table
+  EXPECT_LE(node_rows, 120u);
+  EXPECT_EQ(charges.words_read, 564u);  // 47 x (3 literals + 3 + 6)
+  EXPECT_EQ(charges.and_ops, 1128u);    // 47 x (3 + 3 + 6 x 3 classes)
+  EXPECT_EQ(charges.popcounts, 987u);   // 47 x (3 classes + 6 x 3)
+}
+
+TEST_F(BitmapScanTest, OutOfDomainEqualityHasNoLiveWords) {
+  // A1 takes values 0..4: A1 = 7 empties the node and fetches no bitmap
+  // of its own, yet the classes and every active value are charged.
+  Charges charges;
+  uint64_t node_rows = 1;
+  CheckPredicate(Expr::ColEq("A1", 7), {1, 2, 3}, &charges, &node_rows);
+  EXPECT_EQ(node_rows, 0u);
+  EXPECT_EQ(charges.words_read, 752u);  // 47 x (0 + 3 + (3 + 4 + 6))
+  EXPECT_EQ(charges.and_ops, 1974u);    // 47 x (0 + 3 + 13 x 3 classes)
+  EXPECT_EQ(charges.popcounts, 1974u);  // 47 x (3 classes + 13 x 3)
+}
+
+TEST_F(BitmapScanTest, PoolSizeChangesNeitherResultsNorFaultOrder) {
+  std::vector<std::unique_ptr<Expr>> predicates;
+  predicates.push_back(nullptr);
+  predicates.push_back(Expr::ColEq("A1", 2));
+  predicates.push_back(AndOf(Expr::ColEq("A1", 2), Expr::ColNe("A2", 1)));
+  predicates.push_back(AndOf(AndOf(Expr::ColEq("A1", 4), Expr::ColEq("A3", 3)),
+                             Expr::ColEq("A2", 1)));
+  predicates.push_back(Expr::ColEq("A1", 7));
+  predicates.push_back(Expr::ColNe("A4", 5));
+  for (const std::unique_ptr<Expr>& predicate : predicates) {
+    if (predicate != nullptr) {
+      ASSERT_TRUE(predicate->Bind(schema_).ok());
+    }
+  }
+  const std::vector<int> attrs = {1, 2, 3};
+
+  struct Outcome {
+    Status status;
+    std::vector<CcTable> ccs;
+    std::vector<uint64_t> node_rows;
+    std::string cost;
+  };
+  // A fresh reader per run, so every bitmap is fetched from the file.
+  auto run = [&](ThreadPool* pool) {
+    Outcome out;
+    auto reader = BitmapIndexReader::Open(path_, nullptr);
+    EXPECT_TRUE(reader.ok());
+    for (size_t i = 0; i < predicates.size(); ++i) out.ccs.emplace_back(3);
+    std::vector<BitmapCountScan::Node> nodes(predicates.size());
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      nodes[i].predicate = predicates[i].get();
+      nodes[i].active_attrs = &attrs;
+      nodes[i].cc = &out.ccs[i];
+    }
+    CostCounters cost;
+    out.status =
+        BitmapCountScan::Run(reader->get(), schema_, &nodes, &cost, pool);
+    for (const BitmapCountScan::Node& node : nodes) {
+      out.node_rows.push_back(node.node_rows);
+    }
+    out.cost = cost.ToString();
+    return out;
+  };
+
+  ThreadPool one(1);
+  ThreadPool four(4);
+  const Outcome serial = run(nullptr);
+  ASSERT_TRUE(serial.status.ok()) << serial.status.ToString();
+  for (size_t i = 0; i < predicates.size(); ++i) {
+    EXPECT_TRUE(serial.ccs[i] == BruteForceCc(rows_, predicates[i].get(),
+                                              attrs, schema_.class_column(),
+                                              3))
+        << "node " << i;
+  }
+  for (ThreadPool* pool : {&one, &four}) {
+    SCOPED_TRACE(pool->size());
+    const Outcome pooled = run(pool);
+    ASSERT_TRUE(pooled.status.ok()) << pooled.status.ToString();
+    EXPECT_TRUE(pooled.ccs == serial.ccs);
+    EXPECT_EQ(pooled.node_rows, serial.node_rows);
+    EXPECT_EQ(pooled.cost, serial.cost);
+  }
+
+  // The root node fetches 16 bitmaps (3 classes, values of A2, A3, A4) and
+  // node 1 one more (A1 = 2): the 18th fetch, A1 = 4 in node 3, fails.
+  FaultScope guard;
+  FaultInjector::PointConfig fault;
+  fault.after = 17;
+  std::vector<Outcome> faulted;
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+    FaultInjector::Global().Reset();
+    FaultInjector::Global().Arm(faults::kBitmapRead, fault);
+    faulted.push_back(run(pool));
+    EXPECT_EQ(FaultInjector::Global().Fires(faults::kBitmapRead), 1u);
+  }
+  EXPECT_EQ(faulted[0].status.code(), StatusCode::kIoError);
+  EXPECT_EQ(faulted[1].status.code(), faulted[0].status.code());
+  EXPECT_EQ(faulted[1].status.message(), faulted[0].status.message());
+  EXPECT_EQ(faulted[1].cost, faulted[0].cost);
+  // Nodes 0-2 charged in full, node 3 nothing: 47 words x ((0 + 3 + 13) +
+  // (1 + 3 + 13) + (2 + 3 + 13)) words read.
+  EXPECT_NE(faulted[0].cost.find(" mw_bitmap_words_read=2397 "),
+            std::string::npos)
+      << faulted[0].cost;
 }
 
 TEST_F(BitmapScanTest, RepeatRunsChargeIdenticalCosts) {
