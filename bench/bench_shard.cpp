@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     mw.enable_file_staging = false;
     mw.enable_memory_staging = false;
     mw.sharding.enable = sharded;
-    mw.sharding.worker_threads = workers;
+    mw.parallel_scan_threads = workers;
     mw.sharding.min_node_rows = 1;  // route every level through Rule 8
     mw.sharding.transport = transport;
     return mw;

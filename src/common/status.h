@@ -22,7 +22,7 @@ enum class StatusCode {
   kInternal,
   kResourceExhausted,
   kUnimplemented,
-  kDataLoss,
+  kDataLoss,  // keep last: DecodeStatusPayload bound-checks against it
 };
 
 /// Returns a stable human-readable name for a status code ("OK",

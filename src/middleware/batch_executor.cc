@@ -34,8 +34,8 @@ Status Validate(const CountingConfig& config) {
   if (config.parallel_scan_threads < 0) {
     return Status::InvalidArgument("parallel scan threads must be >= 0");
   }
-  if (config.sharding.worker_threads < 0) {
-    return Status::InvalidArgument("shard worker threads must be >= 0");
+  if (config.sharding.rpc_retry.max_attempts < 1) {
+    return Status::InvalidArgument("shard rpc retry needs >= 1 attempt");
   }
   return Status::OK();
 }
@@ -288,7 +288,7 @@ Status BatchExecutor::BitmapPass(State* st) {
   auto nodes = ArtifactNodes<BitmapCountScan::Node>(batch, &st->report->ccs);
   SQLCLASS_RETURN_IF_ERROR(BitmapCountScan::Run(
       bitmap_reader_.get(), *batch.schema, &nodes, &server_->cost_counters(),
-      scan_threads_ > 1 ? ScanPool(scan_threads_) : nullptr));
+      ScanPool()));
   st->report->path = Path::kBitmap;
   return Status::OK();
 }
@@ -308,18 +308,15 @@ Status BatchExecutor::ShardPass(State* st) {
                                &server_->io_counters()));
   }
   auto nodes = ArtifactNodes<ShardCoordinator::Node>(batch, &report->ccs);
-  const int workers = config_.sharding.worker_threads;
-  const int resolved =
-      workers == 0 ? ThreadPool::HardwareConcurrency() : workers;
   if (shard_transport_ == nullptr) {
-    shard_transport_ = MakeShardTransport(config_.sharding);
+    shard_transport_ = MakeShardTransport(config_.sharding, scan_threads_);
   }
   const uint64_t timeouts_before = shard_transport_->rpc_timeouts();
   const uint64_t restarts_before = shard_transport_->worker_restarts();
   ShardCoordinator::Result result;
-  const Status ran = shard_coordinator_->Run(
-      resolved > 1 ? ScanPool(resolved) : nullptr, shard_transport_.get(),
-      &nodes, &server_->cost_counters(), &result);
+  const Status ran =
+      shard_coordinator_->Run(ScanPool(), shard_transport_.get(), &nodes,
+                              &server_->cost_counters(), &result);
   // RPC hardening activity is metered even when the pass fails — the
   // fault-injection tests reconcile these against the injected faults.
   report->shard_rpc_timeouts +=
@@ -366,9 +363,7 @@ Status BatchExecutor::ScanPass(State* st) {
     SQLCLASS_ASSIGN_OR_RETURN(source_rows, staging_->StoreRows(source));
   }
   ThreadPool* pool =
-      scan_threads_ > 1 && source_rows >= config_.parallel_scan_min_rows
-          ? ScanPool(scan_threads_)
-          : nullptr;
+      source_rows >= config_.parallel_scan_min_rows ? ScanPool() : nullptr;
   std::unique_ptr<Expr> filter;  // must outlive the scan
   ParallelScanResult scan;
   if (source.kind == LocationKind::kMemory) {
@@ -487,9 +482,10 @@ std::unique_ptr<Expr> BatchExecutor::PushdownFilter(const Batch& batch) const {
   return Expr::Or(std::move(clauses));
 }
 
-ThreadPool* BatchExecutor::ScanPool(int threads) {
-  if (scan_pool_ == nullptr || scan_pool_->size() != threads) {
-    scan_pool_ = std::make_unique<ThreadPool>(threads);
+ThreadPool* BatchExecutor::ScanPool() {
+  if (scan_threads_ <= 1) return nullptr;
+  if (scan_pool_ == nullptr) {
+    scan_pool_ = std::make_unique<ThreadPool>(scan_threads_);
   }
   return scan_pool_.get();
 }

@@ -25,7 +25,8 @@
 
 namespace sqlclass {
 
-/// Rejects counting knobs no path can honour (negative thread counts).
+/// Rejects counting knobs no path can honour (a negative thread count, a
+/// shard RPC retry policy with no attempt).
 /// ClassificationMiddleware::Create and ClassificationService::Create both
 /// call it, so the two entry points accept exactly the same configs.
 [[nodiscard]] Status Validate(const CountingConfig& config);
@@ -150,13 +151,15 @@ class BatchExecutor {
   /// wants the whole source or pushdown is off.
   std::unique_ptr<Expr> PushdownFilter(const Batch& batch) const;
 
-  ThreadPool* ScanPool(int threads);
+  /// The pool of scan_threads_ workers every row-scan, bitmap and shard
+  /// pass shares, built on first use; null when scan_threads_ is 1.
+  ThreadPool* ScanPool();
 
   SqlServer* server_;
   const CountingConfig config_;
   const int scan_threads_;
   StagingManager* staging_;
-  std::unique_ptr<ThreadPool> scan_pool_;  // resized on demand
+  std::unique_ptr<ThreadPool> scan_pool_;
   /// Built from config_.sharding on first use and kept, so a subprocess
   /// worker pool survives between passes.
   std::unique_ptr<ShardTransport> shard_transport_;

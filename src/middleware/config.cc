@@ -84,8 +84,6 @@ void ApplyRows(CountingConfig* c, ApproxConfig* a) {
       {"SQLCLASS_APPROX_EXACTNESS", "approx.exactness", Parse::kClosedUnit,
        &a->exactness},
       {"SQLCLASS_SHARDS", "sharding.enable", Parse::kFlag, &s->enable},
-      {"SQLCLASS_SHARDS_WORKERS", "sharding.worker_threads",
-       Parse::kNonNegative, &s->worker_threads},
       {"SQLCLASS_SHARDS_MIN_ROWS", "sharding.min_node_rows",
        Parse::kNonNegative, &s->min_node_rows},
       {"SQLCLASS_SHARDS_TRANSPORT", "sharding.transport", Parse::kTransport,

@@ -67,12 +67,6 @@ struct ShardingConfig {
   /// the unsharded middleware. Overridable via SQLCLASS_SHARDS=0/1.
   bool enable = false;
 
-  /// Worker threads driving the per-shard fan-out. 0 = resolve to hardware
-  /// concurrency (overridable via SQLCLASS_SHARDS_WORKERS); 1 = scan the
-  /// shards serially in shard order. Thread count never changes results or
-  /// simulated cost, only wall time.
-  int worker_threads = 0;
-
   /// Nodes with fewer (estimated) rows than this never route to the shard
   /// set: the fan-out's per-shard startup outweighs the scan. Overridable
   /// via SQLCLASS_SHARDS_MIN_ROWS.
@@ -92,7 +86,8 @@ struct ShardingConfig {
   /// Backoff schedule for failed shard RPCs (timeouts, torn or corrupt
   /// frames, dead workers). A worker-*reported* scan failure is never
   /// retried here — that is a deterministic shard fault, handled by the
-  /// coordinator's replica / primary-rescan ladder.
+  /// coordinator's replica / primary-rescan ladder. `max_attempts` must be
+  /// at least 1 (Validate).
   RetryPolicy rpc_retry;
 
   /// Path of the `sqlclass_shard_worker` binary. SQLCLASS_SHARD_WORKER_BIN
@@ -119,12 +114,14 @@ struct CountingConfig {
   bool use_bitmap_index = true;
 
   /// Worker threads for the morsel-parallel row scan every row-scan batch
-  /// runs on, staged and memory-bounded ones included, and for the bitmap
-  /// pass, which counts a batch's nodes in parallel. 0 = resolve to
-  /// hardware concurrency (overridable via SQLCLASS_PARALLEL_SCAN_THREADS,
-  /// which fills only a 0); 1 = one worker. CC tables, evictions, staged
-  /// stores and logical costs are thread-count-invariant; only wall time
-  /// changes.
+  /// runs on, staged and memory-bounded ones included; for the bitmap
+  /// pass, which counts a batch's nodes in parallel; and for the shard
+  /// fan-out, which also sizes the subprocess transport's worker-process
+  /// pool. 0 = resolve to hardware concurrency (overridable via
+  /// SQLCLASS_PARALLEL_SCAN_THREADS, which fills only a 0); 1 = one worker
+  /// (the shards are scanned serially in shard order). CC tables,
+  /// evictions, staged stores and logical costs are thread-count-invariant;
+  /// only wall time changes.
   int parallel_scan_threads = 0;
 
   /// Minimum source rows before a row scan fans out over more than one

@@ -3,66 +3,53 @@
 #include <utility>
 
 #include "common/fault_injector.h"
+#include "middleware/batch_matcher.h"
+#include "middleware/parallel_scan.h"
 
 namespace sqlclass {
 
-namespace {
-
-/// Kernel options that count the task's nodes, with no charges.
-ParallelScanOptions TaskOptions(const ShardTask& task) {
-  ParallelScanOptions options;
-  options.class_column = task.class_column;
-  options.num_classes = task.num_classes;
-  options.matcher = task.matcher;
-  options.node_attrs = *task.node_attrs;
-  return options;
-}
-
-/// Counts the heap file at `path` into the task's out-fields.
-Status CountIntoTask(const ShardTask& task, const std::string& path,
-                     const ParallelScanOptions& options) {
-  SQLCLASS_ASSIGN_OR_RETURN(
-      ParallelScanResult scan,
-      CountShardHeap(path, task.num_columns, task.expected_rows, options,
-                     task.io));
-  *task.partials = std::move(scan.ccs);
-  *task.rows_scanned = scan.rows_scanned;
-  return Status::OK();
-}
-
-/// Scans the task's shard heap, or its byte-identical replica during
-/// recovery. Runs on a pool thread: everything it touches is task-private
-/// or read-only shared. The `shard/read` fault point guards the scan; any
-/// failure marks the source dead and the coordinator climbs its recovery
-/// ladder (replica, then primary re-scan).
-Status ScanShardHeapFile(const ShardTask& task, const std::string& path) {
-  SQLCLASS_FAULT_POINT(faults::kShardRead);
-  return CountIntoTask(task, path, TaskOptions(task));
-}
-
-}  // namespace
-
-StatusOr<ParallelScanResult> CountShardHeap(const std::string& path,
-                                            int num_columns,
-                                            uint64_t expected_rows,
-                                            const ParallelScanOptions& options,
-                                            IoCounters* io) {
+StatusOr<WireShardResult> CountShardTask(
+    const WireShardTask& task, const std::string& path,
+    const std::function<bool(uint64_t row_ordinal)>& row_filter) {
   // cost: charged-by-caller(ShardCoordinator::Run) — logical mw_shard_*
   // charges are applied once post-merge so simulated cost is shard- and
-  // worker-count-invariant; physical pages land on `io`.
+  // worker-count-invariant; physical pages land on the result's io.
+  if (!row_filter) SQLCLASS_FAULT_POINT(faults::kShardRead);
+  // Each node's predicate is raised back to an Expr over an index-named
+  // schema and routed through one BatchMatcher, so a worker process and
+  // the coordinator make the same per-node match decisions.
+  const Schema schema = WireSchema(task.num_columns);
+  std::vector<std::unique_ptr<Expr>> exprs;
+  std::vector<const Expr*> predicates;
+  ParallelScanOptions options;
+  for (const WireTaskNode& node : task.nodes) {
+    exprs.push_back(ExprFromWirePredicate(node.predicate));
+    SQLCLASS_RETURN_IF_ERROR(exprs.back()->Bind(schema));
+    predicates.push_back(exprs.back().get());
+    options.node_attrs.push_back(&node.attrs);
+  }
+  const BatchMatcher matcher(predicates);
+  options.class_column = task.class_column;
+  options.num_classes = task.num_classes;
+  options.matcher = &matcher;
+  options.row_filter = row_filter;
+  WireShardResult result;
   SQLCLASS_ASSIGN_OR_RETURN(
       ParallelScanResult scan,
-      ParallelCountScan::OverHeapFile(nullptr, path, num_columns, options,
-                                      /*cost=*/nullptr, io));
-  if (scan.rows_scanned != expected_rows) {
+      ParallelCountScan::OverHeapFile(nullptr, path, task.num_columns,
+                                      options, /*cost=*/nullptr, &result.io));
+  if (scan.rows_scanned != task.expected_rows) {
     return Status::DataLoss("shard row count disagrees with map for " + path);
   }
-  return scan;
+  result.partials = std::move(scan.ccs);
+  result.rows_scanned = scan.rows_scanned;
+  return result;
 }
 
-Status InProcessShardTransport::RunShard(const ShardTask& task) {
+StatusOr<WireShardResult> InProcessShardTransport::RunShard(
+    const WireShardTask& task) {
   SQLCLASS_FAULT_POINT(faults::kShardWorker);
-  return ScanShardHeapFile(task, task.shard_heap_path);
+  return CountShardTask(task, task.shard_heap_path);
 }
 
 ShardCoordinator::ShardCoordinator(std::string heap_path, const Schema* schema,
@@ -97,55 +84,38 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
   CostCounters scratch;  // charge sink when the caller passes none
   CostCounters& charges = cost != nullptr ? *cost : scratch;
 
-  std::vector<const Expr*> predicates;
-  std::vector<const std::vector<int>*> node_attrs;
-  predicates.reserve(nodes->size());
-  node_attrs.reserve(nodes->size());
-  for (Node& node : *nodes) {
+  // The batch, lowered once: every shard's task differs only in its shard,
+  // heap file and expected row count.
+  WireShardTask batch_task;
+  batch_task.num_columns = schema_->num_columns();
+  batch_task.class_column = class_column;
+  batch_task.num_classes = num_classes;
+  for (const AttributeDef& column : schema_->attributes()) {
+    batch_task.cardinalities.push_back(column.cardinality);
+  }
+  for (const Node& node : *nodes) {
     if (node.cc == nullptr || node.active_attrs == nullptr) {
       return Status::InvalidArgument("shard scan node missing cc/attrs");
     }
-    predicates.push_back(node.predicate);
-    node_attrs.push_back(node.active_attrs);
-  }
-  BatchMatcher matcher(predicates);
-  std::vector<int> cardinalities;
-  for (const AttributeDef& column : schema_->attributes()) {
-    cardinalities.push_back(column.cardinality);
+    WireTaskNode& wire = batch_task.nodes.emplace_back();
+    wire.predicate = WirePredicateFromExpr(node.predicate);
+    wire.attrs.assign(node.active_attrs->begin(), node.active_attrs->end());
   }
 
   SQLCLASS_ASSIGN_OR_RETURN(const ShardInfo* entries, map_->ShardRows());
   const uint32_t shards = map_->num_shards();
   const size_t n = nodes->size();
-
-  // Per-shard private state: partial CC tables (each scan fills them
-  // afresh), row tallies, physical IO, and the outcome status. Workers
-  // write only their own shard's slots.
-  std::vector<std::vector<CcTable>> partials(shards);
-  std::vector<uint64_t> shard_rows(shards, 0);
-  std::vector<IoCounters> shard_io(shards);
-  std::vector<Status> shard_status(shards);
-  std::vector<ShardTask> tasks(shards);
+  std::vector<WireShardTask> tasks(shards, batch_task);
   for (uint32_t s = 0; s < shards; ++s) {
-    ShardTask& task = tasks[s];
-    task.shard = s;
-    task.shard_heap_path = ShardHeapPathFor(heap_path_, s);
-    task.expected_rows = entries[s].rows;
-    task.num_columns = schema_->num_columns();
-    task.class_column = class_column;
-    task.num_classes = num_classes;
-    task.matcher = &matcher;
-    task.node_attrs = &node_attrs;
-    task.predicates = &predicates;
-    task.cardinalities = &cardinalities;
-    task.partials = &partials[s];
-    task.rows_scanned = &shard_rows[s];
-    task.io = &shard_io[s];
+    tasks[s].shard = s;
+    tasks[s].shard_heap_path = ShardHeapPathFor(heap_path_, s);
+    tasks[s].expected_rows = entries[s].rows;
   }
 
-  auto run_shard = [&](int s) {
-    shard_status[s] = transport->RunShard(tasks[s]);
-  };
+  // Workers write only their own shard's slot.
+  std::vector<StatusOr<WireShardResult>> results(
+      shards, Status::Internal("shard task not run"));
+  auto run_shard = [&](int s) { results[s] = transport->RunShard(tasks[s]); };
   if (pool != nullptr && pool->size() > 1 && shards > 1) {
     pool->RunTasks(static_cast<int>(shards), run_shard);
   } else {
@@ -159,16 +129,21 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
   // restricted to the rows the scheme routed to it. Only a failed
   // *primary* re-scan fails the pass — that is the middleware's
   // shard-fallback rung.
+  const ShardScheme scheme = map_->scheme();
   int rescans = 0;
   int replica_rescans = 0;
   for (uint32_t s = 0; s < shards; ++s) {
-    if (shard_status[s].ok()) continue;
-    if (ScanShardHeapFile(tasks[s], ShardReplicaPathFor(heap_path_, s))
-            .ok()) {
+    if (results[s].ok()) continue;
+    results[s] = CountShardTask(tasks[s], ShardReplicaPathFor(heap_path_, s));
+    if (results[s].ok()) {
       ++replica_rescans;
       continue;
     }
-    SQLCLASS_RETURN_IF_ERROR(RescanFromPrimary(s, tasks[s]));
+    results[s] = CountShardTask(
+        tasks[s], heap_path_, [scheme, s, shards](uint64_t ordinal) {
+          return ShardForRow(scheme, ordinal, shards) == s;
+        });
+    SQLCLASS_RETURN_IF_ERROR(results[s].status());
     ++rescans;
   }
 
@@ -176,14 +151,14 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
   // shard order makes the merge independent of worker scheduling: the
   // merged tables are byte-identical to an unsharded scan's at every shard
   // and thread count.
-  for (size_t i = 0; i < n; ++i) {
-    for (uint32_t s = 0; s < shards; ++s) {
-      (*nodes)[i].cc->Merge(partials[s][i]);
-    }
-  }
-
   uint64_t total_rows_scanned = 0;
-  for (uint32_t s = 0; s < shards; ++s) total_rows_scanned += shard_rows[s];
+  for (uint32_t s = 0; s < shards; ++s) {
+    for (size_t i = 0; i < n; ++i) {
+      (*nodes)[i].cc->Merge(results[s]->partials[i]);
+    }
+    total_rows_scanned += results[s]->rows_scanned;
+    if (io_ != nullptr) io_->Add(results[s]->io);
+  }
   uint64_t merged_cells = 0;
   for (size_t i = 0; i < n; ++i) merged_cells += (*nodes)[i].cc->NumEntries();
 
@@ -195,26 +170,12 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
   charges.mw_shard_rows_read += total_rows_scanned * static_cast<uint64_t>(n);
   charges.mw_shard_merge_cells += merged_cells;
 
-  if (io_ != nullptr) {
-    for (uint32_t s = 0; s < shards; ++s) io_->Add(shard_io[s]);
-  }
   if (result != nullptr) {
     result->rows_scanned = total_rows_scanned;
     result->rescans = rescans;
     result->replica_rescans = replica_rescans;
   }
   return Status::OK();
-}
-
-Status ShardCoordinator::RescanFromPrimary(uint32_t shard,
-                                           const ShardTask& task) {
-  const ShardScheme scheme = map_->scheme();
-  const uint32_t shards = map_->num_shards();
-  ParallelScanOptions options = TaskOptions(task);
-  options.row_filter = [scheme, shard, shards](uint64_t ordinal) {
-    return ShardForRow(scheme, ordinal, shards) == shard;
-  };
-  return CountIntoTask(task, heap_path_, options);
 }
 
 }  // namespace sqlclass

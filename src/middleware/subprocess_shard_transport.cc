@@ -11,7 +11,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "shard/wire.h"
 
 namespace sqlclass {
@@ -184,9 +183,8 @@ void SubprocessShardTransport::DestroyWorker(Worker* worker,
   worker->died_before = true;
 }
 
-Status SubprocessShardTransport::Exchange(Worker* worker,
-                                          const std::string& request,
-                                          const ShardTask& task) {
+StatusOr<WireShardResult> SubprocessShardTransport::Exchange(
+    Worker* worker, const std::string& request, const WireShardTask& task) {
   bool timed_out = false;
   Status sent = WireSend(worker->to_fd, WireFrameType::kShardTask, request,
                          options_.rpc_deadline_ms, &timed_out);
@@ -229,44 +227,21 @@ Status SubprocessShardTransport::Exchange(Worker* worker,
   }
   WireShardResult result;
   Status decoded =
-      DecodeShardResult(reply.payload, task.num_classes, *task.cardinalities,
-                        task.node_attrs->size(), &result);
+      DecodeShardResult(reply.payload, task.num_classes, task.cardinalities,
+                        task.nodes.size(), &result);
   if (!decoded.ok()) {
     std::string detail = decoded.message();
     DestroyWorker(worker, &detail);
     return Status::DataLoss("shard rpc result undecodable: " + detail);
   }
-  *task.partials = std::move(result.partials);
-  *task.rows_scanned = result.rows_scanned;
-  if (task.io != nullptr) task.io->Add(result.io);
-  return Status::OK();
+  return result;
 }
 
-Status SubprocessShardTransport::RunShard(const ShardTask& task) {
+StatusOr<WireShardResult> SubprocessShardTransport::RunShard(
+    const WireShardTask& task) {
   SQLCLASS_RETURN_IF_ERROR(EnsureStarted());
-  if (task.predicates == nullptr || task.partials == nullptr ||
-      task.node_attrs == nullptr || task.cardinalities == nullptr ||
-      task.rows_scanned == nullptr) {
-    return Status::InvalidArgument(
-        "subprocess shard transport needs predicates and out-fields");
-  }
-  WireShardTask wire_task;
-  wire_task.shard = task.shard;
-  wire_task.shard_heap_path = task.shard_heap_path;
-  wire_task.expected_rows = task.expected_rows;
-  wire_task.num_columns = task.num_columns;
-  wire_task.class_column = task.class_column;
-  wire_task.num_classes = task.num_classes;
-  const size_t n = task.node_attrs->size();
-  wire_task.nodes.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    wire_task.nodes[i].predicate =
-        WirePredicateFromExpr((*task.predicates)[i]);
-    const std::vector<int>& attrs = *(*task.node_attrs)[i];
-    wire_task.nodes[i].attrs.assign(attrs.begin(), attrs.end());
-  }
   std::string request;
-  EncodeShardTask(wire_task, &request);
+  EncodeShardTask(task, &request);
 
   const int index = AcquireWorker();
   Worker* worker = nullptr;
@@ -274,12 +249,16 @@ Status SubprocessShardTransport::RunShard(const ShardTask& task) {
     MutexLock lock(mu_);
     worker = workers_[index].get();
   }
-  Status last = Status::OK();
+  StatusOr<WireShardResult> last =
+      Status::InvalidArgument("shard rpc retry policy allows no attempt");
   for (int attempt = 1; attempt <= options_.retry.max_attempts; ++attempt) {
     if (attempt > 1) SleepForBackoff(options_.retry, attempt - 1);
     if (worker->pid < 0) {
-      last = SpawnWorker(worker);
-      if (!last.ok()) continue;
+      Status spawned = SpawnWorker(worker);
+      if (!spawned.ok()) {
+        last = std::move(spawned);
+        continue;
+      }
     }
     last = Exchange(worker, request, task);
     // OK, and any worker-*reported* scan failure, end the retry loop: both
@@ -292,15 +271,13 @@ Status SubprocessShardTransport::RunShard(const ShardTask& task) {
 }
 
 std::unique_ptr<ShardTransport> MakeShardTransport(
-    const ShardingConfig& config) {
+    const ShardingConfig& config, int pool_size) {
   if (config.transport == ShardTransportKind::kInProcess) {
     return std::make_unique<InProcessShardTransport>();
   }
   SubprocessShardTransport::Options options;
   options.worker_binary = config.worker_binary;
-  options.pool_size = config.worker_threads > 0
-                          ? config.worker_threads
-                          : ThreadPool::HardwareConcurrency();
+  options.pool_size = pool_size;
   options.rpc_deadline_ms = config.rpc_deadline_ms;
   options.retry = config.rpc_retry;
   return std::make_unique<SubprocessShardTransport>(options);

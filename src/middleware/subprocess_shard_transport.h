@@ -69,7 +69,10 @@ class SubprocessShardTransport : public ShardTransport {
   /// calls it lazily. Fails (kNotFound) when no worker binary resolves.
   [[nodiscard]] Status Start();
 
-  [[nodiscard]] Status RunShard(const ShardTask& task) override;
+  /// Fails without a decoded reply — never OK — when every attempt the
+  /// retry policy allows failed, or when it allows none.
+  [[nodiscard]] StatusOr<WireShardResult> RunShard(
+      const WireShardTask& task) override;
 
   uint64_t rpc_timeouts() const override {
     return rpc_timeouts_.load(std::memory_order_relaxed);
@@ -103,8 +106,8 @@ class SubprocessShardTransport : public ShardTransport {
 
   /// One send/receive exchange with the leased worker. Any transport-layer
   /// failure has already destroyed the worker on return.
-  [[nodiscard]] Status Exchange(Worker* worker, const std::string& request,
-                                const ShardTask& task);
+  [[nodiscard]] StatusOr<WireShardResult> Exchange(
+      Worker* worker, const std::string& request, const WireShardTask& task);
 
   Options options_;
   std::string resolved_binary_;

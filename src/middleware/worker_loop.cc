@@ -5,18 +5,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include "common/fault_injector.h"
 #include "common/status.h"
-#include "middleware/batch_matcher.h"
 #include "middleware/shard_scan.h"
 #include "shard/wire.h"
-#include "sql/expr.h"
 
 namespace sqlclass {
 
@@ -91,43 +86,6 @@ Status WorkerCrashPoint() {
   std::_Exit(kExitInjectedCrash);
 }
 
-/// Counts the task's shard heap file into per-node partial CC tables the
-/// way the in-process transport does: each node's predicate is raised back
-/// to an Expr, bound against an index-named schema and routed through a
-/// BatchMatcher into CountShardHeap, so the shipped partials merge to
-/// byte-identical CC tables. The `shard/read` fault point guards the scan
-/// here too: arming it through the inherited SQLCLASS_FAULTS spec makes
-/// the worker report a clean scan failure (kShardError frame) instead of
-/// crashing.
-Status ScanShardTask(const WireShardTask& task, WireShardResult* result) {
-  SQLCLASS_FAULT_POINT(faults::kShardRead);
-  const Schema schema = WireSchema(task.num_columns);
-  const size_t n = task.nodes.size();
-  std::vector<std::unique_ptr<Expr>> exprs;
-  std::vector<const Expr*> predicates;
-  std::vector<std::vector<int>> attrs(n);
-  ParallelScanOptions options;
-  for (size_t i = 0; i < n; ++i) {
-    exprs.push_back(ExprFromWirePredicate(task.nodes[i].predicate));
-    SQLCLASS_RETURN_IF_ERROR(exprs.back()->Bind(schema));
-    predicates.push_back(exprs.back().get());
-    attrs[i].assign(task.nodes[i].attrs.begin(), task.nodes[i].attrs.end());
-    options.node_attrs.push_back(&attrs[i]);
-  }
-  const BatchMatcher matcher(predicates);
-  options.class_column = task.class_column;
-  options.num_classes = task.num_classes;
-  options.matcher = &matcher;
-  // Physical pages land on the result's IoCounters and ride the wire back.
-  SQLCLASS_ASSIGN_OR_RETURN(
-      ParallelScanResult scan,
-      CountShardHeap(task.shard_heap_path, task.num_columns,
-                     task.expected_rows, options, &result->io));
-  result->partials = std::move(scan.ccs);
-  result->rows_scanned = scan.rows_scanned;
-  return Status::OK();
-}
-
 }  // namespace
 
 int ShardWorkerServe(int in_fd, int out_fd) {
@@ -154,8 +112,10 @@ int ShardWorkerServe(int in_fd, int out_fd) {
       std::_Exit(kExitInjectedCrash);  // shard/worker_crash via SQLCLASS_FAULTS
     }
 
-    WireShardResult result;
-    const Status scanned = ScanShardTask(task, &result);
+    // Arming `shard/read` through the inherited SQLCLASS_FAULTS spec makes
+    // the scan fail cleanly: a kShardError reply, not a crash.
+    const StatusOr<WireShardResult> result =
+        CountShardTask(task, task.shard_heap_path);
     if (CrashNow(&crash, faults::kShardWorkerCrash)) {
       std::_Exit(kExitInjectedCrash);  // scanned, but no reply bytes at all
     }
@@ -165,16 +125,16 @@ int ShardWorkerServe(int in_fd, int out_fd) {
     }
 
     Status sent;
-    if (scanned.ok()) {
+    if (result.ok()) {
       std::string payload;
-      EncodeShardResult(result, &payload);
+      EncodeShardResult(*result, &payload);
       if (CrashNow(&crash, faults::kShardRpcSend)) {
         SendTornFrameAndExit(out_fd, payload);
       }
       sent = WireSend(out_fd, WireFrameType::kShardResult, payload);
     } else {
       std::string payload;
-      EncodeStatusPayload(scanned, &payload);
+      EncodeStatusPayload(result.status(), &payload);
       sent = WireSend(out_fd, WireFrameType::kShardError, payload);
     }
     if (!sent.ok()) return kExitReplyFailed;

@@ -4,9 +4,9 @@
 namespace sqlclass {
 
 /// Serve loop of the `sqlclass_shard_worker` binary (DESIGN.md "Distributed
-/// scan-out"): reads ShardTask frames from `in_fd`, counts the named shard
-/// heap file through CountShardHeap — the in-process transport's kernel
-/// scan — and replies with a kShardResult frame (partial CC tables +
+/// scan-out"): reads WireShardTask frames from `in_fd`, counts the named
+/// shard heap file through CountShardTask — as the in-process transport
+/// does — and replies with a kShardResult frame (partial CC tables +
 /// IoCounters) or a kShardError frame carrying the scan's Status. Returns
 /// the process exit code: 0 after the coordinator closes the pipe (orderly
 /// shutdown), nonzero on a garbled input stream or an unsendable reply.

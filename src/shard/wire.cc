@@ -532,42 +532,11 @@ Status DecodeStatusPayload(const std::string& payload, Status* out) {
   if (!dec.exhausted()) {
     return Status::DataLoss("trailing bytes after shard status payload");
   }
-  switch (static_cast<StatusCode>(code)) {
-    case StatusCode::kOk:
-      *out = Status::OK();
-      return Status::OK();
-    case StatusCode::kInvalidArgument:
-      *out = Status::InvalidArgument(std::move(message));
-      return Status::OK();
-    case StatusCode::kNotFound:
-      *out = Status::NotFound(std::move(message));
-      return Status::OK();
-    case StatusCode::kAlreadyExists:
-      *out = Status::AlreadyExists(std::move(message));
-      return Status::OK();
-    case StatusCode::kOutOfMemory:
-      *out = Status::OutOfMemory(std::move(message));
-      return Status::OK();
-    case StatusCode::kIoError:
-      *out = Status::IoError(std::move(message));
-      return Status::OK();
-    case StatusCode::kParseError:
-      *out = Status::ParseError(std::move(message));
-      return Status::OK();
-    case StatusCode::kInternal:
-      *out = Status::Internal(std::move(message));
-      return Status::OK();
-    case StatusCode::kResourceExhausted:
-      *out = Status::ResourceExhausted(std::move(message));
-      return Status::OK();
-    case StatusCode::kUnimplemented:
-      *out = Status::Unimplemented(std::move(message));
-      return Status::OK();
-    case StatusCode::kDataLoss:
-      *out = Status::DataLoss(std::move(message));
-      return Status::OK();
+  if (code > static_cast<uint32_t>(StatusCode::kDataLoss)) {
+    return Status::DataLoss("unknown status code in shard error frame");
   }
-  return Status::DataLoss("unknown status code in shard error frame");
+  *out = Status(static_cast<StatusCode>(code), std::move(message));
+  return Status::OK();
 }
 
 }  // namespace sqlclass

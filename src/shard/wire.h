@@ -17,8 +17,8 @@ namespace sqlclass {
 class Expr;
 
 /// Message framing for the out-of-process shard transport (DESIGN.md
-/// "Distributed scan-out"): the coordinator ships ShardTask work orders to
-/// pre-forked `sqlclass_shard_worker` processes and receives partial CC
+/// "Distributed scan-out"): the coordinator ships WireShardTask work orders
+/// to pre-forked `sqlclass_shard_worker` processes and receives partial CC
 /// tables + IoCounters back, each as one length-prefixed, Checksum32-framed
 /// message over a pipe.
 ///
@@ -78,9 +78,9 @@ void WireEncodeFrame(WireFrameType type, const std::string& payload,
 
 /// Wire form of a bound node predicate: the Expr lowered to column
 /// indexes, so the worker needs no table schema. Kinds mirror ExprKind.
-/// The worker raises it back to an Expr (ExprFromWirePredicate) and counts
-/// through the same BatchMatcher and kernel as the coordinator, so its
-/// per-node match decisions are exactly the coordinator's.
+/// CountShardTask raises it back to an Expr (ExprFromWirePredicate) in the
+/// coordinator and in the worker alike, so both make the same per-node
+/// match decisions.
 struct WirePredicate {
   uint8_t kind = 0;     // 0 TRUE, 1 col==lit, 2 col!=lit, 3 AND, 4 OR, 5 NOT
   int32_t column = -1;  // bound column index (comparison kinds)
@@ -107,15 +107,20 @@ struct WireTaskNode {
   std::vector<int32_t> attrs;  // active attribute columns
 };
 
-/// The ShardTask fields a worker needs, in shippable form.
+/// The work order for one shard: count the heap file into a partial CC
+/// table per node. Every transport, the replica rung and the primary
+/// rescan count it through CountShardTask (middleware/shard_scan.h).
 struct WireShardTask {
   uint32_t shard = 0;
   std::string shard_heap_path;
-  uint64_t expected_rows = 0;
+  uint64_t expected_rows = 0;  // from the distribution map; mismatch = stale
   int32_t num_columns = 0;
   int32_t class_column = 0;
   int32_t num_classes = 0;
   std::vector<WireTaskNode> nodes;
+  /// Domain size of every column. Not encoded: the coordinator keeps it to
+  /// reject a reply whose CC cells fall outside it (DecodeShardResult).
+  std::vector<int32_t> cardinalities;
 };
 
 void EncodeShardTask(const WireShardTask& task, std::string* out);
@@ -128,8 +133,9 @@ void EncodeShardTask(const WireShardTask& task, std::string* out);
 [[nodiscard]] Status DecodeShardTask(const std::string& payload,
                                      WireShardTask* out);
 
-/// A worker's reply: the shard's row tally, its private physical IO, and
-/// one partial CC table per task node.
+/// A counted shard — what every transport returns and a worker replies
+/// with: the shard's row tally, its private physical IO, and one partial
+/// CC table per task node.
 struct WireShardResult {
   uint64_t rows_scanned = 0;
   IoCounters io;

@@ -46,11 +46,11 @@ std::string PathName(const ::testing::TestParamInfo<CountPath>& info) {
 /// The counting knobs that pin a root request to `path`.
 void ConfigureFor(CountPath path, CountingConfig* config) {
   config->use_bitmap_index = path == CountPath::kBitmap;
-  config->parallel_scan_threads = path == CountPath::kParallelRow ? 2 : 1;
+  config->parallel_scan_threads =
+      path == CountPath::kParallelRow || path == CountPath::kShards ? 2 : 1;
   config->parallel_scan_min_rows = 1;
   config->sharding.enable = path == CountPath::kShards;
   config->sharding.min_node_rows = 1;
-  config->sharding.worker_threads = 2;
   config->sharding.transport = ShardTransportKind::kInProcess;
 }
 

@@ -78,7 +78,6 @@ const Field kFields[] = {
     FIELD("SQLCLASS_APPROX_CONFIDENCE", approx.confidence),
     FIELD("SQLCLASS_APPROX_EXACTNESS", approx.exactness),
     FIELD("SQLCLASS_SHARDS", sharding.enable),
-    FIELD("SQLCLASS_SHARDS_WORKERS", sharding.worker_threads),
     FIELD("SQLCLASS_SHARDS_MIN_ROWS", sharding.min_node_rows),
     FIELD("SQLCLASS_SHARDS_TRANSPORT", sharding.transport),
     FIELD("SQLCLASS_SHARDS_RPC_DEADLINE_MS", sharding.rpc_deadline_ms),
@@ -122,11 +121,6 @@ const std::vector<Case>& Cases() {
        {"-0.1", "1.1", "x", "inf"}},
       {"SQLCLASS_SHARDS", 1, {{"0", 0}, {"false", 0}, {"off", 0}}, {}},
       {"SQLCLASS_SHARDS", 0, {{"1", 1}, {"on", 1}}, {}},
-      // 0 = hardware concurrency.
-      {"SQLCLASS_SHARDS_WORKERS",
-       5,
-       {{"3", 3}, {"0", 0}},
-       {"-2", "junk", "3junk", "99999999999"}},
       {"SQLCLASS_SHARDS_MIN_ROWS",
        4096,
        {{"123", 123}, {"0", 0}},
@@ -204,8 +198,7 @@ TEST(ApproxEnvTest, NumericOverridesValidateTheirDomains) {
 
 TEST(ShardEnvTest, EnableOverride) { ExpectCases("SQLCLASS_SHARDS"); }
 
-TEST(ShardEnvTest, WorkerAndMinRowOverrides) {
-  ExpectCases("SQLCLASS_SHARDS_WORKERS");
+TEST(ShardEnvTest, MinRowsOverride) {
   ExpectCases("SQLCLASS_SHARDS_MIN_ROWS");
 }
 

@@ -313,12 +313,6 @@ TEST_F(ServiceTest, CreateRejectsNegativeThreadCounts) {
   auto a = ClassificationService::Create(dir_.path(), parallel);
   EXPECT_FALSE(a.ok());
   EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
-
-  ServiceConfig sharded;
-  sharded.sharding.worker_threads = -2;
-  auto b = ClassificationService::Create(dir_.path(), sharded);
-  EXPECT_FALSE(b.ok());
-  EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ServiceTest, ShutdownRejectsNewWorkAndIsIdempotent) {

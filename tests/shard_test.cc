@@ -224,7 +224,7 @@ class MiddlewareShardTest : public ::testing::Test {
     config.staging_dir = staging_;
     config.scan_retry.initial_backoff_us = 0;
     config.sharding.enable = shards_on;
-    config.sharding.worker_threads = workers;
+    config.parallel_scan_threads = workers;
     config.sharding.min_node_rows = 1;  // route every level through Rule 8
     return config;
   }

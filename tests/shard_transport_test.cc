@@ -62,23 +62,22 @@ void WriteHeap(const std::string& path, const Schema& schema,
 // env_overrides_test.cc), so setting the variable later changes nothing.
 TEST(TransportFactoryTest, ConfigAndEnvSelectTheImplementation) {
   ShardingConfig config;
-  config.worker_threads = 1;
   config.transport = ShardTransportKind::kInProcess;
   {
-    auto transport = MakeShardTransport(config);
+    auto transport = MakeShardTransport(config, 1);
     EXPECT_NE(dynamic_cast<InProcessShardTransport*>(transport.get()),
               nullptr);
   }
   {
     EnvVarScope env("SQLCLASS_SHARDS_TRANSPORT", "subprocess");
-    auto transport = MakeShardTransport(config);
+    auto transport = MakeShardTransport(config, 1);
     EXPECT_NE(dynamic_cast<InProcessShardTransport*>(transport.get()),
               nullptr);
   }
   config.transport = ShardTransportKind::kSubprocess;
   {
     EnvVarScope env("SQLCLASS_SHARDS_TRANSPORT", "inproc");
-    auto transport = MakeShardTransport(config);
+    auto transport = MakeShardTransport(config, 1);
     EXPECT_NE(dynamic_cast<SubprocessShardTransport*>(transport.get()),
               nullptr);
   }
@@ -122,42 +121,27 @@ class SubprocessDirectTest : public ::testing::Test {
     return options;
   }
 
-  /// Owns every out-field and shared vector a ShardTask points at.
-  struct TaskState {
-    std::vector<const Expr*> predicates;
-    std::vector<const std::vector<int>*> node_attrs;
-    std::vector<int> cardinalities;
-    std::vector<CcTable> partials;
-    uint64_t rows_scanned = 0;
-    IoCounters io;
-  };
-
   /// Four-node task over the single shard: node 0 counts everything, node 1
   /// only rows matching `predicate_`, nodes 2 and 3 the OR and NOT
   /// predicates a worker's BatchMatcher cannot put in its trie.
-  ShardTask MakeTask(TaskState* state) {
-    state->predicates = {nullptr, predicate_.get(), or_predicate_.get(),
-                         not_predicate_.get()};
-    state->node_attrs = {&attrs_, &attrs_, &attrs_, &attrs_};
-    state->cardinalities.clear();
-    for (const AttributeDef& column : schema_.attributes()) {
-      state->cardinalities.push_back(column.cardinality);
-    }
-    state->partials.assign(state->predicates.size(), CcTable(3));
-    state->rows_scanned = 0;
-    ShardTask task;
+  WireShardTask MakeTask() {
+    WireShardTask task;
     task.shard = 0;
     task.shard_heap_path = ShardHeapPathFor(heap_, 0);
     task.expected_rows = rows_.size();
     task.num_columns = schema_.num_columns();
     task.class_column = schema_.class_column();
     task.num_classes = 3;
-    task.predicates = &state->predicates;
-    task.node_attrs = &state->node_attrs;
-    task.cardinalities = &state->cardinalities;
-    task.partials = &state->partials;
-    task.rows_scanned = &state->rows_scanned;
-    task.io = &state->io;
+    for (const Expr* predicate : std::vector<const Expr*>{
+             nullptr, predicate_.get(), or_predicate_.get(),
+             not_predicate_.get()}) {
+      WireTaskNode& node = task.nodes.emplace_back();
+      node.predicate = WirePredicateFromExpr(predicate);
+      node.attrs.assign(attrs_.begin(), attrs_.end());
+    }
+    for (const AttributeDef& column : schema_.attributes()) {
+      task.cardinalities.push_back(column.cardinality);
+    }
     return task;
   }
 
@@ -182,34 +166,43 @@ class SubprocessDirectTest : public ::testing::Test {
 };
 
 TEST_F(SubprocessDirectTest, ScanShipsExactCcTables) {
-  SubprocessShardTransport transport(FastOptions(2));
-  TaskState state;
-  const ShardTask task = MakeTask(&state);
-  ASSERT_TRUE(transport.RunShard(task).ok());
-  EXPECT_EQ(state.rows_scanned, rows_.size());
-  ASSERT_EQ(state.partials.size(), 4u);
-  EXPECT_TRUE(state.partials[0] == Expected(nullptr));
-  EXPECT_TRUE(state.partials[1] == Expected(predicate_.get()));
-  EXPECT_TRUE(state.partials[2] == Expected(or_predicate_.get()));
-  EXPECT_TRUE(state.partials[3] == Expected(not_predicate_.get()));
-  EXPECT_GT(state.io.pages_read, 0u);
-  EXPECT_EQ(transport.rpc_timeouts(), 0u);
-  EXPECT_EQ(transport.worker_restarts(), 0u);
+  SubprocessShardTransport subprocess(FastOptions(2));
+  InProcessShardTransport inproc;
+  const WireShardTask task = MakeTask();
+  const StatusOr<WireShardResult> local = inproc.RunShard(task);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  const StatusOr<WireShardResult> shipped = subprocess.RunShard(task);
+  ASSERT_TRUE(shipped.ok()) << shipped.status().ToString();
+  for (const WireShardResult* result : {&*local, &*shipped}) {
+    EXPECT_EQ(result->rows_scanned, rows_.size());
+    ASSERT_EQ(result->partials.size(), 4u);
+    EXPECT_TRUE(result->partials[0] == Expected(nullptr));
+    EXPECT_TRUE(result->partials[1] == Expected(predicate_.get()));
+    EXPECT_TRUE(result->partials[2] == Expected(or_predicate_.get()));
+    EXPECT_TRUE(result->partials[3] == Expected(not_predicate_.get()));
+    EXPECT_GT(result->io.pages_read, 0u);
+  }
+  // Both transports count through CountShardTask: equal partials and rows.
+  EXPECT_EQ(shipped->rows_scanned, local->rows_scanned);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(shipped->partials[i] == local->partials[i]) << "node " << i;
+  }
+  EXPECT_EQ(subprocess.rpc_timeouts(), 0u);
+  EXPECT_EQ(subprocess.worker_restarts(), 0u);
 
   // The pooled worker serves a second task without respawning.
-  TaskState again;
-  ASSERT_TRUE(transport.RunShard(MakeTask(&again)).ok());
-  EXPECT_TRUE(again.partials[0] == state.partials[0]);
-  EXPECT_EQ(transport.worker_restarts(), 0u);
+  const StatusOr<WireShardResult> again = subprocess.RunShard(MakeTask());
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->partials[0] == shipped->partials[0]);
+  EXPECT_EQ(subprocess.worker_restarts(), 0u);
 }
 
 TEST_F(SubprocessDirectTest, MissingWorkerBinaryIsNotFound) {
   SubprocessShardTransport::Options options = FastOptions(2);
   options.worker_binary = "/nonexistent/sqlclass_shard_worker";
   SubprocessShardTransport transport(options);
-  TaskState state;
-  const Status run = transport.RunShard(MakeTask(&state));
-  EXPECT_EQ(run.code(), StatusCode::kNotFound);
+  const StatusOr<WireShardResult> run = transport.RunShard(MakeTask());
+  EXPECT_EQ(run.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(SubprocessDirectTest, HangingWorkerIsKilledAtTheDeadline) {
@@ -217,9 +210,8 @@ TEST_F(SubprocessDirectTest, HangingWorkerIsKilledAtTheDeadline) {
   SubprocessShardTransport::Options options = FastOptions(2);
   options.rpc_deadline_ms = 80;
   SubprocessShardTransport transport(options);
-  TaskState state;
-  const Status run = transport.RunShard(MakeTask(&state));
-  EXPECT_EQ(run.code(), StatusCode::kIoError);
+  const StatusOr<WireShardResult> run = transport.RunShard(MakeTask());
+  EXPECT_EQ(run.status().code(), StatusCode::kIoError);
   // Both attempts timed out; only the second attempt's spawn replaced a
   // dead worker (the first used the pre-forked pool).
   EXPECT_EQ(transport.rpc_timeouts(), 2u);
@@ -229,35 +221,28 @@ TEST_F(SubprocessDirectTest, HangingWorkerIsKilledAtTheDeadline) {
 TEST_F(SubprocessDirectTest, CrashAfterScanIsRetriedThenSurfaced) {
   EnvVarScope crash("SQLCLASS_CRASH_AT", "shard/worker_crash");
   SubprocessShardTransport transport(FastOptions(3));
-  TaskState state;
-  const Status run = transport.RunShard(MakeTask(&state));
-  EXPECT_EQ(run.code(), StatusCode::kIoError);
+  const StatusOr<WireShardResult> run = transport.RunShard(MakeTask());
+  EXPECT_EQ(run.status().code(), StatusCode::kIoError);
   EXPECT_EQ(transport.rpc_timeouts(), 0u);
   EXPECT_EQ(transport.worker_restarts(), 2u);  // attempts 2 and 3 respawned
-  EXPECT_EQ(state.rows_scanned, 0u);
 }
 
 TEST_F(SubprocessDirectTest, CrashBeforeScanIsRetriedThenSurfaced) {
   EnvVarScope crash("SQLCLASS_CRASH_AT", "shard/rpc_recv");
   SubprocessShardTransport transport(FastOptions(2));
-  TaskState state;
-  const Status run = transport.RunShard(MakeTask(&state));
-  EXPECT_EQ(run.code(), StatusCode::kIoError);
+  const StatusOr<WireShardResult> run = transport.RunShard(MakeTask());
+  EXPECT_EQ(run.status().code(), StatusCode::kIoError);
   EXPECT_EQ(transport.worker_restarts(), 1u);
 }
 
 TEST_F(SubprocessDirectTest, TornReplyFrameNeverDecodes) {
   EnvVarScope crash("SQLCLASS_CRASH_AT", "shard/rpc_send");
   SubprocessShardTransport transport(FastOptions(2));
-  TaskState state;
-  const Status run = transport.RunShard(MakeTask(&state));
-  EXPECT_EQ(run.code(), StatusCode::kIoError);
+  const StatusOr<WireShardResult> run = transport.RunShard(MakeTask());
+  EXPECT_EQ(run.status().code(), StatusCode::kIoError);
   EXPECT_EQ(transport.worker_restarts(), 1u);
-  // The half-written reply frame must have been rejected wholesale — no
-  // partial CC data may leak into the out-fields.
-  EXPECT_EQ(state.partials[0].NumEntries(), 0u);
-  EXPECT_EQ(state.partials[1].NumEntries(), 0u);
-  EXPECT_EQ(state.rows_scanned, 0u);
+  // The half-written reply frame was rejected wholesale: a failed run
+  // carries no partial CC data at all.
 }
 
 TEST_F(SubprocessDirectTest, EverySecondTaskCrashRecoversTransparently) {
@@ -265,9 +250,9 @@ TEST_F(SubprocessDirectTest, EverySecondTaskCrashRecoversTransparently) {
   SubprocessShardTransport transport(FastOptions(2));
   const CcTable expected = Expected(nullptr);
   for (int i = 0; i < 4; ++i) {
-    TaskState state;
-    ASSERT_TRUE(transport.RunShard(MakeTask(&state)).ok()) << "task " << i;
-    EXPECT_TRUE(state.partials[0] == expected) << "task " << i;
+    const StatusOr<WireShardResult> run = transport.RunShard(MakeTask());
+    ASSERT_TRUE(run.ok()) << "task " << i;
+    EXPECT_TRUE(run->partials[0] == expected) << "task " << i;
   }
   // Each worker instance serves exactly one task and crashes on its second,
   // so tasks 2..4 each needed one respawn.
@@ -277,16 +262,14 @@ TEST_F(SubprocessDirectTest, EverySecondTaskCrashRecoversTransparently) {
 
 TEST_F(SubprocessDirectTest, WorkerReportedScanFailureIsNotRetried) {
   SubprocessShardTransport transport(FastOptions(3));
-  TaskState state;
-  ShardTask task = MakeTask(&state);
+  WireShardTask task = MakeTask();
   task.expected_rows = rows_.size() + 1;  // map disagreement -> kShardError
-  const Status run = transport.RunShard(task);
-  EXPECT_EQ(run.code(), StatusCode::kDataLoss);
+  const StatusOr<WireShardResult> run = transport.RunShard(task);
+  EXPECT_EQ(run.status().code(), StatusCode::kDataLoss);
   // Deterministic worker-side failure: same worker, no respawns, and it is
   // still healthy enough to serve a corrected task.
   EXPECT_EQ(transport.worker_restarts(), 0u);
-  TaskState fixed;
-  ASSERT_TRUE(transport.RunShard(MakeTask(&fixed)).ok());
+  ASSERT_TRUE(transport.RunShard(MakeTask()).ok());
   EXPECT_EQ(transport.worker_restarts(), 0u);
 }
 
@@ -296,18 +279,24 @@ TEST_F(SubprocessDirectTest, CoordinatorSideWireFaultsRetryAndSurface) {
   {
     FaultInjector::PointConfig fault;  // every coordinator send fails
     FaultInjector::Global().Arm(faults::kShardRpcSend, fault);
-    TaskState state;
-    EXPECT_FALSE(transport.RunShard(MakeTask(&state)).ok());
+    EXPECT_FALSE(transport.RunShard(MakeTask()).ok());
     FaultInjector::Global().Reset();
   }
   {
     FaultInjector::PointConfig fault;
     fault.times = 1;  // one receive fails; the retry succeeds
     FaultInjector::Global().Arm(faults::kShardRpcRecv, fault);
-    TaskState state;
-    ASSERT_TRUE(transport.RunShard(MakeTask(&state)).ok());
-    EXPECT_TRUE(state.partials[0] == Expected(nullptr));
+    const StatusOr<WireShardResult> run = transport.RunShard(MakeTask());
+    ASSERT_TRUE(run.ok());
+    EXPECT_TRUE(run->partials[0] == Expected(nullptr));
   }
+}
+
+// A retry policy with no attempt never reports a shard it did not count.
+TEST_F(SubprocessDirectTest, ZeroRpcAttemptsNeverSucceed) {
+  SubprocessShardTransport transport(FastOptions(0));
+  EXPECT_EQ(transport.RunShard(MakeTask()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -397,7 +386,7 @@ class TransportMiddlewareTest : public ::testing::Test {
     config.staging_dir = staging_;
     config.scan_retry.initial_backoff_us = 0;
     config.sharding.enable = shards_on;
-    config.sharding.worker_threads = 1;
+    config.parallel_scan_threads = 1;
     config.sharding.min_node_rows = 1;
     config.sharding.transport = transport;
     config.sharding.rpc_retry.max_attempts = 2;
@@ -626,6 +615,22 @@ TEST_F(TransportMiddlewareTest, DeletedShardHeapFailsOverToItsReplica) {
   EXPECT_EQ(out.stats.shard_rescans.load(), out.stats.shard_scans.load());
 }
 
+// Both entry points refuse a shard RPC retry policy with no attempt, so a
+// grow never reaches a transport that cannot count a shard.
+TEST_F(TransportMiddlewareTest, CreateRefusesZeroRpcAttempts) {
+  RebuildShardSet(2);
+  MiddlewareConfig config = Config(true, ShardTransportKind::kSubprocess);
+  config.sharding.rpc_retry.max_attempts = 0;
+  auto mw = ClassificationMiddleware::Create(server_.get(), "data", config);
+  EXPECT_EQ(mw.status().code(), StatusCode::kInvalidArgument);
+
+  ServiceConfig service_config;
+  service_config.sharding = config.sharding;
+  auto service = ClassificationService::Create(dir_.path() + "/service",
+                                               service_config);
+  EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
+}
+
 // ---------------------------------------------------------------------------
 // Service-level conformance and counter surfacing.
 // ---------------------------------------------------------------------------
@@ -683,7 +688,7 @@ class TransportServiceTest : public ::testing::Test {
     ServiceConfig config;
     config.sharding.enable = true;
     config.sharding.min_node_rows = 1;
-    config.sharding.worker_threads = 1;
+    config.parallel_scan_threads = 1;
     config.sharding.transport = ShardTransportKind::kSubprocess;
     config.sharding.rpc_retry.max_attempts = 2;
     config.sharding.rpc_retry.initial_backoff_us = 0;

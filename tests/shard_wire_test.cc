@@ -416,6 +416,14 @@ TEST(WireCodecTest, StatusPayloadRoundtripsEveryCode) {
   }
   Status decoded = Status::OK();
   EXPECT_EQ(DecodeStatusPayload("zz", &decoded).code(), StatusCode::kDataLoss);
+  // Codes past the last StatusCode decode to kDataLoss, not a bogus code.
+  for (uint32_t code : {11u, 0xFFFFFFFFu}) {
+    std::string payload;
+    EncodeStatusPayload(Status(static_cast<StatusCode>(code), "x"), &payload);
+    EXPECT_EQ(DecodeStatusPayload(payload, &decoded).code(),
+              StatusCode::kDataLoss)
+        << code;
+  }
 }
 
 // ---------------------------------------------------------------------------

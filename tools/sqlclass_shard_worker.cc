@@ -1,5 +1,5 @@
 // Out-of-process shard worker (DESIGN.md "Distributed scan-out"): serves
-// ShardTask frames on stdin, replies on stdout, exits 0 when the
+// WireShardTask frames on stdin, replies on stdout, exits 0 when the
 // coordinator closes the pipe. All behavior — including the deterministic
 // crash injection via SQLCLASS_CRASH_AT and the inherited SQLCLASS_FAULTS
 // spec — lives in middleware/worker_loop.cc so it is testable in-process.
