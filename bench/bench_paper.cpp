@@ -2,22 +2,36 @@
 // size), Fig 5 (CC memory, row scale-up), Fig 6 (file staging), Fig 7
 // (attributes, SQL counting), Fig 8 (tree shape), the §5.2.5 index-scan
 // study, the DESIGN.md ablations A1-A3 and the §5.1.2 Gaussian variation
-// study. A cell is one grow over a generated table through one provider —
-// a middleware config, straightforward SQL counting, the extract-all file
-// store, or a server-side auxiliary structure — at one x-value. One loop
-// grows every cell, prints one line per cell and records one JSON object
-// per cell: simulated and wall seconds, tree hash and shape, every cost
-// counter and the middleware's scan counts.
+// study, followed by the extension figures: ext-bitmap (scheduler Rule 0),
+// ext-shard (Rule 8), ext-approx (Rule 7) and ext-parallel (staged grows
+// on 1-4 scan workers). A cell is one grow over a generated table through
+// one provider — a middleware config, straightforward SQL counting, the
+// extract-all file store, or a server-side auxiliary structure — at one
+// x-value. One loop grows every cell, prints one line per cell and records
+// one JSON object per cell: simulated and wall seconds, tree hash and
+// shape, every cost counter and the middleware's scan counts.
 //
 // The smoke-scale dump is committed as bench/paper_smoke_golden.json;
 // tools/check_paper_golden.py (ctest bench_paper_golden) requires a fresh
-// run to equal it in every field but wall_s. A change to the cost model on
-// purpose regenerates it:
+// run to equal it in every field but those ending in wall_s. A change to
+// the cost model on purpose regenerates it:
 //   build/bench/bench_paper --smoke --dump=bench/paper_smoke_golden.json
 //
-// The driver also checks model equivalence (§3.1): cells over the same
-// table and client config must grow the same tree, whatever their provider,
-// budget or staging; it exits 1 otherwise.
+// bench_paper exits 1 when a cell breaks one of its rules:
+//   - model equivalence (§3.1): cells over the same table and client config
+//     grow the same tree, whatever their provider, budget, staging or
+//     counting path — except cells whose splits come from the scramble
+//     (approx on, exactness < 1);
+//   - cells of one invariance group agree on every field but wall time,
+//     their parameters and their artifacts' build cost;
+//   - no cell records a bitmap, sample or shard fallback, an RPC timeout
+//     or a shard worker restart;
+//   - at full scale, some ext-bitmap cell is >= 10x cheaper in simulated
+//     seconds than its row-scan baseline, and some ext-approx cell >= 2x
+//     cheaper than its exact baseline within 0.5 pp of its accuracy.
+// A cell names the artifacts it needs (bitmap index, shard set, scramble);
+// before it grows, its table carries exactly those, and their build cost is
+// recorded as extra.build_sim_s.
 //
 // Sizes scale the paper's by its memory:data ratios; SQLCLASS_BENCH_SCALE
 // enlarges them.
@@ -28,6 +42,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <deque>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -38,6 +53,7 @@
 #include "baseline/extract_all.h"
 #include "baseline/sql_counting.h"
 #include "bench_util.h"
+#include "common/random.h"
 #include "datagen/census.h"
 #include "datagen/gaussian.h"
 #include "datagen/random_tree.h"
@@ -52,13 +68,24 @@ struct ExtractAll {};   // a client file store re-read every round (Fig 8a)
 using Provider =
     std::variant<MiddlewareConfig, SqlCounting, ExtractAll, AuxConfig>;
 
+// The derived structures a cell needs on its table.
+struct Artifacts {
+  bool bitmap = false;        // per-value bitmap index (Rule 0)
+  uint32_t shards = 0;        // shard set of this many shards (Rule 8) ...
+  bool replicas = false;      // ... with a replica file per shard
+  double sample_ratio = 0;    // scramble at this sampling ratio (Rule 7) ...
+  uint64_t sample_seed = 0;   // ... drawn with this seed
+
+  bool operator==(const Artifacts&) const = default;
+};
+
 // A generated table, loaded once and shared by every cell that names it.
 struct Table {
   std::string name;
   Schema schema;
   uint64_t rows = 0;
   uint64_t bytes = 0;
-  std::vector<Row> eval_rows;  // Gaussian tables: accuracy is measured here
+  std::vector<Row> eval_rows;  // accuracy is measured on these rows
 };
 
 struct GridCell {
@@ -69,38 +96,99 @@ struct GridCell {
   const Table* table = nullptr;
   Provider provider;
   int max_depth = 0;  // the client config: TreeClientConfig::max_depth
+  Artifacts artifacts;
+  std::map<std::string, double> params;  // further parameters, recorded
+  // Cells of one invariance group record the same outcome, wall time and
+  // artifact build cost aside.
+  std::string group;
+  int baseline = -1;  // the cell this one is measured against
+};
+
+// Uniform rows over eight 8-valued attributes and a 3-valued class.
+struct UniformParams {
+  uint64_t rows = 0;
+  uint64_t seed = 0;
+};
+
+class UniformDataset {
+ public:
+  static StatusOr<std::unique_ptr<UniformDataset>> Create(
+      const UniformParams& params) {
+    std::vector<AttributeDef> attrs(9);
+    for (int c = 0; c < 9; ++c) {
+      attrs[c].name = c < 8 ? "A" + std::to_string(c + 1) : "class";
+      attrs[c].cardinality = c < 8 ? 8 : 3;
+    }
+    return std::make_unique<UniformDataset>(params,
+                                            Schema(std::move(attrs), 8));
+  }
+  UniformDataset(const UniformParams& params, Schema schema)
+      : params_(params), schema_(std::move(schema)) {}
+
+  const Schema& schema() const { return schema_; }
+  uint64_t TotalRows() const { return params_.rows; }
+  Status Generate(const RowSink& sink) const {
+    Random rng(params_.seed);
+    Row row(schema_.num_columns());
+    for (uint64_t i = 0; i < params_.rows; ++i) {
+      for (int c = 0; c < schema_.num_columns(); ++c) {
+        row[c] = static_cast<Value>(
+            rng.Uniform(schema_.attribute(c).cardinality));
+      }
+      SQLCLASS_RETURN_IF_ERROR(sink(row));
+    }
+    return Status::OK();
+  }
+
+ private:
+  UniformParams params_;
+  Schema schema_;
 };
 
 class Grid {
  public:
   explicit Grid(SqlServer* server) : server_(server) {}
 
-  // Generates `params` into table `name` unless that table is loaded.
+  // Generates `params` into table `name` unless that table is loaded. The
+  // last `holdout` generated rows are not loaded but kept to measure
+  // accuracy on; `keep_rows` keeps the loaded rows for that too.
   template <typename Dataset, typename Params>
   const Table& Load(const std::string& name, const Params& params,
-                    bool keep_rows = false) {
+                    bool keep_rows = false, uint64_t holdout = 0) {
     auto it = tables_.find(name);
     if (it != tables_.end()) return it->second;
     auto dataset = Dataset::Create(params);
     CheckOk(dataset.status());
     const Dataset& ds = **dataset;
-    CheckOk(LoadIntoServer(server_, name, ds.schema(),
-                           [&](const RowSink& sink) {
-                             return ds.Generate(sink);
-                           }));
-    Table table{name, ds.schema(), ds.TotalRows(),
-                ds.TotalRows() * ds.schema().RowBytes(), {}};
-    if (keep_rows) CheckOk(ds.Generate(CollectInto(&table.eval_rows)));
+    const uint64_t rows = ds.TotalRows() - holdout;
+    Table table{name, ds.schema(), rows, rows * ds.schema().RowBytes(), {}};
+    uint64_t seen = 0;
+    CheckOk(LoadIntoServer(
+        server_, name, ds.schema(), [&](const RowSink& sink) {
+          return ds.Generate([&](const Row& row) {
+            const bool held_out = seen++ >= rows;
+            if (held_out || keep_rows) table.eval_rows.push_back(row);
+            return held_out ? Status::OK() : sink(row);
+          });
+        }));
     return tables_.emplace(name, std::move(table)).first->second;
   }
 
-  void Add(std::string figure, std::string series, std::string x_name,
-           double x, const Table& table, Provider provider,
-           int max_depth = 0) {
-    cells_.push_back({std::move(figure), std::move(series), std::move(x_name),
-                      x, &table, std::move(provider), max_depth});
+  GridCell& Add(std::string figure, std::string series, std::string x_name,
+                double x, const Table& table, Provider provider,
+                int max_depth = 0) {
+    GridCell& cell = cells_.emplace_back();
+    cell.figure = std::move(figure);
+    cell.series = std::move(series);
+    cell.x_name = std::move(x_name);
+    cell.x = x;
+    cell.table = &table;
+    cell.provider = std::move(provider);
+    cell.max_depth = max_depth;
+    return cell;
   }
 
+  int size() const { return static_cast<int>(cells_.size()); }
   const std::vector<GridCell>& cells() const { return cells_; }
 
  private:
@@ -343,6 +431,226 @@ void BuildGrid(double scale, Grid* g) {
   }
 }
 
+// The extension figures: the counting paths beyond the paper. Each loads
+// its own copy of its table, so no paper cell sees its artifacts.
+void BuildExtensions(double scale, Grid* g) {
+  // ext-bitmap (Rule 0): row scans against AND + popcount over the bitmap
+  // index on the Fig-6 census table, at the same memory; the bitmap path
+  // charges per index word instead of per cursor row.
+  CensusParams census;
+  census.rows = static_cast<uint64_t>(30000 * scale);
+  const Table& bitmap = g->Load<CensusDataset>("census_bitmap", census);
+  for (double fraction : {0.05, 0.1, 1.2}) {
+    MiddlewareConfig config;
+    config.memory_budget_bytes = static_cast<size_t>(fraction * bitmap.bytes);
+    config.use_bitmap_index = false;
+    const std::map<std::string, double> params = {
+        {"memory_mb", Mb(config.memory_budget_bytes)}};
+    const int row_scan = g->size();
+    g->Add("ext-bitmap", "row_scan", "mem_over_data", fraction, bitmap, config,
+           8)
+        .params = params;
+    config.use_bitmap_index = true;
+    GridCell& cell = g->Add("ext-bitmap", "bitmap", "mem_over_data", fraction,
+                            bitmap, config, 8);
+    cell.artifacts.bitmap = true;
+    cell.params = params;
+    cell.baseline = row_scan;
+  }
+
+  // ext-shard (Rule 8): the census table in 1-8 hash shards, with and
+  // without replicas, counted by 1-4 workers in process or in forked
+  // workers over pipe RPC. Staging is off so every level is a server batch
+  // and every batch fans out. The cost model sees none of these knobs.
+  const Table& shard = g->Load<CensusDataset>("census_shard", census);
+  const auto sharded = [](bool enable, int workers,
+                          ShardTransportKind transport) {
+    MiddlewareConfig config;
+    config.enable_file_staging = false;
+    config.enable_memory_staging = false;
+    config.parallel_scan_threads = workers;
+    config.sharding.enable = enable;
+    config.sharding.min_node_rows = 1;
+    config.sharding.transport = transport;
+    return config;
+  };
+  g->Add("ext-shard", "unsharded", "shards", 0, shard,
+         sharded(false, 1, ShardTransportKind::kInProcess), 8);
+  for (uint32_t shards : {1, 2, 4, 8}) {
+    for (bool replicas : {false, true}) {
+      for (const auto& [transport, name] :
+           {std::pair{ShardTransportKind::kInProcess, "inproc"},
+            std::pair{ShardTransportKind::kSubprocess, "subprocess"}}) {
+        for (int workers : {1, 2, 4}) {
+          GridCell& cell = g->Add(
+              "ext-shard",
+              std::string(name) + (replicas ? "_replicas" : "") + "_w" +
+                  std::to_string(workers),
+              "shards", shards, shard, sharded(true, workers, transport), 8);
+          cell.artifacts.shards = shards;
+          cell.artifacts.replicas = replicas;
+          cell.params = {{"workers", workers}, {"replicas", replicas}};
+          cell.group = "ext-shard";
+        }
+      }
+    }
+  }
+
+  // ext-approx (Rule 7): split selection served from a scramble through
+  // the confidence gate, against exact counting, at 0.1x memory with
+  // staging on and off (§4.1.2's no-local-disk case, where every exact
+  // frontier is re-read from the server). Sharper segments than the
+  // default census, so splits carry signal the gate can see; accuracy is
+  // measured on held-out rows of the same generator.
+  CensusParams sharp;
+  sharp.rows = static_cast<uint64_t>(40000 * scale);
+  const uint64_t holdout = static_cast<uint64_t>(10000 * scale);
+  sharp.rows += holdout;
+  sharp.peak = 0.9;
+  sharp.class_noise = 0.05;
+  const Table& approx = g->Load<CensusDataset>("census_approx", sharp,
+                                               /*keep_rows=*/false, holdout);
+  const auto gated = [&](bool staging) {
+    MiddlewareConfig config;
+    config.memory_budget_bytes = static_cast<size_t>(0.1 * approx.bytes);
+    config.enable_file_staging = staging;
+    config.enable_memory_staging = staging;
+    return config;
+  };
+  const std::map<std::string, double> memory = {
+      {"memory_mb", Mb(gated(true).memory_budget_bytes)}};
+  const std::pair<bool, const char*> kRegimes[] = {{true, "staged"},
+                                                   {false, "server_only"}};
+  int exact[2];
+  for (int r = 0; r < 2; ++r) {
+    exact[r] = g->size();
+    g->Add("ext-approx", std::string(kRegimes[r].second) + "_exact",
+           "sampling_ratio", 0, approx, gated(kRegimes[r].first), 8)
+        .params = memory;
+  }
+  for (double ratio : {0.01, 0.05, 0.1, 0.25}) {
+    const Artifacts scramble{.sample_ratio = ratio, .sample_seed = 7};
+    if (ratio == 0.01) {
+      // Exactness 1.0 turns the gate off: the exact tree, byte for byte.
+      MiddlewareConfig config = gated(true);
+      config.approx.enable = true;
+      config.approx.exactness = 1.0;
+      GridCell& cell = g->Add("ext-approx", "staged_exactness1",
+                              "sampling_ratio", ratio, approx, config, 8);
+      cell.artifacts = scramble;
+      cell.params = memory;
+      cell.baseline = exact[0];
+    }
+    for (int r = 0; r < 2; ++r) {
+      for (double confidence : {0.5, 0.8, 0.95}) {
+        MiddlewareConfig config = gated(kRegimes[r].first);
+        config.approx.enable = true;
+        config.approx.confidence = confidence;
+        config.approx.min_node_rows = static_cast<uint64_t>(2000 * scale);
+        char series[48];
+        std::snprintf(series, sizeof(series), "%s_conf%g",
+                      kRegimes[r].second, confidence);
+        GridCell& cell = g->Add("ext-approx", series, "sampling_ratio", ratio,
+                                approx, config, 8);
+        cell.artifacts = scramble;
+        cell.params = memory;
+        cell.params["confidence"] = confidence;
+        cell.baseline = exact[r];
+      }
+    }
+  }
+
+  // ext-parallel: depth-4 staged grows on 1-4 scan workers, with a CC
+  // budget tight enough that batches evict nodes mid-scan and requeue them.
+  UniformParams uniform;
+  uniform.rows = static_cast<uint64_t>(500000 * scale);
+  uniform.seed = uniform.rows + 7;
+  const Table& staged = g->Load<UniformDataset>("uniform", uniform);
+  for (int threads : {1, 2, 3, 4}) {
+    MiddlewareConfig config;
+    config.memory_budget_bytes = 16 << 10;
+    config.parallel_scan_threads = threads;
+    g->Add("ext-parallel", "staged_grow", "scan_threads", threads, staged,
+           config, 4)
+        .group = "ext-parallel";
+  }
+}
+
+// Fraction of the exact tree's internal nodes whose split the other tree
+// reproduces at the same position; a diverging subtree counts as misses.
+double NodeAgreement(const DecisionTree& exact, const DecisionTree& other) {
+  int internal = 0;
+  int matched = 0;
+  std::vector<std::pair<int, int>> stack = {{0, 0}};  // (exact id, other id)
+  while (!stack.empty()) {
+    const auto [eid, oid] = stack.back();
+    stack.pop_back();
+    const TreeNode& enode = exact.node(eid);
+    if (enode.state != NodeState::kPartitioned) continue;
+    ++internal;
+    const TreeNode& onode = other.node(oid);
+    if (onode.state != NodeState::kPartitioned ||
+        onode.split_attr != enode.split_attr ||
+        onode.split_value != enode.split_value ||
+        onode.children.size() != enode.children.size()) {
+      std::vector<int> below(enode.children.begin(), enode.children.end());
+      while (!below.empty()) {
+        const TreeNode& miss = exact.node(below.back());
+        below.pop_back();
+        if (miss.state != NodeState::kPartitioned) continue;
+        ++internal;
+        below.insert(below.end(), miss.children.begin(), miss.children.end());
+      }
+      continue;
+    }
+    ++matched;
+    for (size_t i = 0; i < enode.children.size(); ++i) {
+      stack.push_back({enode.children[i], onode.children[i]});
+    }
+  }
+  return internal > 0 ? static_cast<double>(matched) / internal : 1.0;
+}
+
+// The counting paths' own counters, recorded for every extension cell: the
+// requeues of batches that evicted nodes, each path's scans and fallbacks,
+// and the sample gate's decisions, overall and per tree depth.
+void RecordPathCounters(const TreeRunResult& r,
+                        std::map<std::string, double>* extra) {
+  const ClassificationMiddleware::Stats& s = r.mw_stats;
+  const std::pair<const char*, uint64_t> counters[] = {
+      {"requeues", r.requeues},
+      {"sql_fallbacks", s.sql_fallbacks.load()},
+      {"bitmap_scans", s.bitmap_scans.load()},
+      {"bitmap_fallbacks", s.bitmap_fallbacks.load()},
+      {"sample_served_nodes", s.sample_served_nodes.load()},
+      {"sample_escalations", s.sample_escalations.load()},
+      {"sample_fallbacks", s.sample_fallbacks.load()},
+      {"shard_scans", s.shard_scans.load()},
+      {"shard_fallbacks", s.shard_fallbacks.load()},
+      {"shard_rpc_timeouts", s.shard_rpc_timeouts.load()},
+      {"shard_worker_restarts", s.shard_worker_restarts.load()},
+  };
+  for (const auto& [key, value] : counters) (*extra)[key] = value;
+  const uint64_t gated =
+      s.sample_served_nodes.load() + s.sample_escalations.load();
+  if (gated > 0) {
+    (*extra)["escalation_rate"] =
+        static_cast<double>(s.sample_escalations.load()) / gated;
+  }
+  int deepest = -1;
+  for (const auto& d : r.sample_decisions) {
+    deepest = std::max(deepest, r.tree->node(d.node_id).depth);
+  }
+  for (int depth = 0; depth <= deepest; ++depth) {
+    (*extra)["served_d" + std::to_string(depth)] = 0;
+    (*extra)["escalated_d" + std::to_string(depth)] = 0;
+  }
+  for (const auto& d : r.sample_decisions) {
+    (*extra)[(d.accepted ? "served_d" : "escalated_d") +
+             std::to_string(r.tree->node(d.node_id).depth)] += 1;
+  }
+}
+
 // Grows `cell`; provider-specific numbers go to `extra`.
 TreeRunResult Grow(SqlServer* server, const std::string& dir,
                    const GridCell& cell,
@@ -356,6 +664,9 @@ TreeRunResult Grow(SqlServer* server, const std::string& dir,
     staged.staging_dir = dir;
     result = GrowTreeWithMiddleware(server, t.name, t.schema, t.rows, staged,
                                     client);
+    if (result.ok && cell.figure.starts_with("ext-")) {
+      RecordPathCounters(result, extra);
+    }
   } else if (std::holds_alternative<SqlCounting>(cell.provider)) {
     auto provider = SqlCountingProvider::Create(server, t.name);
     CheckOk(provider.status());
@@ -381,14 +692,42 @@ TreeRunResult Grow(SqlServer* server, const std::string& dir,
   return result;
 }
 
-void WriteRecord(const GridCell& cell, const TreeRunResult& r,
-                 const std::string& hash,
-                 const std::map<std::string, double>& extra,
-                 JsonWriter* json) {
-  const auto text = [&](const char* key, const std::string& value) {
-    json->Key(key);
-    json->String(value);
-  };
+// An artifact set as a table carries it, and what building it cost.
+struct BuiltArtifacts {
+  Artifacts artifacts;
+  double sim_s = 0;
+  double wall_s = 0;
+};
+
+// Gives `table` exactly the artifacts `want` names: unless it carries just
+// those, drops every artifact it has and builds the named ones from a
+// zeroed cost meter.
+void SyncArtifacts(SqlServer* server, const std::string& table,
+                   const Artifacts& want, BuiltArtifacts* built) {
+  if (built->artifacts == want) return;
+  if (server->HasBitmapIndex(table)) CheckOk(server->DropBitmapIndex(table));
+  if (server->HasShardSet(table)) CheckOk(server->DropShardSet(table));
+  if (server->HasSampleTable(table)) CheckOk(server->DropSampleTable(table));
+  server->ResetCostCounters();
+  Stopwatch watch;
+  if (want.bitmap) CheckOk(server->BuildBitmapIndex(table));
+  if (want.shards > 0) {
+    CheckOk(server->BuildShardSet(table, want.shards, ShardScheme::kHashRowId,
+                                  want.replicas));
+  }
+  if (want.sample_ratio > 0) {
+    CheckOk(server->BuildSampleTable(table, want.sample_ratio,
+                                     want.sample_seed));
+  }
+  *built = {want, server->SimulatedSeconds(), watch.ElapsedSeconds()};
+}
+
+// A grow's outcome as recorded: simulated seconds, tree, cost counters,
+// middleware counts and `extra`. With `invariants_only`, the fields an
+// invariance group compares: no wall time and no artifact build cost.
+void WriteOutcome(const TreeRunResult& r, const std::string& hash,
+                  const std::map<std::string, double>& extra,
+                  bool invariants_only, JsonWriter* json) {
   const auto real = [&](const std::string& key, double value) {
     json->Key(key);
     json->Double(value);
@@ -397,17 +736,10 @@ void WriteRecord(const GridCell& cell, const TreeRunResult& r,
     json->Key(key);
     json->Int(value);
   };
-  json->BeginObject();
-  text("figure", cell.figure);
-  text("series", cell.series);
-  text("x_name", cell.x_name);
-  real("x", cell.x);
-  text("table", cell.table->name);
-  count("rows", cell.table->rows);
-  real("data_mb", Mb(cell.table->bytes));
   real("sim_s", r.sim_seconds);
-  real("wall_s", r.wall_seconds);
-  text("tree_hash", hash);
+  if (!invariants_only) real("wall_s", r.wall_seconds);
+  json->Key("tree_hash");
+  json->String(hash);
   count("nodes", r.nodes);
   count("leaves", r.leaves);
   count("depth", r.depth);
@@ -432,9 +764,53 @@ void WriteRecord(const GridCell& cell, const TreeRunResult& r,
   json->EndObject();
   json->Key("extra");
   json->BeginObject();
-  for (const auto& [key, value] : extra) real(key, value);
+  for (const auto& [key, value] : extra) {
+    if (!invariants_only ||
+        !(key.ends_with("wall_s") || key.starts_with("build_"))) {
+      real(key, value);
+    }
+  }
   json->EndObject();
+}
+
+void WriteRecord(const GridCell& cell, const TreeRunResult& r,
+                 const std::string& hash,
+                 const std::map<std::string, double>& extra,
+                 JsonWriter* json) {
+  const auto text = [&](const char* key, const std::string& value) {
+    json->Key(key);
+    json->String(value);
+  };
+  json->BeginObject();
+  text("figure", cell.figure);
+  text("series", cell.series);
+  text("x_name", cell.x_name);
+  json->Key("x");
+  json->Double(cell.x);
+  text("table", cell.table->name);
+  json->Key("rows");
+  json->Int(cell.table->rows);
+  json->Key("data_mb");
+  json->Double(Mb(cell.table->bytes));
+  WriteOutcome(r, hash, extra, /*invariants_only=*/false, json);
+  if (!cell.params.empty()) {
+    json->Key("params");
+    json->BeginObject();
+    for (const auto& [key, value] : cell.params) {
+      json->Key(key);
+      json->Double(value);
+    }
+    json->EndObject();
+  }
   json->EndObject();
+}
+
+// Splits come from the scramble: the grown tree may differ from the exact
+// one, so the cell is outside the model-equivalence check.
+bool SampleServed(const GridCell& cell) {
+  const auto* config = std::get_if<MiddlewareConfig>(&cell.provider);
+  return config != nullptr && config->approx.enable &&
+         config->approx.exactness < 1.0;
 }
 
 }  // namespace
@@ -446,8 +822,9 @@ int main(int argc, char** argv) {
   SqlServer server(dir.path());
   Grid grid(&server);
   BuildGrid(scale, &grid);
-  std::printf("# paper grid: %zu cells at scale %g\n", grid.cells().size(),
-              scale);
+  BuildExtensions(scale, &grid);
+  const std::vector<GridCell>& cells = grid.cells();
+  std::printf("# paper grid: %zu cells at scale %g\n", cells.size(), scale);
 
   JsonWriter json;
   json.BeginObject();
@@ -457,37 +834,109 @@ int main(int argc, char** argv) {
   json.Double(scale);
   json.Key("cells");
   json.BeginArray();
-  // The first tree grown per (table, client config), and by which cell.
-  std::map<std::string, std::pair<std::string, std::string>> first_tree;
-  bool diverged = false;
-  for (const GridCell& cell : grid.cells()) {
-    std::map<std::string, double> extra;
-    const TreeRunResult result = Grow(&server, dir.path(), cell, &extra);
-    if (!result.ok) return 1;
+  // Per key, the first value a cell recorded and that cell's label: the
+  // tree per (table, client config), the outcome per invariance group.
+  using FirstSeen = std::map<std::string, std::pair<std::string, std::string>>;
+  FirstSeen first_tree;
+  FirstSeen first_outcome;
+  std::map<std::string, BuiltArtifacts> built;  // per table
+  std::deque<TreeRunResult> results;  // deque: its move may throw
+  std::vector<std::map<std::string, double>> extras;
+  bool failed = false;
+  for (const GridCell& cell : cells) {
     char x[32];
     std::snprintf(x, sizeof(x), "%g", cell.x);
     const std::string label =
         cell.figure + "/" + cell.series + "/" + cell.x_name + "=" + x;
+    BuiltArtifacts& artifacts = built[cell.table->name];
+    SyncArtifacts(&server, cell.table->name, cell.artifacts, &artifacts);
+    std::map<std::string, double> extra;
+    TreeRunResult result = Grow(&server, dir.path(), cell, &extra);
+    if (!result.ok) return 1;
+    if (cell.artifacts != Artifacts{}) {
+      extra["build_sim_s"] = artifacts.sim_s;
+      extra["build_wall_s"] = artifacts.wall_s;
+    }
+    if (cell.baseline >= 0) {
+      const TreeRunResult& base = results[cell.baseline];
+      const auto& base_extra = extras[cell.baseline];
+      extra["node_agreement"] = NodeAgreement(*base.tree, *result.tree);
+      if (extra.count("accuracy") && base_extra.count("accuracy")) {
+        extra["accuracy_delta_pp"] =
+            (extra["accuracy"] - base_extra.at("accuracy")) * 100.0;
+      }
+    }
     char hash[17];
     std::snprintf(hash, sizeof(hash), "%016" PRIx64, result.tree_hash);
     std::printf("%-48s sim_s=%9.3f wall_s=%7.3f nodes=%5d tree=%s\n",
                 label.c_str(), result.sim_seconds, result.wall_seconds,
                 result.nodes, hash);
-    const std::string key =
-        cell.table->name + " max_depth=" + std::to_string(cell.max_depth);
-    const auto [first, inserted] = first_tree.try_emplace(key, hash, label);
-    if (!inserted && first->second.first != hash) {
+
+    // Every later cell under `key` must record the value its first did.
+    const auto agrees = [&](FirstSeen* first, const std::string& key,
+                            const std::string& value, const char* rule) {
+      const auto [it, inserted] = first->try_emplace(key, value, label);
+      if (inserted || it->second.first == value) return;
+      std::fprintf(stderr, "%s violated on %s: %s recorded\n  %s\n%s "
+                   "recorded\n  %s\n", rule, key.c_str(),
+                   it->second.second.c_str(), it->second.first.c_str(),
+                   label.c_str(), value.c_str());
+      failed = true;
+    };
+    if (!SampleServed(cell)) {
+      agrees(&first_tree,
+             cell.table->name + " max_depth=" + std::to_string(cell.max_depth),
+             hash, "model equivalence");
+    }
+    if (!cell.group.empty()) {
+      JsonWriter outcome;
+      WriteOutcome(result, hash, extra, /*invariants_only=*/true, &outcome);
+      agrees(&first_outcome, cell.group, outcome.str(), "invariance group");
+    }
+    const ClassificationMiddleware::Stats& s = result.mw_stats;
+    const uint64_t faults = s.bitmap_fallbacks.load() +
+                            s.sample_fallbacks.load() +
+                            s.shard_fallbacks.load() +
+                            s.shard_rpc_timeouts.load() +
+                            s.shard_worker_restarts.load();
+    if (faults > 0) {
       std::fprintf(stderr,
-                   "model equivalence violated on %s: %s grew %s, %s grew "
-                   "%s\n",
-                   key.c_str(), first->second.second.c_str(),
-                   first->second.first.c_str(), label.c_str(), hash);
-      diverged = true;
+                   "%s: %" PRIu64 " path fallbacks, RPC timeouts or worker "
+                   "restarts\n",
+                   label.c_str(), faults);
+      failed = true;
     }
     WriteRecord(cell, result, hash, extra, &json);
+    results.push_back(std::move(result));
+    extras.push_back(std::move(extra));
   }
   json.EndArray();
   json.EndObject();
+
+  // The extension paths' headline claims, at full scale: some cell of
+  // `figure` is `min_speedup` times cheaper in simulated seconds than its
+  // baseline, losing at most `max_loss_pp` points of accuracy where
+  // accuracy is measured.
+  const auto reaches = [&](const std::string& figure, double min_speedup,
+                           double max_loss_pp) {
+    for (size_t i = 0; i < cells.size(); ++i) {
+      if (cells[i].figure != figure || cells[i].baseline < 0) continue;
+      const double speedup =
+          results[cells[i].baseline].sim_seconds / results[i].sim_seconds;
+      const auto delta = extras[i].find("accuracy_delta_pp");
+      if (speedup >= min_speedup &&
+          (delta == extras[i].end() || delta->second >= -max_loss_pp)) {
+        return true;
+      }
+    }
+    std::fprintf(stderr, "%s: no cell is %gx cheaper than its baseline "
+                 "within %g pp\n", figure.c_str(), min_speedup, max_loss_pp);
+    return false;
+  };
+  if (!smoke) {
+    failed = !reaches("ext-bitmap", 10.0, 0.0) | failed;
+    failed = !reaches("ext-approx", 2.0, 0.5) | failed;
+  }
 
   if (!dump_path.empty()) {
     const Status dump_status = json.WriteToFile(dump_path);
@@ -498,5 +947,5 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote %s\n", dump_path.c_str());
   }
-  return diverged ? 1 : 0;
+  return failed ? 1 : 0;
 }

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 
+#include "common/env.h"
 #include "common/json_writer.h"
 #include "common/stopwatch.h"
 #include "datagen/load.h"
@@ -88,12 +89,18 @@ inline uint64_t Fnv1a(const std::string& text) {
 
 /// Scale multiplier for experiment sizes: benches default to a laptop-fast
 /// scale whose *ratios* (memory:data, CC:data) match the paper; set
-/// SQLCLASS_BENCH_SCALE=4 (say) to run larger instances.
+/// SQLCLASS_BENCH_SCALE=4 (say) to run larger instances. A value that is
+/// not a positive number (`abc`, `4x`, `0`) exits 2 before any work.
 inline double BenchScale() {
   const char* env = std::getenv("SQLCLASS_BENCH_SCALE");
   if (env == nullptr) return 1.0;
-  const double scale = std::atof(env);
-  return scale > 0 ? scale : 1.0;
+  const std::optional<double> scale = ParseEnvDouble(env);
+  if (!scale || *scale <= 0) {
+    std::fprintf(stderr, "SQLCLASS_BENCH_SCALE=%s: not a positive number\n",
+                 env);
+    std::exit(2);
+  }
+  return *scale;
 }
 
 struct TreeRunResult {
@@ -106,6 +113,8 @@ struct TreeRunResult {
   uint64_t tree_hash = 0;  // Fnv1a of the tree's signature
   std::optional<DecisionTree> tree;
   ClassificationMiddleware::Stats mw_stats;
+  uint64_t requeues = 0;  // nodes evicted mid-batch and requeued
+  std::vector<ClassificationMiddleware::SampleDecision> sample_decisions;
   int files_created = 0;
   int memory_stores_created = 0;
   CostCounters counters;
@@ -153,6 +162,10 @@ inline TreeRunResult GrowTreeWithMiddleware(
   TreeRunResult result =
       GrowTree(server, schema, rows, middleware->get(), client_config);
   result.mw_stats = (*middleware)->stats();
+  for (const auto& batch : (*middleware)->trace()) {
+    result.requeues += static_cast<uint64_t>(batch.requeued);
+  }
+  result.sample_decisions = (*middleware)->sample_decisions();
   result.files_created = (*middleware)->staging().files_created();
   result.memory_stores_created =
       (*middleware)->staging().memory_stores_created();
@@ -162,11 +175,6 @@ inline TreeRunResult GrowTreeWithMiddleware(
 inline double Mb(uint64_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }
-
-/// The JSON writer behind the committed BENCH_*.json artifacts now lives in
-/// common/json_writer.h (escaping handled there); the alias keeps existing
-/// bench code spelling it bench::JsonWriter.
-using JsonWriter = ::sqlclass::JsonWriter;
 
 }  // namespace bench
 }  // namespace sqlclass

@@ -2,8 +2,8 @@
 # Regenerates every committed BENCH_*.json from the bench binaries, so the
 # checked-in numbers can always be reproduced with one command. Each bench
 # prints its table to stdout and rewrites its JSON dump in the repo root;
-# a bench that fails its own acceptance gate (e.g. bench_approx's 2x-within-
-# 0.5pp target) fails this script.
+# a bench that fails its own acceptance gate (e.g. bench_paper's ext-approx
+# 2x-within-0.5pp target) fails this script.
 #
 # Usage: scripts/run_benches.sh [BUILD_DIR] [--smoke]
 #   BUILD_DIR   cmake build tree holding bench/ binaries (default: build)
@@ -24,11 +24,7 @@ cd "$(dirname "$0")/.."
 
 # name -> committed dump file; keep in sync with bench/CMakeLists.txt.
 BENCHES=(
-  "bench_parallel_scan:BENCH_parallel_scan.json"
   "bench_faults:BENCH_faults.json"
-  "bench_bitmap:BENCH_bitmap.json"
-  "bench_approx:BENCH_approx.json"
-  "bench_shard:BENCH_shard.json"
   "bench_paper:BENCH_paper.json"
 )
 

@@ -120,8 +120,8 @@ class ClassificationMiddleware : public CcProvider {
   };
 
   /// One gate verdict per sample-served request, in delivery order — the
-  /// raw material for per-level escalation-rate analysis (bench_approx maps
-  /// node ids back to tree depths).
+  /// raw material for per-level escalation-rate analysis (bench_paper's
+  /// ext-approx cells map node ids back to tree depths).
   struct SampleDecision {
     int node_id = -1;
     bool accepted = false;

@@ -79,6 +79,25 @@ StatusOr<std::unique_ptr<Expr>> DecodeEdge(const std::string& kind,
   return Status::ParseError("bad edge kind: " + kind);
 }
 
+/// Bytes of `in` not read yet. A list element takes at least two of them (a
+/// digit and a separator), so half of them bounds any list length the input
+/// can still back, before anything is sized from that length.
+size_t BytesLeft(std::istringstream& in, size_t size) {
+  const std::streamoff pos = in.tellg();
+  return pos < 0 ? 0 : size - static_cast<size_t>(pos);
+}
+
+/// Reads a list length that the rest of the input can back.
+bool ReadLength(std::istringstream& in, size_t size, size_t* length) {
+  long long n = 0;
+  if (!(in >> n) || n < 0 ||
+      static_cast<unsigned long long>(n) > BytesLeft(in, size) / 2) {
+    return false;
+  }
+  *length = static_cast<size_t>(n);
+  return true;
+}
+
 }  // namespace
 
 StatusOr<std::string> SerializeTree(const DecisionTree& tree) {
@@ -129,7 +148,8 @@ StatusOr<DecisionTree> DeserializeTree(const std::string& text) {
   int num_columns = 0;
   int class_column = -1;
   if (!(in >> word >> num_columns >> class_column) || word != "schema" ||
-      num_columns < 1) {
+      num_columns < 1 ||
+      static_cast<size_t>(num_columns) > BytesLeft(in, text.size()) / 2) {
     return Status::ParseError("bad schema header");
   }
   std::vector<AttributeDef> attrs;
@@ -180,8 +200,8 @@ StatusOr<DecisionTree> DeserializeTree(const std::string& text) {
     if (!(in >> word >> node.id >> node.parent >> state >> reason >>
           node.depth >> node.data_size >> node.majority_class >>
           node.split_attr >> node.split_value >> multiway >> edge_kind >>
-          edge_column >> edge_value >> num_children) ||
-        word != "node") {
+          edge_column >> edge_value) ||
+        word != "node" || !ReadLength(in, text.size(), &num_children)) {
       return Status::ParseError("bad node line " + std::to_string(i));
     }
     if (state < 0 || state > 2 || reason < 0 || reason > 5) {
@@ -200,7 +220,10 @@ StatusOr<DecisionTree> DeserializeTree(const std::string& text) {
       }
     }
     size_t num_counts = 0;
-    if (!(in >> num_counts)) return Status::ParseError("missing counts");
+    if (!ReadLength(in, text.size(), &num_counts)) {
+      return Status::ParseError("bad class count list at " +
+                                std::to_string(i));
+    }
     node.class_counts.resize(num_counts);
     for (size_t k = 0; k < num_counts; ++k) {
       if (!(in >> node.class_counts[k])) {

@@ -135,6 +135,38 @@ TEST(TreeIoTest, RejectsGarbageAndTampering) {
   }
 }
 
+// A one-leaf tree over two binary columns, with the leaf's line supplied.
+std::string OneLeafTree(const std::string& leaf_line) {
+  return "sqlclass-tree 1\nschema 2 1\ncolumn a 2\ncolumn c 2\nnodes 1\n" +
+         leaf_line + "\nend\n";
+}
+
+TEST(TreeIoTest, ParsesHandWrittenLeaf) {
+  auto tree = DeserializeTree(
+      OneLeafTree("node 0 -1 2 1 0 10 0 -1 0 0 none - 0 0 2 4 6"));
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(tree->num_nodes(), 1);
+}
+
+// Hostile list lengths are bounded by the input left before anything is
+// sized from them: each returns a parse error instead of throwing.
+TEST(TreeIoTest, RejectsChildCountBeyondInput) {
+  auto tree = DeserializeTree(
+      OneLeafTree("node 0 -1 2 1 0 10 0 -1 0 0 none - 0 4294967295"));
+  EXPECT_EQ(tree.status().code(), StatusCode::kParseError);
+}
+
+TEST(TreeIoTest, RejectsNegativeClassCountLength) {
+  auto tree = DeserializeTree(
+      OneLeafTree("node 0 -1 2 1 0 10 0 -1 0 0 none - 0 0 -2147483648"));
+  EXPECT_EQ(tree.status().code(), StatusCode::kParseError);
+}
+
+TEST(TreeIoTest, RejectsColumnCountBeyondInput) {
+  auto tree = DeserializeTree("sqlclass-tree 1\nschema 2147483647 1\n");
+  EXPECT_EQ(tree.status().code(), StatusCode::kParseError);
+}
+
 TEST(TreeIoTest, SerializeRejectsIncompleteTree) {
   Schema schema = MakeSchema({3}, 2);
   DecisionTree tree(schema);

@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Paper-fidelity gate: the smoke-scale paper grid must equal its golden.
+"""Paper-fidelity gate: the smoke-scale bench grid must equal its golden.
 
 Runs `bench_paper --smoke --dump=...` with every SQLCLASS_* variable
 scrubbed and compares the dump with bench/paper_smoke_golden.json exactly,
-in everything but wall_s: the top-level scale, the cell set and order, and
-every field of every cell. Each difference names the cell as
-figure/series/x_name=x and the field that moved. A change to the cost
-model on purpose regenerates the golden and says so in CHANGES.md:
+in everything but the fields whose key ends in wall_s (wall_s, and the
+extension cells' extra.build_wall_s): the top-level scale, the cell set and
+order, and every field of every cell — the paper's figures and the
+extension figures (ext-bitmap, ext-shard, ext-approx, ext-parallel) alike.
+Each difference names the cell as figure/series/x_name=x and the field
+that moved. A change to the cost model on purpose regenerates the golden
+and says so in CHANGES.md:
 
     build/bench/bench_paper --smoke --dump=bench/paper_smoke_golden.json
 
 --self-test: a sim_s x1.01, a counter +1, a flipped tree hash, a dropped
-and a reordered cell must each fail on a copy of the golden; every wall_s
-x10 must pass. Exit status: 0 match, 1 mismatch, 2 run error.
+and a reordered cell must each fail on a copy of the golden; every wall
+field x10 must pass; and every cost counter must be charged by some golden
+cell, so a unit cost no cell exercises cannot drift unseen. Exit status: 0
+match, 1 mismatch, 2 run error.
 """
 
 import argparse
@@ -23,7 +28,11 @@ import subprocess
 import sys
 import tempfile
 
-MASKED = {"wall_s"}
+# Wall-clock fields depend on the host; every key ending in this is masked.
+MASKED_SUFFIX = "wall_s"
+# No grow charges index_rows_inserted; the artifact builds do, and their
+# cost is gated through extra.build_sim_s.
+UNCHARGED = {"index_rows_inserted"}
 
 
 def label(cell):
@@ -37,7 +46,7 @@ def flatten(record, prefix=""):
     for key, value in record.items():
         if isinstance(value, dict):
             out.update(flatten(value, prefix + key + "."))
-        elif key not in MASKED:
+        elif not key.endswith(MASKED_SUFFIX):
             out[prefix + key] = value
     return out
 
@@ -101,13 +110,15 @@ def self_test(golden):
     def scale_wall(cells):
         for cell in cells:
             cell["wall_s"] *= 10
+            if "build_wall_s" in cell["extra"]:
+                cell["extra"]["build_wall_s"] *= 10
 
     cases = [("sim_s x1.01", bump_sim, True),
              ("counter +1", bump_counter, True),
              ("tree_hash flipped", flip_hash, True),
              ("dropped cell", lambda cells: cells.pop(len(cells) // 2), True),
              ("reordered cells", reorder, True),
-             ("wall_s x10", scale_wall, False)]
+             ("wall fields x10", scale_wall, False)]
     failed = 0
     for name, edit, must_fail in cases:
         edited = copy.deepcopy(golden)
@@ -117,6 +128,15 @@ def self_test(golden):
         failed += not ok
         print("self-test %s: %s (%s)" % ("OK" if ok else "FAILED", name,
                                          diffs[0] if diffs else "match"))
+    cells = golden["cells"]
+    idle = [k for k in cells[0]["cost"]
+            if k not in UNCHARGED and not any(c["cost"][k] > 0 for c in cells)]
+    failed += bool(idle)
+    print("self-test %s: every cost counter charged by some cell (%s; "
+          "index_rows_inserted exempt: no grow charges it, the artifact "
+          "builds do, inside extra.build_sim_s)"
+          % ("FAILED" if idle else "OK",
+             "never charged: " + ", ".join(idle) if idle else "all charged"))
     return 1 if failed else 0
 
 
