@@ -11,8 +11,12 @@ drift on the host hits both sides alike. Before the change's first run at
 the seed, the base's record of that seed is copied into the change's
 checkout, so perfbench's paper-fidelity check compares the change's trees,
 simulated seconds and cost counters with the base's. The JSON holds, per
-workload and metric, each side's median and quartiles and the number of
-pairs the change won, plus every run's raw metrics.
+workload and metric, each side's median and quartiles, the number of pairs
+the change won and the median of the per-pair change/base ratios, plus
+every run's raw metrics and the host's steal share during it (from
+/proc/stat, where the host has one). The ratios are printed at the end:
+on a shared host the level of both sides drifts with steal, while the
+ratio within a pair moves far less.
 """
 
 import argparse
@@ -29,15 +33,34 @@ HIGHER_IS_BETTER = {"models_per_s"}
 RECORDS = Path(".bench_build/perfbench/records")
 
 
+def cpu_times():
+    """(steal, total) jiffies of all CPUs, or None without /proc/stat."""
+    try:
+        with open("/proc/stat") as stat:
+            fields = [int(v) for v in stat.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return None
+    return fields[7], sum(fields)
+
+
+def steal_share(before, after):
+    if before is None or after is None or after[1] == before[1]:
+        return None
+    return (after[0] - before[0]) / (after[1] - before[1])
+
+
 def run(checkout, workload, args):
+    before = cpu_times()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds),
          "--trace", "0"],
         cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True, check=False)
+    steal = steal_share(before, cpu_times())
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"correct": result["correct"] and proc.returncode == 0,
+            "steal": steal,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -77,9 +100,11 @@ def main():
                 result = run(getattr(args, side), workload, args)
                 runs.append({"pair": pair, "workload": workload, "side": side,
                              **result})
+                steal = result["steal"]
                 print(f"pair {pair} {workload:15s} {side:6s} "
                       f"correct={result['correct']} "
-                      f"model_s={result['metrics']['model_s']:.3f}",
+                      f"model_s={result['metrics']['model_s']:.3f} "
+                      f"steal={'n/a' if steal is None else f'{steal:.1%}'}",
                       flush=True)
 
     summary = {}
@@ -88,15 +113,22 @@ def main():
         by_side = {side: sorted((r for r in mine if r["side"] == side),
                                 key=lambda r: r["pair"])
                    for side in ("base", "change")}
-        summary[workload] = {"all_correct": all(r["correct"] for r in mine)}
+        steals = [r["steal"] for r in mine if r["steal"] is not None]
+        summary[workload] = {
+            "all_correct": all(r["correct"] for r in mine),
+            "steal_median": statistics.median(steals) if steals else None,
+        }
         for metric in mine[0]["metrics"]:
             base = [r["metrics"][metric] for r in by_side["base"]]
             change = [r["metrics"][metric] for r in by_side["change"]]
             better = (lambda c, b: c > b) if metric in HIGHER_IS_BETTER else (
                 lambda c, b: c < b)
+            ratios = [c / b for c, b in zip(change, base) if b != 0]
             summary[workload][metric] = {
                 "base": summarise(base), "change": summarise(change),
                 "change_wins": sum(better(c, b) for c, b in zip(change, base)),
+                "pair_ratios": ratios,
+                "ratio_median": statistics.median(ratios) if ratios else None,
             }
     args.out.write_text(json.dumps({
         "bench": "perfbench pairs",
@@ -104,6 +136,23 @@ def main():
         "nproc": os.cpu_count(), "seed": args.seed, "seconds": args.seconds,
         "pairs": args.pairs,
         "summary": summary, "runs": runs}, indent=1) + "\n")
+    end_to_end = [m["name"] for m in json.loads(
+        (args.change / "BENCHMARK.json").read_text())["end_to_end"]]
+    print(f"\n{'workload':15s} {'metric':13s} {'base':>9s} {'change':>9s} "
+          f"{'base IQR':>9s} {'ratio':>7s}  won   steal")
+    for workload, metrics in summary.items():
+        steal = metrics["steal_median"]
+        for metric in end_to_end:
+            row = metrics.get(metric)
+            if row is None:
+                continue
+            ratio = row["ratio_median"]
+            print(f"{workload:15s} {metric:13s} "
+                  f"{row['base']['median']:9.4g} {row['change']['median']:9.4g} "
+                  f"{row['base']['q3'] - row['base']['q1']:9.3g} "
+                  f"{'n/a' if ratio is None else f'{ratio:7.3f}'}  "
+                  f"{row['change_wins']}/{args.pairs}  "
+                  f"{'n/a' if steal is None else f'{steal:.1%}'}")
     return 0 if all(s["all_correct"] for s in summary.values()) else 1
 
 

@@ -15,8 +15,9 @@ namespace sqlclass {
 
 /// Fixed-size worker pool driving the morsel-parallel counting scans. No
 /// work stealing: tasks go through one shared FIFO queue and workers pull
-/// from it, which is all the scan needs — morsel claiming itself is a
-/// single atomic counter inside the scan body, so queue contention is one
+/// from it, which is all the scan needs — a scan submits one task per
+/// worker (its crew), which claims morsels off a single atomic counter and
+/// crosses the scan's segment boundaries itself, so queue traffic is one
 /// task per worker per scan.
 ///
 /// Thread-safe: Submit/WaitIdle may be called from any thread, though the

@@ -1,7 +1,9 @@
 #include "middleware/parallel_scan.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -18,22 +20,64 @@ namespace {
 /// rows stay a small buffer and a recount stays short.
 constexpr size_t kSegmentMorselsPerWorker = 8;
 
-/// What one worker counted in the current segment.
-struct WorkerTally {
+/// Pauses a thread waiting at a segment boundary spins through before it
+/// parks: the hand-off is usually microseconds away, a futex wake-up costs
+/// more than that.
+constexpr int kSpinPauses = 4096;
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Returns once `word` holds a value `reached` accepts: spins through up to
+/// `spins` pauses, then parks on the word until a notify changes it.
+template <typename T, typename Reached>
+void SpinThenWait(const std::atomic<T>& word, int spins, Reached reached) {
+  for (int i = 0; i < spins; ++i) {
+    if (reached(word.load(std::memory_order_acquire))) return;
+    CpuRelax();
+  }
+  for (T v; !reached(v = word.load(std::memory_order_acquire));) {
+    word.wait(v, std::memory_order_acquire);
+  }
+}
+
+/// What one worker counted in the current segment, on cache lines no other
+/// worker writes. A node's matched rows are its table's TotalRows().
+struct alignas(64) WorkerTally {
   std::vector<CcTable> ccs;
-  std::vector<uint64_t> node_matches;
+  std::vector<int> matches;  // BatchMatcher scratch
   uint64_t rows_scanned = 0;
   uint64_t rows_delivered = 0;
-  uint64_t cc_updates = 0;
   Status status;
+  std::exception_ptr thrown;  // a visit that threw, rethrown by the caller
 };
 
-/// One segment's staged rows, [morsel in segment][staged node] -> values.
-using StageBuffers = std::vector<std::vector<Value>>;
+/// One morsel's staged rows of one staged node. Padded: the vector header
+/// is rewritten on every staged row while other workers fill the buffers
+/// of the morsels next to it.
+struct alignas(64) StageBuffer {
+  std::vector<Value> rows;
+};
+
+/// One segment's staged rows, [morsel in segment][staged node].
+using StageBuffers = std::vector<StageBuffer>;
 
 /// The segmented scan behind both ParallelCountScan entry points.
 /// `visit(slot, morsel, on_row)` reads one morsel with worker `slot`'s
 /// reader, calling on_row(const Value*) per row in source order.
+///
+/// The pool's workers are submitted once per scan, as a crew. The calling
+/// thread opens one segment at a time by raising `open_end_` and bumping
+/// `generation_`; crew members claim the segment's morsels, park on
+/// `generation_` when none is left, and the member finishing a segment's
+/// last morsel wakes the calling thread, which waits on `done_`. Between
+/// segments no crew member touches the tallies, so the calling thread
+/// folds, recounts and charges them alone.
 template <typename VisitMorsel>
 class SegmentedScan {
  public:
@@ -66,93 +110,154 @@ class SegmentedScan {
       for (size_t i = 0; i < n; ++i) {
         tally.ccs.emplace_back(options_.num_classes);
       }
-      tally.node_matches.assign(n, 0);
     }
 
     // An unbounded scan that stages nothing has no reason to stop: one
     // segment, no barriers.
     const bool bounded =
         options_.cc_available != std::numeric_limits<size_t>::max();
-    const size_t segment =
-        bounded || !staged_nodes_.empty()
-            ? static_cast<size_t>(workers_) * kSegmentMorselsPerWorker
-            : std::max<size_t>(num_morsels_, 1);
-    StageBuffers filling(segment * staged_nodes_.size());
-    StageBuffers committing(filling.size());
+    segment_ = bounded || !staged_nodes_.empty()
+                   ? static_cast<size_t>(workers_) * kSegmentMorselsPerWorker
+                   : std::max<size_t>(num_morsels_, 1);
+    for (StageBuffers& half : stage_) {
+      half.resize(segment_ * staged_nodes_.size());
+    }
+    // A scan that stages has this thread join the counting as worker 0
+    // once it has committed, so exactly `workers_` threads stay busy; one
+    // that does not leaves all counting to the crew.
+    const int first_crew = staged_nodes_.empty() && workers_ > 1 ? 0 : 1;
+    Crew crew(this, pool);
+    for (int w = first_crew; w < workers_; ++w) crew.Add(w);
+
     uint64_t delivered = 0;  // rows delivered before the current segment
-    for (size_t begin = 0; begin < num_morsels_; begin += segment) {
+    size_t filling = 0;      // stage_ half the current segment fills
+    for (size_t begin = 0; begin < num_morsels_; begin += segment_) {
       segment_begin_ = begin;
-      segment_end_ = std::min(num_morsels_, begin + segment);
-      next_morsel_.store(begin, std::memory_order_relaxed);
+      segment_end_ = std::min(num_morsels_, begin + segment_);
+      filling = (begin / segment_) % 2;
       for (WorkerTally& tally : tallies_) {
         for (CcTable& cc : tally.ccs) cc.Clear();
-        std::fill(tally.node_matches.begin(), tally.node_matches.end(), 0);
-        tally.rows_scanned = tally.rows_delivered = tally.cc_updates = 0;
+        tally.rows_scanned = tally.rows_delivered = 0;
       }
-      // The previous segment's staged rows are appended while the pool
+      done_.store(0, std::memory_order_relaxed);
+      open_end_.store(segment_end_, std::memory_order_release);
+      generation_.fetch_add(1, std::memory_order_release);
+      generation_.notify_all();
+      // The previous segment's staged rows are appended while the crew
       // counts this one (staging never depends on eviction, so it is never
-      // redone). A scan that stages has this thread join the counting as
-      // worker 0 once it has committed, so exactly `workers_` threads stay
-      // busy; one that does not leaves all counting to the pool.
-      const int first_pooled = staged_nodes_.empty() && workers_ > 1 ? 0 : 1;
-      for (int w = first_pooled; w < workers_; ++w) {
-        pool->Submit([this, w, &filling] { Work(w, &filling); });
-      }
-      const Status committed = Commit(&committing);
-      if (!committed.ok()) {
-        failed_.store(true, std::memory_order_relaxed);
-      } else if (first_pooled == 1) {
-        Work(0, &filling);
-      }
-      if (workers_ > 1) pool->WaitIdle();
-      SQLCLASS_RETURN_IF_ERROR(committed);
+      // redone).
+      SQLCLASS_RETURN_IF_ERROR(Commit(&stage_[1 - filling]));
+      if (first_crew == 1) CountClaimed(0);
+      // Having counted, this thread waits only for the crew's last
+      // morsels; otherwise for the whole segment, parked so that it does
+      // not take a core from the crew.
+      const size_t count = segment_end_ - segment_begin_;
+      SpinThenWait(done_, first_crew == 1 ? kSpinPauses : 0,
+                   [count](size_t done) { return done == count; });
       for (WorkerTally& tally : tallies_) {
+        if (tally.thrown) std::rethrow_exception(tally.thrown);
         SQLCLASS_RETURN_IF_ERROR(tally.status);
       }
       SQLCLASS_ASSIGN_OR_RETURN(const uint64_t segment_delivered,
                                 FoldSegment(bounded, delivered, cost));
       delivered += segment_delivered;
-      std::swap(filling, committing);
     }
-    SQLCLASS_RETURN_IF_ERROR(Commit(&committing));
+    SQLCLASS_RETURN_IF_ERROR(Commit(&stage_[filling]));
     return std::move(result_);
   }
 
  private:
-  void Work(int slot, StageBuffers* buffers) {
-    WorkerTally& tally = tallies_[slot];
-    std::vector<int> matches;
-    while (!failed_.load(std::memory_order_relaxed)) {
-      const size_t m = next_morsel_.fetch_add(1, std::memory_order_relaxed);
-      if (m >= segment_end_) return;
-      std::vector<Value>* stage_rows =
-          buffers->data() + (m - segment_begin_) * staged_nodes_.size();
-      Status status = visit_(slot, m, [&](const Value* row) {
-        CountRow(row, &matches, &tally, stage_rows);
-      });
-      if (!status.ok()) {
-        tally.status = std::move(status);
-        failed_.store(true, std::memory_order_relaxed);
-        return;
+  /// The pool workers of one scan. Disbanding on destruction — the scan's
+  /// end or any early return — stops every member and waits for it, so no
+  /// member outlives the scan's state.
+  class Crew {
+   public:
+    Crew(SegmentedScan* scan, ThreadPool* pool) : scan_(scan), pool_(pool) {}
+    Crew(const Crew&) = delete;
+    Crew& operator=(const Crew&) = delete;
+    ~Crew() {
+      if (members_ == 0) return;
+      scan_->stopping_.store(true, std::memory_order_relaxed);
+      scan_->generation_.fetch_add(1, std::memory_order_release);
+      scan_->generation_.notify_all();
+      pool_->WaitIdle();
+    }
+
+    void Add(int slot) {
+      pool_->Submit([scan = scan_, slot] { scan->CrewMember(slot); });
+      ++members_;
+    }
+
+   private:
+    SegmentedScan* scan_;
+    ThreadPool* pool_;
+    int members_ = 0;
+  };
+
+  void CrewMember(int slot) {
+    while (true) {
+      const uint32_t seen = generation_.load(std::memory_order_acquire);
+      if (stopping_.load(std::memory_order_relaxed)) return;
+      CountClaimed(slot);
+      SpinThenWait(generation_, kSpinPauses,
+                   [seen](uint32_t now) { return now != seen; });
+    }
+  }
+
+  // Counts morsels of the open segment until none is left to claim.
+  void CountClaimed(int slot) {
+    size_t m = next_morsel_.load(std::memory_order_relaxed);
+    while (!stopping_.load(std::memory_order_relaxed)) {
+      if (m >= open_end_.load(std::memory_order_acquire)) return;
+      if (next_morsel_.compare_exchange_weak(m, m + 1,
+                                             std::memory_order_relaxed)) {
+        CountMorsel(slot, m);
+        m = next_morsel_.load(std::memory_order_relaxed);
       }
     }
   }
 
-  void CountRow(const Value* row, std::vector<int>* matches,
-                WorkerTally* tally, std::vector<Value>* stage_rows) {
+  // Counts morsel `m` into worker `slot`'s tally (or, once the scan has
+  // failed, skips it) and marks it done.
+  void CountMorsel(int slot, size_t m) {
+    WorkerTally& tally = tallies_[slot];
+    const size_t segment = m / segment_;
+    if (!failed_.load(std::memory_order_relaxed)) {
+      StageBuffer* stage_rows = stage_[segment % 2].data() +
+                                (m - segment * segment_) * staged_nodes_.size();
+      try {
+        Status status = visit_(slot, m, [&](const Value* row) {
+          CountRow(row, &tally, stage_rows);
+        });
+        if (!status.ok()) {
+          tally.status = std::move(status);
+          failed_.store(true, std::memory_order_relaxed);
+        }
+      } catch (...) {
+        tally.thrown = std::current_exception();
+        failed_.store(true, std::memory_order_relaxed);
+      }
+    }
+    const size_t in_segment =
+        std::min(num_morsels_, (segment + 1) * segment_) - segment * segment_;
+    if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == in_segment) {
+      done_.notify_one();
+    }
+  }
+
+  void CountRow(const Value* row, WorkerTally* tally,
+                StageBuffer* stage_rows) {
     ++tally->rows_scanned;
     if (options_.filter != nullptr && !options_.filter->Eval(row)) return;
     ++tally->rows_delivered;
-    options_.matcher->Match(row, matches);
-    for (int pos : *matches) {
+    options_.matcher->Match(row, &tally->matches);
+    for (int pos : tally->matches) {
       if (live_[pos]) {
-        const std::vector<int>& attrs = *options_.node_attrs[pos];
-        tally->ccs[pos].AddRow(row, attrs, options_.class_column);
-        tally->cc_updates += attrs.size();
-        ++tally->node_matches[pos];
+        tally->ccs[pos].AddRow(row, *options_.node_attrs[pos],
+                               options_.class_column);
       }
       if (stage_slot_[pos] >= 0) {
-        std::vector<Value>& out = stage_rows[stage_slot_[pos]];
+        std::vector<Value>& out = stage_rows[stage_slot_[pos]].rows;
         out.insert(out.end(), row, row + num_columns_);
       }
     }
@@ -165,7 +270,7 @@ class SegmentedScan {
     for (size_t j = 0; j < stride; ++j) {
       gather_.clear();
       for (size_t k = j; k < buffers->size(); k += stride) {
-        std::vector<Value>& rows = (*buffers)[k];
+        std::vector<Value>& rows = (*buffers)[k].rows;
         gather_.insert(gather_.end(), rows.begin(), rows.end());
         rows.clear();
       }
@@ -197,9 +302,10 @@ class SegmentedScan {
     if (MergeWithin(checked ? options_.cc_available
                             : std::numeric_limits<size_t>::max())) {
       for (const WorkerTally& tally : tallies_) {
-        cc_updates += tally.cc_updates;
-        for (size_t i = 0; i < tally.node_matches.size(); ++i) {
-          result_.node_matches[i] += tally.node_matches[i];
+        for (size_t i = 0; i < tally.ccs.size(); ++i) {
+          const uint64_t matched = tally.ccs[i].TotalRows();
+          result_.node_matches[i] += matched;
+          cc_updates += matched * options_.node_attrs[i]->size();
         }
       }
     } else {
@@ -307,10 +413,22 @@ class SegmentedScan {
   std::vector<int> stage_slot_;       // per node: index in staged_nodes_
   std::vector<size_t> staged_nodes_;  // nodes that stage, in node order
   std::vector<WorkerTally> tallies_;
+  // Staged rows by segment parity: the crew fills one half while the
+  // calling thread commits the other.
+  std::array<StageBuffers, 2> stage_;
   std::vector<Value> gather_;  // one node's staged rows of one segment
-  size_t segment_begin_ = 0;
+  size_t segment_ = 1;         // morsels per segment
+  size_t segment_begin_ = 0;   // the open segment, for the calling thread
   size_t segment_end_ = 0;
-  std::atomic<size_t> next_morsel_{0};
+
+  // Crew hand-off. Morsels below open_end_ may be claimed; next_morsel_ is
+  // the next unclaimed one (never reset, so a late claim cannot take a
+  // morsel twice); done_ counts the open segment's finished morsels.
+  alignas(64) std::atomic<size_t> next_morsel_{0};
+  alignas(64) std::atomic<size_t> open_end_{0};
+  alignas(64) std::atomic<size_t> done_{0};
+  alignas(64) std::atomic<uint32_t> generation_{0};  // segments opened
+  std::atomic<bool> stopping_{false};
   std::atomic<bool> failed_{false};
 };
 
@@ -363,35 +481,36 @@ void EvictOverflow(size_t available, std::vector<CcTable>* ccs,
 StatusOr<ParallelScanResult> ParallelCountScan::OverHeapFile(
     ThreadPool* pool, const std::string& path, int num_columns,
     const ParallelScanOptions& options, CostCounters* cost, IoCounters* io) {
-  // Per-worker physical counters: IoCounters is a plain struct, so workers
-  // must not share one.
-  std::vector<IoCounters> local_io(pool != nullptr ? pool->size() : 1);
+  // One worker's reader state, on cache lines no other worker writes:
+  // IoCounters is a plain struct bumped per page, so workers must not
+  // share one.
+  struct alignas(64) WorkerPages {
+    IoCounters io;
+    RowBatch batch;
+    std::unique_ptr<HeapFileReader> reader;
+  };
+  std::vector<WorkerPages> workers_pages(pool != nullptr ? pool->size() : 1);
   SQLCLASS_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapFileReader> first,
-      HeapFileReader::Open(path, num_columns, &local_io[0]));
-  const std::vector<PageRange> morsels =
-      MakePageMorsels(first->num_pages(), options.pages_per_morsel);
+      workers_pages[0].reader,
+      HeapFileReader::Open(path, num_columns, &workers_pages[0].io));
+  const std::vector<PageRange> morsels = MakePageMorsels(
+      workers_pages[0].reader->num_pages(), options.pages_per_morsel);
   const int workers = WorkerCount(pool, morsels.size());
-
-  std::vector<std::unique_ptr<HeapFileReader>> readers;
-  readers.reserve(workers);
-  readers.push_back(std::move(first));
   for (int w = 1; w < workers; ++w) {
     SQLCLASS_ASSIGN_OR_RETURN(
-        std::unique_ptr<HeapFileReader> reader,
-        HeapFileReader::Open(path, num_columns, &local_io[w]));
-    readers.push_back(std::move(reader));
+        workers_pages[w].reader,
+        HeapFileReader::Open(path, num_columns, &workers_pages[w].io));
   }
-  std::vector<RowBatch> batches(workers);
   const uint64_t slots_per_page =
       SlotsPerPage(RowCodec(num_columns).row_bytes());
   auto visit = [&](int slot, size_t m, auto&& on_row) -> Status {
-    RowBatch& batch = batches[slot];
+    RowBatch& batch = workers_pages[slot].batch;
     for (uint64_t page = morsels[m].begin; page < morsels[m].end; ++page) {
       if (options.page_fault_point != nullptr) {
         SQLCLASS_FAULT_POINT(options.page_fault_point);
       }
-      SQLCLASS_RETURN_IF_ERROR(readers[slot]->ReadPageInto(page, &batch));
+      SQLCLASS_RETURN_IF_ERROR(
+          workers_pages[slot].reader->ReadPageInto(page, &batch));
       if (!options.row_filter) {
         for (size_t r = 0; r < batch.num_rows(); ++r) on_row(batch.RowAt(r));
         continue;
@@ -406,7 +525,7 @@ StatusOr<ParallelScanResult> ParallelCountScan::OverHeapFile(
   StatusOr<ParallelScanResult> result = RunSegmented(
       pool, options, num_columns, morsels.size(), workers, cost, visit);
   if (io != nullptr) {
-    for (const IoCounters& local : local_io) io->Add(local);
+    for (const WorkerPages& local : workers_pages) io->Add(local.io);
   }
   return result;
 }

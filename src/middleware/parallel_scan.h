@@ -116,14 +116,16 @@ struct ParallelScanResult {
 /// subprocess shard worker count through it, with one worker or many.
 ///
 /// Workers own a private reader, row batch and per-node partial CC tables,
-/// and claim morsels off one atomic counter. The source is walked in
+/// each on cache lines no other worker writes, and claim morsels off one
+/// atomic counter. The pool's workers join a scan once, as its crew, and
+/// cross segment boundaries without a new task. The source is walked in
 /// *segments* of consecutive morsels (the whole source when the scan
 /// neither stages nor is bounded). At each segment end the calling thread
 /// merges the partial tables in worker order — or, if an overflow check
 /// inside the segment could have fired, recounts the segment itself with
 /// the checks at their exact rows — and charges the segment's logical
 /// costs. It appends the segment's staged rows to their stores, in morsel
-/// order, while the pool counts the next segment. Physical IoCounters are
+/// order, while the crew counts the next segment. Physical IoCounters are
 /// merged from per-worker locals.
 class ParallelCountScan {
  public:

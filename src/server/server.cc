@@ -594,9 +594,11 @@ Status SqlServer::BuildShardSet(const std::string& table, uint32_t num_shards,
                         scheme);
   writer.set_write_replicas(with_replicas);
   SQLCLASS_RETURN_IF_ERROR(writer.Open(&io_counters_));
+  // One insert per row written: a replica set writes every row twice.
+  const uint64_t copies = with_replicas ? 2 : 1;
   Status scan =
       ServerSideScan(table, nullptr, [&](Tid, const Row& row) -> Status {
-        ++cost_counters_.index_rows_inserted;
+        cost_counters_.index_rows_inserted += copies;
         return writer.AddRow(row);
       });
   if (!scan.ok()) {

@@ -1,5 +1,9 @@
 #include "storage/heap_file.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cstring>
@@ -191,13 +195,18 @@ Status HeapFileWriter::Append(const Row& row) {
 Status HeapFileWriter::AppendRows(const Value* rows, size_t num_rows) {
   if (finished_) return Status::Internal("Append after Finish");
   const size_t slots = SlotsPerPage(codec_.row_bytes());
-  for (size_t r = 0; r < num_rows; ++r) {
-    codec_.EncodeFrom(rows + r * codec_.num_columns(),
-                      CurrentPage() + kPageHeaderBytes +
-                          rows_in_page_ * codec_.row_bytes());
-    ++rows_in_page_;
-    ++rows_written_;
-    if (counters_ != nullptr) ++counters_->rows_written;
+  while (num_rows > 0) {
+    // The slot bytes are the values themselves (RowCodec), so a page's
+    // free slots fill with one copy.
+    const size_t n = std::min(num_rows, slots - rows_in_page_);
+    std::memcpy(CurrentPage() + kPageHeaderBytes +
+                    rows_in_page_ * codec_.row_bytes(),
+                rows, n * codec_.row_bytes());
+    rows += n * codec_.num_columns();
+    num_rows -= n;
+    rows_in_page_ += static_cast<uint32_t>(n);
+    rows_written_ += n;
+    if (counters_ != nullptr) counters_->rows_written += n;
     if (rows_in_page_ == slots) SQLCLASS_RETURN_IF_ERROR(SealPage());
   }
   return Status::OK();
@@ -250,17 +259,17 @@ Status HeapFileWriter::Finish() {
 
 // ---------------------------------------------------------------- reader
 
-HeapFileReader::HeapFileReader(std::string path, std::FILE* file,
-                               int num_columns, IoCounters* counters)
+HeapFileReader::HeapFileReader(std::string path, int fd, int num_columns,
+                               IoCounters* counters)
     : path_(std::move(path)),
-      file_(file),
+      fd_(fd),
       codec_(num_columns),
       counters_(counters),
       page_(kPageSize, 0) {}
 
 HeapFileReader::~HeapFileReader() {
-  // fault: uncovered(best-effort close in destructor: read-only stream; read paths report errors)
-  if (file_ != nullptr) std::fclose(file_);
+  // fault: uncovered(best-effort close in destructor: read-only descriptor; read paths report errors)
+  ::close(fd_);
 }
 
 StatusOr<std::unique_ptr<HeapFileReader>> HeapFileReader::Open(
@@ -270,26 +279,25 @@ StatusOr<std::unique_ptr<HeapFileReader>> HeapFileReader::Open(
     return Status::InvalidArgument("heap file needs >= 1 column");
   }
   SQLCLASS_FAULT_POINT(faults::kStorageOpen);
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IoError("cannot open heap file: " + path);
   }
   auto reader = std::unique_ptr<HeapFileReader>(
-      new HeapFileReader(path, file, num_columns, counters));
+      new HeapFileReader(path, fd, num_columns, counters));
   reader->pool_ = pool;
   reader->file_id_ = file_id;
 
   // Determine page count from file size, then row count by summing the last
   // page header (all pages but the last are full).
-  if (std::fseek(file, 0, SEEK_END) != 0) {
-    return Status::IoError("seek failed for " + path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    return Status::IoError("stat failed for " + path);
   }
-  long size = std::ftell(file);
-  if (size < 0) return Status::IoError("ftell failed for " + path);
-  if (size % static_cast<long>(kPageSize) != 0) {
+  if (st.st_size % static_cast<off_t>(kPageSize) != 0) {
     return Status::IoError("heap file size not page-aligned: " + path);
   }
-  reader->num_pages_ = static_cast<uint64_t>(size) / kPageSize;
+  reader->num_pages_ = static_cast<uint64_t>(st.st_size) / kPageSize;
   if (reader->num_pages_ == 0) {
     reader->num_rows_ = 0;
   } else {
@@ -297,13 +305,10 @@ StatusOr<std::unique_ptr<HeapFileReader>> HeapFileReader::Open(
     // Peek the last page header without charging counters — metadata, not
     // a data-page read.
     // cost: unmetered(page-header metadata peek)
-    if (std::fseek(file,
-                   static_cast<long>((reader->num_pages_ - 1) * kPageSize),
-                   SEEK_SET) != 0) {
-      return Status::IoError("seek failed for " + path);
-    }
     char hdr[kPageHeaderBytes];
-    if (std::fread(hdr, 1, kPageHeaderBytes, file) != kPageHeaderBytes) {
+    if (::pread(fd, hdr, kPageHeaderBytes,
+                static_cast<off_t>((reader->num_pages_ - 1) * kPageSize)) !=
+        static_cast<ssize_t>(kPageHeaderBytes)) {
       return Status::IoError("short header read for " + path);
     }
     SQLCLASS_RETURN_IF_ERROR(VerifyPageMagic(hdr, path));
@@ -332,11 +337,9 @@ Status HeapFileReader::LoadPage(uint64_t page_index) {
   }
   auto physical_read = [&](char* dst) -> Status {
     SQLCLASS_FAULT_POINT(faults::kStorageRead);
-    if (std::fseek(file_, static_cast<long>(page_index * kPageSize),
-                   SEEK_SET) != 0) {
-      return Status::IoError("seek failed for " + path_);
-    }
-    if (std::fread(dst, 1, kPageSize, file_) != kPageSize) {
+    if (::pread(fd_, dst, kPageSize,
+                static_cast<off_t>(page_index * kPageSize)) !=
+        static_cast<ssize_t>(kPageSize)) {
       return Status::IoError("short page read for " + path_);
     }
     if (counters_ != nullptr) ++counters_->pages_read;
@@ -385,12 +388,7 @@ StatusOr<bool> HeapFileReader::NextBatch(RowBatch* batch) {
     next_slot_ = 0;
   }
   const uint32_t count = rows_in_current_page_ - next_slot_;
-  const size_t row_bytes = codec_.row_bytes();
-  const char* src = page_.data() + kPageHeaderBytes + next_slot_ * row_bytes;
-  Value* dst = batch->AppendRows(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    codec_.DecodeInto(src + i * row_bytes, dst + i * codec_.num_columns());
-  }
+  CopySlots(next_slot_, count, batch);
   next_slot_ = rows_in_current_page_;
   rows_returned_ += count;
   if (counters_ != nullptr) counters_->rows_read += count;
@@ -409,14 +407,18 @@ Status HeapFileReader::ReadPageInto(uint64_t page_index, RowBatch* batch) {
   // Positioned read: invalidate the sequential position like ReadAt does.
   next_slot_ = rows_in_current_page_;
   const uint32_t count = rows_in_current_page_;
-  const size_t row_bytes = codec_.row_bytes();
-  const char* src = page_.data() + kPageHeaderBytes;
-  Value* dst = batch->AppendRows(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    codec_.DecodeInto(src + i * row_bytes, dst + i * codec_.num_columns());
-  }
+  CopySlots(0, count, batch);
   if (counters_ != nullptr) counters_->rows_read += count;
   return Status::OK();
+}
+
+void HeapFileReader::CopySlots(uint32_t first, uint32_t count,
+                               RowBatch* batch) const {
+  // A slot holds its row's values byte for byte (RowCodec): one copy.
+  if (count == 0) return;
+  std::memcpy(batch->AppendRows(count),
+              page_.data() + kPageHeaderBytes + first * codec_.row_bytes(),
+              count * codec_.row_bytes());
 }
 
 Status HeapFileReader::ReadAt(Tid tid, Row* row) {

@@ -83,7 +83,9 @@ class HeapFileWriter {
   [[nodiscard]] Status Append(const Row& row);
 
   /// Appends `num_rows` rows stored contiguously at `rows` (num_columns
-  /// values each); the bytes written equal appending them one by one.
+  /// values each); the bytes written equal appending them one by one. A
+  /// slot holds its row's values byte for byte (RowCodec), so each page's
+  /// free slots are filled with one copy.
   [[nodiscard]] Status AppendRows(const Value* rows, size_t num_rows);
 
   /// Flushes the final partial page and closes the file. Must be called;
@@ -162,13 +164,18 @@ class HeapFileReader {
   uint64_t num_pages() const { return num_pages_; }
 
  private:
-  HeapFileReader(std::string path, std::FILE* file, int num_columns,
+  HeapFileReader(std::string path, int fd, int num_columns,
                  IoCounters* counters);
 
+  /// Reads page `page_index` with one positioned pread (no seek, no stdio
+  /// buffer copy), then checks its magic and checksum.
   [[nodiscard]] Status LoadPage(uint64_t page_index);
 
+  /// Appends slots [first, first + count) of the loaded page to `batch`.
+  void CopySlots(uint32_t first, uint32_t count, RowBatch* batch) const;
+
   std::string path_;
-  std::FILE* file_;
+  int fd_;
   RowCodec codec_;
   IoCounters* counters_;  // may be null
   BufferPool* pool_ = nullptr;  // may be null

@@ -169,17 +169,23 @@ TEST_F(AsyncProviderTest, StatsReadableMidGrow) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
   std::thread observer([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
+    do {
       CostCounters cost = server_->cost_counters();
       (void)cost;
       ClassificationMiddleware::Stats mw_stats = middleware->stats();
       (void)mw_stats;
       BufferPool::Stats bp = server_->buffer_pool().stats();
       (void)bp.HitRate();
-      reads.fetch_add(1, std::memory_order_relaxed);
+      reads.fetch_add(1, std::memory_order_release);
       std::this_thread::yield();
-    }
+    } while (!stop.load(std::memory_order_relaxed));
   });
+  // The grow takes milliseconds and could end before the observer is ever
+  // scheduled: start it only once the observer has read, so the assertion
+  // below does not depend on scheduling and the reads overlap the grow.
+  while (reads.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
 
   DecisionTreeClient client(schema_, TreeClientConfig());
   auto tree = client.Grow(&async, rows_.size());

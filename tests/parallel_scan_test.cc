@@ -7,8 +7,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <future>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -41,6 +46,7 @@ namespace sqlclass {
 namespace {
 
 using testing_util::BruteForceCc;
+using testing_util::FaultScope;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 using testing_util::TempDir;
@@ -312,6 +318,67 @@ TEST_F(HeapFileBatchTest, OpenForAppendContinuesPartialPage) {
     readback.push_back(row);
   }
   EXPECT_EQ(readback, all);
+}
+
+TEST_F(HeapFileBatchTest, BulkAppendMatchesRowByRowAcrossPageBoundaries) {
+  Schema schema = MakeSchema({9, 5, 7}, 3);
+  const int columns = schema.num_columns();
+  const size_t slots = SlotsPerPage(schema.RowBytes());
+  // One row, the rest of a page, a page and a row past the next boundary,
+  // then enough pages to flush the write buffer and stop mid-page.
+  const std::vector<size_t> chunks = {1, slots - 1, slots + 1,
+                                      kWriteBufferPages * slots + 3};
+  size_t total = 0;
+  for (size_t chunk : chunks) total += chunk;
+  const std::vector<Row> rows = RandomRows(schema, total, /*seed=*/23);
+  std::vector<Value> values;
+  for (const Row& row : rows) values.insert(values.end(), row.begin(), row.end());
+
+  const std::string bulk_path = dir_.path() + "/bulk.heap";
+  IoCounters bulk_io;
+  {
+    auto writer = HeapFileWriter::Create(bulk_path, columns, &bulk_io);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    size_t at = 0;
+    for (size_t chunk : chunks) {
+      Status s = (*writer)->AppendRows(values.data() + at * columns, chunk);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      at += chunk;
+    }
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  IoCounters row_io;
+  const std::string row_path = WriteFile(rows, columns, &row_io);
+  auto bytes_of = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(bytes_of(bulk_path), bytes_of(row_path));
+  EXPECT_EQ(bulk_io.rows_written, row_io.rows_written);
+  EXPECT_EQ(bulk_io.pages_written, row_io.pages_written);
+
+  auto reader = HeapFileReader::Open(bulk_path, columns, nullptr);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  RowBatch batch;
+  std::vector<Row> by_page;
+  for (uint64_t page = 0; page < (*reader)->num_pages(); ++page) {
+    ASSERT_TRUE((*reader)->ReadPageInto(page, &batch).ok());
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      by_page.emplace_back(batch.RowAt(i), batch.RowAt(i) + columns);
+    }
+  }
+  EXPECT_EQ(by_page, rows);
+  ASSERT_TRUE((*reader)->Reset().ok());
+  std::vector<Row> by_batch;
+  while (true) {
+    auto more = (*reader)->NextBatch(&batch);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      by_batch.emplace_back(batch.RowAt(i), batch.RowAt(i) + columns);
+    }
+  }
+  EXPECT_EQ(by_batch, rows);
 }
 
 // ----------------------------------------------------------------- CC merge
@@ -648,6 +715,159 @@ TEST(ParallelScanTest, RowOrdinalFilterScansExactlyTheShardsRows) {
       total += primary->rows_scanned;
     }
     EXPECT_EQ(total, rows.size());
+  }
+}
+
+// A staged scan's result plus what it handed to `stage`, per node.
+struct CrewRun {
+  StatusOr<ParallelScanResult> scan;
+  std::vector<std::vector<Value>> staged;
+  std::string cost;
+};
+
+// Runs `scan` on its own thread. A scan that has not returned within the
+// deadline fails the test and ends the process: a hung crew cannot be
+// joined.
+template <typename Scan>
+auto WithinDeadline(Scan scan) {
+  auto future = std::async(std::launch::async, std::move(scan));
+  if (future.wait_for(std::chrono::seconds(120)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "scan did not return within 120 s";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  return future.get();
+}
+
+// Scans `path` with every node staged; stage call `fail_stage_call`
+// (1-based; 0: none) fails.
+CrewRun RunStagedScan(ThreadPool* pool, const std::string& path,
+                      int num_columns, ParallelScanOptions options,
+                      int fail_stage_call = 0) {
+  std::vector<std::vector<Value>> staged(options.node_attrs.size());
+  int calls = 0;
+  options.staged.assign(options.node_attrs.size(), true);
+  options.stage = [&](size_t node, const Value* rows, size_t num_rows) {
+    if (++calls == fail_stage_call) {
+      return Status::IoError("injected stage failure");
+    }
+    staged[node].insert(staged[node].end(), rows, rows + num_rows * num_columns);
+    return Status::OK();
+  };
+  CostCounters cost;
+  StatusOr<ParallelScanResult> scan = WithinDeadline([&] {
+    return ParallelCountScan::OverHeapFile(pool, path, num_columns, options,
+                                           &cost, nullptr);
+  });
+  return CrewRun{std::move(scan), std::move(staged), cost.ToString()};
+}
+
+void ExpectSameRun(const CrewRun& got, const CrewRun& want) {
+  ASSERT_TRUE(got.scan.ok()) << got.scan.status().ToString();
+  ASSERT_TRUE(want.scan.ok()) << want.scan.status().ToString();
+  ASSERT_EQ(got.scan->ccs.size(), want.scan->ccs.size());
+  for (size_t i = 0; i < got.scan->ccs.size(); ++i) {
+    EXPECT_TRUE(got.scan->ccs[i] == want.scan->ccs[i]) << "node " << i;
+  }
+  EXPECT_TRUE(got.scan->evicted == want.scan->evicted);
+  EXPECT_EQ(got.scan->observed_bytes, want.scan->observed_bytes);
+  EXPECT_EQ(got.scan->node_matches, want.scan->node_matches);
+  EXPECT_EQ(got.scan->rows_scanned, want.scan->rows_scanned);
+  EXPECT_EQ(got.scan->rows_delivered, want.scan->rows_delivered);
+  EXPECT_EQ(got.scan->cc_updates, want.scan->cc_updates);
+  EXPECT_EQ(got.cost, want.cost);
+  EXPECT_EQ(got.staged, want.staged);
+}
+
+TEST(ParallelScanTest, CrewFailsCleanlyAfterSegmentBoundaries) {
+  FaultScope faults;
+  // A1 rises with the row, so node 0's table grows through the whole scan
+  // and a CC bound set at half its final size is crossed mid-scan.
+  Schema schema = MakeSchema({256, 4, 4, 4, 4, 4}, 3);
+  const int columns = schema.num_columns();
+  const size_t slots = SlotsPerPage(schema.RowBytes());
+  // One page per morsel and 4 x 8 morsels per segment: five full segments
+  // and a one-page sixth.
+  const size_t pages_per_segment = 4 * 8;
+  const size_t rows_per_segment = pages_per_segment * slots;
+  const size_t n = 5 * rows_per_segment + slots / 2;
+  std::vector<Row> rows = RandomRows(schema, n, /*seed=*/71);
+  for (size_t i = 0; i < n; ++i) rows[i][0] = static_cast<Value>(i * 256 / n);
+  TempDir dir;
+  const std::string path = dir.path() + "/crew.heap";
+  {
+    auto writer = HeapFileWriter::Create(path, columns, nullptr);
+    ASSERT_TRUE(writer.ok());
+    for (const Row& row : rows) ASSERT_TRUE((*writer)->Append(row).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+
+  std::unique_ptr<Expr> a2 = Expr::ColEq("A2", 0);
+  ASSERT_TRUE(a2->Bind(schema).ok());
+  const BatchMatcher matcher({nullptr, a2.get()});
+  const std::vector<int> all_attrs = {0, 1, 2, 3};
+  const std::vector<int> some_attrs = {0, 4, 5};
+  ParallelScanOptions options;
+  options.pages_per_morsel = 1;
+  options.class_column = schema.class_column();
+  options.num_classes = 3;
+  options.matcher = &matcher;
+  options.node_attrs = {&all_attrs, &some_attrs};
+  options.charge.mw_file_read = true;
+  // Bounded but never crossed: segmented, no recount.
+  options.cc_available = std::numeric_limits<size_t>::max() - 1;
+
+  ThreadPool pool(4);
+  const CrewRun reference = RunStagedScan(nullptr, path, columns, options);
+  ASSERT_TRUE(reference.scan.ok()) << reference.scan.status().ToString();
+  ExpectSameRun(RunStagedScan(&pool, path, columns, options), reference);
+
+  {
+    SCOPED_TRACE("page-read fault in segment 3");
+    ParallelScanOptions faulted = options;
+    faulted.page_fault_point = faults::kServerCursorAdvance;
+    FaultInjector::PointConfig fault;
+    fault.after = 3 * pages_per_segment + 5;
+    fault.times = 1;
+    fault.code = StatusCode::kDataLoss;
+    FaultInjector::Global().Arm(faults::kServerCursorAdvance, fault);
+    const CrewRun failed = RunStagedScan(&pool, path, columns, faulted);
+    EXPECT_EQ(FaultInjector::Global().Fires(faults::kServerCursorAdvance), 1u);
+    FaultInjector::Global().Reset();
+    ASSERT_FALSE(failed.scan.ok());
+    EXPECT_EQ(failed.scan.status().code(), StatusCode::kDataLoss);
+    ExpectSameRun(RunStagedScan(&pool, path, columns, options), reference);
+  }
+  {
+    // Segment 0's two stage calls commit while the crew counts segment 1;
+    // the third (segment 1's) fails while it counts segment 2.
+    SCOPED_TRACE("stage failure while the crew counts the next segment");
+    const CrewRun failed =
+        RunStagedScan(&pool, path, columns, options, /*fail_stage_call=*/3);
+    ASSERT_FALSE(failed.scan.ok());
+    EXPECT_EQ(failed.scan.status().message(), "injected stage failure");
+    ExpectSameRun(RunStagedScan(&pool, path, columns, options), reference);
+  }
+  {
+    SCOPED_TRACE("overflow recount in a middle segment");
+    std::vector<Row> first_half(rows.begin(), rows.begin() + n / 2);
+    ParallelScanOptions bounded = options;
+    bounded.cc_available =
+        BruteForceCc(first_half, nullptr, all_attrs, columns - 1, 3)
+            .ApproxBytes() +
+        BruteForceCc(first_half, a2.get(), some_attrs, columns - 1, 3)
+            .ApproxBytes();
+    const CrewRun serial = RunStagedScan(nullptr, path, columns, bounded);
+    ASSERT_TRUE(serial.scan.ok()) << serial.scan.status().ToString();
+    // Node 0 is evicted, and the rows it counted first place the check
+    // that evicted it after the first segment and before the last.
+    ASSERT_EQ(serial.scan->evicted[0], CcEviction::kRequeue);
+    EXPECT_EQ(serial.scan->evicted[1], CcEviction::kNone);
+    EXPECT_GT(serial.scan->node_matches[0], rows_per_segment);
+    EXPECT_LT(serial.scan->node_matches[0], 4 * rows_per_segment);
+    ExpectSameRun(RunStagedScan(&pool, path, columns, bounded), serial);
+    ExpectSameRun(RunStagedScan(&pool, path, columns, options), reference);
   }
 }
 

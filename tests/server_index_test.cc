@@ -60,6 +60,19 @@ TEST_F(ServerIndexTest, CreateIndexChargesBuildCost) {
   EXPECT_EQ(server_->cost_counters().server_scans, 1u);
 }
 
+TEST_F(ServerIndexTest, ShardSetChargesOneInsertPerRowWritten) {
+  ASSERT_TRUE(server_->BuildShardSet("t", 4).ok());
+  EXPECT_EQ(server_->cost_counters().index_rows_inserted, rows_.size());
+  ASSERT_TRUE(server_->DropShardSet("t").ok());
+  server_->ResetCostCounters();
+  // Replicas write every row a second time, so the build costs twice.
+  ASSERT_TRUE(server_->BuildShardSet("t", 4, ShardScheme::kHashRowId,
+                                     /*with_replicas=*/true)
+                  .ok());
+  EXPECT_EQ(server_->cost_counters().index_rows_inserted, 2 * rows_.size());
+  EXPECT_EQ(server_->cost_counters().server_scans, 1u);
+}
+
 TEST_F(ServerIndexTest, UnknownColumnOrTableRejected) {
   EXPECT_FALSE(server_->CreateIndex("t", "nope").ok());
   EXPECT_FALSE(server_->CreateIndex("nope", "A1").ok());

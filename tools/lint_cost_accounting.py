@@ -10,7 +10,7 @@ in a function that neither charges a counter nor carries an explicit
 waiver.
 
 Primitives (call sites that move rows/bytes):
-    fread( / fwrite(           physical page traffic
+    fread( / fwrite( / pread(  physical page traffic
     .Decode( / ->Decode(       row decode out of a page image
     .DecodeInto( / ->DecodeInto(
     .Encode( / ->Encode(       row encode into a page image
@@ -71,6 +71,7 @@ DEFAULT_SUBDIRS = ("src/storage", "src/server", "src/middleware", "src/shard")
 PRIMITIVE_RE = re.compile(
     r"""(?:\bstd::)?\bfread\s*\(
       | (?:\bstd::)?\bfwrite\s*\(
+      | \bpread\s*\(
       | (?:\.|->)Decode\s*\(
       | (?:\.|->)DecodeInto\s*\(
       | (?:\.|->)Encode\s*\(

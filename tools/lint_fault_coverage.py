@@ -6,8 +6,8 @@ behind a registered SQLCLASS_FAULT_POINT, so tests can drive every failure
 path and assert byte-identical recovery. This checker keeps that contract
 from rotting in either direction:
 
-  uncovered-call    a fallible stdio primitive (fopen/fread/fwrite/fclose/
-                    fflush/ferror/fseek/ftell) in a function that crosses
+  uncovered-call    a fallible I/O primitive (fopen/fread/fwrite/fclose/
+                    fflush/ferror/fseek/ftell/pread) in a function that crosses
                     no SQLCLASS_FAULT_POINT — a failure path no test can
                     reach by injection.
   dead-point        a fault point named in FaultInjector's registry
@@ -55,7 +55,7 @@ DEFAULT_SUBDIRS = ("src",)
 
 PRIMITIVE_RE = re.compile(
     r"(?:\bstd\s*::\s*)?\b(fopen|fread|fwrite|fclose|fflush|ferror|fseek|"
-    r"ftell)\s*\("
+    r"ftell|pread)\s*\("
 )
 FAULT_POINT_CALL_RE = re.compile(r"\bSQLCLASS_FAULT_POINT\s*\(")
 FAULT_POINT_ARG_RE = re.compile(
