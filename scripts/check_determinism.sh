@@ -5,10 +5,17 @@
 # determinism contract end to end: the classifier and the simulated cost
 # model must not be able to see the thread count; only wall time may differ.
 #
-# Usage: scripts/check_determinism.sh [BUILD_DIR]   (default: build)
+# Usage: scripts/check_determinism.sh [BUILD_DIR [suites|bench]]
+#   BUILD_DIR defaults to build. `suites` runs only the middleware suites,
+#   `bench` only the bench grid diff; with neither, both run.
 
 set -euo pipefail
 BUILD_DIR=${1:-build}
+PART=${2:-all}
+case "$PART" in
+  suites|bench|all) ;;
+  *) echo "usage: $0 [BUILD_DIR [suites|bench]]" >&2; exit 2 ;;
+esac
 cd "$(dirname "$0")/.."
 
 if [[ ! -x "$BUILD_DIR/tests/middleware_test" ]]; then
@@ -19,14 +26,17 @@ fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-for threads in 1 4; do
-  echo "== middleware suite with SQLCLASS_PARALLEL_SCAN_THREADS=$threads =="
-  for test_bin in middleware_test middleware_property_test parallel_scan_test \
-                  bitmap_test shard_test; do
-    SQLCLASS_PARALLEL_SCAN_THREADS=$threads \
-      "$BUILD_DIR/tests/$test_bin" --gtest_brief=1
+if [[ "$PART" != bench ]]; then
+  for threads in 1 4; do
+    echo "== middleware suite with SQLCLASS_PARALLEL_SCAN_THREADS=$threads =="
+    for test_bin in middleware_test middleware_property_test \
+                    parallel_scan_test bitmap_test shard_test; do
+      SQLCLASS_PARALLEL_SCAN_THREADS=$threads \
+        "$BUILD_DIR/tests/$test_bin" --gtest_brief=1
+    done
   done
-done
+fi
+[[ "$PART" == suites ]] && exit 0
 
 # The bench grid — the paper's figures and the extension figures (bitmap,
 # shard, approx and staged parallel grows): every cell's tree, simulated

@@ -347,8 +347,9 @@ Status BatchExecutor::ScanPass(State* st) {
   for (int i = 0; i < n; ++i) {
     options.staged[i] = report->staged[i].has_value();
   }
-  options.stage = [&](size_t node, const Value* rows, size_t num_rows) {
-    Status appended = staging_->Append(*report->staged[node], rows, num_rows);
+  options.stage = [&](size_t node,
+                      std::span<const std::span<const Value>> runs) {
+    Status appended = staging_->Append(*report->staged[node], runs);
     // Flag it so the ladder rescans the same source with staging off
     // rather than degrading the source.
     if (!appended.ok()) st->staging_fault = true;

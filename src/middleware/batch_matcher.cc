@@ -1,5 +1,7 @@
 #include "middleware/batch_matcher.h"
 
+#include <algorithm>
+
 namespace sqlclass {
 
 bool BatchMatcher::FlattenConjunction(const Expr& expr,
@@ -43,6 +45,7 @@ BatchMatcher::BatchMatcher(const std::vector<const Expr*>& predicates) {
 
 void BatchMatcher::Insert(const std::vector<Literal>& literals, int index) {
   TrieNode* node = &root_;
+  depth_ = std::max(depth_, static_cast<int>(literals.size()));
   for (const Literal& literal : literals) {
     TrieNode* next = nullptr;
     for (auto& [existing, child] : node->children) {
@@ -66,6 +69,14 @@ void BatchMatcher::MatchRec(const TrieNode& node, const Value* values,
   for (const auto& [literal, child] : node.children) {
     if (literal.Eval(values)) MatchRec(*child, values, out);
   }
+}
+
+void BatchMatcher::PrepareScratch(size_t max_rows,
+                                  BlockScratch* scratch) const {
+  // Level 0 holds the fallback predicates' rows, level d the rows that
+  // reach a trie node d literals deep.
+  scratch->levels.resize(depth_ + 1);
+  for (std::vector<uint32_t>& level : scratch->levels) level.resize(max_rows);
 }
 
 void BatchMatcher::Match(const Value* values, std::vector<int>* out) const {

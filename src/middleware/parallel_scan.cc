@@ -5,6 +5,7 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "common/fault_injector.h"
@@ -19,6 +20,26 @@ namespace {
 /// that segment barriers stay rare, few enough that one segment's staged
 /// rows stay a small buffer and a recount stays short.
 constexpr size_t kSegmentMorselsPerWorker = 8;
+
+/// Rows in one block of a row-block scan (OverRows): a cache-resident
+/// slice, about the rows of a heap page (a census page holds 185).
+constexpr size_t kRowsPerSlice = 256;
+
+/// The most rows a block holds: a heap page of one-column rows.
+constexpr size_t kMaxBlockRows =
+    (kPageSize - kPageHeaderBytes) / sizeof(Value);
+static_assert(kRowsPerSlice <= kMaxBlockRows);
+
+/// Row indexes 0, 1, 2, ...: the selection of every row of a block.
+constexpr std::array<uint32_t, kMaxBlockRows> kEveryRow = [] {
+  std::array<uint32_t, kMaxBlockRows> rows{};
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<uint32_t>(i);
+  return rows;
+}();
+
+std::span<const uint32_t> EveryRow(size_t num_rows) {
+  return {kEveryRow.data(), num_rows};
+}
 
 /// Pauses a thread waiting at a segment boundary spins through before it
 /// parks: the hand-off is usually microseconds away, a futex wake-up costs
@@ -50,7 +71,8 @@ void SpinThenWait(const std::atomic<T>& word, int spins, Reached reached) {
 /// worker writes. A node's matched rows are its table's TotalRows().
 struct alignas(64) WorkerTally {
   std::vector<CcTable> ccs;
-  std::vector<int> matches;  // BatchMatcher scratch
+  std::vector<uint32_t> delivered;     // a block's rows that pass the filter
+  BatchMatcher::BlockScratch matches;  // MatchBlock's selections
   uint64_t rows_scanned = 0;
   uint64_t rows_delivered = 0;
   Status status;
@@ -58,7 +80,7 @@ struct alignas(64) WorkerTally {
 };
 
 /// One morsel's staged rows of one staged node. Padded: the vector header
-/// is rewritten on every staged row while other workers fill the buffers
+/// is rewritten on every staged run while other workers fill the buffers
 /// of the morsels next to it.
 struct alignas(64) StageBuffer {
   std::vector<Value> rows;
@@ -67,9 +89,20 @@ struct alignas(64) StageBuffer {
 /// One segment's staged rows, [morsel in segment][staged node].
 using StageBuffers = std::vector<StageBuffer>;
 
+/// How a source splits into work: its morsels, the most rows one morsel
+/// and one block hold, and the workers that count it.
+struct ScanShape {
+  size_t num_morsels = 0;
+  size_t morsel_rows = 0;
+  size_t block_rows = 0;
+  int workers = 1;
+};
+
 /// The segmented scan behind both ParallelCountScan entry points.
-/// `visit(slot, morsel, on_row)` reads one morsel with worker `slot`'s
-/// reader, calling on_row(const Value*) per row in source order.
+/// `visit(slot, morsel, on_block)` reads one morsel with worker `slot`'s
+/// reader, calling on_block(rows, selection) per block in source order:
+/// row r of a block starts at rows + r * num_columns, and `selection`
+/// lists the rows to scan, ascending, at most `shape.block_rows` of them.
 ///
 /// The pool's workers are submitted once per scan, as a crew. The calling
 /// thread opens one segment at a time by raising `open_end_` and bumping
@@ -82,11 +115,10 @@ template <typename VisitMorsel>
 class SegmentedScan {
  public:
   SegmentedScan(const ParallelScanOptions& options, int num_columns,
-                size_t num_morsels, int workers, VisitMorsel visit)
+                const ScanShape& shape, VisitMorsel visit)
       : options_(options),
         num_columns_(num_columns),
-        num_morsels_(num_morsels),
-        workers_(workers),
+        shape_(shape),
         visit_(std::move(visit)) {}
 
   StatusOr<ParallelScanResult> Run(ThreadPool* pool, CostCounters* cost) {
@@ -105,35 +137,42 @@ class SegmentedScan {
       stage_slot_[i] = static_cast<int>(staged_nodes_.size());
       staged_nodes_.push_back(i);
     }
-    tallies_.resize(workers_);
+    // The buffers a worker fills whose size is known up front are
+    // allocated here, on the calling thread: allocations made on pool
+    // threads land in per-thread malloc arenas and raise peak RSS. The
+    // partial tables' slabs are not: sized for every value of every
+    // counted attribute, a shared service scan's hundreds of nodes would
+    // hold far more than they fill.
+    tallies_.resize(shape_.workers);
     for (WorkerTally& tally : tallies_) {
       for (size_t i = 0; i < n; ++i) {
         tally.ccs.emplace_back(options_.num_classes);
       }
+      tally.delivered.resize(shape_.block_rows);
+      options_.matcher->PrepareScratch(shape_.block_rows, &tally.matches);
     }
 
     // An unbounded scan that stages nothing has no reason to stop: one
     // segment, no barriers.
     const bool bounded =
         options_.cc_available != std::numeric_limits<size_t>::max();
-    segment_ = bounded || !staged_nodes_.empty()
-                   ? static_cast<size_t>(workers_) * kSegmentMorselsPerWorker
-                   : std::max<size_t>(num_morsels_, 1);
-    for (StageBuffers& half : stage_) {
-      half.resize(segment_ * staged_nodes_.size());
-    }
+    segment_ =
+        bounded || !staged_nodes_.empty()
+            ? static_cast<size_t>(shape_.workers) * kSegmentMorselsPerWorker
+            : std::max<size_t>(shape_.num_morsels, 1);
+    ReserveStageBuffers();
     // A scan that stages has this thread join the counting as worker 0
-    // once it has committed, so exactly `workers_` threads stay busy; one
-    // that does not leaves all counting to the crew.
-    const int first_crew = staged_nodes_.empty() && workers_ > 1 ? 0 : 1;
+    // once it has committed, so exactly `shape_.workers` threads stay
+    // busy; one that does not leaves all counting to the crew.
+    const int first_crew = staged_nodes_.empty() && shape_.workers > 1 ? 0 : 1;
     Crew crew(this, pool);
-    for (int w = first_crew; w < workers_; ++w) crew.Add(w);
+    for (int w = first_crew; w < shape_.workers; ++w) crew.Add(w);
 
     uint64_t delivered = 0;  // rows delivered before the current segment
     size_t filling = 0;      // stage_ half the current segment fills
-    for (size_t begin = 0; begin < num_morsels_; begin += segment_) {
+    for (size_t begin = 0; begin < shape_.num_morsels; begin += segment_) {
       segment_begin_ = begin;
-      segment_end_ = std::min(num_morsels_, begin + segment_);
+      segment_end_ = std::min(shape_.num_morsels, begin + segment_);
       filling = (begin / segment_) % 2;
       for (WorkerTally& tally : tallies_) {
         for (CcTable& cc : tally.ccs) cc.Clear();
@@ -204,6 +243,31 @@ class SegmentedScan {
     }
   }
 
+  // Sizes both halves of the stage buffers, each morsel's buffer of a
+  // staged node for its share of the morsel's rows: what it holds when
+  // the staged nodes split the rows evenly, as a frontier's disjoint nodes
+  // do. A buffer that outgrows it keeps the larger capacity for its later
+  // segments.
+  void ReserveStageBuffers() {
+    const size_t staged = staged_nodes_.size();
+    if (staged == 0) return;
+    const size_t share = (shape_.morsel_rows + staged - 1) / staged *
+                         static_cast<size_t>(num_columns_);
+    for (size_t half = 0; half < stage_.size(); ++half) {
+      stage_[half].resize(segment_ * staged);
+      // Segments half, half + 2, ... fill this half; the first of them
+      // fills the most of its slots.
+      const size_t first = half * segment_;
+      const size_t used = first >= shape_.num_morsels
+                              ? 0
+                              : std::min(segment_, shape_.num_morsels - first);
+      for (size_t k = 0; k < used * staged; ++k) {
+        stage_[half][k].rows.reserve(share);
+      }
+    }
+    runs_.reserve(segment_);
+  }
+
   // Counts morsels of the open segment until none is left to claim.
   void CountClaimed(int slot) {
     size_t m = next_morsel_.load(std::memory_order_relaxed);
@@ -226,9 +290,11 @@ class SegmentedScan {
       StageBuffer* stage_rows = stage_[segment % 2].data() +
                                 (m - segment * segment_) * staged_nodes_.size();
       try {
-        Status status = visit_(slot, m, [&](const Value* row) {
-          CountRow(row, &tally, stage_rows);
-        });
+        Status status = visit_(
+            slot, m,
+            [&](const Value* rows, std::span<const uint32_t> selection) {
+              CountBlock(rows, selection, &tally, stage_rows);
+            });
         if (!status.ok()) {
           tally.status = std::move(status);
           failed_.store(true, std::memory_order_relaxed);
@@ -239,44 +305,80 @@ class SegmentedScan {
       }
     }
     const size_t in_segment =
-        std::min(num_morsels_, (segment + 1) * segment_) - segment * segment_;
+        std::min(shape_.num_morsels, (segment + 1) * segment_) -
+        segment * segment_;
     if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == in_segment) {
       done_.notify_one();
     }
   }
 
-  void CountRow(const Value* row, WorkerTally* tally,
-                StageBuffer* stage_rows) {
-    ++tally->rows_scanned;
-    if (options_.filter != nullptr && !options_.filter->Eval(row)) return;
-    ++tally->rows_delivered;
-    options_.matcher->Match(row, &tally->matches);
-    for (int pos : tally->matches) {
-      if (live_[pos]) {
-        tally->ccs[pos].AddRow(row, *options_.node_attrs[pos],
-                               options_.class_column);
-      }
-      if (stage_slot_[pos] >= 0) {
-        std::vector<Value>& out = stage_rows[stage_slot_[pos]].rows;
-        out.insert(out.end(), row, row + num_columns_);
-      }
+  // Counts one block into `tally`: narrows the selection by the pushdown
+  // filter, routes it through the trie once, and hands each node's rows to
+  // its partial table, one attribute column at a time, and its stage
+  // buffer.
+  void CountBlock(const Value* rows, std::span<const uint32_t> selection,
+                  WorkerTally* tally, StageBuffer* stage_rows) {
+    tally->rows_scanned += selection.size();
+    selection = Deliver(rows, selection, tally->delivered.data());
+    tally->rows_delivered += selection.size();
+    options_.matcher->MatchBlock(
+        rows, num_columns_, selection, &tally->matches,
+        [&](int pos, std::span<const uint32_t> hits) {
+          if (live_[pos]) {
+            tally->ccs[pos].AddRows(rows, num_columns_, hits,
+                                    *options_.node_attrs[pos],
+                                    options_.class_column);
+          }
+          if (stage_slot_[pos] >= 0) {
+            Stage(rows, hits, &stage_rows[stage_slot_[pos]].rows);
+          }
+        });
+  }
+
+  // The rows of `selection` the pushdown filter passes, written to `out`
+  // branch-free; `selection` itself when there is no filter.
+  std::span<const uint32_t> Deliver(const Value* rows,
+                                    std::span<const uint32_t> selection,
+                                    uint32_t* out) const {
+    if (options_.filter == nullptr) return selection;
+    size_t n = 0;
+    for (uint32_t r : selection) {
+      out[n] = r;
+      n += options_.filter->Eval(rows + r * num_columns_);
+    }
+    return {out, n};
+  }
+
+  // Appends rows `hits` of a block to `out`, each run of consecutive rows
+  // with one copy.
+  void Stage(const Value* rows, std::span<const uint32_t> hits,
+             std::vector<Value>* out) const {
+    const size_t width = static_cast<size_t>(num_columns_);
+    for (size_t i = 0; i < hits.size();) {
+      size_t end = i + 1;
+      while (end < hits.size() && hits[end] == hits[end - 1] + 1) ++end;
+      const Value* first = rows + hits[i] * width;
+      out->insert(out->end(), first, first + (end - i) * width);
+      i = end;
     }
   }
 
-  // Appends one segment's staged rows, one call per staged node, in
-  // morsel order — the order a one-row-at-a-time scan appends them in.
+  // Appends one segment's staged rows, one call per staged node with one
+  // run per morsel, in morsel order — the order a one-row-at-a-time scan
+  // appends them in.
   Status Commit(StageBuffers* buffers) {
     const size_t stride = staged_nodes_.size();
     for (size_t j = 0; j < stride; ++j) {
-      gather_.clear();
+      runs_.clear();
       for (size_t k = j; k < buffers->size(); k += stride) {
-        std::vector<Value>& rows = (*buffers)[k].rows;
-        gather_.insert(gather_.end(), rows.begin(), rows.end());
-        rows.clear();
+        const std::vector<Value>& rows = (*buffers)[k].rows;
+        if (!rows.empty()) runs_.emplace_back(rows);
       }
-      if (gather_.empty()) continue;
-      SQLCLASS_RETURN_IF_ERROR(options_.stage(
-          staged_nodes_[j], gather_.data(), gather_.size() / num_columns_));
+      if (runs_.empty()) continue;
+      SQLCLASS_RETURN_IF_ERROR(options_.stage(staged_nodes_[j], runs_));
+      for (size_t k = j; k < buffers->size(); k += stride) {
+        (*buffers)[k].rows.clear();
+      }
     }
     return Status::OK();
   }
@@ -371,40 +473,51 @@ class SegmentedScan {
     return true;
   }
 
-  // Counts the current segment again on this thread, one row at a time,
-  // running the overflow check after every `check_interval`-th delivered
-  // row of the scan, exactly as a serial scan would. Rows are not charged
-  // or staged again. Returns the CC updates made.
+  // Counts the current segment again on this thread through the same
+  // block path, with each block's delivered rows cut at the scan's
+  // `check_interval` boundaries and, after each cut that ends on one, the
+  // overflow check a serial scan makes there. live_ changes only at a
+  // check, so each cut counts into exactly the nodes a serial scan counts
+  // those rows into. Rows are not charged or staged again. Returns the CC
+  // updates made.
   StatusOr<uint64_t> Recount(uint64_t delivered) {
     const uint64_t interval = std::max<uint64_t>(options_.check_interval, 1);
     uint64_t cc_updates = 0;
-    std::vector<int> matches;
+    WorkerTally& scratch = tallies_[0];  // idle between segments
     for (size_t m = segment_begin_; m < segment_end_; ++m) {
-      SQLCLASS_RETURN_IF_ERROR(visit_(0, m, [&](const Value* row) {
-        if (options_.filter != nullptr && !options_.filter->Eval(row)) return;
-        options_.matcher->Match(row, &matches);
-        for (int pos : matches) {
-          if (!live_[pos]) continue;
-          const std::vector<int>& attrs = *options_.node_attrs[pos];
-          result_.ccs[pos].AddRow(row, attrs, options_.class_column);
-          cc_updates += attrs.size();
-          ++result_.node_matches[pos];
-        }
-        if (++delivered % interval != 0) return;
-        EvictOverflow(options_.cc_available, &result_.ccs, &result_.evicted,
-                      &result_.observed_bytes);
-        for (size_t i = 0; i < live_.size(); ++i) {
-          live_[i] = result_.evicted[i] == CcEviction::kNone;
-        }
-      }));
+      SQLCLASS_RETURN_IF_ERROR(visit_(
+          0, m, [&](const Value* rows, std::span<const uint32_t> selection) {
+            selection = Deliver(rows, selection, scratch.delivered.data());
+            while (!selection.empty()) {
+              const size_t cut = static_cast<size_t>(std::min<uint64_t>(
+                  selection.size(), interval - delivered % interval));
+              options_.matcher->MatchBlock(
+                  rows, num_columns_, selection.first(cut), &scratch.matches,
+                  [&](int pos, std::span<const uint32_t> hits) {
+                    if (!live_[pos]) return;
+                    const std::vector<int>& attrs = *options_.node_attrs[pos];
+                    result_.ccs[pos].AddRows(rows, num_columns_, hits, attrs,
+                                             options_.class_column);
+                    result_.node_matches[pos] += hits.size();
+                    cc_updates += hits.size() * attrs.size();
+                  });
+              selection = selection.subspan(cut);
+              delivered += cut;
+              if (delivered % interval != 0) continue;
+              EvictOverflow(options_.cc_available, &result_.ccs,
+                            &result_.evicted, &result_.observed_bytes);
+              for (size_t i = 0; i < live_.size(); ++i) {
+                live_[i] = result_.evicted[i] == CcEviction::kNone;
+              }
+            }
+          }));
     }
     return cc_updates;
   }
 
   const ParallelScanOptions& options_;
   const int num_columns_;
-  const size_t num_morsels_;
-  const int workers_;
+  const ScanShape shape_;
   VisitMorsel visit_;
 
   ParallelScanResult result_;
@@ -416,7 +529,8 @@ class SegmentedScan {
   // Staged rows by segment parity: the crew fills one half while the
   // calling thread commits the other.
   std::array<StageBuffers, 2> stage_;
-  std::vector<Value> gather_;  // one node's staged rows of one segment
+  // One staged node's runs of one segment, as Commit hands them over.
+  std::vector<std::span<const Value>> runs_;
   size_t segment_ = 1;         // morsels per segment
   size_t segment_begin_ = 0;   // the open segment, for the calling thread
   size_t segment_end_ = 0;
@@ -435,10 +549,11 @@ class SegmentedScan {
 template <typename VisitMorsel>
 StatusOr<ParallelScanResult> RunSegmented(ThreadPool* pool,
                                           const ParallelScanOptions& options,
-                                          int num_columns, size_t num_morsels,
-                                          int workers, CostCounters* cost,
+                                          int num_columns,
+                                          const ScanShape& shape,
+                                          CostCounters* cost,
                                           VisitMorsel visit) {
-  SegmentedScan<VisitMorsel> scan(options, num_columns, num_morsels, workers,
+  SegmentedScan<VisitMorsel> scan(options, num_columns, shape,
                                   std::move(visit));
   return scan.Run(pool, cost);
 }
@@ -487,6 +602,7 @@ StatusOr<ParallelScanResult> ParallelCountScan::OverHeapFile(
   struct alignas(64) WorkerPages {
     IoCounters io;
     RowBatch batch;
+    std::vector<uint32_t> kept;  // a page's rows the row filter keeps
     std::unique_ptr<HeapFileReader> reader;
   };
   std::vector<WorkerPages> workers_pages(pool != nullptr ? pool->size() : 1);
@@ -496,34 +612,46 @@ StatusOr<ParallelScanResult> ParallelCountScan::OverHeapFile(
   const std::vector<PageRange> morsels = MakePageMorsels(
       workers_pages[0].reader->num_pages(), options.pages_per_morsel);
   const int workers = WorkerCount(pool, morsels.size());
-  for (int w = 1; w < workers; ++w) {
-    SQLCLASS_ASSIGN_OR_RETURN(
-        workers_pages[w].reader,
-        HeapFileReader::Open(path, num_columns, &workers_pages[w].io));
-  }
-  const uint64_t slots_per_page =
+  const size_t slots_per_page =
       SlotsPerPage(RowCodec(num_columns).row_bytes());
-  auto visit = [&](int slot, size_t m, auto&& on_row) -> Status {
-    RowBatch& batch = workers_pages[slot].batch;
+  for (int w = 0; w < workers; ++w) {
+    WorkerPages& local = workers_pages[w];
+    if (w > 0) {
+      SQLCLASS_ASSIGN_OR_RETURN(
+          local.reader, HeapFileReader::Open(path, num_columns, &local.io));
+    }
+    // Sized here, not on the worker, like the scan's own buffers.
+    local.batch.Reserve(num_columns, slots_per_page);
+    if (options.row_filter) local.kept.resize(slots_per_page);
+  }
+  // A page is one block; the row filter narrows its selection.
+  auto visit = [&](int slot, size_t m, auto&& on_block) -> Status {
+    WorkerPages& local = workers_pages[slot];
     for (uint64_t page = morsels[m].begin; page < morsels[m].end; ++page) {
       if (options.page_fault_point != nullptr) {
         SQLCLASS_FAULT_POINT(options.page_fault_point);
       }
-      SQLCLASS_RETURN_IF_ERROR(
-          workers_pages[slot].reader->ReadPageInto(page, &batch));
-      if (!options.row_filter) {
-        for (size_t r = 0; r < batch.num_rows(); ++r) on_row(batch.RowAt(r));
-        continue;
+      SQLCLASS_RETURN_IF_ERROR(local.reader->ReadPageInto(page, &local.batch));
+      std::span<const uint32_t> selection = EveryRow(local.batch.num_rows());
+      if (options.row_filter) {
+        const uint64_t first_ordinal = page * slots_per_page;
+        size_t n = 0;
+        for (uint32_t r : selection) {
+          local.kept[n] = r;
+          n += options.row_filter(first_ordinal + r);
+        }
+        selection = {local.kept.data(), n};
       }
-      const uint64_t first_ordinal = page * slots_per_page;
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        if (options.row_filter(first_ordinal + r)) on_row(batch.RowAt(r));
-      }
+      on_block(local.batch.RowAt(0), selection);
     }
     return Status::OK();
   };
-  StatusOr<ParallelScanResult> result = RunSegmented(
-      pool, options, num_columns, morsels.size(), workers, cost, visit);
+  const ScanShape shape{morsels.size(),
+                        std::max<uint64_t>(options.pages_per_morsel, 1) *
+                            slots_per_page,
+                        slots_per_page, workers};
+  StatusOr<ParallelScanResult> result =
+      RunSegmented(pool, options, num_columns, shape, cost, visit);
   if (io != nullptr) {
     for (const WorkerPages& local : workers_pages) io->Add(local.io);
   }
@@ -535,15 +663,18 @@ StatusOr<ParallelScanResult> ParallelCountScan::OverRows(
     const ParallelScanOptions& options, CostCounters* cost) {
   const size_t per_morsel = std::max<size_t>(options.rows_per_morsel, 1);
   const size_t num_morsels = (num_rows + per_morsel - 1) / per_morsel;
-  auto visit = [&](int, size_t m, auto&& on_row) -> Status {
+  // A morsel is cut into slices of kRowsPerSlice rows, one block each.
+  auto visit = [&](int, size_t m, auto&& on_block) -> Status {
     const size_t end = std::min(num_rows, (m + 1) * per_morsel);
-    for (size_t r = m * per_morsel; r < end; ++r) {
-      on_row(rows + r * num_columns);
+    for (size_t r = m * per_morsel; r < end; r += kRowsPerSlice) {
+      on_block(rows + r * num_columns,
+               EveryRow(std::min(kRowsPerSlice, end - r)));
     }
     return Status::OK();
   };
-  return RunSegmented(pool, options, num_columns, num_morsels,
-                      WorkerCount(pool, num_morsels), cost, visit);
+  const ScanShape shape{num_morsels, std::min(per_morsel, num_rows),
+                        kRowsPerSlice, WorkerCount(pool, num_morsels)};
+  return RunSegmented(pool, options, num_columns, shape, cost, visit);
 }
 
 }  // namespace sqlclass

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,7 +50,8 @@ void EvictOverflow(size_t available, std::vector<CcTable>* ccs,
 
 struct ParallelScanOptions {
   /// Morsel granularity. Heap-file scans hand out page ranges; row blocks
-  /// hand out row ranges.
+  /// hand out row ranges. Within a morsel rows are counted a block at a
+  /// time: a heap page, or a slice of a row block.
   uint64_t pages_per_morsel = 4;
   size_t rows_per_morsel = 8192;
 
@@ -81,10 +83,13 @@ struct ParallelScanOptions {
 
   /// §4.1.2 staging. staged[i]: node i's delivered matching rows are also
   /// handed to `stage`, on the calling thread, in source order, one call
-  /// per node and segment (a node evicted mid-scan keeps staging). Empty:
-  /// no node stages. An error from `stage` fails the scan.
+  /// per node and segment with one run of whole rows per morsel that has
+  /// any (a node evicted mid-scan keeps staging). Empty: no node stages.
+  /// An error from `stage` fails the scan.
   std::vector<bool> staged;
-  std::function<Status(size_t node, const Value* rows, size_t num_rows)> stage;
+  std::function<Status(size_t node,
+                       std::span<const std::span<const Value>> runs)>
+      stage;
 
   /// §4.1.1 overflow checks. A one-row-at-a-time scan would call
   /// EvictOverflow(cc_available, ...) after every `check_interval`
@@ -117,16 +122,21 @@ struct ParallelScanResult {
 ///
 /// Workers own a private reader, row batch and per-node partial CC tables,
 /// each on cache lines no other worker writes, and claim morsels off one
-/// atomic counter. The pool's workers join a scan once, as its crew, and
-/// cross segment boundaries without a new task. The source is walked in
+/// atomic counter. A worker counts a block of rows at a time — a page, or
+/// a slice of a row block — with a selection vector of the rows to count:
+/// it narrows the selection by the pushdown filter, routes it through the
+/// batch's trie once (BatchMatcher::MatchBlock) and folds each node's rows
+/// into its table one attribute column at a time (CcTable::AddRows). The
+/// pool's workers join a scan once, as its crew, and cross segment
+/// boundaries without a new task. The source is walked in
 /// *segments* of consecutive morsels (the whole source when the scan
 /// neither stages nor is bounded). At each segment end the calling thread
 /// merges the partial tables in worker order — or, if an overflow check
-/// inside the segment could have fired, recounts the segment itself with
-/// the checks at their exact rows — and charges the segment's logical
-/// costs. It appends the segment's staged rows to their stores, in morsel
-/// order, while the crew counts the next segment. Physical IoCounters are
-/// merged from per-worker locals.
+/// inside the segment could have fired, recounts the segment itself
+/// through the same block path, cut at the checks' exact rows — and
+/// charges the segment's logical costs. It appends the segment's staged
+/// rows to their stores, in morsel order, while the crew counts the next
+/// segment. Physical IoCounters are merged from per-worker locals.
 class ParallelCountScan {
  public:
   /// Scans the heap file at `path` (a server table or a sealed staged

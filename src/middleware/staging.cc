@@ -62,15 +62,20 @@ uint64_t StagingManager::BeginMemoryStore() {
   return id;
 }
 
-Status StagingManager::Append(const DataLocation& loc, const Value* rows,
-                              size_t num_rows) {
+Status StagingManager::Append(const DataLocation& loc,
+                              std::span<const std::span<const Value>> runs) {
+  const size_t columns = static_cast<size_t>(num_columns_);
+  size_t num_rows = 0;
+  for (std::span<const Value> run : runs) num_rows += run.size() / columns;
   if (loc.kind == LocationKind::kMemory) {
     auto it = memory_.find(loc.store_id);
     if (it == memory_.end()) {
       return Status::NotFound("no memory store: " +
                               std::to_string(loc.store_id));
     }
-    it->second.store.AppendRows(rows, num_rows);
+    for (std::span<const Value> run : runs) {
+      it->second.store.AppendRows(run.data(), run.size() / columns);
+    }
     memory_bytes_used_ += num_rows * RowBytes();
     return Status::OK();
   }
@@ -81,7 +86,10 @@ Status StagingManager::Append(const DataLocation& loc, const Value* rows,
     return Status::Internal("staged file not open for writing: " +
                             std::to_string(loc.store_id));
   }
-  SQLCLASS_RETURN_IF_ERROR(it->second.writer->AppendRows(rows, num_rows));
+  for (std::span<const Value> run : runs) {
+    SQLCLASS_RETURN_IF_ERROR(
+        it->second.writer->AppendRows(run.data(), run.size() / columns));
+  }
   it->second.rows += num_rows;
   cost_->mw_file_rows_written += num_rows;
   file_bytes_used_ += num_rows * RowBytes();

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,12 +46,19 @@ class StagingManager {
   /// Starts a new in-memory store.
   uint64_t BeginMemoryStore();
 
-  /// Appends `num_rows` rows stored contiguously at `rows` (num_columns
-  /// values each) to an open staged file or a memory store. A file append
-  /// crosses the `staging/append` fault point once per call and charges
-  /// one mw_file_rows_written per row.
+  /// Appends the rows of `runs`, in order, to an open staged file or a
+  /// memory store; each run holds whole rows of num_columns values. A file
+  /// append crosses the `staging/append` fault point once per call and
+  /// charges one mw_file_rows_written per row.
+  [[nodiscard]] Status Append(const DataLocation& loc,
+                              std::span<const std::span<const Value>> runs);
+
+  /// Appends `num_rows` rows stored contiguously at `rows`: one run.
   [[nodiscard]] Status Append(const DataLocation& loc, const Value* rows,
-                              size_t num_rows);
+                              size_t num_rows) {
+    const std::span<const Value> run(rows, num_rows * num_columns_);
+    return Append(loc, std::span<const std::span<const Value>>(&run, 1));
+  }
 
   // ------------------------------------------------------------- reading
 

@@ -53,6 +53,42 @@ void CcTable::AddRow(const Value* values, const std::vector<int>& attr_columns,
   AddClassTotal(class_value, 1);
 }
 
+void CcTable::AddRows(const Value* rows, size_t row_width,
+                      std::span<const uint32_t> selection,
+                      const std::vector<int>& attr_columns, int class_column) {
+  const Value* classes = rows + class_column;
+  for (int attr : attr_columns) {
+    assert(attr >= 0);
+    if (static_cast<size_t>(attr) >= slabs_.size()) slabs_.resize(attr + 1);
+    std::vector<int64_t>& slab = slabs_[attr];
+    int64_t* cells = slab.data();
+    size_t extent = slab.size();
+    const Value* column = rows + attr;
+    size_t born = 0;  // cells this column brings to life
+    for (uint32_t r : selection) {
+      const Value value = column[r * row_width];
+      assert(value >= 0);
+      const size_t offset = static_cast<size_t>(value) * stride();
+      if (offset >= extent) {
+        slab.resize(offset + stride(), 0);
+        cells = slab.data();
+        extent = slab.size();
+      }
+      int64_t* row = cells + offset;
+      born += row[0] == 0;
+      ++row[0];
+      ++row[1 + classes[r * row_width]];
+    }
+    num_entries_ += born;
+  }
+  for (uint32_t r : selection) {
+    const Value class_value = classes[r * row_width];
+    assert(class_value >= 0 && class_value < num_classes_);
+    ++class_totals_[class_value];
+  }
+  total_rows_ += static_cast<int64_t>(selection.size());
+}
+
 void CcTable::Merge(const CcTable& other) {
   assert(num_classes_ == other.num_classes_);
   if (slabs_.size() < other.slabs_.size()) slabs_.resize(other.slabs_.size());

@@ -28,6 +28,12 @@ namespace sqlclass {
 /// memory is bounded by that value per attribute, not by the number of
 /// cells present.
 ///
+/// Two ways to fold rows in: AddRow takes one row, AddRows a block of rows
+/// and a selection of them — the counting kernel's unit. AddRows walks one
+/// attribute column at a time over the whole selection, so each pass bumps
+/// one slab, and it leaves the table exactly as AddRow over the same rows
+/// would.
+///
 /// ApproxBytes/BytesPerEntry stay *logical*: they price each live cell as
 /// the paper's §5 binary-tree entry did. The middleware's CC-memory
 /// accounting (Rule 3 admission, overflow eviction) and hence every
@@ -54,6 +60,13 @@ class CcTable {
   /// materializing a Row. `values` must span all referenced columns.
   void AddRow(const Value* values, const std::vector<int>& attr_columns,
               int class_column);
+
+  /// Folds the selected rows of a block in, one attribute column at a time:
+  /// row r's values start at rows + r * row_width. The same cells, totals,
+  /// NumEntries and ApproxBytes as AddRow over each selected row.
+  void AddRows(const Value* rows, size_t row_width,
+               std::span<const uint32_t> selection,
+               const std::vector<int>& attr_columns, int class_column);
 
   /// Folds another CC table built over a disjoint row partition into this
   /// one. Cell counts and class totals are int64 sums, so merging

@@ -55,7 +55,10 @@ inline void FoldAndNot(uint64_t* acc, const uint64_t* other, uint64_t n) {
 // without the POPCNT instruction, and the loader picks the clone the CPU
 // supports — no global -march, so the binary still runs on any x86-64.
 // ThreadSanitizer builds skip the clones: their run-time resolver runs
-// before the sanitizer's runtime is up and crashes at load.
+// before the sanitizer's runtime is up and crashes at load. Every clone
+// starts on a 64-byte boundary, so how fast its loop runs does not depend
+// on how much code the linker places ahead of it
+// (tools/lint_kernel_align.sh checks this).
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define SQLCLASS_BITMAP_TSAN 1
@@ -64,7 +67,7 @@ inline void FoldAndNot(uint64_t* acc, const uint64_t* other, uint64_t n) {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
     !defined(__SANITIZE_THREAD__) && !defined(SQLCLASS_BITMAP_TSAN)
 #define SQLCLASS_POPCNT_CLONES \
-  __attribute__((target_clones("popcnt", "default")))
+  __attribute__((target_clones("popcnt", "default"), aligned(64)))
 #else
 #define SQLCLASS_POPCNT_CLONES
 #endif

@@ -214,7 +214,12 @@ Status HeapFileWriter::AppendRows(const Value* rows, size_t num_rows) {
 
 Status HeapFileWriter::SealPage() {
   if (rows_in_page_ == 0) return Status::OK();
-  StampPageHeader(CurrentPage(), rows_in_page_);
+  // The buffer slot still holds whatever page was flushed from it last:
+  // zero the slots this page leaves empty, so that they read as zeros.
+  char* page = CurrentPage();
+  const size_t used = kPageHeaderBytes + rows_in_page_ * codec_.row_bytes();
+  std::memset(page + used, 0, kPageSize - used);
+  StampPageHeader(page, rows_in_page_);
   rows_in_page_ = 0;
   ++pages_buffered_;
   if (pages_buffered_ == kWriteBufferPages) return FlushBuffer();
@@ -232,7 +237,6 @@ Status HeapFileWriter::FlushBuffer() {
   // flushed individually.
   if (counters_ != nullptr) counters_->pages_written += pages_buffered_;
   pages_buffered_ = 0;
-  std::memset(buffer_.data(), 0, buffer_.size());
   return Status::OK();
 }
 

@@ -102,8 +102,9 @@ class HeapFileWriter {
   /// Pointer to the page currently being filled (inside buffer_).
   char* CurrentPage() { return buffer_.data() + pages_buffered_ * kPageSize; }
 
-  /// Stamps the current page's header and advances to the next buffer slot,
-  /// flushing the buffer once kWriteBufferPages pages are sealed.
+  /// Zeroes the current page's unused slots, stamps its header and
+  /// advances to the next buffer slot, flushing the buffer once
+  /// kWriteBufferPages pages are sealed.
   [[nodiscard]] Status SealPage();
 
   /// Writes all sealed pages in one contiguous fwrite.

@@ -23,6 +23,12 @@ class RowBatch {
     values_.clear();
   }
 
+  /// Makes room for `rows` rows of `num_columns` values, so that filling
+  /// the batch up to them does not allocate.
+  void Reserve(int num_columns, size_t rows) {
+    values_.reserve(rows * static_cast<size_t>(num_columns));
+  }
+
   /// Appends `n` uninitialized rows and returns the pointer to the first
   /// value of the first new row (n * num_columns values, caller fills).
   Value* AppendRows(size_t n) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "sql/parser.h"
 #include "test_util.h"
@@ -149,9 +152,16 @@ TEST(BatchMatcherTest, AgreesWithDirectEvaluationOnRandomBatches) {
     ASSERT_TRUE(pred->Bind(schema).ok());
     preds.push_back(std::move(pred));
   }
+  // Fallbacks (OR, NOT), a duplicate of a trie predicate and a true root.
+  preds.push_back(Bound(schema, "A1 = 1 OR A2 = 2"));
+  preds.push_back(Bound(schema, "NOT A3 = 0"));
+  preds.push_back(preds[0]->Clone());
+  ASSERT_TRUE(preds.back()->Bind(schema).ok());
+  preds.push_back(Expr::True());
   std::vector<const Expr*> raw;
   for (const auto& p : preds) raw.push_back(p.get());
   BatchMatcher matcher(raw);
+  EXPECT_FALSE(matcher.fully_indexed());
 
   std::vector<Row> rows = RandomRows(schema, 500, 77);
   std::vector<int> out;
@@ -162,6 +172,40 @@ TEST(BatchMatcherTest, AgreesWithDirectEvaluationOnRandomBatches) {
       if (preds[i]->Eval(row)) expected.push_back(static_cast<int>(i));
     }
     EXPECT_EQ(Sorted(out), expected);
+  }
+
+  // MatchBlock over the same rows as one block, under empty, full and
+  // sparse selections: each predicate gets its selected matching rows in
+  // block order, in one call, and no call when it has none.
+  const size_t stride = static_cast<size_t>(schema.num_columns());
+  std::vector<Value> block;
+  for (const Row& row : rows) block.insert(block.end(), row.begin(), row.end());
+  std::vector<uint32_t> full(rows.size());
+  std::vector<uint32_t> sparse;
+  for (uint32_t r = 0; r < rows.size(); ++r) {
+    full[r] = r;
+    if (rng.Bernoulli(0.1)) sparse.push_back(r);
+  }
+  BatchMatcher::BlockScratch scratch;
+  matcher.PrepareScratch(rows.size(), &scratch);
+  for (const std::vector<uint32_t>& selection :
+       {std::vector<uint32_t>{}, full, sparse}) {
+    SCOPED_TRACE("selection of " + std::to_string(selection.size()));
+    std::vector<std::vector<uint32_t>> hits(preds.size());
+    std::vector<int> calls(preds.size(), 0);
+    matcher.MatchBlock(block.data(), stride, selection, &scratch,
+                       [&](int index, std::span<const uint32_t> rows_hit) {
+                         ++calls[index];
+                         hits[index].assign(rows_hit.begin(), rows_hit.end());
+                       });
+    for (size_t i = 0; i < preds.size(); ++i) {
+      std::vector<uint32_t> expected;
+      for (uint32_t r : selection) {
+        if (preds[i]->Eval(rows[r])) expected.push_back(r);
+      }
+      EXPECT_EQ(hits[i], expected) << "predicate " << i;
+      EXPECT_EQ(calls[i], expected.empty() ? 0 : 1) << "predicate " << i;
+    }
   }
 }
 

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "mining/cc_sql.h"
@@ -136,6 +138,38 @@ TEST(CcTableTest, MatchesBruteForceOnRandomData) {
   for (const auto& [key, counts] : reference) {
     EXPECT_EQ(Vec(cc.GetCounts(key.first, key.second)), counts);
   }
+
+  // AddRows over random selections of random blocks leaves the table
+  // AddRow leaves over the same rows. The last block holds values past
+  // every slab's extent so far, and one selection is empty.
+  const size_t width = static_cast<size_t>(schema.num_columns());
+  for (size_t i = 0; i < 40; ++i) {
+    Row far(width, static_cast<Value>(7 + i % 5));
+    far[3] = static_cast<Value>(i % 5);
+    rows.push_back(std::move(far));
+  }
+  std::vector<Value> values;
+  for (const Row& row : rows) values.insert(values.end(), row.begin(), row.end());
+  Random rng(19);
+  CcTable by_row(5), by_block(5);
+  for (size_t begin = 0; begin < rows.size();) {
+    const size_t end = begin + 1 + rng.Uniform(300);
+    const size_t n = std::min(end, rows.size()) - begin;
+    std::vector<uint32_t> selection;
+    const double keep = begin == 0 ? 0.0 : rng.Uniform(4) / 3.0;
+    for (uint32_t r = 0; r < n; ++r) {
+      if (rng.Bernoulli(keep)) selection.push_back(r);
+    }
+    for (uint32_t r : selection) by_row.AddRow(rows[begin + r], attrs, 3);
+    by_block.AddRows(values.data() + begin * width, width, selection, attrs,
+                     3);
+    EXPECT_TRUE(by_block == by_row) << "block at " << begin;
+    EXPECT_EQ(by_block.NumEntries(), by_row.NumEntries());
+    EXPECT_EQ(by_block.ApproxBytes(), by_row.ApproxBytes());
+    EXPECT_EQ(by_block.TotalRows(), by_row.TotalRows());
+    begin += n;
+  }
+  EXPECT_GT(by_block.DistinctValues(0), 4);  // the far values arrived
 }
 
 TEST(CcTableTest, MergeAcrossSlabExtents) {

@@ -16,6 +16,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "middleware/batch_matcher.h"
 #include "middleware/config.h"
 #include "middleware/middleware.h"
+#include "middleware/staging.h"
 #include "mining/cc_table.h"
 #include "mining/tree_client.h"
 #include "server/server.h"
@@ -356,6 +358,42 @@ TEST_F(HeapFileBatchTest, BulkAppendMatchesRowByRowAcrossPageBoundaries) {
   EXPECT_EQ(bytes_of(bulk_path), bytes_of(row_path));
   EXPECT_EQ(bulk_io.rows_written, row_io.rows_written);
   EXPECT_EQ(bulk_io.pages_written, row_io.pages_written);
+
+  // The same chunks as the runs of one staged-file append: one fault
+  // crossing, one mw_file_rows_written per row, the same bytes.
+  CostCounters cost;
+  StagingManager staging(dir_.path(), columns, &cost);
+  auto id = staging.BeginFileStore();
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  std::vector<std::span<const Value>> runs;
+  size_t at = 0;
+  for (size_t chunk : chunks) {
+    runs.emplace_back(values.data() + at * columns, chunk * columns);
+    at += chunk;
+  }
+  {
+    FaultScope faults;
+    FaultInjector::PointConfig silent;
+    silent.after = std::numeric_limits<uint64_t>::max();
+    FaultInjector::Global().Arm(faults::kStagingAppend, silent);
+    Status s = staging.Append(DataLocation{LocationKind::kFile, *id}, runs);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(FaultInjector::Global().Hits(faults::kStagingAppend), 1u);
+  }
+  ASSERT_TRUE(staging.FinishFileStore(*id).ok());
+  EXPECT_EQ(cost.mw_file_rows_written.load(), total);
+  auto staged_path = staging.FileStorePath(*id);
+  ASSERT_TRUE(staged_path.ok()) << staged_path.status().ToString();
+  EXPECT_EQ(bytes_of(*staged_path), bytes_of(row_path));
+
+  // The last page is partial and reuses a buffer slot an earlier, full
+  // page was written from: its empty slots still read as zeros.
+  const std::string bytes = bytes_of(row_path);
+  const size_t tail = kPageHeaderBytes + (total % slots) * schema.RowBytes();
+  ASSERT_EQ(bytes.size() % kPageSize, 0u);
+  ASSERT_GT(bytes.size() / kPageSize, kWriteBufferPages);
+  const std::string last_page = bytes.substr(bytes.size() - kPageSize);
+  EXPECT_EQ(last_page.find_first_not_of('\0', tail), std::string::npos);
 
   auto reader = HeapFileReader::Open(bulk_path, columns, nullptr);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
@@ -748,11 +786,14 @@ CrewRun RunStagedScan(ThreadPool* pool, const std::string& path,
   std::vector<std::vector<Value>> staged(options.node_attrs.size());
   int calls = 0;
   options.staged.assign(options.node_attrs.size(), true);
-  options.stage = [&](size_t node, const Value* rows, size_t num_rows) {
+  options.stage = [&](size_t node,
+                      std::span<const std::span<const Value>> runs) {
     if (++calls == fail_stage_call) {
       return Status::IoError("injected stage failure");
     }
-    staged[node].insert(staged[node].end(), rows, rows + num_rows * num_columns);
+    for (std::span<const Value> run : runs) {
+      staged[node].insert(staged[node].end(), run.begin(), run.end());
+    }
     return Status::OK();
   };
   CostCounters cost;
@@ -867,6 +908,121 @@ TEST(ParallelScanTest, CrewFailsCleanlyAfterSegmentBoundaries) {
     EXPECT_GT(serial.scan->node_matches[0], rows_per_segment);
     EXPECT_LT(serial.scan->node_matches[0], 4 * rows_per_segment);
     ExpectSameRun(RunStagedScan(&pool, path, columns, bounded), serial);
+    ExpectSameRun(RunStagedScan(&pool, path, columns, options), reference);
+  }
+}
+
+// The scan ParallelCountScan must reproduce, one row at a time over
+// `rows` (the rows of a heap file, in file order): the row filter, the
+// pushdown filter, Match and AddRow per row, every node staged, and the
+// overflow check after every check_interval-th delivered row.
+CrewRun RowAtATimeScan(const std::vector<Row>& rows,
+                       const ParallelScanOptions& options, int num_columns) {
+  const size_t n = options.node_attrs.size();
+  ParallelScanResult result;
+  for (size_t i = 0; i < n; ++i) result.ccs.emplace_back(options.num_classes);
+  result.evicted.assign(n, CcEviction::kNone);
+  result.observed_bytes.assign(n, 0);
+  result.node_matches.assign(n, 0);
+  std::vector<std::vector<Value>> staged(n);
+  std::vector<int> matches;
+  for (size_t ordinal = 0; ordinal < rows.size(); ++ordinal) {
+    if (options.row_filter && !options.row_filter(ordinal)) continue;
+    const Row& row = rows[ordinal];
+    ++result.rows_scanned;
+    if (options.filter != nullptr && !options.filter->Eval(row)) continue;
+    ++result.rows_delivered;
+    options.matcher->Match(row, &matches);
+    for (int pos : matches) {
+      if (result.evicted[pos] == CcEviction::kNone) {
+        result.ccs[pos].AddRow(row, *options.node_attrs[pos],
+                               options.class_column);
+        ++result.node_matches[pos];
+        result.cc_updates += options.node_attrs[pos]->size();
+      }
+      staged[pos].insert(staged[pos].end(), row.begin(), row.end());
+    }
+    if (result.rows_delivered % options.check_interval == 0) {
+      EvictOverflow(options.cc_available, &result.ccs, &result.evicted,
+                    &result.observed_bytes);
+    }
+  }
+  CostCounters cost;
+  cost.server_rows_evaluated += result.rows_scanned;
+  cost.cursor_rows_transferred += result.rows_delivered;
+  cost.cursor_values_transferred += result.rows_delivered * num_columns;
+  cost.mw_cc_updates += result.cc_updates;
+  return CrewRun{std::move(result), std::move(staged), cost.ToString()};
+}
+
+TEST(ParallelScanTest, BlocksMatchRowAtATimeScanWithChecksAndRowFilter) {
+  // A1 rises with the row, so the tables grow through the whole scan and
+  // a bound at half their final size is crossed mid-scan, between checks
+  // 7 delivered rows apart.
+  Schema schema = MakeSchema({64, 4, 4, 4}, 3);
+  const int columns = schema.num_columns();
+  const size_t slots = SlotsPerPage(schema.RowBytes());
+  const size_t n = 70 * slots + slots / 2;  // 71 pages: 2+ segments at 4
+  std::vector<Row> rows = RandomRows(schema, n, /*seed=*/83);
+  for (size_t i = 0; i < n; ++i) rows[i][0] = static_cast<Value>(i * 64 / n);
+  TempDir dir;
+  const std::string path = dir.path() + "/blocks.heap";
+  {
+    auto writer = HeapFileWriter::Create(path, columns, nullptr);
+    ASSERT_TRUE(writer.ok());
+    for (const Row& row : rows) ASSERT_TRUE((*writer)->Append(row).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+
+  // Two trie nodes, one OR fallback, and the pushdown filter their OR.
+  std::vector<std::unique_ptr<Expr>> predicates;
+  predicates.push_back(Expr::ColEq("A2", 0));
+  std::vector<std::unique_ptr<Expr>> both;
+  both.push_back(Expr::ColNe("A2", 0));
+  both.push_back(Expr::ColEq("A3", 1));
+  predicates.push_back(Expr::And(std::move(both)));
+  std::vector<std::unique_ptr<Expr>> either;
+  either.push_back(Expr::ColEq("A3", 0));
+  either.push_back(Expr::ColEq("A4", 1));
+  predicates.push_back(Expr::Or(std::move(either)));
+  std::vector<std::unique_ptr<Expr>> clauses;
+  std::vector<const Expr*> raw;
+  for (const auto& predicate : predicates) {
+    ASSERT_TRUE(predicate->Bind(schema).ok());
+    raw.push_back(predicate.get());
+    clauses.push_back(predicate->Clone());
+  }
+  std::unique_ptr<Expr> filter = Expr::Or(std::move(clauses));
+  ASSERT_TRUE(filter->Bind(schema).ok());
+  const BatchMatcher matcher(raw);
+  ASSERT_FALSE(matcher.fully_indexed());
+
+  const std::vector<int> all_attrs = {0, 1, 2};
+  const std::vector<int> some_attrs = {0, 3};
+  ParallelScanOptions options;
+  options.pages_per_morsel = 1;
+  options.class_column = schema.class_column();
+  options.num_classes = 3;
+  options.matcher = &matcher;
+  options.node_attrs = {&all_attrs, &some_attrs, &all_attrs};
+  options.filter = filter.get();
+  options.charge.server_row_evaluated = true;
+  options.charge.cursor_transfer = true;
+  options.check_interval = 7;
+  options.row_filter = [](uint64_t ordinal) { return ordinal % 3 != 1; };
+  options.cc_available = std::numeric_limits<size_t>::max() - 1;
+  const CrewRun unbounded = RowAtATimeScan(rows, options, columns);
+  size_t final_bytes = 0;
+  for (const CcTable& cc : unbounded.scan->ccs) final_bytes += cc.ApproxBytes();
+  options.cc_available = final_bytes / 2;
+
+  const CrewRun reference = RowAtATimeScan(rows, options, columns);
+  const std::vector<CcEviction>& evicted = reference.scan->evicted;
+  ASSERT_GT(std::count(evicted.begin(), evicted.end(), CcEviction::kRequeue),
+            0);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadPool pool(threads);
     ExpectSameRun(RunStagedScan(&pool, path, columns, options), reference);
   }
 }

@@ -67,7 +67,7 @@ ADDRESS_KEYED_RE = re.compile(
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(\s*[^;()]*?:\s*(\w+)\s*\)")
 BEGIN_ITER_RE = re.compile(r"\b(\w+)\s*(?:\.|->)\s*c?begin\s*\(")
 SINK_RE = re.compile(
-    r"(?:\.|->)(?:Merge|AddRow|Encode|EncodeInto|Serialize\w*|Write\w*|"
+    r"(?:\.|->)(?:Merge|AddRows?|Encode|EncodeInto|Serialize\w*|Write\w*|"
     r"Append)\s*\("
     r"|\bfwrite\s*\("
 )
@@ -201,6 +201,20 @@ def self_test(root):
             expect="UnorderedMergeForLintSelfTest",
             forbid="WaivedUnorderedForLintSelfTest",
             label="unordered_map iteration into CC merge + waiver"),
+        Injection(
+            cc_table,
+            "\nnamespace sqlclass {\n"
+            "void UnorderedBlockForLintSelfTest(CcTable* dst, const Value* rows,\n"
+            "                                   std::span<const uint32_t> sel,\n"
+            "                                   const std::vector<int>& attrs) {\n"
+            "  std::unordered_set<int> nodes;\n"
+            "  for (int node : nodes) {\n"
+            "    dst->AddRows(rows, 4, sel, attrs, node);\n"
+            "  }\n"
+            "}\n"
+            "}  // namespace sqlclass\n",
+            expect="UnorderedBlockForLintSelfTest",
+            label="unordered_set iteration into block CC update"),
         Injection(
             cc_table,
             "\nnamespace sqlclass {\n"
