@@ -17,6 +17,12 @@ every run's raw metrics and the host's steal share during it (from
 /proc/stat, where the host has one). The ratios are printed at the end:
 on a shared host the level of both sides drifts with steal, while the
 ratio within a pair moves far less.
+
+A run that prints no result line (a crash, an OOM kill) is recorded as
+incorrect, with its exit code and no metrics, and the pairs go on; the
+summaries use the runs that have each metric. `--self-test` runs the
+comparison against stub checkouts whose change side prints nothing and
+checks that every run is recorded and the exit status is 1.
 """
 
 import argparse
@@ -26,6 +32,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WORKLOADS = ("census_scan", "census_bitmap", "census_sharded", "service_mixed")
@@ -58,10 +65,15 @@ def run(checkout, workload, args):
         cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True, check=False)
     steal = steal_share(before, cpu_times())
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"correct": result["correct"] and proc.returncode == 0,
-            "steal": steal,
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+        metrics = {k: v["value"] for k, v in result["metrics"].items()}
+        correct = bool(result["correct"]) and proc.returncode == 0
+    except (IndexError, KeyError, TypeError, AttributeError, ValueError):
+        metrics, correct = {}, False
+    return {"correct": correct, "exit_code": proc.returncode, "steal": steal,
+            "metrics": metrics}
 
 
 def share_record(base, change, seed):
@@ -73,23 +85,15 @@ def share_record(base, change, seed):
 
 
 def summarise(values):
+    if not values:
+        return None
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=15)
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
-    parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--base-label", default="base")
-    parser.add_argument("--change-label", default="change")
-    args = parser.parse_args()
-
+def compare(args):
     runs = []
     for pair in range(args.pairs):
         for workload in args.workloads:
@@ -101,32 +105,42 @@ def main():
                 runs.append({"pair": pair, "workload": workload, "side": side,
                              **result})
                 steal = result["steal"]
+                model_s = result["metrics"].get("model_s")
                 print(f"pair {pair} {workload:15s} {side:6s} "
                       f"correct={result['correct']} "
-                      f"model_s={result['metrics']['model_s']:.3f} "
+                      f"exit={result['exit_code']} "
+                      f"model_s={'n/a' if model_s is None else f'{model_s:.3f}'} "
                       f"steal={'n/a' if steal is None else f'{steal:.1%}'}",
                       flush=True)
 
     summary = {}
     for workload in args.workloads:
         mine = [r for r in runs if r["workload"] == workload]
-        by_side = {side: sorted((r for r in mine if r["side"] == side),
-                                key=lambda r: r["pair"])
+        # side -> pair -> metrics, for the runs that printed a result.
+        by_side = {side: {r["pair"]: r["metrics"] for r in mine
+                          if r["side"] == side}
                    for side in ("base", "change")}
         steals = [r["steal"] for r in mine if r["steal"] is not None]
         summary[workload] = {
             "all_correct": all(r["correct"] for r in mine),
+            "failed_runs": sum(not r["metrics"] for r in mine),
             "steal_median": statistics.median(steals) if steals else None,
         }
-        for metric in mine[0]["metrics"]:
-            base = [r["metrics"][metric] for r in by_side["base"]]
-            change = [r["metrics"][metric] for r in by_side["change"]]
+        metrics = sorted({m for r in mine for m in r["metrics"]})
+        for metric in metrics:
+            def values(side):
+                return {p: m[metric] for p, m in by_side[side].items()
+                        if metric in m}
+            base, change = values("base"), values("change")
+            pairs = [(change[p], base[p]) for p in sorted(base)
+                     if p in change]
             better = (lambda c, b: c > b) if metric in HIGHER_IS_BETTER else (
                 lambda c, b: c < b)
-            ratios = [c / b for c, b in zip(change, base) if b != 0]
+            ratios = [c / b for c, b in pairs if b != 0]
             summary[workload][metric] = {
-                "base": summarise(base), "change": summarise(change),
-                "change_wins": sum(better(c, b) for c, b in zip(change, base)),
+                "base": summarise(list(base.values())),
+                "change": summarise(list(change.values())),
+                "change_wins": sum(better(c, b) for c, b in pairs),
                 "pair_ratios": ratios,
                 "ratio_median": statistics.median(ratios) if ratios else None,
             }
@@ -147,13 +161,79 @@ def main():
             if row is None:
                 continue
             ratio = row["ratio_median"]
+            base, change = row["base"], row["change"]
             print(f"{workload:15s} {metric:13s} "
-                  f"{row['base']['median']:9.4g} {row['change']['median']:9.4g} "
-                  f"{row['base']['q3'] - row['base']['q1']:9.3g} "
+                  f"{fmt(base, lambda s: s['median'], '9.4g')} "
+                  f"{fmt(change, lambda s: s['median'], '9.4g')} "
+                  f"{fmt(base, lambda s: s['q3'] - s['q1'], '9.3g')} "
                   f"{'n/a' if ratio is None else f'{ratio:7.3f}'}  "
                   f"{row['change_wins']}/{args.pairs}  "
                   f"{'n/a' if steal is None else f'{steal:.1%}'}")
     return 0 if all(s["all_correct"] for s in summary.values()) else 1
+
+
+def fmt(stats, pick, spec):
+    return f"{'n/a':>9s}" if stats is None else format(pick(stats), spec)
+
+
+STUB_RESULT = ('print(\'{"correct": true, "metrics": '
+               '{"model_s": {"value": 0.2}}}\')\n')
+
+
+def self_test():
+    """Base stubs print a result, change stubs print nothing and exit 137."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for side, body in (("base", STUB_RESULT),
+                           ("change", "import sys\nsys.exit(137)\n")):
+            (root / side / "perfbench").mkdir(parents=True)
+            (root / side / "perfbench" / "run.py").write_text(body)
+            (root / side / "BENCHMARK.json").write_text(
+                json.dumps({"end_to_end": [{"name": "model_s"}]}))
+        args = argparse.Namespace(
+            base=root / "base", change=root / "change", pairs=2, seed=7,
+            seconds=1, workloads=["census_scan"], out=root / "out.json",
+            base_label="base", change_label="change")
+        status = compare(args)
+        record = json.loads(args.out.read_text())
+    runs = record["runs"]
+    summary = record["summary"]["census_scan"]
+    checks = [
+        ("exit status 1", status == 1),
+        ("all four runs recorded", len(runs) == 4),
+        ("silent runs incorrect with exit code 137",
+         all(not r["correct"] and r["exit_code"] == 137 and not r["metrics"]
+             for r in runs if r["side"] == "change")),
+        ("result runs correct", all(r["correct"] for r in runs
+                                    if r["side"] == "base")),
+        ("two failed runs counted", summary["failed_runs"] == 2),
+        ("base summarised alone", summary["model_s"]["change"] is None and
+         summary["model_s"]["base"]["median"] == 0.2),
+    ]
+    for name, ok in checks:
+        print(f"self-test {'OK' if ok else 'FAILED'}: {name}")
+    return 0 if all(ok for _, ok in checks) else 1
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, nargs="?")
+    parser.add_argument("change", type=Path, nargs="?")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--base-label", default="base")
+    parser.add_argument("--change-label", default="change")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check failure handling on stub checkouts")
+    args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.base is None or args.change is None or args.out is None:
+        parser.error("BASE_DIR, CHANGE_DIR and --out are required")
+    return compare(args)
 
 
 if __name__ == "__main__":

@@ -365,7 +365,6 @@ Status BatchExecutor::ScanPass(State* st) {
   }
   ThreadPool* pool =
       source_rows >= config_.parallel_scan_min_rows ? ScanPool() : nullptr;
-  std::unique_ptr<Expr> filter;  // must outlive the scan
   ParallelScanResult scan;
   if (source.kind == LocationKind::kMemory) {
     options.charge.mw_memory_read = true;
@@ -380,9 +379,7 @@ Status BatchExecutor::ScanPass(State* st) {
     std::string path;
     IoCounters* io = nullptr;
     if (source.kind == LocationKind::kServer) {
-      filter = PushdownFilter(batch);
-      if (filter != nullptr) SQLCLASS_RETURN_IF_ERROR(filter->Bind(schema));
-      options.filter = filter.get();
+      options.filter = config_.enable_filter_pushdown;
       options.charge.server_row_evaluated = true;
       options.charge.cursor_transfer = true;
       options.page_fault_point = faults::kServerCursorAdvance;
@@ -470,17 +467,6 @@ void BatchExecutor::FreeStore(const DataLocation& loc, const char* what) {
     SQLCLASS_LOG(kWarning) << "could not free " << what
                            << " store: " << freed.ToString();
   }
-}
-
-std::unique_ptr<Expr> BatchExecutor::PushdownFilter(const Batch& batch) const {
-  if (!config_.enable_filter_pushdown) return nullptr;
-  std::vector<std::unique_ptr<Expr>> clauses;
-  for (const CcRequest* request : batch.requests) {
-    if (request->predicate->kind() == ExprKind::kTrue) return nullptr;
-    clauses.push_back(request->predicate->Clone());
-  }
-  if (clauses.empty()) return nullptr;
-  return Expr::Or(std::move(clauses));
 }
 
 ThreadPool* BatchExecutor::ScanPool() {

@@ -147,10 +147,6 @@ class BatchExecutor {
   /// Frees a staged store, logging (not failing) when that fails too.
   void FreeStore(const DataLocation& loc, const char* what);
 
-  /// §4.3.1: the (S_1 OR ... OR S_k) pushdown filter — null when any node
-  /// wants the whole source or pushdown is off.
-  std::unique_ptr<Expr> PushdownFilter(const Batch& batch) const;
-
   /// The pool of scan_threads_ workers every row-scan, bitmap and shard
   /// pass shares, built on first use; null when scan_threads_ is 1.
   ThreadPool* ScanPool();

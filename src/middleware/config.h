@@ -102,7 +102,8 @@ struct ShardingConfig {
 /// fallback ladder and the same validation (Validate in batch_executor.h).
 struct CountingConfig {
   /// §4.3.1: push the disjunction of node predicates into the server-side
-  /// cursor so only relevant rows are transmitted. Off only for ablation A2.
+  /// cursor so only rows some node matches are transmitted. Off only for
+  /// ablation A2, where every row is delivered.
   bool enable_filter_pushdown = true;
 
   /// Serve conjunctive node predicates from the table's bitmap index by

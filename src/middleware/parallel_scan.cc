@@ -71,7 +71,8 @@ void SpinThenWait(const std::atomic<T>& word, int spins, Reached reached) {
 /// worker writes. A node's matched rows are its table's TotalRows().
 struct alignas(64) WorkerTally {
   std::vector<CcTable> ccs;
-  std::vector<uint32_t> delivered;     // a block's rows that pass the filter
+  std::vector<uint8_t> hit;            // per block row: some node matched it
+  std::vector<uint32_t> delivered;     // a block's rows some node matched
   BatchMatcher::BlockScratch matches;  // MatchBlock's selections
   uint64_t rows_scanned = 0;
   uint64_t rows_delivered = 0;
@@ -148,6 +149,7 @@ class SegmentedScan {
       for (size_t i = 0; i < n; ++i) {
         tally.ccs.emplace_back(options_.num_classes);
       }
+      tally.hit.resize(shape_.block_rows);
       tally.delivered.resize(shape_.block_rows);
       options_.matcher->PrepareScratch(shape_.block_rows, &tally.matches);
     }
@@ -312,18 +314,19 @@ class SegmentedScan {
     }
   }
 
-  // Counts one block into `tally`: narrows the selection by the pushdown
-  // filter, routes it through the trie once, and hands each node's rows to
-  // its partial table, one attribute column at a time, and its stage
-  // buffer.
+  // Counts one block into `tally`: routes the selection through the trie
+  // once and hands each node's rows to its partial table, one attribute
+  // column at a time, and its stage buffer. Under pushdown the delivered
+  // rows are the union of the nodes' hits.
   void CountBlock(const Value* rows, std::span<const uint32_t> selection,
                   WorkerTally* tally, StageBuffer* stage_rows) {
     tally->rows_scanned += selection.size();
-    selection = Deliver(rows, selection, tally->delivered.data());
-    tally->rows_delivered += selection.size();
     options_.matcher->MatchBlock(
         rows, num_columns_, selection, &tally->matches,
         [&](int pos, std::span<const uint32_t> hits) {
+          if (options_.filter) {
+            for (uint32_t r : hits) tally->hit[r] = 1;
+          }
           if (live_[pos]) {
             tally->ccs[pos].AddRows(rows, num_columns_, hits,
                                     *options_.node_attrs[pos],
@@ -333,20 +336,22 @@ class SegmentedScan {
             Stage(rows, hits, &stage_rows[stage_slot_[pos]].rows);
           }
         });
+    tally->rows_delivered +=
+        options_.filter ? TakeMarked(selection, tally).size()
+                        : selection.size();
   }
 
-  // The rows of `selection` the pushdown filter passes, written to `out`
-  // branch-free; `selection` itself when there is no filter.
-  std::span<const uint32_t> Deliver(const Value* rows,
-                                    std::span<const uint32_t> selection,
-                                    uint32_t* out) const {
-    if (options_.filter == nullptr) return selection;
+  // The rows of `selection` some node hit, in order, written branch-free
+  // to the tally's delivered buffer; clears the hits for the next block.
+  static std::span<const uint32_t> TakeMarked(
+      std::span<const uint32_t> selection, WorkerTally* tally) {
     size_t n = 0;
     for (uint32_t r : selection) {
-      out[n] = r;
-      n += options_.filter->Eval(rows + r * num_columns_);
+      tally->delivered[n] = r;
+      n += tally->hit[r];
+      tally->hit[r] = 0;
     }
-    return {out, n};
+    return {tally->delivered.data(), n};
   }
 
   // Appends rows `hits` of a block to `out`, each run of consecutive rows
@@ -474,12 +479,12 @@ class SegmentedScan {
   }
 
   // Counts the current segment again on this thread through the same
-  // block path, with each block's delivered rows cut at the scan's
-  // `check_interval` boundaries and, after each cut that ends on one, the
-  // overflow check a serial scan makes there. live_ changes only at a
-  // check, so each cut counts into exactly the nodes a serial scan counts
-  // those rows into. Rows are not charged or staged again. Returns the CC
-  // updates made.
+  // block path, with each block's delivered rows (under pushdown, the
+  // union of one trie walk's hits) cut at the scan's `check_interval`
+  // boundaries and, after each cut that ends on one, the overflow check a
+  // serial scan makes there. live_ changes only at a check, so each cut
+  // counts into exactly the nodes a serial scan counts those rows into.
+  // Rows are not charged or staged again. Returns the CC updates made.
   StatusOr<uint64_t> Recount(uint64_t delivered) {
     const uint64_t interval = std::max<uint64_t>(options_.check_interval, 1);
     uint64_t cc_updates = 0;
@@ -487,7 +492,14 @@ class SegmentedScan {
     for (size_t m = segment_begin_; m < segment_end_; ++m) {
       SQLCLASS_RETURN_IF_ERROR(visit_(
           0, m, [&](const Value* rows, std::span<const uint32_t> selection) {
-            selection = Deliver(rows, selection, scratch.delivered.data());
+            if (options_.filter) {
+              options_.matcher->MatchBlock(
+                  rows, num_columns_, selection, &scratch.matches,
+                  [&](int, std::span<const uint32_t> hits) {
+                    for (uint32_t r : hits) scratch.hit[r] = 1;
+                  });
+              selection = TakeMarked(selection, &scratch);
+            }
             while (!selection.empty()) {
               const size_t cut = static_cast<size_t>(std::min<uint64_t>(
                   selection.size(), interval - delivered % interval));

@@ -13,7 +13,6 @@
 #include "middleware/batch_matcher.h"
 #include "mining/cc_table.h"
 #include "server/cost_model.h"
-#include "sql/expr.h"
 #include "storage/io_counters.h"
 
 namespace sqlclass {
@@ -65,10 +64,10 @@ struct ParallelScanOptions {
   /// predicate i. Pointees must outlive the scan.
   std::vector<const std::vector<int>*> node_attrs;
 
-  /// Server-side pushdown filter (may be null). Rows failing it are charged
-  /// the per-row evaluation but never delivered, matched, or counted —
-  /// exactly the ServerCursor contract.
-  const Expr* filter = nullptr;
+  /// Server-side pushdown of the nodes' OR (§4.3.1): rows no node matches
+  /// are charged the per-row evaluation but not delivered — the
+  /// ServerCursor contract. Off: every row is delivered.
+  bool filter = false;
 
   ScanCharge charge;
 
@@ -124,9 +123,9 @@ struct ParallelScanResult {
 /// each on cache lines no other worker writes, and claim morsels off one
 /// atomic counter. A worker counts a block of rows at a time — a page, or
 /// a slice of a row block — with a selection vector of the rows to count:
-/// it narrows the selection by the pushdown filter, routes it through the
-/// batch's trie once (BatchMatcher::MatchBlock) and folds each node's rows
-/// into its table one attribute column at a time (CcTable::AddRows). The
+/// it routes the selection through the batch's trie once (MatchBlock;
+/// under pushdown the delivered rows are the union of its hits) and folds
+/// each node's rows into its table a column at a time (AddRows). The
 /// pool's workers join a scan once, as its crew, and cross segment
 /// boundaries without a new task. The source is walked in
 /// *segments* of consecutive morsels (the whole source when the scan

@@ -30,10 +30,9 @@ std::span<const int64_t> CcTable::Slab(int attr) const {
 void CcTable::Add(int attr, Value value, Value class_value, int64_t count) {
   assert(class_value >= 0 && class_value < num_classes_);
   int64_t* row = MutableRow(attr, value);
-  const bool was_live = row[0] != 0;
-  row[0] += count;
-  row[1 + class_value] += count;
-  num_entries_ += (row[0] != 0) - was_live;  // -1, 0 or +1 cells
+  const bool was_live = Live(row);
+  row[class_value] += count;
+  num_entries_ += Live(row) - was_live;  // -1, 0 or +1 cells
 }
 
 void CcTable::AddRow(const Row& row, const std::vector<int>& attr_columns,
@@ -47,8 +46,8 @@ void CcTable::AddRow(const Value* values, const std::vector<int>& attr_columns,
   assert(class_value >= 0 && class_value < num_classes_);
   for (int attr : attr_columns) {
     int64_t* row = MutableRow(attr, values[attr]);
-    if (row[0]++ == 0) ++num_entries_;
-    ++row[1 + class_value];
+    if (row[class_value] == 0 && !Live(row)) ++num_entries_;
+    ++row[class_value];
   }
   AddClassTotal(class_value, 1);
 }
@@ -75,9 +74,9 @@ void CcTable::AddRows(const Value* rows, size_t row_width,
         extent = slab.size();
       }
       int64_t* row = cells + offset;
-      born += row[0] == 0;
-      ++row[0];
-      ++row[1 + classes[r * row_width]];
+      const Value class_value = classes[r * row_width];
+      if (row[class_value] == 0) born += !Live(row);
+      ++row[class_value];
     }
     num_entries_ += born;
   }
@@ -97,11 +96,12 @@ void CcTable::Merge(const CcTable& other) {
     std::vector<int64_t>& into = slabs_[attr];
     if (into.size() < from.size()) into.resize(from.size(), 0);
     for (size_t offset = 0; offset < from.size(); offset += stride()) {
-      const bool was_live = into[offset] != 0;
-      for (size_t slot = 0; slot < stride(); ++slot) {
-        into[offset + slot] += from[offset + slot];
-      }
-      num_entries_ += (into[offset] != 0) - was_live;
+      const int64_t* add = from.data() + offset;
+      if (!Live(add)) continue;
+      int64_t* row = into.data() + offset;
+      const bool was_live = Live(row);
+      for (int c = 0; c < num_classes_; ++c) row[c] += add[c];
+      num_entries_ += Live(row) - was_live;
     }
   }
   for (int c = 0; c < num_classes_; ++c) {
@@ -129,14 +129,14 @@ std::span<const int64_t> CcTable::GetCounts(int attr, Value value) const {
   const std::span<const int64_t> slab = Slab(attr);
   const size_t offset = static_cast<size_t>(value) * stride();
   if (value < 0 || offset >= slab.size()) return zeros_;
-  return slab.subspan(offset + 1, num_classes_);
+  return slab.subspan(offset, num_classes_);
 }
 
 int CcTable::DistinctValues(int attr) const {
   const std::span<const int64_t> slab = Slab(attr);
   int n = 0;
   for (size_t offset = 0; offset < slab.size(); offset += stride()) {
-    if (slab[offset] != 0) ++n;
+    n += Live(slab.data() + offset);
   }
   return n;
 }
@@ -146,9 +146,9 @@ CcTable::AttributeStates(int attr) const {
   const std::span<const int64_t> slab = Slab(attr);
   std::vector<std::pair<Value, std::span<const int64_t>>> states;
   for (size_t offset = 0; offset < slab.size(); offset += stride()) {
-    if (slab[offset] == 0) continue;
+    if (!Live(slab.data() + offset)) continue;
     states.emplace_back(static_cast<Value>(offset / stride()),
-                        slab.subspan(offset + 1, num_classes_));
+                        slab.subspan(offset, num_classes_));
   }
   return states;
 }

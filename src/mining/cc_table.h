@@ -1,6 +1,7 @@
 #ifndef SQLCLASS_MINING_CC_TABLE_H_
 #define SQLCLASS_MINING_CC_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -19,14 +20,14 @@ namespace sqlclass {
 /// (Observation 1).
 ///
 /// Layout: the dense AVC-group of RainForest [GRG98]. Each attribute column
-/// owns one flat int64 slab of rows `num_classes + 1` wide; the row for
-/// `value` starts at `value * (num_classes + 1)`, holds the state's row
-/// total in slot 0 and its per-class counts after it. A cell (attr, value)
-/// exists iff its row total is non-zero, so updating a cell is two array
-/// bumps, merging is a slab-wise add, and cells iterate in (attribute,
-/// value) order for free. Slabs grow lazily to the largest value seen, so
-/// memory is bounded by that value per attribute, not by the number of
-/// cells present.
+/// owns one flat int64 slab of rows `num_classes` wide; the row for `value`
+/// starts at `value * num_classes` and holds the state's per-class counts,
+/// nothing else. A cell (attr, value) exists iff any of its class counts is
+/// non-zero, so updating a cell is one array bump (its liveness is tested
+/// only when the bumped count was zero), merging is a slab-wise add, and
+/// cells iterate in (attribute, value) order for free. Slabs grow lazily to
+/// the largest value seen, so memory is bounded by that value per
+/// attribute, not by the number of cells present.
 ///
 /// Two ways to fold rows in: AddRow takes one row, AddRows a block of rows
 /// and a selection of them — the counting kernel's unit. AddRows walks one
@@ -124,10 +125,15 @@ class CcTable {
   std::string ToString() const;
 
  private:
-  size_t stride() const { return static_cast<size_t>(num_classes_) + 1; }
+  size_t stride() const { return static_cast<size_t>(num_classes_); }
 
-  /// The (attr, value) row — total then class counts — growing the slabs
-  /// to reach it.
+  /// True when any of a slab row's class counts is non-zero.
+  bool Live(const int64_t* counts) const {
+    return std::any_of(counts, counts + num_classes_,
+                       [](int64_t c) { return c != 0; });
+  }
+
+  /// The (attr, value) row of class counts, growing the slabs to reach it.
   int64_t* MutableRow(int attr, Value value);
 
   /// Attribute `attr`'s slab; empty when the attribute holds no cells.
@@ -137,7 +143,7 @@ class CcTable {
   int64_t total_rows_ = 0;
   size_t num_entries_ = 0;
   std::vector<int64_t> class_totals_;
-  std::vector<std::vector<int64_t>> slabs_;  // [attr][value * stride + slot]
+  std::vector<std::vector<int64_t>> slabs_;  // [attr][value * stride + class]
   std::vector<int64_t> zeros_;               // returned for unseen states
 };
 

@@ -265,6 +265,9 @@ Status DecodeCcTable(Decoder* dec, int num_classes,
   for (int c = 0; c < num_classes; ++c) {
     int64_t total = 0;
     SQLCLASS_RETURN_IF_ERROR(dec->ReadI64(&total));
+    if (total < 0) {
+      return Status::DataLoss("shard wire CC class total is negative");
+    }
     out->AddClassTotal(c, total);
   }
   uint32_t num_cells = 0;
@@ -281,6 +284,9 @@ Status DecodeCcTable(Decoder* dec, int num_classes,
     for (int c = 0; c < num_classes; ++c) {
       int64_t count = 0;
       SQLCLASS_RETURN_IF_ERROR(dec->ReadI64(&count));
+      if (count < 0) {
+        return Status::DataLoss("shard wire CC cell count is negative");
+      }
       out->Add(attr, value, c, count);
     }
   }

@@ -147,7 +147,7 @@ void EncodeShardResult(const WireShardResult& result, std::string* out);
 /// Decodes a result for a task of `num_nodes` nodes over `num_classes`
 /// classes; any disagreement (table count, class count, a cell whose
 /// (attribute, value) lies outside `cardinalities` — one domain size per
-/// column — truncation, trailing bytes) is kDataLoss. The rebuilt tables
+/// column — a negative count, truncation, trailing bytes) is kDataLoss. The rebuilt tables
 /// are structurally identical to the encoded ones, so the coordinator's
 /// fixed-order merge is byte-identical to the in-process transport's.
 [[nodiscard]] Status DecodeShardResult(const std::string& payload,

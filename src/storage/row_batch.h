@@ -10,30 +10,33 @@ namespace sqlclass {
 
 /// Reusable buffer of decoded fixed-width rows — the unit a batched page
 /// decode fills (HeapFileReader::NextBatch / ReadPageInto). Rows live
-/// contiguously in one vector, so refilling a batch never allocates once
-/// the buffer has grown to page capacity, unlike a per-row `Row`.
+/// contiguously in one buffer that only grows, so refilling a batch never
+/// allocates or clears once the buffer has reached page capacity, unlike a
+/// per-row `Row`.
 class RowBatch {
  public:
   RowBatch() = default;
 
-  /// Empties the batch for rows of `num_columns` values; capacity is kept.
+  /// Empties the batch for rows of `num_columns` values; the buffer is kept.
   void Reset(int num_columns) {
     num_columns_ = num_columns;
     num_rows_ = 0;
-    values_.clear();
   }
 
-  /// Makes room for `rows` rows of `num_columns` values, so that filling
-  /// the batch up to them does not allocate.
+  /// Sizes the buffer for `rows` rows of `num_columns` values, so that
+  /// filling the batch up to them does not allocate.
   void Reserve(int num_columns, size_t rows) {
-    values_.reserve(rows * static_cast<size_t>(num_columns));
+    Grow(rows * static_cast<size_t>(num_columns));
   }
 
   /// Appends `n` uninitialized rows and returns the pointer to the first
   /// value of the first new row (n * num_columns values, caller fills).
+  /// Rows within the reserved size are not written before the caller
+  /// fills them.
   Value* AppendRows(size_t n) {
-    const size_t old_size = values_.size();
-    values_.resize(old_size + n * static_cast<size_t>(num_columns_));
+    const size_t width = static_cast<size_t>(num_columns_);
+    const size_t old_size = num_rows_ * width;
+    Grow(old_size + n * width);
     num_rows_ += n;
     return values_.data() + old_size;
   }
@@ -48,9 +51,13 @@ class RowBatch {
   }
 
  private:
+  void Grow(size_t values) {
+    if (values_.size() < values) values_.resize(values);
+  }
+
   int num_columns_ = 0;
   size_t num_rows_ = 0;
-  std::vector<Value> values_;
+  std::vector<Value> values_;  // rows past num_rows_ are stale
 };
 
 }  // namespace sqlclass

@@ -170,6 +170,56 @@ TEST(CcTableTest, MatchesBruteForceOnRandomData) {
     begin += n;
   }
   EXPECT_GT(by_block.DistinctValues(0), 4);  // the far values arrived
+
+  // A 10-class table, built by AddRows and by merging two partial tables
+  // over alternate rows, agrees with a brute-force map in every view.
+  Schema wide = MakeSchema({5, 9, 2}, 10);
+  std::vector<Row> wide_rows = RandomRows(wide, 60, 23);  // sparse class counts
+  std::vector<Value> wide_values;
+  for (const Row& row : wide_rows) {
+    wide_values.insert(wide_values.end(), row.begin(), row.end());
+  }
+  std::map<std::pair<int, Value>, std::vector<int64_t>> wide_reference;
+  for (const Row& row : wide_rows) {
+    for (int attr : attrs) {
+      auto [it, inserted] =
+          wide_reference.try_emplace({attr, row[attr]}, 10, 0);
+      ++it->second[row[3]];
+    }
+  }
+  std::vector<uint32_t> even, odd, every;
+  for (uint32_t r = 0; r < wide_rows.size(); ++r) {
+    (r % 2 == 0 ? even : odd).push_back(r);
+    every.push_back(r);
+  }
+  CcTable whole(10), merged(10), half(10);
+  whole.AddRows(wide_values.data(), width, every, attrs, 3);
+  merged.AddRows(wide_values.data(), width, even, attrs, 3);
+  half.AddRows(wide_values.data(), width, odd, attrs, 3);
+  merged.Merge(half);
+  for (const CcTable* table : {&whole, &merged}) {
+    EXPECT_EQ(table->NumEntries(), wide_reference.size());
+    EXPECT_EQ(table->TotalRows(), static_cast<int64_t>(wide_rows.size()));
+    for (int attr : attrs) {
+      std::vector<std::pair<Value, std::vector<int64_t>>> expected, got;
+      for (const auto& [key, counts] : wide_reference) {
+        if (key.first == attr) expected.emplace_back(key.second, counts);
+      }
+      for (const auto& [value, counts] : table->AttributeStates(attr)) {
+        got.emplace_back(value, Vec(counts));
+      }
+      EXPECT_EQ(got, expected) << "attr " << attr;
+      EXPECT_EQ(table->DistinctValues(attr), static_cast<int>(expected.size()));
+      for (Value v = 0; v < wide.attribute(attr).cardinality + 2; ++v) {
+        auto it = wide_reference.find({attr, v});
+        EXPECT_EQ(Vec(table->GetCounts(attr, v)),
+                  it == wide_reference.end() ? std::vector<int64_t>(10, 0)
+                                             : it->second)
+            << "attr " << attr << " value " << v;
+      }
+    }
+  }
+  EXPECT_TRUE(whole == merged);
 }
 
 TEST(CcTableTest, MergeAcrossSlabExtents) {

@@ -238,11 +238,25 @@ TEST_F(HeapFileBatchTest, ReadPageIntoCoversEveryPage) {
 
   auto reader = HeapFileReader::Open(path, schema.num_columns(), nullptr);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  ASSERT_GT((*reader)->num_pages(), 1u);
+  const uint64_t pages = (*reader)->num_pages();
+  const size_t slots = SlotsPerPage(schema.RowBytes());
+  ASSERT_GT(pages, 1u);
+  ASSERT_NE(rows.size() % slots, 0u);  // the last page is short
 
+  // Every page in order, then the first page again and the short last page
+  // after it: a reused batch holds exactly the page it last read.
+  std::vector<uint64_t> order;
+  for (uint64_t page = 0; page < pages; ++page) order.push_back(page);
+  order.push_back(0);
+  order.push_back(pages - 1);
+  std::vector<Row> expected = rows;
+  expected.insert(expected.end(), rows.begin(), rows.begin() + slots);
+  expected.insert(expected.end(), rows.begin() + (pages - 1) * slots,
+                  rows.end());
   std::vector<Row> collected;
   RowBatch batch;
-  for (uint64_t page = 0; page < (*reader)->num_pages(); ++page) {
+  batch.Reserve(schema.num_columns(), slots);
+  for (uint64_t page : order) {
     Status s = (*reader)->ReadPageInto(page, &batch);
     ASSERT_TRUE(s.ok()) << s.ToString();
     for (size_t i = 0; i < batch.num_rows(); ++i) {
@@ -250,8 +264,8 @@ TEST_F(HeapFileBatchTest, ReadPageIntoCoversEveryPage) {
       collected.emplace_back(v, v + batch.num_columns());
     }
   }
-  EXPECT_EQ(collected, rows);
-  EXPECT_FALSE((*reader)->ReadPageInto((*reader)->num_pages(), &batch).ok());
+  EXPECT_EQ(collected, expected);
+  EXPECT_FALSE((*reader)->ReadPageInto(pages, &batch).ok());
 }
 
 TEST_F(HeapFileBatchTest, BufferedWriterKeepsPerPageAccounting) {
@@ -497,7 +511,7 @@ std::unique_ptr<Expr> RandomPredicate(const Schema& schema, Random* rng,
 StatusOr<ParallelScanResult> RunHeapScan(const std::string& path,
                                          const Schema& schema,
                                          const std::vector<NodeSpec>& nodes,
-                                         const Expr* filter, int threads,
+                                         bool filter, int threads,
                                          const ScanCharge& charge,
                                          CostCounters* cost, IoCounters* io) {
   std::vector<const Expr*> predicates;
@@ -552,20 +566,12 @@ TEST(ParallelScanTest, HeapFileMatchesBruteForceAtEveryThreadCount) {
       nodes.push_back(std::move(node));
     }
 
-    // Pushdown filter: the OR of the node predicates, exactly as the
-    // middleware builds it (absent when any predicate is TRUE).
-    std::unique_ptr<Expr> filter;
-    bool any_true = false;
-    for (const NodeSpec& node : nodes) {
-      if (node.predicate->kind() == ExprKind::kTrue) any_true = true;
-    }
-    if (!any_true) {
-      std::vector<std::unique_ptr<Expr>> clauses;
-      for (const NodeSpec& node : nodes) {
-        clauses.push_back(node.predicate->Clone());
-      }
-      filter = Expr::Or(std::move(clauses));
-      ASSERT_TRUE(filter->Bind(schema).ok());
+    // Pushdown delivers exactly the rows some node predicate matches.
+    uint64_t expected_delivered = 0;
+    for (const Row& row : rows) {
+      expected_delivered += std::any_of(
+          nodes.begin(), nodes.end(),
+          [&](const NodeSpec& node) { return node.predicate->Eval(row); });
     }
 
     const int class_col = schema.class_column();
@@ -578,11 +584,12 @@ TEST(ParallelScanTest, HeapFileMatchesBruteForceAtEveryThreadCount) {
     for (int threads : {1, 2, 3, 4, 8, 16}) {
       CostCounters cost;
       IoCounters io;
-      auto scan = RunHeapScan(path, schema, nodes, filter.get(), threads,
+      auto scan = RunHeapScan(path, schema, nodes, /*filter=*/true, threads,
                               charge, &cost, &io);
       ASSERT_TRUE(scan.ok()) << scan.status().ToString();
       ASSERT_EQ(scan->ccs.size(), nodes.size());
       EXPECT_EQ(scan->rows_scanned, n);
+      EXPECT_EQ(scan->rows_delivered, expected_delivered);
       EXPECT_EQ(io.rows_read, n);
 
       uint64_t expected_updates = 0;
@@ -635,7 +642,8 @@ TEST(ParallelScanTest, FileChargeShapeMatchesStagedScan) {
   charge.mw_file_read = true;
   CostCounters cost;
   IoCounters io;
-  auto scan = RunHeapScan(path, schema, nodes, nullptr, 4, charge, &cost, &io);
+  auto scan = RunHeapScan(path, schema, nodes, /*filter=*/false, 4, charge,
+                          &cost, &io);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   // Staged-file scans read every row through the middleware, no cursor.
   EXPECT_EQ(cost.mw_file_rows_read.load(), rows.size());
@@ -914,10 +922,12 @@ TEST(ParallelScanTest, CrewFailsCleanlyAfterSegmentBoundaries) {
 
 // The scan ParallelCountScan must reproduce, one row at a time over
 // `rows` (the rows of a heap file, in file order): the row filter, the
-// pushdown filter, Match and AddRow per row, every node staged, and the
-// overflow check after every check_interval-th delivered row.
+// pushdown `filter` as an evaluated Expr (null: every row delivered), Match
+// and AddRow per row, every node staged, and the overflow check after
+// every check_interval-th delivered row.
 CrewRun RowAtATimeScan(const std::vector<Row>& rows,
-                       const ParallelScanOptions& options, int num_columns) {
+                       const ParallelScanOptions& options, const Expr* filter,
+                       int num_columns) {
   const size_t n = options.node_attrs.size();
   ParallelScanResult result;
   for (size_t i = 0; i < n; ++i) result.ccs.emplace_back(options.num_classes);
@@ -930,7 +940,7 @@ CrewRun RowAtATimeScan(const std::vector<Row>& rows,
     if (options.row_filter && !options.row_filter(ordinal)) continue;
     const Row& row = rows[ordinal];
     ++result.rows_scanned;
-    if (options.filter != nullptr && !options.filter->Eval(row)) continue;
+    if (filter != nullptr && !filter->Eval(row)) continue;
     ++result.rows_delivered;
     options.matcher->Match(row, &matches);
     for (int pos : matches) {
@@ -974,56 +984,79 @@ TEST(ParallelScanTest, BlocksMatchRowAtATimeScanWithChecksAndRowFilter) {
     ASSERT_TRUE((*writer)->Finish().ok());
   }
 
-  // Two trie nodes, one OR fallback, and the pushdown filter their OR.
-  std::vector<std::unique_ptr<Expr>> predicates;
-  predicates.push_back(Expr::ColEq("A2", 0));
-  std::vector<std::unique_ptr<Expr>> both;
-  both.push_back(Expr::ColNe("A2", 0));
-  both.push_back(Expr::ColEq("A3", 1));
-  predicates.push_back(Expr::And(std::move(both)));
-  std::vector<std::unique_ptr<Expr>> either;
-  either.push_back(Expr::ColEq("A3", 0));
-  either.push_back(Expr::ColEq("A4", 1));
-  predicates.push_back(Expr::Or(std::move(either)));
-  std::vector<std::unique_ptr<Expr>> clauses;
-  std::vector<const Expr*> raw;
-  for (const auto& predicate : predicates) {
-    ASSERT_TRUE(predicate->Bind(schema).ok());
-    raw.push_back(predicate.get());
-    clauses.push_back(predicate->Clone());
-  }
-  std::unique_ptr<Expr> filter = Expr::Or(std::move(clauses));
-  ASSERT_TRUE(filter->Bind(schema).ok());
-  const BatchMatcher matcher(raw);
-  ASSERT_FALSE(matcher.fully_indexed());
+  // Two trie nodes and one OR fallback; with a TRUE node too, or with
+  // pushdown off. The reference evaluates the pushdown filter, their OR.
+  struct Variant {
+    const char* name;
+    bool true_node;
+    bool pushdown;
+  };
+  for (const Variant& variant : {Variant{"pushdown", false, true},
+                                 Variant{"pushdown, TRUE node", true, true},
+                                 Variant{"pushdown off", false, false}}) {
+    SCOPED_TRACE(variant.name);
+    std::vector<std::unique_ptr<Expr>> predicates;
+    predicates.push_back(Expr::ColEq("A2", 0));
+    std::vector<std::unique_ptr<Expr>> both;
+    both.push_back(Expr::ColNe("A2", 0));
+    both.push_back(Expr::ColEq("A3", 1));
+    predicates.push_back(Expr::And(std::move(both)));
+    std::vector<std::unique_ptr<Expr>> either;
+    either.push_back(Expr::ColEq("A3", 0));
+    either.push_back(Expr::ColEq("A4", 1));
+    predicates.push_back(Expr::Or(std::move(either)));
+    if (variant.true_node) predicates.push_back(Expr::True());
+    std::vector<std::unique_ptr<Expr>> clauses;
+    std::vector<const Expr*> raw;
+    for (const auto& predicate : predicates) {
+      ASSERT_TRUE(predicate->Bind(schema).ok());
+      raw.push_back(predicate.get());
+      clauses.push_back(predicate->Clone());
+    }
+    std::unique_ptr<Expr> filter;
+    if (variant.pushdown) {
+      filter = Expr::Or(std::move(clauses));
+      ASSERT_TRUE(filter->Bind(schema).ok());
+    }
+    const BatchMatcher matcher(raw);
+    ASSERT_FALSE(matcher.fully_indexed());
 
-  const std::vector<int> all_attrs = {0, 1, 2};
-  const std::vector<int> some_attrs = {0, 3};
-  ParallelScanOptions options;
-  options.pages_per_morsel = 1;
-  options.class_column = schema.class_column();
-  options.num_classes = 3;
-  options.matcher = &matcher;
-  options.node_attrs = {&all_attrs, &some_attrs, &all_attrs};
-  options.filter = filter.get();
-  options.charge.server_row_evaluated = true;
-  options.charge.cursor_transfer = true;
-  options.check_interval = 7;
-  options.row_filter = [](uint64_t ordinal) { return ordinal % 3 != 1; };
-  options.cc_available = std::numeric_limits<size_t>::max() - 1;
-  const CrewRun unbounded = RowAtATimeScan(rows, options, columns);
-  size_t final_bytes = 0;
-  for (const CcTable& cc : unbounded.scan->ccs) final_bytes += cc.ApproxBytes();
-  options.cc_available = final_bytes / 2;
+    const std::vector<int> all_attrs = {0, 1, 2};
+    const std::vector<int> some_attrs = {0, 3};
+    ParallelScanOptions options;
+    options.pages_per_morsel = 1;
+    options.class_column = schema.class_column();
+    options.num_classes = 3;
+    options.matcher = &matcher;
+    options.node_attrs = {&all_attrs, &some_attrs, &all_attrs};
+    if (variant.true_node) options.node_attrs.push_back(&some_attrs);
+    options.filter = variant.pushdown;
+    options.charge.server_row_evaluated = true;
+    options.charge.cursor_transfer = true;
+    options.check_interval = 7;
+    options.row_filter = [](uint64_t ordinal) { return ordinal % 3 != 1; };
+    options.cc_available = std::numeric_limits<size_t>::max() - 1;
+    const CrewRun unbounded =
+        RowAtATimeScan(rows, options, filter.get(), columns);
+    size_t final_bytes = 0;
+    for (const CcTable& cc : unbounded.scan->ccs) {
+      final_bytes += cc.ApproxBytes();
+    }
+    options.cc_available = final_bytes / 2;
 
-  const CrewRun reference = RowAtATimeScan(rows, options, columns);
-  const std::vector<CcEviction>& evicted = reference.scan->evicted;
-  ASSERT_GT(std::count(evicted.begin(), evicted.end(), CcEviction::kRequeue),
-            0);
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    ThreadPool pool(threads);
-    ExpectSameRun(RunStagedScan(&pool, path, columns, options), reference);
+    const CrewRun reference =
+        RowAtATimeScan(rows, options, filter.get(), columns);
+    const std::vector<CcEviction>& evicted = reference.scan->evicted;
+    ASSERT_GT(
+        std::count(evicted.begin(), evicted.end(), CcEviction::kRequeue), 0);
+    // Pushdown drops rows only when no node is TRUE.
+    EXPECT_EQ(reference.scan->rows_delivered < reference.scan->rows_scanned,
+              variant.pushdown && !variant.true_node);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      ThreadPool pool(threads);
+      ExpectSameRun(RunStagedScan(&pool, path, columns, options), reference);
+    }
   }
 }
 

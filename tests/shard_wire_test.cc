@@ -399,6 +399,35 @@ TEST(WireCodecTest, ShardResultCellsOutsideTheDomainAreRejected) {
   }
 }
 
+TEST(WireCodecTest, ShardResultNegativeCountsAreRejected) {
+  // One cell over 2 classes: the payload ends with the two class totals,
+  // the cell count, the cell's attr and value words and its two counts.
+  WireShardResult result;
+  result.partials.emplace_back(2);
+  result.partials[0].AddRow({1, 0}, {0}, 1);
+  std::string payload;
+  EncodeShardResult(result, &payload);
+  const size_t counts_at = payload.size() - 2 * 8;
+  const size_t totals_at = counts_at - 4 - 4 - 4 - 2 * 8;
+  const std::vector<int> cards = {2, 2};
+  WireShardResult decoded;
+  ASSERT_TRUE(DecodeShardResult(payload, 2, cards, 1, &decoded).ok());
+  for (size_t at : {totals_at, totals_at + 8, counts_at, counts_at + 8}) {
+    std::string bad = payload;
+    EncodeFixed64(bad.data() + at, static_cast<uint64_t>(int64_t{-1}));
+    // Re-sealed: the frame's checksums cover the edit, so only the codec
+    // can reject it.
+    Pipe pipe;
+    ASSERT_TRUE(WireSend(pipe.write_fd(), WireFrameType::kShardResult, bad)
+                    .ok());
+    WireFrame frame;
+    ASSERT_TRUE(WireRecv(pipe.read_fd(), 0, &frame).ok());
+    EXPECT_EQ(DecodeShardResult(frame.payload, 2, cards, 1, &decoded).code(),
+              StatusCode::kDataLoss)
+        << "offset " << at;
+  }
+}
+
 TEST(WireCodecTest, StatusPayloadRoundtripsEveryCode) {
   for (StatusCode code :
        {StatusCode::kInvalidArgument, StatusCode::kNotFound,
