@@ -28,6 +28,85 @@ std::vector<ScanNode> ArtifactNodes(const BatchExecutor::Batch& batch,
   return nodes;
 }
 
+/// A batch node whose CC table the row scan derives rather than counts
+/// (DESIGN.md "Parallel counting", "Derived children"): the scan counts
+/// its class totals and `counted` attributes, and each `derived`
+/// attribute's cells are its parent's minus its `siblings'`.
+struct DerivedNode {
+  size_t node = 0;              // position in the batch
+  std::vector<size_t> siblings;  // the rest of its sibling group
+  std::vector<int> counted;      // attributes some sibling does not count
+  std::vector<int> derived;      // attributes every sibling counts
+};
+
+/// One DerivedNode per complete sibling group: two or more requests that
+/// share one parent table (CcRequest::parent_cc), none with an estimated
+/// size, whose sizes sum to the parent's rows, so that they partition it.
+/// The member with the largest data size (ties: the later) is derived; it
+/// keeps its place in the trie, so delivery and staging do not change.
+std::vector<DerivedNode> PlanDerivations(
+    const std::vector<const CcRequest*>& requests) {
+  const size_t n = requests.size();
+  std::vector<DerivedNode> plan;
+  std::vector<bool> grouped(n, false);
+  for (size_t first = 0; first < n; ++first) {
+    const CcTable* parent = requests[first]->parent_cc.get();
+    if (parent == nullptr || grouped[first]) continue;
+    // The group in batch order, by a linear search: a map keyed on the
+    // parent's address would order groups by allocation.
+    std::vector<size_t> group;
+    uint64_t rows = 0;
+    bool exact = true;
+    for (size_t i = first; i < n; ++i) {
+      if (requests[i]->parent_cc.get() != parent) continue;
+      grouped[i] = true;
+      group.push_back(i);
+      rows += requests[i]->data_size;
+      exact = exact && !requests[i]->data_size_is_estimate;
+    }
+    if (group.size() < 2 || !exact ||
+        rows != static_cast<uint64_t>(parent->TotalRows())) {
+      continue;
+    }
+    DerivedNode d;
+    d.node = group[0];
+    for (size_t i : group) {
+      if (requests[i]->data_size >= requests[d.node]->data_size) d.node = i;
+    }
+    for (size_t i : group) {
+      if (i != d.node) d.siblings.push_back(i);
+    }
+    for (int attr : requests[d.node]->active_attrs) {
+      const bool everywhere =
+          std::all_of(d.siblings.begin(), d.siblings.end(), [&](size_t i) {
+            const std::vector<int>& attrs = requests[i]->active_attrs;
+            return std::find(attrs.begin(), attrs.end(), attr) != attrs.end();
+          });
+      (everywhere ? d.derived : d.counted).push_back(attr);
+    }
+    if (!d.derived.empty()) plan.push_back(std::move(d));
+  }
+  return plan;
+}
+
+/// The most bytes the batch's CC tables can ever hold: each node's table
+/// at card(p, A) cells per counted attribute, the paper's pessimistic
+/// bound (Estimator::UpperBoundEntries), with the parent table's cards
+/// where the request carries one and the schema's otherwise.
+size_t WorstCaseBytes(const BatchExecutor::Batch& batch, int num_classes) {
+  size_t entries = 0;
+  for (const CcRequest* request : batch.requests) {
+    for (int attr : request->active_attrs) {
+      entries += static_cast<size_t>(
+          request->parent_cc != nullptr
+              ? request->parent_cc->DistinctValues(attr)
+              : batch.schema->attribute(attr).cardinality);
+    }
+  }
+  return entries * CcTable::BytesPerEntry(num_classes) +
+         batch.requests.size() * num_classes * sizeof(int64_t);
+}
+
 }  // namespace
 
 Status Validate(const CountingConfig& config) {
@@ -355,8 +434,20 @@ Status BatchExecutor::ScanPass(State* st) {
     if (!appended.ok()) st->staging_fault = true;
     return appended;
   };
-  if (st->bounded) options.cc_available = st->cc_available;
-  options.check_interval = batch.overflow_check_interval;
+  // §4.1.1's overflow checks run only if one could fire. Otherwise no
+  // node is evicted, every sibling table is whole, and the largest child
+  // of each complete sibling group is derived rather than counted.
+  std::vector<DerivedNode> derivations;
+  if (st->bounded &&
+      WorstCaseBytes(batch, st->num_classes) > st->cc_available) {
+    options.cc_available = st->cc_available;
+    options.check_interval = batch.overflow_check_interval;
+  } else {
+    derivations = PlanDerivations(batch.requests);
+    for (const DerivedNode& d : derivations) {
+      options.node_attrs[d.node] = &d.counted;
+    }
+  }
 
   const DataLocation& source = report->source;
   uint64_t source_rows = batch.table_rows;
@@ -396,6 +487,16 @@ Status BatchExecutor::ScanPass(State* st) {
                                               options, &cost, io));
   }
   report->ccs = std::move(scan.ccs);
+  std::vector<const CcTable*> siblings;
+  for (const DerivedNode& d : derivations) {
+    siblings.clear();
+    for (size_t i : d.siblings) siblings.push_back(&report->ccs[i]);
+    SQLCLASS_RETURN_IF_ERROR(report->ccs[d.node].AddDifference(
+        *batch.requests[d.node]->parent_cc, siblings, d.derived));
+    // The charge counting the derived attributes would have made.
+    cost.mw_cc_updates += scan.node_matches[d.node] * d.derived.size();
+  }
+  report->derived_nodes = static_cast<int>(derivations.size());
   report->evicted = std::move(scan.evicted);
   report->observed_bytes = std::move(scan.observed_bytes);
   report->rows_scanned = scan.rows_delivered;

@@ -95,6 +95,9 @@ class BatchExecutor {
     std::vector<size_t> observed_bytes;
     /// Per node, the sealed staging store holding its rows, if any.
     std::vector<std::optional<DataLocation>> staged;
+    /// Row scan: nodes whose table was derived as their parent's minus
+    /// their siblings' (CcRequest::parent_cc) instead of counted.
+    int derived_nodes = 0;
 
     // Recovery activity, accumulated over every attempt; valid even when
     // Run fails.
@@ -182,6 +185,7 @@ void AddScanCounts(const BatchExecutor::Report& report, bool served,
   out->shard_scans += report.path == BatchExecutor::Path::kShards;
   out->shard_rescans += report.shard_rescans;
   out->shard_replica_rescans += report.shard_replica_rescans;
+  out->derived_nodes += report.derived_nodes;
 }
 
 }  // namespace sqlclass

@@ -280,6 +280,7 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
   trace.shard_worker_restarts = report.shard_worker_restarts;
   trace.shard_rescans = report.shard_rescans;
   trace.shard_replica_rescans = report.shard_replica_rescans;
+  trace.derived_nodes = report.derived_nodes;
   trace.served_from_sample = report.path == BatchExecutor::Path::kSample;
   trace.served_from_bitmap = report.path == BatchExecutor::Path::kBitmap;
   trace.served_from_shards = report.path == BatchExecutor::Path::kShards;

@@ -47,7 +47,8 @@ namespace sqlclass {
   X(shard_rescans)         /* dead shards recovered from the primary */     \
   X(shard_replica_rescans) /* dead shards recovered from replicas */        \
   X(shard_rpc_timeouts)    /* RPC deadline expiries (subprocess) */         \
-  X(shard_worker_restarts) /* workers respawned after a kill or crash */
+  X(shard_worker_restarts) /* workers respawned after a kill or crash */ \
+  X(derived_nodes)         /* row-scan CCs derived as parent - siblings */
 
 /// The scalable classification middleware (§4) — the paper's primary
 /// contribution. Sits between a sufficient-statistics-driven client
@@ -117,6 +118,7 @@ class ClassificationMiddleware : public CcProvider {
     int shard_replica_rescans = 0;    // dead shards recovered from replicas
     int shard_rpc_timeouts = 0;       // RPC deadlines expired in this batch
     int shard_worker_restarts = 0;    // workers respawned in this batch
+    int derived_nodes = 0;  // CCs derived as parent minus siblings
   };
 
   /// One gate verdict per sample-served request, in delivery order — the

@@ -48,6 +48,16 @@ struct CcRequest {
   /// there lands directly on classification accuracy with no deeper pass to
   /// correct it.
   bool prefer_exact = false;
+
+  /// The parent's exact CC table, shared by all of its children's
+  /// requests; null for the root and under a sample-served (approximate)
+  /// parent. Whoever sets it promises that the parent counted every
+  /// attribute its children count, and that the children's data sets are
+  /// disjoint subsets of the parent's. A row-scan provider may then derive
+  /// one child of a sibling group it counts in full as the parent's table
+  /// minus its siblings' (CcTable::AddDifference), and bound a child's
+  /// cells by the parent's card(p, A). Providers are free to ignore it.
+  std::shared_ptr<const CcTable> parent_cc;
 };
 
 /// A fulfilled request: the node's CC table.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <sstream>
+#include <string>
 
 namespace sqlclass {
 
@@ -90,24 +91,58 @@ void CcTable::AddRows(const Value* rows, size_t row_width,
 
 void CcTable::Merge(const CcTable& other) {
   assert(num_classes_ == other.num_classes_);
-  if (slabs_.size() < other.slabs_.size()) slabs_.resize(other.slabs_.size());
-  for (size_t attr = 0; attr < other.slabs_.size(); ++attr) {
-    const std::vector<int64_t>& from = other.slabs_[attr];
-    std::vector<int64_t>& into = slabs_[attr];
-    if (into.size() < from.size()) into.resize(from.size(), 0);
-    for (size_t offset = 0; offset < from.size(); offset += stride()) {
-      const int64_t* add = from.data() + offset;
-      if (!Live(add)) continue;
-      int64_t* row = into.data() + offset;
-      const bool was_live = Live(row);
-      for (int c = 0; c < num_classes_; ++c) row[c] += add[c];
-      num_entries_ += Live(row) - was_live;
-    }
+  for (int attr = 0; attr < other.AttributeBound(); ++attr) {
+    AddSlab(attr, other.slabs_[attr]);
   }
   for (int c = 0; c < num_classes_; ++c) {
     class_totals_[c] += other.class_totals_[c];
   }
   total_rows_ += other.total_rows_;
+}
+
+Status CcTable::AddDifference(const CcTable& whole,
+                              std::span<const CcTable* const> parts,
+                              const std::vector<int>& attr_columns) {
+  // Every difference is taken before any is added, so a failure leaves
+  // the table as it was.
+  std::vector<std::vector<int64_t>> diffs;
+  diffs.reserve(attr_columns.size());
+  for (int attr : attr_columns) {
+    const std::span<const int64_t> from = whole.Slab(attr);
+    std::vector<int64_t>& diff = diffs.emplace_back(from.begin(), from.end());
+    for (const CcTable* part : parts) {
+      assert(part->num_classes_ == num_classes_);
+      const std::span<const int64_t> sub = part->Slab(attr);
+      // A part's cell past `whole`'s extent subtracts from zero.
+      if (diff.size() < sub.size()) diff.resize(sub.size(), 0);
+      for (size_t k = 0; k < sub.size(); ++k) diff[k] -= sub[k];
+    }
+    if (std::any_of(diff.begin(), diff.end(),
+                    [](int64_t c) { return c < 0; })) {
+      return Status::Internal("CC difference negative at attribute " +
+                              std::to_string(attr) +
+                              ": the parts are not subsets of the whole");
+    }
+  }
+  for (size_t j = 0; j < attr_columns.size(); ++j) {
+    AddSlab(attr_columns[j], diffs[j]);
+  }
+  return Status::OK();
+}
+
+void CcTable::AddSlab(int attr, std::span<const int64_t> add) {
+  assert(attr >= 0);
+  if (static_cast<size_t>(attr) >= slabs_.size()) slabs_.resize(attr + 1);
+  std::vector<int64_t>& into = slabs_[attr];
+  if (into.size() < add.size()) into.resize(add.size(), 0);
+  for (size_t offset = 0; offset < add.size(); offset += stride()) {
+    const int64_t* counts = add.data() + offset;
+    if (!Live(counts)) continue;
+    int64_t* row = into.data() + offset;
+    const bool was_live = Live(row);
+    for (int c = 0; c < num_classes_; ++c) row[c] += counts[c];
+    num_entries_ += Live(row) - was_live;
+  }
 }
 
 void CcTable::Clear() {

@@ -75,6 +75,18 @@ class CcTable {
   /// scan of the union would build (the parallel-scan determinism argument).
   void Merge(const CcTable& other);
 
+  /// Histogram subtraction (LightGBM's, Ke et al. 2017): for each of
+  /// `attr_columns`, adds `whole`'s cells minus the sum of `parts`' cells —
+  /// the cells of those of `whole`'s rows that no part holds. Class totals
+  /// are left alone. When `parts` are disjoint subsets of `whole`'s rows,
+  /// this table holds the rest of them and `whole` counted every listed
+  /// attribute, the result equals counting those attributes directly.
+  /// Returns Internal, leaving the table unchanged, if a difference is
+  /// negative: the parts were not subsets of `whole`.
+  [[nodiscard]] Status AddDifference(const CcTable& whole,
+                                     std::span<const CcTable* const> parts,
+                                     const std::vector<int>& attr_columns);
+
   /// Empties the table (no cells, zero totals) but keeps its slabs'
   /// capacity, so refilling a reused partial table does not reallocate.
   void Clear();
@@ -138,6 +150,9 @@ class CcTable {
 
   /// Attribute `attr`'s slab; empty when the attribute holds no cells.
   std::span<const int64_t> Slab(int attr) const;
+
+  /// Adds a slab laid out like attribute `attr`'s, row by row.
+  void AddSlab(int attr, std::span<const int64_t> add);
 
   int num_classes_;
   int64_t total_rows_ = 0;

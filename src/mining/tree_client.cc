@@ -73,8 +73,11 @@ StatusOr<DecisionTree> DecisionTreeClient::Grow(CcProvider* provider,
           "provider made no progress with pending requests");
     }
     for (CcResult& result : results) {
-      SQLCLASS_RETURN_IF_ERROR(ProcessNode(&tree, result.node_id, result.cc,
-                                           result.approximate, provider));
+      // Moved, not copied: the children's requests share it as parent_cc.
+      SQLCLASS_RETURN_IF_ERROR(ProcessNode(
+          &tree, result.node_id,
+          std::make_shared<const CcTable>(std::move(result.cc)),
+          result.approximate, provider));
       // Children (if any) are queued by ProcessNode, so the provider may
       // now reclaim whatever it pinned for this node (Fig. 3's "processed
       // nodes" notification).
@@ -84,9 +87,13 @@ StatusOr<DecisionTree> DecisionTreeClient::Grow(CcProvider* provider,
   return tree;
 }
 
-Status DecisionTreeClient::ProcessNode(DecisionTree* tree, int node_id,
-                                       const CcTable& cc, bool approximate,
-                                       CcProvider* provider) {
+Status DecisionTreeClient::ProcessNode(
+    DecisionTree* tree, int node_id, std::shared_ptr<const CcTable> table,
+    bool approximate, CcProvider* provider) {
+  const CcTable& cc = *table;
+  // Children may lean on an exact table only (CcRequest::parent_cc).
+  const std::shared_ptr<const CcTable> parent_cc =
+      approximate ? nullptr : std::move(table);
   TreeNode& node = tree->node(node_id);
   if (node.state != NodeState::kActive) {
     return Status::Internal("CC delivered for non-active node");
@@ -111,7 +118,7 @@ Status DecisionTreeClient::ProcessNode(DecisionTree* tree, int node_id,
     return Status::OK();
   }
   if (config_.multiway_splits) {
-    return PartitionMultiway(tree, node_id, cc, approximate, provider);
+    return PartitionMultiway(tree, node_id, cc, parent_cc, provider);
   }
   std::optional<BinarySplit> split =
       ChooseBestBinarySplit(cc, node.active_attrs, config_.criterion);
@@ -152,17 +159,16 @@ Status DecisionTreeClient::ProcessNode(DecisionTree* tree, int node_id,
 
   SQLCLASS_RETURN_IF_ERROR(CreateAndQueueChild(
       tree, node_id, Expr::ColEq(attr_name, split->value),
-      std::move(left_attrs), left_counts, approximate, provider));
+      std::move(left_attrs), left_counts, parent_cc, provider));
   SQLCLASS_RETURN_IF_ERROR(CreateAndQueueChild(
       tree, node_id, Expr::ColNe(attr_name, split->value),
-      std::move(right_attrs), right_counts, approximate, provider));
+      std::move(right_attrs), right_counts, parent_cc, provider));
   return Status::OK();
 }
 
-Status DecisionTreeClient::PartitionMultiway(DecisionTree* tree, int node_id,
-                                             const CcTable& cc,
-                                             bool approximate,
-                                             CcProvider* provider) {
+Status DecisionTreeClient::PartitionMultiway(
+    DecisionTree* tree, int node_id, const CcTable& cc,
+    const std::shared_ptr<const CcTable>& parent_cc, CcProvider* provider) {
   TreeNode& node = tree->node(node_id);
   std::optional<MultiwaySplit> split =
       ChooseBestMultiwaySplit(cc, node.active_attrs, config_.criterion);
@@ -185,7 +191,7 @@ Status DecisionTreeClient::PartitionMultiway(DecisionTree* tree, int node_id,
     (void)rows;
     SQLCLASS_RETURN_IF_ERROR(CreateAndQueueChild(
         tree, node_id, Expr::ColEq(attr_name, value), child_attrs,
-        cc.GetCounts(split->attr, value), approximate, provider));
+        cc.GetCounts(split->attr, value), parent_cc, provider));
   }
   return Status::OK();
 }
@@ -193,7 +199,8 @@ Status DecisionTreeClient::PartitionMultiway(DecisionTree* tree, int node_id,
 Status DecisionTreeClient::CreateAndQueueChild(
     DecisionTree* tree, int parent_id, std::unique_ptr<Expr> edge,
     std::vector<int> active_attrs, std::span<const int64_t> class_counts,
-    bool estimate, CcProvider* provider) {
+    const std::shared_ptr<const CcTable>& parent_cc, CcProvider* provider) {
+  const bool estimate = parent_cc == nullptr;
   const uint64_t data_size = static_cast<uint64_t>(SumCounts(class_counts));
   assert(data_size > 0);
   int child_id = tree->CreateChild(parent_id, std::move(edge),
@@ -230,6 +237,7 @@ Status DecisionTreeClient::CreateAndQueueChild(
   request.active_attrs = child.active_attrs;
   request.data_size = data_size;
   request.data_size_is_estimate = estimate;
+  request.parent_cc = parent_cc;
   // The children of this node inherit their leaf labels straight from its
   // CC table when they hit the depth limit; demand exact counts there.
   request.prefer_exact =

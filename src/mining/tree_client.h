@@ -2,6 +2,7 @@
 #define SQLCLASS_MINING_TREE_CLIENT_H_
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <span>
 
@@ -65,23 +66,26 @@ class DecisionTreeClient {
   /// Consumes one fulfilled CC table: settles the node as leaf or split,
   /// creates children, and queues child requests. `approximate` marks a
   /// sample-served (scaled) CC: the node's data size is reconciled rather
-  /// than asserted, and child sizes are tracked as estimates.
-  [[nodiscard]] Status ProcessNode(DecisionTree* tree, int node_id, const CcTable& cc,
-                     bool approximate, CcProvider* provider);
+  /// than asserted, and child sizes are tracked as estimates. An exact
+  /// table becomes its children's shared CcRequest::parent_cc.
+  [[nodiscard]] Status ProcessNode(DecisionTree* tree, int node_id,
+                                   std::shared_ptr<const CcTable> table,
+                                   bool approximate, CcProvider* provider);
 
   /// Complete-split variant of the partitioning step.
-  [[nodiscard]] Status PartitionMultiway(DecisionTree* tree, int node_id, const CcTable& cc,
-                           bool approximate, CcProvider* provider);
+  [[nodiscard]] Status PartitionMultiway(
+      DecisionTree* tree, int node_id, const CcTable& cc,
+      const std::shared_ptr<const CcTable>& parent_cc, CcProvider* provider);
 
   /// Creates one child; immediately settles it as a leaf when termination
   /// criteria are already decidable from the parent's CC table (pure /
-  /// depth / min-rows), else queues its CC request. `estimate` marks the
-  /// child's data size as derived from an approximate CC.
-  [[nodiscard]] Status CreateAndQueueChild(DecisionTree* tree, int parent_id,
-                             std::unique_ptr<Expr> edge,
-                             std::vector<int> active_attrs,
-                             std::span<const int64_t> class_counts,
-                             bool estimate, CcProvider* provider);
+  /// depth / min-rows), else queues its CC request. `parent_cc` is the
+  /// parent's exact table, or null when it was approximate: the child's
+  /// data size is then an estimate.
+  [[nodiscard]] Status CreateAndQueueChild(
+      DecisionTree* tree, int parent_id, std::unique_ptr<Expr> edge,
+      std::vector<int> active_attrs, std::span<const int64_t> class_counts,
+      const std::shared_ptr<const CcTable>& parent_cc, CcProvider* provider);
 
   Schema schema_;
   TreeClientConfig config_;

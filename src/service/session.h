@@ -123,6 +123,7 @@ struct ScanMetrics {
   uint64_t shard_replica_rescans = 0;  // dead shards recovered from replicas
   uint64_t shard_rpc_timeouts = 0;     // shard RPC deadline expiries
   uint64_t shard_worker_restarts = 0;  // shard worker processes respawned
+  uint64_t derived_nodes = 0;  // row-scan CCs derived as parent - siblings
   std::map<std::string, uint64_t> scans_by_table;  // per-location scan counts
 };
 

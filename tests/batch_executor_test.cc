@@ -9,12 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
+#include "datagen/census.h"
+#include "datagen/load.h"
+#include "datagen/random_tree.h"
 #include "middleware/middleware.h"
 #include "mining/naive_bayes.h"
+#include "mining/tree_client.h"
 #include "service/service.h"
 #include "storage/sample/sample_file.h"
 #include "test_util.h"
@@ -275,6 +281,405 @@ TEST_F(BatchExecutorTest, SamplePassCountsEveryNodeOverTheScramble) {
   // One sample-row read per row per node, and no CC-update charge.
   EXPECT_EQ(delta.mw_sample_rows_read.load(), sample_rows * requests.size());
   EXPECT_EQ(delta.mw_cc_updates.load(), 0u);
+}
+
+// ------------------------------------------------- derived sibling tables
+
+/// A copy of `request` for another batch, with or without its parent's
+/// table; predicates bound again.
+CcRequest CopyRequest(const Schema& schema, uint64_t table_rows,
+                      const CcRequest& request, bool keep_parent_cc) {
+  CcRequest copy;
+  copy.node_id = request.node_id;
+  copy.parent_id = request.parent_id;
+  copy.predicate = request.predicate->Clone();
+  copy.active_attrs = request.active_attrs;
+  copy.data_size = request.data_size;
+  copy.data_size_is_estimate = request.data_size_is_estimate;
+  if (keep_parent_cc) copy.parent_cc = request.parent_cc;
+  EXPECT_TRUE(PrepareRequest(schema, table_rows, &copy).ok());
+  return copy;
+}
+
+class DerivedSiblingTest : public BatchExecutorTest {
+ protected:
+  /// The exact table of the rows `predicate` keeps (null: every row),
+  /// over every predictor.
+  std::shared_ptr<const CcTable> ParentTable(const Expr* predicate) {
+    std::unique_ptr<Expr> bound =
+        predicate != nullptr ? predicate->Clone() : Expr::True();
+    EXPECT_TRUE(bound->Bind(schema_).ok());
+    return std::make_shared<const CcTable>(
+        BruteForceCc(rows_, bound.get(), schema_.PredictorColumns(),
+                     schema_.class_column(), 2));
+  }
+
+  /// A child request under `parent` with its exact data size.
+  CcRequest Child(int node_id, std::unique_ptr<Expr> predicate,
+                  std::vector<int> attrs,
+                  std::shared_ptr<const CcTable> parent) {
+    CcRequest request;
+    request.node_id = node_id;
+    request.parent_id = 0;
+    request.predicate = std::move(predicate);
+    request.active_attrs = std::move(attrs);
+    request.parent_cc = std::move(parent);
+    EXPECT_TRUE(PrepareRequest(schema_, rows_.size(), &request).ok());
+    for (const Row& row : rows_) {
+      request.data_size += request.predicate->Eval(row);
+    }
+    return request;
+  }
+
+  /// Runs `requests` as one batch under `budget` bytes of CC memory twice,
+  /// with and without their parent tables, and checks that both runs
+  /// report the same tables, evictions, rows and costs, and that the
+  /// first derived `derived` nodes and the second none. `evicted`, if
+  /// given, receives the evictions.
+  void ExpectDerivedEqualsCounted(
+      const std::vector<CcRequest>& requests, size_t budget, int derived,
+      int threads,
+      std::vector<BatchExecutor::Report::Eviction>* evicted = nullptr) {
+    CountingConfig config;
+    config.parallel_scan_threads = threads;
+    config.parallel_scan_min_rows = 1;
+    BatchExecutor executor(server_.get(), config, /*staging=*/nullptr);
+    BatchExecutor::Report reports[2];
+    CostCounters deltas[2];
+    for (int counted = 0; counted < 2; ++counted) {
+      std::vector<CcRequest> copies;
+      for (const CcRequest& request : requests) {
+        copies.push_back(
+            CopyRequest(schema_, rows_.size(), request, counted == 0));
+      }
+      BatchExecutor::Batch batch = RootBatch();
+      batch.requests.clear();
+      for (const CcRequest& copy : copies) batch.requests.push_back(&copy);
+      batch.memory_budget = budget;
+      batch.overflow_check_interval = 64;
+      const CostCounters before = server_->cost_counters();
+      ASSERT_TRUE(executor.Run(batch, &reports[counted]).ok());
+      deltas[counted] = CostCounters::Delta(server_->cost_counters(), before);
+    }
+    const BatchExecutor::Report& with = reports[0];
+    const BatchExecutor::Report& without = reports[1];
+    EXPECT_EQ(with.derived_nodes, derived);
+    EXPECT_EQ(without.derived_nodes, 0);
+    EXPECT_EQ(with.path, BatchExecutor::Path::kRowScan);
+    EXPECT_EQ(with.evicted, without.evicted);
+    if (evicted != nullptr) *evicted = with.evicted;
+    EXPECT_EQ(with.observed_bytes, without.observed_bytes);
+    EXPECT_EQ(with.rows_scanned, without.rows_scanned);
+    EXPECT_EQ(deltas[0].ToString(), deltas[1].ToString());
+    ASSERT_EQ(with.ccs.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_TRUE(with.ccs[i] == without.ccs[i]) << "node " << i;
+      if (with.evicted[i] != BatchExecutor::Report::Eviction::kNone) continue;
+      EXPECT_TRUE(with.ccs[i] ==
+                  BruteForceCc(rows_, requests[i].predicate.get(),
+                               requests[i].active_attrs,
+                               schema_.class_column(), 2))
+          << "node " << i;
+    }
+  }
+
+  /// Bytes of the tables of `requests` at their parents' cards: all the
+  /// CC memory the batch can ever need.
+  static size_t WorstCase(const std::vector<CcRequest>& requests) {
+    size_t bytes = 0;
+    for (const CcRequest& request : requests) {
+      for (int attr : request.active_attrs) {
+        bytes += request.parent_cc->DistinctValues(attr) *
+                 CcTable::BytesPerEntry(2);
+      }
+      bytes += 2 * sizeof(int64_t);
+    }
+    return bytes;
+  }
+};
+
+TEST_F(DerivedSiblingTest, DerivedTablesEqualCountedOnes) {
+  const size_t unbounded = std::numeric_limits<size_t>::max();
+  const std::shared_ptr<const CcTable> root = ParentTable(nullptr);
+  const std::unique_ptr<Expr> a1_ne_1 = Expr::ColNe("A1", 1);
+  const std::shared_ptr<const CcTable> right = ParentTable(a1_ne_1.get());
+  // A1 = 1 drops A1; the larger A1 <> 1 keeps it, and counts it itself:
+  // its sibling has no A1 cells to subtract.
+  auto binary = [&] {
+    std::vector<CcRequest> requests;
+    requests.push_back(Child(1, Expr::ColEq("A1", 1), {1, 2}, root));
+    requests.push_back(Child(2, Expr::ColNe("A1", 1), {0, 1, 2}, root));
+    return requests;
+  };
+  // A1 <> 1 split three ways on A2; every branch drops A2.
+  auto multiway = [&](int branches) {
+    std::vector<CcRequest> requests;
+    for (int v = 0; v < branches; ++v) {
+      std::vector<std::unique_ptr<Expr>> clauses;
+      clauses.push_back(Expr::ColNe("A1", 1));
+      clauses.push_back(Expr::ColEq("A2", v));
+      requests.push_back(
+          Child(10 + v, Expr::And(std::move(clauses)), {0, 2}, right));
+    }
+    return requests;
+  };
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << threads << " thread(s)");
+    {
+      SCOPED_TRACE("binary split, residual split attribute");
+      ExpectDerivedEqualsCounted(binary(), unbounded, 1, threads);
+    }
+    {
+      SCOPED_TRACE("multiway split");
+      ExpectDerivedEqualsCounted(multiway(3), unbounded, 1, threads);
+    }
+    {
+      SCOPED_TRACE("two groups in one batch");
+      std::vector<CcRequest> requests = binary();
+      for (CcRequest& request : multiway(3)) {
+        requests.push_back(std::move(request));
+      }
+      ExpectDerivedEqualsCounted(requests, unbounded, 2, threads);
+    }
+    {
+      SCOPED_TRACE("incomplete group: a sibling is not requested");
+      ExpectDerivedEqualsCounted(multiway(2), unbounded, 0, threads);
+    }
+    {
+      SCOPED_TRACE("estimated data size");
+      std::vector<CcRequest> requests = binary();
+      requests[0].data_size_is_estimate = true;
+      ExpectDerivedEqualsCounted(requests, unbounded, 0, threads);
+    }
+    {
+      SCOPED_TRACE("bounded batch whose worst case fits");
+      ExpectDerivedEqualsCounted(binary(), WorstCase(binary()), 1, threads);
+    }
+    {
+      SCOPED_TRACE("bounded batch whose worst case does not fit");
+      // The bound prices A1 <> 1 at A1's four root values, and it holds
+      // three, so a budget one byte short of the real tables makes the
+      // overflow checks evict, exactly as without parent tables.
+      const std::vector<CcRequest> requests = binary();
+      std::vector<BatchExecutor::Report::Eviction> evicted;
+      ExpectDerivedEqualsCounted(
+          requests, WorstCase(requests) - CcTable::BytesPerEntry(2) - 1, 0,
+          threads, &evicted);
+      ASSERT_EQ(evicted.size(), 2u);
+      EXPECT_EQ(evicted[1], BatchExecutor::Report::Eviction::kRequeue);
+    }
+  }
+}
+
+// ------------------------------------------ derived sibling tables, grows
+
+/// Forwards to a middleware and records each delivered table; with
+/// `drop_parent_cc` it strips every request's parent table, so the
+/// middleware counts every node.
+class ParentStrippingProvider : public CcProvider {
+ public:
+  ParentStrippingProvider(CcProvider* inner, bool drop_parent_cc)
+      : inner_(inner), drop_parent_cc_(drop_parent_cc) {}
+
+  Status QueueRequest(CcRequest request) override {
+    if (drop_parent_cc_) request.parent_cc = nullptr;
+    return inner_->QueueRequest(std::move(request));
+  }
+  StatusOr<std::vector<CcResult>> FulfillSome() override {
+    SQLCLASS_ASSIGN_OR_RETURN(std::vector<CcResult> results,
+                              inner_->FulfillSome());
+    for (const CcResult& result : results) {
+      delivered_.emplace_back(result.node_id, result.cc);
+    }
+    return results;
+  }
+  void ReleaseNode(int node_id) override { inner_->ReleaseNode(node_id); }
+  size_t PendingRequests() const override { return inner_->PendingRequests(); }
+
+  std::vector<std::pair<int, CcTable>>& delivered() { return delivered_; }
+
+ private:
+  CcProvider* inner_;
+  bool drop_parent_cc_;
+  std::vector<std::pair<int, CcTable>> delivered_;
+};
+
+/// Every BatchTrace field but derived_nodes.
+std::string TraceFields(const ClassificationMiddleware::BatchTrace& t) {
+  std::ostringstream out;
+  out << t.batch << ' ' << static_cast<int>(t.source.kind) << ' '
+      << t.source.store_id << ' ' << t.nodes << ' ' << t.staged_to_file << ' '
+      << t.staged_to_memory << ' ' << t.requeued << ' ' << t.sql_fallbacks
+      << ' ' << t.file_split << ' ' << t.rows_scanned << ' ' << t.scan_retries
+      << ' ' << t.degraded_to_server << ' ' << t.staging_aborted << ' '
+      << t.served_from_bitmap << ' ' << t.bitmap_fallback << ' '
+      << t.served_from_sample << ' ' << t.sample_fallback << ' '
+      << t.escalated << ' ' << t.served_from_shards << ' '
+      << t.shard_fallback << ' ' << t.shard_rescans << ' '
+      << t.shard_replica_rescans << ' ' << t.shard_rpc_timeouts << ' '
+      << t.shard_worker_restarts;
+  return out.str();
+}
+
+struct GrowRecord {
+  std::string signature;
+  std::vector<std::pair<int, CcTable>> delivered;
+  std::vector<ClassificationMiddleware::BatchTrace> trace;
+  ClassificationMiddleware::Stats stats;
+  CostCounters cost;
+};
+
+GrowRecord GrowThroughMiddleware(SqlServer* server, const Schema& schema,
+                                 uint64_t rows, MiddlewareConfig config,
+                                 const TreeClientConfig& client_config,
+                                 bool drop_parent_cc) {
+  GrowRecord record;
+  auto middleware =
+      ClassificationMiddleware::Create(server, "data", std::move(config));
+  EXPECT_TRUE(middleware.ok()) << middleware.status().ToString();
+  if (!middleware.ok()) return record;
+  ParentStrippingProvider provider(middleware->get(), drop_parent_cc);
+  DecisionTreeClient client(schema, client_config);
+  const CostCounters before = server->cost_counters();
+  auto tree = client.Grow(&provider, rows);
+  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+  if (!tree.ok()) return record;
+  record.cost = CostCounters::Delta(server->cost_counters(), before);
+  record.signature = tree->Signature();
+  record.delivered = std::move(provider.delivered());
+  record.trace = (*middleware)->trace();
+  record.stats = (*middleware)->stats();
+  return record;
+}
+
+/// Derived nodes per source kind (server, file, memory) in a grow.
+std::vector<uint64_t> DerivedBySource(const GrowRecord& record) {
+  std::vector<uint64_t> by_source(3, 0);
+  for (const ClassificationMiddleware::BatchTrace& t : record.trace) {
+    by_source[static_cast<int>(t.source.kind)] += t.derived_nodes;
+  }
+  return by_source;
+}
+
+/// Grows one tree with and without parent tables and checks that the two
+/// grows are identical in every delivered table, every BatchTrace field
+/// but derived_nodes, every Stats counter but derived_nodes and every
+/// CostCounters field. Returns the grow that derived.
+GrowRecord ExpectGrowsAlike(SqlServer* server, const Schema& schema,
+                            uint64_t rows, const MiddlewareConfig& config,
+                            const TreeClientConfig& client_config) {
+  GrowRecord derived = GrowThroughMiddleware(server, schema, rows, config,
+                                             client_config, false);
+  GrowRecord counted = GrowThroughMiddleware(server, schema, rows, config,
+                                             client_config, true);
+  EXPECT_FALSE(derived.signature.empty());
+  EXPECT_EQ(derived.signature, counted.signature);
+  EXPECT_EQ(derived.cost.ToString(), counted.cost.ToString());
+  EXPECT_EQ(derived.delivered.size(), counted.delivered.size());
+  for (size_t i = 0;
+       i < std::min(derived.delivered.size(), counted.delivered.size());
+       ++i) {
+    EXPECT_EQ(derived.delivered[i].first, counted.delivered[i].first);
+    EXPECT_TRUE(derived.delivered[i].second == counted.delivered[i].second)
+        << "delivery " << i << ", node " << derived.delivered[i].first;
+  }
+  EXPECT_EQ(derived.trace.size(), counted.trace.size());
+  for (size_t i = 0; i < std::min(derived.trace.size(), counted.trace.size());
+       ++i) {
+    EXPECT_EQ(TraceFields(derived.trace[i]), TraceFields(counted.trace[i]))
+        << "batch " << i;
+  }
+#define SQLCLASS_EXPECT_STAT_EQ(name)                  \
+  if (std::string(#name) != "derived_nodes") {         \
+    EXPECT_EQ(derived.stats.name.load(), counted.stats.name.load()) \
+        << #name;                                      \
+  }
+  SQLCLASS_MIDDLEWARE_STATS(SQLCLASS_EXPECT_STAT_EQ)
+#undef SQLCLASS_EXPECT_STAT_EQ
+  EXPECT_EQ(counted.stats.derived_nodes.load(), 0u);
+  uint64_t traced = 0;
+  for (uint64_t n : DerivedBySource(derived)) traced += n;
+  EXPECT_EQ(derived.stats.derived_nodes.load(), traced);
+  return derived;
+}
+
+TEST(DerivedSiblingGrowTest, CensusAtOneTenthMemoryDerivesOnEverySource) {
+  TempDir dir;
+  CensusParams params;
+  params.rows = 30000;
+  auto census = CensusDataset::Create(params);
+  ASSERT_TRUE(census.ok());
+  const Schema& schema = (*census)->schema();
+  SqlServer server(dir.path());
+  ASSERT_TRUE(LoadIntoServer(&server, "data", schema,
+                             [&](const RowSink& sink) {
+                               return (*census)->Generate(sink);
+                             })
+                  .ok());
+  MiddlewareConfig config;
+  config.staging_dir = dir.path();
+  config.memory_budget_bytes =
+      static_cast<size_t>(0.1 * static_cast<double>(params.rows *
+                                                    schema.RowBytes()));
+  config.parallel_scan_threads = 2;
+  config.parallel_scan_min_rows = 1;
+  TreeClientConfig client_config;
+  client_config.max_depth = 8;
+  {
+    SCOPED_TRACE("memory/data 0.1");
+    const GrowRecord grow =
+        ExpectGrowsAlike(&server, schema, params.rows, config, client_config);
+    const std::vector<uint64_t> by_source = DerivedBySource(grow);
+    EXPECT_GT(by_source[static_cast<int>(LocationKind::kFile)], 0u);
+    EXPECT_GT(by_source[static_cast<int>(LocationKind::kMemory)], 0u);
+  }
+  {
+    SCOPED_TRACE("staging off: every pass reads the server");
+    MiddlewareConfig server_only = config;
+    server_only.enable_file_staging = false;
+    server_only.enable_memory_staging = false;
+    client_config.max_depth = 5;
+    const GrowRecord grow = ExpectGrowsAlike(&server, schema, params.rows,
+                                             server_only, client_config);
+    EXPECT_GT(DerivedBySource(grow)[static_cast<int>(LocationKind::kServer)],
+              0u);
+  }
+  {
+    SCOPED_TRACE("memory/data 0.02: CC memory runs short");
+    MiddlewareConfig tight = config;
+    tight.memory_budget_bytes /= 5;
+    client_config.max_depth = 8;
+    ExpectGrowsAlike(&server, schema, params.rows, tight, client_config);
+  }
+}
+
+TEST(DerivedSiblingGrowTest, MultiwaySplitsDeriveAlike) {
+  TempDir dir;
+  RandomTreeParams params;
+  params.num_attributes = 6;
+  params.num_leaves = 40;
+  params.cases_per_leaf = 100;
+  params.num_classes = 3;
+  params.seed = 77;
+  auto dataset = RandomTreeDataset::Create(params);
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  const Schema& schema = (*dataset)->schema();
+  SqlServer server(dir.path());
+  ASSERT_TRUE(LoadIntoServer(&server, "data", schema,
+                             [&](const RowSink& sink) {
+                               return (*dataset)->Generate(sink);
+                             })
+                  .ok());
+  const uint64_t rows = server.TableRowCount("data").value();
+  MiddlewareConfig config;
+  config.staging_dir = dir.path();
+  config.memory_budget_bytes = static_cast<size_t>(
+      0.1 * static_cast<double>(rows * schema.RowBytes()));
+  TreeClientConfig client_config;
+  client_config.multiway_splits = true;
+  const GrowRecord grow =
+      ExpectGrowsAlike(&server, schema, rows, config, client_config);
+  EXPECT_GT(grow.stats.derived_nodes.load(), 0u);
 }
 
 }  // namespace

@@ -222,6 +222,89 @@ TEST(CcTableTest, MatchesBruteForceOnRandomData) {
   EXPECT_TRUE(whole == merged);
 }
 
+TEST(CcTableTest, AddDifferenceMatchesBruteForce) {
+  for (int num_classes : {2, 10}) {
+    SCOPED_TRACE(testing::Message() << num_classes << " classes");
+    Schema schema = MakeSchema({4, 6, 3, 5}, num_classes);
+    const int class_column = 4;
+    std::vector<Row> rows = RandomRows(schema, 2000, 29 + num_classes);
+    const std::vector<int> all = {0, 1, 2, 3};
+    // Parts by A1's value: rows with A1 = 0 (one short slab), an empty
+    // part (no slabs at all), rows with A1 = 1 and A2 < 2 (short slabs on
+    // two attributes), and the rest, which is derived.
+    std::vector<Row> part_rows[3], rest_rows;
+    for (const Row& row : rows) {
+      if (row[0] == 0) {
+        part_rows[0].push_back(row);
+      } else if (row[0] == 1 && row[1] < 2) {
+        part_rows[2].push_back(row);
+      } else {
+        rest_rows.push_back(row);
+      }
+    }
+    const CcTable whole = BruteForceCc(rows, nullptr, all, class_column,
+                                       num_classes);
+    std::vector<CcTable> parts;
+    for (const std::vector<Row>& part : part_rows) {
+      parts.push_back(
+          BruteForceCc(part, nullptr, all, class_column, num_classes));
+    }
+    std::vector<const CcTable*> part_ptrs;
+    for (const CcTable& part : parts) part_ptrs.push_back(&part);
+    EXPECT_EQ(parts[0].DistinctValues(0), 1);
+    EXPECT_EQ(parts[1].AttributeBound(), 0);
+
+    // The rest counts its class totals and A4 itself; A1..A3 come from
+    // the difference.
+    CcTable derived = BruteForceCc(rest_rows, nullptr, {3}, class_column,
+                                   num_classes);
+    ASSERT_TRUE(derived.AddDifference(whole, part_ptrs, {0, 1, 2}).ok());
+    const CcTable counted = BruteForceCc(rest_rows, nullptr, all,
+                                         class_column, num_classes);
+    EXPECT_TRUE(derived == counted);
+    EXPECT_EQ(derived.NumEntries(), counted.NumEntries());
+    EXPECT_EQ(derived.ApproxBytes(), counted.ApproxBytes());
+    std::map<std::pair<int, Value>, std::vector<int64_t>> reference;
+    for (const Row& row : rest_rows) {
+      for (int attr : all) {
+        auto [it, inserted] =
+            reference.try_emplace({attr, row[attr]}, num_classes, 0);
+        ++it->second[row[class_column]];
+      }
+    }
+    EXPECT_EQ(derived.NumEntries(), reference.size());
+    for (int attr : all) {
+      for (Value v = 0; v < schema.attribute(attr).cardinality; ++v) {
+        auto it = reference.find({attr, v});
+        EXPECT_EQ(Vec(derived.GetCounts(attr, v)),
+                  it == reference.end()
+                      ? std::vector<int64_t>(num_classes, 0)
+                      : it->second)
+            << "attr " << attr << " value " << v;
+      }
+    }
+
+    // Parts that are not subsets of the whole fail and change nothing: one
+    // row too few in the whole, and a part cell past the whole's slab.
+    std::vector<Row> short_rows(rows.begin() + 1, rows.end());
+    const CcTable short_whole = BruteForceCc(short_rows, nullptr, all,
+                                             class_column, num_classes);
+    const CcTable all_rows_part = whole;
+    const CcTable* too_many[] = {&all_rows_part};
+    CcTable unchanged = derived;
+    EXPECT_EQ(unchanged.AddDifference(short_whole, too_many, {0, 1, 2})
+                  .code(),
+              StatusCode::kInternal);
+    EXPECT_TRUE(unchanged == derived);
+    CcTable far_part(num_classes);
+    far_part.Add(1, 40, 0);
+    const CcTable* far[] = {&far_part};
+    EXPECT_EQ(unchanged.AddDifference(whole, far, {1}).code(),
+              StatusCode::kInternal);
+    EXPECT_TRUE(unchanged == derived);
+  }
+}
+
 TEST(CcTableTest, MergeAcrossSlabExtents) {
   CcTable a(2), b(2), c(2);
   a.Add(0, 9, 1, 4);  // attr 0's slab reaches value 9

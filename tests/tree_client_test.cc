@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <vector>
+
 #include "mining/inmemory_provider.h"
 #include "test_util.h"
 
@@ -187,6 +191,84 @@ TEST(TreeClientTest, TrainingAccuracyIsHighOnFullTree) {
   auto accuracy = tree.Accuracy(rows);
   ASSERT_TRUE(accuracy.ok());
   EXPECT_GT(*accuracy, 0.95);
+}
+
+/// Records what the client hands over: each request's parent table and
+/// each delivered table. `approximate_root` marks the root's result as
+/// sample-served.
+class ParentRecordingProvider : public CcProvider {
+ public:
+  struct Queued {
+    int parent_id;
+    std::shared_ptr<const CcTable> parent_cc;
+  };
+
+  ParentRecordingProvider(const Schema& schema, const std::vector<Row>* rows,
+                          bool approximate_root)
+      : inner_(schema, rows), approximate_root_(approximate_root) {}
+
+  Status QueueRequest(CcRequest request) override {
+    queued_[request.node_id] = {request.parent_id, request.parent_cc};
+    return inner_.QueueRequest(std::move(request));
+  }
+  StatusOr<std::vector<CcResult>> FulfillSome() override {
+    SQLCLASS_ASSIGN_OR_RETURN(std::vector<CcResult> results,
+                              inner_.FulfillSome());
+    for (CcResult& result : results) {
+      delivered_.emplace(result.node_id, result.cc);
+      result.approximate = approximate_root_ && result.node_id == 0;
+    }
+    return results;
+  }
+  size_t PendingRequests() const override { return inner_.PendingRequests(); }
+
+  const std::map<int, Queued>& queued() const { return queued_; }
+  const CcTable& delivered(int node_id) const { return delivered_.at(node_id); }
+
+ private:
+  InMemoryCcProvider inner_;
+  bool approximate_root_;
+  std::map<int, Queued> queued_;
+  std::map<int, CcTable> delivered_;
+};
+
+TEST(TreeClientTest, ChildrenShareTheirParentsExactTable) {
+  Schema schema = MakeSchema({4, 3, 5}, 3);
+  std::vector<Row> rows = RandomRows(schema, 600, 8);
+  for (bool multiway : {false, true}) {
+    for (bool approximate_root : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "multiway " << multiway
+                                      << ", approximate root "
+                                      << approximate_root);
+      ParentRecordingProvider provider(schema, &rows, approximate_root);
+      TreeClientConfig config;
+      config.multiway_splits = multiway;
+      DecisionTreeClient client(schema, config);
+      ASSERT_TRUE(client.Grow(&provider, rows.size()).ok());
+      std::map<int, const CcTable*> by_parent;  // one shared table each
+      int children = 0;
+      for (const auto& [node_id, queued] : provider.queued()) {
+        if (queued.parent_id < 0) {
+          EXPECT_EQ(queued.parent_cc, nullptr);
+          continue;
+        }
+        ++children;
+        if (approximate_root && queued.parent_id == 0) {
+          // A sample-served parent's table is no proof of anything.
+          EXPECT_EQ(queued.parent_cc, nullptr) << "node " << node_id;
+          continue;
+        }
+        ASSERT_NE(queued.parent_cc, nullptr) << "node " << node_id;
+        EXPECT_TRUE(*queued.parent_cc ==
+                    provider.delivered(queued.parent_id));
+        auto [it, first] =
+            by_parent.emplace(queued.parent_id, queued.parent_cc.get());
+        EXPECT_EQ(it->second, queued.parent_cc.get()) << "node " << node_id;
+      }
+      EXPECT_GT(children, 4);
+      EXPECT_FALSE(by_parent.empty());
+    }
+  }
 }
 
 }  // namespace

@@ -20,6 +20,8 @@ Primitives (call sites that move rows/bytes):
     ->SampleRows( / .SampleRows(     scramble (sample file) payload fetch
     ->ShardRows( / .ShardRows(       shard distribution-map entry fetch
     ->Merge(                         shard partial CC merged into a node's table
+    .AddDifference( / ->AddDifference( a CC table derived from its parent's
+                                     and its siblings' in place of counting
     ->ReadPageInto( / .ReadPageInto( positioned page decode
     ParallelCountScan::OverHeapFile( the counting kernel: a caller that
     ParallelCountScan::OverRows(     passes cost = nullptr charges the
@@ -81,6 +83,7 @@ PRIMITIVE_RE = re.compile(
       | (?:\.|->)SampleRows\s*\(
       | (?:\.|->|::)ShardRows\s*\(
       | ->Merge\s*\(
+      | (?:\.|->)AddDifference\s*\(
       | (?:\.|->)ReadPageInto\s*\(
       | (?:\.|->|::)OverHeapFile\s*\(
       | (?:\.|->|::)OverRows\s*\(
@@ -217,8 +220,9 @@ def self_test(root, charge_re):
     flavor: a bare fwrite in heap_file.cc (plus an honored fault-injected
     waiver), an uncharged BitmapWords fetch in bitmap_scan.cc, an uncharged
     SampleRows fetch in sample_scan.cc, an uncharged ShardRows fetch in
-    shard_scan.cc, and a counting-kernel call that passes cost = nullptr
-    without a waiver in shard_scan.cc."""
+    shard_scan.cc, a counting-kernel call that passes cost = nullptr
+    without a waiver in shard_scan.cc, and a CC table derived as a parent's
+    minus its siblings' with no CC-update charge in batch_executor.cc."""
     mw = os.path.join(root, "src", "middleware")
     cases = [
         Injection(
@@ -282,6 +286,18 @@ def self_test(root, charge_re):
             "}  // namespace sqlclass\n",
             expect="UnwaivedKernelCallForLintSelfTest",
             label="unwaived counting-kernel call"),
+        Injection(
+            os.path.join(mw, "batch_executor.cc"),
+            "\nnamespace sqlclass {\n"
+            "Status UnchargedDerivationForLintSelfTest(CcTable* derived,\n"
+            "    const CcTable& parent, const CcTable& sibling,\n"
+            "    const std::vector<int>& attrs) {\n"
+            "  const CcTable* siblings[] = {&sibling};\n"
+            "  return derived->AddDifference(parent, siblings, attrs);\n"
+            "}\n"
+            "}  // namespace sqlclass\n",
+            expect="UnchargedDerivationForLintSelfTest",
+            label="uncharged CC derivation"),
     ]
     return run_self_test(
         cases, lambda path: check_file_regex(path, charge_re),

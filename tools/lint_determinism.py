@@ -67,8 +67,8 @@ ADDRESS_KEYED_RE = re.compile(
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(\s*[^;()]*?:\s*(\w+)\s*\)")
 BEGIN_ITER_RE = re.compile(r"\b(\w+)\s*(?:\.|->)\s*c?begin\s*\(")
 SINK_RE = re.compile(
-    r"(?:\.|->)(?:Merge|AddRows?|Encode|EncodeInto|Serialize\w*|Write\w*|"
-    r"Append)\s*\("
+    r"(?:\.|->)(?:Merge|AddRows?|AddDifference|Encode|EncodeInto|"
+    r"Serialize\w*|Write\w*|Append)\s*\("
     r"|\bfwrite\s*\("
 )
 SINK_FUNC_NAME_RE = re.compile(
@@ -215,6 +215,22 @@ def self_test(root):
             "}  // namespace sqlclass\n",
             expect="UnorderedBlockForLintSelfTest",
             label="unordered_set iteration into block CC update"),
+        Injection(
+            cc_table,
+            "\nnamespace sqlclass {\n"
+            "Status UnorderedSiblingsForLintSelfTest(CcTable* derived,\n"
+            "    const CcTable& parent, const std::vector<int>& attrs) {\n"
+            "  std::unordered_map<const CcTable*, CcTable> siblings;\n"
+            "  for (const auto& [table, cc] : siblings) {\n"
+            "    const CcTable* part[] = {&cc};\n"
+            "    SQLCLASS_RETURN_IF_ERROR(\n"
+            "        derived->AddDifference(parent, part, attrs));\n"
+            "  }\n"
+            "  return Status::OK();\n"
+            "}\n"
+            "}  // namespace sqlclass\n",
+            expect="UnorderedSiblingsForLintSelfTest",
+            label="unordered sibling iteration into CC derivation"),
         Injection(
             cc_table,
             "\nnamespace sqlclass {\n"
