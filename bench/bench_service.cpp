@@ -43,10 +43,8 @@ RunResult RunBatch(const Schema& schema, const std::vector<Row>& rows,
                 (sharing ? "_sh" : "_pr"));
   ServiceConfig config;
   config.worker_threads = num_sessions;
-  config.max_active_sessions = num_sessions;
   config.queue_capacity = static_cast<size_t>(num_sessions) * 2;
   config.enable_scan_sharing = sharing;
-  config.gather_window_ms = 10;
   auto service_or = ClassificationService::Create(dir.path(), config);
   if (!service_or.ok()) {
     std::fprintf(stderr, "service: %s\n",

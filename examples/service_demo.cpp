@@ -37,8 +37,6 @@ int main() {
   // The service: 4 workers, up to 4 concurrent sessions, scan sharing on.
   ServiceConfig config;
   config.worker_threads = 4;
-  config.max_active_sessions = 4;
-  config.gather_window_ms = 10;
   auto service_or = ClassificationService::Create(dir, config);
   if (!service_or.ok()) {
     std::fprintf(stderr, "create: %s\n",

@@ -12,17 +12,21 @@ the seed, the base's record of that seed is copied into the change's
 checkout, so perfbench's paper-fidelity check compares the change's trees,
 simulated seconds and cost counters with the base's. The JSON holds, per
 workload and metric, each side's median and quartiles, the number of pairs
-the change won and the median of the per-pair change/base ratios, plus
-every run's raw metrics and the host's steal share during it (from
+the change won and the median and IQR of the per-pair change/base ratios,
+plus every run's raw metrics and the host's steal share during it (from
 /proc/stat, where the host has one). The ratios are printed at the end:
 on a shared host the level of both sides drifts with steal, while the
-ratio within a pair moves far less.
+ratio within a pair moves far less. The base's IQR stays the bar a median
+gain must clear; the ratio IQR printed next to it shows how much of that
+spread is drift both sides shared.
 
 A run that prints no result line (a crash, an OOM kill) is recorded as
 incorrect, with its exit code and no metrics, and the pairs go on; the
 summaries use the runs that have each metric. `--self-test` runs the
 comparison against stub checkouts whose change side prints nothing and
-checks that every run is recorded and the exit status is 1.
+checks that every run is recorded and the exit status is 1, then runs a
+pair of stubs whose level doubles from one pair to the next and checks that
+the ratio IQR is 0 while the base IQR is not.
 """
 
 import argparse
@@ -137,12 +141,14 @@ def compare(args):
             better = (lambda c, b: c > b) if metric in HIGHER_IS_BETTER else (
                 lambda c, b: c < b)
             ratios = [c / b for c, b in pairs if b != 0]
+            spread = summarise(ratios)
             summary[workload][metric] = {
                 "base": summarise(list(base.values())),
                 "change": summarise(list(change.values())),
                 "change_wins": sum(better(c, b) for c, b in pairs),
                 "pair_ratios": ratios,
                 "ratio_median": statistics.median(ratios) if ratios else None,
+                "ratio_iqr": spread and spread["q3"] - spread["q1"],
             }
     args.out.write_text(json.dumps({
         "bench": "perfbench pairs",
@@ -153,20 +159,21 @@ def compare(args):
     end_to_end = [m["name"] for m in json.loads(
         (args.change / "BENCHMARK.json").read_text())["end_to_end"]]
     print(f"\n{'workload':15s} {'metric':13s} {'base':>9s} {'change':>9s} "
-          f"{'base IQR':>9s} {'ratio':>7s}  won   steal")
+          f"{'base IQR':>9s} {'ratio':>7s} {'rat IQR':>7s}  won   steal")
     for workload, metrics in summary.items():
         steal = metrics["steal_median"]
         for metric in end_to_end:
             row = metrics.get(metric)
             if row is None:
                 continue
-            ratio = row["ratio_median"]
+            ratio, ratio_iqr = row["ratio_median"], row["ratio_iqr"]
             base, change = row["base"], row["change"]
             print(f"{workload:15s} {metric:13s} "
                   f"{fmt(base, lambda s: s['median'], '9.4g')} "
                   f"{fmt(change, lambda s: s['median'], '9.4g')} "
                   f"{fmt(base, lambda s: s['q3'] - s['q1'], '9.3g')} "
-                  f"{'n/a' if ratio is None else f'{ratio:7.3f}'}  "
+                  f"{'n/a' if ratio is None else f'{ratio:.3f}':>7s} "
+                  f"{'n/a' if ratio_iqr is None else f'{ratio_iqr:.3f}':>7s}  "
                   f"{row['change_wins']}/{args.pairs}  "
                   f"{'n/a' if steal is None else f'{steal:.1%}'}")
     return 0 if all(s["all_correct"] for s in summary.values()) else 1
@@ -179,25 +186,48 @@ def fmt(stats, pick, spec):
 STUB_RESULT = ('print(\'{"correct": true, "metrics": '
                '{"model_s": {"value": 0.2}}}\')\n')
 
+# Doubles its model_s on every run, as a host that drifts between pairs.
+DRIFT_STUB = """import json, pathlib
+runs = pathlib.Path("runs")
+n = int(runs.read_text()) if runs.exists() else 0
+runs.write_text(str(n + 1))
+print(json.dumps({"correct": True,
+                  "metrics": {"model_s": {"value": LEVEL * 2 ** n}}}))
+"""
+
+
+def run_stubs(root, bodies, pairs):
+    """compare() over stub checkouts whose perfbench/run.py is `bodies`."""
+    for side, body in bodies.items():
+        (root / side / "perfbench").mkdir(parents=True)
+        (root / side / "perfbench" / "run.py").write_text(body)
+        (root / side / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": [{"name": "model_s"}]}))
+    args = argparse.Namespace(
+        base=root / "base", change=root / "change", pairs=pairs, seed=7,
+        seconds=1, workloads=["census_scan"], out=root / "out.json",
+        base_label="base", change_label="change")
+    status = compare(args)
+    return status, json.loads(args.out.read_text())
+
 
 def self_test():
-    """Base stubs print a result, change stubs print nothing and exit 137."""
+    """Silent change stubs are recorded as failed runs; a drifting host
+    spreads the base but not the per-pair ratios."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for side, body in (("base", STUB_RESULT),
-                           ("change", "import sys\nsys.exit(137)\n")):
-            (root / side / "perfbench").mkdir(parents=True)
-            (root / side / "perfbench" / "run.py").write_text(body)
-            (root / side / "BENCHMARK.json").write_text(
-                json.dumps({"end_to_end": [{"name": "model_s"}]}))
-        args = argparse.Namespace(
-            base=root / "base", change=root / "change", pairs=2, seed=7,
-            seconds=1, workloads=["census_scan"], out=root / "out.json",
-            base_label="base", change_label="change")
-        status = compare(args)
-        record = json.loads(args.out.read_text())
+        status, record = run_stubs(
+            root / "silent",
+            {"base": STUB_RESULT, "change": "import sys\nsys.exit(137)\n"},
+            pairs=2)
+        drift_status, drift = run_stubs(
+            root / "drift",
+            {"base": DRIFT_STUB.replace("LEVEL", "0.2"),
+             "change": DRIFT_STUB.replace("LEVEL", "0.1")},
+            pairs=4)
     runs = record["runs"]
     summary = record["summary"]["census_scan"]
+    drifted = drift["summary"]["census_scan"]["model_s"]
     checks = [
         ("exit status 1", status == 1),
         ("all four runs recorded", len(runs) == 4),
@@ -209,6 +239,13 @@ def self_test():
         ("two failed runs counted", summary["failed_runs"] == 2),
         ("base summarised alone", summary["model_s"]["change"] is None and
          summary["model_s"]["base"]["median"] == 0.2),
+        ("no ratio IQR without pairs", summary["model_s"]["ratio_iqr"] is None),
+        ("drifting pairs exit 0", drift_status == 0),
+        ("drift spreads the base",
+         drifted["base"]["q3"] - drifted["base"]["q1"] > 0.5),
+        ("per-pair ratios steady under drift",
+         drifted["ratio_iqr"] == 0 and drifted["ratio_median"] == 0.5 and
+         drifted["change_wins"] == 4),
     ]
     for name, ok in checks:
         print(f"self-test {'OK' if ok else 'FAILED'}: {name}")

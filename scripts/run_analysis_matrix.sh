@@ -4,7 +4,8 @@
 #   werror   -Werror build (plus -Wthread-safety under clang) + full ctest
 #   tidy     clang-tidy over src/ (skipped when clang-tidy is absent)
 #   asan     -fsanitize=address,undefined build + full ctest
-#   tsan     -fsanitize=thread build + the concurrency-labeled ctest subset
+#   tsan     -fsanitize=thread build + the concurrency-labeled ctest subset,
+#            then the service's concurrency tests repeated until-fail:20
 #   faults   -fsanitize=address,undefined build + the fault-injection ctest
 #            subset (ctest -L faults): every registered fault point driven
 #            through its failure path under ASan
@@ -79,6 +80,10 @@ run_leg() {
       note "tsan: -fsanitize=thread + ctest -L concurrency"
       configure_and_build "$dir" -DSQLCLASS_SANITIZE=thread
       ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L concurrency
+      # The service's scan start and re-registration paths are
+      # interleaving-sensitive: repeat them so a rare schedule shows.
+      ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
+        --no-tests=error -L concurrency -R Service --repeat until-fail:20
       ;;
     faults)
       note "faults: -fsanitize=address,undefined + ctest -L faults"

@@ -48,9 +48,6 @@ StatusOr<std::unique_ptr<ClassificationService>> ClassificationService::Create(
   if (config.worker_threads < 1) {
     return Status::InvalidArgument("service needs at least one worker");
   }
-  if (config.max_active_sessions < 1) {
-    return Status::InvalidArgument("max_active_sessions must be >= 1");
-  }
   if (config.memory_budget_bytes == 0) {
     return Status::InvalidArgument("memory budget must be positive");
   }

@@ -67,13 +67,9 @@ struct SessionResult {
 /// with different accuracy contracts can only all be satisfied by exact
 /// counts.
 struct ServiceConfig : CountingConfig {
-  /// Worker threads driving admitted sessions (each runs one session's
-  /// client loop at a time).
+  /// Worker threads driving admitted sessions. Each runs one session's
+  /// client loop at a time, so this also bounds the active sessions.
   int worker_threads = 4;
-
-  /// Sessions allowed to run concurrently. Admission holds further sessions
-  /// in the queue even when a worker is idle.
-  int max_active_sessions = 4;
 
   /// Bounded admission queue; submissions beyond this are rejected
   /// immediately with ResourceExhausted.
@@ -95,13 +91,6 @@ struct ServiceConfig : CountingConfig {
   /// each scan serves only the requesting session (still batched per
   /// session).
   bool enable_scan_sharing = true;
-
-  /// After every session that still has unfulfilled requests is blocked
-  /// waiting, a scan waits this long for sessions that are between waves
-  /// (consuming results, about to queue children) before running without
-  /// them. Purely a merging/latency trade-off; correctness and the final
-  /// classifiers never depend on it.
-  uint64_t gather_window_ms = 2;
 
   CostModel cost_model;
   size_t buffer_pool_pages = 1024;

@@ -58,7 +58,7 @@ StatusOr<SessionId> SessionManager::Submit(SessionSpec spec) {
 bool SessionManager::HeadAdmissible() const {
   if (queue_.empty()) return false;
   const Session& head = sessions_.at(queue_.front());
-  return active_ < config_.max_active_sessions &&
+  return active_ < config_.worker_threads &&
          memory_committed_ + head.quota_bytes <= config_.memory_budget_bytes;
 }
 

@@ -15,8 +15,9 @@
 namespace sqlclass {
 
 /// Session lifecycle and admission control for the classification service:
-/// a bounded FIFO admission queue, an active-session ceiling, and a shared
-/// memory budget that the sum of active sessions' quotas may not exceed.
+/// a bounded FIFO admission queue, at most `worker_threads` active sessions
+/// (a worker runs one at a time), and a shared memory budget that the sum
+/// of active sessions' quotas may not exceed.
 ///
 /// Sessions that cannot even be queued (queue full, quota larger than the
 /// whole budget) are rejected at Submit. Queued sessions that are not

@@ -28,8 +28,16 @@ Status SharedScanBatcher::RegisterTable(const std::string& table) {
   }
 
   MutexLock lock(mu_);
-  TableState& t = tables_[table];  // re-register refreshes the snapshot
-  t.schema = std::move(schema);
+  auto [it, added] = tables_.try_emplace(table);
+  TableState& t = it->second;
+  if (added) {
+    t.schema = std::move(schema);
+  } else if (t.schema != schema) {
+    // Scans and sessions read the cached schema without mu_; it never
+    // changes once registered.
+    return Status::AlreadyExists(
+        "table registered with a different schema: " + table);
+  }
   t.rows = rows;
   return Status::OK();
 }
@@ -61,8 +69,8 @@ Status SharedScanBatcher::RegisterSession(SessionId id,
   state.table = table;
   state.quota_bytes = quota_bytes;
   sessions_.emplace(id, std::move(state));
+  // No wake-up: one more session that does not wait cannot start a scan.
   ++it->second.sessions_registered;
-  cv_.NotifyAll();  // registered-set change affects scan triggering
   return Status::OK();
 }
 
@@ -99,37 +107,7 @@ Status SharedScanBatcher::Enqueue(SessionId id, CcRequest request) {
   p.request = std::move(request);
   t.pending.push_back(std::move(p));
   ++s.outstanding;
-  t.gather_deadline.reset();  // new work restarts the gather window
-  cv_.NotifyAll();
   return Status::OK();
-}
-
-bool SharedScanBatcher::AllPendingOwnersWaiting(const TableState& t) const {
-  for (const PendingReq& p : t.pending) {
-    auto it = sessions_.find(p.session);
-    if (it != sessions_.end() && !it->second.waiting) return false;
-  }
-  return true;
-}
-
-bool SharedScanBatcher::ShouldLeadScan(
-    TableState& t, std::optional<Clock::time_point>* wait_until) {
-  wait_until->reset();
-  if (t.scan_in_progress || t.pending.empty()) return false;
-  if (!AllPendingOwnersWaiting(t)) return false;
-  // Every session with queued work is blocked waiting. If every registered
-  // session is waiting, nobody can contribute more work: scan immediately.
-  if (t.sessions_waiting >= t.sessions_registered) return true;
-  // Some registered session is between waves; give it one gather window to
-  // contribute its next requests before scanning without it.
-  const auto now = Clock::now();
-  if (!t.gather_deadline) {
-    t.gather_deadline =
-        now + std::chrono::milliseconds(config_.gather_window_ms);
-  }
-  if (now >= *t.gather_deadline) return true;
-  *wait_until = t.gather_deadline;
-  return false;
 }
 
 StatusOr<std::vector<CcResult>> SharedScanBatcher::Fulfill(SessionId id) {
@@ -141,30 +119,20 @@ StatusOr<std::vector<CcResult>> SharedScanBatcher::Fulfill(SessionId id) {
   SessionState& s = it->second;
   TableState& t = tables_.at(s.table);
 
-  auto stop_waiting = [&] {
-    if (s.waiting) {
-      s.waiting = false;
-      --t.sessions_waiting;
-    }
-  };
-
   while (true) {
     if (!s.error.ok()) {
       // Sticky: outstanding stays non-zero, so a client loop that keys on
       // PendingRequests() keeps seeing the error instead of silently
       // finishing with a partial model.
-      stop_waiting();
       return s.error;
     }
     if (!s.outbox.empty()) {
-      stop_waiting();
       std::vector<CcResult> results = std::move(s.outbox);
       s.outbox.clear();
       s.outstanding -= results.size();
       return results;
     }
     if (s.outstanding == 0) {
-      stop_waiting();
       return std::vector<CcResult>();
     }
 
@@ -178,19 +146,17 @@ StatusOr<std::vector<CcResult>> SharedScanBatcher::Fulfill(SessionId id) {
     if (!s.waiting) {
       s.waiting = true;
       ++t.sessions_waiting;
-      cv_.NotifyAll();  // other waiters re-check the trigger condition
     }
 
-    std::optional<Clock::time_point> wait_until;
-    if (ShouldLeadScan(t, &wait_until)) {
+    // The scan-start rule: every registered session is blocked here, so
+    // the pending requests are the whole wave. The rule depends on table
+    // state only, so the session that completes it leads the scan itself.
+    if (!t.scan_in_progress && !t.pending.empty() &&
+        t.sessions_waiting == t.sessions_registered) {
       RunScan(s.table, std::nullopt);
       continue;  // results (possibly for us) are deposited; re-check
     }
-    if (wait_until) {
-      cv_.WaitUntil(lock, *wait_until);
-    } else {
-      cv_.Wait(lock);
-    }
+    cv_.Wait(lock);
   }
 }
 
@@ -211,7 +177,6 @@ void SharedScanBatcher::RunScan(const std::string& table,
                   pending.end());
   } else {
     t.scan_in_progress = true;
-    t.gather_deadline.reset();
     batch = std::move(t.pending);
     t.pending.clear();
   }
@@ -221,8 +186,9 @@ void SharedScanBatcher::RunScan(const std::string& table,
   }
 
   // The TableState node and its schema are stable (tables are never
-  // erased), so the scan can read them with mu_ released. Row count is
-  // snapshotted here because RegisterTable may refresh it under mu_.
+  // erased, a schema never changes once registered), so the scan can read
+  // them with mu_ released. Row count is snapshotted here because
+  // RegisterTable may refresh it under mu_.
   const uint64_t table_rows = t.rows;
   const uint64_t ordinal = metrics_.scans_executed + 1;
   mu_.Unlock();
@@ -290,6 +256,12 @@ void SharedScanBatcher::RunScan(const std::string& table,
                                static_cast<uint64_t>(batch.size()));
     s.credited.mw_cc_updates += rider.cc_updates;
     ++s.scans;
+    // The rider has results or an error to collect, so it no longer blocks
+    // in Fulfill: the next scan waits until it is back with its next wave.
+    if (s.waiting) {
+      s.waiting = false;
+      --t.sessions_waiting;
+    }
   }
   uint64_t delivered = 0;
   for (size_t i = 0; i < batch.size(); ++i) {

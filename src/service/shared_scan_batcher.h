@@ -1,12 +1,10 @@
 #ifndef SQLCLASS_SERVICE_SHARED_SCAN_BATCHER_H_
 #define SQLCLASS_SERVICE_SHARED_SCAN_BATCHER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -28,17 +26,21 @@ namespace sqlclass {
 /// the same wave structure appears across sessions — N clients at similar
 /// depths would otherwise each scan the table once per level.
 ///
-/// Scan-window protocol (correctness never depends on timing — CC tables
-/// are exact counts, so the classifiers are identical however requests get
-/// grouped into scans):
+/// Scan-start rule (correctness never depends on it — CC tables are exact
+/// counts, so the classifiers are identical however requests get grouped
+/// into scans):
 ///   * A session blocks in Fulfill while it has undelivered requests.
-///   * A scan may start only when every session with unfulfilled queued
-///     requests is blocked waiting — at that point nobody can add to the
-///     current wave without first consuming results.
-///   * If some *registered* session has no queued requests (it is between
-///     waves: consuming results, about to queue children), the scan waits
-///     one gather window for it, then runs without it. When every
-///     registered session is waiting, the scan runs immediately.
+///   * A table's scan starts when no scan of it is in flight, requests are
+///     pending, and every registered session of the table is blocked in
+///     Fulfill. At that point nobody can add to the current wave without
+///     first consuming results, so the scan carries every session's wave.
+///     A session counts as blocked from when it waits in Fulfill until a
+///     scan deposits its results or error, not until its thread wakes.
+///   * No clock is involved. Liveness: every registered session runs on a
+///     service worker that either returns to Fulfill or, once its client
+///     returns (error paths included), unregisters. The session whose wait
+///     completes the rule leads the scan itself; UnregisterSession drops
+///     the session's pending requests and wakes the waiters to re-check.
 ///   * The first waiter to observe the condition becomes the scan leader;
 ///     `scan_in_progress` keeps the scan per table single-flight.
 ///
@@ -59,7 +61,9 @@ class SharedScanBatcher {
                     const ServiceConfig& config);
 
   /// Caches schema and row count; the table must exist on the server and
-  /// have a class column.
+  /// have a class column. Registering a table again refreshes only its row
+  /// count: running scans and sessions read the cached schema without
+  /// `mu_`, so a changed server schema is AlreadyExists.
   [[nodiscard]] Status RegisterTable(const std::string& table) EXCLUDES(mu_, *server_mu_);
 
   const Schema* GetSchema(const std::string& table) const EXCLUDES(mu_);
@@ -96,8 +100,6 @@ class SharedScanBatcher {
   void FillMetrics(ServiceMetrics* out) const EXCLUDES(mu_);
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   struct PendingReq {
     SessionId session = 0;
     CcRequest request;  // predicate bound against the table schema
@@ -110,30 +112,18 @@ class SharedScanBatcher {
     int sessions_registered = 0;
     int sessions_waiting = 0;
     bool scan_in_progress = false;
-    /// Set when "all pending owners waiting" first holds with some
-    /// registered session still between waves; cleared on new work.
-    std::optional<Clock::time_point> gather_deadline;
   };
 
   struct SessionState {
     std::string table;
     size_t quota_bytes = 0;
     size_t outstanding = 0;  // queued or fulfilled-but-undelivered
-    bool waiting = false;
+    bool waiting = false;  // blocked in Fulfill; the serving scan clears it
     std::vector<CcResult> outbox;
     Status error = Status::OK();
     CostCounters credited;
     uint64_t scans = 0;
   };
-
-  /// True when every session owning a request in `t.pending` is waiting.
-  bool AllPendingOwnersWaiting(const TableState& t) const REQUIRES(mu_);
-
-  /// Whether the calling waiter should lead a scan now; may arm the gather
-  /// deadline. Returns the wait deadline to use otherwise.
-  bool ShouldLeadScan(TableState& t,
-                      std::optional<Clock::time_point>* wait_until)
-      REQUIRES(mu_);
 
   /// Extracts this scan's requests, runs it with mu_ released (re-acquired
   /// before returning), deposits results/errors, and wakes waiters.

@@ -61,7 +61,6 @@ TEST_F(ServiceStressTest, SixteenSessionsUnderObserverLoad) {
   const std::string reference = ReferenceSignature();
   ServiceConfig config;
   config.worker_threads = 8;
-  config.max_active_sessions = 8;
   config.queue_capacity = 64;
   auto service_or = ClassificationService::Create(dir_.path(), config);
   ASSERT_TRUE(service_or.ok());
@@ -115,7 +114,6 @@ TEST_F(ServiceStressTest, SixteenSessionsUnderObserverLoad) {
 TEST_F(ServiceStressTest, WavesAcrossTwoTables) {
   ServiceConfig config;
   config.worker_threads = 4;
-  config.max_active_sessions = 4;
   auto service_or = ClassificationService::Create(dir_.path(), config);
   ASSERT_TRUE(service_or.ok());
   auto service = std::move(service_or).value();
@@ -148,8 +146,7 @@ TEST_F(ServiceStressTest, WavesAcrossTwoTables) {
 
 TEST_F(ServiceStressTest, MixedTasksWithQueueChurn) {
   ServiceConfig config;
-  config.worker_threads = 2;
-  config.max_active_sessions = 2;  // force the queue to do real work
+  config.worker_threads = 2;  // force the queue to do real work
   config.queue_capacity = 32;
   auto service_or = ClassificationService::Create(dir_.path(), config);
   ASSERT_TRUE(service_or.ok());
@@ -181,7 +178,6 @@ TEST_F(ServiceStressTest, RepeatedStartupAndShutdown) {
     TempDir dir;
     ServiceConfig config;
     config.worker_threads = 3;
-    config.max_active_sessions = 3;
     auto service_or = ClassificationService::Create(dir.path(), config);
     ASSERT_TRUE(service_or.ok());
     auto service = std::move(service_or).value();
@@ -203,7 +199,6 @@ TEST_F(ServiceStressTest, RepeatedStartupAndShutdown) {
 TEST_F(ServiceStressTest, SubmittersRaceFromManyThreads) {
   ServiceConfig config;
   config.worker_threads = 4;
-  config.max_active_sessions = 4;
   config.queue_capacity = 64;
   auto service_or = ClassificationService::Create(dir_.path(), config);
   ASSERT_TRUE(service_or.ok());
