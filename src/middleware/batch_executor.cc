@@ -235,7 +235,7 @@ Status BatchExecutor::Run(const Batch& batch, Report* report) {
         // full): give up staging for this batch, keep counting.
         AbortStaging(&st);
         st.staging_enabled = false;
-        ++report->staging_aborts;
+        ++report->counts.staging_aborts;
         SQLCLASS_LOG(kWarning) << "staging disabled for batch "
                                << batch.ordinal << ": "
                                << planned.status().ToString();
@@ -249,7 +249,7 @@ Status BatchExecutor::Run(const Batch& batch, Report* report) {
     if (pass.ok()) break;
 
     AbortStaging(&st);
-    if (pass.code() == StatusCode::kDataLoss) ++report->checksum_failures;
+    report->counts.checksum_failures += pass.code() == StatusCode::kDataLoss;
     const bool recoverable = pass.code() == StatusCode::kIoError ||
                              pass.code() == StatusCode::kDataLoss ||
                              pass.code() == StatusCode::kNotFound;
@@ -265,19 +265,19 @@ Status BatchExecutor::Run(const Batch& batch, Report* report) {
       st.artifacts.erase(st.artifacts.begin());
       if (failed == Path::kSample) {
         sample_reader_.reset();
-        report->sample_fallback = true;
+        ++report->counts.sample_fallbacks;
       } else if (failed == Path::kBitmap) {
         bitmap_reader_.reset();
-        report->bitmap_fallback = true;
+        ++report->counts.bitmap_fallbacks;
       } else {
         shard_coordinator_.reset();
-        report->shard_fallback = true;
+        ++report->counts.shard_fallbacks;
       }
       rung = "falling back to the next path";
     } else if (st.staging_fault && st.staging_enabled) {
       // A failed staged *write* poisons only the stores, not the counts.
       st.staging_enabled = false;
-      ++report->staging_aborts;
+      ++report->counts.staging_aborts;
       rung = "rescanning with staging off";
     } else if (report->source.kind != LocationKind::kServer) {
       FreeStore(report->source, "invalidated");
@@ -285,7 +285,7 @@ Status BatchExecutor::Run(const Batch& batch, Report* report) {
       report->source = DataLocation{LocationKind::kServer, 0};
       rung = "re-serving the staged source from the server";
     } else if (attempt < config_.scan_retry.max_attempts) {
-      ++report->scan_retries;
+      ++report->counts.scan_retries;
       SleepForBackoff(config_.scan_retry, attempt);
       ++attempt;
       rung = "retrying the server scan";
@@ -303,6 +303,8 @@ Status BatchExecutor::Run(const Batch& batch, Report* report) {
   // only to exact passes.
   if (report->path != Path::kSample) CheckOverflow(&st);
   SealStaging(&st);
+  report->counts.bitmap_scans = report->path == Path::kBitmap;
+  report->counts.shard_scans = report->path == Path::kShards;
   return Status::OK();
 }
 
@@ -398,23 +400,23 @@ Status BatchExecutor::ShardPass(State* st) {
                               &server_->cost_counters(), &result);
   // RPC hardening activity is metered even when the pass fails — the
   // fault-injection tests reconcile these against the injected faults.
-  report->shard_rpc_timeouts +=
-      static_cast<int>(shard_transport_->rpc_timeouts() - timeouts_before);
-  report->shard_worker_restarts +=
-      static_cast<int>(shard_transport_->worker_restarts() - restarts_before);
+  report->counts.shard_rpc_timeouts +=
+      shard_transport_->rpc_timeouts() - timeouts_before;
+  report->counts.shard_worker_restarts +=
+      shard_transport_->worker_restarts() - restarts_before;
   SQLCLASS_RETURN_IF_ERROR(ran);
   report->rows_scanned = result.rows_scanned;
-  report->shard_rescans += result.rescans;
-  report->shard_replica_rescans += result.replica_rescans;
+  report->counts.shard_rescans += result.rescans;
+  report->counts.shard_replica_rescans += result.replica_rescans;
   report->path = Path::kShards;
   return Status::OK();
 }
 
 // The row scan of the batch's source: the one path that streams rows
 // through the middleware, so the one that stages them (§4.1.2) and checks
-// CC memory mid-scan (§4.1.1). Sources of at least parallel_scan_min_rows
-// rows fan out over scan_threads_ workers; the engine's result does not
-// depend on the worker count (DESIGN.md "Parallel counting").
+// CC memory mid-scan (§4.1.1). It fans out over scan_threads_ workers; the
+// engine's result does not depend on the worker count (DESIGN.md
+// "Parallel counting").
 Status BatchExecutor::ScanPass(State* st) {
   const Batch& batch = st->batch;
   Report* report = st->report;
@@ -450,12 +452,7 @@ Status BatchExecutor::ScanPass(State* st) {
   }
 
   const DataLocation& source = report->source;
-  uint64_t source_rows = batch.table_rows;
-  if (source.kind != LocationKind::kServer) {
-    SQLCLASS_ASSIGN_OR_RETURN(source_rows, staging_->StoreRows(source));
-  }
-  ThreadPool* pool =
-      source_rows >= config_.parallel_scan_min_rows ? ScanPool() : nullptr;
+  ThreadPool* pool = ScanPool();
   ParallelScanResult scan;
   if (source.kind == LocationKind::kMemory) {
     options.charge.mw_memory_read = true;
@@ -496,7 +493,7 @@ Status BatchExecutor::ScanPass(State* st) {
     // The charge counting the derived attributes would have made.
     cost.mw_cc_updates += scan.node_matches[d.node] * d.derived.size();
   }
-  report->derived_nodes = static_cast<int>(derivations.size());
+  report->counts.derived_nodes = derivations.size();
   report->evicted = std::move(scan.evicted);
   report->observed_bytes = std::move(scan.observed_bytes);
   report->rows_scanned = scan.rows_delivered;
@@ -547,7 +544,7 @@ void BatchExecutor::SealStaging(State* st) {
                            << sealed.ToString();
     FreeStore(*stage, "unsealed");
     stage.reset();
-    ++st->report->staging_aborts;
+    ++st->report->counts.staging_aborts;
   }
 }
 

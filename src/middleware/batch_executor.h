@@ -38,6 +38,36 @@ namespace sqlclass {
 [[nodiscard]] Status PrepareRequest(const Schema& schema, uint64_t table_rows,
                                     CcRequest* request);
 
+/// The counters BatchExecutor::Run reports per batch, listed once; the
+/// middleware's Stats and BatchTrace and the service's ScanMetrics fold them.
+#define SQLCLASS_SCAN_COUNTS(X)                                             \
+  X(scan_retries)          /* failed server passes retried in place */      \
+  X(checksum_failures)     /* kDataLoss passes observed */                  \
+  X(staging_aborts)        /* staging given up or a store left unsealed */  \
+  X(sample_fallbacks)      /* sample passes degraded to exact scans */      \
+  X(bitmap_fallbacks)      /* bitmap passes degraded to row scans */        \
+  X(shard_fallbacks)       /* shard passes degraded to row scans */         \
+  X(shard_rescans)         /* dead shards recovered from the primary */     \
+  X(shard_replica_rescans) /* dead shards recovered from replicas */        \
+  X(shard_rpc_timeouts)    /* RPC deadline expiries (subprocess) */         \
+  X(shard_worker_restarts) /* workers respawned after a kill or crash */    \
+  X(derived_nodes)         /* row-scan CCs derived as parent - siblings */  \
+  X(bitmap_scans)          /* batches served from the bitmap index */       \
+  X(shard_scans)           /* batches served by the sharded fan-out */
+
+struct ScanCounts {
+#define SQLCLASS_SCAN_COUNT_DECLARE(name) uint64_t name = 0;
+  SQLCLASS_SCAN_COUNTS(SQLCLASS_SCAN_COUNT_DECLARE)
+#undef SQLCLASS_SCAN_COUNT_DECLARE
+
+  ScanCounts& operator+=(const ScanCounts& other) {
+#define SQLCLASS_SCAN_COUNT_ADD(name) name += other.name;
+    SQLCLASS_SCAN_COUNTS(SQLCLASS_SCAN_COUNT_ADD)
+#undef SQLCLASS_SCAN_COUNT_ADD
+    return *this;
+  }
+};
+
 /// The execution module of §4.1.1: counts one batch of CC requests in a
 /// single pass over one source, for both ClassificationMiddleware (one
 /// client's frontier) and SharedScanBatcher (a cross-session batch).
@@ -64,7 +94,6 @@ class BatchExecutor {
   struct Batch {
     std::string table;
     const Schema* schema = nullptr;
-    uint64_t table_rows = 0;
     /// The nodes, as requests PrepareRequest admitted (predicates bound).
     std::vector<const CcRequest*> requests;
     /// The route: the source (Rule 2), the artifact paths allowed — tried
@@ -95,24 +124,11 @@ class BatchExecutor {
     std::vector<size_t> observed_bytes;
     /// Per node, the sealed staging store holding its rows, if any.
     std::vector<std::optional<DataLocation>> staged;
-    /// Row scan: nodes whose table was derived as their parent's minus
-    /// their siblings' (CcRequest::parent_cc) instead of counted.
-    int derived_nodes = 0;
-
-    // Recovery activity, accumulated over every attempt; valid even when
-    // Run fails.
-    int scan_retries = 0;       // failed server passes retried in place
-    int checksum_failures = 0;  // kDataLoss passes observed
-    int staging_aborts = 0;     // staging given up or a store left unsealed
-    bool sample_fallback = false;
-    bool bitmap_fallback = false;
-    bool shard_fallback = false;
     /// The staged source failed and was freed; the server re-served it.
     std::optional<DataLocation> invalidated;
-    int shard_rescans = 0;
-    int shard_replica_rescans = 0;
-    int shard_rpc_timeouts = 0;
-    int shard_worker_restarts = 0;
+    /// Valid when Run fails too: recovery is counted, and what only a
+    /// served pass reports (its path, rescans, derived nodes) stays 0.
+    ScanCounts counts;
   };
 
   /// `server` must outlive the executor; so must `staging` (nullable),
@@ -122,7 +138,7 @@ class BatchExecutor {
   BatchExecutor(SqlServer* server, const CountingConfig& config,
                 StagingManager* staging);
 
-  /// Workers a row scan of at least `parallel_scan_min_rows` rows gets.
+  /// Workers a row scan gets.
   int scan_threads() const { return scan_threads_; }
 
   /// Counts `batch` into `report`, walking the recovery ladder on failure.
@@ -168,25 +184,6 @@ class BatchExecutor {
   std::unique_ptr<SampleFileReader> sample_reader_;
   std::unique_ptr<ShardCoordinator> shard_coordinator_;
 };
-
-/// Adds one batch's path and recovery counts to `out`, whose fields of
-/// these names both ClassificationMiddleware::Stats and the service's
-/// ScanMetrics carry. `served`: Run succeeded, so `report.path` is valid.
-template <typename Counters>
-void AddScanCounts(const BatchExecutor::Report& report, bool served,
-                   Counters* out) {
-  out->scan_retries += report.scan_retries;
-  out->bitmap_fallbacks += report.bitmap_fallback;
-  out->shard_fallbacks += report.shard_fallback;
-  out->shard_rpc_timeouts += report.shard_rpc_timeouts;
-  out->shard_worker_restarts += report.shard_worker_restarts;
-  if (!served) return;
-  out->bitmap_scans += report.path == BatchExecutor::Path::kBitmap;
-  out->shard_scans += report.path == BatchExecutor::Path::kShards;
-  out->shard_rescans += report.shard_rescans;
-  out->shard_replica_rescans += report.shard_replica_rescans;
-  out->derived_nodes += report.derived_nodes;
-}
 
 }  // namespace sqlclass
 

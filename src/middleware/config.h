@@ -125,11 +125,6 @@ struct CountingConfig {
   /// only wall time changes.
   int parallel_scan_threads = 0;
 
-  /// Minimum source rows before a row scan fans out over more than one
-  /// worker: below it, thread fan-out costs more than it saves. Results
-  /// are identical either way.
-  uint64_t parallel_scan_min_rows = 32768;
-
   /// Backoff schedule for transient scan faults against the *server* source
   /// (I/O errors, checksum failures). Staged-source failures are never
   /// retried in place — the store is invalidated and the batch degrades to

@@ -240,7 +240,6 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
   BatchExecutor::Batch request;
   request.table = table_;
   request.schema = &schema_;
-  request.table_rows = table_rows_;
   for (const Pending& pending : batch) {
     request.requests.push_back(&pending.request);
   }
@@ -252,10 +251,9 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
   BatchExecutor::Report report;
   const Status ran = executor_.Run(request, &report);
   // Recovery activity counts whether or not the batch survived it.
-  AddScanCounts(report, ran.ok(), &stats_);
-  stats_.checksum_failures += report.checksum_failures;
-  stats_.staging_aborts += report.staging_aborts;
-  stats_.sample_fallbacks += report.sample_fallback;
+#define SQLCLASS_STATS_ADD(name) stats_.name += report.counts.name;
+  SQLCLASS_SCAN_COUNTS(SQLCLASS_STATS_ADD)
+#undef SQLCLASS_STATS_ADD
   if (report.invalidated.has_value()) {
     // The executor freed the failed store; its subtree (and any pending
     // request reading it) now reads the server — correct, since predicates
@@ -270,17 +268,8 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
   std::vector<CcTable>& ccs = report.ccs;
   trace.source = source;  // where the surviving pass actually read from
   trace.rows_scanned = report.rows_scanned;
-  trace.scan_retries = report.scan_retries;
   trace.degraded_to_server = report.invalidated.has_value();
-  trace.staging_aborted = report.staging_aborts > 0;
-  trace.sample_fallback = report.sample_fallback;
-  trace.bitmap_fallback = report.bitmap_fallback;
-  trace.shard_fallback = report.shard_fallback;
-  trace.shard_rpc_timeouts = report.shard_rpc_timeouts;
-  trace.shard_worker_restarts = report.shard_worker_restarts;
-  trace.shard_rescans = report.shard_rescans;
-  trace.shard_replica_rescans = report.shard_replica_rescans;
-  trace.derived_nodes = report.derived_nodes;
+  trace.counts = report.counts;
   trace.served_from_sample = report.path == BatchExecutor::Path::kSample;
   trace.served_from_bitmap = report.path == BatchExecutor::Path::kBitmap;
   trace.served_from_shards = report.path == BatchExecutor::Path::kShards;

@@ -20,8 +20,8 @@
 
 namespace sqlclass {
 
-/// The counters of ClassificationMiddleware::Stats, listed once so the
-/// declarations and the copy cannot drift apart.
+/// The counters of ClassificationMiddleware::Stats, its own and then the
+/// executor's, listed once so declarations and copies cannot drift apart.
 #define SQLCLASS_MIDDLEWARE_STATS(X)                                        \
   X(batches)                                                                \
   X(nodes_fulfilled)                                                        \
@@ -32,23 +32,11 @@ namespace sqlclass {
   X(stores_freed)                                                           \
   X(stores_evicted)        /* memory stores evicted under CC pressure */    \
   X(file_splits)           /* batches that triggered file splitting */      \
-  X(scan_retries)          /* server-source passes retried */               \
   X(degraded_scans)        /* staged sources re-serviced from the server */ \
   X(stores_invalidated)    /* stores dropped after a read fault */          \
-  X(staging_aborts)        /* batches that gave up staging mid-scan */      \
-  X(checksum_failures)     /* kDataLoss passes observed */                  \
-  X(bitmap_scans)          /* batches served from the bitmap index */       \
-  X(bitmap_fallbacks)      /* bitmap passes degraded to row scans */        \
   X(sample_served_nodes)   /* nodes whose CC the gate accepted */           \
   X(sample_escalations)    /* gate rejections requeued exact */             \
-  X(sample_fallbacks)      /* sample passes degraded to exact scans */      \
-  X(shard_scans)           /* batches served by the sharded fan-out */      \
-  X(shard_fallbacks)       /* shard passes degraded to row scans */         \
-  X(shard_rescans)         /* dead shards recovered from the primary */     \
-  X(shard_replica_rescans) /* dead shards recovered from replicas */        \
-  X(shard_rpc_timeouts)    /* RPC deadline expiries (subprocess) */         \
-  X(shard_worker_restarts) /* workers respawned after a kill or crash */ \
-  X(derived_nodes)         /* row-scan CCs derived as parent - siblings */
+  SQLCLASS_SCAN_COUNTS(X)
 
 /// The scalable classification middleware (§4) — the paper's primary
 /// contribution. Sits between a sufficient-statistics-driven client
@@ -104,21 +92,12 @@ class ClassificationMiddleware : public CcProvider {
     int sql_fallbacks = 0;
     bool file_split = false;
     uint64_t rows_scanned = 0;    // rows delivered by the source
-    int scan_retries = 0;         // failed server passes retried in place
     bool degraded_to_server = false;  // staged source invalidated mid-batch
-    bool staging_aborted = false;     // staging dropped mid-batch
     bool served_from_bitmap = false;  // Rule 0: counts came from the index
-    bool bitmap_fallback = false;     // bitmap pass failed; row scan served
     bool served_from_sample = false;  // Rule 7: counts came from the scramble
-    bool sample_fallback = false;     // sample pass failed; exact path served
     int escalated = 0;                // gate rejections requeued as exact
     bool served_from_shards = false;  // Rule 8: counts merged from shards
-    bool shard_fallback = false;      // shard pass failed; row scan served
-    int shard_rescans = 0;            // dead shards recovered from the primary
-    int shard_replica_rescans = 0;    // dead shards recovered from replicas
-    int shard_rpc_timeouts = 0;       // RPC deadlines expired in this batch
-    int shard_worker_restarts = 0;    // workers respawned in this batch
-    int derived_nodes = 0;  // CCs derived as parent minus siblings
+    ScanCounts counts;                // the executor's report for the batch
   };
 
   /// One gate verdict per sample-served request, in delivery order — the

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "middleware/batch_executor.h"
 #include "middleware/config.h"
 #include "mining/naive_bayes.h"
 #include "mining/tree.h"
@@ -96,23 +97,14 @@ struct ServiceConfig : CountingConfig {
   size_t buffer_pool_pages = 1024;
 };
 
-/// The shared-scan slice of ServiceMetrics, kept by SharedScanBatcher.
-struct ScanMetrics {
+/// The shared-scan slice of ServiceMetrics, kept by SharedScanBatcher: its
+/// own counters plus the executor's, summed over every scan.
+struct ScanMetrics : ScanCounts {
   uint64_t scans_executed = 0;       // data scans the batcher ran
   uint64_t requests_fulfilled = 0;   // CC requests served by those scans
   uint64_t scan_session_slots = 0;   // Sum over scans of sessions served
   uint64_t rows_scanned = 0;
-  uint64_t scan_retries = 0;   // transient scan faults retried with backoff
   uint64_t scan_failures = 0;  // scans that failed after exhausting retries
-  uint64_t bitmap_scans = 0;   // scans served from the bitmap index
-  uint64_t bitmap_fallbacks = 0;  // bitmap passes degraded to row scans
-  uint64_t shard_scans = 0;       // scans served by the sharded fan-out
-  uint64_t shard_fallbacks = 0;   // shard passes degraded to row scans
-  uint64_t shard_rescans = 0;     // dead shards recovered from the primary
-  uint64_t shard_replica_rescans = 0;  // dead shards recovered from replicas
-  uint64_t shard_rpc_timeouts = 0;     // shard RPC deadline expiries
-  uint64_t shard_worker_restarts = 0;  // shard worker processes respawned
-  uint64_t derived_nodes = 0;  // row-scan CCs derived as parent - siblings
   std::map<std::string, uint64_t> scans_by_table;  // per-location scan counts
 };
 

@@ -279,7 +279,7 @@ void SharedScanBatcher::RunScan(const std::string& table,
   metrics_.requests_fulfilled += delivered;
   metrics_.scan_session_slots += riders.size();
   metrics_.rows_scanned += report.rows_scanned;
-  AddScanCounts(report, scanned.ok(), &metrics_);
+  metrics_ += report.counts;
   if (!scanned.ok()) ++metrics_.scan_failures;
 
   if (!only_session) t.scan_in_progress = false;
@@ -297,7 +297,6 @@ Status SharedScanBatcher::CountBatch(const std::string& table,
   BatchExecutor::Batch request;
   request.table = table;
   request.schema = &schema;
-  request.table_rows = table_rows;
   request.ordinal = ordinal;
   request.plan.from_bitmap =
       config_.use_bitmap_index && server_->HasBitmapIndex(table);

@@ -429,7 +429,7 @@ TEST_F(MiddlewareApproxTest, PersistentOpenFaultFallsBackToExactPath) {
   EXPECT_GT(out.stats.sample_fallbacks.load(), 0u);
   bool saw_fallback = false;
   for (const auto& trace : out.trace) {
-    if (trace.sample_fallback) {
+    if (trace.counts.sample_fallbacks > 0) {
       saw_fallback = true;
       // The batch was re-serviced by the exact path in the same pass.
       EXPECT_FALSE(trace.served_from_sample);

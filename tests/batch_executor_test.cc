@@ -54,7 +54,6 @@ void ConfigureFor(CountPath path, CountingConfig* config) {
   config->use_bitmap_index = path == CountPath::kBitmap;
   config->parallel_scan_threads =
       path == CountPath::kParallelRow || path == CountPath::kShards ? 2 : 1;
-  config->parallel_scan_min_rows = 1;
   config->sharding.enable = path == CountPath::kShards;
   config->sharding.min_node_rows = 1;
   config->sharding.transport = ShardTransportKind::kInProcess;
@@ -92,6 +91,7 @@ TEST_P(EntryPointEquivalenceTest, MiddlewareAndServiceCountTheRootAlike) {
   ConfigureFor(path, &mw_config);
   CcTable mw_cc(3);
   CostCounters mw_delta;
+  ClassificationMiddleware::Stats mw_stats;
   {
     MutexLock lock(*server_mu);
     if (path == CountPath::kBitmap) {
@@ -115,6 +115,7 @@ TEST_P(EntryPointEquivalenceTest, MiddlewareAndServiceCountTheRootAlike) {
     ASSERT_EQ(results->size(), 1u);
     mw_delta = CostCounters::Delta(server->cost_counters(), before);
     mw_cc = std::move((*results)[0].cc);
+    mw_stats = (*middleware)->stats();
 
     const ClassificationMiddleware::BatchTrace& batch =
         (*middleware)->trace().at(0);
@@ -155,6 +156,11 @@ TEST_P(EntryPointEquivalenceTest, MiddlewareAndServiceCountTheRootAlike) {
   const ServiceMetrics metrics = (*service)->Metrics();
   EXPECT_EQ(metrics.bitmap_scans, path == CountPath::kBitmap ? 1u : 0u);
   EXPECT_EQ(metrics.shard_scans, path == CountPath::kShards ? 1u : 0u);
+  // Both entry points fold the executor's one list of counts.
+#define SQLCLASS_EXPECT_COUNT_EQ(name) \
+  EXPECT_EQ(metrics.name, mw_stats.name.load()) << #name;
+  SQLCLASS_SCAN_COUNTS(SQLCLASS_EXPECT_COUNT_EQ)
+#undef SQLCLASS_EXPECT_COUNT_EQ
 }
 
 INSTANTIATE_TEST_SUITE_P(Paths, EntryPointEquivalenceTest,
@@ -184,7 +190,6 @@ class BatchExecutorTest : public ::testing::Test {
     BatchExecutor::Batch batch;
     batch.table = "data";
     batch.schema = &schema_;
-    batch.table_rows = rows_.size();
     batch.requests.push_back(&root_);
     return batch;
   }
@@ -337,12 +342,11 @@ class DerivedSiblingTest : public BatchExecutorTest {
   /// first derived `derived` nodes and the second none. `evicted`, if
   /// given, receives the evictions.
   void ExpectDerivedEqualsCounted(
-      const std::vector<CcRequest>& requests, size_t budget, int derived,
-      int threads,
+      const std::vector<CcRequest>& requests, size_t budget,
+      uint64_t derived, int threads,
       std::vector<BatchExecutor::Report::Eviction>* evicted = nullptr) {
     CountingConfig config;
     config.parallel_scan_threads = threads;
-    config.parallel_scan_min_rows = 1;
     BatchExecutor executor(server_.get(), config, /*staging=*/nullptr);
     BatchExecutor::Report reports[2];
     CostCounters deltas[2];
@@ -363,8 +367,8 @@ class DerivedSiblingTest : public BatchExecutorTest {
     }
     const BatchExecutor::Report& with = reports[0];
     const BatchExecutor::Report& without = reports[1];
-    EXPECT_EQ(with.derived_nodes, derived);
-    EXPECT_EQ(without.derived_nodes, 0);
+    EXPECT_EQ(with.counts.derived_nodes, derived);
+    EXPECT_EQ(without.counts.derived_nodes, 0u);
     EXPECT_EQ(with.path, BatchExecutor::Path::kRowScan);
     EXPECT_EQ(with.evicted, without.evicted);
     if (evicted != nullptr) *evicted = with.evicted;
@@ -510,14 +514,14 @@ std::string TraceFields(const ClassificationMiddleware::BatchTrace& t) {
   out << t.batch << ' ' << static_cast<int>(t.source.kind) << ' '
       << t.source.store_id << ' ' << t.nodes << ' ' << t.staged_to_file << ' '
       << t.staged_to_memory << ' ' << t.requeued << ' ' << t.sql_fallbacks
-      << ' ' << t.file_split << ' ' << t.rows_scanned << ' ' << t.scan_retries
-      << ' ' << t.degraded_to_server << ' ' << t.staging_aborted << ' '
-      << t.served_from_bitmap << ' ' << t.bitmap_fallback << ' '
-      << t.served_from_sample << ' ' << t.sample_fallback << ' '
-      << t.escalated << ' ' << t.served_from_shards << ' '
-      << t.shard_fallback << ' ' << t.shard_rescans << ' '
-      << t.shard_replica_rescans << ' ' << t.shard_rpc_timeouts << ' '
-      << t.shard_worker_restarts;
+      << ' ' << t.file_split << ' ' << t.rows_scanned << ' '
+      << t.degraded_to_server << ' ' << t.served_from_bitmap << ' '
+      << t.served_from_sample << ' ' << t.escalated << ' '
+      << t.served_from_shards;
+#define SQLCLASS_TRACE_COUNT(name) \
+  if (std::string(#name) != "derived_nodes") out << ' ' << t.counts.name;
+  SQLCLASS_SCAN_COUNTS(SQLCLASS_TRACE_COUNT)
+#undef SQLCLASS_TRACE_COUNT
   return out.str();
 }
 
@@ -556,7 +560,7 @@ GrowRecord GrowThroughMiddleware(SqlServer* server, const Schema& schema,
 std::vector<uint64_t> DerivedBySource(const GrowRecord& record) {
   std::vector<uint64_t> by_source(3, 0);
   for (const ClassificationMiddleware::BatchTrace& t : record.trace) {
-    by_source[static_cast<int>(t.source.kind)] += t.derived_nodes;
+    by_source[static_cast<int>(t.source.kind)] += t.counts.derived_nodes;
   }
   return by_source;
 }
@@ -622,7 +626,6 @@ TEST(DerivedSiblingGrowTest, CensusAtOneTenthMemoryDerivesOnEverySource) {
       static_cast<size_t>(0.1 * static_cast<double>(params.rows *
                                                     schema.RowBytes()));
   config.parallel_scan_threads = 2;
-  config.parallel_scan_min_rows = 1;
   TreeClientConfig client_config;
   client_config.max_depth = 8;
   {

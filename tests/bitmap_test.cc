@@ -675,7 +675,6 @@ TEST_F(MiddlewareBitmapTest, BitmapPathGrowsIdenticalTree) {
 TEST_F(MiddlewareBitmapTest, BitmapPathMatchesParallelRowScan) {
   MiddlewareConfig parallel = Config(false);
   parallel.parallel_scan_threads = 4;
-  parallel.parallel_scan_min_rows = 1;
   GrowOutput row_parallel = Grow(parallel);
 
   ASSERT_TRUE(server_->BuildBitmapIndex("data").ok());

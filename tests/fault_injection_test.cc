@@ -622,8 +622,54 @@ TEST(FaultInjectionTest,
   params.cases_per_leaf = 400;
   MiddlewareConfig config;
   config.parallel_scan_threads = 4;
-  config.parallel_scan_min_rows = 1;
   ExpectRecoveryFromEverySingleFault(params, config);
+}
+
+// The middleware folds each batch's executor counts both into Stats and
+// into the batch's trace entry, so over a grow that recovers from faults
+// the two agree on every count.
+TEST(FaultInjectionTest, MiddlewareStatsEqualTheSumOfItsTrace) {
+  FaultScope guard;
+  TempDir dir;
+  const std::string staging = dir.path() + "/staging";
+  std::filesystem::create_directories(staging);
+  auto dataset = RandomTreeDataset::Create(SmallTreeParams());
+  ASSERT_TRUE(dataset.ok());
+  SqlServer server(dir.path());
+  ASSERT_TRUE(LoadIntoServer(&server, "data", (*dataset)->schema(),
+                             [&](const RowSink& sink) {
+                               return (*dataset)->Generate(sink);
+                             })
+                  .ok());
+  MiddlewareConfig config;
+  config.staging_dir = staging;
+  config.enable_memory_staging = false;  // memory stores skip staging/append
+  config.scan_retry.initial_backoff_us = 0;
+  auto mw = ClassificationMiddleware::Create(&server, "data", config);
+  ASSERT_TRUE(mw.ok()) << mw.status().ToString();
+  FaultInjector::PointConfig checksum;
+  checksum.times = 1;
+  checksum.code = StatusCode::kDataLoss;
+  FaultInjector::Global().Arm(faults::kServerCursorAdvance, checksum);
+  FaultInjector::PointConfig append;
+  append.times = 1;
+  FaultInjector::Global().Arm(faults::kStagingAppend, append);
+  DecisionTreeClient client((*dataset)->schema(), TreeClientConfig());
+  auto tree = client.Grow(mw->get(), (*dataset)->TotalRows());
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+
+  const ClassificationMiddleware::Stats& stats = (*mw)->stats();
+  ScanCounts traced;
+  for (const auto& batch : (*mw)->trace()) traced += batch.counts;
+#define SQLCLASS_EXPECT_TRACED(name) \
+  EXPECT_EQ(stats.name.load(), traced.name) << #name;
+  SQLCLASS_SCAN_COUNTS(SQLCLASS_EXPECT_TRACED)
+#undef SQLCLASS_EXPECT_TRACED
+  ASSERT_EQ(FaultInjector::Global().Fires(faults::kServerCursorAdvance), 1u);
+  ASSERT_EQ(FaultInjector::Global().Fires(faults::kStagingAppend), 1u);
+  EXPECT_EQ(stats.checksum_failures.load(), 1u);
+  EXPECT_EQ(stats.scan_retries.load(), 1u);
+  EXPECT_EQ(stats.staging_aborts.load(), 1u);
 }
 
 TEST(FaultInjectionTest, MiddlewarePersistentFaultsFailCleanlyOrDegrade) {
@@ -844,7 +890,11 @@ TEST(FaultInjectionTest, ServiceFaultIsolatedToOneSession) {
             baseline.tree->ToString(1 << 20));
 }
 
-TEST(FaultInjectionTest, ConcurrentSessionsAbsorbScatteredFaults) {
+/// Four concurrent sessions against two scattered server-cursor faults
+/// injected with `code`: with max_attempts=3 (default) no scan can exhaust
+/// its retries, so every session must finish with the exact fault-free
+/// tree, and the service's metrics count each fault once.
+void ExpectConcurrentSessionsAbsorbScatteredFaults(StatusCode code) {
   FaultScope guard;
   TempDir dir;
   ServiceConfig config;
@@ -862,11 +912,9 @@ TEST(FaultInjectionTest, ConcurrentSessionsAbsorbScatteredFaults) {
   ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
   const std::string baseline_tree = baseline.tree->ToString(1 << 20);
 
-  // Two scattered faults against four concurrent sessions: with
-  // max_attempts=3 (default) no scan can exhaust its retries, so every
-  // session must finish with the exact fault-free tree.
   FaultInjector::PointConfig fault;
   fault.times = 2;
+  fault.code = code;
   FaultInjector::Global().Arm(faults::kServerCursorAdvance, fault);
   std::vector<SessionId> ids;
   for (int i = 0; i < 4; ++i) {
@@ -880,10 +928,21 @@ TEST(FaultInjectionTest, ConcurrentSessionsAbsorbScatteredFaults) {
     ASSERT_NE(result.tree, nullptr);
     EXPECT_EQ(result.tree->ToString(1 << 20), baseline_tree);
   }
+  const uint64_t fires =
+      FaultInjector::Global().Fires(faults::kServerCursorAdvance);
   ServiceMetrics metrics = (*service)->Metrics();
-  EXPECT_EQ(metrics.scan_retries,
-            FaultInjector::Global().Fires(faults::kServerCursorAdvance));
+  EXPECT_EQ(metrics.scan_retries, fires);
+  EXPECT_EQ(metrics.checksum_failures,
+            code == StatusCode::kDataLoss ? fires : 0u);
   EXPECT_EQ(metrics.scan_failures, 0u);
+}
+
+TEST(FaultInjectionTest, ConcurrentSessionsAbsorbScatteredFaults) {
+  ExpectConcurrentSessionsAbsorbScatteredFaults(StatusCode::kIoError);
+}
+
+TEST(FaultInjectionTest, ConcurrentSessionsAbsorbScatteredChecksumFaults) {
+  ExpectConcurrentSessionsAbsorbScatteredFaults(StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -1149,7 +1149,6 @@ WaveOutcome RunWave(const Schema& schema, const std::vector<Row>& rows,
   }
   config.overflow_check_interval = input.overflow_check_interval;
   config.parallel_scan_threads = threads;
-  config.parallel_scan_min_rows = 1;
   auto middleware = ClassificationMiddleware::Create(&server, "data", config);
   EXPECT_TRUE(middleware.ok()) << middleware.status().ToString();
   if (!middleware.ok()) return out;
@@ -1346,7 +1345,6 @@ TEST(ServiceParallelTest, SharedScanBatcherMatchesSerialBatcher) {
     Mutex server_mu;
     ServiceConfig config;
     config.parallel_scan_threads = threads;
-    config.parallel_scan_min_rows = 1;
     SharedScanBatcher batcher(&server, &server_mu, config);
     EXPECT_TRUE(batcher.RegisterTable("data").ok());
     EXPECT_TRUE(batcher.RegisterSession(1, "data", 64ull << 20).ok());

@@ -304,7 +304,6 @@ TEST_F(MiddlewareShardTest, TreeByteIdenticalAndCostInvariantAcrossGrid) {
   {
     MiddlewareConfig parallel = Config(false);
     parallel.parallel_scan_threads = 3;
-    parallel.parallel_scan_min_rows = 1;
     GrowOutput out = Grow(parallel);
     EXPECT_EQ(out.tree, serial.tree) << "parallel row-scan reference";
   }
@@ -334,7 +333,7 @@ TEST_F(MiddlewareShardTest, TreeByteIdenticalAndCostInvariantAcrossGrid) {
         if (trace.served_from_shards) {
           ++served;
           EXPECT_GT(trace.rows_scanned, 0u);
-          EXPECT_FALSE(trace.shard_fallback);
+          EXPECT_EQ(trace.counts.shard_fallbacks, 0u);
         }
       }
       EXPECT_EQ(served, out.stats.shard_scans.load());
@@ -362,7 +361,7 @@ TEST_F(MiddlewareShardTest, PersistentFaultsFallBackByteIdentically) {
     uint64_t fallbacks = 0;
     bool served_after_fallback_batch = false;
     for (const auto& trace : out.trace) {
-      if (trace.shard_fallback) {
+      if (trace.counts.shard_fallbacks > 0) {
         ++fallbacks;
         // The batch was re-serviced by the row-scan path in the same pass.
         EXPECT_FALSE(trace.served_from_shards) << point;
@@ -393,7 +392,7 @@ TEST_F(MiddlewareShardTest, AllWorkersDeadStillServesViaPrimaryRescans) {
             4 * out.stats.shard_scans.load());
   uint64_t traced = 0;
   for (const auto& trace : out.trace) {
-    traced += static_cast<uint64_t>(trace.shard_rescans);
+    traced += trace.counts.shard_rescans;
   }
   EXPECT_EQ(traced, out.stats.shard_rescans.load());
 }
@@ -414,9 +413,9 @@ TEST_F(MiddlewareShardTest, DeadShardIsRescannedFromThePrimary) {
   EXPECT_EQ(out.tree, baseline.tree);
   EXPECT_EQ(out.stats.shard_fallbacks.load(), 0u);
   EXPECT_EQ(out.stats.shard_rescans.load(), 1u);
-  int rescans = 0;
-  for (const auto& trace : out.trace) rescans += trace.shard_rescans;
-  EXPECT_EQ(rescans, 1);
+  uint64_t rescans = 0;
+  for (const auto& trace : out.trace) rescans += trace.counts.shard_rescans;
+  EXPECT_EQ(rescans, 1u);
 }
 
 TEST_F(MiddlewareShardTest, TransientReadFaultRecoversViaRescan) {

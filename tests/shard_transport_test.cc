@@ -427,12 +427,9 @@ class TransportMiddlewareTest : public ::testing::Test {
   }
 
   /// Sums a per-batch trace counter for reconciliation against stats.
-  template <typename Getter>
-  uint64_t TraceSum(const GrowOutput& out, Getter getter) {
+  uint64_t TraceSum(const GrowOutput& out, uint64_t ScanCounts::*count) {
     uint64_t sum = 0;
-    for (const auto& trace : out.trace) {
-      sum += static_cast<uint64_t>(getter(trace));
-    }
+    for (const auto& trace : out.trace) sum += trace.counts.*count;
     return sum;
   }
 
@@ -499,7 +496,7 @@ TEST_F(TransportMiddlewareTest, EverySecondTaskCrashIsRetriedInPlace) {
   // and crashes on its second, so every task but the first needed exactly
   // one respawn — all absorbed by the RPC retry, invisible to the ladder.
   EXPECT_EQ(out.stats.shard_worker_restarts.load(), 2 * scans - 1);
-  EXPECT_EQ(TraceSum(out, [](const auto& t) { return t.shard_worker_restarts; }),
+  EXPECT_EQ(TraceSum(out, &ScanCounts::shard_worker_restarts),
             out.stats.shard_worker_restarts.load());
 }
 
@@ -522,9 +519,9 @@ TEST_F(TransportMiddlewareTest, PersistentCrashRecoversFromPrimary) {
   // 2 attempts x 2 shards x scans exchanges, every one fatal; every
   // exchange after the very first respawned a dead worker first.
   EXPECT_EQ(out.stats.shard_worker_restarts.load(), 4 * scans - 1);
-  EXPECT_EQ(TraceSum(out, [](const auto& t) { return t.shard_rescans; }),
+  EXPECT_EQ(TraceSum(out, &ScanCounts::shard_rescans),
             out.stats.shard_rescans.load());
-  EXPECT_EQ(TraceSum(out, [](const auto& t) { return t.shard_worker_restarts; }),
+  EXPECT_EQ(TraceSum(out, &ScanCounts::shard_worker_restarts),
             out.stats.shard_worker_restarts.load());
 }
 
@@ -543,9 +540,8 @@ TEST_F(TransportMiddlewareTest, PersistentCrashRecoversFromReplicas) {
   EXPECT_EQ(out.stats.shard_replica_rescans.load(), 2 * scans);
   EXPECT_EQ(out.stats.shard_rescans.load(), 0u);
   EXPECT_EQ(out.stats.shard_worker_restarts.load(), 4 * scans - 1);
-  EXPECT_EQ(
-      TraceSum(out, [](const auto& t) { return t.shard_replica_rescans; }),
-      out.stats.shard_replica_rescans.load());
+  EXPECT_EQ(TraceSum(out, &ScanCounts::shard_replica_rescans),
+            out.stats.shard_replica_rescans.load());
 }
 
 TEST_F(TransportMiddlewareTest, TornFramesNeverCorruptTheTree) {
@@ -585,7 +581,7 @@ TEST_F(TransportMiddlewareTest, HangsHitTheDeadlineAndRecover) {
   EXPECT_EQ(out.stats.shard_rpc_timeouts.load(), 4 * scans);
   EXPECT_EQ(out.stats.shard_worker_restarts.load(), 4 * scans - 1);
   EXPECT_EQ(out.stats.shard_rescans.load(), 2 * scans);
-  EXPECT_EQ(TraceSum(out, [](const auto& t) { return t.shard_rpc_timeouts; }),
+  EXPECT_EQ(TraceSum(out, &ScanCounts::shard_rpc_timeouts),
             out.stats.shard_rpc_timeouts.load());
 }
 
