@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "middleware/batch_executor.h"
 #include "middleware/batch_matcher.h"
 
 namespace sqlclass {
@@ -36,12 +37,7 @@ StatusOr<std::unique_ptr<AuxStructureProvider>> AuxStructureProvider::Create(
 }
 
 Status AuxStructureProvider::QueueRequest(CcRequest request) {
-  if (request.predicate == nullptr) request.predicate = Expr::True();
-  SQLCLASS_RETURN_IF_ERROR(request.predicate->Bind(schema_));
-  if (request.active_attrs.empty()) {
-    return Status::InvalidArgument("request with no attributes to count");
-  }
-  if (request.parent_id < 0) request.data_size = table_rows_;
+  SQLCLASS_RETURN_IF_ERROR(PrepareRequest(schema_, table_rows_, &request));
   queue_.push_back(std::move(request));
   return Status::OK();
 }

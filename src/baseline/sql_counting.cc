@@ -1,5 +1,6 @@
 #include "baseline/sql_counting.h"
 
+#include "middleware/batch_executor.h"
 #include "mining/cc_sql.h"
 
 namespace sqlclass {
@@ -24,12 +25,7 @@ StatusOr<std::unique_ptr<SqlCountingProvider>> SqlCountingProvider::Create(
 }
 
 Status SqlCountingProvider::QueueRequest(CcRequest request) {
-  if (request.predicate == nullptr) request.predicate = Expr::True();
-  SQLCLASS_RETURN_IF_ERROR(request.predicate->Bind(schema_));
-  if (request.active_attrs.empty()) {
-    return Status::InvalidArgument("request with no attributes to count");
-  }
-  if (request.parent_id < 0) request.data_size = table_rows_;
+  SQLCLASS_RETURN_IF_ERROR(PrepareRequest(schema_, table_rows_, &request));
   queue_.push_back(std::move(request));
   return Status::OK();
 }

@@ -21,12 +21,10 @@ class HeapFileRowSource : public RowSource {
 
   StatusOr<bool> Next(Row* row) override {
     // Physical reads are metered inside HeapFileReader::Next; the logical
-    // per-row work of the stats scan is charged by the driver.
-    // cost: charged-by-caller(SqlServer::AnalyzeTable)
+    // per-row work of the query is charged from the executor's ExecStats.
+    // cost: charged-by-caller(SqlServer::Execute)
     return reader_->Next(row);
   }
-  Status Reset() override { return reader_->Reset(); }
-  uint64_t num_rows() const override { return reader_->num_rows(); }
 
  private:
   std::unique_ptr<HeapFileReader> reader_;
@@ -148,14 +146,6 @@ Status SqlServer::DropTable(const std::string& name) {
     RemoveArtifacts(&it->second);
     tables_.erase(it);
   }
-  stats_.erase(name);
-  for (auto index_it = indexes_.begin(); index_it != indexes_.end();) {
-    if (index_it->first.first == name) {
-      index_it = indexes_.erase(index_it);
-    } else {
-      ++index_it;
-    }
-  }
   return Status::OK();
 }
 
@@ -250,23 +240,13 @@ Status SqlServer::AppendRows(const std::string& name,
                                    &io_counters_)
           : HeapFileWriter::OpenForAppend(
                 state->path, info->schema.num_columns(), &io_counters_));
-  Tid tid = state->row_count;
   for (const Row& row : rows) {
     SQLCLASS_RETURN_IF_ERROR(writer->Append(row));
-    // Maintain secondary indexes incrementally.
-    for (auto& [key, index] : indexes_) {
-      if (key.first == name) {
-        index.Insert(row[index.column()], tid);
-        ++cost_counters_.index_rows_inserted;
-      }
-    }
-    ++tid;
   }
   SQLCLASS_RETURN_IF_ERROR(writer->Finish());
   state->row_count += rows.size();
-  stats_.erase(name);  // histogram is stale; require a fresh ANALYZE
   // No artifact covers the new rows (a sharded scan would silently
-  // undercount); rebuilding is an explicit Build*, like a fresh ANALYZE.
+  // undercount); rebuilding is an explicit Build*.
   RemoveArtifacts(state);
   buffer_pool_.InvalidateFile(info->id);  // cached pages changed on disk
   return Status::OK();
@@ -344,64 +324,10 @@ StatusOr<std::string> SqlServer::Explain(const std::string& sql) {
   std::string out;
   for (size_t b = 0; b < query.selects.size(); ++b) {
     const SelectStmt& stmt = query.selects[b];
-    SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info,
-                              catalog_.GetTable(stmt.table));
     SQLCLASS_ASSIGN_OR_RETURN(const TableState* state, GetState(stmt.table));
-    out += "branch " + std::to_string(b + 1) + ": ";
-
-    // Access path: mirror OpenCursorAuto's decision.
-    const Expr* eq = nullptr;
-    if (stmt.where != nullptr) {
-      if (stmt.where->kind() == ExprKind::kColumnEq) {
-        eq = stmt.where.get();
-      } else if (stmt.where->kind() == ExprKind::kAnd) {
-        for (const auto& child : stmt.where->children()) {
-          if (child->kind() == ExprKind::kColumnEq) {
-            eq = child.get();
-            break;
-          }
-        }
-      }
-    }
-    bool index_path = false;
-    double selectivity = -1;
-    auto stats_it = stats_.find(stmt.table);
-    if (stmt.where != nullptr && stats_it != stats_.end()) {
-      auto bound = stmt.where->Clone();
-      SQLCLASS_RETURN_IF_ERROR(bound->Bind(info->schema));
-      selectivity = stats_it->second.EstimateSelectivity(*bound);
-    }
-    if (eq != nullptr && HasIndex(stmt.table, eq->column())) {
-      double eq_selectivity = -1;
-      if (stats_it != stats_.end()) {
-        auto bound = eq->Clone();
-        SQLCLASS_RETURN_IF_ERROR(bound->Bind(info->schema));
-        eq_selectivity = stats_it->second.EstimateSelectivity(*bound);
-      } else {
-        const int column = info->schema.ColumnIndex(eq->column());
-        if (column >= 0) {
-          eq_selectivity = 1.0 / info->schema.attribute(column).cardinality;
-        }
-      }
-      index_path =
-          eq_selectivity >= 0 && eq_selectivity < kIndexSelectivityThreshold;
-    }
-    if (index_path) {
-      out += "index scan on " + stmt.table + "." + eq->column() + " (= " +
-             std::to_string(eq->literal()) + ")";
-    } else {
-      out += "seq scan on " + stmt.table + " (" +
-             std::to_string(state->row_count) + " rows)";
-    }
-    if (stmt.where != nullptr) {
-      out += ", filter " + stmt.where->ToSql();
-      if (selectivity >= 0) {
-        char buffer[48];
-        std::snprintf(buffer, sizeof(buffer), ", est. selectivity %.4f",
-                      selectivity);
-        out += buffer;
-      }
-    }
+    out += "branch " + std::to_string(b + 1) + ": seq scan on " + stmt.table +
+           " (" + std::to_string(state->row_count) + " rows)";
+    if (stmt.where != nullptr) out += ", filter " + stmt.where->ToSql();
     if (!stmt.group_by.empty()) {
       out += ", group by";
       for (const std::string& column : stmt.group_by) out += " " + column;
@@ -438,56 +364,6 @@ StatusOr<std::unique_ptr<ServerCursor>> SqlServer::OpenCursor(
   return std::unique_ptr<ServerCursor>(
       new ServerCursor(ServerCursor::Mode::kScan, std::move(reader),
                        std::move(bound), {}, &cost_counters_));
-}
-
-StatusOr<std::unique_ptr<ServerCursor>> SqlServer::OpenCursorSql(
-    const std::string& select_sql) {
-  SQLCLASS_ASSIGN_OR_RETURN(Query query, ParseQuery(select_sql));
-  if (query.selects.size() != 1) {
-    return Status::InvalidArgument("cursor query must be a single SELECT");
-  }
-  const SelectStmt& stmt = query.selects[0];
-  if (stmt.items.size() != 1 ||
-      stmt.items[0].kind != SelectItemKind::kStar || !stmt.group_by.empty()) {
-    return Status::InvalidArgument(
-        "cursor query must be SELECT * FROM t [WHERE pred]");
-  }
-  return OpenCursor(stmt.table, stmt.where.get());
-}
-
-Status SqlServer::CreateIndex(const std::string& table,
-                              const std::string& column) {
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(table));
-  const int column_index = info->schema.ColumnIndex(column);
-  if (column_index < 0) {
-    return Status::NotFound("no such column: " + column);
-  }
-  const auto key = std::make_pair(table, column);
-  if (indexes_.count(key) > 0) {
-    return Status::AlreadyExists("index exists on " + table + "." + column);
-  }
-  SecondaryIndex index(column_index);
-  SQLCLASS_RETURN_IF_ERROR(
-      ServerSideScan(table, nullptr, [&](Tid tid, const Row& row) -> Status {
-        index.Insert(row[column_index], tid);
-        ++cost_counters_.index_rows_inserted;
-        return Status::OK();
-      }));
-  indexes_.emplace(key, std::move(index));
-  return Status::OK();
-}
-
-bool SqlServer::HasIndex(const std::string& table,
-                         const std::string& column) const {
-  return indexes_.count(std::make_pair(table, column)) > 0;
-}
-
-Status SqlServer::DropIndex(const std::string& table,
-                            const std::string& column) {
-  if (indexes_.erase(std::make_pair(table, column)) == 0) {
-    return Status::NotFound("no index on " + table + "." + column);
-  }
-  return Status::OK();
 }
 
 Status SqlServer::BuildBitmapIndex(const std::string& table) {
@@ -628,94 +504,6 @@ Status SqlServer::DropShardSet(const std::string& table) {
   RemoveShardSetFiles(state.path, state.artifacts.num_shards);
   state.artifacts.num_shards = 0;
   return Status::OK();
-}
-
-Status SqlServer::AnalyzeTable(const std::string& table) {
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(table));
-  SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<RowSource> source, Scan(table));
-  SQLCLASS_ASSIGN_OR_RETURN(TableStats stats,
-                            TableStats::Build(info->schema, source.get()));
-  ++cost_counters_.server_scans;
-  cost_counters_.server_rows_evaluated += stats.num_rows();
-  stats_.erase(table);
-  stats_.emplace(table, std::move(stats));
-  return Status::OK();
-}
-
-StatusOr<const TableStats*> SqlServer::GetStats(
-    const std::string& table) const {
-  auto it = stats_.find(table);
-  if (it == stats_.end()) {
-    return Status::NotFound("no statistics for " + table + " (run ANALYZE)");
-  }
-  return &it->second;
-}
-
-StatusOr<std::unique_ptr<ServerCursor>> SqlServer::ScanViaIndex(
-    const std::string& table, const std::string& column, Value value,
-    const Expr* residual) {
-  auto it = indexes_.find(std::make_pair(table, column));
-  if (it == indexes_.end()) {
-    return Status::NotFound("no index on " + table + "." + column);
-  }
-  SQLCLASS_ASSIGN_OR_RETURN(const TableState* state, GetState(table));
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(table));
-  std::unique_ptr<Expr> bound;
-  if (residual != nullptr) {
-    bound = residual->Clone();
-    SQLCLASS_RETURN_IF_ERROR(bound->Bind(info->schema));
-  }
-  SQLCLASS_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapFileReader> reader,
-      HeapFileReader::Open(state->path, info->schema.num_columns(),
-                           &io_counters_, &buffer_pool_, info->id));
-  const std::vector<Tid>* postings = it->second.Postings(value);
-  std::vector<Tid> tids = postings != nullptr ? *postings : std::vector<Tid>();
-  ++cost_counters_.server_scans;  // index lookup starts one access path
-  return std::unique_ptr<ServerCursor>(
-      new ServerCursor(ServerCursor::Mode::kTidProbe, std::move(reader),
-                       std::move(bound), std::move(tids), &cost_counters_));
-}
-
-namespace {
-
-/// Finds an equality literal usable as an index probe: the filter itself,
-/// or a direct conjunct of a top-level AND.
-const Expr* FindEqConjunct(const Expr& filter) {
-  if (filter.kind() == ExprKind::kColumnEq) return &filter;
-  if (filter.kind() == ExprKind::kAnd) {
-    for (const auto& child : filter.children()) {
-      if (child->kind() == ExprKind::kColumnEq) return child.get();
-    }
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-StatusOr<std::unique_ptr<ServerCursor>> SqlServer::OpenCursorAuto(
-    const std::string& table, const Expr* filter) {
-  if (filter != nullptr) {
-    const Expr* eq = FindEqConjunct(*filter);
-    if (eq != nullptr && HasIndex(table, eq->column())) {
-      double selectivity = -1;
-      auto stats = GetStats(table);
-      if (stats.ok()) {
-        selectivity = (*stats)->EstimateSelectivity(*eq);
-      } else {
-        SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info,
-                                  catalog_.GetTable(table));
-        const int column = info->schema.ColumnIndex(eq->column());
-        if (column >= 0) {
-          selectivity = 1.0 / info->schema.attribute(column).cardinality;
-        }
-      }
-      if (selectivity >= 0 && selectivity < kIndexSelectivityThreshold) {
-        return ScanViaIndex(table, eq->column(), eq->literal(), filter);
-      }
-    }
-  }
-  return OpenCursor(table, filter);
 }
 
 Status SqlServer::ServerSideScan(

@@ -13,8 +13,6 @@
 #include "catalog/schema.h"
 #include "common/status.h"
 #include "server/cost_model.h"
-#include "server/index.h"
-#include "server/table_stats.h"
 #include "shard/shard_map.h"
 #include "sql/executor.h"
 #include "sql/expr.h"
@@ -31,9 +29,9 @@ class SqlServer;
 /// A forward-only cursor streaming rows from the server to the middleware.
 /// Filters are evaluated *at the server*: non-matching rows cost a cheap
 /// server-side evaluation, matching rows additionally pay the (expensive)
-/// cursor transfer. This is the data path the middleware's execution module
-/// drives (§4.1.1) and the reason the filter-expression pushdown of §4.3.1
-/// saves time.
+/// cursor transfer. The baselines read through it; the middleware's
+/// counting scan reads the heap pages itself and charges what this cursor
+/// would (§4.1.1), which is why the filter pushdown of §4.3.1 saves time.
 class ServerCursor {
  public:
   ServerCursor(const ServerCursor&) = delete;
@@ -69,8 +67,13 @@ class ServerCursor {
 /// Embedded single-threaded relational engine standing in for the paper's
 /// Microsoft SQL Server 7.0 backend. Tables are paged heap files under a
 /// base directory; queries go through the SQL parser + executor; bulk data
-/// flows through cursors. All externally visible work is metered into
-/// CostCounters so experiments report deterministic simulated seconds.
+/// flows through cursors. It offers what the middleware and the baselines
+/// call: filtered cursor scans, GROUP BY count queries, temp tables, TID
+/// joins and keyset cursors, plus the derived artifacts (bitmap index,
+/// scramble, shard set) the middleware counts from. Every access is a
+/// sequential scan or a positioned fetch from a TID list. All externally
+/// visible work is metered into CostCounters so experiments report
+/// deterministic simulated seconds.
 ///
 /// Loading data (CreateTable / Loader) is deliberately *not* metered: the
 /// paper measures tree-growing time against a pre-existing database.
@@ -112,9 +115,9 @@ class SqlServer : public TableProvider {
   /// Convenience wrapper for small tables.
   [[nodiscard]] Status LoadRows(const std::string& name, const std::vector<Row>& rows);
 
-  /// Appends rows to an already-loaded table (the INSERT path). Secondary
-  /// indexes are maintained incrementally; ANALYZE statistics go stale and
-  /// are dropped.
+  /// Appends rows to an already-loaded table (the INSERT path). Every
+  /// artifact built over the table (bitmap index, scramble, shard set) is
+  /// dropped.
   [[nodiscard]] Status AppendRows(const std::string& name, const std::vector<Row>& rows);
 
   // ----------------------------------------------------------- metadata
@@ -139,9 +142,8 @@ class SqlServer : public TableProvider {
   [[nodiscard]] StatusOr<ResultSet> Execute(const std::string& sql);
 
   /// EXPLAIN: a human-readable plan for a query without executing it — one
-  /// line per UNION ALL branch showing the access path the engine/cursor
-  /// layer would take (seq scan vs index scan), the estimated selectivity
-  /// (when ANALYZE stats exist), grouping, ordering and limit. Charges
+  /// line per UNION ALL branch naming the sequential scan Execute runs, with
+  /// the branch's filter and grouping, then the sort and limit. Charges
   /// nothing.
   [[nodiscard]] StatusOr<std::string> Explain(const std::string& sql);
 
@@ -152,18 +154,7 @@ class SqlServer : public TableProvider {
   [[nodiscard]] StatusOr<std::unique_ptr<ServerCursor>> OpenCursor(const std::string& table,
                                                      const Expr* filter);
 
-  /// Cursor from SQL text of the form `SELECT * FROM t [WHERE pred]` — the
-  /// form the middleware's filter generator emits (§4.3.1).
-  [[nodiscard]] StatusOr<std::unique_ptr<ServerCursor>> OpenCursorSql(
-      const std::string& select_sql);
-
-  // ------------------------------------------- indexes and statistics
-
-  /// Builds a posting-list secondary index on one column (one metered scan
-  /// plus per-entry insertion cost).
-  [[nodiscard]] Status CreateIndex(const std::string& table, const std::string& column);
-  bool HasIndex(const std::string& table, const std::string& column) const;
-  [[nodiscard]] Status DropIndex(const std::string& table, const std::string& column);
+  // ------------------------------------------------- derived artifacts
 
   /// Builds the per-attribute, per-value bitmap index for every column of
   /// `table` (one metered scan plus per-row insertion cost) and persists it
@@ -210,25 +201,6 @@ class SqlServer : public TableProvider {
   [[nodiscard]] StatusOr<std::string> ShardSetPath(const std::string& table) const;
   [[nodiscard]] Status DropShardSet(const std::string& table);
 
-  /// ANALYZE: builds optimizer statistics with one metered scan.
-  [[nodiscard]] Status AnalyzeTable(const std::string& table);
-  [[nodiscard]] StatusOr<const TableStats*> GetStats(const std::string& table) const;
-
-  /// Cursor via the index on (table, column = value): probes the postings
-  /// and applies `residual` (may be null) server-side before transfer.
-  [[nodiscard]] StatusOr<std::unique_ptr<ServerCursor>> ScanViaIndex(
-      const std::string& table, const std::string& column, Value value,
-      const Expr* residual);
-
-  /// Access-path-choosing cursor: uses an index when the filter contains a
-  /// usable equality conjunct on an indexed column whose estimated
-  /// selectivity (from ANALYZE stats, default 1/distinct) is below
-  /// `kIndexSelectivityThreshold`; otherwise a sequential scan.
-  [[nodiscard]] StatusOr<std::unique_ptr<ServerCursor>> OpenCursorAuto(
-      const std::string& table, const Expr* filter);
-
-  static constexpr double kIndexSelectivityThreshold = 0.2;
-
   // --------------------------------- auxiliary structures (§4.3.3)
 
   /// (a) Copies the filtered subset of `src` into a new table `temp_name`
@@ -264,7 +236,6 @@ class SqlServer : public TableProvider {
 
   CostCounters& cost_counters() { return cost_counters_; }
   const CostModel& cost_model() const { return cost_model_; }
-  void set_cost_model(const CostModel& model) { cost_model_ = model; }
   double SimulatedSeconds() const {
     return cost_model_.SimulatedSeconds(cost_counters_);
   }
@@ -316,8 +287,6 @@ class SqlServer : public TableProvider {
   IoCounters io_counters_;
   Catalog catalog_;
   std::map<std::string, TableState> tables_;
-  std::map<std::pair<std::string, std::string>, SecondaryIndex> indexes_;
-  std::map<std::string, TableStats> stats_;
   std::map<std::string, std::vector<Tid>> tid_lists_;
   std::map<uint64_t, Keyset> keysets_;
   uint64_t next_keyset_id_ = 1;

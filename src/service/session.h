@@ -117,10 +117,8 @@ struct ServiceMetrics : ScanMetrics {
   uint64_t sessions_timed_out = 0;  // expired in the admission queue
   uint64_t sessions_completed = 0;  // ran and returned OK
   uint64_t sessions_failed = 0;     // ran and returned an error
-  double avg_queue_wait_ms = 0;
   double max_queue_wait_ms = 0;
   uint64_t peak_active_sessions = 0;
-  uint64_t peak_memory_committed = 0;
 
   /// Average CC requests served per scan. With N sessions growing identical
   /// trees this approaches N; 1.0 means no cross-request batching happened.

@@ -117,7 +117,6 @@ std::optional<SessionManager::Claim> SessionManager::ClaimNext() {
   ++active_;
   memory_committed_ += session.quota_bytes;
   peak_active_ = std::max<uint64_t>(peak_active_, active_);
-  peak_memory_ = std::max(peak_memory_, memory_committed_);
   ++admitted_;
 
   Claim claim;
@@ -125,7 +124,6 @@ std::optional<SessionManager::Claim> SessionManager::ClaimNext() {
   claim.spec = session.spec;
   claim.quota_bytes = session.quota_bytes;
   claim.queue_wait_ms = MsSince(session.enqueued_at);
-  queue_wait_ms_sum_ += claim.queue_wait_ms;
   queue_wait_ms_max_ = std::max(queue_wait_ms_max_, claim.queue_wait_ms);
   return claim;
 }
@@ -213,11 +211,8 @@ void SessionManager::FillMetrics(ServiceMetrics* out) const {
   out->sessions_timed_out = timed_out_;
   out->sessions_completed = completed_ok_;
   out->sessions_failed = failed_;
-  out->avg_queue_wait_ms =
-      admitted_ == 0 ? 0.0 : queue_wait_ms_sum_ / static_cast<double>(admitted_);
   out->max_queue_wait_ms = queue_wait_ms_max_;
   out->peak_active_sessions = peak_active_;
-  out->peak_memory_committed = peak_memory_;
 }
 
 }  // namespace sqlclass

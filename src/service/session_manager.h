@@ -115,10 +115,8 @@ class SessionManager {
   uint64_t timed_out_ GUARDED_BY(mu_) = 0;
   uint64_t completed_ok_ GUARDED_BY(mu_) = 0;
   uint64_t failed_ GUARDED_BY(mu_) = 0;
-  double queue_wait_ms_sum_ GUARDED_BY(mu_) = 0;
   double queue_wait_ms_max_ GUARDED_BY(mu_) = 0;
   uint64_t peak_active_ GUARDED_BY(mu_) = 0;
-  size_t peak_memory_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace sqlclass

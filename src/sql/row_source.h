@@ -10,21 +10,14 @@
 
 namespace sqlclass {
 
-/// Pull-based row iterator. Implementations: heap-file scans on the server,
-/// staged middleware files, and in-memory stores.
+/// Pull-based, single-pass row iterator: the server's heap-file scans feed
+/// the SQL executor through it.
 class RowSource {
  public:
   virtual ~RowSource() = default;
 
   /// Fetches the next row; false at end of stream.
   [[nodiscard]] virtual StatusOr<bool> Next(Row* row) = 0;
-
-  /// Rewinds to the first row.
-  [[nodiscard]] virtual Status Reset() = 0;
-
-  /// Total rows this source will yield per full pass (known up front for
-  /// all our sources).
-  virtual uint64_t num_rows() const = 0;
 };
 
 /// Resolves table names to schemas and scans. Implemented by the server

@@ -49,6 +49,22 @@ class BaselineTest : public ::testing::Test {
     return GrowWith(&provider).Signature();
   }
 
+  /// QueueRequest's status for a root request counting column `attr`.
+  static StatusCode QueueAttr(CcProvider* provider, int attr) {
+    CcRequest request;
+    request.node_id = 0;
+    request.active_attrs = {attr};
+    return provider->QueueRequest(std::move(request)).code();
+  }
+
+  /// Every baseline admits requests the way the middleware does: an
+  /// attribute outside the schema, or the class column, is rejected.
+  void ExpectBadAttributesRejected(CcProvider* provider) {
+    EXPECT_EQ(QueueAttr(provider, 99), StatusCode::kInvalidArgument);
+    EXPECT_EQ(QueueAttr(provider, schema_.class_column()),
+              StatusCode::kInvalidArgument);
+  }
+
   TempDir dir_;
   Schema schema_;
   std::unique_ptr<SqlServer> server_;
@@ -188,6 +204,26 @@ TEST_F(BaselineTest, FreeConstructionEliminatesBuildCharges) {
     GrowWith(provider->get());
   }
   EXPECT_EQ(server_->cost_counters().temp_table_rows_written, 0u);
+}
+
+TEST_F(BaselineTest, SqlCountingRejectsBadAttributes) {
+  auto provider = SqlCountingProvider::Create(server_.get(), "data");
+  ASSERT_TRUE(provider.ok());
+  ExpectBadAttributesRejected(provider->get());
+}
+
+TEST_F(BaselineTest, ExtractAllRejectsBadAttributes) {
+  auto provider =
+      ExtractAllProvider::Create(server_.get(), "data", dir_.path());
+  ASSERT_TRUE(provider.ok());
+  ExpectBadAttributesRejected(provider->get());
+}
+
+TEST_F(BaselineTest, AuxStructureRejectsBadAttributes) {
+  auto provider =
+      AuxStructureProvider::Create(server_.get(), "data", AuxConfig());
+  ASSERT_TRUE(provider.ok());
+  ExpectBadAttributesRejected(provider->get());
 }
 
 TEST_F(BaselineTest, KeysetProbesChargedPerFetch) {

@@ -144,22 +144,17 @@ TEST_F(ServerTest, NullFilterCursorTransfersEverything) {
   EXPECT_EQ(server_->cost_counters().cursor_rows_transferred, rows_.size());
 }
 
-TEST_F(ServerTest, OpenCursorSqlParsesSelectStarForm) {
-  auto cursor = server_->OpenCursorSql("SELECT * FROM t WHERE A1 = 0");
-  ASSERT_TRUE(cursor.ok());
-  Row row;
-  while (*(*cursor)->Next(&row)) {
-    EXPECT_EQ(row[0], 0);
-  }
-}
-
-TEST_F(ServerTest, OpenCursorSqlRejectsNonStarQueries) {
-  EXPECT_FALSE(server_->OpenCursorSql("SELECT A1 FROM t").ok());
-  EXPECT_FALSE(
-      server_->OpenCursorSql("SELECT COUNT(*) FROM t GROUP BY A1").ok());
-  EXPECT_FALSE(server_->OpenCursorSql(
-                          "SELECT * FROM t UNION ALL SELECT * FROM t")
-                   .ok());
+TEST_F(ServerTest, ShardSetChargesOneInsertPerRowWritten) {
+  ASSERT_TRUE(server_->BuildShardSet("t", 4).ok());
+  EXPECT_EQ(server_->cost_counters().index_rows_inserted, rows_.size());
+  ASSERT_TRUE(server_->DropShardSet("t").ok());
+  server_->ResetCostCounters();
+  // Replicas write every row a second time, so the build costs twice.
+  ASSERT_TRUE(server_->BuildShardSet("t", 4, ShardScheme::kHashRowId,
+                                     /*with_replicas=*/true)
+                  .ok());
+  EXPECT_EQ(server_->cost_counters().index_rows_inserted, 2 * rows_.size());
+  EXPECT_EQ(server_->cost_counters().server_scans, 1u);
 }
 
 TEST_F(ServerTest, CopyToTempTablePreservesFilteredRows) {

@@ -215,27 +215,6 @@ TEST_F(SqlEndToEndTest, MultipleClassColumnsRejected) {
       Exec("CREATE TABLE u (a CAT(2) CLASS, b CAT(2) CLASS)").ok());
 }
 
-TEST_F(SqlEndToEndTest, InsertMaintainsSecondaryIndexes) {
-  ASSERT_TRUE(server_->CreateIndex("t", "a").ok());
-  ASSERT_TRUE(Exec("INSERT INTO t VALUES (4, 2, 1)").ok());
-  auto cursor = server_->ScanViaIndex("t", "a", 4, nullptr);
-  ASSERT_TRUE(cursor.ok());
-  Row row;
-  uint64_t n = 0;
-  while (*(*cursor)->Next(&row)) {
-    EXPECT_EQ(row[0], 4);
-    ++n;
-  }
-  EXPECT_EQ(n, 2u);  // original (4,1,0) plus the new (4,2,1)
-}
-
-TEST_F(SqlEndToEndTest, InsertInvalidatesStats) {
-  ASSERT_TRUE(server_->AnalyzeTable("t").ok());
-  ASSERT_TRUE(server_->GetStats("t").ok());
-  ASSERT_TRUE(Exec("INSERT INTO t VALUES (0, 0, 0)").ok());
-  EXPECT_FALSE(server_->GetStats("t").ok());  // dropped; needs re-ANALYZE
-}
-
 // -------------------------------------------------------- heap append
 
 TEST(HeapFileAppendTest, ContinuesPartialPage) {

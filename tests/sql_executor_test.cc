@@ -47,11 +47,6 @@ class VectorTableProvider : public TableProvider {
       *row = (*rows_)[pos_++];
       return true;
     }
-    Status Reset() override {
-      pos_ = 0;
-      return Status::OK();
-    }
-    uint64_t num_rows() const override { return rows_->size(); }
 
    private:
     const std::vector<Row>* rows_;
