@@ -66,15 +66,14 @@ FaultInjector& FaultInjector::Global() {
 
 const std::vector<std::string>& FaultInjector::KnownPoints() {
   static const std::vector<std::string>* points = new std::vector<std::string>{
-      faults::kStorageOpen,        faults::kStorageRead,
-      faults::kStorageWrite,       faults::kStorageClose,
-      faults::kBufferPoolFetch,    faults::kServerCursorAdvance,
-      faults::kStagingAppend,      faults::kBitmapOpen,
-      faults::kBitmapRead,         faults::kSampleOpen,
-      faults::kSampleRead,         faults::kShardOpen,
-      faults::kShardRead,          faults::kShardWorker,
-      faults::kShardRpcSend,       faults::kShardRpcRecv,
-      faults::kShardWorkerCrash,
+      faults::kStorageOpen,          faults::kStorageRead,
+      faults::kStorageWrite,         faults::kStorageClose,
+      faults::kServerCursorAdvance,  faults::kStagingAppend,
+      faults::kBitmapOpen,           faults::kBitmapRead,
+      faults::kSampleOpen,           faults::kSampleRead,
+      faults::kShardOpen,            faults::kShardRead,
+      faults::kShardWorker,          faults::kShardRpcSend,
+      faults::kShardRpcRecv,         faults::kShardWorkerCrash,
   };
   return *points;
 }

@@ -24,7 +24,6 @@ inline constexpr char kStorageOpen[] = "storage/fopen";
 inline constexpr char kStorageRead[] = "storage/fread";
 inline constexpr char kStorageWrite[] = "storage/fwrite";
 inline constexpr char kStorageClose[] = "storage/fclose";
-inline constexpr char kBufferPoolFetch[] = "buffer_pool/fetch";
 inline constexpr char kServerCursorAdvance[] = "server/cursor_advance";
 inline constexpr char kStagingAppend[] = "staging/append";
 inline constexpr char kBitmapOpen[] = "bitmap/open";

@@ -99,11 +99,8 @@ Status SqlServer::Loader::Finish() {
 
 // --------------------------------------------------------------- SqlServer
 
-SqlServer::SqlServer(std::string base_dir, CostModel model,
-                     size_t buffer_pool_pages)
-    : base_dir_(std::move(base_dir)),
-      cost_model_(model),
-      buffer_pool_(buffer_pool_pages, kPageSize) {}
+SqlServer::SqlServer(std::string base_dir, CostModel model)
+    : base_dir_(std::move(base_dir)), cost_model_(model) {}
 
 SqlServer::~SqlServer() {
   // Table files are left on disk; callers own the base directory.
@@ -127,25 +124,21 @@ Status SqlServer::CreateTable(const std::string& name, const Schema& schema) {
       return Status::InvalidArgument("invalid table name: " + name);
     }
   }
-  SQLCLASS_RETURN_IF_ERROR(catalog_.CreateTable(name, schema).status());
-  TableState state;
+  SQLCLASS_RETURN_IF_ERROR(schema.Validate());
+  if (tables_.count(name) > 0) {
+    return Status::AlreadyExists("table exists: " + name);
+  }
+  TableState& state = tables_[name];
+  state.schema = schema;
   state.path = TablePath(name);
-  tables_[name] = state;
   return Status::OK();
 }
 
 Status SqlServer::DropTable(const std::string& name) {
-  {
-    auto info = catalog_.GetTable(name);
-    if (info.ok()) buffer_pool_.InvalidateFile((*info)->id);
-  }
-  SQLCLASS_RETURN_IF_ERROR(catalog_.DropTable(name));
-  auto it = tables_.find(name);
-  if (it != tables_.end()) {
-    std::remove(it->second.path.c_str());
-    RemoveArtifacts(&it->second);
-    tables_.erase(it);
-  }
+  SQLCLASS_ASSIGN_OR_RETURN(TableState * state, GetState(name));
+  std::remove(state->path.c_str());
+  RemoveArtifacts(state);
+  tables_.erase(name);
   return Status::OK();
 }
 
@@ -174,14 +167,13 @@ StatusOr<std::unique_ptr<SqlServer::Loader>> SqlServer::OpenLoader(
   if (state->row_count > 0) {
     return Status::InvalidArgument("table already loaded: " + name);
   }
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(name));
   SQLCLASS_ASSIGN_OR_RETURN(
       std::unique_ptr<HeapFileWriter> writer,
-      HeapFileWriter::Create(state->path, info->schema.num_columns(),
+      HeapFileWriter::Create(state->path, state->schema.num_columns(),
                              &io_counters_));
   state->loading = true;
   return std::unique_ptr<Loader>(
-      new Loader(this, name, std::move(writer), &info->schema));
+      new Loader(this, name, std::move(writer), &state->schema));
 }
 
 Status SqlServer::LoadRows(const std::string& name,
@@ -194,8 +186,8 @@ Status SqlServer::LoadRows(const std::string& name,
 }
 
 StatusOr<const Schema*> SqlServer::GetSchema(const std::string& table) {
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(table));
-  return &info->schema;
+  SQLCLASS_ASSIGN_OR_RETURN(const TableState* state, GetState(table));
+  return &state->schema;
 }
 
 StatusOr<uint64_t> SqlServer::TableRowCount(const std::string& table) const {
@@ -214,11 +206,10 @@ StatusOr<std::string> SqlServer::TableHeapPath(const std::string& table) const {
 StatusOr<std::unique_ptr<RowSource>> SqlServer::Scan(
     const std::string& table) {
   SQLCLASS_ASSIGN_OR_RETURN(const TableState* state, GetState(table));
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(table));
   SQLCLASS_ASSIGN_OR_RETURN(
       std::unique_ptr<HeapFileReader> reader,
-      HeapFileReader::Open(state->path, info->schema.num_columns(),
-                           &io_counters_, &buffer_pool_, info->id));
+      HeapFileReader::Open(state->path, state->schema.num_columns(),
+                           &io_counters_));
   return std::unique_ptr<RowSource>(
       new HeapFileRowSource(std::move(reader)));
 }
@@ -227,19 +218,18 @@ Status SqlServer::AppendRows(const std::string& name,
                              const std::vector<Row>& rows) {
   SQLCLASS_ASSIGN_OR_RETURN(TableState * state, GetState(name));
   if (state->loading) return Status::Internal("loader open: " + name);
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(name));
+  const int num_columns = state->schema.num_columns();
   for (const Row& row : rows) {
-    if (!info->schema.RowInDomain(row)) {
+    if (!state->schema.RowInDomain(row)) {
       return Status::InvalidArgument("row out of domain for table " + name);
     }
   }
   SQLCLASS_ASSIGN_OR_RETURN(
       std::unique_ptr<HeapFileWriter> writer,
       state->row_count == 0
-          ? HeapFileWriter::Create(state->path, info->schema.num_columns(),
-                                   &io_counters_)
-          : HeapFileWriter::OpenForAppend(
-                state->path, info->schema.num_columns(), &io_counters_));
+          ? HeapFileWriter::Create(state->path, num_columns, &io_counters_)
+          : HeapFileWriter::OpenForAppend(state->path, num_columns,
+                                          &io_counters_));
   for (const Row& row : rows) {
     SQLCLASS_RETURN_IF_ERROR(writer->Append(row));
   }
@@ -248,7 +238,6 @@ Status SqlServer::AppendRows(const std::string& name,
   // No artifact covers the new rows (a sharded scan would silently
   // undercount); rebuilding is an explicit Build*.
   RemoveArtifacts(state);
-  buffer_pool_.InvalidateFile(info->id);  // cached pages changed on disk
   return Status::OK();
 }
 
@@ -321,6 +310,7 @@ StatusOr<std::string> SqlServer::Explain(const std::string& sql) {
     return Status::InvalidArgument("EXPLAIN supports queries only");
   }
   const Query& query = statement.query;
+  SQLCLASS_RETURN_IF_ERROR(PlanQuery(query, this).status());
   std::string out;
   for (size_t b = 0; b < query.selects.size(); ++b) {
     const SelectStmt& stmt = query.selects[b];
@@ -349,21 +339,16 @@ StatusOr<std::string> SqlServer::Explain(const std::string& sql) {
 
 StatusOr<std::unique_ptr<ServerCursor>> SqlServer::OpenCursor(
     const std::string& table, const Expr* filter) {
-  SQLCLASS_ASSIGN_OR_RETURN(const TableState* state, GetState(table));
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(table));
-  std::unique_ptr<Expr> bound;
-  if (filter != nullptr) {
-    bound = filter->Clone();
-    SQLCLASS_RETURN_IF_ERROR(bound->Bind(info->schema));
-  }
-  SQLCLASS_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapFileReader> reader,
-      HeapFileReader::Open(state->path, info->schema.num_columns(),
-                           &io_counters_, &buffer_pool_, info->id));
-  ++cost_counters_.server_scans;
+  SQLCLASS_ASSIGN_OR_RETURN(BoundScan scan, OpenScan(table, filter));
   return std::unique_ptr<ServerCursor>(
-      new ServerCursor(ServerCursor::Mode::kScan, std::move(reader),
-                       std::move(bound), {}, &cost_counters_));
+      new ServerCursor(ServerCursor::Mode::kScan, std::move(scan.reader),
+                       std::move(scan.filter), {}, &cost_counters_));
+}
+
+void SqlServer::ChargeBuild(uint64_t rows, uint64_t copies) {
+  ++cost_counters_.server_scans;
+  cost_counters_.server_rows_evaluated += rows;
+  cost_counters_.index_rows_inserted += rows * copies;
 }
 
 Status SqlServer::BuildBitmapIndex(const std::string& table) {
@@ -372,24 +357,22 @@ Status SqlServer::BuildBitmapIndex(const std::string& table) {
   if (state->artifacts.bitmap_index) {
     return Status::AlreadyExists("bitmap index exists on " + table);
   }
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(table));
   std::vector<uint32_t> cardinalities;
-  cardinalities.reserve(info->schema.num_columns());
-  for (const AttributeDef& attr : info->schema.attributes()) {
+  cardinalities.reserve(state->schema.num_columns());
+  for (const AttributeDef& attr : state->schema.attributes()) {
     if (attr.cardinality <= 0) {
       return Status::InvalidArgument("column " + attr.name +
                                      " has no finite domain to index");
     }
     cardinalities.push_back(static_cast<uint32_t>(attr.cardinality));
   }
-  BitmapIndexBuilder builder(std::move(cardinalities));
-  SQLCLASS_RETURN_IF_ERROR(
-      ServerSideScan(table, nullptr, [&](Tid, const Row& row) -> Status {
-        ++cost_counters_.index_rows_inserted;
-        return builder.AddRow(row);
-      }));
-  SQLCLASS_RETURN_IF_ERROR(
-      builder.WriteFile(BitmapIndexPathFor(state->path), &io_counters_));
+  SQLCLASS_ASSIGN_OR_RETURN(
+      uint64_t rows,
+      BitmapIndexBuilder::BuildFromHeapFile(state->path,
+                                            std::move(cardinalities),
+                                            BitmapIndexPathFor(state->path),
+                                            &io_counters_));
+  ChargeBuild(rows, 1);
   state->artifacts.bitmap_index = true;
   return Status::OK();
 }
@@ -424,16 +407,12 @@ Status SqlServer::BuildSampleTable(const std::string& table,
   if (!(sampling_ratio > 0.0) || sampling_ratio > 1.0) {
     return Status::InvalidArgument("sampling ratio must be in (0, 1]");
   }
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(table));
-  SampleFileBuilder builder(info->schema.num_columns(), state->row_count,
-                            sampling_ratio, seed);
-  SQLCLASS_RETURN_IF_ERROR(
-      ServerSideScan(table, nullptr, [&](Tid, const Row& row) -> Status {
-        ++cost_counters_.index_rows_inserted;
-        return builder.AddRow(row);
-      }));
-  SQLCLASS_RETURN_IF_ERROR(
-      builder.WriteFile(SampleFilePathFor(state->path), &io_counters_));
+  SQLCLASS_ASSIGN_OR_RETURN(
+      uint64_t rows,
+      SampleFileBuilder::BuildFromHeapFile(
+          state->path, state->schema.num_columns(), sampling_ratio, seed,
+          SampleFilePathFor(state->path), &io_counters_));
+  ChargeBuild(rows, 1);
   state->artifacts.sample = true;
   return Status::OK();
 }
@@ -465,23 +444,15 @@ Status SqlServer::BuildShardSet(const std::string& table, uint32_t num_shards,
   if (state->artifacts.num_shards > 0) {
     return Status::AlreadyExists("shard set exists on " + table);
   }
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(table));
-  ShardSetWriter writer(state->path, info->schema.num_columns(), num_shards,
-                        scheme);
-  writer.set_write_replicas(with_replicas);
-  SQLCLASS_RETURN_IF_ERROR(writer.Open(&io_counters_));
-  // One insert per row written: a replica set writes every row twice.
-  const uint64_t copies = with_replicas ? 2 : 1;
-  Status scan =
-      ServerSideScan(table, nullptr, [&](Tid, const Row& row) -> Status {
-        cost_counters_.index_rows_inserted += copies;
-        return writer.AddRow(row);
-      });
-  if (!scan.ok()) {
+  StatusOr<uint64_t> rows = ShardSetWriter::BuildFromHeapFile(
+      state->path, state->schema.num_columns(), num_shards, scheme,
+      &io_counters_, with_replicas);
+  if (!rows.ok()) {
     RemoveShardSetFiles(state->path, num_shards);
-    return scan;
+    return rows.status();
   }
-  SQLCLASS_RETURN_IF_ERROR(writer.Finish());
+  // A replica set writes every row twice.
+  ChargeBuild(rows.value(), with_replicas ? 2 : 1);
   state->artifacts.num_shards = num_shards;
   return Status::OK();
 }
@@ -506,28 +477,33 @@ Status SqlServer::DropShardSet(const std::string& table) {
   return Status::OK();
 }
 
+StatusOr<SqlServer::BoundScan> SqlServer::OpenScan(const std::string& table,
+                                                   const Expr* filter) {
+  SQLCLASS_ASSIGN_OR_RETURN(const TableState* state, GetState(table));
+  BoundScan scan;
+  if (filter != nullptr) {
+    scan.filter = filter->Clone();
+    SQLCLASS_RETURN_IF_ERROR(scan.filter->Bind(state->schema));
+  }
+  SQLCLASS_ASSIGN_OR_RETURN(
+      scan.reader, HeapFileReader::Open(state->path,
+                                        state->schema.num_columns(),
+                                        &io_counters_));
+  ++cost_counters_.server_scans;
+  return scan;
+}
+
 Status SqlServer::ServerSideScan(
     const std::string& src, const Expr* filter,
     const std::function<Status(Tid, const Row&)>& fn) {
-  SQLCLASS_ASSIGN_OR_RETURN(const TableState* state, GetState(src));
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(src));
-  std::unique_ptr<Expr> bound;
-  if (filter != nullptr) {
-    bound = filter->Clone();
-    SQLCLASS_RETURN_IF_ERROR(bound->Bind(info->schema));
-  }
-  SQLCLASS_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapFileReader> reader,
-      HeapFileReader::Open(state->path, info->schema.num_columns(),
-                           &io_counters_, &buffer_pool_, info->id));
-  ++cost_counters_.server_scans;
+  SQLCLASS_ASSIGN_OR_RETURN(BoundScan scan, OpenScan(src, filter));
   Row row;
   Tid tid = 0;
   while (true) {
-    SQLCLASS_ASSIGN_OR_RETURN(bool more, reader->Next(&row));
+    SQLCLASS_ASSIGN_OR_RETURN(bool more, scan.reader->Next(&row));
     if (!more) break;
     ++cost_counters_.server_rows_evaluated;
-    if (bound == nullptr || bound->Eval(row)) {
+    if (scan.filter == nullptr || scan.filter->Eval(row)) {
       SQLCLASS_RETURN_IF_ERROR(fn(tid, row));
     }
     ++tid;
@@ -537,8 +513,8 @@ Status SqlServer::ServerSideScan(
 
 Status SqlServer::CopyToTempTable(const std::string& src, const Expr* filter,
                                   const std::string& temp_name) {
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(src));
-  SQLCLASS_RETURN_IF_ERROR(CreateTable(temp_name, info->schema));
+  SQLCLASS_ASSIGN_OR_RETURN(const TableState* state, GetState(src));
+  SQLCLASS_RETURN_IF_ERROR(CreateTable(temp_name, state->schema));
   SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<Loader> loader,
                             OpenLoader(temp_name));
   Status scan_status =
@@ -575,21 +551,10 @@ StatusOr<std::unique_ptr<ServerCursor>> SqlServer::ScanByTidJoin(
   if (it == tid_lists_.end()) {
     return Status::NotFound("no such tid list: " + list_name);
   }
-  SQLCLASS_ASSIGN_OR_RETURN(const TableState* state, GetState(src));
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info, catalog_.GetTable(src));
-  std::unique_ptr<Expr> bound;
-  if (extra_filter != nullptr) {
-    bound = extra_filter->Clone();
-    SQLCLASS_RETURN_IF_ERROR(bound->Bind(info->schema));
-  }
-  SQLCLASS_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapFileReader> reader,
-      HeapFileReader::Open(state->path, info->schema.num_columns(),
-                           &io_counters_, &buffer_pool_, info->id));
-  ++cost_counters_.server_scans;
+  SQLCLASS_ASSIGN_OR_RETURN(BoundScan scan, OpenScan(src, extra_filter));
   return std::unique_ptr<ServerCursor>(
-      new ServerCursor(ServerCursor::Mode::kTidProbe, std::move(reader),
-                       std::move(bound), it->second, &cost_counters_));
+      new ServerCursor(ServerCursor::Mode::kTidProbe, std::move(scan.reader),
+                       std::move(scan.filter), it->second, &cost_counters_));
 }
 
 StatusOr<uint64_t> SqlServer::CreateKeyset(const std::string& table,
@@ -613,22 +578,11 @@ StatusOr<std::unique_ptr<ServerCursor>> SqlServer::ScanKeyset(
     return Status::NotFound("no such keyset: " + std::to_string(keyset_id));
   }
   const Keyset& keyset = it->second;
-  SQLCLASS_ASSIGN_OR_RETURN(const TableState* state, GetState(keyset.table));
-  SQLCLASS_ASSIGN_OR_RETURN(const TableInfo* info,
-                            catalog_.GetTable(keyset.table));
-  std::unique_ptr<Expr> bound;
-  if (proc_filter != nullptr) {
-    bound = proc_filter->Clone();
-    SQLCLASS_RETURN_IF_ERROR(bound->Bind(info->schema));
-  }
-  SQLCLASS_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapFileReader> reader,
-      HeapFileReader::Open(state->path, info->schema.num_columns(),
-                           &io_counters_, &buffer_pool_, info->id));
-  ++cost_counters_.server_scans;
+  SQLCLASS_ASSIGN_OR_RETURN(BoundScan scan,
+                            OpenScan(keyset.table, proc_filter));
   return std::unique_ptr<ServerCursor>(
-      new ServerCursor(ServerCursor::Mode::kTidProbe, std::move(reader),
-                       std::move(bound), keyset.tids, &cost_counters_));
+      new ServerCursor(ServerCursor::Mode::kTidProbe, std::move(scan.reader),
+                       std::move(scan.filter), keyset.tids, &cost_counters_));
 }
 
 Status SqlServer::ReleaseKeyset(uint64_t keyset_id) {

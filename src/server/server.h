@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "catalog/catalog.h"
 #include "catalog/row.h"
 #include "catalog/schema.h"
 #include "common/status.h"
@@ -18,7 +17,6 @@
 #include "sql/expr.h"
 #include "sql/result_set.h"
 #include "sql/row_source.h"
-#include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 #include "storage/io_counters.h"
 
@@ -80,9 +78,7 @@ class ServerCursor {
 class SqlServer : public TableProvider {
  public:
   /// `base_dir` must exist and be writable; table files live inside it.
-  /// `buffer_pool_pages` sizes the shared page cache (default 8 MB).
-  explicit SqlServer(std::string base_dir, CostModel model = CostModel(),
-                     size_t buffer_pool_pages = 1024);
+  explicit SqlServer(std::string base_dir, CostModel model = CostModel());
   ~SqlServer() override;
 
   SqlServer(const SqlServer&) = delete;
@@ -241,7 +237,6 @@ class SqlServer : public TableProvider {
   }
   void ResetCostCounters() { cost_counters_.Reset(); }
   IoCounters& io_counters() { return io_counters_; }
-  const BufferPool& buffer_pool() const { return buffer_pool_; }
 
  private:
   /// The derived artifact files built next to a table's heap file. Their
@@ -256,6 +251,7 @@ class SqlServer : public TableProvider {
   };
 
   struct TableState {
+    Schema schema;
     std::string path;
     uint64_t row_count = 0;
     bool loading = false;
@@ -275,6 +271,22 @@ class SqlServer : public TableProvider {
   /// and drops leave no stale artifact to be served.
   static void RemoveArtifacts(TableState* state);
 
+  /// A table's heap reader with a clone of a caller's filter (null = none)
+  /// bound to its schema.
+  struct BoundScan {
+    std::unique_ptr<HeapFileReader> reader;
+    std::unique_ptr<Expr> filter;
+  };
+
+  /// Opens a BoundScan over `table`, charging one server scan.
+  [[nodiscard]] StatusOr<BoundScan> OpenScan(const std::string& table,
+                                             const Expr* filter);
+
+  /// Charges a Build* of a derived artifact that read `rows` rows and wrote
+  /// `copies` copies of each: one scan, one evaluation per row read and one
+  /// insert per row written.
+  void ChargeBuild(uint64_t rows, uint64_t copies);
+
   /// Scans `src` at the server, charging one scan + per-row evaluation, and
   /// invokes `fn(tid, row)` for rows matching `filter` (null = all rows).
   [[nodiscard]] Status ServerSideScan(const std::string& src, const Expr* filter,
@@ -282,10 +294,8 @@ class SqlServer : public TableProvider {
 
   std::string base_dir_;
   CostModel cost_model_;
-  BufferPool buffer_pool_;
   CostCounters cost_counters_;
   IoCounters io_counters_;
-  Catalog catalog_;
   std::map<std::string, TableState> tables_;
   std::map<std::string, std::vector<Tid>> tid_lists_;
   std::map<uint64_t, Keyset> keysets_;

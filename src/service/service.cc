@@ -60,8 +60,7 @@ StatusOr<std::unique_ptr<ClassificationService>> ClassificationService::Create(
 ClassificationService::ClassificationService(const std::string& base_dir,
                                              ServiceConfig config)
     : config_(std::move(config)),
-      server_(std::make_unique<SqlServer>(base_dir, config_.cost_model,
-                                          config_.buffer_pool_pages)),
+      server_(std::make_unique<SqlServer>(base_dir, config_.cost_model)),
       batcher_(server_.get(), &server_mu_, config_),
       manager_(config_) {
   workers_.reserve(config_.worker_threads);

@@ -94,7 +94,6 @@ struct ServiceConfig : CountingConfig {
   bool enable_scan_sharing = true;
 
   CostModel cost_model;
-  size_t buffer_pool_pages = 1024;
 };
 
 /// The shared-scan slice of ServiceMetrics, kept by SharedScanBatcher: its

@@ -264,7 +264,7 @@ StatusOr<uint64_t> ShardSetWriter::BuildFromHeapFile(
   SQLCLASS_RETURN_IF_ERROR(writer.Open(counters));
   Row row;
   while (true) {
-    // cost: charged-by-caller(HeapFileReader::Next)
+    // cost: charged-by-caller(SqlServer::BuildShardSet)
     StatusOr<bool> more = reader->Next(&row);
     if (!more.ok()) {
       writer.RemoveShardSet();

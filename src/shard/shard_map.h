@@ -80,12 +80,10 @@ struct ShardInfo {
                                         IoCounters* counters);
 
 /// Streaming partitioner: routes rows to N shard heap writers as they
-/// arrive and writes the distribution map on Finish. Populate either by
-/// streaming rows during a server-side scan (AddRow) or by backfilling
-/// from an existing heap file (BuildFromHeapFile); both route by the same
-/// ordinal scheme, so the shard files are byte-identical. On any failure
-/// the partial shard set (map + every shard file) is removed. Not
-/// thread-safe.
+/// arrive and writes the distribution map on Finish. BuildFromHeapFile is
+/// the one build path: it reads the table's heap file and routes each row
+/// with AddRow by the ordinal scheme. On any failure the partial shard set
+/// (map + every shard file) is removed. Not thread-safe.
 class ShardSetWriter {
  public:
   /// Partitions rows of `num_columns` values for the table whose primary
@@ -117,10 +115,11 @@ class ShardSetWriter {
   /// distribution map. After a failed Finish the shard set is removed.
   [[nodiscard]] Status Finish();
 
-  /// One-shot backfill: scans the primary heap file at `heap_path` and
-  /// writes the complete shard set next to it. Returns the number of rows
-  /// partitioned. Physical reads and writes are charged to `counters`
-  /// (nullable).
+  /// Scans the primary heap file at `heap_path` and writes the complete
+  /// shard set next to it. Returns the number of rows read (each one
+  /// partitioned). Physical reads and writes are charged to `counters`
+  /// (nullable); the logical cost is the caller's
+  /// (SqlServer::BuildShardSet).
   [[nodiscard]] static StatusOr<uint64_t> BuildFromHeapFile(const std::string& heap_path,
                                               int num_columns,
                                               uint32_t num_shards,

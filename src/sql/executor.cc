@@ -9,29 +9,6 @@ namespace sqlclass {
 
 namespace {
 
-/// Resolved view of one select branch, ready to execute.
-struct BranchPlan {
-  const SelectStmt* stmt = nullptr;
-  const Schema* schema = nullptr;
-  std::unique_ptr<Expr> where;      // bound copy, or null
-  std::vector<int> group_cols;      // schema indexes of GROUP BY columns
-  bool has_group_by = false;
-  bool scalar_aggregate = false;    // aggregates with no GROUP BY
-
-  // For each select item, how to produce the output cell:
-  //  kColumn:        schema index (must be grouped if grouping)
-  //  kCountStar:     marked
-  //  literals:       constant cells
-  struct OutItem {
-    SelectItemKind kind;
-    int column_index = -1;   // for kColumn
-    int group_slot = -1;     // position within the group key, if grouping
-    Cell constant;
-  };
-  std::vector<OutItem> out_items;
-  std::vector<std::string> out_names;
-};
-
 Status PlanBranch(const SelectStmt& stmt, TableProvider* provider,
                   BranchPlan* plan) {
   plan->stmt = &stmt;
@@ -256,29 +233,14 @@ Status ExecuteBranch(const BranchPlan& plan, TableProvider* provider,
   return Status::OK();
 }
 
-/// Applies ORDER BY (keys name output columns) and LIMIT to the union
+/// Applies the plan's ORDER BY keys and the query's LIMIT to the union
 /// result.
-Status OrderAndLimit(const Query& query, ResultSet* result) {
-  if (!query.order_by.empty()) {
-    std::vector<std::pair<size_t, bool>> keys;  // (column index, descending)
-    for (const OrderKey& key : query.order_by) {
-      size_t index = result->column_names.size();
-      for (size_t c = 0; c < result->column_names.size(); ++c) {
-        if (result->column_names[c] == key.column) {
-          index = c;
-          break;
-        }
-      }
-      if (index == result->column_names.size()) {
-        return Status::NotFound("ORDER BY names no output column: " +
-                                key.column);
-      }
-      keys.emplace_back(index, key.descending);
-    }
+void OrderAndLimit(const QueryPlan& plan, int64_t limit, ResultSet* result) {
+  if (!plan.order_keys.empty()) {
     std::stable_sort(result->rows.begin(), result->rows.end(),
                      [&](const std::vector<Cell>& a,
                          const std::vector<Cell>& b) {
-                       for (const auto& [index, descending] : keys) {
+                       for (const auto& [index, descending] : plan.order_keys) {
                          if (a[index] == b[index]) continue;
                          return descending ? b[index] < a[index]
                                            : a[index] < b[index];
@@ -286,36 +248,52 @@ Status OrderAndLimit(const Query& query, ResultSet* result) {
                        return false;
                      });
   }
-  if (query.limit >= 0 &&
-      result->rows.size() > static_cast<size_t>(query.limit)) {
-    result->rows.resize(static_cast<size_t>(query.limit));
+  if (limit >= 0 && result->rows.size() > static_cast<size_t>(limit)) {
+    result->rows.resize(static_cast<size_t>(limit));
   }
-  return Status::OK();
 }
 
 }  // namespace
 
-StatusOr<ResultSet> ExecuteQuery(const Query& query, TableProvider* provider,
-                                 ExecStats* stats) {
+StatusOr<QueryPlan> PlanQuery(const Query& query, TableProvider* provider) {
   if (query.selects.empty()) {
     return Status::InvalidArgument("empty query");
   }
+  QueryPlan plan;
+  plan.branches.resize(query.selects.size());
+  for (size_t b = 0; b < query.selects.size(); ++b) {
+    SQLCLASS_RETURN_IF_ERROR(
+        PlanBranch(query.selects[b], provider, &plan.branches[b]));
+    if (plan.branches[b].out_names.size() !=
+        plan.branches[0].out_names.size()) {
+      return Status::InvalidArgument(
+          "UNION ALL branches have different column counts");
+    }
+  }
+  const std::vector<std::string>& columns = plan.branches[0].out_names;
+  for (const OrderKey& key : query.order_by) {
+    const auto it = std::find(columns.begin(), columns.end(), key.column);
+    if (it == columns.end()) {
+      return Status::NotFound("ORDER BY names no output column: " +
+                              key.column);
+    }
+    plan.order_keys.emplace_back(it - columns.begin(), key.descending);
+  }
+  return plan;
+}
+
+StatusOr<ResultSet> ExecuteQuery(const Query& query, TableProvider* provider,
+                                 ExecStats* stats) {
+  SQLCLASS_ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(query, provider));
   ExecStats local_stats;
   ExecStats* st = stats != nullptr ? stats : &local_stats;
 
   ResultSet result;
-  for (size_t b = 0; b < query.selects.size(); ++b) {
-    BranchPlan plan;
-    SQLCLASS_RETURN_IF_ERROR(PlanBranch(query.selects[b], provider, &plan));
-    if (b == 0) {
-      result.column_names = plan.out_names;
-    } else if (plan.out_names.size() != result.column_names.size()) {
-      return Status::InvalidArgument(
-          "UNION ALL branches have different column counts");
-    }
-    SQLCLASS_RETURN_IF_ERROR(ExecuteBranch(plan, provider, &result, st));
+  result.column_names = plan.branches[0].out_names;
+  for (const BranchPlan& branch : plan.branches) {
+    SQLCLASS_RETURN_IF_ERROR(ExecuteBranch(branch, provider, &result, st));
   }
-  SQLCLASS_RETURN_IF_ERROR(OrderAndLimit(query, &result));
+  OrderAndLimit(plan, query.limit, &result);
   return result;
 }
 

@@ -2,6 +2,10 @@
 #define SQLCLASS_SQL_EXECUTOR_H_
 
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "sql/ast.h"
@@ -27,6 +31,44 @@ struct ExecStats {
     result_rows += other.result_rows;
   }
 };
+
+/// One SELECT branch resolved against its table's schema, ready to execute.
+struct BranchPlan {
+  const SelectStmt* stmt = nullptr;  // the branch's statement in the Query
+  const Schema* schema = nullptr;
+  std::unique_ptr<Expr> where;      // bound copy, or null
+  std::vector<int> group_cols;      // schema indexes of GROUP BY columns
+  bool has_group_by = false;
+  bool scalar_aggregate = false;    // aggregates with no GROUP BY
+
+  // For each select item, how to produce the output cell:
+  //  kColumn:        schema index (must be grouped if grouping)
+  //  kCountStar:     marked
+  //  literals:       constant cells
+  struct OutItem {
+    SelectItemKind kind;
+    int column_index = -1;   // for kColumn
+    int group_slot = -1;     // position within the group key, if grouping
+    Cell constant;
+  };
+  std::vector<OutItem> out_items;
+  std::vector<std::string> out_names;
+};
+
+/// A query checked against its tables without reading a row. Points into
+/// the Query it was planned from, which must outlive it.
+struct QueryPlan {
+  std::vector<BranchPlan> branches;  // one per UNION ALL branch
+  /// ORDER BY keys as (output column index, descending).
+  std::vector<std::pair<size_t, bool>> order_keys;
+};
+
+/// Makes every check ExecuteQuery makes before it reads a row: each
+/// branch's table, WHERE columns, GROUP BY columns and select list, equal
+/// UNION ALL widths, and ORDER BY keys that name an output column. EXPLAIN
+/// calls it so that it rejects exactly the queries Execute rejects.
+[[nodiscard]] StatusOr<QueryPlan> PlanQuery(const Query& query,
+                                            TableProvider* provider);
 
 /// Executes a parsed query against `provider` tables.
 ///

@@ -10,7 +10,6 @@
 #include "server/server.h"          // SqlServer, ServerCursor, cost model
 #include "sql/expr.h"               // predicate expressions
 #include "sql/parser.h"             // SQL subset parser
-#include "storage/buffer_pool.h"    // page cache stats
 
 // The paper's contribution: the classification middleware.
 #include "middleware/async_provider.h"  // Fig. 3 threaded drive

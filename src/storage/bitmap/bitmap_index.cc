@@ -33,10 +33,6 @@ BitmapIndexBuilder::BitmapIndexBuilder(std::vector<uint32_t> cardinalities)
   bits_.resize(total_bitmaps_);
 }
 
-Status BitmapIndexBuilder::AddRow(const Row& row) {
-  return AddRow(row.data(), row.size());
-}
-
 Status BitmapIndexBuilder::AddRow(const Value* values, size_t num_values) {
   if (num_values != cardinalities_.size()) {
     return Status::InvalidArgument("bitmap index row width mismatch");
@@ -93,10 +89,9 @@ StatusOr<uint64_t> BitmapIndexBuilder::BuildFromHeapFile(
       std::unique_ptr<HeapFileReader> reader,
       HeapFileReader::Open(heap_path, num_columns, counters));
   RowBatch batch;
-  while (true) {
-    // cost: charged-by-caller(HeapFileReader::NextBatch)
-    SQLCLASS_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch));
-    if (!more) break;
+  for (uint64_t page = 0; page < reader->num_pages(); ++page) {
+    // cost: charged-by-caller(SqlServer::BuildBitmapIndex)
+    SQLCLASS_RETURN_IF_ERROR(reader->ReadPageInto(page, &batch));
     for (size_t r = 0; r < batch.num_rows(); ++r) {
       SQLCLASS_RETURN_IF_ERROR(
           builder.AddRow(batch.RowAt(r), static_cast<size_t>(num_columns)));

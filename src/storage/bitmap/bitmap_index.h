@@ -35,9 +35,8 @@ namespace sqlclass {
 std::string BitmapIndexPathFor(const std::string& heap_path);
 
 /// In-memory accumulator for a bitmap index, written out in one shot.
-/// Populate either by streaming rows during the heap-file write (AddRow)
-/// or by backfilling from an existing heap file (BuildFromHeapFile). Not
-/// thread-safe.
+/// BuildFromHeapFile is the one build path: it reads the table's heap
+/// pages and folds each row in with AddRow. Not thread-safe.
 class BitmapIndexBuilder {
  public:
   /// `cardinalities[c]` is the value-domain size of column `c`; every
@@ -45,9 +44,6 @@ class BitmapIndexBuilder {
   explicit BitmapIndexBuilder(std::vector<uint32_t> cardinalities);
 
   /// Folds one row in; values must lie inside each column's domain.
-  [[nodiscard]] Status AddRow(const Row& row);
-
-  /// Pointer-row overload for batch-decoded rows.
   [[nodiscard]] Status AddRow(const Value* values, size_t num_values);
 
   uint64_t num_rows() const { return num_rows_; }
@@ -57,9 +53,10 @@ class BitmapIndexBuilder {
   /// physical page writes.
   [[nodiscard]] Status WriteFile(const std::string& path, IoCounters* counters) const;
 
-  /// One-shot backfill: scans the heap file at `heap_path` and writes the
-  /// index to `out_path`. Returns the number of rows indexed. Physical
-  /// reads and writes are charged to `counters` (nullable).
+  /// Scans the heap file at `heap_path` and writes the index to
+  /// `out_path`. Returns the number of rows read (each one indexed).
+  /// Physical reads and writes are charged to `counters` (nullable); the
+  /// logical cost is the caller's (SqlServer::BuildBitmapIndex).
   [[nodiscard]] static StatusOr<uint64_t> BuildFromHeapFile(
       const std::string& heap_path, std::vector<uint32_t> cardinalities,
       const std::string& out_path, IoCounters* counters);

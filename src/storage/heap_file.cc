@@ -277,8 +277,7 @@ HeapFileReader::~HeapFileReader() {
 }
 
 StatusOr<std::unique_ptr<HeapFileReader>> HeapFileReader::Open(
-    const std::string& path, int num_columns, IoCounters* counters,
-    BufferPool* pool, uint64_t file_id) {
+    const std::string& path, int num_columns, IoCounters* counters) {
   if (num_columns <= 0) {
     return Status::InvalidArgument("heap file needs >= 1 column");
   }
@@ -289,8 +288,6 @@ StatusOr<std::unique_ptr<HeapFileReader>> HeapFileReader::Open(
   }
   auto reader = std::unique_ptr<HeapFileReader>(
       new HeapFileReader(path, fd, num_columns, counters));
-  reader->pool_ = pool;
-  reader->file_id_ = file_id;
 
   // Determine page count from file size, then row count by summing the last
   // page header (all pages but the last are full).
@@ -339,25 +336,16 @@ Status HeapFileReader::LoadPage(uint64_t page_index) {
   if (page_index >= num_pages_) {
     return Status::Internal("page index out of range in " + path_);
   }
-  auto physical_read = [&](char* dst) -> Status {
-    SQLCLASS_FAULT_POINT(faults::kStorageRead);
-    if (::pread(fd_, dst, kPageSize,
-                static_cast<off_t>(page_index * kPageSize)) !=
-        static_cast<ssize_t>(kPageSize)) {
-      return Status::IoError("short page read for " + path_);
-    }
-    if (counters_ != nullptr) ++counters_->pages_read;
-    // Verify at load time only — a page served from the buffer pool was
-    // already checked when it entered.
-    SQLCLASS_RETURN_IF_ERROR(VerifyPageMagic(dst, path_));
-    return VerifyPageChecksum(dst, path_, counters_);
-  };
-  if (pool_ != nullptr) {
-    SQLCLASS_RETURN_IF_ERROR(
-        pool_->Fetch(file_id_, page_index, physical_read, page_.data()));
-  } else {
-    SQLCLASS_RETURN_IF_ERROR(physical_read(page_.data()));
+  SQLCLASS_FAULT_POINT(faults::kStorageRead);
+  if (::pread(fd_, page_.data(), kPageSize,
+              static_cast<off_t>(page_index * kPageSize)) !=
+      static_cast<ssize_t>(kPageSize)) {
+    return Status::IoError("short page read for " + path_);
   }
+  if (counters_ != nullptr) ++counters_->pages_read;
+  SQLCLASS_RETURN_IF_ERROR(VerifyPageMagic(page_.data(), path_));
+  SQLCLASS_RETURN_IF_ERROR(
+      VerifyPageChecksum(page_.data(), path_, counters_));
   current_page_ = page_index;
   page_loaded_ = true;
   rows_in_current_page_ = PageRowCount(page_.data());
@@ -383,22 +371,6 @@ StatusOr<bool> HeapFileReader::Next(Row* row) {
   return true;
 }
 
-StatusOr<bool> HeapFileReader::NextBatch(RowBatch* batch) {
-  batch->Reset(codec_.num_columns());
-  if (rows_returned_ >= num_rows_) return false;
-  if (!page_loaded_ || next_slot_ >= rows_in_current_page_) {
-    uint64_t next_page = page_loaded_ ? current_page_ + 1 : 0;
-    SQLCLASS_RETURN_IF_ERROR(LoadPage(next_page));
-    next_slot_ = 0;
-  }
-  const uint32_t count = rows_in_current_page_ - next_slot_;
-  CopySlots(next_slot_, count, batch);
-  next_slot_ = rows_in_current_page_;
-  rows_returned_ += count;
-  if (counters_ != nullptr) counters_->rows_read += count;
-  return true;
-}
-
 Status HeapFileReader::ReadPageInto(uint64_t page_index, RowBatch* batch) {
   batch->Reset(codec_.num_columns());
   if (page_index >= num_pages_) {
@@ -410,19 +382,14 @@ Status HeapFileReader::ReadPageInto(uint64_t page_index, RowBatch* batch) {
   }
   // Positioned read: invalidate the sequential position like ReadAt does.
   next_slot_ = rows_in_current_page_;
+  // A slot holds its row's values byte for byte (RowCodec): one copy.
   const uint32_t count = rows_in_current_page_;
-  CopySlots(0, count, batch);
+  if (count > 0) {
+    std::memcpy(batch->AppendRows(count), page_.data() + kPageHeaderBytes,
+                count * codec_.row_bytes());
+  }
   if (counters_ != nullptr) counters_->rows_read += count;
   return Status::OK();
-}
-
-void HeapFileReader::CopySlots(uint32_t first, uint32_t count,
-                               RowBatch* batch) const {
-  // A slot holds its row's values byte for byte (RowCodec): one copy.
-  if (count == 0) return;
-  std::memcpy(batch->AppendRows(count),
-              page_.data() + kPageHeaderBytes + first * codec_.row_bytes(),
-              count * codec_.row_bytes());
 }
 
 Status HeapFileReader::ReadAt(Tid tid, Row* row) {

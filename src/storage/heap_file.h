@@ -9,7 +9,6 @@
 
 #include "catalog/row.h"
 #include "common/status.h"
-#include "storage/buffer_pool.h"
 #include "storage/io_counters.h"
 #include "storage/row_batch.h"
 #include "storage/row_codec.h"
@@ -130,25 +129,19 @@ class HeapFileReader {
   HeapFileReader& operator=(const HeapFileReader&) = delete;
   ~HeapFileReader();
 
-  /// `pool` (optional) caches pages across readers; `file_id` must then be
-  /// a process-unique id for this file's current contents (invalidate on
-  /// change).
+  /// `counters` (optional) accumulates the physical page and row reads.
   [[nodiscard]] static StatusOr<std::unique_ptr<HeapFileReader>> Open(
-      const std::string& path, int num_columns, IoCounters* counters,
-      BufferPool* pool = nullptr, uint64_t file_id = 0);
+      const std::string& path, int num_columns, IoCounters* counters);
 
   /// Reads the next row into `*row`; returns false at end of file.
   /// On I/O error returns an error status.
   [[nodiscard]] StatusOr<bool> Next(Row* row);
 
-  /// Decodes the remaining rows of the next unread page into `*batch`
-  /// (batch is Reset first); returns false at end of file. Charges the
-  /// same counters as reading those rows one by one with Next().
-  [[nodiscard]] StatusOr<bool> NextBatch(RowBatch* batch);
-
   /// Decodes all rows of page `page_index` into `*batch` (Reset first).
-  /// Positioned read: like ReadAt, it invalidates the sequential scan
-  /// position — callers interleaving with Next() must Reset() in between.
+  /// Charges the same counters as reading those rows one by one with
+  /// Next(). Positioned read: like ReadAt, it invalidates the sequential
+  /// scan position — callers interleaving with Next() must Reset() in
+  /// between.
   [[nodiscard]] Status ReadPageInto(uint64_t page_index, RowBatch* batch);
 
   /// Rewinds to the first row.
@@ -172,15 +165,10 @@ class HeapFileReader {
   /// buffer copy), then checks its magic and checksum.
   [[nodiscard]] Status LoadPage(uint64_t page_index);
 
-  /// Appends slots [first, first + count) of the loaded page to `batch`.
-  void CopySlots(uint32_t first, uint32_t count, RowBatch* batch) const;
-
   std::string path_;
   int fd_;
   RowCodec codec_;
   IoCounters* counters_;  // may be null
-  BufferPool* pool_ = nullptr;  // may be null
-  uint64_t file_id_ = 0;
   std::vector<char> page_;
   uint64_t num_pages_ = 0;
   uint64_t num_rows_ = 0;

@@ -9,7 +9,7 @@
 namespace sqlclass {
 
 /// Reusable buffer of decoded fixed-width rows — the unit a batched page
-/// decode fills (HeapFileReader::NextBatch / ReadPageInto). Rows live
+/// decode fills (HeapFileReader::ReadPageInto). Rows live
 /// contiguously in one buffer that only grows, so refilling a batch never
 /// allocates or clears once the buffer has reached page capacity, unlike a
 /// per-row `Row`.

@@ -12,7 +12,7 @@ namespace sqlclass {
 /// The heap row format is the row's `Value` array in little-endian order,
 /// which on a little-endian host is the array's own bytes: heap pages are
 /// filled and decoded with one memcpy per page (HeapFileWriter::AppendRows,
-/// HeapFileReader::NextBatch / ReadPageInto).
+/// HeapFileReader::ReadPageInto).
 static_assert(std::endian::native == std::endian::little,
               "heap pages copy rows as raw Value bytes");
 

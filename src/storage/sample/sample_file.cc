@@ -58,10 +58,6 @@ SampleFileBuilder::SampleFileBuilder(int num_columns, uint64_t total_rows,
   reservoir_.reserve(capacity_ * num_columns_);
 }
 
-Status SampleFileBuilder::AddRow(const Row& row) {
-  return AddRow(row.data(), row.size());
-}
-
 Status SampleFileBuilder::AddRow(const Value* values, size_t num_values) {
   if (num_values != num_columns_) {
     return Status::InvalidArgument("sample row width mismatch");
@@ -125,17 +121,16 @@ StatusOr<uint64_t> SampleFileBuilder::BuildFromHeapFile(
       HeapFileReader::Open(heap_path, num_columns, counters));
   SampleFileBuilder builder(num_columns, reader->num_rows(), ratio, seed);
   RowBatch batch;
-  while (true) {
-    // cost: charged-by-caller(HeapFileReader::NextBatch)
-    SQLCLASS_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch));
-    if (!more) break;
+  for (uint64_t page = 0; page < reader->num_pages(); ++page) {
+    // cost: charged-by-caller(SqlServer::BuildSampleTable)
+    SQLCLASS_RETURN_IF_ERROR(reader->ReadPageInto(page, &batch));
     for (size_t r = 0; r < batch.num_rows(); ++r) {
       SQLCLASS_RETURN_IF_ERROR(
           builder.AddRow(batch.RowAt(r), static_cast<size_t>(num_columns)));
     }
   }
   SQLCLASS_RETURN_IF_ERROR(builder.WriteFile(out_path, counters));
-  return builder.sample_rows();
+  return builder.rows_seen();
 }
 
 // ----------------------------------------------------------------- reader

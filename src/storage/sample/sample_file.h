@@ -33,10 +33,10 @@ namespace sqlclass {
 /// Conventional scramble filename for a heap file at `heap_path`.
 std::string SampleFilePathFor(const std::string& heap_path);
 
-/// Streaming scramble builder, written out in one shot. Populate either by
-/// streaming rows during a server-side scan (AddRow) or by backfilling from
-/// an existing heap file (BuildFromHeapFile). The total row count must be
-/// known up front (the server always knows it) so the reservoir capacity
+/// Streaming scramble builder, written out in one shot. BuildFromHeapFile
+/// is the one build path: it reads the table's heap pages and offers each
+/// row to AddRow. The total row count must be known up front (the heap
+/// file's page count gives it) so the reservoir capacity
 /// round(ratio * total_rows) is fixed before the first row arrives;
 /// Algorithm R then keeps a uniform sample in one pass. WriteFile shuffles
 /// the reservoir with the seeded RNG before serializing, making the stored
@@ -50,9 +50,6 @@ class SampleFileBuilder {
                     uint64_t seed);
 
   /// Folds one row into the reservoir.
-  [[nodiscard]] Status AddRow(const Row& row);
-
-  /// Pointer-row overload for batch-decoded rows.
   [[nodiscard]] Status AddRow(const Value* values, size_t num_values);
 
   /// Rows offered to the reservoir so far.
@@ -66,9 +63,11 @@ class SampleFileBuilder {
   /// accumulates physical page writes.
   [[nodiscard]] Status WriteFile(const std::string& path, IoCounters* counters);
 
-  /// One-shot backfill: scans the heap file at `heap_path` and writes the
-  /// scramble to `out_path`. Returns the number of rows sampled. Physical
-  /// reads and writes are charged to `counters` (nullable).
+  /// Scans the heap file at `heap_path` and writes the scramble to
+  /// `out_path`. Returns the number of rows read (each one offered to the
+  /// reservoir). Physical reads and writes are charged to `counters`
+  /// (nullable); the logical cost is the caller's
+  /// (SqlServer::BuildSampleTable).
   [[nodiscard]] static StatusOr<uint64_t> BuildFromHeapFile(const std::string& heap_path,
                                               int num_columns, double ratio,
                                               uint64_t seed,

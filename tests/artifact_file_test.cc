@@ -295,7 +295,7 @@ TEST(ArtifactFileBitmapTest, HeaderLengthBeyondFileIsIoError) {
   const std::string path = dir.path() + "/t.bmx";
   BitmapIndexBuilder builder({3, 4, 2});
   for (const Row& row : RandomRows(MakeSchema({3, 4}, 2), 1000, 5)) {
-    ASSERT_TRUE(builder.AddRow(row).ok());
+    ASSERT_TRUE(builder.AddRow(row.data(), row.size()).ok());
   }
   ASSERT_TRUE(builder.WriteFile(path, nullptr).ok());
   FlipByte(path, 27, 0xff);  // cardinality[0]'s high byte: 0 -> 0xff

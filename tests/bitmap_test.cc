@@ -108,7 +108,9 @@ TEST(BitmapIndexTest, RoundtripPreservesEveryBitmap) {
   const std::string path = dir.path() + "/t.bmx";
 
   BitmapIndexBuilder builder(Cardinalities(schema));
-  for (const Row& row : rows) ASSERT_TRUE(builder.AddRow(row).ok());
+  for (const Row& row : rows) {
+    ASSERT_TRUE(builder.AddRow(row.data(), row.size()).ok());
+  }
   EXPECT_EQ(builder.num_rows(), rows.size());
   IoCounters io;
   ASSERT_TRUE(builder.WriteFile(path, &io).ok());
@@ -151,7 +153,9 @@ TEST(BitmapIndexTest, StreamingAndBackfillProduceIdenticalFiles) {
 
   const std::string streamed = dir.path() + "/streamed.bmx";
   BitmapIndexBuilder builder(Cardinalities(schema));
-  for (const Row& row : rows) ASSERT_TRUE(builder.AddRow(row).ok());
+  for (const Row& row : rows) {
+    ASSERT_TRUE(builder.AddRow(row.data(), row.size()).ok());
+  }
   ASSERT_TRUE(builder.WriteFile(streamed, nullptr).ok());
 
   const std::string backfilled = dir.path() + "/backfilled.bmx";
@@ -187,7 +191,7 @@ TEST(BitmapIndexTest, OutOfDomainAccessRejected) {
   TempDir dir;
   const std::string path = dir.path() + "/t.bmx";
   BitmapIndexBuilder builder({3, 2});
-  ASSERT_TRUE(builder.AddRow(Row{1, 0}).ok());
+  ASSERT_TRUE(builder.AddRow(Row{1, 0}.data(), 2).ok());
   ASSERT_TRUE(builder.WriteFile(path, nullptr).ok());
   auto reader = BitmapIndexReader::Open(path, nullptr);
   ASSERT_TRUE(reader.ok());
@@ -210,7 +214,9 @@ TEST(BitmapIndexTest, CorruptPayloadDetectedAsDataLoss) {
   std::vector<Row> rows = RandomRows(schema, 500, 7);
   const std::string path = dir.path() + "/t.bmx";
   BitmapIndexBuilder builder(Cardinalities(schema));
-  for (const Row& row : rows) ASSERT_TRUE(builder.AddRow(row).ok());
+  for (const Row& row : rows) {
+    ASSERT_TRUE(builder.AddRow(row.data(), row.size()).ok());
+  }
   ASSERT_TRUE(builder.WriteFile(path, nullptr).ok());
 
   // Rot one byte in the last bitmap's payload.
@@ -240,7 +246,9 @@ TEST(BitmapIndexTest, CorruptPayloadIgnoredWhenVerificationDisabled) {
   std::vector<Row> rows = RandomRows(schema, 500, 7);
   const std::string path = dir.path() + "/t.bmx";
   BitmapIndexBuilder builder(Cardinalities(schema));
-  for (const Row& row : rows) ASSERT_TRUE(builder.AddRow(row).ok());
+  for (const Row& row : rows) {
+    ASSERT_TRUE(builder.AddRow(row.data(), row.size()).ok());
+  }
   ASSERT_TRUE(builder.WriteFile(path, nullptr).ok());
   FlipByte(path, -3);
 
@@ -259,7 +267,7 @@ TEST(BitmapIndexTest, CorruptHeaderDetectedAtOpen) {
   ChecksumToggle verify(true);
   const std::string path = dir.path() + "/t.bmx";
   BitmapIndexBuilder builder({5, 3});
-  ASSERT_TRUE(builder.AddRow(Row{2, 1}).ok());
+  ASSERT_TRUE(builder.AddRow(Row{2, 1}.data(), 2).ok());
   ASSERT_TRUE(builder.WriteFile(path, nullptr).ok());
 
   // Rot the num_rows field (offset 16, past magic/version/columns/reserved).
@@ -275,7 +283,7 @@ TEST(BitmapIndexTest, BadMagicIsIoError) {
   TempDir dir;
   const std::string path = dir.path() + "/t.bmx";
   BitmapIndexBuilder builder({2});
-  ASSERT_TRUE(builder.AddRow(Row{1}).ok());
+  ASSERT_TRUE(builder.AddRow(Row{1}.data(), 1).ok());
   ASSERT_TRUE(builder.WriteFile(path, nullptr).ok());
   FlipByte(path, 0);
   auto reader = BitmapIndexReader::Open(path, nullptr);
@@ -294,7 +302,9 @@ class BitmapScanTest : public ::testing::Test {
     rows_ = RandomRows(schema_, 3000, 99);
     path_ = dir_.path() + "/t.bmx";
     BitmapIndexBuilder builder(Cardinalities(schema_));
-    for (const Row& row : rows_) ASSERT_TRUE(builder.AddRow(row).ok());
+    for (const Row& row : rows_) {
+      ASSERT_TRUE(builder.AddRow(row.data(), row.size()).ok());
+    }
     ASSERT_TRUE(builder.WriteFile(path_, nullptr).ok());
     auto reader = BitmapIndexReader::Open(path_, nullptr);
     ASSERT_TRUE(reader.ok());

@@ -73,6 +73,37 @@ TEST_F(ExplainTest, NonQueriesRejected) {
   EXPECT_FALSE(server_->Explain("SELECT * FROM missing").ok());
 }
 
+// EXPLAIN rejects what Execute rejects, with the same status code.
+void ExpectExplainRejectsLikeExecute(SqlServer* server,
+                                     const std::string& sql) {
+  auto executed = server->Execute(sql);
+  ASSERT_FALSE(executed.ok());
+  auto plan = server->Explain(sql);
+  ASSERT_FALSE(plan.ok()) << *plan;
+  EXPECT_EQ(plan.status().code(), executed.status().code())
+      << plan.status().ToString() << " vs " << executed.status().ToString();
+}
+
+TEST_F(ExplainTest, UnknownWhereColumnRejectedLikeExecute) {
+  ExpectExplainRejectsLikeExecute(server_.get(),
+                                  "SELECT * FROM t WHERE nosuch = 1");
+}
+
+TEST_F(ExplainTest, UnknownGroupByColumnRejectedLikeExecute) {
+  ExpectExplainRejectsLikeExecute(
+      server_.get(), "SELECT nosuch, COUNT(*) FROM t GROUP BY nosuch");
+}
+
+TEST_F(ExplainTest, UnknownOrderByColumnRejectedLikeExecute) {
+  ExpectExplainRejectsLikeExecute(server_.get(),
+                                  "SELECT A1 FROM t ORDER BY nosuch");
+}
+
+TEST_F(ExplainTest, UnionWidthMismatchRejectedLikeExecute) {
+  ExpectExplainRejectsLikeExecute(
+      server_.get(), "SELECT A1 FROM t UNION ALL SELECT A1, A2 FROM t");
+}
+
 // --------------------------- continuous Gaussian + discretizer pipeline
 
 TEST(GaussianContinuousTest, MatchesDiscretizedStream) {

@@ -734,9 +734,9 @@ TEST(FaultInjectionTest, MiddlewareDegradesWhenLastStoredReadFaults) {
   config.enable_memory_staging = false;  // staged reads are physical freads
   config.scan_retry.initial_backoff_us = 0;
 
-  // Warm the server's buffer pool so the table's pages stop costing
-  // physical reads; every later grow then has an identical fread schedule
-  // dominated by staged-file reads (staged readers bypass the pool).
+  // A first grow without faults: the reference tree. Every grow over the
+  // loaded table has the same fread schedule, dominated by staged-file
+  // reads.
   GrowResult warmup = GrowWithFault(&server, **dataset, config, nullptr);
   ASSERT_TRUE(warmup.status.ok()) << warmup.status.ToString();
 

@@ -191,7 +191,7 @@ class HeapFileBatchTest : public ::testing::Test {
   TempDir dir_;
 };
 
-TEST_F(HeapFileBatchTest, NextBatchMatchesRowByRowNext) {
+TEST_F(HeapFileBatchTest, ReadPageIntoMatchesRowByRowNext) {
   Schema schema = MakeSchema({5, 7, 3}, 2);
   std::vector<Row> rows = RandomRows(schema, 1200, /*seed=*/11);
   IoCounters write_io;
@@ -214,10 +214,9 @@ TEST_F(HeapFileBatchTest, NextBatchMatchesRowByRowNext) {
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   std::vector<Row> via_batch;
   RowBatch batch;
-  while (true) {
-    auto more = (*batched)->NextBatch(&batch);
-    ASSERT_TRUE(more.ok()) << more.status().ToString();
-    if (!*more) break;
+  for (uint64_t page = 0; page < (*batched)->num_pages(); ++page) {
+    Status s = (*batched)->ReadPageInto(page, &batch);
+    ASSERT_TRUE(s.ok()) << s.ToString();
     for (size_t i = 0; i < batch.num_rows(); ++i) {
       const Value* v = batch.RowAt(i);
       via_batch.emplace_back(v, v + batch.num_columns());
@@ -421,16 +420,15 @@ TEST_F(HeapFileBatchTest, BulkAppendMatchesRowByRowAcrossPageBoundaries) {
   }
   EXPECT_EQ(by_page, rows);
   ASSERT_TRUE((*reader)->Reset().ok());
-  std::vector<Row> by_batch;
+  std::vector<Row> by_row;
+  Row row;
   while (true) {
-    auto more = (*reader)->NextBatch(&batch);
+    auto more = (*reader)->Next(&row);
     ASSERT_TRUE(more.ok()) << more.status().ToString();
     if (!*more) break;
-    for (size_t i = 0; i < batch.num_rows(); ++i) {
-      by_batch.emplace_back(batch.RowAt(i), batch.RowAt(i) + columns);
-    }
+    by_row.push_back(row);
   }
-  EXPECT_EQ(by_batch, rows);
+  EXPECT_EQ(by_row, rows);
 }
 
 // ----------------------------------------------------------------- CC merge

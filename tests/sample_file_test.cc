@@ -64,14 +64,16 @@ TEST(SampleBuilderTest, ReservoirSizeIsClampedRoundOfRatio) {
   // round(0.1 * 995) = 100; fewer offered rows than capacity keeps them all.
   SampleFileBuilder builder(3, 995, 0.1, 7);
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(builder.AddRow(Row{1, 2, 3}).ok());
+    ASSERT_TRUE(builder.AddRow(Row{1, 2, 3}.data(), 3).ok());
   }
   EXPECT_EQ(builder.rows_seen(), 40u);
   EXPECT_EQ(builder.sample_rows(), 40u);
 
   // Tiny ratios clamp up to one row; ratio 1.0 keeps everything.
   SampleFileBuilder tiny(2, 1000, 1e-9, 7);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(tiny.AddRow(Row{0, 0}).ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(tiny.AddRow(Row{0, 0}.data(), 2).ok());
+  }
   EXPECT_EQ(tiny.sample_rows(), 1u);
 }
 
@@ -82,7 +84,9 @@ TEST(SampleFileTest, FullRatioRoundtripIsAPermutation) {
   const std::string path = dir.path() + "/t.smp";
 
   SampleFileBuilder builder(schema.num_columns(), rows.size(), 1.0, 42);
-  for (const Row& row : rows) ASSERT_TRUE(builder.AddRow(row).ok());
+  for (const Row& row : rows) {
+    ASSERT_TRUE(builder.AddRow(row.data(), row.size()).ok());
+  }
   IoCounters io;
   ASSERT_TRUE(builder.WriteFile(path, &io).ok());
   EXPECT_GT(io.pages_written, 0u);
@@ -115,7 +119,9 @@ TEST(SampleFileTest, DeterministicForFixedSeedAndDifferentAcrossSeeds) {
   auto build = [&](uint64_t seed, const std::string& name) {
     const std::string path = dir.path() + "/" + name;
     SampleFileBuilder builder(schema.num_columns(), rows.size(), 0.2, seed);
-    for (const Row& row : rows) EXPECT_TRUE(builder.AddRow(row).ok());
+    for (const Row& row : rows) {
+      EXPECT_TRUE(builder.AddRow(row.data(), row.size()).ok());
+    }
     EXPECT_TRUE(builder.WriteFile(path, nullptr).ok());
     return FileBytes(path);
   };
@@ -133,8 +139,10 @@ TEST(SampleFileTest, StreamingAndBackfillProduceIdenticalFiles) {
 
   const std::string streamed = dir.path() + "/streamed.smp";
   SampleFileBuilder builder(schema.num_columns(), rows.size(), 0.25, 31);
-  for (const Row& row : rows) ASSERT_TRUE(builder.AddRow(row).ok());
-  const uint64_t streamed_rows = builder.sample_rows();
+  for (const Row& row : rows) {
+    ASSERT_TRUE(builder.AddRow(row.data(), row.size()).ok());
+  }
+  const uint64_t streamed_rows = builder.rows_seen();
   ASSERT_TRUE(builder.WriteFile(streamed, nullptr).ok());
 
   const std::string backfilled = dir.path() + "/backfilled.smp";
@@ -157,7 +165,9 @@ TEST(SampleFileTest, SampleIsRoughlyUniformOverClasses) {
   }
   const std::string path = dir.path() + "/u.smp";
   SampleFileBuilder builder(columns, rows.size(), 0.1, 3);
-  for (const Row& row : rows) ASSERT_TRUE(builder.AddRow(row).ok());
+  for (const Row& row : rows) {
+    ASSERT_TRUE(builder.AddRow(row.data(), row.size()).ok());
+  }
   ASSERT_TRUE(builder.WriteFile(path, nullptr).ok());
 
   auto reader = SampleFileReader::Open(path, nullptr);
@@ -182,7 +192,9 @@ TEST(SampleFileTest, CorruptPayloadDetectedAsDataLoss) {
   std::vector<Row> rows = RandomRows(schema, 500, 7);
   const std::string path = dir.path() + "/t.smp";
   SampleFileBuilder builder(schema.num_columns(), rows.size(), 0.5, 1);
-  for (const Row& row : rows) ASSERT_TRUE(builder.AddRow(row).ok());
+  for (const Row& row : rows) {
+    ASSERT_TRUE(builder.AddRow(row.data(), row.size()).ok());
+  }
   ASSERT_TRUE(builder.WriteFile(path, nullptr).ok());
 
   FlipByte(path, -3);  // rot a payload byte
@@ -197,7 +209,7 @@ TEST(SampleFileTest, CorruptHeaderRejectedAtOpen) {
   const std::string path = dir.path() + "/t.smp";
   SampleFileBuilder builder(2, 100, 0.5, 1);
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(builder.AddRow(Row{1, 0}).ok());
+    ASSERT_TRUE(builder.AddRow(Row{1, 0}.data(), 2).ok());
   }
   ASSERT_TRUE(builder.WriteFile(path, nullptr).ok());
 
@@ -210,7 +222,9 @@ TEST(SampleFileTest, FaultPointsFireOnOpenAndRead) {
   FaultScope guard;
   const std::string path = dir.path() + "/t.smp";
   SampleFileBuilder builder(2, 50, 1.0, 1);
-  for (int i = 0; i < 50; ++i) ASSERT_TRUE(builder.AddRow(Row{0, 1}).ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(builder.AddRow(Row{0, 1}.data(), 2).ok());
+  }
   ASSERT_TRUE(builder.WriteFile(path, nullptr).ok());
 
   {

@@ -2,16 +2,52 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <limits>
 #include <map>
 
+#include "common/fault_injector.h"
+#include "shard/shard_map.h"
+#include "storage/bitmap/bitmap_index.h"
+#include "storage/sample/sample_file.h"
 #include "test_util.h"
 
 namespace sqlclass {
 namespace {
 
+using testing_util::FaultScope;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 using testing_util::TempDir;
+
+using HitCounts = std::map<std::string, uint64_t>;
+
+/// Crossings of every known fault point while `run` runs, each point armed
+/// so that it never fires. Points never crossed are left out.
+HitCounts CountFaultHits(const std::function<Status()>& run) {
+  FaultScope guard;
+  FaultInjector::PointConfig silent;
+  silent.after = std::numeric_limits<uint64_t>::max();
+  for (const std::string& point : FaultInjector::KnownPoints()) {
+    FaultInjector::Global().Arm(point, silent);
+  }
+  const Status status = run();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  HitCounts hits;
+  for (const std::string& point : FaultInjector::KnownPoints()) {
+    const uint64_t count = FaultInjector::Global().Hits(point);
+    if (count > 0) hits[point] = count;
+  }
+  return hits;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -60,10 +96,17 @@ TEST_F(ServerTest, InvalidTableNameRejected) {
   EXPECT_FALSE(server_->CreateTable("bad name!", schema_).ok());
 }
 
+TEST_F(ServerTest, CreateTableRejectsInvalidSchema) {
+  EXPECT_EQ(server_->CreateTable("u", Schema()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(server_->HasTable("u"));
+}
+
 TEST_F(ServerTest, DropTableRemoves) {
   ASSERT_TRUE(server_->DropTable("t").ok());
   EXPECT_FALSE(server_->HasTable("t"));
   EXPECT_FALSE(server_->TableRowCount("t").ok());
+  EXPECT_EQ(server_->DropTable("t").code(), StatusCode::kNotFound);
 }
 
 TEST_F(ServerTest, LoaderRejectsOutOfDomainRows) {
@@ -94,6 +137,122 @@ TEST_F(ServerTest, ScanReturnsAllRowsInOrder) {
     ++i;
   }
   EXPECT_EQ(i, rows_.size());
+}
+
+TEST_F(ServerTest, CursorReturnsMultiPageTableInOrder) {
+  const Schema schema = MakeSchema({4, 4, 4, 4, 4, 4, 4, 4}, 2);
+  const std::vector<Row> rows = RandomRows(schema, 8000, 9);  // 36 pages
+  ASSERT_TRUE(server_->CreateTable("wide", schema).ok());
+  ASSERT_TRUE(server_->LoadRows("wide", rows).ok());
+  auto cursor = server_->OpenCursor("wide", nullptr);
+  ASSERT_TRUE(cursor.ok());
+  Row row;
+  size_t i = 0;
+  while (*(*cursor)->Next(&row)) {
+    ASSERT_LT(i, rows.size());
+    ASSERT_EQ(row, rows[i]);
+    ++i;
+  }
+  EXPECT_EQ(i, rows.size());
+}
+
+TEST_F(ServerTest, CursorAfterAppendSeesAppendedRows) {
+  auto count_rows = [&]() {
+    auto cursor = server_->OpenCursor("t", nullptr);
+    EXPECT_TRUE(cursor.ok());
+    Row row;
+    uint64_t n = 0;
+    while (*(*cursor)->Next(&row)) ++n;
+    return n;
+  };
+  EXPECT_EQ(count_rows(), rows_.size());
+  ASSERT_TRUE(server_->AppendRows("t", {{2, 0, 0}, {1, 3, 1}}).ok());
+  EXPECT_EQ(count_rows(), rows_.size() + 2);
+}
+
+// Each Build* of a derived artifact runs its builder's BuildFromHeapFile:
+// the same fault-point crossings, physical I/O and file bytes as the
+// builder run on a copy of the table's heap file, charged as one scan, one
+// evaluation per row and one insert per row written.
+TEST_F(ServerTest, ArtifactBuildsRunTheirBuilderAndChargeOneScan) {
+  const Schema schema = MakeSchema({5, 3, 4}, 2);
+  const uint64_t n = 5000;  // 10 heap pages
+  ASSERT_TRUE(server_->CreateTable("big", schema).ok());
+  ASSERT_TRUE(server_->LoadRows("big", RandomRows(schema, n, 17)).ok());
+  auto heap = server_->TableHeapPath("big");
+  ASSERT_TRUE(heap.ok());
+  const std::string copy_dir = dir_.path() + "/copy";
+  std::filesystem::create_directories(copy_dir);
+  const std::string copy = copy_dir + "/big.tbl";
+  std::filesystem::copy_file(*heap, copy);
+
+  struct Build {
+    const char* name;
+    std::function<Status()> server_build;
+    std::function<Status(IoCounters*)> builder;
+    std::string (*artifact_path)(const std::string& heap);
+    uint64_t copies;
+  };
+  const std::vector<Build> builds = {
+      {"bitmap", [&] { return server_->BuildBitmapIndex("big"); },
+       [&](IoCounters* io) {
+         return BitmapIndexBuilder::BuildFromHeapFile(
+                    copy, {5, 3, 4, 2}, BitmapIndexPathFor(copy), io)
+             .status();
+       },
+       &BitmapIndexPathFor, 1},
+      {"sample", [&] { return server_->BuildSampleTable("big", 0.2, 5); },
+       [&](IoCounters* io) {
+         return SampleFileBuilder::BuildFromHeapFile(
+                    copy, 4, 0.2, 5, SampleFilePathFor(copy), io)
+             .status();
+       },
+       &SampleFilePathFor, 1},
+      {"shards", [&] { return server_->BuildShardSet("big", 3); },
+       [&](IoCounters* io) {
+         return ShardSetWriter::BuildFromHeapFile(
+                    copy, 4, 3, ShardScheme::kHashRowId, io)
+             .status();
+       },
+       &ShardMapPathFor, 1},
+      {"replicated shards",
+       [&] {
+         SQLCLASS_RETURN_IF_ERROR(server_->DropShardSet("big"));
+         return server_->BuildShardSet("big", 3, ShardScheme::kHashRowId,
+                                       /*with_replicas=*/true);
+       },
+       [&](IoCounters* io) {
+         RemoveShardSetFiles(copy, 3);
+         return ShardSetWriter::BuildFromHeapFile(
+                    copy, 4, 3, ShardScheme::kHashRowId, io,
+                    /*with_replicas=*/true)
+             .status();
+       },
+       &ShardMapPathFor, 2},
+  };
+  for (const Build& build : builds) {
+    SCOPED_TRACE(build.name);
+    IoCounters builder_io;
+    const HitCounts builder_hits =
+        CountFaultHits([&] { return build.builder(&builder_io); });
+
+    server_->ResetCostCounters();
+    const IoCounters before = server_->io_counters();
+    const HitCounts server_hits = CountFaultHits(build.server_build);
+    const IoCounters& after = server_->io_counters();
+
+    EXPECT_EQ(server_hits, builder_hits);
+    EXPECT_EQ(after.pages_read - before.pages_read, builder_io.pages_read);
+    EXPECT_EQ(after.pages_written - before.pages_written,
+              builder_io.pages_written);
+    EXPECT_EQ(FileBytes(build.artifact_path(*heap)),
+              FileBytes(build.artifact_path(copy)));
+    CostCounters expected;
+    expected.server_scans = 1;
+    expected.server_rows_evaluated = n;
+    expected.index_rows_inserted = n * build.copies;
+    EXPECT_EQ(server_->cost_counters().ToString(), expected.ToString());
+  }
 }
 
 TEST_F(ServerTest, ExecuteCountsAndCharges) {

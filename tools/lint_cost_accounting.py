@@ -15,7 +15,6 @@ Primitives (call sites that move rows/bytes):
     .DecodeInto( / ->DecodeInto(
     .Encode( / ->Encode(       row encode into a page image
     ->Next( / .Next(           cursor / row-source advance
-    ->NextBatch( / .NextBatch(
     ->BitmapWords( / .BitmapWords(   bitmap-index word fetch
     ->SampleRows( / .SampleRows(     scramble (sample file) payload fetch
     ->ShardRows( / .ShardRows(       shard distribution-map entry fetch
@@ -78,7 +77,6 @@ PRIMITIVE_RE = re.compile(
       | (?:\.|->)DecodeInto\s*\(
       | (?:\.|->)Encode\s*\(
       | (?:\.|->)Next\s*\(
-      | (?:\.|->)NextBatch\s*\(
       | (?:\.|->)BitmapWords\s*\(
       | (?:\.|->)SampleRows\s*\(
       | (?:\.|->|::)ShardRows\s*\(
