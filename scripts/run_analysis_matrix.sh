@@ -81,9 +81,10 @@ run_leg() {
       configure_and_build "$dir" -DSQLCLASS_SANITIZE=thread
       ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L concurrency
       # The service's scan start and re-registration paths are
-      # interleaving-sensitive: repeat them so a rare schedule shows.
+      # interleaving-sensitive, and a derived sibling table reads tables the
+      # scan pool's workers filled: repeat them so a rare schedule shows.
       ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
-        --no-tests=error -L concurrency -R Service --repeat until-fail:20
+        --no-tests=error -L concurrency -R 'Service|DerivedSibling' --repeat until-fail:20
       ;;
     faults)
       note "faults: -fsanitize=address,undefined + ctest -L faults"

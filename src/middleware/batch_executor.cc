@@ -1,6 +1,7 @@
 #include "middleware/batch_executor.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/fault_injector.h"
@@ -28,10 +29,10 @@ std::vector<ScanNode> ArtifactNodes(const BatchExecutor::Batch& batch,
   return nodes;
 }
 
-/// A batch node whose CC table the row scan derives rather than counts
-/// (DESIGN.md "Parallel counting", "Derived children"): the scan counts
-/// its class totals and `counted` attributes, and each `derived`
-/// attribute's cells are its parent's minus its `siblings'`.
+/// A batch node whose CC table an exact pass derives rather than counts
+/// (DESIGN.md "Derived children"): the pass counts its class totals and
+/// `counted` attributes, and each `derived` attribute's cells are its
+/// parent's minus its `siblings'`.
 struct DerivedNode {
   size_t node = 0;              // position in the batch
   std::vector<size_t> siblings;  // the rest of its sibling group
@@ -157,10 +158,24 @@ struct BatchExecutor::State {
   // Ladder position: a rung, once taken, switches its path or staging off.
   std::vector<Path> artifacts;  // artifact paths still to try, in order
   bool staging_enabled;
+  // The batch's complete sibling groups, planned once per Run.
+  std::vector<DerivedNode> derivations;
   // Per-attempt scan state.
   const bool bounded;       // overflow checks apply at all
   size_t cc_available = 0;  // memory left for CC tables during the scan
+  bool overflow_checks = false;  // a row scan checks CC memory mid-scan
   bool staging_fault = false;
+
+  /// The derivations `path`'s pass applies. The bitmap and shard passes
+  /// evict only from their finished tables (CheckOverflow), so they always
+  /// derive; a row scan derives only when no §4.1.1 check can evict a
+  /// node mid-scan; a sample pass never derives.
+  std::span<const DerivedNode> Derivations(Path path) const {
+    if (path == Path::kSample || (path == Path::kRowScan && overflow_checks)) {
+      return {};
+    }
+    return derivations;
+  }
 
   /// Kernel options that count every node of the batch, and nothing more:
   /// no charges, staging, filter or overflow checks.
@@ -200,6 +215,7 @@ Status BatchExecutor::Run(const Batch& batch, Report* report) {
     predicates.push_back(request->predicate.get());
   }
   State st(batch, report, predicates);
+  st.derivations = PlanDerivations(batch.requests);
   *report = Report();
   report->source = batch.plan.source;
   report->staged.resize(n);
@@ -245,6 +261,9 @@ Status BatchExecutor::Run(const Batch& batch, Report* report) {
     }
     st.cc_available =
         batch.memory_budget > reserved ? batch.memory_budget - reserved : 0;
+    st.overflow_checks =
+        st.bounded &&
+        WorstCaseBytes(batch, st.num_classes) > st.cc_available;
     Status pass = RunPass(&st);
     if (pass.ok()) break;
 
@@ -309,17 +328,47 @@ Status BatchExecutor::Run(const Batch& batch, Report* report) {
 }
 
 Status BatchExecutor::RunPass(State* st) {
-  if (!st->artifacts.empty()) {
-    switch (st->artifacts.front()) {
-      case Path::kSample:
-        return SamplePass(st);
-      case Path::kBitmap:
-        return BitmapPass(st);
-      default:
-        return ShardPass(st);
+  Status pass;
+  if (st->artifacts.empty()) {
+    pass = ScanPass(st);
+  } else if (st->artifacts.front() == Path::kSample) {
+    pass = SamplePass(st);
+  } else if (st->artifacts.front() == Path::kBitmap) {
+    pass = BitmapPass(st);
+  } else {
+    pass = ShardPass(st);
+  }
+  SQLCLASS_RETURN_IF_ERROR(pass);
+  return DeriveTables(st);
+}
+
+// The one derivation step of every exact pass (DESIGN.md "Derived
+// children"): each derived node's table gains its parent's cells minus its
+// siblings' on the attributes the pass left uncounted, and the charge
+// counting them would have made is made here. A bitmap pass charged them
+// when it fetched the bitmaps, which it does for every active attribute.
+Status BatchExecutor::DeriveTables(State* st) {
+  Report* report = st->report;
+  const std::span<const DerivedNode> derivations =
+      st->Derivations(report->path);
+  CostCounters& cost = server_->cost_counters();
+  std::vector<const CcTable*> siblings;
+  for (const DerivedNode& d : derivations) {
+    CcTable& cc = report->ccs[d.node];
+    siblings.clear();
+    for (size_t i : d.siblings) siblings.push_back(&report->ccs[i]);
+    const size_t cells = cc.NumEntries();
+    SQLCLASS_RETURN_IF_ERROR(cc.AddDifference(
+        *st->batch.requests[d.node]->parent_cc, siblings, d.derived));
+    if (report->path == Path::kRowScan) {
+      cost.mw_cc_updates +=
+          static_cast<uint64_t>(cc.TotalRows()) * d.derived.size();
+    } else if (report->path == Path::kShards) {
+      cost.mw_shard_merge_cells += cc.NumEntries() - cells;
     }
   }
-  return ScanPass(st);
+  report->counts.derived_nodes = derivations.size();
+  return Status::OK();
 }
 
 // Rule 7: every node's *sample* CC from the table's scramble. Whether a
@@ -367,6 +416,9 @@ Status BatchExecutor::BitmapPass(State* st) {
         bitmap_reader_, BitmapIndexReader::Open(path, &server_->io_counters()));
   }
   auto nodes = ArtifactNodes<BitmapCountScan::Node>(batch, &st->report->ccs);
+  for (const DerivedNode& d : st->Derivations(Path::kBitmap)) {
+    nodes[d.node].counted_attrs = &d.counted;
+  }
   SQLCLASS_RETURN_IF_ERROR(BitmapCountScan::Run(
       bitmap_reader_.get(), *batch.schema, &nodes, &server_->cost_counters(),
       ScanPool()));
@@ -389,6 +441,9 @@ Status BatchExecutor::ShardPass(State* st) {
                                &server_->io_counters()));
   }
   auto nodes = ArtifactNodes<ShardCoordinator::Node>(batch, &report->ccs);
+  for (const DerivedNode& d : st->Derivations(Path::kShards)) {
+    nodes[d.node].active_attrs = &d.counted;
+  }
   if (shard_transport_ == nullptr) {
     shard_transport_ = MakeShardTransport(config_.sharding, scan_threads_);
   }
@@ -439,16 +494,12 @@ Status BatchExecutor::ScanPass(State* st) {
   // §4.1.1's overflow checks run only if one could fire. Otherwise no
   // node is evicted, every sibling table is whole, and the largest child
   // of each complete sibling group is derived rather than counted.
-  std::vector<DerivedNode> derivations;
-  if (st->bounded &&
-      WorstCaseBytes(batch, st->num_classes) > st->cc_available) {
+  if (st->overflow_checks) {
     options.cc_available = st->cc_available;
     options.check_interval = batch.overflow_check_interval;
-  } else {
-    derivations = PlanDerivations(batch.requests);
-    for (const DerivedNode& d : derivations) {
-      options.node_attrs[d.node] = &d.counted;
-    }
+  }
+  for (const DerivedNode& d : st->Derivations(Path::kRowScan)) {
+    options.node_attrs[d.node] = &d.counted;
   }
 
   const DataLocation& source = report->source;
@@ -484,16 +535,6 @@ Status BatchExecutor::ScanPass(State* st) {
                                               options, &cost, io));
   }
   report->ccs = std::move(scan.ccs);
-  std::vector<const CcTable*> siblings;
-  for (const DerivedNode& d : derivations) {
-    siblings.clear();
-    for (size_t i : d.siblings) siblings.push_back(&report->ccs[i]);
-    SQLCLASS_RETURN_IF_ERROR(report->ccs[d.node].AddDifference(
-        *batch.requests[d.node]->parent_cc, siblings, d.derived));
-    // The charge counting the derived attributes would have made.
-    cost.mw_cc_updates += scan.node_matches[d.node] * d.derived.size();
-  }
-  report->counts.derived_nodes = derivations.size();
   report->evicted = std::move(scan.evicted);
   report->observed_bytes = std::move(scan.observed_bytes);
   report->rows_scanned = scan.rows_delivered;

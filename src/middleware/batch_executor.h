@@ -51,7 +51,7 @@ namespace sqlclass {
   X(shard_replica_rescans) /* dead shards recovered from replicas */        \
   X(shard_rpc_timeouts)    /* RPC deadline expiries (subprocess) */         \
   X(shard_worker_restarts) /* workers respawned after a kill or crash */    \
-  X(derived_nodes)         /* row-scan CCs derived as parent - siblings */  \
+  X(derived_nodes)         /* exact CCs derived as parent - siblings */     \
   X(bitmap_scans)          /* batches served from the bitmap index */       \
   X(shard_scans)           /* batches served by the sharded fan-out */
 
@@ -159,6 +159,7 @@ class BatchExecutor {
   [[nodiscard]] Status BitmapPass(State* st);
   [[nodiscard]] Status ShardPass(State* st);
   [[nodiscard]] Status ScanPass(State* st);
+  [[nodiscard]] Status DeriveTables(State* st);
   [[nodiscard]] StatusOr<size_t> BeginStaging(State* st);
   void AbortStaging(State* st);
   void SealStaging(State* st);

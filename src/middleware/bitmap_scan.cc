@@ -128,9 +128,10 @@ Status LoadNode(BitmapIndexReader* index, int class_column, int num_classes,
 /// Fills `node`'s CC table from its loaded bitmaps. Only the node bitmap is
 /// built over every word; the class slices and every (attribute value x
 /// class) count run over its live words alone, so a deep node with few
-/// rows costs a fraction of the root.
+/// rows costs a fraction of the root. Attributes outside the node's
+/// `counted_attrs` are loaded but not counted.
 void CountNode(const LoadedNode& loaded, uint64_t num_rows, uint64_t words,
-               BitmapCountScan::Node* node, Scratch* s) {
+               const BitmapCountScan::Node& node, Scratch* s) {
   const int num_classes = static_cast<int>(loaded.classes.size());
   uint64_t* bm = s->node_bm.data();
   s->live.clear();
@@ -157,12 +158,10 @@ void CountNode(const LoadedNode& loaded, uint64_t num_rows, uint64_t words,
   // Per-class slices of the node bitmap; their popcounts are the class
   // totals (and sum to the node's row count — the invariant the
   // middleware checks against request.data_size).
-  node->node_rows = 0;
   for (int k = 0; k < num_classes; ++k) {
     const uint64_t total = GatherAndInto(bm, loaded.classes[k], live, n,
                                          s->slices.data() + k * n);
-    node->cc->AddClassTotal(k, static_cast<int64_t>(total));
-    node->node_rows += total;
+    node.cc->AddClassTotal(k, static_cast<int64_t>(total));
   }
 
   // Every (attribute value x class) count is one AND+popcount against the
@@ -170,8 +169,13 @@ void CountNode(const LoadedNode& loaded, uint64_t num_rows, uint64_t words,
   // occurs in the node's data, and only occurring classes are added — the
   // exact cell/count structure a row scan builds, which is what makes the
   // two paths' CC tables compare equal.
-  const std::vector<int>& attrs = *node->active_attrs;
+  const std::vector<int>& attrs = *node.active_attrs;
   for (size_t a = 0; a < attrs.size(); ++a) {
+    if (node.counted_attrs != nullptr &&
+        std::find(node.counted_attrs->begin(), node.counted_attrs->end(),
+                  attrs[a]) == node.counted_attrs->end()) {
+      continue;
+    }
     const std::vector<const uint64_t*>& values = loaded.values[a];
     for (size_t v = 0; v < values.size(); ++v) {
       int64_t any = 0;
@@ -183,7 +187,7 @@ void CountNode(const LoadedNode& loaded, uint64_t num_rows, uint64_t words,
       if (any == 0) continue;
       for (int k = 0; k < num_classes; ++k) {
         if (s->counts[k] > 0) {
-          node->cc->Add(attrs[a], static_cast<Value>(v), k, s->counts[k]);
+          node.cc->Add(attrs[a], static_cast<Value>(v), k, s->counts[k]);
         }
       }
     }
@@ -256,7 +260,7 @@ Status BitmapCountScan::Run(BitmapIndexReader* index, const Schema& schema,
   auto work = [&](int slot) {
     Scratch& s = buffers[slot];
     for (size_t i = next_node++; i < nodes->size(); i = next_node++) {
-      CountNode(loaded[i], num_rows, words, &(*nodes)[i], &s);
+      CountNode(loaded[i], num_rows, words, (*nodes)[i], &s);
     }
   };
   if (workers > 1) {

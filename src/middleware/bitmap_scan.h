@@ -28,12 +28,14 @@ class BitmapCountScan {
   /// negations never occur in node predicates and are not servable.
   static bool Servable(const Expr* predicate);
 
-  /// One CC request inside a bitmap batch.
+  /// One CC request inside a bitmap batch. Every active attribute's
+  /// bitmaps are fetched and charged; only the `counted_attrs` (null: all
+  /// active attributes) get cells. The class totals are always counted.
   struct Node {
     const Expr* predicate = nullptr;  // bound; null means TRUE
     const std::vector<int>* active_attrs = nullptr;
-    CcTable* cc = nullptr;   // out: populated by Run
-    uint64_t node_rows = 0;  // out: popcount of the node bitmap
+    const std::vector<int>* counted_attrs = nullptr;  // a subset, or null
+    CcTable* cc = nullptr;  // out: populated by Run
   };
 
   /// Builds every node's CC table from `index`. `cost` (nullable) takes

@@ -88,6 +88,8 @@ class ShardCoordinator {
   /// One CC request inside a sharded batch.
   struct Node {
     const Expr* predicate = nullptr;  // bound; null means TRUE
+    /// The attributes the shards count and ship, possibly none (a derived
+    /// child's residual attributes; its class totals are always counted).
     const std::vector<int>* active_attrs = nullptr;
     CcTable* cc = nullptr;  // out: populated by Run
   };

@@ -53,7 +53,7 @@ struct CcRequest {
   /// requests; null for the root and under a sample-served (approximate)
   /// parent. Whoever sets it promises that the parent counted every
   /// attribute its children count, and that the children's data sets are
-  /// disjoint subsets of the parent's. A row-scan provider may then derive
+  /// disjoint subsets of the parent's. An exact provider may then derive
   /// one child of a sibling group it counts in full as the parent's table
   /// minus its siblings' (CcTable::AddDifference), and bound a child's
   /// cells by the parent's card(p, A). Providers are free to ignore it.

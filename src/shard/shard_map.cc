@@ -172,22 +172,37 @@ Status ShardSetWriter::Open(IoCounters* counters) {
   return Status::OK();
 }
 
-Status ShardSetWriter::AddRow(const Row& row) {
+Status ShardSetWriter::AddRows(const Value* rows, size_t num_rows) {
   if (writers_.empty()) {
     return Status::InvalidArgument("shard set writer not open");
   }
+  const size_t width = static_cast<size_t>(num_columns_);
+  runs_.resize(num_shards_);
+  for (std::vector<Value>& run : runs_) run.clear();
+  for (size_t r = 0; r < num_rows; ++r) {
+    std::vector<Value>& run =
+        runs_[ShardForRow(scheme_, rows_routed_ + r, num_shards_)];
+    run.insert(run.end(), rows + r * width, rows + (r + 1) * width);
+  }
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    if (runs_[s].empty()) continue;
+    Status appended =
+        writers_[s]->AppendRows(runs_[s].data(), runs_[s].size() / width);
+    if (!appended.ok()) {
+      writers_.clear();
+      RemoveShardSet();
+      return appended;
+    }
+  }
+  rows_routed_ += num_rows;
+  return Status::OK();
+}
+
+Status ShardSetWriter::AddRow(const Row& row) {
   if (row.size() != static_cast<size_t>(num_columns_)) {
     return Status::InvalidArgument("shard row width mismatch");
   }
-  const uint32_t shard = ShardForRow(scheme_, rows_routed_, num_shards_);
-  Status appended = writers_[shard]->Append(row);
-  if (!appended.ok()) {
-    writers_.clear();
-    RemoveShardSet();
-    return appended;
-  }
-  ++rows_routed_;
-  return Status::OK();
+  return AddRows(row.data(), 1);
 }
 
 Status ShardSetWriter::Finish() {
@@ -262,16 +277,16 @@ StatusOr<uint64_t> ShardSetWriter::BuildFromHeapFile(
   ShardSetWriter writer(heap_path, num_columns, num_shards, scheme);
   writer.set_write_replicas(with_replicas);
   SQLCLASS_RETURN_IF_ERROR(writer.Open(counters));
-  Row row;
-  while (true) {
+  RowBatch batch;
+  for (uint64_t page = 0; page < reader->num_pages(); ++page) {
     // cost: charged-by-caller(SqlServer::BuildShardSet)
-    StatusOr<bool> more = reader->Next(&row);
-    if (!more.ok()) {
+    Status read = reader->ReadPageInto(page, &batch);
+    if (!read.ok()) {
       writer.RemoveShardSet();
-      return more.status();
+      return read;
     }
-    if (!more.value()) break;
-    SQLCLASS_RETURN_IF_ERROR(writer.AddRow(row));
+    if (batch.empty()) continue;
+    SQLCLASS_RETURN_IF_ERROR(writer.AddRows(batch.RowAt(0), batch.num_rows()));
   }
   SQLCLASS_RETURN_IF_ERROR(writer.Finish());
   return writer.rows_routed();

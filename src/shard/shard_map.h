@@ -81,9 +81,10 @@ struct ShardInfo {
 
 /// Streaming partitioner: routes rows to N shard heap writers as they
 /// arrive and writes the distribution map on Finish. BuildFromHeapFile is
-/// the one build path: it reads the table's heap file and routes each row
-/// with AddRow by the ordinal scheme. On any failure the partial shard set
-/// (map + every shard file) is removed. Not thread-safe.
+/// the one build path: it reads the table's heap file a page at a time and
+/// routes each page's rows with AddRows by the ordinal scheme. On any
+/// failure the partial shard set (map + every shard file) is removed. Not
+/// thread-safe.
 class ShardSetWriter {
  public:
   /// Partitions rows of `num_columns` values for the table whose primary
@@ -101,9 +102,15 @@ class ShardSetWriter {
   }
 
   /// Creates the shard heap files (truncating). Must be called once before
-  /// AddRow. `counters` (nullable) accumulates physical writes for the
+  /// AddRows. `counters` (nullable) accumulates physical writes for the
   /// writer's whole lifetime.
   [[nodiscard]] Status Open(IoCounters* counters);
+
+  /// Routes `num_rows` rows stored contiguously at `rows` (num_columns
+  /// values each) to their shards, in order, and appends each shard's rows
+  /// with one HeapFileWriter::AppendRows call. The shard files are the
+  /// same bytes as routing the rows one by one.
+  [[nodiscard]] Status AddRows(const Value* rows, size_t num_rows);
 
   /// Routes one row to its shard.
   [[nodiscard]] Status AddRow(const Row& row);
@@ -139,6 +146,7 @@ class ShardSetWriter {
   IoCounters* counters_ = nullptr;  // may be null
   uint64_t rows_routed_ = 0;
   std::vector<std::unique_ptr<HeapFileWriter>> writers_;
+  std::vector<std::vector<Value>> runs_;  // AddRows' per-shard rows
 };
 
 /// Removes the distribution map and every shard heap file of the table at

@@ -8,16 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/fault_injector.h"
 #include "common/mutex.h"
 #include "datagen/census.h"
 #include "datagen/load.h"
 #include "datagen/random_tree.h"
+#include "derived_grow.h"
 #include "middleware/middleware.h"
 #include "mining/naive_bayes.h"
 #include "mining/tree_client.h"
@@ -29,6 +31,12 @@ namespace sqlclass {
 namespace {
 
 using testing_util::BruteForceCc;
+using testing_util::DerivedBySource;
+using testing_util::DerivedOnPath;
+using testing_util::ExpectGrowsAlike;
+using testing_util::FaultScope;
+using testing_util::GrowRecord;
+using testing_util::LoadCensus;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 using testing_util::TempDir;
@@ -477,137 +485,50 @@ TEST_F(DerivedSiblingTest, DerivedTablesEqualCountedOnes) {
 
 // ------------------------------------------ derived sibling tables, grows
 
-/// Forwards to a middleware and records each delivered table; with
-/// `drop_parent_cc` it strips every request's parent table, so the
-/// middleware counts every node.
-class ParentStrippingProvider : public CcProvider {
- public:
-  ParentStrippingProvider(CcProvider* inner, bool drop_parent_cc)
-      : inner_(inner), drop_parent_cc_(drop_parent_cc) {}
+/// Grows over a 30,000-row census table at memory/data 0.1 on two scan
+/// workers: the census_bitmap and census_sharded workloads at a test's
+/// scale, once the test calls LoadTable.
+class DerivedSiblingGrowTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kRows = 30000;
 
-  Status QueueRequest(CcRequest request) override {
-    if (drop_parent_cc_) request.parent_cc = nullptr;
-    return inner_->QueueRequest(std::move(request));
+  void LoadTable() {
+    server_ = std::make_unique<SqlServer>(dir_.path());
+    ASSERT_NO_FATAL_FAILURE(LoadCensus(server_.get(), kRows, &census_));
+    config_.staging_dir = dir_.path();
+    config_.memory_budget_bytes = static_cast<size_t>(
+        0.1 * static_cast<double>(kRows * census_->schema().RowBytes()));
+    config_.parallel_scan_threads = 2;
+    config_.use_bitmap_index = false;
+    config_.scan_retry.initial_backoff_us = 0;
+    client_config_.max_depth = 8;
   }
-  StatusOr<std::vector<CcResult>> FulfillSome() override {
-    SQLCLASS_ASSIGN_OR_RETURN(std::vector<CcResult> results,
-                              inner_->FulfillSome());
-    for (const CcResult& result : results) {
-      delivered_.emplace_back(result.node_id, result.cc);
-    }
-    return results;
+
+  GrowRecord GrowsAlike(const std::function<void()>& before_each = {}) {
+    return ExpectGrowsAlike(server_.get(), census_->schema(), kRows, config_,
+                            client_config_, before_each);
   }
-  void ReleaseNode(int node_id) override { inner_->ReleaseNode(node_id); }
-  size_t PendingRequests() const override { return inner_->PendingRequests(); }
 
-  std::vector<std::pair<int, CcTable>>& delivered() { return delivered_; }
+  /// Re-arms `point` to fail `times` hits after letting `after` through.
+  static std::function<void()> Fault(const char* point, uint64_t after,
+                                     uint64_t times) {
+    return [=] {
+      FaultInjector::PointConfig fault;
+      fault.after = after;
+      fault.times = times;
+      FaultInjector::Global().Reset();
+      FaultInjector::Global().Arm(point, fault);
+    };
+  }
 
- private:
-  CcProvider* inner_;
-  bool drop_parent_cc_;
-  std::vector<std::pair<int, CcTable>> delivered_;
+  TempDir dir_;
+  std::unique_ptr<SqlServer> server_;
+  std::unique_ptr<CensusDataset> census_;
+  MiddlewareConfig config_;
+  TreeClientConfig client_config_;
 };
 
-/// Every BatchTrace field but derived_nodes.
-std::string TraceFields(const ClassificationMiddleware::BatchTrace& t) {
-  std::ostringstream out;
-  out << t.batch << ' ' << static_cast<int>(t.source.kind) << ' '
-      << t.source.store_id << ' ' << t.nodes << ' ' << t.staged_to_file << ' '
-      << t.staged_to_memory << ' ' << t.requeued << ' ' << t.sql_fallbacks
-      << ' ' << t.file_split << ' ' << t.rows_scanned << ' '
-      << t.degraded_to_server << ' ' << t.served_from_bitmap << ' '
-      << t.served_from_sample << ' ' << t.escalated << ' '
-      << t.served_from_shards;
-#define SQLCLASS_TRACE_COUNT(name) \
-  if (std::string(#name) != "derived_nodes") out << ' ' << t.counts.name;
-  SQLCLASS_SCAN_COUNTS(SQLCLASS_TRACE_COUNT)
-#undef SQLCLASS_TRACE_COUNT
-  return out.str();
-}
-
-struct GrowRecord {
-  std::string signature;
-  std::vector<std::pair<int, CcTable>> delivered;
-  std::vector<ClassificationMiddleware::BatchTrace> trace;
-  ClassificationMiddleware::Stats stats;
-  CostCounters cost;
-};
-
-GrowRecord GrowThroughMiddleware(SqlServer* server, const Schema& schema,
-                                 uint64_t rows, MiddlewareConfig config,
-                                 const TreeClientConfig& client_config,
-                                 bool drop_parent_cc) {
-  GrowRecord record;
-  auto middleware =
-      ClassificationMiddleware::Create(server, "data", std::move(config));
-  EXPECT_TRUE(middleware.ok()) << middleware.status().ToString();
-  if (!middleware.ok()) return record;
-  ParentStrippingProvider provider(middleware->get(), drop_parent_cc);
-  DecisionTreeClient client(schema, client_config);
-  const CostCounters before = server->cost_counters();
-  auto tree = client.Grow(&provider, rows);
-  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
-  if (!tree.ok()) return record;
-  record.cost = CostCounters::Delta(server->cost_counters(), before);
-  record.signature = tree->Signature();
-  record.delivered = std::move(provider.delivered());
-  record.trace = (*middleware)->trace();
-  record.stats = (*middleware)->stats();
-  return record;
-}
-
-/// Derived nodes per source kind (server, file, memory) in a grow.
-std::vector<uint64_t> DerivedBySource(const GrowRecord& record) {
-  std::vector<uint64_t> by_source(3, 0);
-  for (const ClassificationMiddleware::BatchTrace& t : record.trace) {
-    by_source[static_cast<int>(t.source.kind)] += t.counts.derived_nodes;
-  }
-  return by_source;
-}
-
-/// Grows one tree with and without parent tables and checks that the two
-/// grows are identical in every delivered table, every BatchTrace field
-/// but derived_nodes, every Stats counter but derived_nodes and every
-/// CostCounters field. Returns the grow that derived.
-GrowRecord ExpectGrowsAlike(SqlServer* server, const Schema& schema,
-                            uint64_t rows, const MiddlewareConfig& config,
-                            const TreeClientConfig& client_config) {
-  GrowRecord derived = GrowThroughMiddleware(server, schema, rows, config,
-                                             client_config, false);
-  GrowRecord counted = GrowThroughMiddleware(server, schema, rows, config,
-                                             client_config, true);
-  EXPECT_FALSE(derived.signature.empty());
-  EXPECT_EQ(derived.signature, counted.signature);
-  EXPECT_EQ(derived.cost.ToString(), counted.cost.ToString());
-  EXPECT_EQ(derived.delivered.size(), counted.delivered.size());
-  for (size_t i = 0;
-       i < std::min(derived.delivered.size(), counted.delivered.size());
-       ++i) {
-    EXPECT_EQ(derived.delivered[i].first, counted.delivered[i].first);
-    EXPECT_TRUE(derived.delivered[i].second == counted.delivered[i].second)
-        << "delivery " << i << ", node " << derived.delivered[i].first;
-  }
-  EXPECT_EQ(derived.trace.size(), counted.trace.size());
-  for (size_t i = 0; i < std::min(derived.trace.size(), counted.trace.size());
-       ++i) {
-    EXPECT_EQ(TraceFields(derived.trace[i]), TraceFields(counted.trace[i]))
-        << "batch " << i;
-  }
-#define SQLCLASS_EXPECT_STAT_EQ(name)                  \
-  if (std::string(#name) != "derived_nodes") {         \
-    EXPECT_EQ(derived.stats.name.load(), counted.stats.name.load()) \
-        << #name;                                      \
-  }
-  SQLCLASS_MIDDLEWARE_STATS(SQLCLASS_EXPECT_STAT_EQ)
-#undef SQLCLASS_EXPECT_STAT_EQ
-  EXPECT_EQ(counted.stats.derived_nodes.load(), 0u);
-  uint64_t traced = 0;
-  for (uint64_t n : DerivedBySource(derived)) traced += n;
-  EXPECT_EQ(derived.stats.derived_nodes.load(), traced);
-  return derived;
-}
-
-TEST(DerivedSiblingGrowTest, CensusAtOneTenthMemoryDerivesOnEverySource) {
+TEST_F(DerivedSiblingGrowTest, CensusAtOneTenthMemoryDerivesOnEverySource) {
   TempDir dir;
   CensusParams params;
   params.rows = 30000;
@@ -656,7 +577,7 @@ TEST(DerivedSiblingGrowTest, CensusAtOneTenthMemoryDerivesOnEverySource) {
   }
 }
 
-TEST(DerivedSiblingGrowTest, MultiwaySplitsDeriveAlike) {
+TEST_F(DerivedSiblingGrowTest, MultiwaySplitsDeriveAlike) {
   TempDir dir;
   RandomTreeParams params;
   params.num_attributes = 6;
@@ -683,6 +604,58 @@ TEST(DerivedSiblingGrowTest, MultiwaySplitsDeriveAlike) {
   const GrowRecord grow =
       ExpectGrowsAlike(&server, schema, rows, config, client_config);
   EXPECT_GT(grow.stats.derived_nodes.load(), 0u);
+}
+
+// The bitmap pass derives whatever the memory budget: eviction checks its
+// finished tables. Every bitmap is still fetched and charged.
+TEST_F(DerivedSiblingGrowTest, BitmapPassesDeriveAlike) {
+  ASSERT_NO_FATAL_FAILURE(LoadTable());
+  ASSERT_TRUE(server_->BuildBitmapIndex("data").ok());
+  config_.use_bitmap_index = true;
+  {
+    SCOPED_TRACE("every batch served from the bitmap index");
+    const GrowRecord grow = GrowsAlike();
+    EXPECT_GT(grow.stats.bitmap_scans.load(), 0u);
+    EXPECT_EQ(grow.stats.bitmap_fallbacks.load(), 0u);
+    EXPECT_GT(DerivedOnPath(grow, &ScanCounts::bitmap_scans), 0u);
+  }
+  {
+    // The root batch fails at its sixth fetch and the next batch, which
+    // derives, at its first: both fall back to the row scan, and the
+    // batches after them reopen the index.
+    SCOPED_TRACE("bitmap/read faults");
+    FaultScope scope;
+    const GrowRecord grow = GrowsAlike(Fault(faults::kBitmapRead, 5, 2));
+    EXPECT_EQ(grow.stats.bitmap_fallbacks.load(), 2u);
+    EXPECT_GT(DerivedOnPath(grow, &ScanCounts::bitmap_scans), 0u);
+  }
+}
+
+// The shard pass derives too; a derived node's task carries only its
+// counted attributes, also to the coordinator's rescan of a dead shard.
+TEST_F(DerivedSiblingGrowTest, ShardPassesDeriveAlike) {
+  ASSERT_NO_FATAL_FAILURE(LoadTable());
+  ASSERT_TRUE(server_->BuildShardSet("data", 2).ok());
+  config_.sharding.enable = true;
+  config_.sharding.min_node_rows = 1;
+  config_.sharding.transport = ShardTransportKind::kInProcess;
+  {
+    SCOPED_TRACE("every batch fanned out over two shards");
+    const GrowRecord grow = GrowsAlike();
+    EXPECT_GT(grow.stats.shard_scans.load(), 0u);
+    EXPECT_EQ(grow.stats.shard_fallbacks.load(), 0u);
+    EXPECT_GT(DerivedOnPath(grow, &ScanCounts::shard_scans), 0u);
+  }
+  {
+    // The fourth shard task, in the first batch that derives, fails and
+    // is rescanned from the primary heap file.
+    SCOPED_TRACE("shard/worker fault");
+    FaultScope scope;
+    const GrowRecord grow = GrowsAlike(Fault(faults::kShardWorker, 3, 1));
+    EXPECT_EQ(grow.stats.shard_rescans.load(), 1u);
+    EXPECT_EQ(grow.stats.shard_fallbacks.load(), 0u);
+    EXPECT_GT(DerivedOnPath(grow, &ScanCounts::shard_scans), 0u);
+  }
 }
 
 }  // namespace

@@ -342,8 +342,7 @@ class BitmapScanTest : public ::testing::Test {
     EXPECT_TRUE(cc == expected)
         << "bitmap:\n" << cc.ToString() << "\nrow scan:\n"
         << expected.ToString();
-    EXPECT_EQ(nodes[0].node_rows,
-              static_cast<uint64_t>(expected.TotalRows()));
+    EXPECT_EQ(cc.TotalRows(), expected.TotalRows());
     EXPECT_GT(cost.mw_bitmap_words_read.load(), 0u);
     EXPECT_GT(cost.mw_bitmap_popcounts.load(), 0u);
     if (charges != nullptr) {
@@ -351,7 +350,7 @@ class BitmapScanTest : public ::testing::Test {
                          cost.mw_bitmap_and_ops.load(),
                          cost.mw_bitmap_popcounts.load()};
     }
-    if (node_rows != nullptr) *node_rows = nodes[0].node_rows;
+    if (node_rows != nullptr) *node_rows = cc.TotalRows();
   }
 
   TempDir dir_;
@@ -421,6 +420,42 @@ TEST_F(BitmapScanTest, OutOfDomainEqualityHasNoLiveWords) {
   EXPECT_EQ(charges.popcounts, 1974u);  // 47 x (3 classes + 13 x 3)
 }
 
+// A derived child (DESIGN.md "Derived children") is counted on a subset of
+// its attributes: its class totals stay whole, only the subset gets cells,
+// and every active attribute's bitmaps are still fetched and charged.
+TEST_F(BitmapScanTest, CountedSubsetKeepsClassTotalsAndCharges) {
+  auto predicate = AndOf(Expr::ColEq("A1", 2), Expr::ColNe("A4", 0));
+  ASSERT_TRUE(predicate->Bind(schema_).ok());
+  const std::vector<int> attrs = {1, 2, 3};
+  const std::vector<int> subset = {2};
+  const std::vector<int> none;
+  auto run = [&](const std::vector<int>* counted, CcTable* cc) {
+    std::vector<BitmapCountScan::Node> nodes(1);
+    nodes[0].predicate = predicate.get();
+    nodes[0].active_attrs = &attrs;
+    nodes[0].counted_attrs = counted;
+    nodes[0].cc = cc;
+    CostCounters cost;
+    EXPECT_TRUE(
+        BitmapCountScan::Run(reader_.get(), schema_, &nodes, &cost).ok());
+    return cost.ToString();
+  };
+  CcTable full(3);
+  const std::string full_cost = run(nullptr, &full);
+  EXPECT_TRUE(full == BruteForceCc(rows_, predicate.get(), attrs,
+                                   schema_.class_column(), 3));
+  ASSERT_GT(full.TotalRows(), 0);
+  for (const std::vector<int>* counted : {&subset, &none}) {
+    SCOPED_TRACE(counted->size());
+    CcTable cc(3);
+    EXPECT_EQ(run(counted, &cc), full_cost);
+    EXPECT_EQ(cc.ClassTotals(), full.ClassTotals());
+    EXPECT_EQ(cc.TotalRows(), full.TotalRows());
+    EXPECT_TRUE(cc == BruteForceCc(rows_, predicate.get(), *counted,
+                                   schema_.class_column(), 3));
+  }
+}
+
 TEST_F(BitmapScanTest, PoolSizeChangesNeitherResultsNorFaultOrder) {
   std::vector<std::unique_ptr<Expr>> predicates;
   predicates.push_back(nullptr);
@@ -459,7 +494,7 @@ TEST_F(BitmapScanTest, PoolSizeChangesNeitherResultsNorFaultOrder) {
     out.status =
         BitmapCountScan::Run(reader->get(), schema_, &nodes, &cost, pool);
     for (const BitmapCountScan::Node& node : nodes) {
-      out.node_rows.push_back(node.node_rows);
+      out.node_rows.push_back(node.cc->TotalRows());
     }
     out.cost = cost.ToString();
     return out;

@@ -15,8 +15,10 @@
 #include <vector>
 
 #include "common/fault_injector.h"
+#include "datagen/census.h"
 #include "datagen/load.h"
 #include "datagen/random_tree.h"
+#include "derived_grow.h"
 #include "middleware/middleware.h"
 #include "middleware/shard_scan.h"
 #include "middleware/subprocess_shard_transport.h"
@@ -32,8 +34,12 @@
 namespace sqlclass {
 namespace {
 
+using testing_util::DerivedOnPath;
 using testing_util::EnvVarScope;
+using testing_util::ExpectGrowsAlike;
 using testing_util::FaultScope;
+using testing_util::GrowRecord;
+using testing_util::LoadCensus;
 using testing_util::MakeSchema;
 using testing_util::RandomRows;
 using testing_util::TempDir;
@@ -739,6 +745,56 @@ TEST_F(TransportServiceTest, CrashStormRecoversViaReplicasWithExactMetering) {
   EXPECT_EQ(metrics.shard_rescans, 0u);
   EXPECT_EQ(metrics.shard_rpc_timeouts, 0u);
   EXPECT_EQ(metrics.shard_worker_restarts, 4 * scans - 1);
+}
+
+// ---------------------------------------------------------------------------
+// Derived sibling tables over worker processes.
+// ---------------------------------------------------------------------------
+
+// A derived node's task reaches the worker process with only its counted
+// attributes, possibly none. The grow matches one whose requests carry no
+// parent table, also when a worker dies and the coordinator rescans its
+// shard from the primary heap file.
+TEST(DerivedSiblingGrowTest, SubprocessShardPassesDeriveAlike) {
+  constexpr uint64_t kRows = 30000;
+  TempDir dir;
+  SqlServer server(dir.path());
+  std::unique_ptr<CensusDataset> census;
+  ASSERT_NO_FATAL_FAILURE(LoadCensus(&server, kRows, &census));
+  ASSERT_TRUE(server.BuildShardSet("data", 2).ok());
+  MiddlewareConfig config;
+  config.staging_dir = dir.path();
+  config.memory_budget_bytes = static_cast<size_t>(
+      0.1 * static_cast<double>(kRows * census->schema().RowBytes()));
+  config.parallel_scan_threads = 1;
+  config.sharding.enable = true;
+  config.sharding.min_node_rows = 1;
+  config.sharding.transport = ShardTransportKind::kSubprocess;
+  config.sharding.rpc_retry.max_attempts = 1;
+  TreeClientConfig client_config;
+  client_config.max_depth = 8;
+
+  const GrowRecord grow = ExpectGrowsAlike(&server, census->schema(), kRows,
+                                           config, client_config);
+  const uint64_t scans = grow.stats.shard_scans.load();
+  ASSERT_GT(scans, 1u);
+  EXPECT_EQ(grow.stats.shard_worker_restarts.load(), 0u);
+  EXPECT_GT(DerivedOnPath(grow, &ScanCounts::shard_scans), 0u);
+
+  // Each grow's one worker process serves `scans` of its 2 x `scans`
+  // tasks and dies after scanning the next; a fresh worker serves the
+  // rest, fewer than it would take to die again.
+  SCOPED_TRACE("a worker crash");
+  const std::string spec =
+      "shard/worker_crash,after:" + std::to_string(scans);
+  EnvVarScope crash("SQLCLASS_CRASH_AT", spec.c_str());
+  const GrowRecord faulted = ExpectGrowsAlike(&server, census->schema(),
+                                              kRows, config, client_config);
+  EXPECT_EQ(faulted.stats.shard_scans.load(), scans);
+  EXPECT_EQ(faulted.stats.shard_rescans.load(), 1u);
+  EXPECT_EQ(faulted.stats.shard_worker_restarts.load(), 1u);
+  EXPECT_EQ(faulted.stats.shard_fallbacks.load(), 0u);
+  EXPECT_GT(DerivedOnPath(faulted, &ScanCounts::shard_scans), 0u);
 }
 
 }  // namespace

@@ -251,6 +251,40 @@ TEST(WireCodecTest, ShardTaskRoundtrip) {
   EXPECT_EQ(reencoded, payload);
 }
 
+// A derived node whose every attribute is derived ships with none: the
+// shard counts only its class totals.
+TEST(WireCodecTest, TaskNodeWithNoAttributesRoundtrips) {
+  WireShardTask task = SampleTask();
+  task.nodes[1].attrs.clear();
+  std::string payload;
+  EncodeShardTask(task, &payload);
+  WireShardTask decoded;
+  ASSERT_TRUE(DecodeShardTask(payload, &decoded).ok());
+  ASSERT_EQ(decoded.nodes.size(), 2u);
+  EXPECT_EQ(decoded.nodes[0].attrs, task.nodes[0].attrs);
+  EXPECT_TRUE(decoded.nodes[1].attrs.empty());
+  std::string reencoded;
+  EncodeShardTask(decoded, &reencoded);
+  EXPECT_EQ(reencoded, payload);
+
+  // Its partial table holds class totals and no cells.
+  WireShardResult result;
+  result.rows_scanned = 9;
+  result.partials.emplace_back(3);
+  result.partials[0].AddClassTotal(0, 4);
+  result.partials[0].AddClassTotal(2, 5);
+  std::string result_payload;
+  EncodeShardResult(result, &result_payload);
+  WireShardResult decoded_result;
+  ASSERT_TRUE(DecodeShardResult(result_payload, 3, {4, 3, 5, 3}, 1,
+                                &decoded_result)
+                  .ok());
+  ASSERT_EQ(decoded_result.partials.size(), 1u);
+  EXPECT_TRUE(decoded_result.partials[0] == result.partials[0]);
+  EXPECT_EQ(decoded_result.partials[0].NumEntries(), 0u);
+  EXPECT_EQ(decoded_result.partials[0].TotalRows(), 9);
+}
+
 TEST(WireCodecTest, MalformedShardTasksAreRejectedAtDecode) {
   WireShardTask task = SampleTask();
   task.num_columns = 3;

@@ -219,8 +219,10 @@ def self_test(root, charge_re):
     waiver), an uncharged BitmapWords fetch in bitmap_scan.cc, an uncharged
     SampleRows fetch in sample_scan.cc, an uncharged ShardRows fetch in
     shard_scan.cc, a counting-kernel call that passes cost = nullptr
-    without a waiver in shard_scan.cc, and a CC table derived as a parent's
-    minus its siblings' with no CC-update charge in batch_executor.cc."""
+    without a waiver in shard_scan.cc, and batch_executor.cc's one
+    derivation step (BatchExecutor::DeriveTables) with its charges cut
+    out: a CC table derived as a parent's minus its siblings' that no
+    counter pays for."""
     mw = os.path.join(root, "src", "middleware")
     cases = [
         Injection(
@@ -286,15 +288,18 @@ def self_test(root, charge_re):
             label="unwaived counting-kernel call"),
         Injection(
             os.path.join(mw, "batch_executor.cc"),
-            "\nnamespace sqlclass {\n"
-            "Status UnchargedDerivationForLintSelfTest(CcTable* derived,\n"
-            "    const CcTable& parent, const CcTable& sibling,\n"
-            "    const std::vector<int>& attrs) {\n"
-            "  const CcTable* siblings[] = {&sibling};\n"
-            "  return derived->AddDifference(parent, siblings, attrs);\n"
-            "}\n"
-            "}  // namespace sqlclass\n",
-            expect="UnchargedDerivationForLintSelfTest",
+            "",
+            replace=[(
+                "    if (report->path == Path::kRowScan) {\n"
+                "      cost.mw_cc_updates +=\n"
+                "          static_cast<uint64_t>(cc.TotalRows()) *"
+                " d.derived.size();\n"
+                "    } else if (report->path == Path::kShards) {\n"
+                "      cost.mw_shard_merge_cells += cc.NumEntries() -"
+                " cells;\n"
+                "    }\n",
+                "")],
+            expect="DeriveTables",
             label="uncharged CC derivation"),
     ]
     return run_self_test(

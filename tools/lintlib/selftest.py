@@ -3,10 +3,11 @@
 A lint's "clean" verdict is only trustworthy if the lint demonstrably still
 detects the violation class it exists for. The harness proves that by
 injection: copy a pristine source file into a temp dir, append a snippet
-containing a known violation, and require (a) the pristine file is clean,
-(b) the injected violation is reported, (c) any deliberately waived snippet
-in the same injection is NOT reported. Each lint declares its cases as
-`Injection`s and calls `run_self_test` with its file checker.
+containing a known violation (or cut one out of the code itself), and
+require (a) the pristine file is clean, (b) the injected violation is
+reported, (c) any deliberately waived snippet in the same injection is NOT
+reported. Each lint declares its cases as `Injection`s and calls
+`run_self_test` with its file checker.
 """
 
 import os
@@ -24,14 +25,20 @@ class Injection:
                   a waived twin of the violation, proving the waiver
                   grammar silences exactly what it claims to.
     label         human-readable description for the pass/fail line.
+    replace       optional (old, new) pairs applied to the copy before the
+                  append: a mutation of the code itself. Each `old` must
+                  occur exactly once in the pristine file, so a case whose
+                  target was edited away fails instead of passing vacuously.
     """
 
-    def __init__(self, source, appended, expect, forbid=None, label=None):
+    def __init__(self, source, appended, expect, forbid=None, label=None,
+                 replace=()):
         self.source = source
         self.appended = appended
         self.expect = expect
         self.forbid = forbid
         self.label = label or expect
+        self.replace = replace
 
 
 def run_self_test(cases, check_file, lint_name):
@@ -52,6 +59,16 @@ def run_self_test(cases, check_file, lint_name):
                 continue
             with open(case.source, encoding="utf-8") as f:
                 text = f.read()
+            missing = [old for old, _ in case.replace
+                       if text.count(old) != 1]
+            if missing:
+                print(f"self-test: FAIL [{case.label}] — mutation target "
+                      f"not found once in {os.path.basename(case.source)}: "
+                      f"{missing[0].strip().splitlines()[0]!r}")
+                failures += 1
+                continue
+            for old, new in case.replace:
+                text = text.replace(old, new)
             mutated = os.path.join(
                 tmp, f"{idx}_{os.path.basename(case.source)}")
             with open(mutated, "w", encoding="utf-8") as f:
