@@ -51,9 +51,8 @@ ClassificationMiddleware::ClassificationMiddleware(SqlServer* server,
       config_(std::move(config)),
       scheduler_(config_),
       estimator_(schema_),
-      staging_(std::make_unique<StagingManager>(config_.staging_dir,
-                                                schema_.num_columns(),
-                                                &server->cost_counters())),
+      staging_(std::make_unique<StagingManager>(
+          config_.staging_dir, schema_, &server->cost_counters())),
       executor_(server, config_, staging_.get()) {}
 
 Status ClassificationMiddleware::QueueRequest(CcRequest request) {

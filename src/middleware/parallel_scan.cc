@@ -25,9 +25,8 @@ constexpr size_t kSegmentMorselsPerWorker = 8;
 /// slice, about the rows of a heap page (a census page holds 185).
 constexpr size_t kRowsPerSlice = 256;
 
-/// The most rows a block holds: a heap page of one-column rows.
-constexpr size_t kMaxBlockRows =
-    (kPageSize - kPageHeaderBytes) / sizeof(Value);
+/// The most rows a block holds: a heap page of one-byte, one-column rows.
+constexpr size_t kMaxBlockRows = SlotsPerPage(1);
 static_assert(kRowsPerSlice <= kMaxBlockRows);
 
 /// Row indexes 0, 1, 2, ...: the selection of every row of a block.
@@ -621,11 +620,18 @@ StatusOr<ParallelScanResult> ParallelCountScan::OverHeapFile(
   SQLCLASS_ASSIGN_OR_RETURN(
       workers_pages[0].reader,
       HeapFileReader::Open(path, num_columns, &workers_pages[0].io));
+  // A morsel holds about the rows of pages_per_morsel four-byte pages,
+  // in whole pages of the file's own width (at least one): a one-byte
+  // page holds four times the rows, and morsels of as many of them would
+  // make every segment's stage buffers four times larger.
+  const size_t slots_per_page = workers_pages[0].reader->slots_per_page();
+  const size_t wide_rows = std::max<uint64_t>(options.pages_per_morsel, 1) *
+                           SlotsPerPage(RowCodec(num_columns).row_bytes());
+  const uint64_t pages_per_morsel = std::max<size_t>(
+      1, (wide_rows + slots_per_page / 2) / slots_per_page);
   const std::vector<PageRange> morsels = MakePageMorsels(
-      workers_pages[0].reader->num_pages(), options.pages_per_morsel);
+      workers_pages[0].reader->num_pages(), pages_per_morsel);
   const int workers = WorkerCount(pool, morsels.size());
-  const size_t slots_per_page =
-      SlotsPerPage(RowCodec(num_columns).row_bytes());
   for (int w = 0; w < workers; ++w) {
     WorkerPages& local = workers_pages[w];
     if (w > 0) {
@@ -658,9 +664,7 @@ StatusOr<ParallelScanResult> ParallelCountScan::OverHeapFile(
     }
     return Status::OK();
   };
-  const ScanShape shape{morsels.size(),
-                        std::max<uint64_t>(options.pages_per_morsel, 1) *
-                            slots_per_page,
+  const ScanShape shape{morsels.size(), pages_per_morsel * slots_per_page,
                         slots_per_page, workers};
   StatusOr<ParallelScanResult> result =
       RunSegmented(pool, options, num_columns, shape, cost, visit);

@@ -48,9 +48,11 @@ void EvictOverflow(size_t available, std::vector<CcTable>* ccs,
                    std::vector<size_t>* observed_bytes);
 
 struct ParallelScanOptions {
-  /// Morsel granularity. Heap-file scans hand out page ranges; row blocks
-  /// hand out row ranges. Within a morsel rows are counted a block at a
-  /// time: a heap page, or a slice of a row block.
+  /// Morsel granularity. Heap-file scans hand out page ranges of about
+  /// the rows of `pages_per_morsel` four-byte pages (whole pages of the
+  /// file's width, at least one); row blocks hand out row ranges. Within a
+  /// morsel rows are counted a block at a time: a heap page, or a slice of
+  /// a row block.
   uint64_t pages_per_morsel = 4;
   size_t rows_per_morsel = 8192;
 
@@ -76,7 +78,7 @@ struct ParallelScanOptions {
   const char* page_fault_point = nullptr;
 
   /// Heap-file scans only: rows whose ordinal (their Tid, page x
-  /// SlotsPerPage + slot) fails it are skipped before they are scanned,
+  /// slots_per_page() + slot) fails it are skipped before they are scanned,
   /// so they are neither counted nor charged. Empty: every row.
   std::function<bool(uint64_t row_ordinal)> row_filter;
 
@@ -139,8 +141,8 @@ struct ParallelScanResult {
 class ParallelCountScan {
  public:
   /// Scans the heap file at `path` (a server table or a sealed staged
-  /// file). Workers bypass any buffer pool — each opens its own pool-less
-  /// reader.
+  /// file) at whatever value width its pages record. Each worker opens its
+  /// own reader.
   [[nodiscard]] static StatusOr<ParallelScanResult> OverHeapFile(
       ThreadPool* pool, const std::string& path, int num_columns,
       const ParallelScanOptions& options, CostCounters* cost, IoCounters* io);

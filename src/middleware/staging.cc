@@ -9,9 +9,12 @@
 
 namespace sqlclass {
 
-StagingManager::StagingManager(std::string dir, int num_columns,
+StagingManager::StagingManager(std::string dir, const Schema& schema,
                                CostCounters* cost)
-    : dir_(std::move(dir)), num_columns_(num_columns), cost_(cost) {}
+    : dir_(std::move(dir)),
+      num_columns_(schema.num_columns()),
+      file_width_(NarrowestValueWidth(schema)),
+      cost_(cost) {}
 
 StagingManager::~StagingManager() {
   // Best-effort teardown: the staging directory may have been deleted out
@@ -38,7 +41,8 @@ StatusOr<uint64_t> StagingManager::BeginFileStore() {
   FileStore file;
   file.path = dir_ + "/mwstage_" + std::to_string(id) + ".dat";
   SQLCLASS_ASSIGN_OR_RETURN(
-      file.writer, HeapFileWriter::Create(file.path, num_columns_, &io_));
+      file.writer,
+      HeapFileWriter::Create(file.path, num_columns_, &io_, file_width_));
   files_[id] = std::move(file);
   ++files_created_;
   return id;

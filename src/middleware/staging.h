@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "catalog/row.h"
+#include "catalog/schema.h"
 #include "common/status.h"
 #include "middleware/estimator.h"
 #include "server/cost_model.h"
@@ -24,13 +25,17 @@ namespace sqlclass {
 /// stores are freed when the scheduler determines no pending or future
 /// request can use them.
 ///
-/// Byte accounting is logical (rows x row width) so budgets behave
-/// identically across platforms.
+/// Staged files are written at the narrowest value width `schema`'s domain
+/// allows (NarrowestValueWidth): one byte per value when every column
+/// declares at most 256 values. Byte accounting stays logical (rows x four
+/// bytes per value, whatever the width on disk) so budgets, admission and
+/// the simulated cost behave identically across widths and platforms.
 class StagingManager {
  public:
   /// `dir` must exist; staged files are created inside it and removed when
-  /// freed (or on destruction). Logical work is charged to `cost`.
-  StagingManager(std::string dir, int num_columns, CostCounters* cost);
+  /// freed (or on destruction). Rows hold one value per `schema` column.
+  /// Logical work is charged to `cost`.
+  StagingManager(std::string dir, const Schema& schema, CostCounters* cost);
   ~StagingManager();
 
   StagingManager(const StagingManager&) = delete;
@@ -105,6 +110,7 @@ class StagingManager {
 
   std::string dir_;
   int num_columns_;
+  ValueWidth file_width_;  // of every staged file
   CostCounters* cost_;
   IoCounters io_;  // physical I/O of staged files (not in simulated cost)
   uint64_t next_id_ = 1;

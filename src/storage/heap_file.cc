@@ -21,29 +21,38 @@ uint32_t PageRowCount(const char* page) {
   return DecodeFixed32(page + kPageRowCountOffset);
 }
 
-/// Writes the full v2 header over the page: magic, version, row count, and
+/// The version word of a page whose values take `width` bytes.
+uint32_t PageVersion(ValueWidth width) {
+  return width == ValueWidth::kOne ? kHeapNarrowVersion : kHeapWideVersion;
+}
+
+/// Writes the full header over the page: magic, version, row count, and
 /// the checksum of everything but the checksum word.
-void StampPageHeader(char* page, uint32_t rows) {
+void StampPageHeader(char* page, ValueWidth width, uint32_t rows) {
   EncodeFixed32(page + kPageMagicOffset, kPageMagic);
-  EncodeFixed32(page + kPageVersionOffset, kHeapFormatVersion);
+  EncodeFixed32(page + kPageVersionOffset, PageVersion(width));
   EncodeFixed32(page + kPageRowCountOffset, rows);
   EncodeFixed32(page + kPageChecksumOffset, ComputePageChecksum(page));
 }
 
-/// Structural check of the first header words (magic + version). Distinct
-/// from checksum verification: a failed magic means "not one of our pages",
-/// an IoError; a failed checksum means our page rotted, a DataLoss.
-Status VerifyPageMagic(const char* page, const std::string& path) {
+/// Structural check of the first header words: the magic, and the value
+/// width the version records. Distinct from checksum verification: a failed
+/// magic or an unknown version means "not one of our pages", an IoError; a
+/// failed checksum means our page rotted, a DataLoss.
+StatusOr<ValueWidth> PageWidth(const char* page, const std::string& path) {
   if (DecodeFixed32(page + kPageMagicOffset) != kPageMagic) {
     return Status::IoError("bad page magic in " + path);
   }
-  if (DecodeFixed32(page + kPageVersionOffset) != kHeapFormatVersion) {
-    return Status::IoError(
-        "unsupported heap page version " +
-        std::to_string(DecodeFixed32(page + kPageVersionOffset)) + " in " +
-        path);
+  switch (DecodeFixed32(page + kPageVersionOffset)) {
+    case kHeapWideVersion:
+      return ValueWidth::kFour;
+    case kHeapNarrowVersion:
+      return ValueWidth::kOne;
   }
-  return Status::OK();
+  return Status::IoError(
+      "unsupported heap page version " +
+      std::to_string(DecodeFixed32(page + kPageVersionOffset)) + " in " +
+      path);
 }
 
 /// Recomputes and compares the page checksum (no-op when verification is
@@ -68,11 +77,6 @@ uint32_t ComputePageChecksum(const char* page) {
                     head);
 }
 
-size_t SlotsPerPage(size_t row_bytes) {
-  assert(row_bytes > 0 && row_bytes <= kPageSize - kPageHeaderBytes);
-  return (kPageSize - kPageHeaderBytes) / row_bytes;
-}
-
 std::vector<PageRange> MakePageMorsels(uint64_t num_pages,
                                        uint64_t pages_per_morsel) {
   if (pages_per_morsel == 0) pages_per_morsel = 1;
@@ -90,10 +94,10 @@ std::vector<PageRange> MakePageMorsels(uint64_t num_pages,
 // ---------------------------------------------------------------- writer
 
 HeapFileWriter::HeapFileWriter(std::string path, std::FILE* file,
-                               int num_columns, IoCounters* counters)
+                               RowCodec codec, IoCounters* counters)
     : path_(std::move(path)),
       file_(file),
-      codec_(num_columns),
+      codec_(codec),
       counters_(counters),
       buffer_(kWriteBufferPages * kPageSize, 0) {}
 
@@ -103,7 +107,8 @@ HeapFileWriter::~HeapFileWriter() {
 }
 
 StatusOr<std::unique_ptr<HeapFileWriter>> HeapFileWriter::Create(
-    const std::string& path, int num_columns, IoCounters* counters) {
+    const std::string& path, int num_columns, IoCounters* counters,
+    ValueWidth width) {
   if (num_columns <= 0) {
     return Status::InvalidArgument("heap file needs >= 1 column");
   }
@@ -112,8 +117,8 @@ StatusOr<std::unique_ptr<HeapFileWriter>> HeapFileWriter::Create(
   if (file == nullptr) {
     return Status::IoError("cannot create heap file: " + path);
   }
-  return std::unique_ptr<HeapFileWriter>(
-      new HeapFileWriter(path, file, num_columns, counters));
+  return std::unique_ptr<HeapFileWriter>(new HeapFileWriter(
+      path, file, RowCodec(num_columns, width), counters));
 }
 
 StatusOr<std::unique_ptr<HeapFileWriter>> HeapFileWriter::OpenForAppend(
@@ -127,7 +132,7 @@ StatusOr<std::unique_ptr<HeapFileWriter>> HeapFileWriter::OpenForAppend(
     return Status::IoError("cannot open heap file for append: " + path);
   }
   auto writer = std::unique_ptr<HeapFileWriter>(
-      new HeapFileWriter(path, file, num_columns, counters));
+      new HeapFileWriter(path, file, RowCodec(num_columns), counters));
 
   if (std::fseek(file, 0, SEEK_END) != 0) {
     return Status::IoError("seek failed for " + path);
@@ -138,7 +143,6 @@ StatusOr<std::unique_ptr<HeapFileWriter>> HeapFileWriter::OpenForAppend(
     return Status::IoError("heap file size not page-aligned: " + path);
   }
   const uint64_t num_pages = static_cast<uint64_t>(size) / kPageSize;
-  const size_t slots = SlotsPerPage(writer->codec_.row_bytes());
   if (num_pages > 0) {
     const long last_offset = static_cast<long>((num_pages - 1) * kPageSize);
     if (std::fseek(file, last_offset, SEEK_SET) != 0) {
@@ -151,7 +155,9 @@ StatusOr<std::unique_ptr<HeapFileWriter>> HeapFileWriter::OpenForAppend(
     if (std::fread(hdr, 1, kPageHeaderBytes, file) != kPageHeaderBytes) {
       return Status::IoError("short header read for " + path);
     }
-    SQLCLASS_RETURN_IF_ERROR(VerifyPageMagic(hdr, path));
+    SQLCLASS_ASSIGN_OR_RETURN(const ValueWidth width, PageWidth(hdr, path));
+    writer->codec_ = RowCodec(num_columns, width);
+    const size_t slots = SlotsPerPage(writer->codec_.row_bytes());
     const uint32_t last_rows = PageRowCount(hdr);
     if (last_rows > slots) {
       return Status::IoError("corrupt page header in " + path);
@@ -194,14 +200,16 @@ Status HeapFileWriter::Append(const Row& row) {
 
 Status HeapFileWriter::AppendRows(const Value* rows, size_t num_rows) {
   if (finished_) return Status::Internal("Append after Finish");
+  if (!codec_.Fits(rows, num_rows)) {
+    return Status::InvalidArgument(
+        "value outside [0, 255] appended to one-byte heap file " + path_);
+  }
   const size_t slots = SlotsPerPage(codec_.row_bytes());
   while (num_rows > 0) {
-    // The slot bytes are the values themselves (RowCodec), so a page's
-    // free slots fill with one copy.
     const size_t n = std::min(num_rows, slots - rows_in_page_);
-    std::memcpy(CurrentPage() + kPageHeaderBytes +
-                    rows_in_page_ * codec_.row_bytes(),
-                rows, n * codec_.row_bytes());
+    codec_.EncodeRows(rows, n,
+                      CurrentPage() + kPageHeaderBytes +
+                          rows_in_page_ * codec_.row_bytes());
     rows += n * codec_.num_columns();
     num_rows -= n;
     rows_in_page_ += static_cast<uint32_t>(n);
@@ -219,7 +227,7 @@ Status HeapFileWriter::SealPage() {
   char* page = CurrentPage();
   const size_t used = kPageHeaderBytes + rows_in_page_ * codec_.row_bytes();
   std::memset(page + used, 0, kPageSize - used);
-  StampPageHeader(page, rows_in_page_);
+  StampPageHeader(page, codec_.width(), rows_in_page_);
   rows_in_page_ = 0;
   ++pages_buffered_;
   if (pages_buffered_ == kWriteBufferPages) return FlushBuffer();
@@ -302,7 +310,6 @@ StatusOr<std::unique_ptr<HeapFileReader>> HeapFileReader::Open(
   if (reader->num_pages_ == 0) {
     reader->num_rows_ = 0;
   } else {
-    const size_t slots = SlotsPerPage(reader->codec_.row_bytes());
     // Peek the last page header without charging counters — metadata, not
     // a data-page read.
     // cost: unmetered(page-header metadata peek)
@@ -312,8 +319,10 @@ StatusOr<std::unique_ptr<HeapFileReader>> HeapFileReader::Open(
         static_cast<ssize_t>(kPageHeaderBytes)) {
       return Status::IoError("short header read for " + path);
     }
-    SQLCLASS_RETURN_IF_ERROR(VerifyPageMagic(hdr, path));
-    uint32_t last_rows = PageRowCount(hdr);
+    SQLCLASS_ASSIGN_OR_RETURN(const ValueWidth width, PageWidth(hdr, path));
+    reader->codec_ = RowCodec(num_columns, width);
+    const size_t slots = reader->slots_per_page();
+    const uint32_t last_rows = PageRowCount(hdr);
     if (last_rows > slots) {
       return Status::IoError("corrupt page header in " + path);
     }
@@ -343,13 +352,20 @@ Status HeapFileReader::LoadPage(uint64_t page_index) {
     return Status::IoError("short page read for " + path_);
   }
   if (counters_ != nullptr) ++counters_->pages_read;
-  SQLCLASS_RETURN_IF_ERROR(VerifyPageMagic(page_.data(), path_));
+  SQLCLASS_ASSIGN_OR_RETURN(const ValueWidth width,
+                            PageWidth(page_.data(), path_));
+  if (width != codec_.width()) {
+    return Status::IoError(
+        "heap page " + std::to_string(page_index) + " has version " +
+        std::to_string(PageVersion(width)) + ", the file " +
+        std::to_string(PageVersion(codec_.width())) + ", in " + path_);
+  }
   SQLCLASS_RETURN_IF_ERROR(
       VerifyPageChecksum(page_.data(), path_, counters_));
   current_page_ = page_index;
   page_loaded_ = true;
   rows_in_current_page_ = PageRowCount(page_.data());
-  if (rows_in_current_page_ > SlotsPerPage(codec_.row_bytes())) {
+  if (rows_in_current_page_ > slots_per_page()) {
     page_loaded_ = false;
     return Status::IoError("corrupt page header in " + path_);
   }
@@ -382,11 +398,10 @@ Status HeapFileReader::ReadPageInto(uint64_t page_index, RowBatch* batch) {
   }
   // Positioned read: invalidate the sequential position like ReadAt does.
   next_slot_ = rows_in_current_page_;
-  // A slot holds its row's values byte for byte (RowCodec): one copy.
   const uint32_t count = rows_in_current_page_;
   if (count > 0) {
-    std::memcpy(batch->AppendRows(count), page_.data() + kPageHeaderBytes,
-                count * codec_.row_bytes());
+    codec_.DecodeRows(page_.data() + kPageHeaderBytes, count,
+                      batch->AppendRows(count));
   }
   if (counters_ != nullptr) counters_->rows_read += count;
   return Status::OK();
@@ -396,7 +411,7 @@ Status HeapFileReader::ReadAt(Tid tid, Row* row) {
   if (tid >= num_rows_) {
     return Status::InvalidArgument("tid out of range: " + std::to_string(tid));
   }
-  const size_t slots = SlotsPerPage(codec_.row_bytes());
+  const size_t slots = slots_per_page();
   const uint64_t page_index = tid / slots;
   const uint32_t slot = static_cast<uint32_t>(tid % slots);
   if (!page_loaded_ || page_index != current_page_) {

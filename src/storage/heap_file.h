@@ -1,6 +1,7 @@
 #ifndef SQLCLASS_STORAGE_HEAP_FILE_H_
 #define SQLCLASS_STORAGE_HEAP_FILE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -15,17 +16,21 @@
 
 namespace sqlclass {
 
-/// Page layout (format v2):
+/// Page layout:
 ///   [magic: u32][version: u32][row_count: u32][checksum: u32][rows...]
 /// Rows are fixed-width slots so a Tid is simply
-/// (page_index * slots_per_page + slot). The checksum covers the whole page
-/// except its own word; writers always stamp it, readers verify unless
-/// SQLCLASS_PAGE_CHECKSUMS=0 (a mismatch surfaces as StatusCode::kDataLoss).
-/// v1 pages (bare row-count header) are not readable — heap files never
-/// outlive the build that wrote them.
+/// (page_index * slots_per_page + slot). The version word records the
+/// slot's value width (RowCodec): 2 for four-byte values, 3 for one-byte
+/// values. Every page of a file carries the same version; readers learn it
+/// from the last page's header and reject a page that disagrees. The
+/// checksum covers the whole page except its own word; writers always
+/// stamp it, readers verify unless SQLCLASS_PAGE_CHECKSUMS=0 (a mismatch
+/// surfaces as StatusCode::kDataLoss). v1 pages (bare row-count header) are
+/// not readable — heap files never outlive the build that wrote them.
 inline constexpr size_t kPageSize = 8192;
 inline constexpr uint32_t kPageMagic = 0x53514C43;  // "SQLC"
-inline constexpr uint32_t kHeapFormatVersion = 2;
+inline constexpr uint32_t kHeapWideVersion = 2;    // four-byte values
+inline constexpr uint32_t kHeapNarrowVersion = 3;  // one-byte values
 inline constexpr size_t kPageMagicOffset = 0;
 inline constexpr size_t kPageVersionOffset = sizeof(uint32_t);
 inline constexpr size_t kPageRowCountOffset = 2 * sizeof(uint32_t);
@@ -43,7 +48,10 @@ uint32_t ComputePageChecksum(const char* page);
 inline constexpr size_t kWriteBufferPages = 8;
 
 /// Rows a page can hold for a given row width.
-size_t SlotsPerPage(size_t row_bytes);
+constexpr size_t SlotsPerPage(size_t row_bytes) {
+  assert(row_bytes > 0 && row_bytes <= kPageSize - kPageHeaderBytes);
+  return (kPageSize - kPageHeaderBytes) / row_bytes;
+}
 
 /// Half-open range of page indexes [begin, end) — the morsel unit handed to
 /// parallel scan workers.
@@ -66,14 +74,17 @@ class HeapFileWriter {
   HeapFileWriter& operator=(const HeapFileWriter&) = delete;
   ~HeapFileWriter();
 
-  /// Creates (truncating) `path` for rows of `num_columns` values.
-  /// `counters` (optional) accumulates physical writes.
+  /// Creates (truncating) `path` for rows of `num_columns` values stored
+  /// `width` bytes each. `counters` (optional) accumulates physical writes.
   [[nodiscard]] static StatusOr<std::unique_ptr<HeapFileWriter>> Create(
-      const std::string& path, int num_columns, IoCounters* counters);
+      const std::string& path, int num_columns, IoCounters* counters,
+      ValueWidth width = ValueWidth::kFour);
 
   /// Opens an existing heap file for appending: the final partial page is
-  /// reloaded and continued. `rows_written()` reports only rows appended by
-  /// this writer; `existing_rows()` reports what the file already held.
+  /// reloaded and continued at the width its last page records (an empty
+  /// file continues at four bytes). `rows_written()` reports only rows
+  /// appended by this writer; `existing_rows()` reports what the file
+  /// already held.
   [[nodiscard]] static StatusOr<std::unique_ptr<HeapFileWriter>> OpenForAppend(
       const std::string& path, int num_columns, IoCounters* counters);
 
@@ -82,9 +93,11 @@ class HeapFileWriter {
   [[nodiscard]] Status Append(const Row& row);
 
   /// Appends `num_rows` rows stored contiguously at `rows` (num_columns
-  /// values each); the bytes written equal appending them one by one. A
-  /// slot holds its row's values byte for byte (RowCodec), so each page's
-  /// free slots are filled with one copy.
+  /// values each); the bytes written equal appending them one by one. Each
+  /// page's free slots are filled with one RowCodec::EncodeRows. A one-byte
+  /// file refuses the whole call with InvalidArgument, and writes none of
+  /// its rows, if any value lies outside [0, 255]: values are never
+  /// truncated.
   [[nodiscard]] Status AppendRows(const Value* rows, size_t num_rows);
 
   /// Flushes the final partial page and closes the file. Must be called;
@@ -95,7 +108,7 @@ class HeapFileWriter {
   const std::string& path() const { return path_; }
 
  private:
-  HeapFileWriter(std::string path, std::FILE* file, int num_columns,
+  HeapFileWriter(std::string path, std::FILE* file, RowCodec codec,
                  IoCounters* counters);
 
   /// Pointer to the page currently being filled (inside buffer_).
@@ -130,6 +143,7 @@ class HeapFileReader {
   ~HeapFileReader();
 
   /// `counters` (optional) accumulates the physical page and row reads.
+  /// The value width is the one the last page's header records.
   [[nodiscard]] static StatusOr<std::unique_ptr<HeapFileReader>> Open(
       const std::string& path, int num_columns, IoCounters* counters);
 
@@ -137,11 +151,11 @@ class HeapFileReader {
   /// On I/O error returns an error status.
   [[nodiscard]] StatusOr<bool> Next(Row* row);
 
-  /// Decodes all rows of page `page_index` into `*batch` (Reset first).
-  /// Charges the same counters as reading those rows one by one with
-  /// Next(). Positioned read: like ReadAt, it invalidates the sequential
-  /// scan position — callers interleaving with Next() must Reset() in
-  /// between.
+  /// Decodes all rows of page `page_index` into `*batch` (Reset first),
+  /// widening one-byte values to `Value`s. Charges the same counters as
+  /// reading those rows one by one with Next(). Positioned read: like
+  /// ReadAt, it invalidates the sequential scan position — callers
+  /// interleaving with Next() must Reset() in between.
   [[nodiscard]] Status ReadPageInto(uint64_t page_index, RowBatch* batch);
 
   /// Rewinds to the first row.
@@ -157,12 +171,19 @@ class HeapFileReader {
   /// Total pages in the file (basis for morsel partitioning).
   uint64_t num_pages() const { return num_pages_; }
 
+  /// Rows a page of this file holds: its Tids are page x slots_per_page()
+  /// + slot.
+  size_t slots_per_page() const { return SlotsPerPage(codec_.row_bytes()); }
+
+  ValueWidth width() const { return codec_.width(); }
+
  private:
   HeapFileReader(std::string path, int fd, int num_columns,
                  IoCounters* counters);
 
   /// Reads page `page_index` with one positioned pread (no seek, no stdio
-  /// buffer copy), then checks its magic and checksum.
+  /// buffer copy), then checks its magic, its version against the file's,
+  /// its checksum and its row count.
   [[nodiscard]] Status LoadPage(uint64_t page_index);
 
   std::string path_;

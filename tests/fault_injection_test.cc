@@ -11,11 +11,14 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/fault_injector.h"
+#include "common/random.h"
 #include "datagen/load.h"
 #include "datagen/random_tree.h"
 #include "middleware/middleware.h"
@@ -229,7 +232,7 @@ TEST(FaultInjectionTest, MiddlewareWithMemoryOnlyStagingSurvivesNoDisk) {
 TEST(FaultInjectionTest, CorruptStagedFileSurfacesDuringScan) {
   TempDir dir;
   CostCounters cost;
-  StagingManager staging(dir.path(), 3, &cost);
+  StagingManager staging(dir.path(), MakeSchema({4, 4}, 4), &cost);
   auto id = staging.BeginFileStore();
   ASSERT_TRUE(id.ok());
   const Row row = {1, 2, 3};
@@ -476,6 +479,109 @@ TEST(PageChecksumTest, RestampedPageReadsBack) {
   EXPECT_NE(row[0], 1);  // the forged byte came through undetected
 }
 
+// Seeded header and payload mutations of a wide and a narrow heap file,
+// each page re-sealed with ComputePageChecksum so that only the structural
+// checks stand between a forged page and the reader. Every Open,
+// ReadPageInto and Next must fail cleanly or return at most slots-per-page
+// rows of a page whose version word records the width the reader decodes
+// at; none may crash (the ASan build runs this too).
+TEST(PageHeaderMutationTest, ForgedPagesFailCleanlyOrReadWithinTheirSlots) {
+  FaultScope guard;
+  TempDir dir;
+  constexpr int kColumns = 3;
+  const Schema schema = MakeSchema({200, 7}, 5);
+  for (ValueWidth width : {ValueWidth::kFour, ValueWidth::kOne}) {
+    const size_t slots = SlotsPerPage(RowCodec(kColumns, width).row_bytes());
+    SCOPED_TRACE("slots " + std::to_string(slots));
+    // A full page and a partial one.
+    const std::string clean = dir.path() + "/clean.tbl";
+    {
+      auto writer = HeapFileWriter::Create(clean, kColumns, nullptr, width);
+      ASSERT_TRUE(writer.ok());
+      for (const Row& row : RandomRows(schema, slots + slots / 3, 61)) {
+        ASSERT_TRUE((*writer)->Append(row).ok());
+      }
+      ASSERT_TRUE((*writer)->Finish().ok());
+    }
+    std::string original;
+    {
+      std::ifstream in(clean, std::ios::binary);
+      original.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_EQ(original.size(), 2 * kPageSize);
+
+    Random rng(width == ValueWidth::kOne ? 1009 : 2003);
+    const std::string path = dir.path() + "/forged.tbl";
+    for (int iter = 0; iter < 400; ++iter) {
+      SCOPED_TRACE("iteration " + std::to_string(iter));
+      std::string bytes = original;
+      const uint64_t target = rng.Uniform(2);
+      char* page = bytes.data() + target * kPageSize;
+      const int mutations = 1 + static_cast<int>(rng.Uniform(3));
+      for (int m = 0; m < mutations; ++m) {
+        switch (rng.Uniform(3)) {
+          case 0: {  // the version word: both widths, or anything
+            const uint32_t versions[] = {kHeapWideVersion, kHeapNarrowVersion,
+                                         0, 1, 4,
+                                         static_cast<uint32_t>(rng.Uniform(
+                                             uint64_t{1} << 32))};
+            EncodeFixed32(page + kPageVersionOffset, versions[rng.Uniform(6)]);
+            break;
+          }
+          case 1: {  // the row count: around either width's slot count
+            const uint32_t wide = SlotsPerPage(kColumns * sizeof(Value));
+            const uint32_t narrow = SlotsPerPage(kColumns);
+            const uint32_t counts[] = {0, wide, wide + 1, narrow, narrow + 1,
+                                       std::numeric_limits<uint32_t>::max(),
+                                       static_cast<uint32_t>(
+                                           rng.Uniform(4 * narrow))};
+            EncodeFixed32(page + kPageRowCountOffset, counts[rng.Uniform(7)]);
+            break;
+          }
+          default:  // payload bytes
+            for (int b = 0; b < 4; ++b) {
+              page[kPageHeaderBytes +
+                   rng.Uniform(kPageSize - kPageHeaderBytes)] =
+                  static_cast<char>(rng.Uniform(256));
+            }
+        }
+      }
+      EncodeFixed32(page + kPageChecksumOffset, ComputePageChecksum(page));
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      }
+
+      auto reader = HeapFileReader::Open(path, kColumns, nullptr);
+      if (!reader.ok()) continue;
+      HeapFileReader& r = **reader;
+      const uint32_t file_version =
+          r.width() == ValueWidth::kOne ? kHeapNarrowVersion
+                                        : kHeapWideVersion;
+      ASSERT_LE(r.num_rows(), r.num_pages() * r.slots_per_page());
+      RowBatch batch;
+      for (uint64_t p = 0; p < r.num_pages(); ++p) {
+        if (!r.ReadPageInto(p, &batch).ok()) continue;
+        ASSERT_LE(batch.num_rows(), r.slots_per_page()) << "page " << p;
+        ASSERT_EQ(DecodeFixed32(bytes.data() + p * kPageSize +
+                                kPageVersionOffset),
+                  file_version)
+            << "page " << p << " read at a width its header does not record";
+      }
+      ASSERT_TRUE(r.Reset().ok());
+      Row row;
+      uint64_t rows = 0;
+      while (true) {
+        auto more = r.Next(&row);
+        if (!more.ok() || !*more) break;
+        ASSERT_EQ(row.size(), static_cast<size_t>(kColumns));
+        ++rows;
+      }
+      ASSERT_LE(rows, r.num_rows());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Storage and staging satellites.
 // ---------------------------------------------------------------------------
@@ -501,7 +607,7 @@ TEST(FaultInjectionTest, StagingFreeToleratesVanishedDirectory) {
   const std::string staging = dir.path() + "/stage";
   std::filesystem::create_directories(staging);
   CostCounters cost;
-  StagingManager manager(staging, 3, &cost);
+  StagingManager manager(staging, MakeSchema({8, 8}, 8), &cost);
   auto id = manager.BeginFileStore();
   ASSERT_TRUE(id.ok());
   const Row row = {1, 2, 3};
@@ -519,7 +625,7 @@ TEST(FaultInjectionTest, StagingTeardownToleratesVanishedDirectory) {
   std::filesystem::create_directories(staging);
   CostCounters cost;
   {
-    StagingManager manager(staging, 3, &cost);
+    StagingManager manager(staging, MakeSchema({8, 8}, 8), &cost);
     auto id = manager.BeginFileStore();
     ASSERT_TRUE(id.ok());
     const Row row = {4, 5, 6};
@@ -670,6 +776,117 @@ TEST(FaultInjectionTest, MiddlewareStatsEqualTheSumOfItsTrace) {
   EXPECT_EQ(stats.checksum_failures.load(), 1u);
   EXPECT_EQ(stats.scan_retries.load(), 1u);
   EXPECT_EQ(stats.staging_aborts.load(), 1u);
+}
+
+// Passes a grow through to the middleware and, once a batch has sealed a
+// staged file, flips one payload byte of that file's first page: the next
+// scan of the file fails its checksum. Records the page's version word.
+class StagedPageCorruptor : public CcProvider {
+ public:
+  explicit StagedPageCorruptor(ClassificationMiddleware* middleware)
+      : middleware_(middleware) {}
+
+  Status QueueRequest(CcRequest request) override {
+    return middleware_->QueueRequest(std::move(request));
+  }
+
+  StatusOr<std::vector<CcResult>> FulfillSome() override {
+    SQLCLASS_ASSIGN_OR_RETURN(std::vector<CcResult> results,
+                              middleware_->FulfillSome());
+    const StagingManager& staging = middleware_->staging();
+    for (const DataLocation& loc : staging.LiveStores()) {
+      if (corrupted_version_ != 0 || loc.kind != LocationKind::kFile) continue;
+      StatusOr<std::string> path = staging.FileStorePath(loc.store_id);
+      if (!path.ok()) continue;  // still being written
+      std::fstream file(*path, std::ios::in | std::ios::out | std::ios::binary);
+      char header[kPageHeaderBytes];
+      file.read(header, sizeof(header));
+      corrupted_version_ = DecodeFixed32(header + kPageVersionOffset);
+      char byte = 0;
+      file.seekg(static_cast<std::streamoff>(kPageHeaderBytes) + 1);
+      file.read(&byte, 1);
+      byte ^= 0x5a;
+      file.seekp(static_cast<std::streamoff>(kPageHeaderBytes) + 1);
+      file.write(&byte, 1);
+    }
+    return results;
+  }
+
+  void ReleaseNode(int node_id) override { middleware_->ReleaseNode(node_id); }
+  size_t PendingRequests() const override {
+    return middleware_->PendingRequests();
+  }
+
+  /// Version word of the corrupted page; 0 until a page was corrupted.
+  uint32_t corrupted_version() const { return corrupted_version_; }
+
+ private:
+  ClassificationMiddleware* middleware_;
+  uint32_t corrupted_version_ = 0;
+};
+
+// A staged page that fails its checksum takes the same rung on a one-byte
+// file as on a four-byte one: the store is dropped, the batch is re-served
+// from the server, and the grow ends with the tree of a clean grow. The
+// four-byte grow declares one column with 300 values, which are the same
+// rows to the tree.
+TEST(FaultInjectionTest, CorruptStagedPageDegradesAlikeAtEitherWidth) {
+  FaultScope guard;
+  auto dataset = RandomTreeDataset::Create(SmallTreeParams());
+  ASSERT_TRUE(dataset.ok());
+  std::vector<AttributeDef> attrs = (*dataset)->schema().attributes();
+  attrs[0].cardinality = 300;
+  attrs[0].labels.clear();
+  const Schema wide_schema(attrs, (*dataset)->schema().class_column());
+  ASSERT_EQ(NarrowestValueWidth(wide_schema), ValueWidth::kFour);
+  ASSERT_EQ(NarrowestValueWidth((*dataset)->schema()), ValueWidth::kOne);
+
+  std::vector<std::string> trees;
+  std::vector<ClassificationMiddleware::Stats> stats(2);
+  for (const auto& [schema, version] :
+       {std::pair{(*dataset)->schema(), kHeapNarrowVersion},
+        std::pair{wide_schema, kHeapWideVersion}}) {
+    SCOPED_TRACE("page version " + std::to_string(version));
+    TempDir dir;
+    const std::string staging = dir.path() + "/staging";
+    std::filesystem::create_directories(staging);
+    SqlServer server(dir.path());
+    ASSERT_TRUE(LoadIntoServer(&server, "data", schema,
+                               [&](const RowSink& sink) {
+                                 return (*dataset)->Generate(sink);
+                               })
+                    .ok());
+    MiddlewareConfig config;
+    config.staging_dir = staging;
+    config.enable_memory_staging = false;
+    config.scan_retry.initial_backoff_us = 0;
+    DecisionTreeClient client(schema, TreeClientConfig());
+
+    auto clean_mw = ClassificationMiddleware::Create(&server, "data", config);
+    ASSERT_TRUE(clean_mw.ok()) << clean_mw.status().ToString();
+    auto clean = client.Grow(clean_mw->get(), (*dataset)->TotalRows());
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+    auto mw = ClassificationMiddleware::Create(&server, "data", config);
+    ASSERT_TRUE(mw.ok()) << mw.status().ToString();
+    StagedPageCorruptor corruptor(mw->get());
+    auto tree = client.Grow(&corruptor, (*dataset)->TotalRows());
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    EXPECT_EQ(corruptor.corrupted_version(), version);
+    EXPECT_EQ(tree->ToString(1 << 20), clean->ToString(1 << 20));
+    trees.push_back(tree->ToString(1 << 20));
+    stats[trees.size() - 1] = (*mw)->stats();
+  }
+  EXPECT_EQ(trees[0], trees[1]);
+  for (const ClassificationMiddleware::Stats& s : stats) {
+    EXPECT_EQ(s.checksum_failures.load(), 1u);
+    EXPECT_EQ(s.stores_invalidated.load(), 1u);
+    EXPECT_EQ(s.degraded_scans.load(), 1u);
+    EXPECT_EQ(s.scan_retries.load(), 0u);
+    EXPECT_EQ(s.staging_aborts.load(), 0u);
+  }
+  EXPECT_EQ(stats[0].file_scans.load(), stats[1].file_scans.load());
+  EXPECT_EQ(stats[0].server_scans.load(), stats[1].server_scans.load());
 }
 
 TEST(FaultInjectionTest, MiddlewarePersistentFaultsFailCleanlyOrDegrade) {

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/mutex.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -33,6 +34,7 @@
 #include "middleware/middleware.h"
 #include "middleware/staging.h"
 #include "mining/cc_table.h"
+#include "mining/inmemory_provider.h"
 #include "mining/tree_client.h"
 #include "server/server.h"
 #include "service/shared_scan_batcher.h"
@@ -173,11 +175,12 @@ TEST(RowBatchTest, ResetKeepsNoRowsAndAppendExposesThem) {
 
 class HeapFileBatchTest : public ::testing::Test {
  protected:
-  // Writes `rows` to a fresh heap file and returns its path.
+  // Writes `rows` to a fresh heap file of `width` and returns its path.
   std::string WriteFile(const std::vector<Row>& rows, int num_columns,
-                        IoCounters* io) {
+                        IoCounters* io,
+                        ValueWidth width = ValueWidth::kFour) {
     std::string path = dir_.path() + "/batch.heap";
-    auto writer = HeapFileWriter::Create(path, num_columns, io);
+    auto writer = HeapFileWriter::Create(path, num_columns, io, width);
     EXPECT_TRUE(writer.ok()) << writer.status().ToString();
     for (const Row& row : rows) {
       Status s = (*writer)->Append(row);
@@ -187,6 +190,8 @@ class HeapFileBatchTest : public ::testing::Test {
     EXPECT_TRUE(s.ok()) << s.ToString();
     return path;
   }
+
+  void ExpectBulkAppendMatchesRowByRow(const Schema& schema);
 
   TempDir dir_;
 };
@@ -335,10 +340,15 @@ TEST_F(HeapFileBatchTest, OpenForAppendContinuesPartialPage) {
   EXPECT_EQ(readback, all);
 }
 
-TEST_F(HeapFileBatchTest, BulkAppendMatchesRowByRowAcrossPageBoundaries) {
-  Schema schema = MakeSchema({9, 5, 7}, 3);
+// Appends rows of `schema` in chunks that cross page boundaries to a file
+// of the schema's narrowest width, in bulk and row by row, and as the runs
+// of one staged-file append: all three hold the same bytes and read back
+// the same rows.
+void HeapFileBatchTest::ExpectBulkAppendMatchesRowByRow(const Schema& schema) {
   const int columns = schema.num_columns();
-  const size_t slots = SlotsPerPage(schema.RowBytes());
+  const ValueWidth width = NarrowestValueWidth(schema);
+  const size_t row_bytes = RowCodec(columns, width).row_bytes();
+  const size_t slots = SlotsPerPage(row_bytes);
   // One row, the rest of a page, a page and a row past the next boundary,
   // then enough pages to flush the write buffer and stop mid-page.
   const std::vector<size_t> chunks = {1, slots - 1, slots + 1,
@@ -352,7 +362,7 @@ TEST_F(HeapFileBatchTest, BulkAppendMatchesRowByRowAcrossPageBoundaries) {
   const std::string bulk_path = dir_.path() + "/bulk.heap";
   IoCounters bulk_io;
   {
-    auto writer = HeapFileWriter::Create(bulk_path, columns, &bulk_io);
+    auto writer = HeapFileWriter::Create(bulk_path, columns, &bulk_io, width);
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
     size_t at = 0;
     for (size_t chunk : chunks) {
@@ -363,7 +373,7 @@ TEST_F(HeapFileBatchTest, BulkAppendMatchesRowByRowAcrossPageBoundaries) {
     ASSERT_TRUE((*writer)->Finish().ok());
   }
   IoCounters row_io;
-  const std::string row_path = WriteFile(rows, columns, &row_io);
+  const std::string row_path = WriteFile(rows, columns, &row_io, width);
   auto bytes_of = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in), {});
@@ -375,7 +385,7 @@ TEST_F(HeapFileBatchTest, BulkAppendMatchesRowByRowAcrossPageBoundaries) {
   // The same chunks as the runs of one staged-file append: one fault
   // crossing, one mw_file_rows_written per row, the same bytes.
   CostCounters cost;
-  StagingManager staging(dir_.path(), columns, &cost);
+  StagingManager staging(dir_.path(), schema, &cost);
   auto id = staging.BeginFileStore();
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   std::vector<std::span<const Value>> runs;
@@ -402,7 +412,7 @@ TEST_F(HeapFileBatchTest, BulkAppendMatchesRowByRowAcrossPageBoundaries) {
   // The last page is partial and reuses a buffer slot an earlier, full
   // page was written from: its empty slots still read as zeros.
   const std::string bytes = bytes_of(row_path);
-  const size_t tail = kPageHeaderBytes + (total % slots) * schema.RowBytes();
+  const size_t tail = kPageHeaderBytes + (total % slots) * row_bytes;
   ASSERT_EQ(bytes.size() % kPageSize, 0u);
   ASSERT_GT(bytes.size() / kPageSize, kWriteBufferPages);
   const std::string last_page = bytes.substr(bytes.size() - kPageSize);
@@ -410,6 +420,7 @@ TEST_F(HeapFileBatchTest, BulkAppendMatchesRowByRowAcrossPageBoundaries) {
 
   auto reader = HeapFileReader::Open(bulk_path, columns, nullptr);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ((*reader)->width(), width);
   RowBatch batch;
   std::vector<Row> by_page;
   for (uint64_t page = 0; page < (*reader)->num_pages(); ++page) {
@@ -429,6 +440,15 @@ TEST_F(HeapFileBatchTest, BulkAppendMatchesRowByRowAcrossPageBoundaries) {
     by_row.push_back(row);
   }
   EXPECT_EQ(by_row, rows);
+}
+
+TEST_F(HeapFileBatchTest, BulkAppendMatchesRowByRowAcrossPageBoundaries) {
+  // A 300-value column: four-byte values.
+  ExpectBulkAppendMatchesRowByRow(MakeSchema({9, 5, 300}, 3));
+}
+
+TEST_F(HeapFileBatchTest, NarrowBulkAppendMatchesRowByRow) {
+  ExpectBulkAppendMatchesRowByRow(MakeSchema({9, 5, 256}, 3));
 }
 
 // ----------------------------------------------------------------- CC merge
@@ -785,10 +805,10 @@ auto WithinDeadline(Scan scan) {
 }
 
 // Scans `path` with every node staged; stage call `fail_stage_call`
-// (1-based; 0: none) fails.
+// (1-based; 0: none) fails. `io` (nullable) gets the physical reads.
 CrewRun RunStagedScan(ThreadPool* pool, const std::string& path,
                       int num_columns, ParallelScanOptions options,
-                      int fail_stage_call = 0) {
+                      int fail_stage_call = 0, IoCounters* io = nullptr) {
   std::vector<std::vector<Value>> staged(options.node_attrs.size());
   int calls = 0;
   options.staged.assign(options.node_attrs.size(), true);
@@ -805,7 +825,7 @@ CrewRun RunStagedScan(ThreadPool* pool, const std::string& path,
   CostCounters cost;
   StatusOr<ParallelScanResult> scan = WithinDeadline([&] {
     return ParallelCountScan::OverHeapFile(pool, path, num_columns, options,
-                                           &cost, nullptr);
+                                           &cost, io);
   });
   return CrewRun{std::move(scan), std::move(staged), cost.ToString()};
 }
@@ -1058,6 +1078,96 @@ TEST(ParallelScanTest, BlocksMatchRowAtATimeScanWithChecksAndRowFilter) {
   }
 }
 
+// A one-byte file scans exactly like the four-byte file of the same rows:
+// the same tables, evictions, delivered and staged rows, logical charges
+// and physical rows read, at 1, 2 and 4 workers, with a row filter,
+// pushdown and overflow checks every 5 delivered rows. The one-column
+// schema's narrow pages hold 4,088 two-value rows, twice the blocks of the
+// widest four-byte page.
+TEST(ParallelScanTest, NarrowFileScansLikeTheWideFile) {
+  for (const std::vector<int>& cards :
+       {std::vector<int>{64}, std::vector<int>{64, 4, 4, 4}}) {
+    Schema schema = MakeSchema(cards, 3);
+    const int columns = schema.num_columns();
+    SCOPED_TRACE(std::to_string(columns) + " columns");
+    const size_t narrow_slots = SlotsPerPage(columns);
+    const size_t n = 9 * narrow_slots + narrow_slots / 3;
+    // A1 rises with the row, so the tables grow through the whole scan and
+    // a bound at half their final size is crossed mid-scan.
+    std::vector<Row> rows = RandomRows(schema, n, /*seed=*/89);
+    for (size_t i = 0; i < n; ++i) rows[i][0] = static_cast<Value>(i * 64 / n);
+    TempDir dir;
+    std::map<ValueWidth, std::string> paths;
+    for (ValueWidth width : {ValueWidth::kFour, ValueWidth::kOne}) {
+      paths[width] =
+          dir.path() + "/w" + std::to_string(static_cast<int>(width));
+      auto writer =
+          HeapFileWriter::Create(paths[width], columns, nullptr, width);
+      ASSERT_TRUE(writer.ok());
+      for (const Row& row : rows) ASSERT_TRUE((*writer)->Append(row).ok());
+      ASSERT_TRUE((*writer)->Finish().ok());
+    }
+
+    std::unique_ptr<Expr> low = Expr::ColEq("A1", 3);
+    std::unique_ptr<Expr> high = Expr::ColNe("A1", 40);
+    ASSERT_TRUE(low->Bind(schema).ok());
+    ASSERT_TRUE(high->Bind(schema).ok());
+    std::vector<std::unique_ptr<Expr>> either;
+    either.push_back(low->Clone());
+    either.push_back(high->Clone());
+    std::unique_ptr<Expr> filter = Expr::Or(std::move(either));
+    ASSERT_TRUE(filter->Bind(schema).ok());
+    const BatchMatcher matcher({low.get(), high.get()});
+    const std::vector<int> attrs = {0};
+    ParallelScanOptions options;
+    options.class_column = schema.class_column();
+    options.num_classes = 3;
+    options.matcher = &matcher;
+    options.node_attrs = {&attrs, &attrs};
+    options.filter = true;
+    options.charge.server_row_evaluated = true;
+    options.charge.cursor_transfer = true;
+    options.check_interval = 5;
+    options.row_filter = [](uint64_t ordinal) { return ordinal % 5 != 2; };
+    const CrewRun unbounded =
+        RowAtATimeScan(rows, options, filter.get(), columns);
+    size_t final_bytes = 0;
+    for (const CcTable& cc : unbounded.scan->ccs) {
+      final_bytes += cc.ApproxBytes();
+    }
+    ParallelScanOptions unbounded_options = options;
+    options.cc_available = final_bytes / 2;
+    const CrewRun reference =
+        RowAtATimeScan(rows, options, filter.get(), columns);
+    ASSERT_NE(reference.scan->evicted[1], CcEviction::kNone);
+    EXPECT_LT(reference.scan->rows_delivered, reference.scan->rows_scanned);
+
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      ThreadPool pool(threads);
+      for (ValueWidth width : {ValueWidth::kFour, ValueWidth::kOne}) {
+        ExpectSameRun(
+            RunStagedScan(&pool, paths[width], columns, options), reference);
+      }
+      // Unbounded, nothing is recounted: each file's rows are read once.
+      IoCounters wide_io;
+      IoCounters narrow_io;
+      ExpectSameRun(RunStagedScan(&pool, paths[ValueWidth::kFour], columns,
+                                  unbounded_options, 0, &wide_io),
+                    unbounded);
+      ExpectSameRun(RunStagedScan(&pool, paths[ValueWidth::kOne], columns,
+                                  unbounded_options, 0, &narrow_io),
+                    unbounded);
+      EXPECT_EQ(wide_io.rows_read, n);
+      EXPECT_EQ(narrow_io.rows_read, n);
+      EXPECT_EQ(narrow_io.pages_read, 10u);
+      EXPECT_EQ(wide_io.pages_read,
+                (n + SlotsPerPage(schema.RowBytes()) - 1) /
+                    SlotsPerPage(schema.RowBytes()));
+    }
+  }
+}
+
 // --------------------------------------------------- middleware integration
 
 // One middleware configuration a grow runs under.
@@ -1253,6 +1363,44 @@ TEST(MiddlewareParallelTest, StagedWavesMatchSerialAtAnyThreadCount) {
     for (int threads : {2, 4, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       ExpectSameWave(serial, RunWave(schema, rows, input, threads));
+    }
+  }
+}
+
+// Staged files take the schema's narrowest width: the generated table
+// (at most 256 values a column) stages one-byte pages, and declaring one
+// of its columns with 300 values makes the same grow stage four-byte
+// pages. Either grow equals the in-memory reference's.
+TEST(MiddlewareParallelTest, StagedFilesTakeTheSchemasWidth) {
+  Schema narrow;
+  std::vector<Row> rows = WaveRows(&narrow);
+  ASSERT_FALSE(rows.empty());
+  std::vector<AttributeDef> attrs = narrow.attributes();
+  attrs[0].cardinality = 300;
+  attrs[0].labels.clear();
+  const Schema wide(attrs, narrow.class_column());
+  const WaveInput file{"file", /*file_staging=*/true,
+                       /*memory_staging=*/false};
+  for (const auto& [schema, version] :
+       {std::pair{narrow, kHeapNarrowVersion},
+        std::pair{wide, kHeapWideVersion}}) {
+    SCOPED_TRACE("page version " + std::to_string(version));
+    InMemoryCcProvider reference(schema, &rows);
+    TreeClientConfig client_config;
+    client_config.max_depth = 4;
+    auto tree = DecisionTreeClient(schema, client_config)
+                    .Grow(&reference, rows.size());
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    const WaveOutcome out = RunWave(schema, rows, file, /*threads=*/2);
+    EXPECT_EQ(out.tree, tree->ToString(1 << 20));
+    ASSERT_FALSE(out.staged_files.empty());
+    for (const auto& [id, bytes] : out.staged_files) {
+      ASSERT_EQ(bytes.size() % kPageSize, 0u);
+      for (size_t page = 0; page < bytes.size(); page += kPageSize) {
+        EXPECT_EQ(DecodeFixed32(bytes.data() + page + kPageVersionOffset),
+                  version)
+            << "store " << id << ", page " << page / kPageSize;
+      }
     }
   }
 }

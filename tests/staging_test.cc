@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 
 #include "middleware/batch_matcher.h"
 #include "middleware/parallel_scan.h"
@@ -12,6 +14,7 @@
 namespace sqlclass {
 namespace {
 
+using testing_util::MakeSchema;
 using testing_util::TempDir;
 
 Status AppendRow(StagingManager* staging, LocationKind kind, uint64_t id,
@@ -38,9 +41,21 @@ std::vector<Row> ReadStagedFile(const StagingManager& staging, uint64_t id,
   }
 }
 
+// The version word of the first page of the file at `path`: 2 for four-byte
+// values, 3 for one-byte values.
+uint32_t FirstPageVersion(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  char header[kPageHeaderBytes] = {};
+  in.read(header, sizeof(header));
+  uint32_t version = 0;
+  std::memcpy(&version, header + kPageVersionOffset, sizeof(version));
+  return version;
+}
+
 class StagingTest : public ::testing::Test {
  protected:
-  StagingTest() : staging_(dir_.path(), 3, &cost_) {}
+  // Three columns of at most 256 values: staged files are one byte a value.
+  StagingTest() : staging_(dir_.path(), MakeSchema({16, 256}, 7), &cost_) {}
 
   TempDir dir_;
   CostCounters cost_;
@@ -134,6 +149,37 @@ TEST_F(StagingTest, ByteAccountingTracksBothTiers) {
   EXPECT_EQ(staging_.memory_bytes_used(), 0u);
 }
 
+// A schema whose columns all declare at most 256 values stages one-byte
+// pages; one column of 257 values makes it stage four-byte pages. Both read
+// back the same rows and account the same logical bytes.
+TEST(StagingWidthTest, StagesAtTheSchemasNarrowestWidth) {
+  const std::vector<Value> rows = {0, 255, 3, 7, 0, 1, 255, 128, 2};
+  std::vector<std::vector<Row>> read_back;
+  for (const auto& [cards, version] :
+       {std::pair{std::vector<int>{256, 16}, kHeapNarrowVersion},
+        std::pair{std::vector<int>{257, 16}, kHeapWideVersion}}) {
+    SCOPED_TRACE(cards[0]);
+    TempDir dir;
+    CostCounters cost;
+    StagingManager staging(dir.path(), MakeSchema(cards, 3), &cost);
+    auto id = staging.BeginFileStore();
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_TRUE(
+        staging.Append(DataLocation{LocationKind::kFile, *id}, rows.data(), 3)
+            .ok());
+    ASSERT_TRUE(staging.FinishFileStore(*id).ok());
+    EXPECT_EQ(FirstPageVersion(*staging.FileStorePath(*id)), version);
+    EXPECT_EQ(staging.RowBytes(), 12u);
+    EXPECT_EQ(staging.file_bytes_used(), 36u);
+    EXPECT_EQ(cost.mw_file_rows_written, 3u);
+    EXPECT_EQ(staging.io_counters().pages_written, 1u);
+    read_back.push_back(ReadStagedFile(staging, *id, 3));
+  }
+  const std::vector<Row> expected = {{0, 255, 3}, {7, 0, 1}, {255, 128, 2}};
+  EXPECT_EQ(read_back[0], expected);
+  EXPECT_EQ(read_back[1], expected);
+}
+
 TEST_F(StagingTest, StoreRowsQueriesBothKinds) {
   auto fid = staging_.BeginFileStore();
   ASSERT_TRUE(AppendRow(&staging_, LocationKind::kFile, *fid, {1, 2, 3}).ok());
@@ -208,7 +254,7 @@ TEST_F(StagingTest, DestructorCleansUpFiles) {
   {
     TempDir dir;
     CostCounters cost;
-    StagingManager staging(dir.path(), 2, &cost);
+    StagingManager staging(dir.path(), MakeSchema({4}, 2), &cost);
     auto fid = staging.BeginFileStore();
     ASSERT_TRUE(AppendRow(&staging, LocationKind::kFile, *fid, {1, 2}).ok());
     ASSERT_TRUE(staging.FinishFileStore(*fid).ok());

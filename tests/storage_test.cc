@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
+
 #include "storage/row_store.h"
 #include "test_util.h"
 
@@ -254,6 +257,221 @@ TEST(HeapFileTest, ZeroColumnsRejected) {
   TempDir dir;
   EXPECT_FALSE(HeapFileWriter::Create(dir.path() + "/z.tbl", 0, nullptr).ok());
   EXPECT_FALSE(HeapFileReader::Open(dir.path() + "/z.tbl", 0, nullptr).ok());
+}
+
+// ------------------------------------------------------ one-byte heap files
+
+// Writes `rows` to a one-byte heap file at `path`.
+void WriteNarrow(const std::string& path, int columns,
+                 const std::vector<Row>& rows, IoCounters* io) {
+  auto writer = HeapFileWriter::Create(path, columns, io, ValueWidth::kOne);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  for (const Row& row : rows) ASSERT_TRUE((*writer)->Append(row).ok());
+  ASSERT_TRUE((*writer)->Finish().ok());
+}
+
+// Every row of the heap file at `path`, read with Next().
+std::vector<Row> ReadAll(const std::string& path, int columns) {
+  std::vector<Row> read;
+  auto reader = HeapFileReader::Open(path, columns, nullptr);
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  if (!reader.ok()) return read;
+  Row row;
+  while (true) {
+    auto more = (*reader)->Next(&row);
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !*more) return read;
+    read.push_back(row);
+  }
+}
+
+// Overwrites the 4-byte header word at `offset` of page `page` and
+// re-seals the page's checksum, so that only the structural checks can
+// catch the change.
+void ForgeHeaderWord(const std::string& path, uint64_t page, size_t offset,
+                     uint32_t value) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  std::vector<char> bytes(kPageSize);
+  file.seekg(static_cast<std::streamoff>(page * kPageSize));
+  file.read(bytes.data(), kPageSize);
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  const uint32_t sum = ComputePageChecksum(bytes.data());
+  std::memcpy(bytes.data() + kPageChecksumOffset, &sum, sizeof(sum));
+  file.seekp(static_cast<std::streamoff>(page * kPageSize));
+  file.write(bytes.data(), kPageSize);
+}
+
+TEST(RowCodecTest, NarrowRoundTripAndFits) {
+  RowCodec codec(3, ValueWidth::kOne);
+  EXPECT_EQ(codec.row_bytes(), 3u);
+  const std::vector<Value> rows = {0, 255, 7, 128, 1, 254};
+  EXPECT_TRUE(codec.Fits(rows.data(), 2));
+  std::vector<char> buf(2 * codec.row_bytes());
+  codec.EncodeRows(rows.data(), 2, buf.data());
+  std::vector<Value> decoded(rows.size());
+  codec.DecodeRows(buf.data(), 2, decoded.data());
+  EXPECT_EQ(decoded, rows);
+  for (Value bad : {256, -1, 1 << 30}) {
+    const std::vector<Value> row = {1, bad, 2};
+    EXPECT_FALSE(codec.Fits(row.data(), 1)) << bad;
+    EXPECT_TRUE(RowCodec(3).Fits(row.data(), 1)) << bad;
+  }
+}
+
+TEST(RowCodecTest, NarrowestWidthComesFromTheDeclaredCardinalities) {
+  EXPECT_EQ(NarrowestValueWidth(MakeSchema({256, 2}, 256)), ValueWidth::kOne);
+  EXPECT_EQ(NarrowestValueWidth(MakeSchema({257, 2}, 3)), ValueWidth::kFour);
+  EXPECT_EQ(NarrowestValueWidth(MakeSchema({2, 2}, 300)), ValueWidth::kFour);
+}
+
+TEST(NarrowHeapFileTest, RoundTripsThroughNextReadPageIntoAndReadAt) {
+  TempDir dir;
+  const std::string path = dir.path() + "/narrow.tbl";
+  Schema schema = MakeSchema({256, 3, 17}, 5);
+  const size_t slots = SlotsPerPage(4);  // four one-byte values a row
+  ASSERT_EQ(slots, 4 * SlotsPerPage(4 * sizeof(Value)));
+  const std::vector<Row> rows = RandomRows(schema, 2 * slots + 100, 31);
+  IoCounters io;
+  WriteNarrow(path, 4, rows, &io);
+  EXPECT_EQ(io.pages_written, 3u);
+  EXPECT_EQ(io.rows_written, rows.size());
+
+  EXPECT_EQ(ReadAll(path, 4), rows);
+  IoCounters read_io;
+  auto reader = HeapFileReader::Open(path, 4, &read_io);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ((*reader)->width(), ValueWidth::kOne);
+  EXPECT_EQ((*reader)->slots_per_page(), slots);
+  EXPECT_EQ((*reader)->num_pages(), 3u);
+  EXPECT_EQ((*reader)->num_rows(), rows.size());  // from the last header
+  EXPECT_EQ(read_io.pages_read, 0u);
+
+  std::vector<Row> by_page;
+  RowBatch batch;
+  for (uint64_t page = 0; page < (*reader)->num_pages(); ++page) {
+    ASSERT_TRUE((*reader)->ReadPageInto(page, &batch).ok());
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      by_page.emplace_back(batch.RowAt(i), batch.RowAt(i) + 4);
+    }
+  }
+  EXPECT_EQ(by_page, rows);
+  EXPECT_EQ(read_io.pages_read, 3u);
+  EXPECT_EQ(read_io.rows_read, rows.size());
+
+  Row row;
+  for (Tid tid : {Tid{0}, Tid{slots - 1}, Tid{slots}, Tid{rows.size() - 1}}) {
+    ASSERT_TRUE((*reader)->ReadAt(tid, &row).ok()) << tid;
+    EXPECT_EQ(row, rows[tid]) << "tid " << tid;
+  }
+  EXPECT_FALSE((*reader)->ReadAt(rows.size(), &row).ok());
+}
+
+TEST(NarrowHeapFileTest, OpenForAppendContinuesAPartialNarrowPage) {
+  TempDir dir;
+  const std::string path = dir.path() + "/append.tbl";
+  Schema schema = MakeSchema({200}, 9);
+  const size_t slots = SlotsPerPage(2);
+  const std::vector<Row> rows = RandomRows(schema, slots + 300, 37);
+  const size_t first = slots + 100;
+  WriteNarrow(path, 2, {rows.begin(), rows.begin() + first}, nullptr);
+
+  IoCounters io;
+  auto writer = HeapFileWriter::OpenForAppend(path, 2, &io);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  EXPECT_EQ((*writer)->existing_rows(), first);
+  EXPECT_EQ(io.pages_read, 1u);  // the partial last page, reloaded
+  for (size_t i = first; i < rows.size(); ++i) {
+    ASSERT_TRUE((*writer)->Append(rows[i]).ok());
+  }
+  // The appender kept the file's width: it refuses a four-byte value.
+  EXPECT_EQ((*writer)->Append({256, 0}).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE((*writer)->Finish().ok());
+  EXPECT_EQ(ReadAll(path, 2), rows);
+  auto reader = HeapFileReader::Open(path, 2, nullptr);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ((*reader)->num_pages(), 2u);
+}
+
+TEST(NarrowHeapFileTest, OutOfRangeValuesAreRefusedNotTruncated) {
+  TempDir dir;
+  const std::string path = dir.path() + "/refuse.tbl";
+  const std::vector<Row> rows = {{1, 2}, {255, 0}};
+  auto writer = HeapFileWriter::Create(path, 2, nullptr, ValueWidth::kOne);
+  ASSERT_TRUE(writer.ok());
+  for (const Row& row : rows) ASSERT_TRUE((*writer)->Append(row).ok());
+  for (Value bad : {256, -1}) {
+    Status s = (*writer)->Append({3, bad});
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
+    // A bulk append with one bad value appends none of its rows.
+    const std::vector<Value> bulk = {4, 4, 5, bad};
+    EXPECT_EQ((*writer)->AppendRows(bulk.data(), 2).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ((*writer)->rows_written(), 2u);
+  ASSERT_TRUE((*writer)->Finish().ok());
+  EXPECT_EQ(ReadAll(path, 2), rows);
+}
+
+TEST(NarrowHeapFileTest, WidePageInsideANarrowFileIsAnIoError) {
+  TempDir dir;
+  const std::string path = dir.path() + "/mixed.tbl";
+  const std::vector<Row> rows(SlotsPerPage(2) + 1, Row{1, 2});
+  WriteNarrow(path, 2, rows, nullptr);
+  ForgeHeaderWord(path, 0, kPageVersionOffset, kHeapWideVersion);
+  IoCounters io;
+  auto reader = HeapFileReader::Open(path, 2, &io);  // learns from page 1
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  RowBatch batch;
+  Status s = (*reader)->ReadPageInto(0, &batch);
+  EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+  EXPECT_NE(s.message().find("version"), std::string::npos);
+  EXPECT_EQ(io.checksum_failures, 0u);
+  EXPECT_TRUE((*reader)->ReadPageInto(1, &batch).ok());
+
+  // An unknown version in the last page fails the open.
+  ForgeHeaderWord(path, 1, kPageVersionOffset, 4);
+  EXPECT_EQ(HeapFileReader::Open(path, 2, nullptr).status().code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(HeapFileWriter::OpenForAppend(path, 2, nullptr).status().code(),
+            StatusCode::kIoError);
+}
+
+TEST(NarrowHeapFileTest, FlippedPayloadByteIsDataLoss) {
+  TempDir dir;
+  const std::string path = dir.path() + "/flip.tbl";
+  WriteNarrow(path, 2, {{1, 2}, {3, 4}}, nullptr);
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(static_cast<std::streamoff>(kPageHeaderBytes) + 1);
+    const char evil = '\x5a';
+    file.write(&evil, 1);
+  }
+  IoCounters io;
+  auto reader = HeapFileReader::Open(path, 2, &io);
+  ASSERT_TRUE(reader.ok());
+  Row row;
+  auto more = (*reader)->Next(&row);
+  ASSERT_FALSE(more.ok());
+  EXPECT_EQ(more.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(io.checksum_failures, 1u);
+}
+
+TEST(NarrowHeapFileTest, RowCountAboveTheNarrowSlotCountIsAnIoError) {
+  TempDir dir;
+  const std::string path = dir.path() + "/count.tbl";
+  const size_t slots = SlotsPerPage(2);
+  WriteNarrow(path, 2, std::vector<Row>(slots + 1, Row{1, 2}), nullptr);
+  // A full narrow page is legal; one row more is not, on either page.
+  ForgeHeaderWord(path, 0, kPageRowCountOffset,
+                  static_cast<uint32_t>(slots + 1));
+  auto reader = HeapFileReader::Open(path, 2, nullptr);
+  ASSERT_TRUE(reader.ok());
+  RowBatch batch;
+  EXPECT_EQ((*reader)->ReadPageInto(0, &batch).code(), StatusCode::kIoError);
+  ForgeHeaderWord(path, 1, kPageRowCountOffset,
+                  static_cast<uint32_t>(slots + 1));
+  EXPECT_EQ(HeapFileReader::Open(path, 2, nullptr).status().code(),
+            StatusCode::kIoError);
 }
 
 // ---------------------------------------------------------- InMemoryRowStore

@@ -14,6 +14,7 @@ Primitives (call sites that move rows/bytes):
     .Decode( / ->Decode(       row decode out of a page image
     .DecodeInto( / ->DecodeInto(
     .Encode( / ->Encode(       row encode into a page image
+    .DecodeRows( / .EncodeRows(  bulk row decode / encode of a page image
     ->Next( / .Next(           cursor / row-source advance
     ->BitmapWords( / .BitmapWords(   bitmap-index word fetch
     ->SampleRows( / .SampleRows(     scramble (sample file) payload fetch
@@ -76,6 +77,7 @@ PRIMITIVE_RE = re.compile(
       | (?:\.|->)Decode\s*\(
       | (?:\.|->)DecodeInto\s*\(
       | (?:\.|->)Encode\s*\(
+      | (?:\.|->)(?:Decode|Encode)Rows\s*\(
       | (?:\.|->)Next\s*\(
       | (?:\.|->)BitmapWords\s*\(
       | (?:\.|->)SampleRows\s*\(
@@ -216,7 +218,8 @@ def run_check(root, subdirs, charge_re):
 def self_test(root, charge_re):
     """Proves the checker detects an uncharged primitive in each scan-out
     flavor: a bare fwrite in heap_file.cc (plus an honored fault-injected
-    waiver), an uncharged BitmapWords fetch in bitmap_scan.cc, an uncharged
+    waiver), an uncharged bulk page decode in heap_file.cc, an uncharged
+    BitmapWords fetch in bitmap_scan.cc, an uncharged
     SampleRows fetch in sample_scan.cc, an uncharged ShardRows fetch in
     shard_scan.cc, a counting-kernel call that passes cost = nullptr
     without a waiver in shard_scan.cc, and batch_executor.cc's one
@@ -241,6 +244,16 @@ def self_test(root, charge_re):
             expect="UnchargedAppendForLintSelfTest",
             forbid="WaivedFaultPathForLintSelfTest",
             label="uncharged fwrite + honored fault-injected waiver"),
+        Injection(
+            os.path.join(root, "src", "storage", "heap_file.cc"),
+            "\nnamespace sqlclass {\n"
+            "void UnchargedBulkDecodeForLintSelfTest(const RowCodec& codec,"
+            " const char* page, Value* rows) {\n"
+            "  codec.DecodeRows(page, 1, rows);\n"
+            "}\n"
+            "}  // namespace sqlclass\n",
+            expect="UnchargedBulkDecodeForLintSelfTest",
+            label="uncharged bulk decode"),
         Injection(
             os.path.join(mw, "bitmap_scan.cc"),
             "\nnamespace sqlclass {\n"
